@@ -1,19 +1,15 @@
 """Runtime throughput: the index/cache fast path and the batch executor.
 
-Four workloads over the generated collection:
+Workloads over the generated collection:
 
 * **repeated documents** — the same documents disambiguated many times,
   the traffic shape of a schema-matching loop.  Baseline is the seed
   behavior (a fresh ``XSDF`` per document, nothing shared); the runtime
   serves repeats from its caches and must be at least 2x faster.
-* **packed vs dict** — one serial pass over distinct documents with the
-  flat-array :class:`PackedIndex` kernels vs the dict-backed
-  ``SemanticIndex``, index build excluded from the timed region.  The
-  packed kernels must be bit-identical and at least 1.3x faster.
 * **unique documents** — three disjoint document sets with the same
   dataset mix through a serial executor and a ``workers=2`` persistent
-  pool: the first set is the *cold* batch (pool spawn + shared-memory
-  publish inside the timed region), the other two are *steady-state*
+  pool: the first set is the *cold* batch (pool spawn + temporary
+  shard write inside the timed region), the other two are *steady-state*
   probes on the warm pool.  Output must stay byte-identical to serial,
   the warm pool must be strictly faster than the cold batch, and the
   speedup gate is ≥1.8x (≥1.4x smoke) on multi-core hosts or the
@@ -26,13 +22,12 @@ Four workloads over the generated collection:
   Output must stay byte-identical; the default pipeline must be at
   least 1.5x faster (1.3x under smoke).
 * **mmap store** — the on-disk ``RXPD`` shard path: cold attach via
-  ``PackedIndex.from_mmap`` must be at least 20x faster than decoding
-  the equivalent ``RXPK`` payload at 100k concepts (the whole point of
-  the format: attach is O(section count), decode is O(bytes)); a second
-  process attaching the same shard must grow its *private* memory by
-  only a small fraction of the shard size (the mapped pages are shared
-  through the OS page cache with every other attacher); and batch
-  output over mmap-, heap-packed-, and dict-backed indexes must stay
+  ``PackedIndex.from_mmap`` at 100k concepts is recorded (attach is
+  O(section count)) and its depths checked against the network walk; a
+  second process attaching the same shard must grow its *private*
+  memory by only a small fraction of the shard size (the mapped pages
+  are shared through the OS page cache with every other attacher); and
+  batch output over mmap- and heap-backed indexes must stay
   byte-identical.
 
 Results land in ``BENCH_runtime.json`` at the repo root.  Set
@@ -148,54 +143,6 @@ def test_repeated_documents_cached_speedup(benchmark, network, corpus):
     assert speedup >= 2.0, f"cached runtime only x{speedup:.2f}"
 
 
-def test_packed_vs_dict_single_core(benchmark, network, corpus):
-    """Flat-array packed kernels vs dict-index kernels, ``workers=1``.
-
-    Both executors build their index outside the timed region so the
-    comparison isolates kernel throughput — in real use the build is
-    amortised over a whole batch, and the parallel path ships the
-    parent-built index to workers instead of rebuilding it.
-    """
-    config = XSDFConfig()
-    docs = _distinct_documents(corpus, N_DOCS)
-
-    def run():
-        timings = {}
-        outputs = {}
-        for packed in (False, True):
-            executor = BatchExecutor(
-                network, config, workers=1, packed=packed
-            )
-            executor._ensure_index()  # build outside the timed region
-            start = time.perf_counter()
-            records = executor.run(docs)
-            timings[packed] = time.perf_counter() - start
-            outputs[packed] = [r.to_json_line() for r in records]
-        return timings, outputs
-
-    timings, outputs = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert outputs[False] == outputs[True]  # bit-identical kernels
-    speedup = timings[False] / timings[True]
-    rows = [
-        ["dict (SemanticIndex)", f"{len(docs) / timings[False]:.2f}", "-"],
-        ["packed (PackedIndex)", f"{len(docs) / timings[True]:.2f}",
-         f"x{speedup:.1f}"],
-    ]
-    print_table(
-        f"Runtime: packed vs dict kernels over {len(docs)} docs",
-        ["index", "docs/s", "speedup"],
-        rows,
-    )
-    _RESULTS["packed_vs_dict"] = {
-        "n_documents": len(docs),
-        "dict_docs_per_s": round(len(docs) / timings[False], 3),
-        "packed_docs_per_s": round(len(docs) / timings[True], 3),
-        "speedup": round(speedup, 2),
-    }
-    floor = 1.15 if SMOKE else 1.3  # smoke workloads are timing-noisy
-    assert speedup >= floor, f"packed kernels only x{speedup:.2f}"
-
-
 def _disjoint_doc_sets(corpus, n: int, k: int):
     """``k`` disjoint document lists with the same dataset mix.
 
@@ -233,9 +180,9 @@ def test_parallel_batch_throughput(benchmark, network, corpus):
     failing; a noise burst gets outvoted by more samples).
 
     The real pool's spin-up cost is measured in a separate
-    ``oversubscribe=True`` pass (cold batch pays pool spawn + shm
-    publish inside its timed region; the probes run on the warm pool)
-    so the recorded pool/shm figures stay honest even on 1-CPU hosts
+    ``oversubscribe=True`` pass (cold batch pays pool spawn + shard
+    write inside its timed region; the probes run on the warm pool)
+    so the recorded pool/shard figures stay honest even on 1-CPU hosts
     where the default executor's anti-oversubscription clamp routes
     ``workers=2`` serially.
     """
@@ -321,7 +268,7 @@ def test_parallel_batch_throughput(benchmark, network, corpus):
     assert pool_out == baseline          # the real pool too
     # The pool genuinely persisted: batches 2 and 3 reused it warm.
     assert pool_stats["pool_reuse_count"] >= 2
-    assert pool_stats["shm_bytes"] > 0
+    assert pool_stats["shard_bytes"] > 0
     assert pool_stats["worker_respawns"] == 0
 
     pool_cold_s, pool_steady_s = pool_t[0], min(pool_t[1], pool_t[2])
@@ -359,10 +306,10 @@ def test_parallel_batch_throughput(benchmark, network, corpus):
         "spinup_docs_per_s": round(spinup_dps, 3),
         "steady_docs_per_s": round(steady_dps, 3),
         "pool_reuse_count": pool_stats["pool_reuse_count"],
-        "shm_bytes": pool_stats["shm_bytes"],
+        "shard_bytes": pool_stats["shard_bytes"],
     }
     # Steady state (warm pool, best of two probes) must strictly beat
-    # the cold batch that paid for pool spawn + shm publish.
+    # the cold batch that paid for pool spawn + shard write.
     assert pool_steady_s < pool_cold_s, (
         f"warm pool ({steady_dps:.2f} docs/s) no faster than "
         f"spin-up ({spinup_dps:.2f} docs/s)"
@@ -544,9 +491,9 @@ _CACHE_DIR = Path(__file__).resolve().parent / "_cache"
 def _store_fixture() -> dict:
     """Build (or reuse) the big-network store fixture under ``_cache/``.
 
-    Produces four files keyed by concept count — the generated network
-    JSON, its ``RXPK`` packed payload, the ``RXPD`` shard, and a meta
-    record of the generation parameters plus the network fingerprint.
+    Produces three files keyed by concept count — the generated network
+    JSON, its ``RXPD`` shard, and a meta record of the generation
+    parameters plus the network fingerprint.
     The cache is trusted only when the meta parameters match this
     module's constants **and** the shard header carries the recorded
     fingerprint prefix; any drift (new generator defaults, a changed
@@ -560,7 +507,6 @@ def _store_fixture() -> dict:
 
     stem = f"store-{STORE_CONCEPTS // 1000}k"
     net_path = _CACHE_DIR / f"{stem}.network.json"
-    rxpk_path = _CACHE_DIR / f"{stem}.rxpk"
     rxpd_path = _CACHE_DIR / f"{stem}.rxpd"
     meta_path = _CACHE_DIR / f"{stem}.meta.json"
     params = {
@@ -570,9 +516,7 @@ def _store_fixture() -> dict:
     }
 
     def cache_valid() -> bool:
-        if not all(
-            p.exists() for p in (net_path, rxpk_path, rxpd_path, meta_path)
-        ):
+        if not all(p.exists() for p in (net_path, rxpd_path, meta_path)):
             return False
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -593,9 +537,7 @@ def _store_fixture() -> dict:
         # the JSON file sees (save -> load coerces int frequencies).
         network = load_network(net_path)
         fingerprint = network.fingerprint()
-        index = PackedIndex(network)
-        rxpk_path.write_bytes(index.to_bytes())
-        write_shard(index, rxpd_path, fingerprint=fingerprint)
+        write_shard(PackedIndex(network), rxpd_path, fingerprint=fingerprint)
         meta_path.write_text(
             json.dumps({"params": params, "fingerprint": fingerprint})
             + "\n",
@@ -606,7 +548,6 @@ def _store_fixture() -> dict:
         fingerprint = meta["fingerprint"]
     return {
         "network_json": net_path,
-        "rxpk": rxpk_path,
         "shard": rxpd_path,
         "fingerprint": fingerprint,
     }
@@ -654,17 +595,17 @@ def _child_memory_kb(shard: "Path | None") -> tuple[int, int]:
 
 
 def test_mmap_cold_attach(benchmark):
-    """``from_mmap`` attach vs ``RXPK`` decode on the 100k fixture.
+    """``from_mmap`` attach on the 100k fixture, checked against the walk.
 
-    Decode is O(bytes) — every array is copied out of the payload;
-    attach is O(section count) — the tables become memoryview casts
-    over the mapping and the string tables stay undecoded.  The gate is
-    a 20x attach advantage.  Honesty caveats recorded alongside: the
-    shard is freshly written/read here, so even the "cold" attach finds
-    its pages in the OS page cache (a true cold-cache attach defers the
-    page-in cost to first use, it does not eliminate the advantage),
-    and ``first_query_s`` reports the lazy id/string-table
-    materialization the first real query pays after attach.
+    Attach is O(section count) — the tables become memoryview casts
+    over the mapping and the string tables stay undecoded.  Attach
+    times are recorded, not gated.  Honesty caveats recorded alongside:
+    the shard is freshly written/read here, so even the "cold" attach
+    finds its pages in the OS page cache (a true cold-cache attach
+    defers the page-in cost to first use), and ``first_query_s``
+    reports the lazy id/string-table materialization the first real
+    query pays after attach.  Sampled depths must equal the network
+    walk's.
 
     The page-sharing check runs the attach in a child process while
     this process holds its own attachment to the same shard: every
@@ -680,20 +621,15 @@ def test_mmap_cold_attach(benchmark):
     noise (~1 MB between otherwise identical children) dominates.
     """
     from repro.runtime.pack import PackedIndex
+    from repro.semnet.io import load_network
 
     fixture = _store_fixture()
     shard = fixture["shard"]
-    rxpk_blob = fixture["rxpk"].read_bytes()
     shard_bytes = os.path.getsize(shard)
+    network = load_network(fixture["network_json"])
+    probe_ids = [concept.id for concept in network][::997]
 
     def run():
-        decode_s = []
-        for _ in range(3):
-            start = time.perf_counter()
-            decoded = PackedIndex.from_bytes(rxpk_blob)
-            decode_s.append(time.perf_counter() - start)
-        probe_id = decoded._ids[0]
-
         attach_s = []
         first_query_s = None
         for i in range(5):
@@ -704,27 +640,24 @@ def test_mmap_cold_attach(benchmark):
             attach_s.append(time.perf_counter() - start)
             if i == 0:
                 start = time.perf_counter()
-                depth = attached.depth(probe_id)
+                attached.depth(probe_ids[0])
                 first_query_s = time.perf_counter() - start
-                assert depth == decoded.depth(probe_id)
-            assert len(attached) == len(decoded)
-            attached.release_shared()
-        return decode_s, attach_s, first_query_s, len(decoded)
+                for cid in probe_ids:
+                    assert attached.depth(cid) == network.depth(cid), cid
+            assert len(attached) == len(network)
+        return attach_s, first_query_s, len(network)
 
-    decode_s, attach_s, first_query_s, n = benchmark.pedantic(
+    attach_s, first_query_s, n = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     cold_attach_s, warm_attach_s = attach_s[0], min(attach_s[1:])
-    speedup = min(decode_s) / cold_attach_s
 
     # Hold an attachment of our own while the children run so their
     # shard pages are multiply-mapped — shared, not private, in smaps.
     holder = PackedIndex.from_mmap(shard)
-    try:
-        baseline = [_child_memory_kb(None) for _ in range(3)]
-        attached = [_child_memory_kb(shard) for _ in range(3)]
-    finally:
-        holder.release_shared()
+    baseline = [_child_memory_kb(None) for _ in range(3)]
+    attached = [_child_memory_kb(shard) for _ in range(3)]
+    assert len(holder) == n
     rss_delta = max(
         0, min(r for r, _ in attached) - min(r for r, _ in baseline)
     ) * 1024
@@ -734,26 +667,21 @@ def test_mmap_cold_attach(benchmark):
     rss_gated = shard_bytes >= 8 * 1024 * 1024
 
     rows = [
-        ["RXPK decode", f"{min(decode_s) * 1e3:.2f}", "-"],
-        ["RXPD cold attach", f"{cold_attach_s * 1e3:.2f}",
-         f"x{speedup:.0f}"],
-        ["RXPD warm attach", f"{warm_attach_s * 1e3:.2f}", "-"],
-        ["first query (lazy tables)", f"{first_query_s * 1e3:.2f}", "-"],
+        ["RXPD cold attach", f"{cold_attach_s * 1e3:.2f}"],
+        ["RXPD warm attach", f"{warm_attach_s * 1e3:.2f}"],
+        ["first query (lazy tables)", f"{first_query_s * 1e3:.2f}"],
     ]
     print_table(
         f"Store: {n} concepts, {shard_bytes / 1e6:.1f} MB shard",
-        ["path", "ms", "vs decode"],
+        ["path", "ms"],
         rows,
     )
     _RESULTS["mmap_store"] = {
         "n_concepts": n,
         "shard_bytes": shard_bytes,
-        "rxpk_bytes": len(rxpk_blob),
-        "decode_s": round(min(decode_s), 6),
         "cold_attach_s": round(cold_attach_s, 6),
         "warm_attach_s": round(warm_attach_s, 6),
         "first_query_s": round(first_query_s, 6),
-        "attach_speedup": round(speedup, 1),
         "attach_pages_precached": True,  # fixture freshly written/read
         "child_rss_delta_bytes": rss_delta,  # includes shared file pages
         "child_private_delta_bytes": private_delta,
@@ -762,9 +690,6 @@ def test_mmap_cold_attach(benchmark):
         ),
         "child_private_gated": rss_gated,
     }
-    assert speedup >= 20.0, (
-        f"cold attach only x{speedup:.1f} vs decode (floor 20x)"
-    )
     if rss_gated:
         assert private_delta < 0.35 * shard_bytes, (
             f"second-process attach grew private memory by "
@@ -773,16 +698,13 @@ def test_mmap_cold_attach(benchmark):
         )
 
 
-def test_mmap_vs_packed_vs_dict_identity(benchmark, network, corpus, tmp_path):
-    """Batch output over mmap, heap-packed, and dict indexes is identical.
+def test_mmap_vs_heap_identity(benchmark, network, corpus, tmp_path):
+    """Batch output over mmap- and heap-backed indexes is identical.
 
-    The resilience ladder's contract measured end to end: the same
-    documents through ``BatchExecutor`` with (a) a dict
-    ``SemanticIndex``, (b) a heap-built ``PackedIndex``, and (c) the
-    same packed index written to a shard and re-attached via
-    ``from_mmap`` must produce byte-identical JSONL.  Timings are
-    recorded for honesty (mmap-backed kernels read through memoryviews
-    and may trail the heap arrays slightly); only identity is gated.
+    The same documents through ``BatchExecutor`` with (a) a heap-built
+    ``PackedIndex`` and (b) the same index written to a shard and
+    re-attached via ``from_mmap`` must produce byte-identical JSONL.
+    Timings are recorded for honesty; only identity is gated.
     """
     from repro.runtime.pack import PackedIndex
     from repro.runtime.store import write_shard
@@ -797,40 +719,32 @@ def test_mmap_vs_packed_vs_dict_identity(benchmark, network, corpus, tmp_path):
         timings = {}
         outputs = {}
         for label, index in (
-            ("dict", None),
-            ("packed", packed),
+            ("heap", packed),
             ("mmap", PackedIndex.from_mmap(shard)),
         ):
-            executor = BatchExecutor(
-                network, config, workers=1,
-                packed=index is not None, index=index,
-            )
-            executor._ensure_index()
+            executor = BatchExecutor(network, config, workers=1, index=index)
             start = time.perf_counter()
             records = executor.run(docs)
             timings[label] = time.perf_counter() - start
             outputs[label] = [r.to_json_line() for r in records]
-            backing = getattr(executor.index, "backing", "heap")
-            assert backing == {"dict": "heap", "packed": "heap",
-                               "mmap": "mmap"}[label]
+            assert executor.index.backing == label
             executor.close()
         return timings, outputs
 
     timings, outputs = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert outputs["dict"] == outputs["packed"] == outputs["mmap"]
+    assert outputs["heap"] == outputs["mmap"]
     rows = [
         [label, f"{len(docs) / timings[label]:.2f}"]
-        for label in ("dict", "packed", "mmap")
+        for label in ("heap", "mmap")
     ]
     print_table(
-        f"Store: 3-way identity over {len(docs)} docs",
+        f"Store: heap/mmap identity over {len(docs)} docs",
         ["index backing", "docs/s"],
         rows,
     )
     _RESULTS.setdefault("mmap_store", {})["identity"] = {
         "n_documents": len(docs),
         "identical": True,
-        "dict_docs_per_s": round(len(docs) / timings["dict"], 3),
-        "packed_docs_per_s": round(len(docs) / timings["packed"], 3),
+        "heap_docs_per_s": round(len(docs) / timings["heap"], 3),
         "mmap_docs_per_s": round(len(docs) / timings["mmap"], 3),
     }

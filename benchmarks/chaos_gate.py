@@ -7,8 +7,8 @@ or name a subset: ``executor``, ``kill-resume``, ``bitrot-scrub``):
     Runs the test corpus through :class:`repro.runtime.BatchExecutor`
     twice — once fault-free, once under a fixed-seed
     :class:`FaultInjector` schedule that exercises every recovery path
-    (flaky-then-recover retries, a permanent fault, corrupted packed
-    payloads for every worker) — and gates on the hard exactness
+    (flaky-then-recover retries, a permanent fault, a bit-rotted
+    temporary index shard for every worker) — and gates on the hard exactness
     contract: every surviving document byte-identical to the fault-free
     run, exactly the scheduled casualty failing (with a structured
     outcome), and the retried/degraded paths proven to have fired.  The
@@ -90,7 +90,9 @@ def gate_executor() -> list[str]:
         injector=FaultInjector(CHAOS_SEED, [
             FaultSpec.flaky(match=flaky_name, fail_attempts=1),
             FaultSpec.raising(match=permanent_name, transient=False),
-            FaultSpec.corrupt_packed(),
+            # Rots the executor's temp shard: every worker's verified
+            # attach fails and it builds the index itself.
+            FaultSpec.bitrot(),
         ]),
     )
     records = executor.run(batch)
@@ -145,7 +147,7 @@ def gate_executor() -> list[str]:
     if not counters.get("outcome_retried"):
         problems.append("flaky-then-recover path never fired")
     if not counters.get("degrade_packed_decode"):
-        problems.append("corrupt-packed degradation never fired")
+        problems.append("temp-shard bitrot degradation never fired")
 
     if not problems:
         survivors = sum(1 for r in records if r.ok)

@@ -11,7 +11,7 @@ Commands
     parallel runtime (:mod:`repro.runtime`): JSONL results to a file or
     stdout, optional metrics report (``--metrics-json``), optional
     cProfile hot-frame summary (``--profile``), packed index by default
-    (``--dict-index`` for the dict-keyed one), exact pruning and sphere
+    (``--no-index`` for the network walk), exact pruning and sphere
     memoization on by default (``--no-prune``/``--no-memo``).  Failure
     policy via ``--on-error={fail,skip,quarantine}`` (abort with exit 2
     / record and continue / divert failed documents to a sidecar JSONL)
@@ -145,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--no-index", action="store_true",
                        help="disable the precomputed index and caches "
                             "(uncached baseline)")
-    batch.add_argument("--dict-index", action="store_true",
-                       help="use the dict-keyed SemanticIndex instead of "
-                            "the packed flat-array index (same scores)")
     batch.add_argument("--profile", action="store_true",
                        help="profile the batch under cProfile and append "
                             "the hottest frames to the summary (parent "
@@ -220,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--chaos-fault", action="append", default=None,
                        metavar="KIND[:MATCH[:RATE]]",
                        help="inject a seeded fault schedule (repeatable); "
-                            "kinds: raise, slow, corrupt-packed, exit, "
-                            "kill_midbatch, bitrot")
+                            "kinds: raise, slow, exit, kill_midbatch, "
+                            "bitrot")
 
     pack = sub.add_parser(
         "pack",
@@ -296,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="PATH",
                        help="flush the final metrics snapshot here on "
                             "shutdown (live snapshot: GET /metrics)")
-    serve.add_argument("--dict-index", action="store_true",
-                       help="use the dict-keyed SemanticIndex instead of "
-                            "the packed flat-array index (same scores)")
     serve.add_argument("--cache-size", type=int, default=None,
                        help="bound for the similarity caches "
                             "(default 65536)")
@@ -542,7 +536,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
             use_index=not args.no_index,
-            packed=not args.dict_index,
             cache_size=(
                 args.cache_size if args.cache_size is not None
                 else DEFAULT_CACHE_SIZE
@@ -693,10 +686,10 @@ def _resolve_batch_index(args: argparse.Namespace, documents):
         raise SystemExit(
             "--shard requires --network (the shard's source network)"
         )
-    if (args.shard or args.registry) and (args.dict_index or args.no_index):
+    if (args.shard or args.registry) and args.no_index:
         raise SystemExit(
             "--shard/--registry already provide a packed index; "
-            "drop --dict-index/--no-index"
+            "drop --no-index"
         )
     if args.registry:
         from .runtime.store import NetworkRegistry, RegistryError
@@ -943,7 +936,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             request_timeout=args.request_timeout,
             drain_timeout=args.drain_timeout,
             metrics_json=args.metrics_json,
-            packed=not args.dict_index,
             cache_size=(
                 args.cache_size if args.cache_size is not None
                 else DEFAULT_CACHE_SIZE

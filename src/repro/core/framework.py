@@ -57,13 +57,11 @@ class XSDF:
         with the configured weights is created, computing information
         content from the network's frequencies once.
     index:
-        Optional :class:`repro.runtime.index.SemanticIndex` or
-        :class:`repro.runtime.pack.PackedIndex` built over ``network``.
-        Routes the default similarity through precomputed
-        taxonomy/IC/gloss tables (the packed form through interned
-        flat-array kernels) — sense choices and scores are
-        bit-identical with and without it.  Ignored when ``similarity``
-        is supplied.
+        Optional :class:`repro.runtime.pack.PackedIndex` built over
+        ``network``.  Routes the default similarity through its
+        interned flat-array taxonomy/IC/gloss kernels — sense choices
+        and scores are bit-identical with and without it.  Ignored when
+        ``similarity`` is supplied.
     similarity_cache:
         Optional external pairwise-similarity memo (e.g.
         :class:`repro.runtime.cache.LRUCache`) replacing the default
@@ -110,8 +108,8 @@ class XSDF:
         self._user_similarity = user_supplied_similarity
         #: Cumulative degradation-ladder counters (monotone): each rung
         #: that fires while scoring bumps one of these.  The ladder only
-        #: swaps *bit-identical* implementations (packed -> dict index ->
-        #: network walk, memoized -> fresh, pruned -> exhaustive), so
+        #: swaps *bit-identical* implementations (packed index -> network
+        #: walk, memoized -> fresh, pruned -> exhaustive), so
         #: results never change — only speed and these counters do.
         self.degrade_stats = {
             "index_downgrades": 0,
@@ -186,35 +184,27 @@ class XSDF:
     def index_rung(self) -> str:
         """Current rung of the index ladder.
 
-        ``packed`` / ``dict`` / ``network`` for the default similarity
-        stack, ``custom`` when the caller supplied its own similarity.
+        ``packed`` / ``network`` for the default similarity stack,
+        ``custom`` when the caller supplied its own similarity.
         """
         if self._user_similarity:
             return "custom"
-        if self.index is None:
-            return "network"
-        return "packed" if getattr(self.index, "is_packed", False) else "dict"
+        return "network" if self.index is None else "packed"
 
     def _downgrade_index(self) -> bool:
-        """Drop one rung: packed -> dict index -> bare network walk.
+        """Drop one rung: packed index -> bare network walk.
 
-        Rebuilds the similarity/scorer stack against the next rung with
-        the same external caches; every rung is bit-identical (the
-        pack/index parity contract), so cached values stay valid and
+        Rebuilds the similarity/scorer stack against the network walk
+        with the same external caches; both rungs are bit-identical
+        (the packed parity contract), so cached values stay valid and
         results are unchanged.  Returns False at the bottom of the
         ladder — or when a user-supplied similarity owns the index —
         letting the fault propagate as a document failure.
         """
         if self._user_similarity or self.index is None:
             return False
-        if getattr(self.index, "is_packed", False):
-            from ..runtime.index import SemanticIndex
-
-            new_index = SemanticIndex(self.network)
-        else:
-            new_index = None
-        self.index = new_index
-        self._similarity = self._build_similarity(new_index)
+        self.index = None
+        self._similarity = self._build_similarity(None)
         self._concept_scorer = ConceptBasedScorer(
             self.network, self._similarity, sense_cache=self.sense_cache
         )

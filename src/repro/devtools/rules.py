@@ -77,17 +77,15 @@ _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 class IndexParityRule(Rule):
     """``index=`` fast paths must be guarded and keep the slow path.
 
-    The :class:`repro.runtime.index.SemanticIndex` contract is that the
-    indexed path is a pure accelerator: any function that *dereferences*
-    an ``index`` parameter (or ``self._index``) — attribute access,
-    subscript, or call — must test it against ``None`` in the same
-    function and keep a fallback branch that runs without it.  The
-    same contract covers the interned
-    :class:`repro.runtime.pack.PackedIndex` fast path, conventionally
-    stored as ``self._packed``: packed-kernel dereferences need their
-    own ``None`` guard and a surviving slower branch.  Merely storing
-    or forwarding the index (``self._index = index``,
-    ``XSDF(..., index=index)``) is a pass-through and stays silent.
+    The :class:`repro.runtime.pack.PackedIndex` contract is that the
+    indexed path is a pure accelerator next to the network-walk oracle:
+    any function that *dereferences* an ``index`` parameter (or
+    ``self._index`` / ``self._packed``, where the measures keep it) —
+    attribute access, subscript, or call — must test it against
+    ``None`` in the same function and keep a fallback branch that runs
+    the network walk without it.  Merely storing or forwarding the
+    index (``self._packed = index``, ``XSDF(..., index=index)``) is a
+    pass-through and stays silent.
     """
 
     id = "index-parity"
@@ -146,7 +144,7 @@ class IndexParityRule(Rule):
     def _has_optional_index_param(self, fn) -> bool:
         # The fast-path signature is always ``index=None`` — a *required*
         # parameter that happens to be called ``index`` (pytest fixtures,
-        # integer positions) is not the SemanticIndex contract.
+        # integer positions) is not the packed-index contract.
         args = fn.args
         positional = args.posonlyargs + args.args
         defaulted = positional[len(positional) - len(args.defaults):]

@@ -4,13 +4,11 @@ The paper's algorithms (:mod:`repro.core`, :mod:`repro.similarity`)
 describe *what* to compute; this package makes computing it at corpus
 scale cheap and observable without changing a single score:
 
-* :mod:`~repro.runtime.index` — :class:`SemanticIndex`, immutable
-  precomputed taxonomy/IC/gloss tables built once per network and
-  consumed by the similarity measures via ``index=`` (bit-identical
-  fast path);
-* :mod:`~repro.runtime.pack` — :class:`PackedIndex`, the same tables
-  interned to dense integers and flat arrays with packed similarity
-  kernels and a compact binary codec (cheap to ship to pool workers);
+* :mod:`~repro.runtime.pack` — :class:`PackedIndex`, precomputed
+  taxonomy/IC/gloss tables built once per network, interned to dense
+  integers and laid out as flat arrays in one ``RXPD`` body, with
+  packed similarity kernels consumed via ``index=`` (bit-identical to
+  the network walk);
 * :mod:`~repro.runtime.cache` — :class:`LRUCache`, a bounded pairwise
   memo with hit/miss/eviction counters;
 * :mod:`~repro.runtime.memo` — :class:`SphereMemo`, a bounded LRU of
@@ -20,16 +18,15 @@ scale cheap and observable without changing a single score:
 * :mod:`~repro.runtime.executor` — :class:`BatchExecutor`, a
   pipelined multiprocessing fan-out with serial fallback and
   deterministic, input-ordered results;
-* :mod:`~repro.runtime.pool` — :class:`PersistentPool` and
-  :class:`SharedIndexSegment`: the long-lived worker runtime (spawn
-  once, serve many batches) and the reference-counted shared-memory
-  segment workers attach the packed index from zero-copy, plus the
+* :mod:`~repro.runtime.pool` — :class:`PersistentPool`, the
+  long-lived worker runtime (spawn once, serve many batches), plus the
   ``--workers auto`` helpers :func:`auto_workers` /
   :func:`parse_workers`;
 * :mod:`~repro.runtime.store` — the on-disk ``RXPD`` shard format
   (:func:`write_shard` / :meth:`PackedIndex.from_mmap`): packed tables
   memory-mapped straight from disk, pages shared across *separate*
-  processes via the OS page cache, plus :class:`NetworkRegistry`, the
+  processes (pool workers included) via the OS page cache, plus
+  :class:`NetworkRegistry`, the
   domain -> (network, shard) manifest with LRU attachment and
   coverage-based cross-network fallback routing;
 * :mod:`~repro.runtime.metrics` — :class:`MetricsRegistry`, per-stage
@@ -41,8 +38,8 @@ scale cheap and observable without changing a single score:
   retry, per-document timeouts, and a breaker-guarded serial fallback;
 * :mod:`~repro.runtime.faults` — :class:`FaultInjector` and
   :class:`FaultSpec`, deterministic seeded fault schedules
-  (raise-in-worker, slow-worker, corrupt-packed-bytes,
-  flaky-then-recover, kill-midbatch, shard bitrot) that exercise every
+  (raise-in-worker, slow-worker, flaky-then-recover, worker exit,
+  kill-midbatch, shard bitrot) that exercise every
   recovery path; surviving documents stay bit-identical to a
   fault-free run;
 * :mod:`~repro.runtime.journal` — :class:`JournalWriter` /
@@ -67,7 +64,6 @@ Typical use::
 from .cache import LRUCache
 from .executor import BatchDocument, BatchExecutor, BatchRecord
 from .faults import FaultInjector, FaultSpec, InjectedFault
-from .index import SemanticIndex
 from .journal import (
     JournalError,
     JournalReplay,
@@ -84,13 +80,7 @@ from .pack import (
     PackedIndexError,
     PackedIndexTruncatedError,
 )
-from .pool import (
-    PersistentPool,
-    SharedIndexHandle,
-    SharedIndexSegment,
-    auto_workers,
-    parse_workers,
-)
+from .pool import PersistentPool, auto_workers, parse_workers
 from .resilience import (
     BatchAbortError,
     CircuitBreaker,
@@ -135,10 +125,7 @@ __all__ = [
     "RegistryError",
     "RetryPolicy",
     "ScrubTarget",
-    "SemanticIndex",
     "ShardScrubber",
-    "SharedIndexHandle",
-    "SharedIndexSegment",
     "SphereMemo",
     "StageTimer",
     "auto_workers",

@@ -4,7 +4,7 @@ One `XSDF` call disambiguates one document; production traffic arrives
 as corpora.  :class:`BatchExecutor` fans a list of documents across a
 ``multiprocessing`` worker pool (with a serial fallback used when
 ``workers <= 1`` or when pools are unavailable, e.g. restricted
-sandboxes), sharing one :class:`repro.runtime.index.SemanticIndex` and
+sandboxes), sharing one :class:`repro.runtime.pack.PackedIndex` and
 one bounded similarity cache per process so repeated taxonomy work is
 amortized across documents.
 
@@ -17,15 +17,15 @@ The parallel path is a **persistent runtime**
 (:mod:`repro.runtime.pool`): workers are spawned once per executor and
 reused across batches, keeping their session state (attached index,
 warm sphere memo, document cache) between batches, so spin-up cost is
-paid once, not per batch.  The semantic index is built **once in the
-parent**, published once into a ``multiprocessing.shared_memory``
-segment, and attached **zero-copy** in every worker — only document
-payloads cross the pool boundary.  Within a batch, chunks flow through
-a bounded-queue pipeline that overlaps submission with result
-collection instead of running submit-all/collect-all barriers.
-``close()`` (or the GC finalizer) terminates workers and unlinks the
-segment; platforms without shared memory fall back to shipping the
-compact codec buffer through the pool initializer.
+paid once, not per batch.  The packed index is built **once in the
+parent** and reaches workers as an ``RXPD`` shard file they attach
+**zero-copy** by path: the index's own shard when it was attached
+from one, otherwise a temporary shard the executor writes once (on
+tmpfs where present) — only document payloads cross the pool
+boundary.  Within a batch, chunks flow through a bounded-queue
+pipeline that overlaps submission with result collection instead of
+running submit-all/collect-all barriers.  ``close()`` (or the GC
+finalizer) terminates workers and deletes the temporary shard.
 
 Failure is a first-class outcome, not an exception.  Every document
 comes back with a structured :class:`~repro.runtime.resilience
@@ -45,6 +45,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shutil
+import tempfile
 import time
 import weakref
 from collections import deque
@@ -57,16 +60,10 @@ from ..semnet.network import SemanticNetwork
 from ..xmltree.errors import XMLError
 from .cache import LRUCache
 from .faults import FaultInjector, InjectedFault
-from .index import SemanticIndex
 from .metrics import MetricsRegistry
 from .pack import PackedIndex, PackedIndexError
-from .pool import (
-    PersistentPool,
-    SharedIndexHandle,
-    SharedIndexSegment,
-    auto_workers,
-)
-from .store import MmapIndexHandle
+from .pool import PersistentPool, auto_workers
+from .store import MmapIndexHandle, write_shard
 from .resilience import (
     ON_ERROR_POLICIES,
     STAGE_INDEX,
@@ -96,6 +93,11 @@ DOC_CACHE_SIZE = 1024
 #: pickled payload (and the latency of losing its worker) grows with
 #: per-document cost, so the adaptive formula also bounds chunk bytes.
 TARGET_CHUNK_BYTES = 256 * 1024
+
+#: Temporary shard directories are named ``repro-index-<owner pid>-*``
+#: so a later writer can remove the ones a killed owner left behind.
+_TEMP_SHARD_PREFIX = "repro-index-"
+_TEMP_SHARD_OWNER = re.compile(re.escape(_TEMP_SHARD_PREFIX) + r"(\d+)-")
 
 
 @dataclass(frozen=True)
@@ -163,31 +165,21 @@ _WORKER_GENERATION: int = 0
 def _init_worker(
     network: SemanticNetwork,
     config: XSDFConfig,
-    index: (
-        "MmapIndexHandle | SharedIndexHandle | PackedIndex | SemanticIndex"
-        " | bytes | None"
-    ),
+    shard: MmapIndexHandle | None,
     cache_size: int | None,
     injector: FaultInjector | None = None,
     generation: int = 0,
 ) -> None:
     """Install this worker process's XSDF + caches (pool initializer).
 
-    ``index`` arrives pre-built from the parent.  The fastest path is
-    a :class:`~repro.runtime.store.MmapIndexHandle`: the index lives
-    in an ``RXPD`` shard file, and this worker memory-maps it by path
-    — no payload pickling, no publish, and the pages are shared with
-    the parent *and* every other process mapping the same shard.
-    Next is a :class:`~repro.runtime.pool.SharedIndexHandle`: the
-    parent published the packed tables into shared memory once, and
-    this worker attaches **zero-copy** by name — no payload pickling,
-    no decode, the CSR tables are memoryview casts over the segment.
-    A :class:`PackedIndex` pickles as its compact codec buffer (the
-    no-shared-memory fallback), and raw codec ``bytes`` are the chaos
-    path.  Any payload that fails to attach or decode degrades this
-    worker to a locally built :class:`SemanticIndex` — one rung down
-    the ladder — instead of killing the pool, and the degradation is
-    surfaced through the worker's stats snapshot.
+    ``shard`` names the ``RXPD`` file holding the parent's packed index
+    (``None`` when the executor runs without an index).  The worker
+    memory-maps it by path with a full CRC check — the pages are
+    shared with the parent and every other process mapping the same
+    file.  A shard that fails to attach (missing, truncated, corrupt)
+    makes this worker build the index from the network itself instead
+    of killing the pool; the fallback is surfaced as the
+    ``packed_decode`` counter of the worker's stats snapshot.
 
     ``generation`` is the persistent pool's spawn counter: snapshots
     are tagged with it so the parent's stats merge stays monotone
@@ -197,24 +189,13 @@ def _init_worker(
     # Per-process worker state is the one sanctioned module-global
     # mutation: it is written once per process, before any task runs.
     global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_INJECTOR, _WORKER_GENERATION  # lint: disable=cache-purity
+    index = None
     decode_degraded = False
-    if isinstance(index, MmapIndexHandle):
+    if shard is not None:
         try:
-            index = PackedIndex.from_mmap(index.path)
-        except (PackedIndexError, OSError, ValueError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
-            index = SemanticIndex(network)
-            decode_degraded = True
-    elif isinstance(index, SharedIndexHandle):
-        try:
-            index = PackedIndex.from_shared(index.name)
-        except (PackedIndexError, OSError, ValueError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
-            index = SemanticIndex(network)
-            decode_degraded = True
-    elif isinstance(index, (bytes, bytearray)):
-        try:
-            index = PackedIndex.from_bytes(bytes(index))
-        except PackedIndexError:  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
-            index = SemanticIndex(network)
+            index = PackedIndex.from_mmap(shard.path, verify=True)
+        except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
+            index = PackedIndex(network)
             decode_degraded = True
     _WORKER_XSDF = _build_xsdf(network, config, index, cache_size)
     if decode_degraded:
@@ -274,7 +255,7 @@ def _stats_snapshot(xsdf: XSDF) -> dict:
 def _build_xsdf(
     network: SemanticNetwork,
     config: XSDFConfig,
-    index: "PackedIndex | SemanticIndex | None",
+    index: PackedIndex | None,
     cache_size: int | None,
 ) -> XSDF:
     use_index = index is not None
@@ -384,21 +365,62 @@ def _disambiguate_one(
     )
 
 
+def _temp_shard_root() -> str:
+    """Where temporary shards go: tmpfs when writable, else the temp dir."""
+    if os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK):
+        return "/dev/shm"
+    return tempfile.gettempdir()
+
+
+def _owner_alive(pid: int) -> bool:
+    """Whether process ``pid`` still exists (another user's counts).
+
+    Off POSIX, ``os.kill`` terminates the process instead of probing
+    it, so every owner counts as alive there and nothing is swept.
+    """
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:  # lint: disable=silent-degrade  # ESRCH is the answer, not a failure
+        return False
+    except PermissionError:  # lint: disable=silent-degrade  # EPERM: the process exists
+        pass
+    return True
+
+
+def _new_temp_shard_path() -> str:
+    """A shard path inside a fresh private temp directory.
+
+    Directories whose owner process no longer exists are removed
+    first: an owner killed before its finalizer ran leaves one behind.
+    """
+    root = _temp_shard_root()
+    for name in os.listdir(root):
+        owner = _TEMP_SHARD_OWNER.match(name)
+        if owner and not _owner_alive(int(owner.group(1))):
+            shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+    directory = tempfile.mkdtemp(
+        prefix=f"{_TEMP_SHARD_PREFIX}{os.getpid()}-", dir=root
+    )
+    return os.path.join(directory, "index.rxpd")
+
+
 def _release_parallel_state(
-    pool: PersistentPool | None, segment: SharedIndexSegment | None
+    pool: PersistentPool | None, temp_shard: str | None
 ) -> None:
-    """Tear down an executor's persistent pool + shared segment.
+    """Tear down an executor's persistent pool + temporary shard.
 
     Registered as a ``weakref.finalize`` callback (so a dropped
-    executor cannot leak workers or a ``/dev/shm`` entry even without
-    an explicit ``close()``) and invoked directly by
+    executor cannot leak workers or a temp shard even without an
+    explicit ``close()``) and invoked directly by
     :meth:`BatchExecutor.close`.  Module-level on purpose: a finalizer
     must not hold a reference back to the executor it guards.
     """
     if pool is not None:
         pool.close(terminate=True)
-    if segment is not None:
-        segment.release()
+    if temp_shard is not None:
+        shutil.rmtree(os.path.dirname(temp_shard), ignore_errors=True)
 
 
 class BatchExecutor:
@@ -430,18 +452,11 @@ class BatchExecutor:
         load-balance.  Forced to 1 while ``doc_timeout`` is set so the
         timeout has per-document granularity.
     use_index:
-        Build a semantic index + bounded LRU similarity cache (on by
-        default — this is the runtime's raison d'être; disable to
-        measure the uncached baseline).  The index is built once in the
-        parent and shared: the serial path uses it directly, the
-        parallel path ships it to every worker.
-    packed:
-        Use the interned flat-array :class:`PackedIndex` (default) —
-        faster kernels and a compact pickled form for worker shipping.
-        ``packed=False`` keeps the dict-keyed :class:`SemanticIndex`
-        (the PR 1 runtime, retained for benchmarking and fallback).
-        Scores are bit-identical either way.  Ignored when
-        ``use_index`` is False.
+        Build a :class:`PackedIndex` + bounded LRU similarity cache (on
+        by default — this is the runtime's raison d'être; disable to
+        measure the uncached network walk).  The index is built once in
+        the parent and shared: the serial path uses it directly, pool
+        workers attach it from an ``RXPD`` shard by path.
     cache_size:
         Bound for the pairwise-similarity LRU (``None`` = unbounded).
     metrics:
@@ -480,15 +495,17 @@ class BatchExecutor:
     injector:
         Optional :class:`FaultInjector`; its schedules fire in the
         parent's serial path and in every worker (it ships through the
-        pool initializer), and may corrupt the packed payload shipped
-        to workers.
+        pool initializer).  A ``bitrot`` schedule rots the temporary
+        shard workers attach; with an injector set the executor always
+        writes one, so a user's shard file is never rotted.
     index:
-        Optional pre-built :class:`PackedIndex` / :class:`SemanticIndex`
-        over ``network``.  Long-lived callers (the ``repro serve``
-        session pool) build the index once and share it across many
-        executors — per-configuration caches stay private while the
-        heavyweight taxonomy tables are never rebuilt.  Ignored when
-        ``use_index`` is False.
+        Optional pre-built :class:`PackedIndex` over ``network``.
+        Long-lived callers (the ``repro serve`` session pool) build the
+        index once and share it across many executors —
+        per-configuration caches stay private while the heavyweight
+        taxonomy tables are never rebuilt.  An index attached from a
+        shard (:meth:`PackedIndex.from_mmap`) ships that shard's path
+        to workers.  Ignored when ``use_index`` is False.
     oversubscribe:
         Run the requested ``workers`` even beyond the usable-CPU count
         (default False).  The pool-lifecycle tests, the chaos gate,
@@ -508,7 +525,6 @@ class BatchExecutor:
         workers: int = 1,
         chunk_size: int | None = None,
         use_index: bool = True,
-        packed: bool = True,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
         metrics: MetricsRegistry | None = None,
         max_retries: int = 2,
@@ -517,7 +533,7 @@ class BatchExecutor:
         breaker_threshold: int = 3,
         on_error: str = "skip",
         injector: FaultInjector | None = None,
-        index: "PackedIndex | SemanticIndex | None" = None,
+        index: PackedIndex | None = None,
         oversubscribe: bool = False,
         record_hook: "Callable[[BatchRecord], None] | None" = None,
     ):
@@ -539,7 +555,6 @@ class BatchExecutor:
         self.oversubscribe = oversubscribe
         self.chunk_size = chunk_size
         self.use_index = use_index
-        self.packed = packed
         self.cache_size = cache_size
         self.metrics = metrics
         self.retry = RetryPolicy(
@@ -550,34 +565,27 @@ class BatchExecutor:
         self.on_error = on_error
         self.injector = injector
         self.record_hook = record_hook
-        self._index: "PackedIndex | SemanticIndex | None" = (
-            index if use_index else None
-        )
+        self._index: PackedIndex | None = index if use_index else None
         self._serial_xsdf: XSDF | None = None
         self._doc_cache: LRUCache | None = (
             LRUCache(maxsize=DOC_CACHE_SIZE) if use_index else None
         )
-        # Persistent parallel runtime: pool + shared segment are built
-        # once on the first parallel batch and reused until close().
+        # Persistent parallel runtime: pool + temp shard are built once
+        # on the first parallel batch and reused until close().
         self._pool: PersistentPool | None = None
-        self._segment: SharedIndexSegment | None = None
+        self._temp_shard: str | None = None
         self._shard_bytes = 0
         self._finalizer: "weakref.finalize | None" = None
         self._stat_marks: dict[tuple[int, int], dict[str, float]] = {}
 
-    def _ensure_index(self) -> "PackedIndex | SemanticIndex | None":
+    def _ensure_index(self) -> PackedIndex | None:
         """The shared per-executor index, built lazily exactly once."""
-        if not self.use_index:
-            return None
-        if self._index is None:
-            if self.packed:
-                self._index = PackedIndex(self.network)
-            else:
-                self._index = SemanticIndex(self.network)
+        if self.use_index and self._index is None:
+            self._index = PackedIndex(self.network)
         return self._index
 
     @property
-    def index(self) -> "PackedIndex | SemanticIndex | None":
+    def index(self) -> PackedIndex | None:
         """The executor's shared index, built on first access.
 
         Exposed so sibling executors (the server's per-configuration
@@ -597,12 +605,12 @@ class BatchExecutor:
         self._serial()
 
     def close(self) -> None:
-        """Release the persistent pool and shared-memory segment.
+        """Release the persistent pool and the temporary index shard.
 
-        Terminates workers and unlinks the published ``/dev/shm``
-        segment.  Idempotent, and the executor stays usable: the
+        Terminates workers and deletes the temp shard (if one was
+        written).  Idempotent, and the executor stays usable: the
         serial path is untouched, and a later parallel batch simply
-        republishes and respawns a fresh runtime.  Executors also
+        rewrites the shard and respawns a fresh runtime.  Executors also
         carry a GC finalizer doing the same teardown, so a dropped
         executor cannot leak — ``close()`` just makes it deterministic
         (the server calls it on session eviction and drain).
@@ -612,7 +620,7 @@ class BatchExecutor:
             finalizer()  # runs _release_parallel_state exactly once
             self._finalizer = None
         self._pool = None
-        self._segment = None
+        self._temp_shard = None
 
     def __enter__(self) -> "BatchExecutor":
         """Context-manager entry (returns self)."""
@@ -637,14 +645,13 @@ class BatchExecutor:
         return min(self.workers, auto_workers())
 
     def runtime_stats(self) -> dict[str, int]:
-        """Persistent-runtime counters (pool reuse, spawns, shm size).
+        """Persistent-runtime counters (pool reuse, spawns, shard size).
 
         The bench honesty fields: ``pool_reuse_count`` proves warm
-        batches really reused the pool, ``shm_bytes`` is the published
-        shared-index payload size (0 when the byte-shipping fallback
-        ran), ``shard_bytes`` the size of the mmap-shipped shard file
-        (0 unless workers attached by path — the two are mutually
-        exclusive), ``generation``/``worker_respawns`` count spawns.
+        batches really reused the pool, ``shard_bytes`` is the size of
+        the shard file workers attach (0 until a parallel batch ran, or
+        when no index ships), ``generation``/``worker_respawns`` count
+        spawns.
         """
         stats = (
             self._pool.stats() if self._pool is not None
@@ -656,7 +663,6 @@ class BatchExecutor:
                 "alive": 0,
             }
         )
-        stats["shm_bytes"] = self._segment.size if self._segment else 0
         stats["shard_bytes"] = self._shard_bytes
         return stats
 
@@ -861,63 +867,56 @@ class BatchExecutor:
         byte_cap = max(1, TARGET_CHUNK_BYTES // mean_doc_bytes)
         return min(count_chunk, byte_cap)
 
-    def _ship_index(self) -> (
-        "MmapIndexHandle | SharedIndexHandle | PackedIndex | SemanticIndex"
-        " | bytes | None"
-    ):
-        """The index payload shipped to workers (chaos may corrupt it).
+    def _ship_index(self) -> MmapIndexHandle | None:
+        """The shard ticket shipped to workers (``None``: no index).
 
-        An index attached from an ``RXPD`` shard file ships as a tiny
-        :class:`~repro.runtime.store.MmapIndexHandle` — workers map
-        the file by path, sharing pages with the parent and every
-        other attaching process, and no segment needs publishing or
-        unlinking.  Otherwise a :class:`PackedIndex` is published
-        **once** into a shared-memory segment (owned by this executor
-        until :meth:`close`); what crosses the pool boundary is a tiny
-        :class:`SharedIndexHandle` and workers attach zero-copy.
-        Platforms without working shared memory fall back to shipping
-        the index itself (its pickle is the compact codec buffer).  A
-        ``corrupt-packed`` chaos schedule corrupts whichever payload
-        ships (the shard-path shortcut is skipped so corruption flows
-        through the shm/bytes paths), so attach/decode fails with a
-        typed error and workers degrade one ladder rung — same
-        semantics on every path.
+        An index attached from an ``RXPD`` shard file ships that path;
+        otherwise the index is written **once** to a temporary shard
+        (owned by this executor until :meth:`close`).  Chaos runs (an
+        injector is set) always write the temporary shard and let its
+        ``bitrot`` schedules rot it, so a corrupt shard fails the
+        workers' CRC-verified attach and each worker builds the index
+        itself.  A shard that cannot be written is recorded as a
+        ``pool_fault`` event and takes the same worker fallback.
         """
         index = self._ensure_index()
-        injector = self.injector
-        corrupting = (
-            injector is not None
-            and injector.corrupts_packed
-            and isinstance(index, PackedIndex)
-        )
-        if not isinstance(index, PackedIndex):
-            return index
-        shard = index.shard_path
-        if shard is not None and not corrupting and os.path.isfile(shard):
-            size = os.path.getsize(shard)
-            self._shard_bytes = size
-            if self.metrics is not None:
-                self.metrics.gauge("shard_bytes", size)
-            return MmapIndexHandle(path=shard, size=size)
-        payload = index.to_shared_payload()
-        if corrupting:
-            payload = injector.corrupt_bytes(payload)
-        segment = SharedIndexSegment.publish(payload, metrics=self.metrics)
-        if segment is None:
-            if corrupting:
-                return injector.corrupt_bytes(index.to_bytes())
-            return index
-        self._segment = segment
+        if index is None:
+            return None
+        path = index.shard_path
+        if path is None or self.injector is not None or not os.path.isfile(
+            path
+        ):
+            try:
+                path = self._write_temp_shard(index)
+            except OSError as exc:
+                if self.metrics is not None:
+                    self.metrics.event(
+                        "pool_fault", kind="shard_write", error=str(exc)
+                    )
+                return MmapIndexHandle(path=self._temp_shard or "", size=0)
+        size = os.path.getsize(path)
+        self._shard_bytes = size
         if self.metrics is not None:
-            self.metrics.gauge("shm_bytes", segment.size)
-        return segment.handle
+            self.metrics.gauge("shard_bytes", size)
+        return MmapIndexHandle(path=path, size=size)
+
+    def _write_temp_shard(self, index: PackedIndex) -> str:
+        """Write ``index`` to this executor's temporary shard.
+
+        The injector's ``bitrot`` schedules (if any) then rot it.
+        """
+        self._temp_shard = _new_temp_shard_path()
+        write_shard(index, self._temp_shard)
+        if self.injector is not None:
+            self.injector.bitrot_shard(self._temp_shard)
+        return self._temp_shard
 
     def _runtime(self) -> PersistentPool:
         """This executor's persistent pool runtime, created once.
 
-        The shared segment is published and the pool object built on
-        the first parallel batch; both live until :meth:`close` (or the
-        GC finalizer registered here).  Workers themselves are spawned
+        The index shard is shipped and the pool object built on the
+        first parallel batch; both live until :meth:`close` (or the GC
+        finalizer registered here).  Workers themselves are spawned
         lazily by ``PersistentPool.ensure`` and survive across batches
         with their session state (attached index, warm sphere memo,
         document cache) intact.
@@ -934,7 +933,7 @@ class BatchExecutor:
                 metrics=self.metrics,
             )
             self._finalizer = weakref.finalize(
-                self, _release_parallel_state, self._pool, self._segment
+                self, _release_parallel_state, self._pool, self._temp_shard
             )
         return self._pool
 
@@ -976,8 +975,8 @@ class BatchExecutor:
             # Satellite contract: KeyboardInterrupt/SystemExit (and the
             # on_error="fail" abort) must not leave workers stuck on
             # in-flight tasks.  The inner pool is hard-terminated; the
-            # runtime (and its published segment) stays, so the next
-            # batch respawns workers against the same shared index.
+            # runtime (and its index shard) stays, so the next batch
+            # respawns workers against the same shard.
             runtime.restart()
             raise
         records = [r for r in results if r is not None]

@@ -17,11 +17,6 @@ Fault kinds:
   attempts: the *flaky-then-recover* schedule).
 * ``slow`` — sleep ``delay_s`` before the document runs, to trip the
   executor's per-document wall-clock timeout.
-* ``corrupt-packed`` — deterministically flip a byte in the packed
-  payload shipped to workers (``RXPK`` bytes or the shared ``RXPS``
-  segment), so decode fails with a typed
-  :class:`~repro.runtime.pack.PackedIndexError` and the worker degrades
-  one rung down the ladder.
 * ``exit`` — kill the worker process mid-document with ``os._exit``
   (the SIGKILL-shaped crash no ``except`` can catch), to exercise the
   persistent pool's respawn-and-requeue path.  In the parent process
@@ -36,8 +31,12 @@ Fault kinds:
   reconstructs a byte-identical output.
 * ``bitrot`` — not a per-document hook at all: ``bitrot_shard`` flips
   one seeded byte inside an ``RXPD`` shard file *on disk*, past the
-  32-byte header, so the scrubber's incremental CRC pass (not the
-  attach-time check) is what must catch it.
+  32-byte header.  On a served shard the scrubber's incremental CRC
+  pass must catch it; on the temporary shard a
+  :class:`~repro.runtime.executor.BatchExecutor` writes for its pool
+  workers, their CRC-verified attach fails with a typed
+  :class:`~repro.runtime.pack.PackedIndexCRCError` and each worker
+  falls back to building the index itself.
 
 The module also ships two tiny test doubles (:class:`FaultyKernel`,
 :class:`BrokenMemo`) used by the ladder unit tests to fault a packed
@@ -55,9 +54,7 @@ import time
 from typing import Any
 
 #: Valid ``FaultSpec.kind`` values.
-FAULT_KINDS = (
-    "raise", "slow", "corrupt-packed", "exit", "kill_midbatch", "bitrot"
-)
+FAULT_KINDS = ("raise", "slow", "exit", "kill_midbatch", "bitrot")
 
 
 class InjectedFault(RuntimeError):
@@ -145,11 +142,6 @@ class FaultSpec:
             delay_s=delay_s,
             max_attempt=max_attempt,
         )
-
-    @classmethod
-    def corrupt_packed(cls, rate: float = 1.0) -> "FaultSpec":
-        """Flip a byte in the packed index payload shipped to workers."""
-        return cls(kind="corrupt-packed", rate=rate)
 
     @classmethod
     def exiting(
@@ -324,35 +316,6 @@ class FaultInjector:
                 fh.write(bytes([byte[0] ^ 0xFF]))
             return pos
         return None
-
-    @property
-    def corrupts_packed(self) -> bool:
-        """True when any schedule can corrupt the packed payload."""
-        return any(spec.kind == "corrupt-packed" for spec in self.specs)
-
-    def corrupt_bytes(self, blob: bytes) -> bytes:
-        """Return ``blob`` with a deterministically chosen byte flipped.
-
-        The flip lands past the 15-byte ``RXPK`` header so decoding
-        fails with a typed checksum/structure error rather than a bad
-        magic number; the position depends only on the seed and the
-        payload length.  Returns ``blob`` unchanged when no
-        ``corrupt-packed`` schedule fires.
-        """
-        for spec_index, spec in enumerate(self.specs):
-            if spec.kind != "corrupt-packed":
-                continue
-            if spec.rate < 1.0 and self._roll(spec_index, "packed") >= spec.rate:
-                continue
-            header = 15  # RXPK magic + <HBII> header; flip inside the body
-            if len(blob) <= header + 1:
-                return blob
-            pos = header + int(self._roll(spec_index, "pos", len(blob)) * (len(blob) - header))
-            pos = min(pos, len(blob) - 1)
-            mutated = bytearray(blob)
-            mutated[pos] ^= 0xFF
-            return bytes(mutated)
-        return blob
 
 
 class FaultyKernel:

@@ -85,7 +85,7 @@ class MetricsRegistry:
     # -- gauges --------------------------------------------------------------
 
     def gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time level (``shm_bytes``, queue depths, ...).
+        """Set a point-in-time level (``shard_bytes``, queue depths, ...).
 
         Unlike counters, gauges overwrite: the snapshot reports the
         latest value, not an accumulation.

@@ -1,12 +1,13 @@
-"""Packed semantic kernels: an interned, flat-array semantic index.
+"""Packed semantic index: interned flat-array tables over one RXPD body.
 
-:class:`repro.runtime.index.SemanticIndex` already amortizes taxonomy
-walks, but its tables are string-keyed dicts of dicts: every lookup
-hashes concept-id strings, every gloss comparison equality-tests token
-strings, and pickling the index for a worker pool ships a fat object
-graph.  :class:`PackedIndex` interns concept ids and gloss tokens to
-dense integers and lays the same tables out as flat ``array`` buffers
-(CSR-style offsets + values):
+Knowledge-based WSD spends almost all of its time in repeated taxonomy
+walks: hypernym closures, depths, lowest common subsumers, information
+content and gloss token bags are recomputed for the same concepts over
+and over (conceptual-distance and conceptual-density methods amortize
+exactly these with precomputed taxonomy tables — Agirre & Rigau).
+:class:`PackedIndex` walks the network **once**, interns concept ids
+and gloss tokens to dense integers, and lays the results out as flat
+CSR-style tables (offsets + values):
 
 * **ancestor closures** — one ``(concept, distance)`` run per concept,
   in the exact BFS order the network produces;
@@ -15,24 +16,23 @@ dense integers and lays the same tables out as flat ``array`` buffers
   Lesk overlap is sequence-sensitive) plus per-concept token *sets* for
   an exact-match quick reject.
 
-The similarity kernels (:meth:`pair_terms` for the edge/node measures,
-:meth:`lesk_similarity` for gloss overlap) consume the packed tables
-directly and are **bit-identical** to the unpacked scores — the parity
-suite in ``tests/similarity`` pins ``==`` equality for all 8 measures.
-The lowest-common-subsumer tie-break is the same total order the
-network and :class:`SemanticIndex` use: ``(depth, -distance-sum,
-concept-id)``.
+The tables live in one ``RXPD`` body — uncompressed, 8-byte aligned
+sections — and the index always reads them through typed
+``memoryview`` casts over that body.  A heap build
+(``PackedIndex(network)``) views a private ``bytes`` object;
+:meth:`PackedIndex.from_mmap` views a read-only mapping of a shard
+file written by :func:`repro.runtime.store.write_shard`, so every
+process attaching the same shard shares its pages.  Both backings go
+through the same lazy attach path and the same kernels.
 
-The index also carries a compact binary codec (:meth:`to_bytes` /
-:meth:`from_bytes`, wired into pickling via ``__getstate__`` /
-``__setstate__``), so :class:`repro.runtime.executor.BatchExecutor`
-builds the index **once in the parent** and ships a small byte buffer
-to pool workers — worker initialization decodes a buffer instead of
-re-walking the whole network::
+The similarity kernels (:meth:`PackedIndex.pair_terms` for the
+edge/node measures, :meth:`PackedIndex.lesk_similarity` for gloss
+overlap) are **bit-identical** to the network walk — the parity suite
+in ``tests/similarity`` pins ``==`` equality for all 8 measures.  The
+lowest-common-subsumer tie-break is the network's total order
+``(depth, -distance-sum, concept-id)``::
 
     packed = PackedIndex(network)
-    blob = packed.to_bytes()            # small, checksummed, versioned
-    clone = PackedIndex.from_bytes(blob)
     xsdf = XSDF(network, config, index=packed)   # drop-in index=
 """
 
@@ -45,41 +45,36 @@ import sys
 import time
 import zlib
 from array import array
-from typing import Any, Iterable
+from typing import Iterable
 
 from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork, UnknownConceptError
-from .index import SemanticIndex
+from ..similarity.gloss import extended_gloss_tokens
 
-_MAGIC = b"RXPK"
 _VERSION = 1
 
-#: Shared-memory layout magic.  Unlike the ``RXPK`` pickle codec the
-#: shared form is **uncompressed and 8-byte aligned** so attached
-#: processes can serve the CSR tables directly as ``memoryview`` casts
-#: over the segment — zero decode, zero copy.
-_SHARED_MAGIC = b"RXPS"
-
-#: Shared header: magic, version, byteorder flag, pad, CRC-32 of the
-#: body, body length.  16 bytes, so the body starts 8-byte aligned.
-_SHARED_HEADER = struct.Struct("<4sHBxII")
-
-#: On-disk shard magic (``repro pack`` output).  The body is the exact
-#: ``RXPS`` shared layout — uncompressed, 8-byte aligned sections — so
-#: a file can be memory-mapped and served through the same zero-copy
-#: attach path workers use for shared-memory segments.
+#: On-disk shard magic (``repro pack`` output).
 _DISK_MAGIC = b"RXPD"
 
-#: Disk header: the shared header fields plus a 16-byte network
-#: fingerprint prefix (SHA-256 of the source network, zero when
-#: unknown) so attaching processes can refuse a shard built from a
-#: different network.  32 bytes, so the body stays 8-byte aligned.
+#: Disk header: magic, version, byteorder flag, pad, CRC-32 of the
+#: body, body length, and a 16-byte network fingerprint prefix (SHA-256
+#: of the source network, zero when unknown) so attaching processes can
+#: refuse a shard built from a different network.  32 bytes, so the
+#: body starts 8-byte aligned.
 _DISK_HEADER = struct.Struct("<4sHBxII16s")
 
-#: Attribute names materialized on demand for mmap-attached indexes.
-#: Cold attach leaves the string tables undecoded and the per-concept
-#: memo lists unallocated (together they are the bulk of attach cost);
-#: the first access of any of these materializes them all.
+#: Meta-section flags: gloss tables (1) and IC table (2) present.
+#: Every index packs both; the bits stay for format compatibility.
+_FLAGS = 3
+
+#: The IC smoothing the meta section records (the
+#: :class:`~repro.semnet.ic.InformationContent` default every build uses).
+_IC_SMOOTHING = 1.0
+
+#: Attribute names materialized on first access.  Attach leaves the
+#: string tables undecoded and the per-concept memo lists unallocated
+#: (together they are the bulk of attach cost); the first access of any
+#: of these materializes them all.
 _LAZY_ATTRS = frozenset({
     "_ids", "_id_of", "_tokens", "_depths", "_ic_list",
     "_closures", "_bags", "_bag_sets", "_bag_counts",
@@ -90,24 +85,23 @@ _MISSING = object()
 
 
 class PackedIndexError(ValueError):
-    """Raised when a packed-index buffer is truncated or corrupted."""
+    """Raised when a packed-index shard is truncated or corrupted."""
 
 
 class PackedIndexTruncatedError(PackedIndexError):
-    """The buffer ends before the header/body it declares.
+    """The shard ends before the header/body it declares.
 
-    Actionable: the payload was cut short in transit or on disk —
-    re-ship or re-serialize it; the bytes that *are* present are intact.
+    Actionable: the file was cut short in transit or on disk — rewrite
+    it; the bytes that *are* present are intact.
     """
 
 
 class PackedIndexCRCError(PackedIndexError):
-    """The body checksum (or compressed stream) does not match.
+    """The body checksum does not match.
 
-    Actionable: the payload is the right length but its content was
-    altered — a corrupt write, a bad copy, or injected chaos; rebuild
-    the index from the network (the degradation ladder does this
-    automatically one rung down).
+    Actionable: the shard is the right length but its content was
+    altered — a corrupt write, a bad copy, or injected bitrot; rebuild
+    the index from the network (pool workers do this automatically).
     """
 
 
@@ -126,43 +120,6 @@ def _decode_strings(blob: bytes) -> tuple[str, ...]:
     return tuple(blob.decode("utf-8").split("\x00"))
 
 
-def _typecode_of(arr: "array | memoryview") -> str:
-    """The element typecode of a flat table (array or memoryview)."""
-    code = getattr(arr, "typecode", None)
-    if code is None:
-        code = arr.format  # a cast memoryview over a shared segment
-    return code
-
-
-def _pack_array(arr: "array | memoryview") -> bytes:
-    """Typecode byte + item count + raw buffer for one flat table."""
-    return (
-        _typecode_of(arr).encode("ascii")
-        + struct.pack("<I", len(arr))
-        + arr.tobytes()
-    )
-
-
-def _unpack_array(blob: bytes, swap: bool) -> array:
-    """Inverse of :func:`_pack_array`; byteswaps on endianness mismatch."""
-    if len(blob) < 5:
-        raise PackedIndexError("array section truncated")
-    typecode = blob[:1].decode("ascii")
-    (count,) = struct.unpack_from("<I", blob, 1)
-    arr = array(typecode)
-    try:
-        arr.frombytes(blob[5:])
-    except ValueError as exc:
-        raise PackedIndexError(f"array section malformed: {exc}") from None
-    if len(arr) != count:
-        raise PackedIndexError(
-            f"array section declares {count} items, holds {len(arr)}"
-        )
-    if swap:
-        arr.byteswap()
-    return arr
-
-
 def _index_typecode(n: int) -> str:
     """Smallest unsigned array typecode that can hold ids ``< n``."""
     return "H" if n <= 0xFFFF else "I"
@@ -174,134 +131,109 @@ def _pad8(blob: bytes) -> bytes:
     return blob if remainder == 0 else blob + b"\x00" * (8 - remainder)
 
 
-def _shared_array_section(arr: "array | memoryview") -> bytes:
-    """One shared-layout array payload: typecode, pad, count, raw data.
+def _array_section(arr: array) -> bytes:
+    """One array payload: typecode, pad, count, raw data.
 
     The 8-byte prologue keeps the raw element data 8-aligned inside an
-    8-aligned section, so ``memoryview.cast`` over the attached segment
-    serves even ``"d"`` tables without copying.
+    8-aligned section, so ``memoryview.cast`` over the body serves even
+    ``"d"`` tables without copying.
     """
     return (
-        _typecode_of(arr).encode("ascii")
+        arr.typecode.encode("ascii")
         + b"\x00\x00\x00"
         + struct.pack("<I", len(arr))
         + arr.tobytes()
     )
 
 
-def _shared_array_view(section: memoryview) -> memoryview:
-    """Zero-copy typed view over one shared-layout array payload."""
+def _array_view(section: memoryview) -> memoryview:
+    """Zero-copy typed view over one array payload."""
     if len(section) < 8:
-        raise PackedIndexTruncatedError("shared array section truncated")
+        raise PackedIndexTruncatedError("array section truncated")
     typecode = bytes(section[:1]).decode("ascii")
     (count,) = struct.unpack_from("<I", section, 4)
     try:
         itemsize = array(typecode).itemsize
     except ValueError as exc:
-        raise PackedIndexError(
-            f"shared array section malformed: {exc}"
-        ) from None
+        raise PackedIndexError(f"array section malformed: {exc}") from None
     data = section[8 : 8 + count * itemsize]
     if len(data) != count * itemsize:
         raise PackedIndexTruncatedError(
-            f"shared array section declares {count} items, "
+            f"array section declares {count} items, "
             f"holds {len(data) // max(1, itemsize)}"
         )
     return data.cast(typecode)
 
 
-class _SharedAttachment:
-    """Owns one worker-side attachment to a published shared segment.
+def _network_body(network: SemanticNetwork) -> bytes:
+    """Walk ``network`` once and lay its tables out as an RXPD body.
 
-    Wraps the raw ``mmap`` adopted out of a ``SharedMemory`` object
-    instead of the object itself: ``SharedMemory.__del__`` insists on
-    closing its mmap even while table views still point into it, which
-    raises ``BufferError`` whenever the garbage collector tears the
-    index and its owner down in the wrong order.  A bare ``mmap``'s
-    mapping is reference-counted through the exported views, so
-    teardown in *any* order is safe, and the attachment fd can be
-    closed eagerly (POSIX mappings survive their fd).
+    Every value is the one the network walk produces (closures in its
+    BFS order, depths by :meth:`SemanticNetwork.depth`'s root-distance
+    formula, the default-smoothed IC table, :func:`extended_gloss_tokens`
+    bags), which is what keeps the packed kernels bit-identical to it.
+    Each concept's own gloss is tokenized once and reused for every
+    neighbour whose extended bag includes it.
     """
+    ids = tuple(concept.id for concept in network)
+    id_of = {cid: i for i, cid in enumerate(ids)}
+    n = len(ids)
 
-    __slots__ = ("name", "_mmap")
+    anc_off = array("I", [0])
+    anc_cid = array(_index_typecode(n))
+    anc_dist = array("I")
+    depths = array("I")
+    for cid in ids:
+        closure = network.hypernym_closure(cid)
+        for ancestor, dist in closure.items():
+            anc_cid.append(id_of[ancestor])
+            anc_dist.append(dist)
+        anc_off.append(len(anc_cid))
+        depths.append(min(
+            (dist for ancestor, dist in closure.items()
+             if not network.hypernyms(ancestor)),
+            default=0,
+        ))
 
-    def __init__(self, name: str, mmap_obj: Any):
-        self.name = name
-        self._mmap = mmap_obj
+    own_gloss = {cid: network.concept(cid).gloss_tokens() for cid in ids}
+    token_of: dict[str, int] = {}
+    flat: list[int] = []
+    gloss_off = array("I", [0])
+    for cid in ids:
+        for token in extended_gloss_tokens(
+            network, cid, gloss_of=own_gloss.__getitem__
+        ):
+            flat.append(token_of.setdefault(token, len(token_of)))
+        gloss_off.append(len(flat))
+    gloss_tok = array(_index_typecode(len(token_of)), flat)
 
-    @classmethod
-    def adopt(cls, shm: Any) -> Any:
-        """Take ownership of ``shm``'s mapping, neutering its __del__.
-
-        Returns the attachment owner to thread through
-        :meth:`PackedIndex.from_shared_buffer`; falls back to ``shm``
-        itself on Python builds whose ``SharedMemory`` lacks the
-        private ``_mmap``/``_buf``/``_fd`` slots this relies on.
-        """
-        mmap_obj = getattr(shm, "_mmap", None)
-        if mmap_obj is None:
-            return shm
-        buf = getattr(shm, "_buf", None)
-        if buf is not None:
-            buf.release()
-        # Neutering the wrapper is the whole point of adoption: its
-        # __del__ must find nothing left to close.
-        shm._buf = None  # lint: disable=cache-purity
-        shm._mmap = None  # lint: disable=cache-purity
-        fd = getattr(shm, "_fd", -1)
-        if fd >= 0:
-            os.close(fd)
-            shm._fd = -1  # lint: disable=cache-purity
-        return cls(shm.name, mmap_obj)
-
-    @property
-    def buf(self) -> memoryview:
-        """A fresh view over the adopted mapping."""
-        return memoryview(self._mmap)
-
-    def close(self) -> None:
-        """Release the mapping once no table views are exported.
-
-        A still-exported view (a caller kept a table slice alive past
-        ``release_shared``) makes ``mmap.close`` raise ``BufferError``;
-        the mapping is then reclaimed by refcount when the last view
-        dies, so swallowing it leaks nothing.
-        """
-        try:
-            self._mmap.close()
-        except BufferError:  # lint: disable=silent-degrade  # refcount reclaims the mapping when the last view dies
-            pass
-
-
-class _MmapAttachment:
-    """Owns one read-only memory mapping of an ``RXPD`` shard file.
-
-    The mapping is created with ``ACCESS_READ`` so every attaching
-    process shares the same physical pages through the OS page cache —
-    a second attach costs address space, not resident memory.  The
-    backing fd is closed eagerly (POSIX mappings survive their fd);
-    :meth:`close` mirrors :class:`_SharedAttachment.close`'s
-    BufferError tolerance so teardown order never matters.
-    """
-
-    __slots__ = ("path", "size", "_mmap")
-
-    def __init__(self, path: str, mmap_obj: Any, size: int):
-        self.path = path
-        self.size = size
-        self._mmap = mmap_obj
-
-    @property
-    def buf(self) -> memoryview:
-        """A fresh view over the mapped shard."""
-        return memoryview(self._mmap)
-
-    def close(self) -> None:
-        """Unmap once no table views are exported (refcount otherwise)."""
-        try:
-            self._mmap.close()
-        except BufferError:  # lint: disable=silent-degrade  # refcount reclaims the mapping when the last view dies
-            pass
+    # An empty network has no frequency mass to take IC from.
+    ic = InformationContent(network, smoothing=_IC_SMOOTHING) if n else None
+    ic_values = array("d", [ic.ic(cid) for cid in ids] if ic else [])
+    meta = struct.pack(
+        "<IIBdd",
+        n,
+        max(depths, default=1),
+        _FLAGS,
+        _IC_SMOOTHING,
+        ic.max_ic if ic else 1.0,
+    )
+    sections = [
+        meta,
+        _encode_strings(ids),
+        _array_section(depths),
+        _array_section(anc_off),
+        _array_section(anc_cid),
+        _array_section(anc_dist),
+        _encode_strings(token_of),
+        _array_section(gloss_off),
+        _array_section(gloss_tok),
+        _array_section(ic_values),
+    ]
+    return b"".join(
+        _pad8(struct.pack("<II", len(section), 0) + section)
+        for section in sections
+    )
 
 
 class PackedIC:
@@ -394,228 +326,95 @@ def _interned_overlap_score(tokens_a: list[int], tokens_b: list[int]) -> float:
 
 
 class PackedIndex:
-    """Interned flat-array semantic index with a compact binary codec.
+    """Interned flat-array semantic index over one ``RXPD`` body.
 
-    A drop-in ``index=`` accelerator: pass it wherever a
-    :class:`~repro.runtime.index.SemanticIndex` is accepted (the
-    similarity measures and :class:`repro.core.framework.XSDF` detect
-    it via the ``is_packed`` marker and route through the packed
-    kernels).  All scores are bit-identical to the dict-index and
-    plain-network paths.
+    Pass it as ``index=`` to the similarity measures and to
+    :class:`repro.core.framework.XSDF` to route scoring through the
+    packed kernels.  All scores are bit-identical to the plain
+    network walk.
 
     Parameters
     ----------
     network:
         The network to index (not mutated; the packed tables are a
-        snapshot and hold **no** reference to it afterwards, which is
-        what keeps the pickled form small).
-    include_gloss:
-        Pack extended-Lesk gloss token bags (True by default).
-    ic_smoothing:
-        Laplace smoothing for the information-content table, matching
-        :class:`repro.semnet.ic.InformationContent`'s default.
-    include_ic:
-        Pack the IC table eagerly (True by default) so workers never
-        recompute it.  Networks with no frequency mass (possible only
-        with ``ic_smoothing=0``) simply omit the table.
+        snapshot and hold **no** reference to it afterwards).
     """
 
-    #: Duck-type marker the similarity measures test for (avoids an
-    #: import cycle between ``repro.similarity`` and ``repro.runtime``).
-    is_packed = True
-
     #: Path of the ``RXPD`` shard this index was attached from (set by
-    #: :meth:`from_mmap`; ``None`` for heap/shm-backed indexes).  The
-    #: executor ships this path to pool workers instead of a shared-
-    #: memory payload when it is set — the file outlives the parent.
+    #: :meth:`from_mmap`; ``None`` for heap-built indexes).  The
+    #: executor ships this path to pool workers when it is set instead
+    #: of writing a temporary shard.
     shard_path: "str | None" = None
 
-    def __init__(
-        self,
-        network: SemanticNetwork,
-        include_gloss: bool = True,
-        ic_smoothing: float = 1.0,
-        include_ic: bool = True,
-    ):
+    def __init__(self, network: SemanticNetwork):
         start = time.perf_counter()
-        index = SemanticIndex(
-            network, include_gloss=include_gloss, ic_smoothing=ic_smoothing
-        )
-        self._load_from_semantic_index(index, include_ic=include_ic)
+        self._attach_body(memoryview(_network_body(network)))
         self.build_seconds = time.perf_counter() - start
 
-    # -- construction ---------------------------------------------------------
+    # -- attach ---------------------------------------------------------------
 
-    @classmethod
-    def from_semantic_index(
-        cls, index: SemanticIndex, include_ic: bool = True
-    ) -> "PackedIndex":
-        """Pack an already-built :class:`SemanticIndex` (shares no state)."""
-        start = time.perf_counter()
-        packed = cls.__new__(cls)
-        packed._load_from_semantic_index(index, include_ic=include_ic)
-        packed.build_seconds = time.perf_counter() - start
-        return packed
+    def _attach_body(self, body: memoryview) -> None:
+        """Install typed views over one section body, strings deferred.
 
-    def _load_from_semantic_index(
-        self, index: SemanticIndex, include_ic: bool
-    ) -> None:
-        """Intern and flatten one SemanticIndex's tables into arrays."""
-        network = index.network
-        ids = tuple(concept.id for concept in network)
-        id_of = {cid: i for i, cid in enumerate(ids)}
-        n = len(ids)
-        ref_code = _index_typecode(n)
-
-        anc_off = array("I", [0])
-        anc_cid = array(ref_code)
-        anc_dist = array("I")
-        depths = array("I")
-        for cid in ids:
-            closure = index.hypernym_closure(cid)
-            for ancestor, dist in closure.items():
-                anc_cid.append(id_of[ancestor])
-                anc_dist.append(dist)
-            anc_off.append(len(anc_cid))
-            depths.append(index.depth(cid))
-
-        tokens: tuple[str, ...] = ()
-        gloss_off = gloss_tok = None
-        if index._gloss_bags is not None:
-            token_of: dict[str, int] = {}
-            flat: list[int] = []
-            gloss_off = array("I", [0])
-            for cid in ids:
-                for token in index.gloss_bag(cid):
-                    slot = token_of.get(token)
-                    if slot is None:
-                        slot = len(token_of)
-                        token_of[token] = slot
-                    flat.append(slot)
-                gloss_off.append(len(flat))
-            tokens = tuple(token_of)
-            gloss_tok = array(_index_typecode(len(tokens)), flat)
-
-        ic_values = None
-        max_ic = 1.0
-        if include_ic and n:
-            try:
-                ic = index.ic
-            except ValueError:  # lint: disable=silent-degrade  # no frequency mass -> IC table omitted by design
-                ic = None  # no frequency mass (only when smoothing == 0)
-            if ic is not None:
-                ic_values = array("d", (ic.ic(cid) for cid in ids))
-                max_ic = ic.max_ic
-
-        self._install_tables(
-            ids=ids,
-            depths=depths,
-            anc_off=anc_off,
-            anc_cid=anc_cid,
-            anc_dist=anc_dist,
-            tokens=tokens,
-            gloss_off=gloss_off,
-            gloss_tok=gloss_tok,
-            ic_values=ic_values,
-            max_ic=max_ic,
-            max_taxonomy_depth=index.max_taxonomy_depth,
-            ic_smoothing=index._ic_smoothing,
-        )
-
-    def _install_tables(
-        self,
-        ids: tuple[str, ...],
-        depths: "array | memoryview",
-        anc_off: "array | memoryview",
-        anc_cid: "array | memoryview",
-        anc_dist: "array | memoryview",
-        tokens: tuple[str, ...],
-        gloss_off: "array | memoryview | None",
-        gloss_tok: "array | memoryview | None",
-        ic_values: "array | memoryview | None",
-        max_ic: float,
-        max_taxonomy_depth: int,
-        ic_smoothing: float,
-    ) -> None:
-        """Set serialized tables and (re)initialize derived lazy state.
-
-        Tables may be ``array`` objects (the codec path) or typed
-        ``memoryview`` casts over an attached shared-memory segment
-        (the zero-copy path) — every kernel consumes them through the
-        common slice/``tolist`` surface.
+        Attach stays O(section count), not O(concepts): the id/token
+        tables (the bulk of the body) are kept as raw views and decoded
+        on the first access of any interned-string surface (see
+        ``__getattr__``); the CSR arrays are served as typed views
+        directly.
         """
-        self._shared_owner: object | None = None
-        self._lazy_blobs: tuple | None = None
-        self._ids = ids
-        self._id_of = {cid: i for i, cid in enumerate(ids)}
-        self._depths = depths.tolist()
-        self._anc_off = anc_off
-        self._anc_cid = anc_cid
-        self._anc_dist = anc_dist
-        self._tokens = tokens
-        self._gloss_off = gloss_off
-        self._gloss_tok = gloss_tok
-        self._ic_values = ic_values
-        self._ic_list = ic_values.tolist() if ic_values is not None else None
-        self._install_common(
-            n=len(ids),
-            max_ic=max_ic,
-            max_taxonomy_depth=max_taxonomy_depth,
-            ic_smoothing=ic_smoothing,
+        body_len = len(body)
+        sections: list[memoryview] = []
+        offset = 0
+        while offset < body_len:
+            if offset + 8 > body_len:
+                raise PackedIndexTruncatedError("section length truncated")
+            (length,) = struct.unpack_from("<I", body, offset)
+            offset += 8
+            if offset + length > body_len:
+                raise PackedIndexTruncatedError("section payload truncated")
+            sections.append(body[offset : offset + length])
+            offset += (length + 7) & ~7
+        if len(sections) != 10:
+            raise PackedIndexError(
+                f"expected 10 sections, found {len(sections)}"
+            )
+        try:
+            n, max_depth, _flags, _smoothing, max_ic = struct.unpack(
+                "<IIBdd", sections[0]
+            )
+        except struct.error as exc:
+            raise PackedIndexError(f"meta section malformed: {exc}") from None
+        depths = _array_view(sections[2])
+        anc_off = _array_view(sections[3])
+        anc_cid = _array_view(sections[4])
+        anc_dist = _array_view(sections[5])
+        if len(anc_off) != n + 1 or len(depths) != n:
+            raise PackedIndexError("taxonomy tables inconsistent")
+        if len(anc_cid) != len(anc_dist) or (
+            n and anc_off[-1] != len(anc_cid)
+        ):
+            raise PackedIndexError("ancestor tables inconsistent")
+        gloss_off = _array_view(sections[7])
+        gloss_tok = _array_view(sections[8])
+        if len(gloss_off) != n + 1 or (
+            n and gloss_off[-1] != len(gloss_tok)
+        ):
+            raise PackedIndexError("gloss tables inconsistent")
+        ic_values = _array_view(sections[9])
+        if len(ic_values) != n:
+            raise PackedIndexError("IC table inconsistent")
+        self._body = body
+        self._lazy_blobs: tuple | None = (
+            sections[1], sections[6], depths, ic_values
         )
-        self._install_derived(len(ids))
-
-    def _install_lazy_tables(
-        self,
-        n: int,
-        id_blob: memoryview,
-        depths: memoryview,
-        anc_off: memoryview,
-        anc_cid: memoryview,
-        anc_dist: memoryview,
-        token_blob: memoryview,
-        gloss_off: "memoryview | None",
-        gloss_tok: "memoryview | None",
-        ic_values: "memoryview | None",
-        max_ic: float,
-        max_taxonomy_depth: int,
-        ic_smoothing: float,
-    ) -> None:
-        """Install mmap-backed tables without decoding the string blobs.
-
-        Cold attach must stay O(section count), not O(concepts): the
-        id/token tables (the bulk of the body) are kept as raw views and
-        decoded on the first access of any interned-string surface
-        (see ``__getattr__``); the CSR arrays are served as typed views
-        directly, exactly like the shared-memory path.
-        """
-        self._shared_owner = None
-        self._lazy_blobs = (id_blob, token_blob, depths, ic_values)
         self._anc_off = anc_off
         self._anc_cid = anc_cid
         self._anc_dist = anc_dist
         self._gloss_off = gloss_off
         self._gloss_tok = gloss_tok
-        self._ic_values = ic_values
-        self._install_common(
-            n=n,
-            max_ic=max_ic,
-            max_taxonomy_depth=max_taxonomy_depth,
-            ic_smoothing=ic_smoothing,
-        )
-
-    def _install_common(
-        self,
-        n: int,
-        max_ic: float,
-        max_taxonomy_depth: int,
-        ic_smoothing: float,
-    ) -> None:
-        """(Re)initialize scalar metadata and the pair-kernel memo."""
         self._n = n
         self._max_ic = max_ic
-        self.max_taxonomy_depth = max_taxonomy_depth
-        self._ic_smoothing = ic_smoothing
+        self.max_taxonomy_depth = max_depth
         self.build_seconds = 0.0
         self._pair_memo: dict[
             tuple[int, int], tuple[int, int, int, int] | None
@@ -624,21 +423,14 @@ class PackedIndex:
         self._pair_misses = 0
         self._ic_view: PackedIC | None = None
 
-    def _install_derived(self, n: int) -> None:
-        """Allocate the per-concept memo lists (never serialized)."""
-        self._closures: list[dict[int, int] | None] = [None] * n
-        self._bags: list[list[int] | None] = [None] * n
-        self._bag_sets: list[frozenset[int] | None] = [None] * n
-        self._bag_counts: list[dict[int, int] | None] = [None] * n
-
     def __getattr__(self, name: str):
         """Materialize the deferred string tables on first access.
 
-        Only fires for attributes missing from the instance dict: an
-        mmap attach leaves ``_ids``/``_id_of``/``_tokens``/``_depths``/
-        ``_ic_list`` unset so cold attach never pays the decode; the
-        first interned lookup decodes them all at once, after which
-        attribute access is back on the zero-overhead fast path.
+        Only fires for attributes missing from the instance dict:
+        attach leaves ``_ids``/``_id_of``/``_tokens``/``_depths``/
+        ``_ic_list`` unset so it never pays the decode; the first
+        interned lookup decodes them all at once, after which attribute
+        access is back on the zero-overhead fast path.
         """
         if name in _LAZY_ATTRS and self.__dict__.get("_lazy_blobs") is not None:
             self._materialize_lazy()
@@ -649,22 +441,130 @@ class PackedIndex:
 
     def _materialize_lazy(self) -> None:
         """Decode the deferred id/token/depth/IC tables (idempotent)."""
-        lazy = self.__dict__.get("_lazy_blobs")
-        if lazy is None:
+        if self._lazy_blobs is None:
             return
-        id_blob, token_blob, depths, ic_values = lazy
+        id_blob, token_blob, depths, ic_values = self._lazy_blobs
         ids = _decode_strings(bytes(id_blob))
         if len(ids) != self._n:
             raise PackedIndexError(
                 f"id table declares {self._n} concepts, holds {len(ids)}"
             )
+        n = self._n
         self._ids = ids
         self._id_of = {cid: i for i, cid in enumerate(ids)}
         self._tokens = _decode_strings(bytes(token_blob))
         self._depths = depths.tolist()
-        self._ic_list = ic_values.tolist() if ic_values is not None else None
-        self._install_derived(self._n)
+        self._ic_list = ic_values.tolist()
+        self._closures: list[dict[int, int] | None] = [None] * n
+        self._bags: list[list[int] | None] = [None] * n
+        self._bag_sets: list[frozenset[int] | None] = [None] * n
+        self._bag_counts: list[dict[int, int] | None] = [None] * n
         self._lazy_blobs = None
+
+    @classmethod
+    def from_mmap(
+        cls,
+        path: "str | os.PathLike[str]",
+        verify: bool = False,
+        expect_fingerprint: str | None = None,
+    ) -> "PackedIndex":
+        """Attach zero-copy to an ``RXPD`` shard file on disk.
+
+        The file is memory-mapped read-only and the CSR tables become
+        typed ``memoryview`` casts over the mapping — no decode, no
+        copy, and every process attaching the same shard shares the
+        same physical pages through the OS page cache.  Attach is
+        O(section count): the id/token string tables stay undecoded
+        until first use, so attaching a 100k-concept shard touches a
+        handful of pages.  The mapping is released when the index and
+        every view into it are garbage.
+
+        ``verify=True`` additionally checks the body CRC-32 (paging in
+        the whole shard; pool workers always verify, while the
+        write-time default trusts the filesystem because the file was
+        CRC-stamped by :meth:`to_disk_payload` and is validated
+        structurally here).  ``expect_fingerprint`` (a network SHA-256
+        hex digest) raises when the shard records a different source
+        network.  Raises ``FileNotFoundError``/``OSError`` for
+        missing/unmappable files and the typed
+        :class:`PackedIndexError` family for truncated or corrupted
+        shards.
+        """
+        path = os.fspath(path)
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size < _DISK_HEADER.size:
+                raise PackedIndexTruncatedError(
+                    "shard file shorter than the RXPD header"
+                )
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        start = time.perf_counter()
+        mv = memoryview(mapped)
+        magic, version, byteorder, crc, body_len, digest = (
+            _DISK_HEADER.unpack_from(mv, 0)
+        )
+        if magic != _DISK_MAGIC:
+            raise PackedIndexError("not an RXPD shard file (bad magic)")
+        if version != _VERSION:
+            raise PackedIndexError(f"unsupported shard version {version}")
+        if byteorder != (0 if sys.byteorder == "little" else 1):
+            raise PackedIndexError("shard file has a foreign byte order")
+        if _DISK_HEADER.size + body_len > len(mv):
+            raise PackedIndexTruncatedError(
+                f"shard truncated: header declares {body_len} body "
+                f"bytes, {len(mv) - _DISK_HEADER.size} present"
+            )
+        if expect_fingerprint is not None and digest != b"\x00" * 16:
+            expected = bytes.fromhex(expect_fingerprint)[:16]
+            if digest[: len(expected)] != expected:
+                raise PackedIndexError(
+                    "shard was packed from a different network "
+                    "(fingerprint mismatch)"
+                )
+        body = mv[_DISK_HEADER.size : _DISK_HEADER.size + body_len]
+        if verify and zlib.crc32(body) != crc:
+            raise PackedIndexCRCError("shard corrupted (checksum mismatch)")
+        packed = cls.__new__(cls)
+        packed._attach_body(body)
+        packed.shard_path = path
+        packed.build_seconds = time.perf_counter() - start
+        return packed
+
+    def to_disk_payload(self, fingerprint: str | None = None) -> bytes:
+        """The ``RXPD`` shard bytes: disk header + this index's body.
+
+        The header records the body CRC-32 and the first 16 bytes of
+        the source network's SHA-256 fingerprint (all zeros when
+        unknown) so :meth:`from_mmap` can refuse a shard built from a
+        different network.
+        """
+        digest = b"\x00" * 16
+        if fingerprint:
+            try:
+                digest = bytes.fromhex(fingerprint)[:16]
+            except ValueError:
+                raise PackedIndexError(
+                    "fingerprint must be a hex digest"
+                ) from None
+            if len(digest) < 16:
+                digest = digest.ljust(16, b"\x00")
+        body = self._body
+        header = _DISK_HEADER.pack(
+            _DISK_MAGIC,
+            _VERSION,
+            0 if sys.byteorder == "little" else 1,
+            zlib.crc32(body),
+            len(body),
+            digest,
+        )
+        return header + bytes(body)
+
+    def __reduce__(self):
+        """Refuse to pickle: workers attach a shard by path instead."""
+        raise TypeError(
+            "PackedIndex does not pickle; write it with "
+            "repro.runtime.store.write_shard and attach the file with "
+            "PackedIndex.from_mmap"
+        )
 
     # -- interning ------------------------------------------------------------
 
@@ -680,8 +580,8 @@ class PackedIndex:
         return self._ids[slot]
 
     def __len__(self) -> int:
-        # ``_n`` (not ``len(self._ids)``) so sizing an mmap-attached
-        # index never forces the deferred string decode.
+        # ``_n`` (not ``len(self._ids)``) so sizing an index never
+        # forces the deferred string decode.
         return self._n
 
     # -- packed kernels -------------------------------------------------------
@@ -735,8 +635,8 @@ class PackedIndex:
         """Scan the smaller closure for the max-key shared ancestor.
 
         The selection key is the total order ``(depth, -distance-sum,
-        concept-id)`` — exactly the tie-break the network and
-        :class:`SemanticIndex` use, so all three paths agree bit-for-bit.
+        concept-id)`` — exactly the network's tie-break, so both paths
+        agree bit-for-bit.
         """
         closure_a = self._closure(ia)
         closure_b = self._closure(ib)
@@ -779,7 +679,6 @@ class PackedIndex:
         """Interned gloss token sequence of one concept (memoized)."""
         bag = self._bags[slot]
         if bag is None:
-            assert self._gloss_off is not None and self._gloss_tok is not None
             lo, hi = self._gloss_off[slot], self._gloss_off[slot + 1]
             bag = self._gloss_tok[lo:hi].tolist()
             self._bags[slot] = bag
@@ -819,11 +718,6 @@ class PackedIndex:
         true similarity in *float* arithmetic, which is what exact
         pruning requires.
         """
-        if self._gloss_off is None:
-            raise RuntimeError(
-                "index was packed with include_gloss=False; "
-                "gloss kernels are unavailable"
-            )
         ia = self._intern(a)
         ib = self._intern(b)
         if ia == ib:
@@ -854,11 +748,6 @@ class PackedIndex:
         .ExtendedLeskSimilarity`'s unpacked arithmetic: disjoint token
         sets short-circuit to the same 0.0 the full DP would produce.
         """
-        if self._gloss_off is None:
-            raise RuntimeError(
-                "index was packed with include_gloss=False; "
-                "gloss kernels are unavailable"
-            )
         ia = self._intern(a)
         ib = self._intern(b)
         if ia == ib:
@@ -873,47 +762,22 @@ class PackedIndex:
         shorter = min(len(bag_a), len(bag_b))
         return min(1.0, (raw ** 0.5) / shorter)
 
-    def ic_value(self, concept_id: str) -> float:
-        """Packed information content of one concept (table lookup)."""
-        ic_list = self._ic_list
-        if ic_list is None:
-            raise RuntimeError(
-                "index was packed with include_ic=False; "
-                "the IC table is unavailable"
-            )
-        return ic_list[self._intern(concept_id)]
-
     def ic_of_slot(self, slot: int) -> float:
         """Packed information content of one interned concept slot."""
-        ic_list = self._ic_list
-        if ic_list is None:
-            raise RuntimeError(
-                "index was packed with include_ic=False; "
-                "the IC table is unavailable"
-            )
-        return ic_list[slot]
+        return self._ic_list[slot]
 
-    # -- SemanticIndex-compatible query surface -------------------------------
-
-    @property
-    def has_gloss(self) -> bool:
-        """True when gloss bags were packed."""
-        return self._gloss_off is not None
-
-    @property
-    def has_ic(self) -> bool:
-        """True when the information-content table was packed."""
-        return self._ic_values is not None
+    # -- query surface --------------------------------------------------------
 
     @property
     def ic(self) -> PackedIC:
-        """Information-content view (API-compatible with the IC table)."""
-        if self._ic_list is None:
-            raise RuntimeError(
-                "index was packed with include_ic=False; "
-                "the IC table is unavailable"
-            )
+        """Information-content view (API-compatible with the IC table).
+
+        Taking the view decodes the deferred tables: the scorers take
+        it at construction, so a warmed pipeline never pays for (or
+        trips over) the decode on its first document.
+        """
         if self._ic_view is None:
+            self._materialize_lazy()
             self._ic_view = PackedIC(self)
         return self._ic_view
 
@@ -947,638 +811,42 @@ class PackedIndex:
 
     def gloss_bag(self, concept_id: str) -> list[str]:
         """Extended-Lesk token bag of one concept (reconstructed strings)."""
-        if self._gloss_off is None:
-            raise RuntimeError(
-                "index was packed with include_gloss=False; "
-                "gloss bags are unavailable"
-            )
         tokens = self._tokens
         return [tokens[t] for t in self._bag(self._intern(concept_id))]
 
-    # -- codec ----------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize every table to one checksummed, versioned buffer.
-
-        The payload is zlib-compressed (interned int runs compress
-        well); the header carries magic, format version, byte order,
-        and a CRC-32 of the compressed body so truncation and
-        corruption are detected before any table is trusted.
-        """
-        flags = (1 if self._gloss_off is not None else 0) | (
-            2 if self._ic_values is not None else 0
-        )
-        meta = struct.pack(
-            "<IIBdd",
-            len(self._ids),
-            self.max_taxonomy_depth,
-            flags,
-            self._ic_smoothing,
-            self._max_ic,
-        )
-        empty = array("I")
-        sections = [
-            meta,
-            _encode_strings(self._ids),
-            _pack_array(array("I", self._depths)),
-            _pack_array(self._anc_off),
-            _pack_array(self._anc_cid),
-            _pack_array(self._anc_dist),
-            _encode_strings(self._tokens),
-            _pack_array(self._gloss_off if self._gloss_off is not None
-                        else empty),
-            _pack_array(self._gloss_tok if self._gloss_tok is not None
-                        else empty),
-            _pack_array(self._ic_values if self._ic_values is not None
-                        else array("d")),
-        ]
-        body = b"".join(
-            struct.pack("<I", len(section)) + section for section in sections
-        )
-        packed_body = zlib.compress(body, 6)
-        header = _MAGIC + struct.pack(
-            "<HBII",
-            _VERSION,
-            0 if sys.byteorder == "little" else 1,
-            zlib.crc32(packed_body),
-            len(packed_body),
-        )
-        return header + packed_body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PackedIndex":
-        """Decode a :meth:`to_bytes` buffer into a ready-to-query index.
-
-        Raises a typed :class:`PackedIndexError`:
-        :class:`PackedIndexTruncatedError` when the buffer is shorter
-        than the header or the body it declares,
-        :class:`PackedIndexCRCError` when the checksum or compressed
-        stream is corrupt, and the base class for bad magic,
-        unsupported versions, and inconsistent tables.
-        """
-        packed = cls.__new__(cls)
-        packed._decode(data)
-        return packed
-
-    def _decode(self, data: bytes) -> None:
-        """Populate this instance from one serialized buffer."""
-        start = time.perf_counter()
-        header_size = len(_MAGIC) + struct.calcsize("<HBII")
-        if len(data) < header_size:
-            raise PackedIndexTruncatedError(
-                "buffer shorter than the packed header"
-            )
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise PackedIndexError("not a packed-index buffer (bad magic)")
-        version, byteorder, crc, body_len = struct.unpack_from(
-            "<HBII", data, len(_MAGIC)
-        )
-        if version != _VERSION:
-            raise PackedIndexError(
-                f"unsupported packed-index version {version}"
-            )
-        packed_body = data[header_size:]
-        if len(packed_body) < body_len:
-            raise PackedIndexTruncatedError(
-                f"buffer truncated: header declares {body_len} body bytes, "
-                f"{len(packed_body)} present"
-            )
-        packed_body = packed_body[:body_len]
-        if zlib.crc32(packed_body) != crc:
-            raise PackedIndexCRCError("buffer corrupted (checksum mismatch)")
-        try:
-            body = zlib.decompress(packed_body)
-        except zlib.error as exc:
-            raise PackedIndexCRCError(f"buffer corrupted: {exc}") from None
-        sections: list[bytes] = []
-        offset = 0
-        while offset < len(body):
-            if offset + 4 > len(body):
-                raise PackedIndexError("section length truncated")
-            (length,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            if offset + length > len(body):
-                raise PackedIndexError("section payload truncated")
-            sections.append(body[offset : offset + length])
-            offset += length
-        if len(sections) != 10:
-            raise PackedIndexError(
-                f"expected 10 sections, found {len(sections)}"
-            )
-        swap = (byteorder == 1) != (sys.byteorder == "big")
-        try:
-            n, max_depth, flags, smoothing, max_ic = struct.unpack(
-                "<IIBdd", sections[0]
-            )
-        except struct.error as exc:
-            raise PackedIndexError(f"meta section malformed: {exc}") from None
-        ids = _decode_strings(sections[1])
-        if len(ids) != n:
-            raise PackedIndexError(
-                f"id table declares {n} concepts, holds {len(ids)}"
-            )
-        depths = _unpack_array(sections[2], swap)
-        anc_off = _unpack_array(sections[3], swap)
-        anc_cid = _unpack_array(sections[4], swap)
-        anc_dist = _unpack_array(sections[5], swap)
-        if len(anc_off) != n + 1 or len(depths) != n:
-            raise PackedIndexError("taxonomy tables inconsistent")
-        if len(anc_cid) != len(anc_dist) or (
-            n and anc_off[-1] != len(anc_cid)
-        ):
-            raise PackedIndexError("ancestor tables inconsistent")
-        tokens = _decode_strings(sections[6])
-        gloss_off = gloss_tok = None
-        if flags & 1:
-            gloss_off = _unpack_array(sections[7], swap)
-            gloss_tok = _unpack_array(sections[8], swap)
-            if len(gloss_off) != n + 1 or (
-                n and gloss_off[-1] != len(gloss_tok)
-            ):
-                raise PackedIndexError("gloss tables inconsistent")
-        ic_values = None
-        if flags & 2:
-            ic_values = _unpack_array(sections[9], swap)
-            if len(ic_values) != n:
-                raise PackedIndexError("IC table inconsistent")
-        self._install_tables(
-            ids=ids,
-            depths=depths,
-            anc_off=anc_off,
-            anc_cid=anc_cid,
-            anc_dist=anc_dist,
-            tokens=tokens,
-            gloss_off=gloss_off,
-            gloss_tok=gloss_tok,
-            ic_values=ic_values,
-            max_ic=max_ic,
-            max_taxonomy_depth=max_depth,
-            ic_smoothing=smoothing,
-        )
-        self.build_seconds = time.perf_counter() - start
-
-    # -- shared-memory layout -------------------------------------------------
-
-    def to_shared_payload(self) -> bytes:
-        """Serialize every table to the uncompressed shared layout.
-
-        Unlike :meth:`to_bytes` (zlib-compressed, decode-on-attach)
-        this layout is built for :meth:`from_shared_buffer`: sections
-        are 8-byte aligned and raw, so an attached process serves the
-        CSR tables as ``memoryview`` casts straight over the segment.
-        The header carries a CRC-32 of the whole body, verified once at
-        attach time, so a corrupted segment fails with the same typed
-        errors as a corrupted codec buffer.
-        """
-        body = self._shared_body()
-        header = _SHARED_HEADER.pack(
-            _SHARED_MAGIC,
-            _VERSION,
-            0 if sys.byteorder == "little" else 1,
-            zlib.crc32(body),
-            len(body),
-        )
-        return header + body
-
-    def _shared_body(self) -> bytes:
-        """The uncompressed 8-aligned section body (RXPS and RXPD)."""
-        flags = (1 if self._gloss_off is not None else 0) | (
-            2 if self._ic_values is not None else 0
-        )
-        meta = struct.pack(
-            "<IIBdd",
-            len(self._ids),
-            self.max_taxonomy_depth,
-            flags,
-            self._ic_smoothing,
-            self._max_ic,
-        )
-        empty = array("I")
-        sections = [
-            meta,
-            _encode_strings(self._ids),
-            _shared_array_section(array("I", self._depths)),
-            _shared_array_section(self._anc_off),
-            _shared_array_section(self._anc_cid),
-            _shared_array_section(self._anc_dist),
-            _encode_strings(self._tokens),
-            _shared_array_section(self._gloss_off
-                                  if self._gloss_off is not None else empty),
-            _shared_array_section(self._gloss_tok
-                                  if self._gloss_tok is not None else empty),
-            _shared_array_section(self._ic_values
-                                  if self._ic_values is not None
-                                  else array("d")),
-        ]
-        return b"".join(
-            _pad8(struct.pack("<II", len(section), 0) + section)
-            for section in sections
-        )
-
-    # -- on-disk shard layout -------------------------------------------------
-
-    def to_disk_payload(self, fingerprint: str | None = None) -> bytes:
-        """Serialize every table to the ``RXPD`` on-disk shard layout.
-
-        The body is byte-identical to :meth:`to_shared_payload`'s; only
-        the header differs: the disk header additionally records the
-        first 16 bytes of the source network's SHA-256 fingerprint (all
-        zeros when unknown) so :meth:`from_mmap` can refuse a shard
-        built from a different network.
-        """
-        digest = b"\x00" * 16
-        if fingerprint:
-            try:
-                digest = bytes.fromhex(fingerprint)[:16]
-            except ValueError:
-                raise PackedIndexError(
-                    "fingerprint must be a hex digest"
-                ) from None
-            if len(digest) < 16:
-                digest = digest.ljust(16, b"\x00")
-        body = self._shared_body()
-        header = _DISK_HEADER.pack(
-            _DISK_MAGIC,
-            _VERSION,
-            0 if sys.byteorder == "little" else 1,
-            zlib.crc32(body),
-            len(body),
-            digest,
-        )
-        return header + body
-
-    @classmethod
-    def from_shared_buffer(
-        cls, buf: "memoryview | bytes", owner: object | None = None
-    ) -> "PackedIndex":
-        """Attach zero-copy to a :meth:`to_shared_payload` buffer.
-
-        The flat tables become typed ``memoryview`` casts over ``buf``
-        — no table is decoded or copied.  ``owner`` (typically the
-        ``SharedMemory`` object backing ``buf``) is kept referenced for
-        the index's lifetime so the mapping cannot be closed while
-        kernels still read through it; :meth:`release_shared` detaches.
-        Raises the same typed :class:`PackedIndexError` family as
-        :meth:`from_bytes` on truncated or corrupted segments.
-        """
-        packed = cls.__new__(cls)
-        packed._attach_shared(memoryview(buf), owner)
-        return packed
-
-    def _attach_shared(self, mv: memoryview, owner: object | None) -> None:
-        """Populate this instance with views over one shared buffer."""
-        start = time.perf_counter()
-        mv = mv.cast("B")
-        if len(mv) < _SHARED_HEADER.size:
-            raise PackedIndexTruncatedError(
-                "buffer shorter than the shared packed header"
-            )
-        magic, version, byteorder, crc, body_len = _SHARED_HEADER.unpack_from(
-            mv, 0
-        )
-        if magic != _SHARED_MAGIC:
-            raise PackedIndexError(
-                "not a shared packed-index buffer (bad magic)"
-            )
-        if version != _VERSION:
-            raise PackedIndexError(
-                f"unsupported shared packed-index version {version}"
-            )
-        if byteorder != (0 if sys.byteorder == "little" else 1):
-            # Shared memory never crosses hosts, so a byte-order
-            # mismatch is corruption, not a portability case.
-            raise PackedIndexError(
-                "shared packed-index buffer has a foreign byte order"
-            )
-        if _SHARED_HEADER.size + body_len > len(mv):
-            raise PackedIndexTruncatedError(
-                f"buffer truncated: header declares {body_len} body bytes, "
-                f"{len(mv) - _SHARED_HEADER.size} present"
-            )
-        body = mv[_SHARED_HEADER.size : _SHARED_HEADER.size + body_len]
-        if zlib.crc32(body) != crc:
-            raise PackedIndexCRCError(
-                "shared buffer corrupted (checksum mismatch)"
-            )
-        self._attach_body(body, owner, lazy=False)
-        self.build_seconds = time.perf_counter() - start
-
-    def _attach_body(
-        self, body: memoryview, owner: object | None, lazy: bool
-    ) -> None:
-        """Install table views over one shared/disk section body.
-
-        ``lazy=False`` (the shared-memory path) decodes the string
-        tables eagerly, exactly as before; ``lazy=True`` (the mmap
-        path) defers them so cold attach touches only the section
-        prologues — a handful of pages regardless of shard size.
-        """
-        body_len = len(body)
-        sections: list[memoryview] = []
-        offset = 0
-        while offset < body_len:
-            if offset + 8 > body_len:
-                raise PackedIndexTruncatedError("section length truncated")
-            (length,) = struct.unpack_from("<I", body, offset)
-            offset += 8
-            if offset + length > body_len:
-                raise PackedIndexTruncatedError("section payload truncated")
-            sections.append(body[offset : offset + length])
-            offset += (length + 7) & ~7
-        if len(sections) != 10:
-            raise PackedIndexError(
-                f"expected 10 sections, found {len(sections)}"
-            )
-        try:
-            n, max_depth, flags, smoothing, max_ic = struct.unpack(
-                "<IIBdd", sections[0]
-            )
-        except struct.error as exc:
-            raise PackedIndexError(f"meta section malformed: {exc}") from None
-        depths = _shared_array_view(sections[2])
-        anc_off = _shared_array_view(sections[3])
-        anc_cid = _shared_array_view(sections[4])
-        anc_dist = _shared_array_view(sections[5])
-        if len(anc_off) != n + 1 or len(depths) != n:
-            raise PackedIndexError("taxonomy tables inconsistent")
-        if len(anc_cid) != len(anc_dist) or (
-            n and anc_off[-1] != len(anc_cid)
-        ):
-            raise PackedIndexError("ancestor tables inconsistent")
-        gloss_off = gloss_tok = None
-        if flags & 1:
-            gloss_off = _shared_array_view(sections[7])
-            gloss_tok = _shared_array_view(sections[8])
-            if len(gloss_off) != n + 1 or (
-                n and gloss_off[-1] != len(gloss_tok)
-            ):
-                raise PackedIndexError("gloss tables inconsistent")
-        ic_values = None
-        if flags & 2:
-            ic_values = _shared_array_view(sections[9])
-            if len(ic_values) != n:
-                raise PackedIndexError("IC table inconsistent")
-        if lazy:
-            self._install_lazy_tables(
-                n=n,
-                id_blob=sections[1],
-                depths=depths,
-                anc_off=anc_off,
-                anc_cid=anc_cid,
-                anc_dist=anc_dist,
-                token_blob=sections[6],
-                gloss_off=gloss_off,
-                gloss_tok=gloss_tok,
-                ic_values=ic_values,
-                max_ic=max_ic,
-                max_taxonomy_depth=max_depth,
-                ic_smoothing=smoothing,
-            )
-        else:
-            ids = _decode_strings(bytes(sections[1]))
-            if len(ids) != n:
-                raise PackedIndexError(
-                    f"id table declares {n} concepts, holds {len(ids)}"
-                )
-            tokens = _decode_strings(bytes(sections[6]))
-            self._install_tables(
-                ids=ids,
-                depths=depths,
-                anc_off=anc_off,
-                anc_cid=anc_cid,
-                anc_dist=anc_dist,
-                tokens=tokens,
-                gloss_off=gloss_off,
-                gloss_tok=gloss_tok,
-                ic_values=ic_values,
-                max_ic=max_ic,
-                max_taxonomy_depth=max_depth,
-                ic_smoothing=smoothing,
-            )
-        self._shared_owner = owner
-
-    @classmethod
-    def from_mmap(
-        cls,
-        path: "str | os.PathLike[str]",
-        verify: bool = False,
-        expect_fingerprint: str | None = None,
-    ) -> "PackedIndex":
-        """Attach zero-copy to an ``RXPD`` shard file on disk.
-
-        The file is memory-mapped read-only and the CSR tables become
-        typed ``memoryview`` casts over the mapping — no decode, no
-        copy, and every process attaching the same shard shares the
-        same physical pages through the OS page cache.  Cold attach is
-        O(section count): the id/token string tables stay undecoded
-        until first use, so attaching a 100k-concept shard touches a
-        handful of pages.
-
-        ``verify=True`` additionally checks the body CRC-32 (paging in
-        the whole shard — the write-time default trusts the filesystem
-        the way the shm path trusts the kernel, because unlike a shm
-        publish/attach pair the file was already CRC-stamped by
-        :meth:`to_disk_payload` and validated structurally here).
-        ``expect_fingerprint`` (a network SHA-256 hex digest) raises
-        when the shard records a different source network.  Raises
-        ``FileNotFoundError``/``OSError`` for missing/unmappable files
-        and the typed :class:`PackedIndexError` family for truncated or
-        corrupted shards.
-        """
-        path = os.fspath(path)
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < _DISK_HEADER.size:
-                raise PackedIndexTruncatedError(
-                    "shard file shorter than the RXPD header"
-                )
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        owner = _MmapAttachment(path, mapped, size)
-        try:
-            start = time.perf_counter()
-            mv = owner.buf.cast("B")
-            magic, version, byteorder, crc, body_len, digest = (
-                _DISK_HEADER.unpack_from(mv, 0)
-            )
-            if magic != _DISK_MAGIC:
-                raise PackedIndexError("not an RXPD shard file (bad magic)")
-            if version != _VERSION:
-                raise PackedIndexError(
-                    f"unsupported shard version {version}"
-                )
-            if byteorder != (0 if sys.byteorder == "little" else 1):
-                raise PackedIndexError(
-                    "shard file has a foreign byte order"
-                )
-            if _DISK_HEADER.size + body_len > size:
-                raise PackedIndexTruncatedError(
-                    f"shard truncated: header declares {body_len} body "
-                    f"bytes, {size - _DISK_HEADER.size} present"
-                )
-            if expect_fingerprint is not None and digest != b"\x00" * 16:
-                expected = bytes.fromhex(expect_fingerprint)[:16]
-                if digest[: len(expected)] != expected:
-                    raise PackedIndexError(
-                        "shard was packed from a different network "
-                        "(fingerprint mismatch)"
-                    )
-            body = mv[_DISK_HEADER.size : _DISK_HEADER.size + body_len]
-            if verify and zlib.crc32(body) != crc:
-                raise PackedIndexCRCError(
-                    "shard corrupted (checksum mismatch)"
-                )
-            packed = cls.__new__(cls)
-            packed._attach_body(body, owner, lazy=True)
-            packed.shard_path = path
-            packed.build_seconds = time.perf_counter() - start
-            return packed
-        except BaseException:  # lint: disable=broad-except  # close-and-reraise cleanup, not a handler
-            owner.close()
-            raise
-
-    @classmethod
-    def from_shared(cls, name: str) -> "PackedIndex":
-        """Attach to a published shared-memory segment by name.
-
-        This is the worker-side entry point of the zero-copy shipping
-        path: the parent publishes :meth:`to_shared_payload` into a
-        ``multiprocessing.shared_memory`` segment once, and every
-        worker attaches by name instead of decoding a pickled payload.
-        The returned index owns its attachment (the ``SharedMemory``
-        object rides along as the buffer owner); the *segment* stays
-        owned by the publisher.  Raises ``FileNotFoundError`` when no
-        such segment exists and the typed :class:`PackedIndexError`
-        family when its content is corrupt.
-        """
-        import multiprocessing
-        from multiprocessing import resource_tracker, shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        # Attaching registered the segment with a resource tracker as if
-        # we owned it; the publisher owns the unlink.  Whether to
-        # deregister the borrow depends on *whose* tracker that was:
-        # fork children inherit the publisher's tracker process, so the
-        # register was an idempotent re-add of the publisher's own entry
-        # and unregistering here would delete it (the publisher's later
-        # unlink then KeyErrors inside the tracker).  Spawn children run
-        # their own tracker, which really would unlink a segment it does
-        # not own at exit — there the borrow must be deregistered.
-        try:
-            start_method = multiprocessing.get_start_method(allow_none=True)
-        except (ValueError, RuntimeError):  # lint: disable=silent-degrade  # exotic context; treat as unknown method
-            start_method = None
-        borrowed_tracker = (
-            multiprocessing.parent_process() is not None
-            and start_method != "fork"
-        )
-        if borrowed_tracker:
-            unregister = getattr(resource_tracker, "unregister", None)
-            if unregister is not None:
-                unregister(getattr(shm, "_name", None) or shm.name,
-                           "shared_memory")
-        owner = _SharedAttachment.adopt(shm)
-        try:
-            return cls.from_shared_buffer(owner.buf, owner=owner)
-        except BaseException:  # lint: disable=broad-except  # close-and-reraise cleanup, not a handler
-            close = getattr(owner, "close", None)
-            if close is not None:
-                close()
-            raise
-
-    def release_shared(self) -> None:
-        """Detach from the shared segment backing this index, if any.
-
-        The flat tables are materialized into private ``array`` copies
-        (the index stays fully usable) and the attachment is closed.
-        Safe to call on non-shared indexes (a no-op); idempotent.
-        """
-        owner = self._shared_owner
-        if owner is None:
-            return
-        # Deferred string tables read through the mapping too — decode
-        # them into private objects before the attachment goes away.
-        self._materialize_lazy()
-
-        def _materialize(view: "memoryview | None") -> "array | None":
-            if view is None or isinstance(view, array):
-                return view
-            arr = array(_typecode_of(view))
-            arr.frombytes(view.tobytes())
-            return arr
-
-        self._anc_off = _materialize(self._anc_off)
-        self._anc_cid = _materialize(self._anc_cid)
-        self._anc_dist = _materialize(self._anc_dist)
-        self._gloss_off = _materialize(self._gloss_off)
-        self._gloss_tok = _materialize(self._gloss_tok)
-        self._ic_values = _materialize(self._ic_values)
-        self._shared_owner = None
-        close = getattr(owner, "close", None)
-        if close is not None:
-            close()
-
-    @property
-    def is_shared(self) -> bool:
-        """True while this index reads through a shared-memory segment."""
-        return self._shared_owner is not None
-
     @property
     def backing(self) -> str:
-        """Where the flat tables live: ``mmap``, ``shm``, or ``heap``.
+        """Where the flat tables live: ``mmap`` or ``heap``.
 
         ``mmap`` — typed views over a memory-mapped ``RXPD`` shard
         file (pages shared with every other attaching process);
-        ``shm`` — views over a ``multiprocessing.shared_memory``
-        segment (pages shared within one executor's pool); ``heap`` —
-        private ``array`` objects owned by this process.
+        ``heap`` — views over a private body built by this process.
         """
-        owner = self._shared_owner
-        if owner is None:
-            return "heap"
-        return "mmap" if isinstance(owner, _MmapAttachment) else "shm"
-
-    def __getstate__(self) -> dict[str, bytes]:
-        """Pickle as the compact codec buffer, not the object graph."""
-        return {"packed": self.to_bytes()}
-
-    def __setstate__(self, state: dict[str, bytes]) -> None:
-        """Rebuild every table from the pickled codec buffer."""
-        self._decode(state["packed"])
+        return "heap" if self.shard_path is None else "mmap"
 
     # -- observability --------------------------------------------------------
 
     def stats(self) -> dict[str, int | float | str]:
         """Size/build statistics, including pair-kernel memo hit rates.
 
-        ``backing`` reports where the tables live (``heap``/``shm``/
-        ``mmap``).  ``packed_bytes`` is the compact codec size for
-        heap-backed indexes; for attached indexes it is the attachment
-        size (segment or shard file) — re-compressing a mapped shard
-        just to report a number would page the whole thing in.
+        ``backing`` reports where the tables live (``heap``/``mmap``);
+        ``packed_bytes`` is the ``RXPD`` payload size (header + body).
         """
-        if self._shared_owner is None:
-            packed_bytes = len(self.to_bytes())
-        else:
-            packed_bytes = getattr(self._shared_owner, "size", None)
-            if packed_bytes is None:
-                packed_bytes = len(self._shared_owner.buf)
         return {
             "concepts": self._n,
             "backing": self.backing,
             "ancestor_entries": len(self._anc_cid),
-            "gloss_tokens": (
-                len(self._gloss_tok) if self._gloss_tok is not None else 0
-            ),
+            "gloss_tokens": len(self._gloss_tok),
             "distinct_tokens": (
                 len(self._tokens)
                 if self.__dict__.get("_lazy_blobs") is None
-                else -1  # undecoded token table (mmap attach, cold)
+                else -1  # token table not decoded yet
             ),
             "pair_memo_pairs": len(self._pair_memo),
             "pair_memo_hits": self._pair_hits,
             "pair_memo_misses": self._pair_misses,
             "max_taxonomy_depth": self.max_taxonomy_depth,
-            "packed_bytes": packed_bytes,
+            "packed_bytes": _DISK_HEADER.size + len(self._body),
             "build_seconds": round(self.build_seconds, 6),
         }
 

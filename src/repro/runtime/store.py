@@ -1,14 +1,12 @@
 """On-disk ``RXPD`` index shards and the multi-network registry.
 
-:mod:`repro.runtime.pack` gives one process zero-copy CSR tables over
-a shared-memory segment, but the segment dies with its publisher —
-every fresh ``repro batch``/``repro serve`` invocation still pays the
-full index build or ``RXPK`` decode at startup.  This module makes the
-packed tables a *persistent* artifact:
+The packed tables are a *persistent* artifact, so a fresh
+``repro batch``/``repro serve`` invocation attaches them instead of
+re-walking the network at startup:
 
 * :func:`write_shard` — atomically write a :class:`PackedIndex` to an
-  ``RXPD`` shard file (the ``RXPS`` shared layout under a disk header
-  carrying the source network's fingerprint);
+  ``RXPD`` shard file (the packed body under a disk header carrying
+  its CRC-32 and the source network's fingerprint);
 * :meth:`PackedIndex.from_mmap` — attach the shard read-only through
   ``mmap``; every attaching process (server, pool workers, concurrent
   CLI runs) shares the same physical pages via the OS page cache;
@@ -52,13 +50,12 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class MmapIndexHandle:
-    """A pool-shippable ticket for an on-disk shard attachment.
+    """The pool-shippable ticket for an on-disk shard attachment.
 
-    The mmap analogue of :class:`repro.runtime.pool.SharedIndexHandle`:
-    instead of a shared-memory segment name, workers receive the shard
-    *path* and attach with :meth:`PackedIndex.from_mmap` — no payload
-    pickling, no publish step, and the file (unlike a segment) outlives
-    every process, so there is nothing to unlink.
+    Workers receive the shard *path* and attach with
+    :meth:`PackedIndex.from_mmap` — no payload pickling, and the pages
+    are shared with every other process mapping the same file.
+    ``size`` is the file length (observability).
     """
 
     path: str
@@ -145,17 +142,13 @@ def verify_shard(path: "str | os.PathLike[str]") -> dict:
     """
     header = read_shard_header(path)
     index = PackedIndex.from_mmap(path, verify=True)
-    try:
-        stats = {
-            "path": os.fspath(path),
-            "concepts": len(index),
-            "ancestor_entries": len(index._anc_cid),
-            "shard_bytes": header["file_bytes"],
-            "fingerprint": header["fingerprint"],
-        }
-    finally:
-        index.release_shared()
-    return stats
+    return {
+        "path": os.fspath(path),
+        "concepts": len(index),
+        "ancestor_entries": len(index._anc_cid),
+        "shard_bytes": header["file_bytes"],
+        "fingerprint": header["fingerprint"],
+    }
 
 
 def document_terms(xml_text: str) -> tuple[str, ...]:
@@ -208,11 +201,9 @@ class NetworkRegistry:
     without a ``shard`` builds its :class:`PackedIndex` from the
     network on attach (the slow path — ``repro pack`` exists so you
     never have to).  At most ``max_attached`` domains stay attached;
-    the least recently used is evicted and its mmap released
-    (materializing nothing — an evicted index owned by a still-running
-    session keeps working because eviction only drops the registry's
-    reference, and ``release_shared`` is applied only when the registry
-    owns the last one).
+    the least recently used is evicted by dropping the registry's
+    reference — an evicted index a still-running session holds keeps
+    reading its mapping, which is unmapped once nothing references it.
 
     Routing (:meth:`route`) scores each candidate domain by *lexicon
     coverage* — the fraction of a document's distinct alphabetic terms
@@ -374,23 +365,19 @@ class NetworkRegistry:
     def _evict(self, attached: AttachedDomain) -> None:
         """Drop the registry's reference to one attached domain.
 
-        ``release_shared`` materializes the tables into private arrays
-        first, so any session still holding the index keeps working —
-        eviction trades the page-shared mapping for heap copies, never
-        correctness.
+        Sessions still holding the index keep using its mapping; the
+        pages are unmapped when the last reference goes.
         """
         self._attached.pop(attached.entry.name, None)
         self._evict_count += 1
-        attached.index.release_shared()
 
     def mark_damaged(self, shard_path: str) -> tuple[str, ...]:
         """Condemn one shard path after an integrity failure.
 
-        Every attached domain backed by that shard is *dropped* (not
-        evicted — ``release_shared`` would materialize the tables by
-        reading the damaged mapping, exactly the bytes we no longer
-        trust; sessions still holding the old index degrade through the
-        per-request resilience ladder instead).  Future :meth:`attach`
+        Every attached domain backed by that shard is dropped from the
+        registry (not counted as an eviction); sessions still holding
+        the old index degrade through the per-request resilience ladder
+        instead.  Future :meth:`attach`
         calls skip the mmap rung and heap-build from the network until
         :meth:`clear_damaged` (post-repair reload) lifts the mark.
         Returns the affected domain names.

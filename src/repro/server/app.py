@@ -93,7 +93,6 @@ class ServerConfig:
     drain_timeout: float = 10.0
     metrics_json: str | None = None
     max_sessions: int = 8
-    packed: bool = True
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 1
     #: RXPD shard to mmap-attach the served index from (skips the
@@ -273,9 +272,9 @@ class ServerApp:
     def close(self) -> None:
         """Release scoring thread, sessions' runtimes, and metrics.
 
-        Every resident session drains its persistent pool and drops its
-        shared-segment reference here, so a SIGTERM drain leaves no
-        worker processes or ``/dev/shm`` entries behind.  The scrub
+        Every resident session drains its persistent pool and deletes
+        its temporary index shard here, so a SIGTERM drain leaves no
+        worker processes or temp shard files behind.  The scrub
         thread is stopped and joined first — it must not report damage
         into a half-torn-down app.
         """
@@ -563,8 +562,8 @@ class ServerApp:
         # session is the one whose warmth the operator is tracking.
         # Override sessions still run, they just are not individually
         # gauged.  ``workers > 1`` sessions own a persistent worker
-        # pool + shared index segment, reused across every request they
-        # serve.  A ``domain`` session scores against that registry
+        # pool attached to an index shard, reused across every request
+        # they serve.  A ``domain`` session scores against that registry
         # domain's network and (usually mmap-attached) index.
         network, index = self.network, self._index
         if domain is not None and self._registry is not None:
@@ -575,7 +574,6 @@ class ServerApp:
             network,
             config,
             workers=self.server_config.workers,
-            packed=self.server_config.packed,
             cache_size=self.server_config.cache_size,
             metrics=self.metrics if default else None,
             index=index,
@@ -687,10 +685,10 @@ class ServerApp:
             "version": __version__,
             "index": {
                 "fingerprint": self._network_fingerprint,
-                "kind": "packed" if self.server_config.packed else "dict",
+                "kind": "packed",
                 "concepts": len(self.network),
                 # "mmap" proves the zero-copy shard attach is live,
-                # "shm" a pool segment, "heap" an in-process build.
+                # "heap" an in-process build.
                 "backing": (
                     getattr(self._index, "backing", "heap")
                     if self._index is not None else None

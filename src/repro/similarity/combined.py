@@ -22,12 +22,7 @@ from .gloss import ExtendedLeskSimilarity
 from .node import LinSimilarity
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from typing import Union
-
-    from ..runtime.index import SemanticIndex
     from ..runtime.pack import PackedIndex
-
-    AnyIndex = Union[SemanticIndex, PackedIndex]
 
 #: A concept-to-concept similarity function.
 ConceptSimilarity = Callable[[str, str], float]
@@ -64,11 +59,9 @@ class SimilarityWeights:
 class CombinedSimilarity:
     """Weighted combination of edge-, node-, and gloss-based measures.
 
-    ``index`` (a :class:`repro.runtime.index.SemanticIndex` or
-    :class:`repro.runtime.pack.PackedIndex`) routes the default
-    component measures through precomputed taxonomy/gloss tables — the
-    packed form through interned flat-array kernels — with scores
-    bit-identical either way.  ``cache``
+    ``index`` (a :class:`repro.runtime.pack.PackedIndex`) routes the
+    default component measures through its interned flat-array
+    kernels, with scores bit-identical to the network walk.  ``cache``
     replaces the private unbounded pair memo with an external store
     (e.g. :class:`repro.runtime.cache.LRUCache` for bounded memory and
     hit/miss observability); any mapping with ``get``/``__setitem__``/
@@ -83,7 +76,7 @@ class CombinedSimilarity:
         edge_measure: ConceptSimilarity | None = None,
         node_measure: ConceptSimilarity | None = None,
         gloss_measure: ConceptSimilarity | None = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
         cache: PairCache | None = None,
     ):
         self.weights = weights or SimilarityWeights()

@@ -13,39 +13,31 @@ These estimate similarity from the shortest IS-A path between concepts:
 All measures return values in [0, 1] and 0.0 when the concepts share no
 IS-A ancestor (disconnected taxonomies).
 
-Each accepts an optional precomputed
-:class:`repro.runtime.index.SemanticIndex` (``index=``): the fast path
-serves closures, depths, and LCS lookups from the index's tables
-instead of walking the network, with bit-identical results (the index
-stores the very closure dicts and tie-break the network produces).
-Passing a :class:`repro.runtime.pack.PackedIndex` (detected via its
-``is_packed`` marker) routes through the interned flat-array pair
-kernel instead — one memoized ``pair_terms`` lookup yields the LCS
-slot, its depth, and both distances, still bit-identical.
+Each accepts an optional :class:`repro.runtime.pack.PackedIndex`
+(``index=``): the fast path routes through its interned flat-array
+pair kernel — one memoized ``pair_terms`` lookup yields the LCS slot,
+its depth, and both distances — instead of walking the network, with
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.index import SemanticIndex
     from ..runtime.pack import PackedIndex
-
-    AnyIndex = Union[SemanticIndex, PackedIndex]
 
 
 class WuPalmerSimilarity:
     """Wu-Palmer conceptual similarity over a semantic network."""
 
     def __init__(self, network: SemanticNetwork,
-                 index: "AnyIndex | None" = None):
+                 index: "PackedIndex | None" = None):
         self._network = network
-        self._index = index
-        self._packed = index if getattr(index, "is_packed", False) else None
+        self._packed = index
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
@@ -58,14 +50,6 @@ class WuPalmerSimilarity:
             depth_lcs = terms[1]
             depth_a = depth_lcs + terms[2]
             depth_b = depth_lcs + terms[3]
-        elif self._index is not None:
-            index = self._index
-            lcs = index.lowest_common_subsumer(a, b)
-            if lcs is None:
-                return 0.0
-            depth_lcs = index.depth(lcs)
-            depth_a = depth_lcs + index.hypernym_closure(a)[lcs]
-            depth_b = depth_lcs + index.hypernym_closure(b)[lcs]
         else:
             network = self._network
             lcs = network.lowest_common_subsumer(a, b)
@@ -85,10 +69,9 @@ class PathSimilarity:
     """Inverse shortest-IS-A-path similarity: ``1 / (1 + distance)``."""
 
     def __init__(self, network: SemanticNetwork,
-                 index: "AnyIndex | None" = None):
+                 index: "PackedIndex | None" = None):
         self._network = network
-        self._index = index
-        self._packed = index if getattr(index, "is_packed", False) else None
+        self._packed = index
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
@@ -97,8 +80,6 @@ class PathSimilarity:
         if packed is not None:
             terms = packed.pair_terms(a, b)
             distance = None if terms is None else terms[2] + terms[3]
-        elif self._index is not None:
-            distance = self._index.taxonomic_distance(a, b)
         else:
             distance = self._network.taxonomic_distance(a, b)
         if distance is None:
@@ -115,10 +96,9 @@ class LeacockChodorowSimilarity:
     """
 
     def __init__(self, network: SemanticNetwork,
-                 index: "AnyIndex | None" = None):
+                 index: "PackedIndex | None" = None):
         self._network = network
-        self._index = index
-        self._packed = index if getattr(index, "is_packed", False) else None
+        self._packed = index
         depth = max(
             1,
             index.max_taxonomy_depth
@@ -134,8 +114,6 @@ class LeacockChodorowSimilarity:
         if packed is not None:
             terms = packed.pair_terms(a, b)
             distance = None if terms is None else terms[2] + terms[3]
-        elif self._index is not None:
-            distance = self._index.taxonomic_distance(a, b)
         else:
             distance = self._network.taxonomic_distance(a, b)
         if distance is None:

@@ -11,15 +11,12 @@ extended glosses, yielding a [0, 1] measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable
 
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.index import SemanticIndex
     from ..runtime.pack import PackedIndex
-
-    AnyIndex = Union[SemanticIndex, PackedIndex]
 
 
 def _ngram_overlap_score(tokens_a: list[str], tokens_b: list[str]) -> float:
@@ -58,25 +55,32 @@ def _ngram_overlap_score(tokens_a: list[str], tokens_b: list[str]) -> float:
 
 
 def extended_gloss_tokens(
-    network: SemanticNetwork, concept_id: str, expand: bool = True
+    network: SemanticNetwork,
+    concept_id: str,
+    expand: bool = True,
+    gloss_of: Callable[[str], list[str]] | None = None,
 ) -> list[str]:
     """The (optionally neighbor-extended) gloss token bag of one concept.
 
-    Shared between :class:`ExtendedLeskSimilarity` and the precomputed
-    :class:`repro.runtime.index.SemanticIndex` gloss bags, so both paths
-    score from identical token sequences.
+    Shared between :class:`ExtendedLeskSimilarity` and the packed
+    :class:`repro.runtime.pack.PackedIndex` gloss bags, so both paths
+    score from identical token sequences.  ``gloss_of`` maps a concept
+    id to its own gloss tokens (default: tokenize on every call); a
+    caller building every bag passes a precomputed table so each gloss
+    is tokenized once.
     """
     from ..linguistics.stemmer import stem
 
+    own = gloss_of or (lambda cid: network.concept(cid).gloss_tokens())
     concept = network.concept(concept_id)
-    tokens = concept.gloss_tokens()
+    tokens = list(own(concept_id))
     # Synonym words join the extended gloss, stemmed to match the
     # gloss-token conflation (multiword synonyms contribute each part).
     for word in concept.words:
         tokens.extend(stem(part) for part in word.split())
     if expand:
         for neighbor_id in network.neighbors(concept_id):
-            tokens.extend(network.concept(neighbor_id).gloss_tokens())
+            tokens.extend(own(neighbor_id))
     return tokens
 
 
@@ -92,36 +96,26 @@ class ExtendedLeskSimilarity:
         glosses of its direct neighbors (hypernyms, hyponyms, meronyms,
         ...), the "extended" part of extended Lesk.
     index:
-        Optional :class:`repro.runtime.index.SemanticIndex` whose
-        precomputed gloss bags replace the lazy per-instance token cache
-        (only consulted when ``expand`` matches the index's bags, i.e.
-        ``expand=True``).  Scores are identical either way.  A
-        :class:`repro.runtime.pack.PackedIndex` routes the whole
-        comparison through its interned-token kernel — the same greedy
-        overlap over dense int ids with a disjoint-set quick reject —
-        still bit-identical.
+        Optional :class:`repro.runtime.pack.PackedIndex` (only consulted
+        when ``expand=True``, matching its packed bags): routes the
+        whole comparison through its interned-token kernel — the same
+        greedy overlap over dense int ids with a disjoint-set quick
+        reject — bit-identical to the token-string path.
     """
 
     def __init__(
         self,
         network: SemanticNetwork,
         expand: bool = True,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         self._network = network
         self._expand = expand
-        self._index = index if (index is not None and expand) else None
-        self._packed = (
-            self._index
-            if getattr(self._index, "is_packed", False)
-            else None
-        )
+        self._packed = index if expand else None
         self._token_cache: dict[str, list[str]] = {}
         self._count_cache: dict[str, dict[str, int]] = {}
 
     def _extended_gloss(self, concept_id: str) -> list[str]:
-        if self._index is not None:
-            return self._index.gloss_bag(concept_id)
         cached = self._token_cache.get(concept_id)
         if cached is not None:
             return cached

@@ -5,15 +5,13 @@ corpus (the weighted network ``SN-bar``).  The paper plugs Lin's measure
 (ICML 1998) in as ``Sim_Node``; Resnik and Jiang-Conrath variants are
 provided for ablations.  All are normalized into [0, 1].
 
-Each accepts an optional precomputed
-:class:`repro.runtime.index.SemanticIndex` (``index=``): IC values stay
-table lookups either way, but the lowest-common-subsumer query — the
-taxonomy walk dominating these measures — is served from the index's
-memo, with bit-identical results.  A
-:class:`repro.runtime.pack.PackedIndex` (detected via ``is_packed``)
-routes the LCS through the interned pair kernel instead; an explicit
-``ic=`` table is still consulted for the IC values themselves, so
-custom-IC semantics are preserved in packed mode too.
+Each accepts an optional :class:`repro.runtime.pack.PackedIndex`
+(``index=``): IC values stay table lookups either way, but the
+lowest-common-subsumer query — the taxonomy walk dominating these
+measures — is served from the interned pair kernel, with bit-identical
+results.  An explicit ``ic=`` table is still consulted for the IC
+values themselves, so custom-IC semantics are preserved in packed mode
+too.
 """
 
 from __future__ import annotations
@@ -24,23 +22,18 @@ from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.index import SemanticIndex
     from ..runtime.pack import PackedIC, PackedIndex
 
     AnyIC = Union[InformationContent, PackedIC]
-    AnyIndex = Union[SemanticIndex, PackedIndex]
 
 
-def _packed_parts(index: object, ic: object) -> tuple:
-    """(packed-index | None, packed-resnik-ok) for one measure.
+def _owns_ic(index: object, ic: object) -> bool:
+    """True when ``ic`` *is* the packed index's own IC view.
 
-    ``packed-resnik-ok`` is True when the IC table in use *is* the
-    packed index's own view, so the LCS information content may be read
-    straight from the packed slot instead of re-interning its id string.
+    The LCS information content may then be read straight from the
+    packed slot instead of re-interning its id string.
     """
-    packed = index if getattr(index, "is_packed", False) else None
-    owns_ic = packed is not None and getattr(ic, "_owner", None) is packed
-    return packed, owns_ic
+    return index is not None and getattr(ic, "_owner", None) is index
 
 
 class LinSimilarity:
@@ -50,13 +43,13 @@ class LinSimilarity:
         self,
         network: SemanticNetwork,
         ic: "AnyIC | None" = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         if ic is None:
             ic = index.ic if index is not None else InformationContent(network)
         self._ic = ic
-        self._index = index
-        self._packed, self._packed_ic = _packed_parts(index, ic)
+        self._packed = index
+        self._packed_ic = _owns_ic(index, ic)
 
     def __call__(self, a: str, b: str) -> float:
         packed = self._packed
@@ -76,18 +69,7 @@ class LinSimilarity:
             else:
                 resnik = ic.ic(packed.concept_id(terms[0]))
             return max(0.0, min(1.0, 2.0 * resnik / denominator))
-        if self._index is None:
-            return self._ic.lin(a, b)
-        # Same arithmetic as InformationContent.lin, with the LCS served
-        # from the index memo.
-        if a == b:
-            return 1.0
-        denominator = self._ic.ic(a) + self._ic.ic(b)
-        if denominator <= 0:
-            return 0.0
-        lcs = self._index.lowest_common_subsumer(a, b)
-        resnik = 0.0 if lcs is None else self._ic.ic(lcs)
-        return max(0.0, min(1.0, 2.0 * resnik / denominator))
+        return self._ic.lin(a, b)
 
 
 class ResnikSimilarity:
@@ -97,13 +79,13 @@ class ResnikSimilarity:
         self,
         network: SemanticNetwork,
         ic: "AnyIC | None" = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         if ic is None:
             ic = index.ic if index is not None else InformationContent(network)
         self._ic = ic
-        self._index = index
-        self._packed, self._packed_ic = _packed_parts(index, ic)
+        self._packed = index
+        self._packed_ic = _owns_ic(index, ic)
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
@@ -117,9 +99,6 @@ class ResnikSimilarity:
                 raw = packed.ic_of_slot(terms[0])
             else:
                 raw = self._ic.ic(packed.concept_id(terms[0]))
-        elif self._index is not None:
-            lcs = self._index.lowest_common_subsumer(a, b)
-            raw = 0.0 if lcs is None else self._ic.ic(lcs)
         else:
             raw = self._ic.resnik(a, b)
         return min(1.0, raw / self._ic.max_ic)
@@ -136,13 +115,13 @@ class JiangConrathSimilarity:
         self,
         network: SemanticNetwork,
         ic: "AnyIC | None" = None,
-        index: "AnyIndex | None" = None,
+        index: "PackedIndex | None" = None,
     ):
         if ic is None:
             ic = index.ic if index is not None else InformationContent(network)
         self._ic = ic
-        self._index = index
-        self._packed, self._packed_ic = _packed_parts(index, ic)
+        self._packed = index
+        self._packed_ic = _owns_ic(index, ic)
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
@@ -158,12 +137,6 @@ class JiangConrathSimilarity:
             else:
                 resnik = ic.ic(packed.concept_id(terms[0]))
             distance = max(0.0, ic.ic(a) + ic.ic(b) - 2.0 * resnik)
-        elif self._index is not None:
-            lcs = self._index.lowest_common_subsumer(a, b)
-            resnik = 0.0 if lcs is None else self._ic.ic(lcs)
-            distance = max(
-                0.0, self._ic.ic(a) + self._ic.ic(b) - 2.0 * resnik
-            )
         else:
             distance = self._ic.jiang_conrath_distance(a, b)
         bound = 2.0 * self._ic.max_ic

@@ -68,13 +68,20 @@ class Document:
     processing_instructions: list[str] = field(default_factory=list)
 
 
+#: Deepest element nesting accepted (libxml2's default maximum depth).
+#: Deeper documents fail with a typed :class:`XMLSyntaxError` instead of
+#: exhausting the interpreter stack in the recursive descent.
+MAX_DEPTH = 256
+
+
 class XMLParser:
     """Token-stream parser enforcing XML well-formedness rules.
 
     The parser validates tag nesting/matching, rejects content outside the
     root element, and drops comments (they carry no tree information).
     Whitespace-only text between elements is discarded; mixed content text
-    is preserved verbatim.
+    is preserved verbatim.  Nesting deeper than :data:`MAX_DEPTH` elements
+    is rejected.
     """
 
     def __init__(self, source: str):
@@ -130,8 +137,14 @@ class XMLParser:
             raise XMLSyntaxError("document has no root element")
         return Document(root=root, doctype=doctype, processing_instructions=pis)
 
-    def _parse_element(self) -> Element:
+    def _parse_element(self, depth: int = 1) -> Element:
         token = self._advance()
+        if depth > MAX_DEPTH:
+            raise XMLSyntaxError(
+                f"elements nested deeper than {MAX_DEPTH} levels",
+                token.line,
+                token.column,
+            )
         element = Element(name=token.value, attributes=dict(token.attributes))
         if token.type is TokenType.EMPTY_TAG:
             return element
@@ -154,7 +167,7 @@ class XMLParser:
                     current.column,
                 )
             if current.type in (TokenType.START_TAG, TokenType.EMPTY_TAG):
-                element.children.append(self._parse_element())
+                element.children.append(self._parse_element(depth + 1))
             elif current.type is TokenType.TEXT:
                 if current.value.strip():
                     element.children.append(Text(current.value))

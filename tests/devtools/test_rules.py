@@ -69,7 +69,7 @@ class TestIndexParity:
 
     def test_silent_on_required_index_param(self, lint):
         # A pytest fixture / positional integer named `index` is not the
-        # SemanticIndex contract and must not trip the rule.
+        # packed-index contract and must not trip the rule.
         assert lint(
             """\
             def test_search(index):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import generate_test_corpus
-from repro.runtime import SemanticIndex
 from repro.semnet.generator import GeneratorConfig, generate_network
 
 
@@ -21,9 +20,3 @@ def synthetic_network():
     return generate_network(
         GeneratorConfig(n_concepts=200, mean_polysemy=2.5, seed=42)
     )
-
-
-@pytest.fixture(scope="session")
-def lexicon_index(lexicon):
-    """A SemanticIndex over the curated lexicon (shared, read-only)."""
-    return SemanticIndex(lexicon)

@@ -21,7 +21,6 @@ from repro.runtime import (
     BatchExecutor,
     MetricsRegistry,
     PackedIndex,
-    SemanticIndex,
 )
 from repro.runtime import executor as executor_module
 
@@ -86,14 +85,14 @@ class TestParallelDeterminism:
     def test_byte_identical_across_index_and_worker_modes(
         self, lexicon, corpus
     ):
-        """{serial, parallel} x {dict-index, packed-index} all agree."""
+        """{serial, parallel} x {network walk, packed index} all agree."""
         docs = [(d.name, d.xml) for d in _one_doc_per_dataset(corpus)[:4]]
         outputs = []
         for workers in (1, 2):
-            for packed in (False, True):
+            for use_index in (False, True):
                 executor = BatchExecutor(
-                    lexicon, XSDFConfig(), workers=workers, packed=packed,
-                    oversubscribe=True,
+                    lexicon, XSDFConfig(), workers=workers,
+                    use_index=use_index, oversubscribe=True,
                 )
                 out = io.StringIO()
                 executor.run_to_jsonl(docs, out)
@@ -108,11 +107,6 @@ class TestParallelDeterminism:
         assert isinstance(index, PackedIndex)
         executor.run(docs)
         assert executor._index is index  # same object, not rebuilt
-        dict_mode = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, packed=False
-        )
-        dict_mode.run(docs)
-        assert isinstance(dict_mode._index, SemanticIndex)
 
 
 class TestAdaptiveChunking:
@@ -200,6 +194,14 @@ class TestFaultIsolation:
         assert records[1].error
         # The two good copies are identical documents -> identical output.
         assert records[0].result == records[2].result
+
+    def test_deep_nesting_fails_at_stage_parse(self, lexicon, figure1_xml):
+        deep = "<a>" * 5000 + "x" + "</a>" * 5000
+        executor = BatchExecutor(lexicon, XSDFConfig(), workers=1)
+        deep_record, good = executor.run([("deep", deep), ("good", figure1_xml)])
+        assert not deep_record.ok and good.ok
+        assert deep_record.outcome.stage == "parse"
+        assert deep_record.outcome.error_type == "XMLSyntaxError"
 
     def test_invalid_parameters_rejected(self, lexicon):
         with pytest.raises(ValueError):

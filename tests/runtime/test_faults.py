@@ -4,8 +4,8 @@ The injector's whole value is that its decisions are a pure function of
 ``(seed, spec index, document name, attempt)`` — the parent and every
 worker must agree on exactly which documents fault regardless of
 dispatch order or process identity.  These tests pin that property,
-the per-spec knobs (match / rate / max_attempt), and the typed errors
-produced by corrupting a packed payload.
+the per-spec knobs (match / rate / max_attempt), and the typed error a
+rotted shard produces at CRC-verified attach.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.runtime import PackedIndex, PackedIndexError
+from repro.runtime import PackedIndex, PackedIndexError, write_shard
 from repro.runtime.faults import (
     BrokenMemo,
     FaultInjector,
@@ -23,7 +23,7 @@ from repro.runtime.faults import (
     FaultyKernel,
     InjectedFault,
 )
-from repro.runtime.pack import PackedIndexCRCError, PackedIndexTruncatedError
+from repro.runtime.pack import PackedIndexCRCError
 
 
 def _fault_map(injector, names, attempts=(1, 2, 3)):
@@ -105,7 +105,7 @@ class TestDeterminism:
         assert parent == child
 
     def test_injector_is_picklable(self):
-        injector = FaultInjector(3, [FaultSpec.corrupt_packed()])
+        injector = FaultInjector(3, [FaultSpec.bitrot()])
         clone = pickle.loads(pickle.dumps(injector))
         assert clone.seed == 3
         assert clone.specs == injector.specs
@@ -148,28 +148,46 @@ class TestSchedules:
     def test_empty_schedule_is_a_no_op(self):
         injector = FaultInjector(0)
         injector.before_document("doc", 1)
-        assert not injector.corrupts_packed
+        assert injector.specs == ()
 
 
 class TestCorruptPacked:
-    def test_corrupt_bytes_is_deterministic_and_typed(self, lexicon):
-        blob = PackedIndex(lexicon).to_bytes()
-        injector = FaultInjector(5, [FaultSpec.corrupt_packed()])
-        mutated = injector.corrupt_bytes(blob)
-        assert mutated != blob
-        assert mutated == injector.corrupt_bytes(blob)  # same seed, same flip
-        assert mutated[:4] == b"RXPK"  # header left intact -> typed error
-        with pytest.raises(PackedIndexError) as excinfo:
-            PackedIndex.from_bytes(mutated)
-        assert isinstance(
-            excinfo.value, (PackedIndexCRCError, PackedIndexTruncatedError)
-        )
+    """Bitrot on a packed index's shard: seeded, and a typed error."""
 
-    def test_no_corrupt_spec_leaves_bytes_alone(self, lexicon):
-        blob = PackedIndex(lexicon).to_bytes()
+    def _packed_shard(self, directory, lexicon) -> str:
+        directory.mkdir(exist_ok=True)
+        path = str(directory / "index.rxpd")
+        write_shard(PackedIndex(lexicon), path)
+        return path
+
+    def test_corrupt_bytes_is_deterministic_and_typed(self, tmp_path, lexicon):
+        first = self._packed_shard(tmp_path / "a", lexicon)
+        second = self._packed_shard(tmp_path / "b", lexicon)
+        with open(first, "rb") as fh:
+            blob = fh.read()
+        for path in (first, second):
+            FaultInjector(5, [FaultSpec.bitrot()]).bitrot_shard(path)
+        with open(first, "rb") as fh:
+            mutated = fh.read()
+        assert mutated != blob
+        with open(second, "rb") as fh:
+            assert fh.read() == mutated  # same seed, same flip
+        assert mutated[:4] == b"RXPD"  # header left intact -> typed error
+        # Pool workers attach with verify=True: the flip is a CRC error.
+        with pytest.raises(PackedIndexError) as excinfo:
+            PackedIndex.from_mmap(first, verify=True)
+        assert isinstance(excinfo.value, PackedIndexCRCError)
+
+    def test_no_corrupt_spec_leaves_bytes_alone(self, tmp_path, lexicon):
+        path = self._packed_shard(tmp_path, lexicon)
+        with open(path, "rb") as fh:
+            blob = fh.read()
         injector = FaultInjector(5, [FaultSpec.raising()])
-        assert injector.corrupt_bytes(blob) is blob
-        assert not injector.corrupts_packed
+        assert injector.bitrot_shard(path) is None
+        with open(path, "rb") as fh:
+            assert fh.read() == blob
+        attached = PackedIndex.from_mmap(path, verify=True)
+        assert len(attached) == len(lexicon)
 
 
 class TestSpecParse:
@@ -211,8 +229,6 @@ class TestSpecParse:
 
 class TestBitrotShard:
     def _shard(self, tmp_path, lexicon) -> str:
-        from repro.runtime.store import write_shard
-
         path = str(tmp_path / "lexicon.rxpd")
         write_shard(PackedIndex(lexicon), path,
                     fingerprint=lexicon.fingerprint())

@@ -1,9 +1,11 @@
-"""SemanticIndex correctness: indexed paths must be bit-identical.
+"""Fast-index correctness: indexed paths must be bit-identical.
 
-The index is a pure accelerator — every query it serves and every
-similarity score computed through it must *equal* (``==``, not
-approximately) the value the uncached network walk produces, on both
-the curated lexicon and a synthetic generated network.
+:class:`~repro.runtime.pack.PackedIndex` is a pure accelerator — every
+query it serves and every similarity score computed through it must
+*equal* (``==``, not approximately) the value the uncached network walk
+produces, on both the curated lexicon and a synthetic generated
+network.  (The packed codec, shard round-trips and worker shipping are
+pinned in ``test_pack.py``.)
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import random
 
 import pytest
 
-from repro.runtime import LRUCache, SemanticIndex
-from repro.runtime.index import SemanticIndex as _SemanticIndex
+from repro.runtime import LRUCache, PackedIndex
 from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
 from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
@@ -80,6 +81,12 @@ def _assert_identical_measures(network, index, pairs):
             )
 
 
+@pytest.fixture(scope="module")
+def lexicon_index(lexicon):
+    """A PackedIndex over the curated lexicon (shared, read-only)."""
+    return PackedIndex(lexicon)
+
+
 class TestIndexedSimilarityIdentity:
     def test_curated_lexicon(self, lexicon, lexicon_index):
         _assert_identical_measures(
@@ -87,13 +94,13 @@ class TestIndexedSimilarityIdentity:
         )
 
     def test_synthetic_network(self, synthetic_network):
-        index = SemanticIndex(synthetic_network)
+        index = PackedIndex(synthetic_network)
         _assert_identical_measures(
             synthetic_network, index, _sample_pairs(synthetic_network, seed=1)
         )
 
     def test_cached_combined_identity(self, lexicon, lexicon_index):
-        """LRU-backed CombinedSimilarity equals the plain-dict one."""
+        """LRU-backed indexed CombinedSimilarity equals the plain walk."""
         plain = CombinedSimilarity(lexicon)
         cached = CombinedSimilarity(
             lexicon, index=lexicon_index, cache=LRUCache(maxsize=512)
@@ -148,33 +155,25 @@ class TestIndexQueries:
         with pytest.raises(UnknownConceptError):
             lexicon_index.gloss_bag("no.such.concept")
 
-    def test_gloss_disabled_index(self, synthetic_network):
-        index = _SemanticIndex(synthetic_network, include_gloss=False)
-        some_id = next(iter(synthetic_network)).id
-        with pytest.raises(RuntimeError):
-            index.gloss_bag(some_id)
-        assert index.stats()["gloss_bags"] == 0
-
     def test_stats_shape(self, lexicon, lexicon_index):
         stats = lexicon_index.stats()
         assert stats["concepts"] == len(lexicon)
-        assert stats["gloss_bags"] == len(lexicon)
         assert stats["ancestor_entries"] > stats["concepts"]
         assert stats["build_seconds"] >= 0
         # Counts are ints; build_seconds is a float and backing a
-        # string.  The LCS memo is observable.
+        # string.  The LCS (pair-kernel) memo is observable.
         assert stats["backing"] == "heap"
         for key, value in stats.items():
             if key not in ("build_seconds", "backing"):
                 assert isinstance(value, int), key
-        assert stats["lcs_memo_hits"] + stats["lcs_memo_misses"] >= 0
+        assert stats["pair_memo_hits"] + stats["pair_memo_misses"] >= 0
 
     def test_lcs_memo_counters_track_lookups(self, lexicon):
-        index = SemanticIndex(lexicon, include_gloss=False)
+        index = PackedIndex(lexicon)
         ids = [concept.id for concept in lexicon]
         a, b = ids[10], ids[20]
         index.lowest_common_subsumer(a, b)
         index.lowest_common_subsumer(a, b)
         stats = index.stats()
-        assert stats["lcs_memo_misses"] == 1
-        assert stats["lcs_memo_hits"] == 1
+        assert stats["pair_memo_misses"] == 1
+        assert stats["pair_memo_hits"] == 1

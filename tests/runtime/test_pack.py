@@ -1,22 +1,25 @@
-"""PackedIndex correctness: packed kernels, codec, worker shipping.
+"""PackedIndex correctness: packed kernels, the RXPD codec, shipping.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * **query parity** — every query the packed index serves (closures,
   depths, LCS, taxonomic distance, gloss bags, IC, the Lesk kernel)
-  must ``==`` the :class:`SemanticIndex` / network-walk value, on the
-  curated lexicon and on random synthetic networks;
-* **codec round-trip** — ``to_bytes`` → ``from_bytes`` reproduces every
-  table exactly, and truncated/corrupted/foreign buffers raise
-  :class:`PackedIndexError` instead of mis-decoding;
-* **worker shipping** — pickling goes through the compact codec
-  (``__getstate__``/``__setstate__``) and the payload is a fraction of
-  the pickled network, which is what makes parent-built index sharing
-  cheaper than per-worker rebuilds.
+  must ``==`` the network-walk value, on the curated lexicon and on
+  random synthetic networks (the similarity measures' indexed-vs-walk
+  identity lives in ``test_index.py``);
+* **frozen build** — the curated lexicon packs to one pinned ``RXPD``
+  payload, so shards already on disk stay attachable;
+* **codec round-trip** — ``write_shard`` → ``from_mmap`` reproduces
+  every table exactly and re-encodes to the identical payload, and
+  truncated/corrupted/foreign payloads raise the typed
+  :class:`PackedIndexError` family instead of mis-attaching;
+* **worker shipping** — a ``PackedIndex`` does not pickle: pool
+  workers attach a shard file by path instead.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import random
 
@@ -27,11 +30,21 @@ from repro.runtime import (
     PackedIndexCRCError,
     PackedIndexError,
     PackedIndexTruncatedError,
-    SemanticIndex,
+    write_shard,
 )
 from repro.semnet.generator import GeneratorConfig, generate_network
+from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
-from repro.similarity.gloss import ExtendedLeskSimilarity
+from repro.similarity.gloss import (
+    ExtendedLeskSimilarity,
+    extended_gloss_tokens,
+)
+
+#: ``PackedIndex(default_lexicon()).to_disk_payload()``: size and SHA-256.
+LEXICON_PAYLOAD_BYTES = 74472
+LEXICON_PAYLOAD_SHA256 = (
+    "aaf8db957946427a21b2ecb46cf228fc8a2fc408ea98045038c83cce1201b958"
+)
 
 
 def _sample_pairs(network, n_pairs=150, seed=0):
@@ -45,19 +58,34 @@ def _sample_pairs(network, n_pairs=150, seed=0):
     return pairs
 
 
-def _assert_query_parity(network, index, packed, pairs):
-    """Every packed query must equal the dict-index answer exactly."""
+def _assert_query_parity(network, packed, pairs):
+    """Every packed query must equal the network-walk answer exactly."""
+    ic = InformationContent(network)
     for a, b in pairs:
-        assert packed.hypernym_closure(a) == index.hypernym_closure(a)
-        assert packed.depth(a) == index.depth(a)
+        assert packed.hypernym_closure(a) == network.hypernym_closure(a)
+        assert packed.depth(a) == network.depth(a)
         assert packed.lowest_common_subsumer(a, b) == \
-            index.lowest_common_subsumer(a, b), (a, b)
+            network.lowest_common_subsumer(a, b), (a, b)
         assert packed.taxonomic_distance(a, b) == \
-            index.taxonomic_distance(a, b), (a, b)
-        assert packed.gloss_bag(a) == index.gloss_bag(a)
-        assert packed.ic.ic(a) == index.ic.ic(a)
-    assert packed.ic.max_ic == index.ic.max_ic
-    assert packed.max_taxonomy_depth == index.max_taxonomy_depth
+            network.taxonomic_distance(a, b), (a, b)
+        assert packed.gloss_bag(a) == extended_gloss_tokens(network, a)
+        assert packed.ic.ic(a) == ic.ic(a)
+    assert packed.ic.max_ic == ic.max_ic
+    assert packed.max_taxonomy_depth == network.max_taxonomy_depth
+
+
+def _round_trip(packed, tmp_path, name="index.rxpd"):
+    """``packed`` written to an RXPD shard and attached back."""
+    path = tmp_path / name
+    write_shard(packed, path)
+    return PackedIndex.from_mmap(path, verify=True)
+
+
+def _attach_payload(payload, tmp_path, name="damaged.rxpd"):
+    """Attach raw (possibly damaged) ``RXPD`` bytes, CRC-verified."""
+    path = tmp_path / name
+    path.write_bytes(payload)
+    return PackedIndex.from_mmap(path, verify=True)
 
 
 @pytest.fixture(scope="module")
@@ -67,22 +95,18 @@ def packed_lexicon(lexicon):
 
 
 class TestQueryParity:
-    def test_curated_lexicon_queries_match_dict_index(
-        self, lexicon, lexicon_index, packed_lexicon
+    def test_curated_lexicon_queries_match_network_walk(
+        self, lexicon, packed_lexicon
     ):
-        _assert_query_parity(
-            lexicon, lexicon_index, packed_lexicon, _sample_pairs(lexicon)
-        )
+        _assert_query_parity(lexicon, packed_lexicon, _sample_pairs(lexicon))
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_synthetic_network_queries_match_dict_index(self, seed):
+    def test_synthetic_network_queries_match_network_walk(self, seed):
         network = generate_network(
             GeneratorConfig(n_concepts=120, mean_polysemy=2.0, seed=seed)
         )
-        index = SemanticIndex(network)
-        packed = PackedIndex(network)
         _assert_query_parity(
-            network, index, packed, _sample_pairs(network, seed=seed)
+            network, PackedIndex(network), _sample_pairs(network, seed=seed)
         )
 
     def test_lesk_kernel_matches_unpacked_measure(
@@ -94,11 +118,11 @@ class TestQueryParity:
             assert packed_lexicon.lesk_similarity(a, b) == unpacked(a, b), \
                 (a, b)
 
-    def test_from_semantic_index_equals_direct_build(self, lexicon):
-        index = SemanticIndex(lexicon)
-        via_index = PackedIndex.from_semantic_index(index)
-        direct = PackedIndex(lexicon)
-        assert via_index.to_bytes() == direct.to_bytes()
+    def test_lexicon_payload_digest_is_pinned(self, packed_lexicon):
+        """The build is frozen: shards already on disk stay attachable."""
+        payload = packed_lexicon.to_disk_payload()
+        assert len(payload) == LEXICON_PAYLOAD_BYTES
+        assert hashlib.sha256(payload).hexdigest() == LEXICON_PAYLOAD_SHA256
 
     def test_unknown_concept_raises(self, packed_lexicon):
         with pytest.raises(UnknownConceptError):
@@ -106,107 +130,97 @@ class TestQueryParity:
         with pytest.raises(UnknownConceptError):
             packed_lexicon.pair_terms("no.such.concept", "also.missing")
 
-    def test_gloss_and_ic_gating(self, lexicon):
-        taxonomy_only = PackedIndex(
-            lexicon, include_gloss=False, include_ic=False
-        )
-        assert not taxonomy_only.has_gloss
-        assert not taxonomy_only.has_ic
-        some_id = next(iter(lexicon)).id
-        with pytest.raises(RuntimeError):
-            taxonomy_only.gloss_bag(some_id)
-        with pytest.raises(RuntimeError):
-            taxonomy_only.ic_value(some_id)
-        with pytest.raises(RuntimeError):
-            _ = taxonomy_only.ic
-
 
 class TestCodec:
-    def test_round_trip_on_curated_lexicon(self, lexicon, packed_lexicon):
-        clone = PackedIndex.from_bytes(packed_lexicon.to_bytes())
-        _assert_query_parity(
-            lexicon, packed_lexicon, clone, _sample_pairs(lexicon, seed=1)
-        )
-        # The decoded tables re-encode to the identical buffer.
-        assert clone.to_bytes() == packed_lexicon.to_bytes()
+    def test_round_trip_on_curated_lexicon(
+        self, lexicon, packed_lexicon, tmp_path
+    ):
+        clone = _round_trip(packed_lexicon, tmp_path)
+        assert clone.backing == "mmap"
+        _assert_query_parity(lexicon, clone, _sample_pairs(lexicon, seed=1))
+        # The attached tables re-encode to the identical payload.
+        assert clone.to_disk_payload() == packed_lexicon.to_disk_payload()
 
     @pytest.mark.parametrize("seed", [0, 7, 19])
-    def test_round_trip_on_random_synthetic_networks(self, seed):
+    def test_round_trip_on_random_synthetic_networks(self, seed, tmp_path):
         network = generate_network(
             GeneratorConfig(
                 n_concepts=60 + 30 * seed, mean_polysemy=1.8, seed=seed
             )
         )
         packed = PackedIndex(network)
-        clone = PackedIndex.from_bytes(packed.to_bytes())
-        assert clone.to_bytes() == packed.to_bytes()
+        clone = _round_trip(packed, tmp_path)
+        assert clone.to_disk_payload() == packed.to_disk_payload()
         for a, b in _sample_pairs(network, n_pairs=40, seed=seed):
             assert clone.pair_terms(a, b) == packed.pair_terms(a, b)
             assert clone.lesk_similarity(a, b) == packed.lesk_similarity(a, b)
 
-    def test_truncated_buffers_raise(self, packed_lexicon):
-        blob = packed_lexicon.to_bytes()
+    def test_truncated_buffers_raise(self, packed_lexicon, tmp_path):
+        blob = packed_lexicon.to_disk_payload()
         for cut in (0, 4, 10, len(blob) // 2, len(blob) - 1):
             with pytest.raises(PackedIndexError):
-                PackedIndex.from_bytes(blob[:cut])
+                _attach_payload(blob[:cut], tmp_path, f"cut-{cut}.rxpd")
 
-    def test_truncation_raises_the_typed_subclass(self, packed_lexicon):
+    def test_truncation_raises_the_typed_subclass(
+        self, packed_lexicon, tmp_path
+    ):
         """Truncation is distinguishable from corruption (typed errors)."""
-        blob = packed_lexicon.to_bytes()
+        blob = packed_lexicon.to_disk_payload()
         for cut in (0, 10, len(blob) - 1):
             with pytest.raises(PackedIndexTruncatedError):
-                PackedIndex.from_bytes(blob[:cut])
+                _attach_payload(blob[:cut], tmp_path, f"cut-{cut}.rxpd")
+        # Every cut of a small shard, header bytes included.
+        tiny = PackedIndex(generate_network(
+            GeneratorConfig(n_concepts=6, mean_polysemy=1.0, seed=5)
+        )).to_disk_payload()
+        for cut in range(len(tiny)):
+            with pytest.raises(PackedIndexTruncatedError):
+                _attach_payload(tiny[:cut], tmp_path, f"tiny-{cut}.rxpd")
         # The subclass is still the umbrella PackedIndexError, so
         # existing except clauses keep working.
         assert issubclass(PackedIndexTruncatedError, PackedIndexError)
 
-    def test_corrupted_body_raises(self, packed_lexicon):
-        blob = bytearray(packed_lexicon.to_bytes())
+    def test_corrupted_body_raises(self, packed_lexicon, tmp_path):
+        blob = bytearray(packed_lexicon.to_disk_payload())
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(PackedIndexError):
-            PackedIndex.from_bytes(bytes(blob))
+            _attach_payload(bytes(blob), tmp_path)
 
-    def test_corruption_raises_the_crc_subclass(self, packed_lexicon):
-        blob = bytearray(packed_lexicon.to_bytes())
+    def test_corruption_raises_the_crc_subclass(
+        self, packed_lexicon, tmp_path
+    ):
+        blob = bytearray(packed_lexicon.to_disk_payload())
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(PackedIndexCRCError):
-            PackedIndex.from_bytes(bytes(blob))
+            _attach_payload(bytes(blob), tmp_path)
         assert issubclass(PackedIndexCRCError, PackedIndexError)
 
-    def test_foreign_magic_and_version_raise(self, packed_lexicon):
-        blob = packed_lexicon.to_bytes()
+    def test_foreign_magic_and_version_raise(self, packed_lexicon, tmp_path):
+        blob = packed_lexicon.to_disk_payload()
         with pytest.raises(PackedIndexError):
-            PackedIndex.from_bytes(b"XXXX" + blob[4:])
+            _attach_payload(b"XXXX" + blob[4:], tmp_path, "magic.rxpd")
         with pytest.raises(PackedIndexError):
             # Bump the version halfword past anything supported.
-            PackedIndex.from_bytes(blob[:4] + b"\xff\xff" + blob[6:])
+            _attach_payload(
+                blob[:4] + b"\xff\xff" + blob[6:], tmp_path, "version.rxpd"
+            )
 
 
 class TestWorkerShipping:
-    def test_pickle_round_trip_preserves_queries(
-        self, lexicon, packed_lexicon
-    ):
-        clone = pickle.loads(pickle.dumps(packed_lexicon))
-        for a, b in _sample_pairs(lexicon, n_pairs=40, seed=2):
-            assert clone.pair_terms(a, b) == packed_lexicon.pair_terms(a, b)
-            assert clone.gloss_bag(a) == packed_lexicon.gloss_bag(a)
-
-    def test_pickled_packed_index_is_smaller_than_network(
-        self, lexicon, lexicon_index, packed_lexicon
-    ):
-        """The worker-shipping win: packed bytes ≪ pickled inputs."""
-        packed_size = len(pickle.dumps(packed_lexicon))
-        network_size = len(pickle.dumps(lexicon))
-        index_size = len(pickle.dumps(lexicon_index))
-        assert packed_size < network_size / 2
-        assert packed_size < index_size / 2
+    def test_pickling_raises_type_error(self, packed_lexicon, tmp_path):
+        """Heap-built or attached, an index never pickles: workers
+        attach a shard by path instead of receiving the tables."""
+        for index in (packed_lexicon, _round_trip(packed_lexicon, tmp_path)):
+            with pytest.raises(TypeError, match="from_mmap"):
+                pickle.dumps(index)
 
     def test_stats_shape(self, packed_lexicon, lexicon):
         stats = packed_lexicon.stats()
         assert stats["concepts"] == len(lexicon)
+        assert stats["backing"] == "heap"
         assert stats["ancestor_entries"] >= stats["concepts"]
         assert stats["distinct_tokens"] <= stats["gloss_tokens"]
-        assert stats["packed_bytes"] > 0
+        assert stats["packed_bytes"] == LEXICON_PAYLOAD_BYTES
         assert stats["build_seconds"] >= 0
         a, b = [concept.id for concept in lexicon][5:7]
         before = packed_lexicon.stats()["pair_memo_misses"]

@@ -1,14 +1,15 @@
-"""Persistent pool runtime: lifecycle, shm hygiene, crash recovery.
+"""Persistent pool runtime: lifecycle, temp shards, crash recovery.
 
-The contracts pinned here are the PR-8 tentpole's:
+The contracts pinned here:
 
 * a second batch on the same executor **reuses** the warm pool (no
-  respawn, no republish);
+  respawn, no rewrite of the index shard);
 * a worker hard-killed mid-document (``os._exit``, the crash no
   ``except`` can catch) triggers respawn-and-requeue and the batch
   still completes with byte-identical survivors;
-* ``close()`` unlinks the published shared-memory segment — no leaked
-  ``/dev/shm`` entries;
+* a heap-built index reaches workers through a temporary ``RXPD``
+  shard that ``close()`` deletes, that the next writer sweeps up when
+  its owner was killed, and whose write failure only costs speed;
 * serial and persistent-pool output are byte-identical even across
   ``PYTHONHASHSEED`` variation (subprocess-checked, since the hash
   seed is frozen at interpreter start).
@@ -28,11 +29,10 @@ from repro.runtime import (
     FaultInjector,
     FaultSpec,
     MetricsRegistry,
-    PackedIndex,
-    SharedIndexSegment,
     auto_workers,
     parse_workers,
 )
+from repro.runtime import executor as executor_module
 
 
 class TestWorkerCountHelpers:
@@ -66,46 +66,6 @@ class TestWorkerCountHelpers:
             BatchExecutor(lexicon, workers=parse_workers("0"))
 
 
-class TestSharedIndexSegment:
-    def test_publish_attach_release_roundtrip(self, lexicon):
-        payload = PackedIndex(lexicon).to_shared_payload()
-        segment = SharedIndexSegment.publish(payload)
-        assert segment is not None
-        assert segment.size == len(payload)
-        attached = PackedIndex.from_shared(segment.name)
-        assert attached.is_shared
-        attached.release_shared()
-        assert not attached.is_shared
-        segment.release()
-        assert segment.released
-
-    def test_last_release_unlinks_the_segment(self, lexicon):
-        from multiprocessing import shared_memory
-
-        payload = PackedIndex(lexicon).to_shared_payload()
-        segment = SharedIndexSegment.publish(payload)
-        assert segment is not None
-        name = segment.name
-        segment.acquire()  # a second co-owner
-        segment.release()  # publisher leaves; co-owner keeps it alive
-        assert not segment.released
-        PackedIndex.from_shared(name).release_shared()  # still attachable
-        segment.release()  # last co-owner leaves -> unlink
-        assert segment.released
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_release_is_idempotent_and_acquire_after_release_fails(
-        self, lexicon
-    ):
-        segment = SharedIndexSegment.publish(b"payload")
-        assert segment is not None
-        segment.release()
-        segment.release()  # no double-unlink
-        with pytest.raises(ValueError):
-            segment.acquire()
-
-
 class TestWarmPoolReuse:
     def test_second_batch_reuses_the_pool(self, lexicon, figure1_xml):
         metrics = MetricsRegistry()
@@ -119,7 +79,7 @@ class TestWarmPoolReuse:
             assert stats["alive"] == 1
             assert stats["generation"] == 1
             assert stats["pool_reuse_count"] == 0
-            assert stats["shm_bytes"] > 0
+            assert stats["shard_bytes"] > 0
             second = [r.to_json_line() for r in executor.run(docs)]
             stats = executor.runtime_stats()
             # Same generation: the warm pool served the second batch;
@@ -147,22 +107,78 @@ class TestWarmPoolReuse:
         executor.close()
 
 
+def _temp_shard_dirs():
+    """Temp shard directories currently present, by name."""
+    root = executor_module._temp_shard_root()
+    return {
+        name for name in os.listdir(root)
+        if name.startswith(executor_module._TEMP_SHARD_PREFIX)
+    }
+
+
 class TestShmHygiene:
     def test_close_unlinks_the_published_segment(self, lexicon, figure1_xml):
-        from multiprocessing import shared_memory
-
+        """A heap index reaches workers as a temp shard published on
+        tmpfs (``/dev/shm`` when writable); ``close()`` unlinks it."""
         executor = BatchExecutor(
             lexicon, XSDFConfig(), workers=2, oversubscribe=True
         )
         executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
-        segment = executor._segment
-        assert segment is not None and not segment.released
-        name = segment.name
-        shared_memory.SharedMemory(name=name).close()  # exists while open
+        shard = executor._temp_shard
+        assert shard is not None and os.path.isfile(shard)
+        directory = os.path.dirname(shard)
+        assert os.path.dirname(directory) == \
+            executor_module._temp_shard_root()
+        shard_bytes = executor.runtime_stats()["shard_bytes"]
+        assert shard_bytes == os.path.getsize(shard) > 0
         executor.close()
-        assert segment.released
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        assert not os.path.exists(directory)
+
+
+class TestTempShardLifecycle:
+    def test_dead_owner_shard_is_removed_by_next_writer(
+        self, lexicon, figure1_xml
+    ):
+        """A SIGKILLed owner's shard goes with the next parallel batch."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # a pid that no longer exists
+        orphan = os.path.join(
+            executor_module._temp_shard_root(),
+            f"{executor_module._TEMP_SHARD_PREFIX}{child.pid}-planted",
+        )
+        os.makedirs(orphan)
+        with open(os.path.join(orphan, "index.rxpd"), "wb") as fh:
+            fh.write(b"RXPD")
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        ) as executor:
+            executor.run([(f"doc-{i}", figure1_xml) for i in range(2)])
+            assert not os.path.exists(orphan)
+
+    def test_shard_write_failure_falls_back_to_worker_builds(
+        self, lexicon, figure1_xml, monkeypatch
+    ):
+        def _disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(executor_module, "write_shard", _disk_full)
+        before = _temp_shard_dirs()
+        docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
+        metrics = MetricsRegistry()
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            oversubscribe=True,
+        ) as executor:
+            records = executor.run(docs)
+        assert all(r.ok for r in records)
+        (fault,) = metrics.events("pool_fault")
+        assert fault["kind"] == "shard_write"
+        assert metrics.counter("degrade_packed_decode") >= 1
+        assert _temp_shard_dirs() <= before
+        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1).run(docs)
+        assert [r.to_json_line() for r in records] == [
+            r.to_json_line() for r in serial
+        ]
 
 
 class TestWorkerCrashRecovery:

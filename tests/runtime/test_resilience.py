@@ -245,12 +245,14 @@ class TestChaosParity:
         executor = BatchExecutor(
             lexicon, XSDFConfig(), workers=2, metrics=metrics,
             oversubscribe=True,  # exercise the real pool on 1-CPU hosts
-            injector=FaultInjector(7, [FaultSpec.corrupt_packed()]),
+            injector=FaultInjector(7, [FaultSpec.bitrot()]),
         )
         records = executor.run(docs)
+        executor.close()
         assert all(r.ok for r in records)
         assert _lines(records) == baseline
-        # Every worker decoded a corrupted payload and degraded one rung.
+        # The temp shard was rotted: every worker's CRC-verified attach
+        # failed and it built the index itself.
         counters = metrics.report()["counters"]
         assert counters.get("degrade_packed_decode", 0) >= 1
 
@@ -344,7 +346,7 @@ class TestDocTimeout:
 class TestDegradationLadder:
     """Each rung swap is bit-identical; only counters and rung change."""
 
-    def test_packed_kernel_fault_downgrades_to_dict_rung(
+    def test_packed_kernel_fault_downgrades_to_network_rung(
         self, lexicon, figure1_xml
     ):
         baseline = XSDF(lexicon, XSDFConfig()).disambiguate_document(
@@ -355,12 +357,12 @@ class TestDegradationLadder:
         xsdf = XSDF(lexicon, XSDFConfig(), index=faulty, metrics=metrics)
         assert xsdf.index_rung == "packed"
         result = xsdf.disambiguate_document(figure1_xml)
-        assert xsdf.index_rung == "dict"
+        assert xsdf.index_rung == "network"
         assert xsdf.degrade_stats["index_downgrades"] == 1
         assert result.to_dict() == baseline.to_dict()
         (event,) = metrics.events("degrade")
         assert event["kind"] == "index_downgrade"
-        assert event["rung"] == "dict"
+        assert event["rung"] == "network"
 
     def test_ladder_walks_all_the_way_to_the_network(
         self, lexicon, figure1_xml
@@ -369,8 +371,7 @@ class TestDegradationLadder:
             figure1_xml
         )
         xsdf = XSDF(lexicon, XSDFConfig(), index=PackedIndex(lexicon))
-        assert xsdf._downgrade_index()
-        assert xsdf.index_rung == "dict"
+        assert xsdf.index_rung == "packed"
         assert xsdf._downgrade_index()
         assert xsdf.index_rung == "network"
         assert not xsdf._downgrade_index()  # bottom of the ladder

@@ -6,15 +6,15 @@ Four contracts are pinned here:
   every table exactly with ``backing == "mmap"``, and a truncated,
   corrupted, or mismatched shard raises the typed
   :class:`PackedIndexError` family instead of mis-attaching;
-* **resilience ladder** — mmap attach → in-memory packed build → dict
-  index all produce bit-identical batch JSONL (degrading the backing
-  never changes a score);
+* **resilience ladder** — mmap attach → in-memory packed build →
+  network walk all produce bit-identical batch JSONL (degrading the
+  backing never changes a score);
 * **registry** — the TOML manifest loads, attaches LRU-bounded,
   degrades shardless domains to heap builds, and routes documents by
   lexicon coverage deterministically;
 * **worker shipping** — pool workers attach a shard-backed index by
-  *path* (``shard_bytes > 0``, ``shm_bytes == 0``), with results
-  identical to the shm/serial paths.
+  its own *path* (no temporary shard is written), with results
+  identical to the serial path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.runtime import (
     PackedIndexCRCError,
     PackedIndexError,
     PackedIndexTruncatedError,
-    SemanticIndex,
     NetworkRegistry,
     RegistryError,
     read_shard_header,
@@ -58,27 +57,20 @@ def _attach(path, **kwargs):
 
 class TestShardRoundTrip:
     def test_mmap_attach_reproduces_every_query(
-        self, lexicon, lexicon_index, lexicon_shard
+        self, lexicon, lexicon_shard
     ):
         packed = _attach(lexicon_shard)
-        try:
-            assert packed.backing == "mmap"
-            assert packed.shard_path == lexicon_shard
-            assert len(packed) == len(lexicon)
-            pairs = _sample_pairs(lexicon)
-            _assert_query_parity(lexicon, lexicon_index, packed, pairs)
-        finally:
-            packed.release_shared()
+        assert packed.backing == "mmap"
+        assert packed.shard_path == lexicon_shard
+        assert len(packed) == len(lexicon)
+        _assert_query_parity(lexicon, packed, _sample_pairs(lexicon))
 
     def test_attach_defers_decode_then_len_is_cheap(self, lexicon_shard):
         packed = _attach(lexicon_shard)
-        try:
-            # __len__ must not force materialization (the zero-copy
-            # cold-start contract: attach + size is decode-free).
-            assert len(packed) > 0
-            assert packed._lazy_blobs is not None
-        finally:
-            packed.release_shared()
+        # __len__ must not force materialization (the zero-copy
+        # cold-start contract: attach + size is decode-free).
+        assert len(packed) > 0
+        assert packed._lazy_blobs is not None
 
     def test_write_is_atomic_no_temp_residue(self, lexicon, tmp_path):
         path = tmp_path / "atomic.rxpd"
@@ -104,24 +96,6 @@ class TestShardRoundTrip:
         stats = verify_shard(lexicon_shard)
         assert stats["concepts"] == len(lexicon)
         assert stats["shard_bytes"] == os.path.getsize(lexicon_shard)
-
-    def test_release_shared_materializes_to_heap(
-        self, lexicon, lexicon_index, lexicon_shard
-    ):
-        packed = _attach(lexicon_shard)
-        packed.release_shared()
-        assert packed.backing == "heap"
-        pairs = _sample_pairs(lexicon, n_pairs=40)
-        _assert_query_parity(lexicon, lexicon_index, packed, pairs)
-
-    def test_pickle_of_mmap_index_round_trips(self, lexicon, lexicon_shard):
-        packed = _attach(lexicon_shard)
-        try:
-            clone = pickle.loads(pickle.dumps(packed))
-        finally:
-            packed.release_shared()
-        assert clone.hypernym_closure(next(iter(lexicon)).id) == \
-            packed.hypernym_closure(next(iter(lexicon)).id)
 
 
 class TestDamagedShards:
@@ -175,22 +149,24 @@ class TestDamagedShards:
         packed = _attach(
             lexicon_shard, expect_fingerprint=lexicon.fingerprint()
         )
-        packed.release_shared()
+        assert len(packed) == len(lexicon)
 
 
 class TestResilienceLadder:
-    def test_mmap_packed_dict_batches_are_bit_identical(
+    def test_mmap_heap_walk_batches_are_bit_identical(
         self, lexicon, lexicon_shard, figure1_xml
     ):
         """Every rung of the ladder yields the same JSONL bytes."""
         docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
         outputs = []
-        for index in (
-            _attach(lexicon_shard),          # mmap shard
-            PackedIndex(lexicon),            # in-memory packed
-            SemanticIndex(lexicon),          # dict-keyed
+        for index, use_index in (
+            (_attach(lexicon_shard), True),  # mmap shard
+            (PackedIndex(lexicon), True),    # in-memory packed
+            (None, False),                   # network walk
         ):
-            with BatchExecutor(lexicon, index=index) as executor:
+            with BatchExecutor(
+                lexicon, index=index, use_index=use_index
+            ) as executor:
                 records = executor.run(docs)
             outputs.append([r.to_json_line() for r in records])
         assert outputs[0] == outputs[1] == outputs[2]
@@ -200,7 +176,7 @@ class TestWorkerShipping:
     def test_pool_workers_attach_shard_by_path(
         self, lexicon, lexicon_shard, figure1_xml
     ):
-        """A shard-backed index ships as a path, not an shm payload."""
+        """A shard-backed index ships its own path: no temp shard."""
         docs = [(f"doc-{i}", figure1_xml) for i in range(4)]
         index = _attach(lexicon_shard)
         with BatchExecutor(
@@ -208,9 +184,8 @@ class TestWorkerShipping:
         ) as executor:
             parallel = [r.to_json_line() for r in executor.run(docs)]
             stats = executor.runtime_stats()
-        index.release_shared()
+            assert executor._temp_shard is None
         assert stats["shard_bytes"] == os.path.getsize(lexicon_shard)
-        assert stats["shm_bytes"] == 0
         with BatchExecutor(lexicon) as serial_executor:
             serial = [r.to_json_line() for r in serial_executor.run(docs)]
         assert parallel == serial
@@ -316,9 +291,10 @@ class TestRegistry:
             registry.attach("beta")  # evicts alpha
             assert registry.stats()["attached"] == 1
             assert registry.stats()["evictions"] == 1
-            # Eviction released the mmap but materialized first: the
-            # index a session still holds keeps answering identically.
-            assert alpha.index.backing == "heap"
+            # Eviction only drops the registry's reference: the index a
+            # session still holds keeps its mapping and answers
+            # identically.
+            assert alpha.index.backing == "mmap"
             assert alpha.index.hypernym_closure(cid) == before
         finally:
             registry.close()
@@ -397,8 +373,7 @@ class TestDamageMarks:
             affected = registry.mark_damaged(shard_path)
             assert affected == ("alpha",)
             assert registry.stats()["damaged"] == [shard_path]
-            # Dropped, not evicted: the damaged mapping must not be
-            # read to materialize, so the old handle stays mmap-backed
+            # Dropped, not evicted: the old handle stays mmap-backed
             # (sessions degrade through the per-request ladder instead).
             assert alpha.index.backing == "mmap"
             assert registry.stats()["attached"] == 0

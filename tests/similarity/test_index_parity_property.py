@@ -9,21 +9,23 @@ and ``combined`` expose the ``index=`` fast path directly;
 ``vector`` has none (its inputs are plain mappings), which a signature
 test pins so a future fast path cannot dodge this battery.
 
-Each measure is exercised in **both** accelerated modes: the dict-keyed
-:class:`SemanticIndex` and the interned flat-array
-:class:`~repro.runtime.pack.PackedIndex` — three-way bit-identity
-(network walk == dict index == packed kernels) on every sampled pair.
+Each measure is exercised against **both** backings of the interned
+flat-array :class:`~repro.runtime.pack.PackedIndex`: heap-built from
+the network and attached from a ``write_shard`` file — two-way
+bit-identity (network walk == packed kernels) on every sampled pair.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
 import random
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import PackedIndex, SemanticIndex
+from repro.runtime import PackedIndex, write_shard
 from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet.ic import InformationContent
 from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
@@ -40,10 +42,13 @@ from repro.similarity.node import (
 )
 from repro.similarity.vector import VECTOR_MEASURES
 
-#: (network, index, packed, ic) per generator shape — hypothesis
-#: revisits shapes across examples, and network construction dominates
-#: runtime.
+#: (network, (heap packed, attached packed), ic) per generator shape —
+#: hypothesis revisits shapes across examples, and network construction
+#: dominates runtime.
 _NETWORK_CACHE: dict[tuple, tuple] = {}
+
+#: Home of the attached side's shard files for the module's lifetime.
+_SHARD_DIR = tempfile.TemporaryDirectory(prefix="repro-parity-")
 
 network_shapes = st.tuples(
     st.integers(min_value=0, max_value=999),     # generator seed
@@ -64,11 +69,14 @@ def _network_index_ic(shape):
             mean_polysemy=polysemy,
             seed=seed,
         ))
-        index = SemanticIndex(network)
+        packed = PackedIndex(network)
+        shard = os.path.join(
+            _SHARD_DIR.name, "-".join(map(str, shape)) + ".rxpd"
+        )
+        write_shard(packed, shard)
         _NETWORK_CACHE[shape] = (
             network,
-            index,
-            PackedIndex.from_semantic_index(index),
+            (packed, PackedIndex.from_mmap(shard, verify=True)),
             InformationContent(network),
         )
     return _NETWORK_CACHE[shape]
@@ -85,34 +93,21 @@ def _sample_pairs(network, seed, n_random=25):
     return pairs
 
 
-def _measure_triples(network, index, packed, ic, weights=None):
-    """(slow, dict-fast, packed-fast) per index-accepting measure."""
-    return [
-        (WuPalmerSimilarity(network),
-         WuPalmerSimilarity(network, index=index),
-         WuPalmerSimilarity(network, index=packed)),
-        (PathSimilarity(network),
-         PathSimilarity(network, index=index),
-         PathSimilarity(network, index=packed)),
-        (LeacockChodorowSimilarity(network),
-         LeacockChodorowSimilarity(network, index=index),
-         LeacockChodorowSimilarity(network, index=packed)),
-        (LinSimilarity(network, ic=ic),
-         LinSimilarity(network, ic=ic, index=index),
-         LinSimilarity(network, ic=ic, index=packed)),
-        (ResnikSimilarity(network, ic=ic),
-         ResnikSimilarity(network, ic=ic, index=index),
-         ResnikSimilarity(network, ic=ic, index=packed)),
-        (JiangConrathSimilarity(network, ic=ic),
-         JiangConrathSimilarity(network, ic=ic, index=index),
-         JiangConrathSimilarity(network, ic=ic, index=packed)),
-        (ExtendedLeskSimilarity(network),
-         ExtendedLeskSimilarity(network, index=index),
-         ExtendedLeskSimilarity(network, index=packed)),
-        (CombinedSimilarity(network, ic=ic, weights=weights),
-         CombinedSimilarity(network, ic=ic, weights=weights, index=index),
-         CombinedSimilarity(network, ic=ic, weights=weights, index=packed)),
+def _measure_sets(network, packs, ic, weights=None):
+    """(network walk, [packed fast path per backing]) per measure."""
+    makers = [
+        lambda index: WuPalmerSimilarity(network, index=index),
+        lambda index: PathSimilarity(network, index=index),
+        lambda index: LeacockChodorowSimilarity(network, index=index),
+        lambda index: LinSimilarity(network, ic=ic, index=index),
+        lambda index: ResnikSimilarity(network, ic=ic, index=index),
+        lambda index: JiangConrathSimilarity(network, ic=ic, index=index),
+        lambda index: ExtendedLeskSimilarity(network, index=index),
+        lambda index: CombinedSimilarity(
+            network, ic=ic, weights=weights, index=index
+        ),
     ]
+    return [(make(None), [make(p) for p in packs]) for make in makers]
 
 
 class TestIndexParityProperty:
@@ -123,22 +118,18 @@ class TestIndexParityProperty:
     )
     @given(shape=network_shapes, pair_seed=st.integers(0, 2**16))
     def test_every_measure_is_bit_identical(self, shape, pair_seed):
-        """Indexed and packed scores must ``==`` unindexed ones."""
-        network, index, packed, ic = _network_index_ic(shape)
+        """Packed scores, heap-built or attached, ``==`` unindexed ones."""
+        network, packs, ic = _network_index_ic(shape)
         pairs = _sample_pairs(network, pair_seed)
-        for slow, fast, fast_packed in _measure_triples(
-            network, index, packed, ic
-        ):
+        for slow, fast_paths in _measure_sets(network, packs, ic):
             for a, b in pairs:
                 expected = slow(a, b)
-                assert expected == fast(a, b), (
-                    f"{type(slow).__name__} (dict index) diverges on "
-                    f"({a}, {b}) for network shape {shape}"
-                )
-                assert expected == fast_packed(a, b), (
-                    f"{type(slow).__name__} (packed index) diverges on "
-                    f"({a}, {b}) for network shape {shape}"
-                )
+                for packed, fast in zip(packs, fast_paths):
+                    assert expected == fast(a, b), (
+                        f"{type(slow).__name__} ({packed.backing} "
+                        f"packed index) diverges on ({a}, {b}) for "
+                        f"network shape {shape}"
+                    )
 
     @settings(
         max_examples=10,
@@ -156,19 +147,17 @@ class TestIndexParityProperty:
         self, shape, pair_seed, mix
     ):
         """The Definition 9 combination keeps parity for any weights."""
-        network, index, packed, ic = _network_index_ic(shape)
+        network, packs, ic = _network_index_ic(shape)
         weights = SimilarityWeights(*mix)
         slow = CombinedSimilarity(network, ic=ic, weights=weights)
-        fast = CombinedSimilarity(
-            network, ic=ic, weights=weights, index=index
-        )
-        fast_packed = CombinedSimilarity(
-            network, ic=ic, weights=weights, index=packed
-        )
+        fast_paths = [
+            CombinedSimilarity(network, ic=ic, weights=weights, index=packed)
+            for packed in packs
+        ]
         for a, b in _sample_pairs(network, pair_seed, n_random=12):
             expected = slow(a, b)
-            assert expected == fast(a, b)
-            assert expected == fast_packed(a, b)
+            for fast in fast_paths:
+                assert expected == fast(a, b)
 
     def test_vector_module_has_no_index_fast_path(self):
         """``repro.similarity.vector`` takes no ``index=`` — if one is

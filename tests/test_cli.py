@@ -113,23 +113,39 @@ class TestBatch:
         with pytest.raises(SystemExit):
             run(["batch", "/nonexistent/*.xml"])
 
-    def test_batch_dict_index_is_byte_identical(self, tmp_path, figure1_xml):
-        for i in range(2):
-            (tmp_path / f"doc-{i}.xml").write_text(
-                figure1_xml, encoding="utf-8"
+    def test_batch_modes_are_byte_identical(
+        self, tmp_path, lexicon, monkeypatch
+    ):
+        """The 60-document Table 3 corpus writes one JSONL serially,
+        with ``--workers 2``, with ``--shard`` and with ``--no-index``."""
+        from repro.datasets import generate_test_corpus
+        from repro.runtime import executor as executor_module
+        from repro.semnet.io import save_network
+
+        for i, doc in enumerate(generate_test_corpus()):
+            (tmp_path / f"doc-{i:02d}.xml").write_text(
+                doc.xml, encoding="utf-8"
             )
-        packed_out = tmp_path / "packed.jsonl"
-        dict_out = tmp_path / "dict.jsonl"
-        code, _ = run([
-            "batch", str(tmp_path / "*.xml"), "--out", str(packed_out),
-        ])
-        assert code == 0
-        code, _ = run([
-            "batch", str(tmp_path / "*.xml"), "--out", str(dict_out),
-            "--dict-index",
-        ])
-        assert code == 0
-        assert packed_out.read_bytes() == dict_out.read_bytes()
+        # Every run loads the JSON network the shard is packed from
+        # (see TestPackAndStore._pack_lexicon on cross-source floats).
+        network_json = tmp_path / "lexicon.network.json"
+        shard = tmp_path / "lexicon.rxpd"
+        save_network(lexicon, str(network_json))
+        assert run(["pack", str(shard), "--network", str(network_json)])[0] == 0
+        # Oversubscribe: --workers 2 runs a real pool on 1-CPU hosts.
+        monkeypatch.setattr(executor_module, "auto_workers", lambda: 2)
+        outputs = set()
+        for mode in ([], ["--workers", "2"], ["--shard", str(shard)],
+                     ["--no-index"]):
+            out_path = tmp_path / "out.jsonl"
+            code, output = run([
+                "batch", str(tmp_path / "doc-*.xml"), "--out",
+                str(out_path), "--network", str(network_json), *mode,
+            ])
+            assert code == 0, output
+            assert "60 documents, 0 failed" in output
+            outputs.add(out_path.read_bytes())
+        assert len(outputs) == 1
 
     def test_batch_profile_prints_summary(self, tmp_path, figure1_xml):
         (tmp_path / "doc.xml").write_text(figure1_xml, encoding="utf-8")
@@ -556,7 +572,7 @@ class TestPackAndStore:
             ["batch", xml_file, "--domain", "x"],
             ["batch", xml_file, "--shard", "s.rxpd"],
             ["batch", xml_file, "--shard", "s.rxpd", "--network", "n.json",
-             "--dict-index"],
+             "--no-index"],
         ):
             with pytest.raises(SystemExit):
                 run(argv)

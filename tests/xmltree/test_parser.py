@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.xmltree.errors import XMLSyntaxError
-from repro.xmltree.parser import Document, Element, Text, parse
+from repro.xmltree.errors import XMLError, XMLSyntaxError
+from repro.xmltree.parser import MAX_DEPTH, Document, Element, Text, parse
+
+
+def _nested(levels: int) -> str:
+    """``levels`` elements nested one inside the other."""
+    return "<a>" * levels + "x" + "</a>" * levels
 
 
 class TestWellFormedDocuments:
@@ -82,6 +87,27 @@ class TestMalformedDocuments:
     def test_doctype_after_root(self):
         with pytest.raises(XMLSyntaxError, match="DOCTYPE after root"):
             parse("<a/><!DOCTYPE a>")
+
+
+class TestNestingDepth:
+    def test_cap_depth_still_parses(self):
+        assert MAX_DEPTH == 256
+        element = parse(_nested(MAX_DEPTH)).root
+        depth = 1
+        while element.child_elements():
+            (element,) = element.child_elements()
+            depth += 1
+        assert depth == MAX_DEPTH
+
+    def test_past_the_cap_is_a_located_syntax_error(self):
+        with pytest.raises(XMLSyntaxError, match="deeper than 256") as info:
+            parse(_nested(MAX_DEPTH + 1))
+        # The offending start tag: the 257th "<a>" on line 1.
+        assert (info.value.line, info.value.column) == (1, 3 * MAX_DEPTH + 1)
+
+    def test_5000_levels_raise_xml_error_not_recursion_error(self):
+        with pytest.raises(XMLError):
+            parse(_nested(5000))
 
 
 class TestElementHelpers:
