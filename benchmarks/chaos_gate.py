@@ -11,7 +11,8 @@ or name a subset: ``executor``, ``kill-resume``, ``bitrot-scrub``):
     temporary index shard for every worker) — and gates on the hard exactness
     contract: every surviving document byte-identical to the fault-free
     run, exactly the scheduled casualty failing (with a structured
-    outcome), and the retried/degraded paths proven to have fired.  The
+    outcome), and both the retry path and the workers' shard-attach
+    fallback (``degrade_packed_decode``) proven to have fired.  The
     faulted batch then replays on the same warm executor
     (``pool_reuse_count >= 1``) and must stay byte-identical.
 

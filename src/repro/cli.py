@@ -711,19 +711,29 @@ def _resolve_batch_index(args: argparse.Namespace, documents):
             note += f" (coverage {coverage:.2f})"
         return attached.network, attached.index, registry, note
     if args.shard:
-        from .runtime.pack import PackedIndex, PackedIndexError
-
         network = _load_network(args.network)
-        try:
-            index = PackedIndex.from_mmap(
-                args.shard, expect_fingerprint=network.fingerprint()
-            )
-        except (PackedIndexError, OSError) as exc:
-            raise SystemExit(f"cannot attach shard {args.shard}: {exc}")
-        return network, index, None, ""
+        return network, _attach_shard(args.shard, network), None, ""
     if args.network:
         return _load_network(args.network), None, None, ""
     return default_lexicon(), None, None, ""
+
+
+def _attach_shard(path: str, network):
+    """Attach an RXPD shard with the full CRC check, or exit cleanly.
+
+    The check pool workers make: a missing, truncated, rotted or stale
+    (fingerprint-mismatched) shard becomes a one-line
+    ``cannot attach shard`` exit before any scoring, never a traceback
+    from the middle of a batch or a request.
+    """
+    from .runtime.pack import PackedIndex, PackedIndexError
+
+    try:
+        return PackedIndex.from_mmap(
+            path, verify=True, expect_fingerprint=network.fingerprint()
+        )
+    except (PackedIndexError, OSError) as exc:
+        raise SystemExit(f"cannot attach shard {path}: {exc}")
 
 
 def _make_injector(args: argparse.Namespace):
@@ -922,6 +932,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         network = _load_network(args.network)
     else:
         network = default_lexicon()
+    if args.shard:
+        # Check before listening; the server re-attaches it on warm-up.
+        _attach_shard(args.shard, network)
     try:
         server_config = ServerConfig(
             host=args.host,

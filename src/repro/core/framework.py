@@ -105,28 +105,20 @@ class XSDF:
         self.metrics = metrics
         self.pipeline = LinguisticPipeline(known=network.has_word)
         user_supplied_similarity = similarity is not None
-        self._user_similarity = user_supplied_similarity
-        #: Cumulative degradation-ladder counters (monotone): each rung
-        #: that fires while scoring bumps one of these.  The ladder only
-        #: swaps *bit-identical* implementations (packed index -> network
-        #: walk, memoized -> fresh, pruned -> exhaustive), so
-        #: results never change — only speed and these counters do.
-        self.degrade_stats = {
-            "index_downgrades": 0,
-            "memo_disabled": 0,
-            "prune_disabled": 0,
-            "packed_decode": 0,
-        }
-        self._prune_degraded = False
-        # Typed faults that trigger an index downgrade instead of a
-        # document failure; imported lazily (runtime imports core).
-        from ..runtime.pack import PackedIndexError
-
-        self._index_faults: tuple[type[BaseException], ...] = (
-            PackedIndexError,
-        )
         if similarity is None:
-            similarity = self._build_similarity(index)
+            ic = None
+            if self.config.similarity_weights.node > 0:
+                ic = (
+                    index.ic if index is not None
+                    else InformationContent(network)
+                )
+            similarity = CombinedSimilarity(
+                network,
+                weights=self.config.similarity_weights,
+                ic=ic,
+                index=index,
+                cache=similarity_cache,
+            )
         self._similarity = similarity
         # Exact pruning needs the combined measure's upper_bound(); any
         # other similarity callable falls back to exhaustive scoring.
@@ -162,82 +154,6 @@ class XSDF:
             self.config.vector_measure,
             strip_target_dimension=self.config.strip_target_dimension,
         )
-
-    # -- degradation ladder --------------------------------------------------
-
-    def _build_similarity(self, index) -> CombinedSimilarity:
-        """Default combined similarity against the given index rung."""
-        needs_ic = self.config.similarity_weights.node > 0
-        if index is not None:
-            ic = index.ic if needs_ic else None
-        else:
-            ic = InformationContent(self.network) if needs_ic else None
-        return CombinedSimilarity(
-            self.network,
-            weights=self.config.similarity_weights,
-            ic=ic,
-            index=index,
-            cache=self.similarity_cache,
-        )
-
-    @property
-    def index_rung(self) -> str:
-        """Current rung of the index ladder.
-
-        ``packed`` / ``network`` for the default similarity stack,
-        ``custom`` when the caller supplied its own similarity.
-        """
-        if self._user_similarity:
-            return "custom"
-        return "network" if self.index is None else "packed"
-
-    def _downgrade_index(self) -> bool:
-        """Drop one rung: packed index -> bare network walk.
-
-        Rebuilds the similarity/scorer stack against the network walk
-        with the same external caches; both rungs are bit-identical
-        (the packed parity contract), so cached values stay valid and
-        results are unchanged.  Returns False at the bottom of the
-        ladder — or when a user-supplied similarity owns the index —
-        letting the fault propagate as a document failure.
-        """
-        if self._user_similarity or self.index is None:
-            return False
-        self.index = None
-        self._similarity = self._build_similarity(None)
-        self._concept_scorer = ConceptBasedScorer(
-            self.network, self._similarity, sense_cache=self.sense_cache
-        )
-        self._prune = (
-            self.config.prune
-            and not self._prune_degraded
-            and isinstance(self._similarity, CombinedSimilarity)
-        )
-        self.degrade_stats["index_downgrades"] += 1
-        m = self.metrics
-        if m is not None:
-            m.count("degrade_index_downgrades")
-            m.event("degrade", kind="index_downgrade", rung=self.index_rung)
-        return True
-
-    def _disable_memo(self) -> None:
-        """Memoized -> fresh rung: drop the sphere memo, keep scoring."""
-        self.sphere_memo = None
-        self.degrade_stats["memo_disabled"] += 1
-        m = self.metrics
-        if m is not None:
-            m.count("degrade_memo_disabled")
-            m.event("degrade", kind="memo_disabled")
-
-    def _disable_prune(self) -> None:
-        """Pruned -> exhaustive rung: stop bounding, score everything."""
-        self._prune = False
-        self._prune_degraded = True
-        self.degrade_stats["prune_disabled"] += 1
-        m = self.metrics
-        if m is not None:
-            m.count("degrade_prune_disabled")
-            m.event("degrade", kind="prune_disabled")
 
     # -- tree construction -------------------------------------------------
 
@@ -328,7 +244,7 @@ class XSDF:
                 policy=self._distance_policy,
             )
             concept_scores, context_scores, combined, chosen = (
-                self._score_resilient(candidates, sphere)
+                self._score_memoized(candidates, sphere)
             )
         else:
             with m.timer("sphere"):
@@ -338,7 +254,7 @@ class XSDF:
                 )
             with m.timer("score"):
                 concept_scores, context_scores, combined, chosen = (
-                    self._score_resilient(candidates, sphere)
+                    self._score_memoized(candidates, sphere)
                 )
         return SenseAssignment(
             node_index=node.index,
@@ -353,22 +269,6 @@ class XSDF:
             scores=combined,
         )
 
-    def _score_resilient(self, candidates: list[Candidate], sphere):
-        """:meth:`_score_memoized` behind the degradation ladder.
-
-        A typed packed-index fault (``PackedIndexError`` and subclasses
-        — CRC mismatch, truncation, inconsistent tables) downgrades the
-        index one rung and rescores the node from scratch; anything
-        else, or a fault at the bottom of the ladder, propagates as a
-        document failure for the executor's fault isolation to record.
-        """
-        while True:
-            try:
-                return self._score_memoized(candidates, sphere)
-            except self._index_faults:
-                if not self._downgrade_index():
-                    raise
-
     def _score_memoized(self, candidates: list[Candidate], sphere):
         """:meth:`_score`, replayed from the sphere memo when possible.
 
@@ -381,12 +281,8 @@ class XSDF:
         memo = self.sphere_memo
         if memo is None:
             return self._score(candidates, sphere)
-        try:
-            signature = memo.signature(sphere)
-            entry = memo.get(signature)
-        except Exception:  # lint: disable=broad-except  # memoized -> fresh rung
-            self._disable_memo()
-            return self._score(candidates, sphere)
+        signature = memo.signature(sphere)
+        entry = memo.get(signature)
         m = self.metrics
         if entry is not None:
             if m is not None:
@@ -405,18 +301,15 @@ class XSDF:
         concept_scores, context_scores, combined, chosen = self._score(
             candidates, sphere
         )
-        try:
-            memo.put(
-                signature,
-                (
-                    chosen,
-                    tuple(combined.items()),
-                    tuple(concept_scores.items()),
-                    tuple(context_scores.items()),
-                ),
-            )
-        except Exception:  # lint: disable=broad-except  # memoized -> fresh rung
-            self._disable_memo()
+        memo.put(
+            signature,
+            (
+                chosen,
+                tuple(combined.items()),
+                tuple(concept_scores.items()),
+                tuple(context_scores.items()),
+            ),
+        )
         return concept_scores, context_scores, combined, chosen
 
     def _score(self, candidates: list[Candidate], sphere):
@@ -436,16 +329,7 @@ class XSDF:
             and approach is not DisambiguationApproach.CONTEXT_BASED
             and len(candidates) > 1
         ):
-            try:
-                return self._score_pruned(candidates, sphere, vector)
-            except self._index_faults:
-                # Typed index faults belong to the index ladder, not the
-                # prune rung — let _score_resilient downgrade the index.
-                raise
-            except Exception:  # lint: disable=broad-except  # pruned -> exhaustive rung
-                self._disable_prune()
-                # Fall through to the exhaustive path: it never uses
-                # upper bounds, and its scores are bit-identical.
+            return self._score_pruned(candidates, sphere, vector)
         concept_scores: dict[Candidate, float] = {}
         context_scores: dict[Candidate, float] = {}
         if approach in (

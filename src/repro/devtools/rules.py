@@ -929,7 +929,7 @@ class SilentDegradeRule(Rule):
     """Fallback branches in ``repro.runtime`` must be observable.
 
     The resilience contract is that the runtime may degrade (serial
-    fallback, index rung down, memo off) but never *silently*: every
+    fallback, heap build for a bad shard) but never *silently*: every
     ``except`` branch that handles a failure must either re-raise or
     emit a :class:`~repro.runtime.metrics.MetricsRegistry` signal
     (``count`` / ``observe`` / ``event``) on its way to the fallback.

@@ -29,8 +29,8 @@ finalizer) terminates workers and deletes the temporary shard.
 
 Failure is a first-class outcome, not an exception.  Every document
 comes back with a structured :class:`~repro.runtime.resilience
-.DocOutcome` (``ok`` / ``retried`` / ``degraded`` / ``failed`` with the
-typed error, attempt count, and stage); transient faults are retried
+.DocOutcome` (``ok`` / ``retried`` / ``failed`` with the typed error,
+attempt count, and stage); transient faults are retried
 with exponential backoff; a per-document wall-clock timeout kills and
 re-dispatches stragglers; and a circuit breaker trips the pool to the
 serial fallback after N consecutive pool-machinery failures — each
@@ -71,7 +71,6 @@ from .resilience import (
     STAGE_PARSE,
     STAGE_PIPELINE,
     STAGE_TIMEOUT,
-    STATUS_DEGRADED,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRIED,
@@ -116,7 +115,7 @@ class BatchRecord:
     payload on success and ``None`` on failure, with ``error`` carrying
     the exception text (one bad document must not sink the batch).
     ``elapsed_s``, ``worker_stats`` (the producing worker's cumulative
-    memo/prune/degrade counter snapshot, parallel runs only) and
+    memo/prune counter snapshot, parallel runs only) and
     ``outcome`` (the structured :class:`DocOutcome`) are
     observability-only and deliberately excluded from the JSONL
     rendering, which must be byte-identical between serial and parallel
@@ -160,6 +159,9 @@ _WORKER_XSDF: XSDF | None = None
 _WORKER_DOC_CACHE: LRUCache | None = None
 _WORKER_INJECTOR: FaultInjector | None = None
 _WORKER_GENERATION: int = 0
+#: 1 when this worker's shard attach failed and it built the index
+#: itself (reported as ``degrade_packed_decode``), else 0.
+_WORKER_PACKED_DECODE: int = 0
 
 
 def _init_worker(
@@ -179,7 +181,7 @@ def _init_worker(
     file.  A shard that fails to attach (missing, truncated, corrupt)
     makes this worker build the index from the network itself instead
     of killing the pool; the fallback is surfaced as the
-    ``packed_decode`` counter of the worker's stats snapshot.
+    ``degrade_packed_decode`` counter of the worker's stats snapshot.
 
     ``generation`` is the persistent pool's spawn counter: snapshots
     are tagged with it so the parent's stats merge stays monotone
@@ -188,18 +190,16 @@ def _init_worker(
     """
     # Per-process worker state is the one sanctioned module-global
     # mutation: it is written once per process, before any task runs.
-    global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_INJECTOR, _WORKER_GENERATION  # lint: disable=cache-purity
+    global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_INJECTOR, _WORKER_GENERATION, _WORKER_PACKED_DECODE  # lint: disable=cache-purity
     index = None
-    decode_degraded = False
+    _WORKER_PACKED_DECODE = 0
     if shard is not None:
         try:
             index = PackedIndex.from_mmap(shard.path, verify=True)
-        except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # surfaced via degrade_stats snapshot below
+        except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # surfaced as degrade_packed_decode in the stats snapshot
             index = PackedIndex(network)
-            decode_degraded = True
+            _WORKER_PACKED_DECODE = 1
     _WORKER_XSDF = _build_xsdf(network, config, index, cache_size)
-    if decode_degraded:
-        _WORKER_XSDF.degrade_stats["packed_decode"] += 1
     _WORKER_DOC_CACHE = (
         LRUCache(maxsize=DOC_CACHE_SIZE) if index is not None else None
     )
@@ -224,7 +224,7 @@ def _run_chunk(
 
 
 def _stats_snapshot(xsdf: XSDF) -> dict:
-    """This worker's cumulative memo/prune/degrade counters, pid-tagged.
+    """This worker's cumulative memo/prune counters, pid-tagged.
 
     Counters are monotone over a worker's lifetime, so the parent can
     recover per-worker totals by taking the elementwise max of the
@@ -246,9 +246,8 @@ def _stats_snapshot(xsdf: XSDF) -> dict:
         stats["memo_hits"] = memo_stats["hits"]
         stats["memo_misses"] = memo_stats["misses"]
         stats["memo_evictions"] = memo_stats["evictions"]
-    for key, value in xsdf.degrade_stats.items():
-        if value:
-            stats[f"degrade_{key}"] = value
+    if _WORKER_PACKED_DECODE:
+        stats["degrade_packed_decode"] = _WORKER_PACKED_DECODE
     return stats
 
 
@@ -293,18 +292,19 @@ def _disambiguate_one(
     The cache key is the document *text* digest: disambiguation is a
     pure function of (network, config, text), so an identical document
     seen again — the common shape of production traffic — costs one
-    hash instead of a full pipeline run.  Injected faults fire *before*
-    the cache lookup (they are keyed by document name, the cache by
-    text) and are never cached, so a retry re-runs the real pipeline.
+    hash instead of a full pipeline run.  Only results are cached: a
+    failed document runs (and is classified) afresh every time.
+    Injected faults fire *before* the cache lookup (they are keyed by
+    document name, the cache by text), so a retry re-runs the real
+    pipeline.  Any other exception while parsing or scoring fails this
+    one document, with the stage :func:`_classify_stage` assigns.
     """
     start = time.perf_counter()
-    degrade_before = dict(xsdf.degrade_stats)
     result: dict | None = None
     error: str | None = None
     error_type = ""
     stage = ""
     transient = False
-    cacheable = doc_cache is not None
     try:
         if injector is not None:
             injector.before_document(name, attempt)
@@ -312,15 +312,13 @@ def _disambiguate_one(
             hashlib.sha256(xml.encode("utf-8")).hexdigest()
             if doc_cache is not None else None
         )
-        cached = doc_cache.get(key) if key is not None else None
-        if cached is not None:
-            result, error = cached
-            cacheable = False
-            if error is not None:
-                error_type = error.split(":", 1)[0]
-                stage = STAGE_PIPELINE
-        else:
+        result = doc_cache.get(key) if key is not None else None
+        if result is None:
             result = xsdf.disambiguate_document(xml).to_dict()
+            if key is not None:
+                # The document cache is this function's explicit output
+                # store, not incidental state: writing it is the point.
+                doc_cache[key] = result  # lint: disable=cache-purity
     except (KeyboardInterrupt, SystemExit):
         raise
     except InjectedFault as exc:  # lint: disable=silent-degrade  # surfaced as a DocOutcome by the caller
@@ -328,33 +326,18 @@ def _disambiguate_one(
         error_type = type(exc).__name__
         stage = STAGE_INJECT
         transient = exc.transient
-        cacheable = False  # name-keyed fault, text-keyed cache
-        key = None
     except Exception as exc:  # lint: disable=broad-except,silent-degrade  # isolation boundary -> DocOutcome
         error = f"{type(exc).__name__}: {exc}"
         error_type = type(exc).__name__
         stage = _classify_stage(exc)
-    if cacheable and key is not None:
-        # The document cache is this function's explicit output store,
-        # not incidental state: writing it is the point.
-        doc_cache[key] = (result, error)  # lint: disable=cache-purity
-    degradations = tuple(
-        k for k, v in xsdf.degrade_stats.items()
-        if v > degrade_before.get(k, 0)
-    )
-    if error is None:
-        status = STATUS_DEGRADED if degradations else STATUS_OK
-    else:
-        status = STATUS_FAILED
     outcome = DocOutcome(
         name=name,
-        status=status,
+        status=STATUS_OK if error is None else STATUS_FAILED,
         attempts=attempt,
         stage=stage,
         error_type=error_type,
         error=error or "",
         transient=transient,
-        degradations=degradations,
     )
     return BatchRecord(
         name=name,
@@ -463,7 +446,7 @@ class BatchExecutor:
         Optional :class:`MetricsRegistry`.  The serial path threads it
         through :class:`XSDF` for full per-stage latency; the parallel
         path records batch-level counters/timers plus the merged
-        per-worker memo/prune/degrade counters — other worker-process
+        per-worker memo/prune counters — other worker-process
         internals are not merged back.  Resilience counters
         (``outcome_*``, ``retries``, ``doc_timeouts``,
         ``breaker_trips``) and structured events (``fault``,

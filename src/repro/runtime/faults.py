@@ -1,8 +1,8 @@
 """Deterministic, seedable fault injection for the batch runtime.
 
 The injector exists so every recovery path in
-:mod:`repro.runtime.executor` and the XSDF degradation ladder is
-exercised by tests and the CI chaos job rather than hoped-for.  It is
+:mod:`repro.runtime.executor` is exercised by tests and the CI chaos
+job rather than hoped-for.  It is
 **deliberately stateless**: every decision is a pure function of
 ``(seed, spec, document name, attempt)`` hashed through blake2b, so the
 same schedule fires identically in the parent, in any worker process,
@@ -38,9 +38,10 @@ Fault kinds:
   :class:`~repro.runtime.pack.PackedIndexCRCError` and each worker
   falls back to building the index itself.
 
-The module also ships two tiny test doubles (:class:`FaultyKernel`,
-:class:`BrokenMemo`) used by the ladder unit tests to fault a packed
-kernel or a sphere memo mid-scoring without monkeypatching internals.
+Faults *inside* scoring are not injected here: scores are a pure
+function of the document, the network and the configuration, so any
+exception while scoring fails that one document at the executor's
+isolation boundary instead of being worked around.
 """
 
 from __future__ import annotations
@@ -316,65 +317,3 @@ class FaultInjector:
                 fh.write(bytes([byte[0] ^ 0xFF]))
             return pos
         return None
-
-
-class FaultyKernel:
-    """Packed-index proxy whose ``pair_terms`` raises for the first N calls.
-
-    Used by ladder tests: scoring hits the injected
-    :class:`~repro.runtime.pack.PackedIndexCRCError`, the ladder drops
-    one rung, and the test asserts the final result is bit-identical to
-    a fault-free run.  All other attribute access delegates to the
-    wrapped index, so the proxy is a drop-in ``index=`` argument.
-    """
-
-    def __init__(
-        self,
-        inner: Any,
-        fail_calls: int = 1,
-        exc_type: type[BaseException] | None = None,
-        method: str = "pair_terms",
-    ) -> None:
-        if exc_type is None:
-            from .pack import PackedIndexCRCError
-
-            exc_type = PackedIndexCRCError
-        self._inner = inner
-        self._remaining = fail_calls
-        self._exc_type = exc_type
-        self._method = method
-
-    def __getattr__(self, name: str) -> Any:
-        target = getattr(self._inner, name)
-        if name != self._method:
-            return target
-
-        def _guarded(*args: Any, **kwargs: Any) -> Any:
-            if self._remaining > 0:
-                self._remaining -= 1
-                raise self._exc_type(f"injected fault in {self._method}")
-            return target(*args, **kwargs)
-
-        return _guarded
-
-
-class BrokenMemo:
-    """Sphere-memo proxy whose ``signature`` raises for the first N calls.
-
-    Exercises the memoized → fresh rung: the XSDF ladder disables the
-    memo, rescoring proceeds uncached, and results stay bit-identical.
-    """
-
-    def __init__(self, inner: Any, fail_calls: int = 1) -> None:
-        self._inner = inner
-        self._remaining = fail_calls
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    def signature(self, sphere: Any) -> Any:
-        """Delegate to the wrapped memo after the injected failures."""
-        if self._remaining > 0:
-            self._remaining -= 1
-            raise RuntimeError("injected memo signature fault")
-        return self._inner.signature(sphere)

@@ -102,7 +102,7 @@ class MetricsRegistry:
         """Record one structured event (degradation, fault, retry, ...).
 
         Events are the audit trail of the resilience layer: every
-        fallback, retry, and ladder rung emits one so "it silently
+        fallback and retry emits one so "it silently
         degraded" can never happen again (the ``silent-degrade`` lint
         rule enforces this).  The list is capped at :data:`MAX_EVENTS`;
         overflow is counted, not silently discarded.

@@ -117,7 +117,11 @@ def _decode_strings(blob: bytes) -> tuple[str, ...]:
     """Inverse of :func:`_encode_strings` (empty blob -> empty table)."""
     if not blob:
         return ()
-    return tuple(blob.decode("utf-8").split("\x00"))
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackedIndexError(f"string table undecodable: {exc}") from None
+    return tuple(text.split("\x00"))
 
 
 def _index_typecode(n: int) -> str:
@@ -150,9 +154,9 @@ def _array_view(section: memoryview) -> memoryview:
     """Zero-copy typed view over one array payload."""
     if len(section) < 8:
         raise PackedIndexTruncatedError("array section truncated")
-    typecode = bytes(section[:1]).decode("ascii")
     (count,) = struct.unpack_from("<I", section, 4)
     try:
+        typecode = bytes(section[:1]).decode("ascii")
         itemsize = array(typecode).itemsize
     except ValueError as exc:
         raise PackedIndexError(f"array section malformed: {exc}") from None

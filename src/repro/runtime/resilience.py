@@ -5,8 +5,8 @@ fault-isolated batch pipeline:
 
 * :class:`DocOutcome` — the structured per-document verdict attached to
   every :class:`~repro.runtime.executor.BatchRecord` (``ok`` /
-  ``retried`` / ``degraded`` / ``failed``, with the typed error, the
-  attempt count, and the pipeline stage that failed).
+  ``retried`` / ``failed``, with the typed error, the attempt count,
+  and the pipeline stage that failed).
 * :class:`RetryPolicy` — bounded retry with exponential backoff for
   transient faults.
 * :class:`CircuitBreaker` — consecutive-failure counter that trips the
@@ -27,7 +27,6 @@ from typing import Any
 #: Valid ``DocOutcome.status`` values, from best to worst.
 STATUS_OK = "ok"
 STATUS_RETRIED = "retried"
-STATUS_DEGRADED = "degraded"
 STATUS_FAILED = "failed"
 
 #: Valid ``on_error`` batch policies.
@@ -48,14 +47,12 @@ STAGE_PIPELINE = "pipeline"
 class DocOutcome:
     """Structured resolution of one document's trip through the batch.
 
-    ``status`` is one of ``ok`` (first try, no degradation),
-    ``retried`` (succeeded after >= 1 transient fault), ``degraded``
-    (succeeded but a degradation-ladder rung fired while scoring it),
-    or ``failed`` (no result; ``error_type``/``error`` describe why).
-    ``stage`` classifies where the *final* error happened (``parse``,
-    ``inject``, ``index``, ``timeout``, ``pool``, ``pipeline``) and is
-    empty for successful documents.  ``degradations`` lists the ladder
-    counters that moved while the document was scored.
+    ``status`` is one of ``ok`` (first try), ``retried`` (succeeded
+    after >= 1 transient fault), or ``failed`` (no result;
+    ``error_type``/``error`` describe why).  ``stage`` classifies where
+    the *final* error happened (``parse``, ``inject``, ``index``,
+    ``timeout``, ``pool``, ``pipeline``) and is empty for successful
+    documents.
     """
 
     name: str
@@ -65,7 +62,6 @@ class DocOutcome:
     error_type: str = ""
     error: str = ""
     transient: bool = False
-    degradations: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -85,8 +81,6 @@ class DocOutcome:
             payload["error_type"] = self.error_type
         if self.error:
             payload["error"] = self.error
-        if self.degradations:
-            payload["degradations"] = list(self.degradations)
         return payload
 
     @classmethod
@@ -105,7 +99,6 @@ class DocOutcome:
             stage=payload.get("stage", ""),
             error_type=payload.get("error_type", ""),
             error=payload.get("error", ""),
-            degradations=tuple(payload.get("degradations", ())),
         )
 
 

@@ -249,8 +249,8 @@ class NetworkRegistry:
         self._attach_count = 0
         self._evict_count = 0
         self._route_fallbacks = 0
-        # Shard paths the scrubber condemned: attach() skips the mmap
-        # rung for these until a repair/reload clears the mark.
+        # Shard paths the scrubber condemned: attach() heap-builds
+        # these until a repair/reload clears the mark.
         self._damaged: set[str] = set()
 
     @classmethod
@@ -330,8 +330,8 @@ class NetworkRegistry:
         A hit refreshes recency; a miss loads the network, attaches the
         shard via ``from_mmap`` when the manifest names one (falling
         back to an in-memory :class:`PackedIndex` build when the shard
-        is missing or unreadable — the resilience ladder's next rung),
-        and may evict the least recently used domain.
+        is missing, unreadable or malformed), and may evict the least
+        recently used domain.
         """
         attached = self._attached.pop(domain, None)
         if attached is not None:
@@ -350,7 +350,7 @@ class NetworkRegistry:
                 index = PackedIndex.from_mmap(
                     entry.shard_path, expect_fingerprint=expect
                 )
-            except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # ladder rung: shardless attach, surfaced via stats()["backing"]
+            except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # shardless attach, surfaced via stats()["backing"]
                 index = None
         if index is None:
             index = PackedIndex(network)
@@ -376,10 +376,10 @@ class NetworkRegistry:
 
         Every attached domain backed by that shard is dropped from the
         registry (not counted as an eviction); sessions still holding
-        the old index degrade through the per-request resilience ladder
-        instead.  Future :meth:`attach`
-        calls skip the mmap rung and heap-build from the network until
-        :meth:`clear_damaged` (post-repair reload) lifts the mark.
+        the old index keep using its mapping until they are replaced.
+        Future :meth:`attach` calls skip the shard and heap-build from
+        the network until :meth:`clear_damaged` (post-repair reload)
+        lifts the mark.
         Returns the affected domain names.
         """
         self._damaged.add(shard_path)

@@ -352,8 +352,8 @@ class ServerApp:
 
         The actual rebuild runs on the single scoring thread — queued
         *behind* every admitted request, so in-flight scoring finishes
-        on the old backing (whose reads survive through the resilience
-        ladder) before the swap.
+        on the old backing (its mapping outlives the quarantine rename)
+        before the swap.
         """
         key = target.domain or "default"
         self._degraded[key] = kind
@@ -483,24 +483,24 @@ class ServerApp:
         see the new registry/shard; damage marks and degraded state
         clear (a repaired shard re-attaches); and a *failed* reload
         changes nothing — the old state keeps serving and the error is
-        surfaced in ``/healthz`` and the metrics events.
+        surfaced in ``/healthz`` and the metrics events.  The new default
+        session is built and warmed before any serving state is
+        swapped, so a shard that attaches but will not decode fails the
+        reload instead of every later request.
         """
         sc = self.server_config
         try:
             with self.metrics.timer("server_reload"):
-                old_registry = None
+                registry = None
+                network = self.network
                 if sc.registry:
                     registry = NetworkRegistry.load(sc.registry)
                     attached = registry.attach(registry.default_domain)
-                    old_registry = self._registry
-                    with self._registry_lock:
-                        self._registry = registry
-                    self.network = attached.network
-                    new_index = attached.index
+                    network, new_index = attached.network, attached.index
                 elif sc.shard:
                     new_index = PackedIndex.from_mmap(
                         sc.shard,
-                        expect_fingerprint=self.network.fingerprint(),
+                        expect_fingerprint=network.fingerprint(),
                     )
                 else:
                     # Nothing reloadable on disk; count the request so
@@ -508,10 +508,19 @@ class ServerApp:
                     self._reload_generation += 1
                     self.metrics.event("server_reload_noop")
                     return False
+                session = self._make_session(
+                    self.config, default=True, backing=(network, new_index)
+                )
+                session.warm()
+                old_registry = None
+                if registry is not None:
+                    old_registry = self._registry
+                    with self._registry_lock:
+                        self._registry = registry
+                self.network = network
                 self._index = new_index
                 stale = self._sessions
                 self._sessions = OrderedDict()
-                session = self._make_session(self.config, default=True)
                 fingerprint = config_fingerprint(self.config)
                 self._sessions[fingerprint] = session
                 self._default_fingerprint = fingerprint
@@ -556,7 +565,8 @@ class ServerApp:
     # -- sessions ------------------------------------------------------------
 
     def _make_session(self, config: XSDFConfig, default: bool = False,
-                      domain: "str | None" = None) -> BatchExecutor:
+                      domain: "str | None" = None,
+                      backing: "tuple | None" = None) -> BatchExecutor:
         # Only the default session is wired into the metrics registry:
         # cache gauges are registered by fixed name, and the resident
         # session is the one whose warmth the operator is tracking.
@@ -564,8 +574,9 @@ class ServerApp:
         # gauged.  ``workers > 1`` sessions own a persistent worker
         # pool attached to an index shard, reused across every request
         # they serve.  A ``domain`` session scores against that registry
-        # domain's network and (usually mmap-attached) index.
-        network, index = self.network, self._index
+        # domain's network and (usually mmap-attached) index; a
+        # ``backing`` (network, index) pair overrides the served one.
+        network, index = backing or (self.network, self._index)
         if domain is not None and self._registry is not None:
             with self._registry_lock:
                 attached = self._registry.attach(domain)

@@ -17,9 +17,10 @@ shapes:
   registry reject it.
 
 **Response envelope.**  Every disambiguation response ends with a
-``DocOutcome``-shaped envelope line (``{"envelope": {...}}``): the PR-5
-resilience statuses (``ok`` / ``degraded`` / ``failed``), the typed
-error, the stage that failed, and the attempt count — the service
+``DocOutcome``-shaped envelope line (``{"envelope": {...}}``): the
+batch pipeline's resilience statuses (``ok`` / ``retried`` /
+``failed``), the typed error, the stage that failed, and the attempt
+count — the service
 equivalent of the batch pipeline's per-document outcomes, replacing
 process exit codes.  Pre-pipeline rejections (bad envelope, over-limit
 body, rate limit, admission) reuse the same shape with synthetic

@@ -5,8 +5,11 @@ HTTP/1.1 — exactly what ``curl``, stdlib ``http.client``, and load
 balancers need, and nothing the repo's no-dependency ethos would have
 to import a framework for:
 
-* request line + headers + ``Content-Length`` bodies (chunked *request*
-  bodies are refused with ``501``; responses may be chunked);
+* request line + headers + ``Content-Length`` bodies, framed strictly
+  per RFC 9112: header names are tokens with no whitespace before the
+  colon, ``Content-Length`` is ``1*DIGIT`` and appears at most once
+  (all ``400`` otherwise), and any request ``Transfer-Encoding`` is
+  refused with ``501`` (responses may be chunked);
 * bounded everything: request-line/header bytes (``431``), body bytes
   (``413``) — limits are enforced *before* the payload is buffered;
 * fixed-length JSON responses and chunked NDJSON streaming responses,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 
 #: Upper bound on the request line + headers block, in bytes.
@@ -52,6 +56,12 @@ STATUS_REASONS = {
 
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 JSON_CONTENT_TYPE = "application/json"
+
+#: RFC 9110 ``token`` (a field name) and RFC 9112 ``Content-Length``
+#: (``1*DIGIT``, capped at 18 digits so ``int()`` never meets its
+#: digit limit; any such length is far over the body limit anyway).
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_DIGITS = re.compile(r"[0-9]{1,18}")
 
 
 class ProtocolError(Exception):
@@ -121,25 +131,26 @@ async def read_request(
             raise ProtocolError(431, "headers exceed the header budget")
         if line in (b"\r\n", b"\n"):
             break
-        try:
-            name, _, value = line.decode("latin-1").partition(":")
-        except UnicodeDecodeError:
-            raise ProtocolError(400, "undecodable header line")
-        if not _:
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
             raise ProtocolError(400, f"header line without ':': {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        if not _TOKEN.fullmatch(name):
+            raise ProtocolError(400, f"bad header name {name!r}")
+        name = name.lower()
+        if name == "content-length" and name in headers:
+            raise ProtocolError(400, "duplicate Content-Length header")
+        headers[name] = value.strip(" \t\r\n")
 
-    if "chunked" in headers.get("transfer-encoding", "").lower():
-        raise ProtocolError(501, "chunked request bodies are not supported")
+    if "transfer-encoding" in headers:
+        raise ProtocolError(
+            501, "request Transfer-Encoding is not supported"
+        )
     body = b""
-    length_text = headers.get("content-length", "")
-    if length_text:
-        try:
-            length = int(length_text)
-        except ValueError:
+    length_text = headers.get("content-length")
+    if length_text is not None:
+        if not _DIGITS.fullmatch(length_text):
             raise ProtocolError(400, f"bad Content-Length {length_text!r}")
-        if length < 0:
-            raise ProtocolError(400, "negative Content-Length")
+        length = int(length_text)
         if length > max_body_bytes:
             raise ProtocolError(
                 413,

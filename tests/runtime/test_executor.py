@@ -232,6 +232,29 @@ class TestCachingBehavior:
         assert report["counters"]["documents"] == 1
         assert report["caches"]["documents"]["hits"] == 4
 
+    def test_repeated_failure_is_reclassified_not_replayed(
+        self, lexicon, figure1_xml
+    ):
+        broken = "<movie><title>star</movie>"
+        metrics = MetricsRegistry()
+        executor = BatchExecutor(
+            lexicon, XSDFConfig(), workers=1, metrics=metrics
+        )
+        records = executor.run([
+            ("bad-1", broken), ("good-1", figure1_xml),
+            ("bad-2", broken), ("good-2", figure1_xml),
+        ])
+        bad_1, good_1, bad_2, good_2 = records
+        for bad in (bad_1, bad_2):
+            assert not bad.ok
+            assert bad.outcome.stage == "parse"
+            assert bad.outcome.error_type == "XMLSyntaxError"
+        assert bad_1.error == bad_2.error
+        assert good_1.ok and good_2.ok
+        assert good_1.result == good_2.result
+        # The repeated good document is still served from the cache.
+        assert metrics.report()["caches"]["documents"]["hits"] == 1
+
     def test_executor_metrics_report(self, lexicon, figure1_xml):
         metrics = MetricsRegistry()
         executor = BatchExecutor(

@@ -17,10 +17,8 @@ import pytest
 
 from repro.runtime import PackedIndex, PackedIndexError, write_shard
 from repro.runtime.faults import (
-    BrokenMemo,
     FaultInjector,
     FaultSpec,
-    FaultyKernel,
     InjectedFault,
 )
 from repro.runtime.pack import PackedIndexCRCError
@@ -288,26 +286,3 @@ class TestKillMidbatchSpec:
         spec = injector.specs[0]
         assert injector._fires(0, spec, "corpus/doc-05.xml")
         assert not injector._fires(0, spec, "corpus/doc-06.xml")
-
-
-class TestDoubles:
-    def test_faulty_kernel_raises_then_delegates(self, lexicon):
-        packed = PackedIndex(lexicon)
-        proxy = FaultyKernel(packed, fail_calls=1)
-        concept = next(iter(lexicon)).id
-        with pytest.raises(PackedIndexCRCError):
-            proxy.pair_terms(concept, concept)
-        assert proxy.pair_terms(concept, concept) == \
-            packed.pair_terms(concept, concept)
-        # Non-faulted attributes always delegate.
-        assert proxy.depth(concept) == packed.depth(concept)
-
-    def test_broken_memo_fails_signature_then_recovers(self):
-        class _Memo:
-            def signature(self, sphere):
-                return ("sig", sphere)
-
-        proxy = BrokenMemo(_Memo(), fail_calls=1)
-        with pytest.raises(RuntimeError):
-            proxy.signature("s")
-        assert proxy.signature("s") == ("sig", "s")

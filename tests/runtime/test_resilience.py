@@ -1,18 +1,18 @@
-"""Fault-isolated batch pipeline: retries, breaker, timeouts, ladder.
+"""Fault-isolated batch pipeline: retries, breaker, timeouts, failures.
 
 The contract under test, end to end: a batch survives injected chaos
 with structured per-document outcomes, and **every document that
 succeeds under faults is byte-identical to a fault-free run** (the
-chaos parity gate mirrored by the CI chaos job).  The degradation
-ladder is tested at the XSDF level with the faults module's test
-doubles: each rung swap changes counters, never scores.
+chaos parity gate mirrored by the CI chaos job).  A fault while
+scoring is not worked around: it fails that one document, typed by
+stage, and the rest of the batch is unaffected.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import XSDF, XSDFConfig
+from repro import XSDFConfig
 from repro.runtime import (
     BatchAbortError,
     BatchExecutor,
@@ -22,15 +22,17 @@ from repro.runtime import (
     FaultSpec,
     MetricsRegistry,
     PackedIndex,
+    PackedIndexCRCError,
     RetryPolicy,
+    SphereMemo,
 )
 from repro.runtime import executor as executor_module
-from repro.runtime.faults import BrokenMemo, FaultyKernel
 from repro.runtime.resilience import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRIED,
 )
+from repro.similarity import CombinedSimilarity
 
 
 def _docs(corpus, n):
@@ -105,10 +107,8 @@ class TestDocOutcome:
         full = DocOutcome(
             name="d", status=STATUS_FAILED, attempts=3, stage="parse",
             error_type="XMLError", error="XMLError: boom",
-            degradations=("index_downgrades",),
         ).to_dict()
         assert full["stage"] == "parse"
-        assert full["degradations"] == ["index_downgrades"]
 
 
 class TestSerialRetries:
@@ -343,71 +343,38 @@ class TestDocTimeout:
         assert by_name[docs[0][0]].ok  # the fast doc is unaffected
 
 
-class TestDegradationLadder:
-    """Each rung swap is bit-identical; only counters and rung change."""
+class TestScoringFaults:
+    """A fault while scoring fails its document; nothing degrades."""
 
-    def test_packed_kernel_fault_downgrades_to_network_rung(
-        self, lexicon, figure1_xml
+    @pytest.mark.parametrize(
+        "owner, method, exc_type, stage",
+        [
+            (PackedIndex, "pair_terms", PackedIndexCRCError, "index"),
+            (SphereMemo, "signature", RuntimeError, "pipeline"),
+            (CombinedSimilarity, "upper_bound", RuntimeError, "pipeline"),
+        ],
+        ids=["packed-kernel", "sphere-memo", "prune-bound"],
+    )
+    def test_fault_fails_only_its_document(
+        self, lexicon, corpus, monkeypatch, owner, method, exc_type, stage
     ):
-        baseline = XSDF(lexicon, XSDFConfig()).disambiguate_document(
-            figure1_xml
-        )
-        metrics = MetricsRegistry()
-        faulty = FaultyKernel(PackedIndex(lexicon), fail_calls=1)
-        xsdf = XSDF(lexicon, XSDFConfig(), index=faulty, metrics=metrics)
-        assert xsdf.index_rung == "packed"
-        result = xsdf.disambiguate_document(figure1_xml)
-        assert xsdf.index_rung == "network"
-        assert xsdf.degrade_stats["index_downgrades"] == 1
-        assert result.to_dict() == baseline.to_dict()
-        (event,) = metrics.events("degrade")
-        assert event["kind"] == "index_downgrade"
-        assert event["rung"] == "network"
+        docs = _docs(corpus, 2)
+        baseline = _lines(BatchExecutor(lexicon, XSDFConfig()).run(docs))
+        original = getattr(owner, method)
+        calls = []
 
-    def test_ladder_walks_all_the_way_to_the_network(
-        self, lexicon, figure1_xml
-    ):
-        baseline = XSDF(lexicon, XSDFConfig()).disambiguate_document(
-            figure1_xml
-        )
-        xsdf = XSDF(lexicon, XSDFConfig(), index=PackedIndex(lexicon))
-        assert xsdf.index_rung == "packed"
-        assert xsdf._downgrade_index()
-        assert xsdf.index_rung == "network"
-        assert not xsdf._downgrade_index()  # bottom of the ladder
-        result = xsdf.disambiguate_document(figure1_xml)
-        assert result.to_dict() == baseline.to_dict()
+        def fail_once(self, *args, **kwargs):
+            calls.append(method)
+            if len(calls) == 1:
+                raise exc_type(f"injected {method} fault")
+            return original(self, *args, **kwargs)
 
-    def test_memo_fault_disables_memo_with_parity(
-        self, lexicon, figure1_xml
-    ):
-        baseline = XSDF(lexicon, XSDFConfig()).disambiguate_document(
-            figure1_xml
-        )
-        xsdf = XSDF(lexicon, XSDFConfig())
-        assert xsdf.sphere_memo is not None
-        xsdf.sphere_memo = BrokenMemo(xsdf.sphere_memo, fail_calls=1)
-        result = xsdf.disambiguate_document(figure1_xml)
-        assert xsdf.sphere_memo is None  # memoized -> fresh rung
-        assert xsdf.degrade_stats["memo_disabled"] == 1
-        assert result.to_dict() == baseline.to_dict()
-
-    def test_prune_fault_falls_back_to_exhaustive(
-        self, lexicon, figure1_xml, monkeypatch
-    ):
-        xsdf = XSDF(lexicon, XSDFConfig())
-        assert xsdf._prune
-
-        def _boom(*args, **kwargs):
-            raise RuntimeError("injected upper_bound fault")
-
-        monkeypatch.setattr(xsdf._similarity, "upper_bound", _boom)
-        result = xsdf.disambiguate_document(figure1_xml)
-        assert not xsdf._prune
-        assert xsdf.degrade_stats["prune_disabled"] == 1
-        # The exhaustive rung equals a prune=False run exactly (pruned
-        # runs only omit provably-losing candidates from the payload).
-        baseline = XSDF(
-            lexicon, XSDFConfig(prune=False)
-        ).disambiguate_document(figure1_xml)
-        assert result.to_dict() == baseline.to_dict()
+        monkeypatch.setattr(owner, method, fail_once)
+        first, second = BatchExecutor(lexicon, XSDFConfig()).run(docs)
+        assert calls, f"{method} was never called"
+        assert not first.ok
+        assert first.outcome.status == STATUS_FAILED
+        assert first.outcome.stage == stage
+        assert first.outcome.error_type == exc_type.__name__
+        assert second.ok
+        assert second.to_json_line() == baseline[second.name]

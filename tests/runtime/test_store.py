@@ -6,9 +6,9 @@ Four contracts are pinned here:
   every table exactly with ``backing == "mmap"``, and a truncated,
   corrupted, or mismatched shard raises the typed
   :class:`PackedIndexError` family instead of mis-attaching;
-* **resilience ladder** — mmap attach → in-memory packed build →
-  network walk all produce bit-identical batch JSONL (degrading the
-  backing never changes a score);
+* **backing parity** — mmap attach, in-memory packed build and the
+  network walk all produce bit-identical batch JSONL (the backing
+  never changes a score);
 * **registry** — the TOML manifest loads, attaches LRU-bounded,
   degrades shardless domains to heap builds, and routes documents by
   lexicon coverage deterministically;
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 
 import pytest
 
@@ -53,6 +54,15 @@ def lexicon_shard(lexicon, tmp_path):
 
 def _attach(path, **kwargs):
     return PackedIndex.from_mmap(path, **kwargs)
+
+
+def _section_offset(payload, section):
+    """File offset of one body section's payload in an RXPD shard."""
+    offset = 32  # disk header
+    for _ in range(section):
+        (length,) = struct.unpack_from("<I", payload, offset)
+        offset += 8 + ((length + 7) & ~7)
+    return offset + 8
 
 
 class TestShardRoundTrip:
@@ -141,6 +151,27 @@ class TestDamagedShards:
         with pytest.raises(PackedIndexCRCError):
             verify_shard(str(bad))
 
+    def test_undecodable_typecode_raises_packed_index_error(
+        self, tmp_path, lexicon_shard
+    ):
+        payload = bytearray(open(lexicon_shard, "rb").read())
+        payload[_section_offset(payload, 2)] = 0xFF  # depths typecode
+        bad = tmp_path / "typecode.rxpd"
+        bad.write_bytes(payload)
+        with pytest.raises(PackedIndexError, match="array section"):
+            _attach(str(bad))
+
+    def test_undecodable_id_table_raises_packed_index_error(
+        self, tmp_path, lexicon_shard
+    ):
+        payload = bytearray(open(lexicon_shard, "rb").read())
+        payload[_section_offset(payload, 1)] = 0xFF  # first id byte
+        bad = tmp_path / "ids.rxpd"
+        bad.write_bytes(payload)
+        packed = _attach(str(bad))  # the string tables decode lazily
+        with pytest.raises(PackedIndexError, match="undecodable"):
+            packed.concept_id(0)
+
     def test_fingerprint_mismatch_raises(self, lexicon_shard):
         with pytest.raises(PackedIndexError):
             _attach(lexicon_shard, expect_fingerprint="ab" * 32)
@@ -156,7 +187,7 @@ class TestResilienceLadder:
     def test_mmap_heap_walk_batches_are_bit_identical(
         self, lexicon, lexicon_shard, figure1_xml
     ):
-        """Every rung of the ladder yields the same JSONL bytes."""
+        """mmap, heap and the network walk yield the same JSONL bytes."""
         docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
         outputs = []
         for index, use_index in (
@@ -249,7 +280,7 @@ class TestRegistry:
             assert registry.domains() == ("alpha", "beta")
             assert registry.default_domain == "alpha"
             assert registry.attach("alpha").index.backing == "mmap"
-            # No shard declared: the ladder builds in-memory instead.
+            # No shard declared: the registry builds in-memory instead.
             assert registry.attach("beta").index.backing == "heap"
             assert registry.stats()["attached"] == 2
 
@@ -265,21 +296,40 @@ class TestRegistry:
 
     def test_stale_shard_degrades_to_heap_build(self, tmp_path):
         manifest, nets = _registry_tree(tmp_path, shard_for=("alpha",))
-        # Overwrite alpha's shard with beta's tables: the fingerprint
-        # check must reject it and the attach degrade to a heap build
-        # over the *correct* network.
-        write_shard(
-            PackedIndex(nets["beta"]),
-            str(tmp_path / "alpha.rxpd"),
-            fingerprint=nets["beta"].fingerprint(),
-        )
-        registry = NetworkRegistry.load(manifest, verify_fingerprints=True)
-        try:
-            attached = registry.attach("alpha")
-            assert attached.index.backing == "heap"
-            assert len(attached.index) == len(nets["alpha"])
-        finally:
-            registry.close()
+        shard = tmp_path / "alpha.rxpd"
+
+        def stale():
+            # Alpha's shard holds beta's tables: the fingerprint check
+            # must reject it.
+            write_shard(
+                PackedIndex(nets["beta"]), str(shard),
+                fingerprint=nets["beta"].fingerprint(),
+            )
+
+        def malformed():
+            # An undecodable array typecode must raise the typed error
+            # the fallback catches, not a UnicodeDecodeError.
+            write_shard(
+                PackedIndex(nets["alpha"]), str(shard),
+                fingerprint=nets["alpha"].fingerprint(),
+            )
+            payload = bytearray(shard.read_bytes())
+            payload[_section_offset(payload, 2)] = 0xFF  # depths typecode
+            shard.write_bytes(payload)
+
+        for damage in (stale, malformed):
+            damage()
+            # The attach must degrade to a heap build over the
+            # *correct* network.
+            registry = NetworkRegistry.load(
+                manifest, verify_fingerprints=True
+            )
+            try:
+                attached = registry.attach("alpha")
+                assert attached.index.backing == "heap", damage.__name__
+                assert len(attached.index) == len(nets["alpha"])
+            finally:
+                registry.close()
 
     def test_lru_eviction_keeps_evicted_index_usable(self, tmp_path):
         manifest, nets = _registry_tree(tmp_path, shard_for=("alpha",))
@@ -374,7 +424,7 @@ class TestDamageMarks:
             assert affected == ("alpha",)
             assert registry.stats()["damaged"] == [shard_path]
             # Dropped, not evicted: the old handle stays mmap-backed
-            # (sessions degrade through the per-request ladder instead).
+            # (sessions holding it keep using the mapping).
             assert alpha.index.backing == "mmap"
             assert registry.stats()["attached"] == 0
         finally:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import struct
 import time
 
 import pytest
@@ -24,7 +25,7 @@ from repro.runtime.store import write_shard
 from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet.io import save_network
 
-from .conftest import get, post, request, running
+from .conftest import disambiguate, get, post, request, running
 
 
 def _registry_tree(tmp_path):
@@ -175,25 +176,52 @@ class TestHotReload:
         run(go())
 
     def test_failed_reload_keeps_the_old_state_serving(
-        self, make_app, tmp_path
+        self, make_app, tmp_path, lexicon, figure1_xml
     ):
         manifest, nets = _registry_tree(tmp_path)
-        doc = _doc_for(nets["alpha"])
-        app = make_app(registry=manifest)
+        shard = str(tmp_path / "lexicon.rxpd")
+        write_shard(
+            PackedIndex(lexicon), shard, fingerprint=lexicon.fingerprint()
+        )
 
-        async def go():
-            async with running(app) as server:
-                with open(manifest, "w") as fh:
-                    fh.write("default = \"nowhere\"\nnot toml [[[")
-                assert app.reload() is False
-                payload = (await request(server, get("/healthz"))).json()
-                assert payload["durability"]["reload"]["last_error"]
-                assert payload["durability"]["reload"]["count"] == 0
-                # The old registry keeps serving both domains.
-                answer = await request(server, _domain_request(doc, "alpha"))
-                assert answer.status == 200
+        def break_manifest():
+            with open(manifest, "w") as fh:
+                fh.write("default = \"nowhere\"\nnot toml [[[")
 
-        run(go())
+        def break_shard():
+            # One 0xFF id-table byte, renamed into place: the shard still
+            # attaches (its string tables decode lazily) but never decodes.
+            payload = bytearray(open(shard, "rb").read())
+            (meta_len,) = struct.unpack_from("<I", payload, 32)
+            payload[32 + 8 + ((meta_len + 7) & ~7) + 8] = 0xFF
+            with open(shard + ".new", "wb") as fh:
+                fh.write(payload)
+            os.replace(shard + ".new", shard)
+
+        cases = [
+            (
+                make_app(registry=manifest), break_manifest,
+                _domain_request(_doc_for(nets["alpha"]), "alpha"),
+            ),
+            (make_app(shard=shard), break_shard, disambiguate(figure1_xml)),
+        ]
+        for app, break_source, doc_request in cases:
+
+            async def go():
+                async with running(app) as server:
+                    before = await request(server, doc_request)
+                    assert before.status == 200
+                    break_source()
+                    assert app.reload() is False
+                    payload = (await request(server, get("/healthz"))).json()
+                    assert payload["durability"]["reload"]["last_error"]
+                    assert payload["durability"]["reload"]["count"] == 0
+                    # The old state keeps serving, answering as before.
+                    answer = await request(server, doc_request)
+                    assert answer.status == 200
+                    assert answer.body == before.body
+
+            run(go())
 
 
 class TestRegistryLRUUnderSessions:

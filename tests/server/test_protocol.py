@@ -84,9 +84,16 @@ class TestReadRequest:
         assert err.value.status == 400
 
     def test_header_without_colon_is_400(self):
-        with pytest.raises(ProtocolError) as err:
-            parse(b"GET / HTTP/1.1\r\nnocolonhere\r\n\r\n")
-        assert err.value.status == 400
+        for header in (
+            b"nocolonhere",
+            # RFC 9112 5.1: whitespace between name and colon -> 400.
+            b"Content-Length : 4",
+            b"Host\t: test",
+            b": empty-name",
+        ):
+            with pytest.raises(ProtocolError) as err:
+                parse(b"GET / HTTP/1.1\r\n" + header + b"\r\n\r\nbody")
+            assert err.value.status == 400, header
 
     def test_truncated_headers_are_400(self):
         with pytest.raises(ProtocolError) as err:
@@ -112,19 +119,33 @@ class TestReadRequest:
         assert err.value.status == 413
 
     def test_chunked_request_body_is_501(self):
-        with pytest.raises(ProtocolError) as err:
-            parse(
-                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-            )
-        assert err.value.status == 501
+        for headers in (
+            b"Transfer-Encoding: chunked\r\n",
+            # Any request Transfer-Encoding, even next to a length.
+            b"Transfer-Encoding: gzip\r\nContent-Length: 4\r\n",
+            b"Content-Length: 4\r\nTransfer-Encoding: identity\r\n",
+        ):
+            with pytest.raises(ProtocolError) as err:
+                parse(b"POST / HTTP/1.1\r\n" + headers + b"\r\nbody")
+            assert err.value.status == 501, headers
 
     def test_bad_content_length_is_400(self):
-        with pytest.raises(ProtocolError) as err:
-            parse(b"POST / HTTP/1.1\r\nContent-Length: many\r\n\r\n")
-        assert err.value.status == 400
-        with pytest.raises(ProtocolError) as err:
-            parse(b"POST / HTTP/1.1\r\nContent-Length: -4\r\n\r\n")
-        assert err.value.status == 400
+        for headers in (
+            b"Content-Length: many\r\n",
+            b"Content-Length: -4\r\n",
+            # Python int() syntax is not RFC 9112's 1*DIGIT.
+            b"Content-Length: 1_0\r\n",
+            b"Content-Length: +4\r\n",
+            b"Content-Length: 4 4\r\n",
+            b"Content-Length:\r\n",
+            b"Content-Length: " + b"9" * 5000 + b"\r\n",
+            # A repeated length must not let the last one win.
+            b"Content-Length: 4\r\nContent-Length: 2\r\n",
+            b"Content-Length: 4\r\ncontent-length: 4\r\n",
+        ):
+            with pytest.raises(ProtocolError) as err:
+                parse(b"POST / HTTP/1.1\r\n" + headers + b"\r\nbodybodyxx")
+            assert err.value.status == 400, headers
 
     def test_truncated_body_is_400(self):
         with pytest.raises(ProtocolError) as err:

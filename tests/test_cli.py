@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import re
+import struct
 
 import pytest
 
@@ -577,20 +579,43 @@ class TestPackAndStore:
             with pytest.raises(SystemExit):
                 run(argv)
 
-    def test_batch_stale_shard_fails_loudly(self, tmp_path, lexicon, xml_file):
+    def _bad_shards(self, tmp_path, lexicon):
+        """(network JSON, shards that must not attach over it)."""
         from repro.runtime import PackedIndex, write_shard
         from repro.semnet.generator import GeneratorConfig, generate_network
-        from repro.semnet.io import save_network
 
-        network_json = tmp_path / "lexicon.network.json"
-        save_network(lexicon, str(network_json))
+        shard, network_json, _ = self._pack_lexicon(tmp_path, lexicon)
         other = generate_network(GeneratorConfig(n_concepts=50, seed=3))
-        shard = tmp_path / "stale.rxpd"
+        stale = tmp_path / "stale.rxpd"
         write_shard(
-            PackedIndex(other), str(shard), fingerprint=other.fingerprint()
+            PackedIndex(other), str(stale), fingerprint=other.fingerprint()
         )
-        with pytest.raises(SystemExit, match="cannot attach shard"):
-            run([
-                "batch", xml_file, "--out", str(tmp_path / "r.jsonl"),
-                "--network", str(network_json), "--shard", str(shard),
-            ])
+        # One id-table byte set to 0xFF: undecodable, caught by the CRC.
+        payload = bytearray(shard.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", payload, 32)
+        payload[32 + 8 + ((meta_len + 7) & ~7) + 8] = 0xFF
+        rotted = tmp_path / "rotted.rxpd"
+        rotted.write_bytes(payload)
+        return network_json, [stale, rotted]
+
+    def test_batch_stale_shard_fails_loudly(self, tmp_path, lexicon, xml_file):
+        network_json, bad_shards = self._bad_shards(tmp_path, lexicon)
+        for shard in bad_shards:
+            with pytest.raises(SystemExit, match=re.escape(
+                f"cannot attach shard {shard}: "
+            )):
+                run([
+                    "batch", xml_file, "--out", str(tmp_path / "r.jsonl"),
+                    "--network", str(network_json), "--shard", str(shard),
+                ])
+
+    def test_serve_bad_shard_fails_before_listening(self, tmp_path, lexicon):
+        network_json, bad_shards = self._bad_shards(tmp_path, lexicon)
+        for shard in [tmp_path / "missing.rxpd", *bad_shards]:
+            with pytest.raises(SystemExit, match=re.escape(
+                f"cannot attach shard {shard}: "
+            )):
+                run([
+                    "serve", "--port", "0",
+                    "--network", str(network_json), "--shard", str(shard),
+                ])
