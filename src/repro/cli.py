@@ -457,6 +457,8 @@ def _load_network(path: str):
         return load_network(path)
     except NetworkFormatError as exc:
         raise SystemExit(f"unreadable network: {exc}")
+    except OSError as exc:
+        raise SystemExit(f"cannot read network {path}: {exc}")
 
 
 def _cmd_disambiguate(args: argparse.Namespace, out) -> int:
@@ -1030,6 +1032,9 @@ def _cmd_validate(args: argparse.Namespace, out) -> int:
         network = load_network(args.file)
     except NetworkFormatError as exc:
         out.write(f"unreadable network: {exc}\n")
+        return 2
+    except OSError as exc:
+        out.write(f"cannot read network {args.file}: {exc}\n")
         return 2
     report = validate_network(network)
     for issue in report.issues:

@@ -18,6 +18,7 @@ serially, and output stays byte-identical either way.
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Any, Callable
 
@@ -129,10 +130,21 @@ class PersistentPool:
         Returns ``None`` (with a ``pool_fault`` event) when the
         platform refuses to create a pool — the executor's circuit
         breaker counts it and eventually drains serially.
+
+        Collector contract: the workers fork with the parent's heap
+        frozen (``gc.freeze()`` just before ``multiprocessing.Pool``,
+        ``gc.unfreeze()`` in the parent right after), so a worker's
+        collections never traverse, and so never copy-on-write, the
+        network and index it inherited.  When ``gc.get_freeze_count()``
+        is already non-zero the caller's freeze stands and is not
+        undone.
         """
         if self._pool is not None:
             return self._pool
         self.generation += 1
+        freeze = not gc.get_freeze_count()
+        if freeze:
+            gc.freeze()
         try:
             import multiprocessing
 
@@ -145,6 +157,9 @@ class PersistentPool:
             if self.metrics is not None:
                 self.metrics.event("pool_fault", kind="create", error=str(exc))
             return None
+        finally:
+            if freeze:
+                gc.unfreeze()
         self._pool = pool
         if self.metrics is not None:
             self.metrics.count("pool_spawns")

@@ -28,7 +28,7 @@ import tomllib
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..semnet.io import load_network
+from ..semnet.io import NetworkFormatError, load_network
 from ..semnet.network import SemanticNetwork
 from .pack import (
     _DISK_HEADER,
@@ -267,6 +267,10 @@ class NetworkRegistry:
                 manifest = tomllib.load(fh)
         except tomllib.TOMLDecodeError as exc:
             raise RegistryError(f"malformed registry manifest: {exc}") from None
+        except OSError as exc:
+            raise RegistryError(
+                f"cannot read registry manifest {path}: {exc}"
+            ) from None
         networks = manifest.get("networks")
         if not isinstance(networks, dict) or not networks:
             raise RegistryError(
@@ -331,14 +335,21 @@ class NetworkRegistry:
         shard via ``from_mmap`` when the manifest names one (falling
         back to an in-memory :class:`PackedIndex` build when the shard
         is missing, unreadable or malformed), and may evict the least
-        recently used domain.
+        recently used domain.  A network file that cannot be read or
+        is not a valid network document raises :class:`RegistryError`
+        naming the domain.
         """
         attached = self._attached.pop(domain, None)
         if attached is not None:
             self._attached[domain] = attached  # refresh recency
             return attached
         entry = self.entry(domain)
-        network = load_network(entry.network_path)
+        try:
+            network = load_network(entry.network_path)
+        except (NetworkFormatError, OSError) as exc:
+            raise RegistryError(
+                f"cannot load network of domain {domain!r}: {exc}"
+            ) from None
         index: "PackedIndex | None" = None
         if entry.shard_path is not None and entry.shard_path not in (
             self._damaged

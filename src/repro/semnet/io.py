@@ -30,7 +30,9 @@ is byte-stable.
 
 from __future__ import annotations
 
+import gc
 import json
+import threading
 from pathlib import Path
 
 from .concepts import Concept, Relation
@@ -100,7 +102,19 @@ def network_to_dict(network: SemanticNetwork) -> dict:
 
 
 def network_from_dict(document: dict) -> SemanticNetwork:
-    """Deserialize a network document; validates structure."""
+    """Deserialize a network document; validates structure.
+
+    Every malformed document raises :class:`NetworkFormatError`: a top
+    level that is not an object, ``concepts``/``relations`` that are
+    not lists, a concept whose ``words`` is not a non-empty list of
+    strings, a duplicate concept id, and a relation entry that is not
+    an object naming a known relation between two known concepts.
+    """
+    if not isinstance(document, dict):
+        raise NetworkFormatError(
+            f"not a {FORMAT_NAME} document "
+            f"(top level is {type(document).__name__})"
+        )
     if document.get("format") != FORMAT_NAME:
         raise NetworkFormatError(
             f"not a {FORMAT_NAME} document (format={document.get('format')!r})"
@@ -109,25 +123,33 @@ def network_from_dict(document: dict) -> SemanticNetwork:
         raise NetworkFormatError(
             f"unsupported version {document.get('version')!r}"
         )
+    concepts = document.get("concepts", [])
+    relations = document.get("relations", [])
+    if not isinstance(concepts, list) or not isinstance(relations, list):
+        raise NetworkFormatError("'concepts' and 'relations' must be lists")
     network = SemanticNetwork(document.get("name", "semnet"))
     relation_values = {relation.value: relation for relation in Relation}
-    for entry in document.get("concepts", []):
+    for entry in concepts:
         try:
-            concept = Concept(
+            words = entry["words"]
+            if not isinstance(words, list) or not words or not all(
+                isinstance(word, str) for word in words
+            ):
+                raise TypeError("words must be a non-empty list of strings")
+            network.add_concept(Concept(
                 id=entry["id"],
-                words=tuple(entry["words"]),
+                words=tuple(words),
                 gloss=entry.get("gloss", ""),
                 pos=entry.get("pos", "n"),
                 frequency=float(entry.get("frequency", 0.0)),
-            )
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkFormatError(f"bad concept entry {entry!r}: {exc}")
-        network.add_concept(concept)
-    for entry in document.get("relations", []):
+    for entry in relations:
         try:
             relation = relation_values[entry["relation"]]
             network.add_relation(entry["source"], relation, entry["target"])
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise NetworkFormatError(f"bad relation entry {entry!r}: {exc}")
     return network
 
@@ -140,11 +162,47 @@ def save_network(network: SemanticNetwork, path: str | Path) -> None:
         handle.write("\n")
 
 
+#: Serializes loads so that concurrent callers (a registry attach next
+#: to the scrubber's repair thread) cannot interleave their save and
+#: restore of the collector's enabled state.
+_LOAD_LOCK = threading.Lock()
+
+
 def load_network(path: str | Path) -> SemanticNetwork:
-    """Read a network from a JSON file written by :func:`save_network`."""
+    """Read a network from a JSON file written by :func:`save_network`.
+
+    Collector contract: the cyclic garbage collector is disabled while
+    the file is parsed and the network is built, and the caller's
+    ``gc.isenabled()`` is restored on every exit, errors included.
+    Everything the load leaves alive then moves straight to the oldest
+    generation (``gc.freeze(); gc.unfreeze()``, which splices lists and
+    traverses nothing), so no young-generation pass walks the network.
+    A 100k-concept network is about 515k tracked objects that all live
+    as long as the network: a collection over them frees nothing.
+    When ``gc.get_freeze_count()`` is already non-zero the move is
+    skipped, so a caller's freeze is never undone.
+
+    Raises :class:`NetworkFormatError` for a file that is not UTF-8
+    JSON or not a valid network document, and ``OSError`` when the
+    file cannot be read.
+    """
+    with _LOAD_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network = network_from_dict(_read_document(path))
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            return network
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _read_document(path: str | Path) -> object:
     with open(path, encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise NetworkFormatError(f"invalid JSON in {path}: {exc}")
-    return network_from_dict(document)

@@ -12,11 +12,15 @@ The contracts pinned here:
   its owner was killed, and whose write failure only costs speed;
 * serial and persistent-pool output are byte-identical even across
   ``PYTHONHASHSEED`` variation (subprocess-checked, since the hash
-  seed is frozen at interpreter start).
+  seed is frozen at interpreter start);
+* workers fork with the parent's heap frozen, and the parent's freeze
+  count is back to its earlier value once the pool is up.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -29,6 +33,7 @@ from repro.runtime import (
     FaultInjector,
     FaultSpec,
     MetricsRegistry,
+    PersistentPool,
     auto_workers,
     parse_workers,
 )
@@ -237,6 +242,26 @@ class TestWorkerCrashRecovery:
         assert records[0].ok
         assert records[0].outcome is not None
         assert records[0].outcome.status == "retried"
+
+
+def _initialize_worker(generation: int) -> None:
+    """A pool initializer with nothing to set up."""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the parent's frozen heap",
+)
+class TestForkWithFrozenHeap:
+    def test_workers_inherit_a_frozen_heap(self):
+        before = gc.get_freeze_count()
+        pool = PersistentPool(1, _initialize_worker)
+        try:
+            inner = pool.ensure()
+            assert gc.get_freeze_count() == before
+            assert inner.apply(gc.get_freeze_count) > 0
+        finally:
+            pool.close()
 
 
 _HASHSEED_SCRIPT = """

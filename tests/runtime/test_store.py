@@ -388,6 +388,8 @@ class TestRegistry:
         broken.write_text("default = [not toml")
         with pytest.raises(RegistryError):
             NetworkRegistry.load(str(broken))
+        with pytest.raises(RegistryError, match="cannot read"):
+            NetworkRegistry.load(str(tmp_path / "missing.toml"))
         empty = tmp_path / "empty.toml"
         empty.write_text('default = "x"\n')
         with pytest.raises(RegistryError):
@@ -398,6 +400,20 @@ class TestRegistry:
         )
         with pytest.raises(RegistryError):
             NetworkRegistry.load(str(nofb))
+
+
+    def test_unloadable_network_raises_registry_error(self, tmp_path):
+        manifest, _ = _registry_tree(tmp_path)
+        registry = NetworkRegistry.load(manifest)
+        try:
+            (tmp_path / "beta.network.json").write_text('{"format": "x"}')
+            with pytest.raises(RegistryError, match="domain 'beta': not a"):
+                registry.attach("beta")
+            os.remove(tmp_path / "alpha.network.json")
+            with pytest.raises(RegistryError, match="domain 'alpha': "):
+                registry.attach("alpha")
+        finally:
+            registry.close()
 
 
 class TestDamageMarks:

@@ -267,6 +267,44 @@ class TestValidate:
         assert "isa-cycle" in output
 
 
+class TestUnreadableNetwork:
+    """A missing or malformed network file (or registry manifest) is one
+    line, not a traceback."""
+
+    @pytest.mark.parametrize("argv, expected_code, message", [
+        (["batch", "doc.xml", "--network", "missing.json"], 1,
+         "cannot read network missing.json: "),
+        (["validate", "missing.json"], 2,
+         "cannot read network missing.json: "),
+        (["batch", "doc.xml", "--registry", "missing.toml"], 1,
+         "cannot load network of domain 'general': "),
+        (["batch", "doc.xml", "--registry", "malformed.toml"], 1,
+         "cannot load network of domain 'general': not a"),
+        (["batch", "doc.xml", "--registry", "absent.toml"], 1,
+         "cannot read registry manifest absent.toml: "),
+    ], ids=[
+        "batch-missing", "validate-missing",
+        "registry-missing", "registry-malformed", "manifest-missing",
+    ])
+    def test_reported_without_traceback(
+        self, tmp_path, monkeypatch, xml_file, argv, expected_code, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "malformed.json").write_text('{"format": "x"}')
+        for name in ("missing", "malformed"):
+            (tmp_path / f"{name}.toml").write_text(
+                f'[networks.general]\nnetwork = "{name}.json"\n'
+            )
+        try:
+            code, output = run(argv)
+        except SystemExit as exc:
+            # A string SystemExit prints the message and exits 1.
+            code, output = 1, str(exc.code)
+        assert code == expected_code
+        assert output.startswith(message)
+        assert "\n" not in output.rstrip("\n")
+
+
 class TestBatchResilience:
     """xmltree recovery end to end: one malformed document is isolated
     by ``--on-error`` policy while the survivors' JSONL stays
