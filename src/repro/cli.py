@@ -969,6 +969,16 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     app = ServerApp(
         network, config=_make_config(args), server_config=server_config
     )
+    if args.registry:
+        from .runtime.store import RegistryError
+
+        # Attach the manifest's default domain before listening, so an
+        # unreadable manifest or network is one line, as in batch.
+        try:
+            app.warm_up()
+        except RegistryError as exc:
+            app.close()
+            raise SystemExit(str(exc))
     return ReproServer(app).serve(announce=announce_to_stderr)
 
 

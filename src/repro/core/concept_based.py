@@ -15,11 +15,15 @@ the average of the per-token similarities (Eq. 10).
 
 from __future__ import annotations
 
-from ..semnet.network import SemanticNetwork
+from typing import TYPE_CHECKING
+
 from ..similarity.combined import ConceptSimilarity
-from .candidates import Candidate, context_sense_ids
+from .candidates import Candidate
 from .context_vector import context_vector
 from .sphere import Sphere
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .framework import DocumentPlan
 
 
 class ConceptBasedScorer:
@@ -34,13 +38,7 @@ class ConceptBasedScorer:
     unchanged.
     """
 
-    def __init__(
-        self,
-        network: SemanticNetwork,
-        similarity: ConceptSimilarity,
-        sense_cache=None,
-    ):
-        self._network = network
+    def __init__(self, similarity: ConceptSimilarity, sense_cache=None):
         self._similarity = similarity
         self._sense_cache = sense_cache
         # Memo for the pruning upper bound's best-sense term, keyed like
@@ -57,58 +55,39 @@ class ConceptBasedScorer:
     ) -> float:
         """``Max_j Sim(candidate, s_j)`` over one context sense inventory."""
         cache = self._sense_cache
-        if cache is None:
-            return max(
-                self._candidate_similarity(candidate, sense_id)
-                for sense_id in sense_ids
-            )
         key = (candidate, sense_ids)
-        best = cache.get(key)
+        best = None if cache is None else cache.get(key)
         if best is None:
             best = max(
                 self._candidate_similarity(candidate, sense_id)
                 for sense_id in sense_ids
             )
-            cache[key] = best
+            if cache is not None:
+                cache[key] = best
         return best
-
-    def score(self, candidate: Candidate, sphere: Sphere) -> float:
-        """``Concept_Score(candidate, S_d(x), SN-bar)`` in [0, 1]."""
-        weights = context_vector(sphere)
-        total = 0.0
-        for member in sphere:
-            context_node = member.node
-            sense_ids = tuple(context_sense_ids(context_node, self._network))
-            if not sense_ids:
-                continue
-            label_weight = weights[context_node.label]
-            total += (
-                self._best_sense_similarity(candidate, sense_ids)
-                * label_weight
-            )
-        if not len(sphere):
-            return 0.0
-        return total / len(sphere)
 
     def context_inventory(
         self,
         sphere: Sphere,
+        plan: "DocumentPlan",
         vector: dict[str, float] | None = None,
     ) -> list[tuple[tuple[str, ...], float]]:
         """The per-member ``(sense-ids, weight)`` list scoring folds over.
 
         Built once per sphere (in member order — the accumulation order
-        every score follows) and shared between :meth:`score_one`,
-        :meth:`upper_bound_one`, and :meth:`score_all`.  ``vector`` lets
+        every score follows) by gathering each member's sense-id tuple
+        from the document ``plan``, and shared between
+        :meth:`score_one` and :meth:`upper_bound_one`.  ``vector`` lets
         callers supply the sphere's context vector when they already
         hold it (it is read, never mutated).
         """
         weights = vector if vector is not None else context_vector(sphere)
+        senses = plan.senses
         context: list[tuple[tuple[str, ...], float]] = []
-        for member in sphere:
-            sense_ids = tuple(context_sense_ids(member.node, self._network))
+        for node, _ in sphere.members:
+            sense_ids = senses[node.index]
             if sense_ids:
-                context.append((sense_ids, weights[member.node.label]))
+                context.append((sense_ids, weights[node.label]))
         return context
 
     def score_one(
@@ -119,16 +98,13 @@ class ConceptBasedScorer:
     ) -> float:
         """Exact Definition 8 score over a prebuilt context inventory.
 
-        The accumulation is term-for-term the loop :meth:`score_all`
-        runs, so scores are bit-identical whether a candidate is scored
-        in a batch or alone (exact pruning depends on this).
+        One accumulation in member order, whether a candidate is scored
+        exhaustively or after its bound (exact pruning depends on this).
         """
         total = 0.0
+        best_sense = self._best_sense_similarity
         for sense_ids, label_weight in context:
-            total += (
-                self._best_sense_similarity(candidate, sense_ids)
-                * label_weight
-            )
+            total += best_sense(candidate, sense_ids) * label_weight
         return total / size if size else 0.0
 
     def _best_sense_bound(
@@ -166,30 +142,10 @@ class ConceptBasedScorer:
         the exact score in float arithmetic — no epsilon needed.
         """
         total = 0.0
+        cached = self._bound_cache.get
         for sense_ids, label_weight in context:
-            total += (
-                self._best_sense_bound(candidate, sense_ids, upper_bound)
-                * label_weight
-            )
+            best = cached((candidate, sense_ids))
+            if best is None:
+                best = self._best_sense_bound(candidate, sense_ids, upper_bound)
+            total += best * label_weight
         return total / size if size else 0.0
-
-    def score_all(
-        self,
-        candidates: list[Candidate],
-        sphere: Sphere,
-        vector: dict[str, float] | None = None,
-    ) -> dict[Candidate, float]:
-        """Scores for every candidate against one (shared) sphere.
-
-        Computes the context vector and per-node sense inventories once,
-        which matters because real documents evaluate dozens of
-        candidates against the same context.  Callers that already hold
-        the sphere's context vector pass it as ``vector`` (it is read,
-        never mutated) so it is not re-derived per scorer.
-        """
-        context = self.context_inventory(sphere, vector)
-        size = len(sphere)
-        return {
-            candidate: self.score_one(candidate, context, size)
-            for candidate in candidates
-        }

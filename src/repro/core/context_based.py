@@ -9,19 +9,16 @@ node's structural neighborhood wins::
 
 For compound candidates the concept spheres are unioned before the
 vector is built (Eq. 12).  Concept vectors are cached per (concept,
-radius): the same senses recur across target nodes and documents.
+radius), each with its norm: the same senses recur across target nodes
+and documents.
 """
 
 from __future__ import annotations
 
 from ..semnet.network import SemanticNetwork
-from ..similarity.vector import VECTOR_MEASURES
+from ..similarity.vector import VECTOR_MEASURES, cosine_from_norms, vector_norm
 from .candidates import Candidate
-from .context_vector import (
-    compound_concept_context_vector,
-    concept_context_vector,
-    context_vector,
-)
+from .context_vector import compound_concept_context_vector, concept_context_vector
 from .sphere import Sphere
 
 
@@ -40,10 +37,11 @@ class ContextBasedScorer:
         self._network = network
         self._radius = radius
         self._measure = VECTOR_MEASURES[vector_measure]
+        self._cosine = vector_measure == "cosine"
         self._strip = strip_target_dimension
-        self._vector_cache: dict[Candidate, dict[str, float]] = {}
+        self._vector_cache: dict[Candidate, tuple[dict[str, float], float]] = {}
 
-    def _candidate_vector(self, candidate: Candidate) -> dict[str, float]:
+    def _candidate_vector(self, candidate: Candidate) -> tuple[dict[str, float], float]:
         cached = self._vector_cache.get(candidate)
         if cached is not None:
             return cached
@@ -55,8 +53,8 @@ class ContextBasedScorer:
             vector = compound_concept_context_vector(
                 self._network, candidate, self._radius
             )
-        self._vector_cache[candidate] = vector
-        return vector
+        cached = self._vector_cache[candidate] = (vector, vector_norm(vector))
+        return cached
 
     @staticmethod
     def _strip_target_dimensions(
@@ -80,31 +78,37 @@ class ContextBasedScorer:
         drop = {sphere.center.label, *sphere.center.tokens}
         return {k: v for k, v in vector.items() if k not in drop}
 
-    def score(self, candidate: Candidate, sphere: Sphere) -> float:
-        """``Context_Score(candidate, S_d(x), SN)`` in [0, 1]."""
-        return self.score_all([candidate], sphere)[candidate]
-
     def score_all(
         self,
         candidates: list[Candidate],
         sphere: Sphere,
-        vector: dict[str, float] | None = None,
+        vector: dict[str, float],
     ) -> dict[Candidate, float]:
-        """Scores for every candidate against one (shared) XML vector.
+        """``Context_Score(candidate, S_d(x), SN)`` for every candidate.
 
-        ``vector`` lets callers supply the sphere's context vector when
-        they already computed it (read-only; stripping builds a new
-        dict) instead of re-deriving it here.
+        ``vector`` is the sphere's context vector ``V_d(x)`` (read-only;
+        stripping builds a new dict).  Under cosine its norm is taken
+        once per sphere and each concept vector's norm comes from the
+        vector cache, so every score is the float
+        :func:`~repro.similarity.vector.cosine_similarity` returns.
         """
-        xml_vector = vector if vector is not None else context_vector(sphere)
-        if self._strip:
-            xml_vector = self._strip_target_dimensions(xml_vector, sphere)
+        strip, cosine = self._strip, self._cosine
+        xml_vector = (
+            self._strip_target_dimensions(vector, sphere) if strip else vector
+        )
+        xml_norm = vector_norm(xml_vector)
         scores: dict[Candidate, float] = {}
         for candidate in candidates:
-            concept_vector = self._candidate_vector(candidate)
-            if self._strip:
+            concept_vector, concept_norm = self._candidate_vector(candidate)
+            if strip:
                 concept_vector = self._strip_target_dimensions(
                     concept_vector, sphere
                 )
-            scores[candidate] = self._measure(xml_vector, concept_vector)
+                concept_norm = vector_norm(concept_vector)
+            scores[candidate] = (
+                cosine_from_norms(
+                    xml_vector, xml_norm, concept_vector, concept_norm
+                )
+                if cosine else self._measure(xml_vector, concept_vector)
+            )
         return scores

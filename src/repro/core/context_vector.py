@@ -44,13 +44,12 @@ def label_frequencies(sphere: Sphere) -> dict[str, float]:
     radius_plus_one = sphere.radius + 1.0
     ring_weights: dict[float, float] = {}
     frequencies_get = frequencies.get
-    for member in sphere:
-        distance = member.distance
+    for node, distance in sphere.members:
         weight = ring_weights.get(distance)
         if weight is None:
             weight = 1.0 - distance / radius_plus_one
             ring_weights[distance] = weight
-        label = member.node.label
+        label = node.label
         frequencies[label] = frequencies_get(label, 0.0) + weight
     return frequencies
 

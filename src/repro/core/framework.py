@@ -24,6 +24,8 @@ Typical use::
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from ..linguistics.pipeline import LinguisticPipeline
 from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork
@@ -32,7 +34,7 @@ from ..xmltree.dom import XMLNode, XMLTree, build_tree
 from ..xmltree.parser import parse
 from ..xmltree.serializer import serialize_semantic_tree
 from .ambiguity import ambiguity_degree, select_targets
-from .candidates import Candidate, candidate_senses
+from .candidates import Candidate, candidate_senses, context_sense_ids
 from .concept_based import ConceptBasedScorer
 from .config import DisambiguationApproach, XSDFConfig
 from .context_based import ContextBasedScorer
@@ -40,6 +42,41 @@ from .context_vector import context_vector
 from .distances import resolve_policy
 from .results import DisambiguationResult, SenseAssignment
 from .sphere import build_sphere
+
+
+class DocumentPlan:
+    """Per-node facts every sphere of one document reads, derived once.
+
+    Indexed by preorder node index: ``senses[i]`` is node ``i``'s
+    context sense-id tuple (Definition 8's inventory, one shared tuple
+    per distinct ``(label, tokens)``) and ``segments[i]`` the ``repr``
+    of that pair without its parentheses, the text a member adds to the
+    memo key (:meth:`repro.runtime.memo.SphereMemo.signature`).
+    ``degrees`` maps each target to its ``Amb_Deg`` (Definition 3), as
+    :func:`~repro.core.ambiguity.select_targets` computed it.  A plan
+    lives for one :meth:`XSDF.disambiguate_tree` call and is passed down
+    as an argument: an :class:`XSDF` serves many documents and threads.
+    """
+
+    __slots__ = ("senses", "segments", "degrees")
+
+    def __init__(self, tree: XMLTree, network: SemanticNetwork):
+        facts: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, ...], str]] = {}
+        senses: list[tuple[str, ...]] = []
+        segments: list[str] = []
+        for node in tree:
+            key = (node.label, node.tokens)
+            fact = facts.get(key)
+            if fact is None:
+                fact = facts[key] = (
+                    tuple(context_sense_ids(node, network)),
+                    repr(key)[1:-1],
+                )
+            senses.append(fact[0])
+            segments.append(fact[1])
+        self.senses = senses
+        self.segments = segments
+        self.degrees: dict[int, float] = {}
 
 
 class XSDF:
@@ -141,7 +178,7 @@ class XSDF:
             "candidates_pruned": 0,
         }
         self._concept_scorer = ConceptBasedScorer(
-            network, similarity, sense_cache=sense_cache
+            similarity, sense_cache=sense_cache
         )
         self._distance_policy = (
             None
@@ -157,18 +194,14 @@ class XSDF:
 
     # -- tree construction -------------------------------------------------
 
+    def _stage(self, name: str):
+        """One per-document stage's timer, or a no-op when uninstrumented."""
+        m = self.metrics
+        return nullcontext() if m is None else m.timer(name)
+
     def build_tree(self, xml_text: str) -> XMLTree:
         """Parse XML text into a pre-processed rooted labeled tree."""
-        m = self.metrics
-        if m is None:
-            document = parse(xml_text)
-            return build_tree(
-                document.root,
-                include_values=self.config.include_values,
-                label_processor=self.pipeline.process_label,
-                value_processor=self.pipeline.process_value,
-            )
-        with m.timer("parse"):
+        with self._stage("parse"):
             document = parse(xml_text)
             return build_tree(
                 document.root,
@@ -181,12 +214,10 @@ class XSDF:
 
     def disambiguate_document(self, xml_text: str) -> DisambiguationResult:
         """Full pipeline: XML text in, sense assignments out."""
-        m = self.metrics
-        if m is not None:
-            m.count("documents")
-            with m.timer("document"):
-                return self.disambiguate_tree(self.build_tree(xml_text))
-        return self.disambiguate_tree(self.build_tree(xml_text))
+        if self.metrics is not None:
+            self.metrics.count("documents")
+        with self._stage("document"):
+            return self.disambiguate_tree(self.build_tree(xml_text))
 
     def disambiguate_tree(
         self, tree: XMLTree, targets: list[XMLNode] | None = None
@@ -198,25 +229,19 @@ class XSDF:
         disambiguates the same set (paper Section 4.3).
         """
         m = self.metrics
+        plan = DocumentPlan(tree, self.network)
         if targets is None:
-            if m is None:
+            with self._stage("select"):
                 targets = select_targets(
                     tree,
                     self.network,
                     threshold=self.config.ambiguity_threshold,
                     weights=self.config.ambiguity_weights,
+                    degrees=plan.degrees,
                 )
-            else:
-                with m.timer("select"):
-                    targets = select_targets(
-                        tree,
-                        self.network,
-                        threshold=self.config.ambiguity_threshold,
-                        weights=self.config.ambiguity_weights,
-                    )
         assignments = []
         for node in targets:
-            assignment = self.disambiguate_node(tree, node)
+            assignment = self.disambiguate_node(tree, node, plan)
             if assignment is not None:
                 assignments.append(assignment)
         if m is not None:
@@ -231,31 +256,35 @@ class XSDF:
         )
 
     def disambiguate_node(
-        self, tree: XMLTree, node: XMLNode
+        self, tree: XMLTree, node: XMLNode, plan: DocumentPlan | None = None
     ) -> SenseAssignment | None:
-        """Disambiguate a single node; None when it has no candidates."""
+        """Disambiguate a single node; None when it has no candidates.
+
+        ``plan`` is ``tree``'s :class:`DocumentPlan`, built here if not
+        given.
+        """
         candidates = candidate_senses(node, self.network)
         if not candidates:
             return None
+        if plan is None:
+            plan = DocumentPlan(tree, self.network)
         m = self.metrics
+        radius, policy = self.config.sphere_radius, self._distance_policy
         if m is None:
-            sphere = build_sphere(
-                tree, node, self.config.sphere_radius,
-                policy=self._distance_policy,
-            )
-            concept_scores, context_scores, combined, chosen = (
-                self._score_memoized(candidates, sphere)
-            )
+            sphere = build_sphere(tree, node, radius, policy=policy)
+            scored = self._score_memoized(candidates, sphere, plan)
         else:
             with m.timer("sphere"):
-                sphere = build_sphere(
-                    tree, node, self.config.sphere_radius,
-                    policy=self._distance_policy,
-                )
+                sphere = build_sphere(tree, node, radius, policy=policy)
             with m.timer("score"):
-                concept_scores, context_scores, combined, chosen = (
-                    self._score_memoized(candidates, sphere)
-                )
+                scored = self._score_memoized(candidates, sphere, plan)
+        concept_scores, context_scores, combined, chosen = scored
+        ambiguity = plan.degrees.get(node.index)
+        if ambiguity is None:
+            # A caller-chosen target: select_targets never scored it.
+            ambiguity = ambiguity_degree(
+                node, tree, self.network, self.config.ambiguity_weights
+            )
         return SenseAssignment(
             node_index=node.index,
             label=node.label,
@@ -263,13 +292,13 @@ class XSDF:
             score=combined[chosen],
             concept_score=concept_scores.get(chosen, 0.0),
             context_score=context_scores.get(chosen, 0.0),
-            ambiguity=ambiguity_degree(
-                node, tree, self.network, self.config.ambiguity_weights
-            ),
+            ambiguity=ambiguity,
             scores=combined,
         )
 
-    def _score_memoized(self, candidates: list[Candidate], sphere):
+    def _score_memoized(
+        self, candidates: list[Candidate], sphere, plan: DocumentPlan
+    ):
         """:meth:`_score`, replayed from the sphere memo when possible.
 
         The memo key (:func:`repro.runtime.memo.sphere_signature`)
@@ -280,8 +309,8 @@ class XSDF:
         """
         memo = self.sphere_memo
         if memo is None:
-            return self._score(candidates, sphere)
-        signature = memo.signature(sphere)
+            return self._score(candidates, sphere, plan)
+        signature = memo.signature(sphere, plan)
         entry = memo.get(signature)
         m = self.metrics
         if entry is not None:
@@ -299,7 +328,7 @@ class XSDF:
         if m is not None:
             m.count("memo_misses")
         concept_scores, context_scores, combined, chosen = self._score(
-            candidates, sphere
+            candidates, sphere, plan
         )
         memo.put(
             signature,
@@ -312,7 +341,9 @@ class XSDF:
         )
         return concept_scores, context_scores, combined, chosen
 
-    def _score(self, candidates: list[Candidate], sphere):
+    def _score(
+        self, candidates: list[Candidate], sphere, plan: DocumentPlan
+    ):
         """Per-candidate concept, context, and final scores (Eq. 13).
 
         Returns ``(concept_scores, context_scores, combined, chosen)``.
@@ -329,22 +360,26 @@ class XSDF:
             and approach is not DisambiguationApproach.CONTEXT_BASED
             and len(candidates) > 1
         ):
-            return self._score_pruned(candidates, sphere, vector)
+            return self._score_pruned(candidates, sphere, vector, plan)
         concept_scores: dict[Candidate, float] = {}
         context_scores: dict[Candidate, float] = {}
         if approach in (
             DisambiguationApproach.CONCEPT_BASED,
             DisambiguationApproach.COMBINED,
         ):
-            concept_scores = self._concept_scorer.score_all(
-                candidates, sphere, vector=vector
-            )
+            scorer = self._concept_scorer
+            context = scorer.context_inventory(sphere, plan, vector)
+            size = len(sphere)
+            concept_scores = {
+                candidate: scorer.score_one(candidate, context, size)
+                for candidate in candidates
+            }
         if approach in (
             DisambiguationApproach.CONTEXT_BASED,
             DisambiguationApproach.COMBINED,
         ):
             context_scores = self._context_scorer.score_all(
-                candidates, sphere, vector=vector
+                candidates, sphere, vector
             )
         if approach is DisambiguationApproach.CONCEPT_BASED:
             combined = dict(concept_scores)
@@ -369,6 +404,7 @@ class XSDF:
         candidates: list[Candidate],
         sphere,
         vector: dict[str, float],
+        plan: DocumentPlan,
     ):
         """Best-bound-first scoring with an exact early stop.
 
@@ -386,13 +422,13 @@ class XSDF:
         """
         approach = self.config.approach
         scorer = self._concept_scorer
-        context = scorer.context_inventory(sphere, vector)
+        context = scorer.context_inventory(sphere, plan, vector)
         size = len(sphere)
         combined_approach = approach is DisambiguationApproach.COMBINED
         if combined_approach:
             w_concept, w_context = self.config.normalized_approach_weights
             context_scores = self._context_scorer.score_all(
-                candidates, sphere, vector=vector
+                candidates, sphere, vector
             )
         else:
             w_concept, w_context = 1.0, 0.0

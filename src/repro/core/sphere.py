@@ -19,20 +19,19 @@ arg-max decisions are identical under both readings (see DESIGN.md).
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..xmltree.dom import XMLNode, XMLTree
 from .distances import DistancePolicy
 
 
-@dataclass(frozen=True)
-class SphereMember:
+class SphereMember(NamedTuple):
     """One node of a sphere neighborhood with its ring distance.
 
     ``distance`` is an edge count under the default uniform policy and a
     path cost under weighted distance policies (paper future work,
-    :mod:`repro.core.distances`).
+    :mod:`repro.core.distances`).  A plain tuple, so scoring loops
+    unpack ``for node, distance in sphere.members``.
     """
 
     node: XMLNode
@@ -104,30 +103,28 @@ def _neighbors(node: XMLNode) -> list[tuple[XMLNode, bool]]:
 
 
 def _bfs_members(center: XMLNode, radius: float) -> list[SphereMember]:
-    # Hot path (one call per target node): the parent/children edges
-    # are iterated inline, in the same parent-first order `_neighbors`
-    # yields, without allocating a pair list per visited node.
+    # Hot path (one call per target node): the member list is the BFS
+    # queue (iterating a list sees the entries appended during the
+    # loop), and the parent/children edges are visited inline, in the
+    # same parent-first order `_neighbors` yields.
     visited = {center.index}
     members = [SphereMember(center, 0)]
-    queue: deque[tuple[XMLNode, int]] = deque([(center, 0)])
     visited_add = visited.add
     members_append = members.append
-    queue_append = queue.append
-    while queue:
-        node, distance = queue.popleft()
+    # tuple.__new__ skips SphereMember's Python-level __new__.
+    member = tuple.__new__
+    for node, distance in members:
         if distance >= radius:
             continue
         next_distance = distance + 1
         parent = node.parent
         if parent is not None and parent.index not in visited:
             visited_add(parent.index)
-            members_append(SphereMember(parent, next_distance))
-            queue_append((parent, next_distance))
+            members_append(member(SphereMember, (parent, next_distance)))
         for child in node.children:
             if child.index not in visited:
                 visited_add(child.index)
-                members_append(SphereMember(child, next_distance))
-                queue_append((child, next_distance))
+                members_append(member(SphereMember, (child, next_distance)))
     return members
 
 

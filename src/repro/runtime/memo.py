@@ -29,6 +29,12 @@ but different orders may produce different low-order bits.  Keying on
 the exact order is what makes memoized results **bit-identical** to
 fresh computation (see docs/architecture.md for the full argument).
 
+The key is a blake2b digest of the ``repr`` of that nested tuple
+(:func:`sphere_signature`).  :meth:`SphereMemo.signature` hashes the
+same text without re-rendering every member: the document plan
+(:class:`~repro.core.framework.DocumentPlan`) renders each node's
+``(label, tokens)`` once per document.
+
 Every value folded into the signature must come from the frozen
 fingerprint helpers or from the sphere itself — reading live config or
 network attributes inside the signature builder is how stale-memo bugs
@@ -44,6 +50,7 @@ from .cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..core.config import XSDFConfig
+    from ..core.framework import DocumentPlan
     from ..core.sphere import Sphere
 
 #: Default bound for the sphere-result memo.  Entries are small (a
@@ -113,7 +120,9 @@ def sphere_signature(
     never live attribute reads (the ``memo-key-purity`` rule).  The
     member sequence is folded in sphere order, which is exactly the
     order every float accumulation follows; see the module docstring
-    for why sorting it would break bit-identity.
+    for why sorting it would break bit-identity.  This is the key's
+    definition: :meth:`SphereMemo.signature` hashes the same bytes,
+    assembled from a document plan's per-node segments.
     """
     center = sphere.center
     payload = (
@@ -126,8 +135,6 @@ def sphere_signature(
             for member in sphere.members
         ),
     )
-    # One repr of the nested tuple stays in C; per-member hasher updates
-    # cost ~3x as much on repetitive corpora.
     return hashlib.blake2b(
         repr(payload).encode("utf-8"), digest_size=24
     ).digest()
@@ -163,8 +170,11 @@ class SphereMemo:
         network_fingerprint: str,
         maxsize: int | None = DEFAULT_MEMO_SIZE,
     ):
-        self._config_fp = config_fingerprint(config)
-        self._network_fp = network_fingerprint
+        # The repr of the signature payload's two leading fields, the
+        # frozen config and network fingerprints.
+        self._head = (
+            f"({config_fingerprint(config)!r}, {network_fingerprint!r}, "
+        )
         self._cache: LRUCache = LRUCache(maxsize=maxsize)
 
     @property
@@ -172,10 +182,26 @@ class SphereMemo:
         """The underlying LRU (for metrics registration and tests)."""
         return self._cache
 
-    def signature(self, sphere: "Sphere") -> bytes:
-        """The canonical signature of one sphere under this memo's
-        frozen config/network fingerprints."""
-        return sphere_signature(sphere, self._config_fp, self._network_fp)
+    def signature(self, sphere: "Sphere", plan: "DocumentPlan") -> bytes:
+        """:func:`sphere_signature` of one sphere, byte for byte, under
+        this memo's frozen config/network fingerprints.
+
+        The payload's repr is assembled from the document ``plan``'s
+        per-node segments (``repr`` of each node's label and tokens,
+        rendered once per document) instead of re-rendering every
+        member: a member triple renders as ``(distance, segment)`` and
+        a one-member sequence keeps the 1-tuple's trailing comma.
+        """
+        segments = plan.segments
+        members = sphere.members
+        body = ", ".join([
+            f"({distance!r}, {segments[node.index]})"
+            for node, distance in members
+        ])
+        if len(members) == 1:
+            body += ","
+        text = f"{self._head}{segments[sphere.center.index]}, ({body}))"
+        return hashlib.blake2b(text.encode("utf-8"), digest_size=24).digest()
 
     def get(self, signature: bytes) -> MemoEntry | None:
         """The memoized entry for ``signature``, or None (counted)."""

@@ -15,14 +15,26 @@ from typing import Mapping
 Vector = Mapping[str, float]
 
 
+def vector_norm(u: Vector) -> float:
+    """Euclidean norm of a sparse vector (summed in iteration order)."""
+    return math.sqrt(sum(w * w for w in u.values()))
+
+
 def cosine_similarity(u: Vector, v: Vector) -> float:
     """Cosine of the angle between two sparse vectors, in [0, 1]."""
+    return cosine_from_norms(u, vector_norm(u), v, vector_norm(v))
+
+
+def cosine_from_norms(u: Vector, norm_u: float, v: Vector, norm_v: float) -> float:
+    """:func:`cosine_similarity` with both norms (:func:`vector_norm`) given.
+
+    Callers comparing one vector against many take its norm once; the
+    result is the same float :func:`cosine_similarity` returns.
+    """
     if not u or not v:
         return 0.0
     smaller, larger = (u, v) if len(u) <= len(v) else (v, u)
     dot = sum(weight * larger.get(label, 0.0) for label, weight in smaller.items())
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
     denominator = norm_u * norm_v
     # Guard the *product*: with subnormal weights it can underflow to
     # zero even when both norms are individually non-zero.

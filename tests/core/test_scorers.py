@@ -1,4 +1,11 @@
-"""Unit tests for the concept-based and context-based scorers."""
+"""Unit tests for the concept-based and context-based scorers.
+
+The scorers run as the framework drives them: the concept scorer folds
+a :class:`DocumentPlan`'s context inventory per candidate, the context
+scorer compares each candidate against the sphere's context vector.
+The literal Definition 8 and 10 transcriptions in
+:mod:`tests.core.definitions` are the reference they must equal.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +14,15 @@ import pytest
 from repro.core.candidates import candidate_senses, context_sense_ids
 from repro.core.concept_based import ConceptBasedScorer
 from repro.core.context_based import ContextBasedScorer
+from repro.core.context_vector import context_vector
+from repro.core.framework import DocumentPlan
 from repro.core.sphere import build_sphere
 from repro.semnet.builders import NetworkBuilder
 from repro.semnet.concepts import Relation
+from repro.similarity.vector import vector_norm
 from repro.xmltree.dom import XMLNode, XMLTree
+
+from . import definitions
 
 
 @pytest.fixture()
@@ -87,48 +99,64 @@ class TestCandidates:
         }
 
 
+def concept_scores(network, tree, sphere, candidates, similarity=None):
+    """Definition 8 scores along the framework's plan path."""
+    from repro.similarity.combined import CombinedSimilarity
+
+    scorer = ConceptBasedScorer(similarity or CombinedSimilarity(network))
+    context = scorer.context_inventory(sphere, DocumentPlan(tree, network))
+    return {
+        candidate: scorer.score_one(candidate, context, len(sphere))
+        for candidate in candidates
+    }
+
+
 class TestConceptBasedScorer:
     def test_movie_context_prefers_performer_sense(self, network, tree):
-        from repro.similarity.combined import CombinedSimilarity
-
-        scorer = ConceptBasedScorer(network, CombinedSimilarity(network))
         star = tree.find("star")
         sphere = build_sphere(tree, star, 2)
-        scores = scorer.score_all([("star.p",), ("star.c",)], sphere)
+        scores = concept_scores(
+            network, tree, sphere, [("star.p",), ("star.c",)]
+        )
         assert scores[("star.p",)] > scores[("star.c",)]
 
     def test_scores_bounded(self, network, tree):
-        from repro.similarity.combined import CombinedSimilarity
-
-        scorer = ConceptBasedScorer(network, CombinedSimilarity(network))
         for node in tree:
             candidates = candidate_senses(node, network)
             if not candidates:
                 continue
             sphere = build_sphere(tree, node, 2)
-            for score in scorer.score_all(candidates, sphere).values():
+            scores = concept_scores(network, tree, sphere, candidates)
+            for score in scores.values():
                 assert 0.0 <= score <= 1.0
 
     def test_score_matches_score_all(self, network, tree):
         from repro.similarity.combined import CombinedSimilarity
 
-        scorer = ConceptBasedScorer(network, CombinedSimilarity(network))
+        similarity = CombinedSimilarity(network)
         star = tree.find("star")
         sphere = build_sphere(tree, star, 1)
-        single = scorer.score(("star.p",), sphere)
-        batch = scorer.score_all([("star.p",)], sphere)
-        assert single == pytest.approx(batch[("star.p",)])
+        single = definitions.concept_score(
+            ("star.p",), sphere, network, similarity
+        )
+        batch = concept_scores(
+            network, tree, sphere, [("star.p",)], similarity
+        )
+        assert single == batch[("star.p",)]
 
     def test_compound_candidate_averages(self, network, tree):
         from repro.similarity.combined import CombinedSimilarity
 
-        scorer = ConceptBasedScorer(network, CombinedSimilarity(network))
+        similarity = CombinedSimilarity(network)
         sphere = build_sphere(tree, tree.find("star"), 1)
-        pair_score = scorer.score(("star.p", "star.c"), sphere)
-        single_scores = [
-            scorer.score(("star.p",), sphere),
-            scorer.score(("star.c",), sphere),
-        ]
+
+        def score(candidate):
+            return definitions.concept_score(
+                candidate, sphere, network, similarity
+            )
+
+        pair_score = score(("star.p", "star.c"))
+        single_scores = [score(("star.p",)), score(("star.c",))]
         # Eq. 10 averages the per-token similarities inside each
         # context-node max, so the pair can never beat the better
         # single candidate (but may fall below the weaker one when the
@@ -141,7 +169,9 @@ class TestContextBasedScorer:
         scorer = ContextBasedScorer(network, radius=2)
         star = tree.find("star")
         sphere = build_sphere(tree, star, 2)
-        scores = scorer.score_all([("star.p",), ("star.c",)], sphere)
+        scores = scorer.score_all(
+            [("star.p",), ("star.c",)], sphere, context_vector(sphere)
+        )
         assert all(0.0 <= s <= 1.0 for s in scores.values())
 
     def test_stripping_prefers_context_supported_sense(self, network, tree):
@@ -151,8 +181,14 @@ class TestContextBasedScorer:
         )
         star = tree.find("star")
         sphere = build_sphere(tree, star, 2)
-        s_plain = plain.score_all([("star.p",), ("star.c",)], sphere)
-        s_stripped = stripped.score_all([("star.p",), ("star.c",)], sphere)
+        vector = context_vector(sphere)
+        candidates = [("star.p",), ("star.c",)]
+        s_plain = plain.score_all(candidates, sphere, vector)
+        s_stripped = stripped.score_all(candidates, sphere, vector)
+        for candidate in candidates:
+            assert s_stripped[candidate] == definitions.context_score(
+                candidate, sphere, network, 2, strip_target_dimension=True
+            )
         # With the self-dimension removed the performer sense (whose
         # neighborhood mentions cast/actor/movie words) must win.
         assert s_stripped[("star.p",)] > s_stripped[("star.c",)]
@@ -164,10 +200,16 @@ class TestContextBasedScorer:
     def test_vector_cache_reused(self, network, tree):
         scorer = ContextBasedScorer(network, radius=2)
         sphere = build_sphere(tree, tree.find("star"), 2)
-        scorer.score(("star.p",), sphere)
+        vector = context_vector(sphere)
+        scorer.score_all([("star.p",)], sphere, vector)
         first = scorer._vector_cache[("star.p",)]
-        scorer.score(("star.p",), sphere)
+        concept_vector, norm = first
+        assert norm == vector_norm(concept_vector)
+        again = scorer.score_all([("star.p",)], sphere, vector)
         assert scorer._vector_cache[("star.p",)] is first
+        assert again[("star.p",)] == definitions.context_score(
+            ("star.p",), sphere, network, 2
+        )
 
     def test_unknown_measure_rejected(self, network):
         with pytest.raises(ValueError):
@@ -177,5 +219,10 @@ class TestContextBasedScorer:
         for measure in ("jaccard", "pearson"):
             scorer = ContextBasedScorer(network, 2, vector_measure=measure)
             sphere = build_sphere(tree, tree.find("star"), 2)
-            scores = scorer.score_all([("star.p",), ("star.c",)], sphere)
+            scores = scorer.score_all(
+                [("star.p",), ("star.c",)], sphere, context_vector(sphere)
+            )
             assert all(0.0 <= s <= 1.0 for s in scores.values())
+            assert scores[("star.p",)] == definitions.context_score(
+                ("star.p",), sphere, network, 2, measure=measure
+            )

@@ -3,9 +3,11 @@
 Three batteries:
 
 * :class:`TestNetworkFingerprint` / :class:`TestConfigFingerprint` /
-  :class:`TestSphereSignature` / :class:`TestSphereMemo` — the memo
-  key machinery (frozen digests, ordered-member signatures, LRU
-  behavior, mutation invalidation);
+  :class:`TestSphereSignature` / :class:`TestPlanBuiltSignature` /
+  :class:`TestSphereMemo` — the memo key machinery (frozen digests,
+  ordered-member signatures, the plan-built key equal to
+  ``sphere_signature`` byte for byte, LRU behavior, mutation
+  invalidation);
 * :class:`TestMemoBitIdentity` — memoized replay is bit-identical to
   fresh computation and hands out fresh score dicts;
 * :class:`TestThreeWayParity` — the acceptance parity suite: for all
@@ -21,9 +23,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import XSDFConfig
-from repro.core.framework import XSDF
+from repro.core.distances import DirectionWeightedDistance, resolve_policy
+from repro.core.framework import XSDF, DocumentPlan
 from repro.core.sphere import Sphere, build_sphere
 from repro.runtime import (
     BatchExecutor,
@@ -43,6 +48,7 @@ from repro.similarity.node import (
     JiangConrathSimilarity,
     ResnikSimilarity,
 )
+from repro.xmltree.dom import XMLNode, XMLTree
 
 SMALL_XML = (
     "<films><picture><cast><star>Stewart</star><star>Kelly</star></cast>"
@@ -153,11 +159,107 @@ class TestSphereSignature:
         )
 
 
+#: Tokens whose repr escapes something: quotes of both kinds,
+#: backslashes, control characters, non-ASCII and non-BMP text.
+_TRICKY_TOKENS = [
+    "star", "it's", 'say "hi"', "both '\"", "back\\slash", "tab\there",
+    "line\nbreak", "café", "naïve", "東京", "🎬", "\x7f", "",
+]
+
+_tokens = st.one_of(st.sampled_from(_TRICKY_TOKENS), st.text(max_size=6))
+
+
+@st.composite
+def _labeled_trees(draw):
+    """Trees whose labels are one token or a compound of two or three."""
+    nodes: list[XMLNode] = []
+    for _ in range(draw(st.integers(1, 12))):
+        tokens = draw(st.lists(_tokens, min_size=1, max_size=3))
+        node = XMLNode(" ".join(tokens), tokens=tokens)
+        if nodes:
+            draw(st.sampled_from(nodes)).add_child(node)
+        nodes.append(node)
+    return XMLTree(nodes[0])
+
+
+#: Uniform edge counts (int distances) and weighted policies whose
+#: cost bands are floats such as 0.7, 1.4 and 2.0000000000000004.
+_POLICIES = [
+    None,
+    "density",
+    DirectionWeightedDistance(ascending_cost=0.7, descending_cost=1.3),
+    DirectionWeightedDistance(ascending_cost=2.5, descending_cost=2.5),
+]
+
+
+def _assert_plan_key_is_sphere_signature(tree, center, radius, policy,
+                                         network):
+    config = XSDFConfig(sphere_radius=max(radius, 1), distance_policy=policy)
+    sphere = build_sphere(
+        tree, center, radius,
+        policy=None if policy is None else resolve_policy(policy),
+    )
+    network_fp = network.fingerprint()
+    memo = SphereMemo(config, network_fp)
+    expected = sphere_signature(sphere, config_fingerprint(config), network_fp)
+    assert memo.signature(sphere, DocumentPlan(tree, network)) == expected
+    return sphere
+
+
+class TestPlanBuiltSignature:
+    """``SphereMemo.signature`` renders the key's payload from the
+    document plan's per-node segments; it must hash the very bytes
+    :func:`sphere_signature` hashes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tree=_labeled_trees(),
+        radius=st.integers(0, 3),
+        policy=st.sampled_from(_POLICIES),
+        data=st.data(),
+    )
+    def test_plan_built_digest_equals_sphere_signature(
+        self, lexicon, tree, radius, policy, data
+    ):
+        center = data.draw(st.sampled_from(tree.nodes))
+        _assert_plan_key_is_sphere_signature(
+            tree, center, radius, policy, lexicon
+        )
+
+    @pytest.mark.parametrize("policy", _POLICIES)
+    def test_required_inputs(self, lexicon, policy):
+        """Escaped labels, compound tokens and weighted float distances
+        in a many-member sphere, and the one-member sphere whose member
+        tuple keeps its trailing comma."""
+        root = XMLNode("it's a \"film\"", tokens=["it's", 'a "film"'])
+        star = root.add_child(XMLNode("café\\star", tokens=["café\\star"]))
+        star.add_child(XMLNode("🎬"))
+        root.add_child(XMLNode("first name", tokens=["first", "name"]))
+        tree = XMLTree(root)
+        sphere = _assert_plan_key_is_sphere_signature(
+            tree, star, 3, policy, lexicon
+        )
+        assert len(sphere) > 1
+        if policy is not None:
+            assert all(isinstance(m.distance, float) for m in sphere)
+        lone = XMLTree(XMLNode("naïve 'x'", tokens=["naïve", "'x'"]))
+        sphere = _assert_plan_key_is_sphere_signature(
+            lone, lone.root, 2, policy, lexicon
+        )
+        assert len(sphere) == 1
+
+
 class TestSphereMemo:
     def test_roundtrip_and_stats(self, lexicon):
         memo = SphereMemo(XSDFConfig(), lexicon.fingerprint())
-        sphere = _sphere_of(lexicon)
-        signature = memo.signature(sphere)
+        tree = XSDF(lexicon, XSDFConfig()).build_tree(SMALL_XML)
+        sphere = build_sphere(
+            tree, tree.find("star"), XSDFConfig().sphere_radius
+        )
+        signature = memo.signature(sphere, DocumentPlan(tree, lexicon))
+        assert signature == sphere_signature(
+            sphere, config_fingerprint(XSDFConfig()), lexicon.fingerprint()
+        )
         assert memo.get(signature) is None
         entry = (("star.n.01",), ((("star.n.01",), 0.5),), (), ())
         memo.put(signature, entry)

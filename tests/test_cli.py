@@ -118,25 +118,42 @@ class TestBatch:
     def test_batch_modes_are_byte_identical(
         self, tmp_path, lexicon, monkeypatch
     ):
-        """The 60-document Table 3 corpus writes one JSONL serially,
-        with ``--workers 2``, with ``--shard`` and with ``--no-index``."""
+        """The 60-document Table 3 corpus reproduces the golden digest
+        through the library call, ``repro batch`` serially, with
+        ``--workers 2``, with ``--shard`` and with ``--no-index``, and
+        through the in-process server."""
+        import asyncio
+        import json
+
+        from repro import XSDF, XSDFConfig
         from repro.datasets import generate_test_corpus
         from repro.runtime import executor as executor_module
-        from repro.semnet.io import save_network
+        from repro.semnet.io import load_network, save_network
+        from repro.server import ServerApp, ServerConfig
 
-        for i, doc in enumerate(generate_test_corpus()):
-            (tmp_path / f"doc-{i:02d}.xml").write_text(
-                doc.xml, encoding="utf-8"
-            )
+        from .golden import GOLDEN_ANNOTATIONS_SHA256, annotations_digest
+        from .server.conftest import disambiguate, request, running
+
+        corpus = [
+            (f"doc-{i:02d}", doc.xml)
+            for i, doc in enumerate(generate_test_corpus())
+        ]
+        for name, xml in corpus:
+            (tmp_path / f"{name}.xml").write_text(xml, encoding="utf-8")
         # Every run loads the JSON network the shard is packed from
         # (see TestPackAndStore._pack_lexicon on cross-source floats).
         network_json = tmp_path / "lexicon.network.json"
         shard = tmp_path / "lexicon.rxpd"
         save_network(lexicon, str(network_json))
+        network = load_network(str(network_json))
         assert run(["pack", str(shard), "--network", str(network_json)])[0] == 0
+
+        xsdf = XSDF(network, XSDFConfig())
+        library = [xsdf.disambiguate_document(xml).to_dict() for _, xml in corpus]
+        assert annotations_digest(library) == GOLDEN_ANNOTATIONS_SHA256
+
         # Oversubscribe: --workers 2 runs a real pool on 1-CPU hosts.
         monkeypatch.setattr(executor_module, "auto_workers", lambda: 2)
-        outputs = set()
         for mode in ([], ["--workers", "2"], ["--shard", str(shard)],
                      ["--no-index"]):
             out_path = tmp_path / "out.jsonl"
@@ -146,8 +163,25 @@ class TestBatch:
             ])
             assert code == 0, output
             assert "60 documents, 0 failed" in output
-            outputs.add(out_path.read_bytes())
-        assert len(outputs) == 1
+            records = [
+                json.loads(line)
+                for line in out_path.read_text(encoding="utf-8").splitlines()
+            ]
+            assert annotations_digest(
+                record["result"] for record in records
+            ) == GOLDEN_ANNOTATIONS_SHA256, mode
+
+        async def serve_corpus():
+            app = ServerApp(network, server_config=ServerConfig(port=0))
+            async with running(app) as server:
+                return [
+                    (await request(server, disambiguate(xml, name=name)))
+                    .ndjson()[-2]["result"]
+                    for name, xml in corpus
+                ]
+
+        served = asyncio.run(serve_corpus())
+        assert annotations_digest(served) == GOLDEN_ANNOTATIONS_SHA256
 
     def test_batch_profile_prints_summary(self, tmp_path, figure1_xml):
         (tmp_path / "doc.xml").write_text(figure1_xml, encoding="utf-8")
@@ -282,9 +316,17 @@ class TestUnreadableNetwork:
          "cannot load network of domain 'general': not a"),
         (["batch", "doc.xml", "--registry", "absent.toml"], 1,
          "cannot read registry manifest absent.toml: "),
+        (["serve", "--port", "0", "--registry", "missing.toml"], 1,
+         "cannot load network of domain 'general': "),
+        (["serve", "--port", "0", "--registry", "malformed.toml"], 1,
+         "cannot load network of domain 'general': not a"),
+        (["serve", "--port", "0", "--registry", "absent.toml"], 1,
+         "cannot read registry manifest absent.toml: "),
     ], ids=[
         "batch-missing", "validate-missing",
         "registry-missing", "registry-malformed", "manifest-missing",
+        "serve-registry-missing", "serve-registry-malformed",
+        "serve-manifest-missing",
     ])
     def test_reported_without_traceback(
         self, tmp_path, monkeypatch, xml_file, argv, expected_code, message
