@@ -14,9 +14,8 @@ Commands
     (``--no-index`` for the network walk), exact pruning and sphere
     memoization on by default (``--no-prune``/``--no-memo``).  Failure
     policy via ``--on-error={fail,skip,quarantine}`` (abort with exit 2
-    / record and continue / divert failed documents to a sidecar JSONL)
-    with ``--max-retries`` and ``--doc-timeout`` controlling the
-    resilience layer.
+    / record and continue / divert failed documents to a sidecar JSONL);
+    ``--journal``/``--resume`` make a killed batch resumable.
 ``serve``
     Run the long-lived disambiguation daemon (:mod:`repro.server`):
     the network loads and the packed index builds once, then
@@ -172,16 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "failure and continue (default, exit 1 if "
                             "any failed); quarantine = divert failed "
                             "documents to a sidecar JSONL (exit 0)")
-    batch.add_argument("--max-retries", type=int, default=2,
-                       help="re-dispatch budget for transient per-"
-                            "document faults (default 2; permanent "
-                            "errors are never retried)")
-    batch.add_argument("--doc-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-document wall-clock budget; a "
-                            "straggler's worker pool is terminated and "
-                            "the document re-dispatched (parallel runs "
-                            "only)")
     batch.add_argument("--quarantine", default=None, metavar="PATH",
                        help="sidecar JSONL for quarantined documents "
                             "(default quarantine.jsonl; implies "
@@ -211,14 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the journal proves complete are re-emitted "
                             "byte-identically instead of re-scored "
                             "(requires --journal)")
-    batch.add_argument("--chaos-seed", type=int, default=0, metavar="N",
-                       help="seed for --chaos-fault schedules "
-                            "(default 0)")
-    batch.add_argument("--chaos-fault", action="append", default=None,
-                       metavar="KIND[:MATCH[:RATE]]",
-                       help="inject a seeded fault schedule (repeatable); "
-                            "kinds: raise, slow, exit, kill_midbatch, "
-                            "bitrot")
 
     pack = sub.add_parser(
         "pack",
@@ -258,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--network", default=None, metavar="PATH",
                        help="serve a repro-semnet JSON network instead "
                             "of the bundled lexicon")
-    serve.add_argument("--workers", type=_workers_arg, default=1,
-                       metavar="N|auto",
-                       help="worker processes per session's batch "
-                            "executor (1 = serial, default; 'auto' = "
-                            "one per usable CPU); pools persist "
-                            "across requests")
     serve.add_argument("--max-concurrency", type=int, default=8,
                        help="disambiguation requests admitted at once; "
                             "excess requests get 503 + Retry-After "
@@ -322,27 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shard", default=None, metavar="RXPD",
                        help="attach the served index from this RXPD "
                             "shard via mmap instead of building it "
-                            "(fingerprint-checked against the served "
-                            "network)")
+                            "(CRC- and fingerprint-checked against the "
+                            "served network)")
     serve.add_argument("--registry", default=None, metavar="TOML",
                        help="serve every domain of a registry.toml "
                             "manifest; requests pick one with the "
                             "envelope's 'domain' key (mutually "
                             "exclusive with --network/--shard)")
-    serve.add_argument("--scrub-interval", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="run the background shard integrity "
-                            "scrubber, one bounded slice every N "
-                            "seconds (default 0 = off); damaged shards "
-                            "are quarantined and the server fails over "
-                            "to a heap-built index")
-    serve.add_argument("--scrub-slice-bytes", type=int, default=1 << 20,
-                       metavar="BYTES",
-                       help="bytes re-verified per scrub slice "
-                            "(default 1 MiB)")
-    serve.add_argument("--no-scrub-repair", action="store_true",
-                       help="detect + quarantine only; skip re-packing "
-                            "a damaged shard from its source network")
     serve.add_argument("--reload-interval", type=float, default=0.0,
                        metavar="SECONDS",
                        help="watch the registry manifest and shard "
@@ -507,7 +468,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
     network, prebuilt_index, registry, domain_note = _resolve_batch_index(
         args, documents
     )
-    injector = _make_injector(args)
     config = _make_config(args)
     journal, run_docs, todo_indices, replayed = _open_journal(
         args, config, network, documents
@@ -543,11 +503,8 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
                 else DEFAULT_CACHE_SIZE
             ),
             metrics=metrics,
-            max_retries=args.max_retries,
-            doc_timeout=args.doc_timeout,
             on_error=args.on_error,
             index=prebuilt_index,
-            injector=injector,
             record_hook=_record_hook,
         )
     except ValueError as exc:
@@ -723,10 +680,10 @@ def _resolve_batch_index(args: argparse.Namespace, documents):
 def _attach_shard(path: str, network):
     """Attach an RXPD shard with the full CRC check, or exit cleanly.
 
-    The check pool workers make: a missing, truncated, rotted or stale
-    (fingerprint-mismatched) shard becomes a one-line
-    ``cannot attach shard`` exit before any scoring, never a traceback
-    from the middle of a batch or a request.
+    The check pool workers and ``repro serve`` make: a missing,
+    truncated, rotted or stale (fingerprint-mismatched) shard becomes a
+    one-line ``cannot attach shard`` exit before any scoring, never a
+    traceback from the middle of a batch.
     """
     from .runtime.pack import PackedIndex, PackedIndexError
 
@@ -736,19 +693,6 @@ def _attach_shard(path: str, network):
         )
     except (PackedIndexError, OSError) as exc:
         raise SystemExit(f"cannot attach shard {path}: {exc}")
-
-
-def _make_injector(args: argparse.Namespace):
-    """A seeded :class:`FaultInjector` from ``--chaos-fault`` flags."""
-    if not getattr(args, "chaos_fault", None):
-        return None
-    from .runtime.faults import FaultInjector, FaultSpec
-
-    try:
-        specs = [FaultSpec.parse(text) for text in args.chaos_fault]
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    return FaultInjector(args.chaos_seed, specs)
 
 
 def _open_journal(args: argparse.Namespace, config, network, documents):
@@ -934,9 +878,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         network = _load_network(args.network)
     else:
         network = default_lexicon()
-    if args.shard:
-        # Check before listening; the server re-attaches it on warm-up.
-        _attach_shard(args.shard, network)
     try:
         server_config = ServerConfig(
             host=args.host,
@@ -955,13 +896,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                 args.cache_size if args.cache_size is not None
                 else DEFAULT_CACHE_SIZE
             ),
-            workers=args.workers,
             shard=args.shard,
             registry=args.registry,
-            network_path=args.network,
-            scrub_interval=args.scrub_interval,
-            scrub_slice_bytes=args.scrub_slice_bytes,
-            scrub_repair=not args.no_scrub_repair,
             reload_interval=args.reload_interval,
         )
     except ValueError as exc:
@@ -969,16 +905,23 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     app = ServerApp(
         network, config=_make_config(args), server_config=server_config
     )
-    if args.registry:
+    if args.registry or args.shard:
+        from .runtime.pack import PackedIndexError
         from .runtime.store import RegistryError
 
-        # Attach the manifest's default domain before listening, so an
-        # unreadable manifest or network is one line, as in batch.
+        # Attach the manifest's default domain or the CRC-checked shard
+        # before listening, so an unreadable manifest or network, or a
+        # missing, damaged or stale shard, is one line, as in batch.
         try:
             app.warm_up()
         except RegistryError as exc:
             app.close()
             raise SystemExit(str(exc))
+        except (PackedIndexError, OSError) as exc:
+            app.close()
+            if args.shard:
+                raise SystemExit(f"cannot attach shard {args.shard}: {exc}")
+            raise
     return ReproServer(app).serve(announce=announce_to_stderr)
 
 

@@ -529,13 +529,12 @@ class ExceptionFlowRule(ProjectRule):
 
 #: Calls that acquire an OS-backed resource needing release.  Journal
 #: writers hold an unbuffered fd whose final frames are lost if never
-#: closed; threads (the scrubber's daemon included) must be stopped and
-#: joined, or a test run never exits cleanly.
+#: closed; threads must be joined, or a test run never exits cleanly.
 _ACQUIRERS = frozenset({
     "open", "mmap", "socket", "socketpair", "create_connection",
     "Pool", "ProcessPoolExecutor", "ThreadPoolExecutor",
     "TemporaryFile", "NamedTemporaryFile", "SpooledTemporaryFile",
-    "SharedMemory", "Thread", "JournalWriter", "ShardScrubber",
+    "SharedMemory", "Thread", "JournalWriter",
 })
 
 #: Method names that release (or begin releasing) a resource.

@@ -16,10 +16,11 @@ scale cheap and observable without changing a single score:
   (frozen config + network fingerprints, target, ordered members), so
   repeated situations replay bit-identically across documents;
 * :mod:`~repro.runtime.executor` — :class:`BatchExecutor`, a
-  pipelined multiprocessing fan-out with serial fallback and
+  pipelined process-pool fan-out with serial fallback and
   deterministic, input-ordered results;
 * :mod:`~repro.runtime.pool` — :class:`PersistentPool`, the
-  long-lived worker runtime (spawn once, serve many batches), plus the
+  long-lived worker runtime (spawn once, serve many batches; a dead
+  worker breaks the pool at once instead of stalling it), plus the
   ``--workers auto`` helpers :func:`auto_workers` /
   :func:`parse_workers`;
 * :mod:`~repro.runtime.store` — the on-disk ``RXPD`` shard format
@@ -32,24 +33,14 @@ scale cheap and observable without changing a single score:
 * :mod:`~repro.runtime.metrics` — :class:`MetricsRegistry`, per-stage
   latency timers, counters, and structured events with JSON report
   export, zero-overhead when off;
-* :mod:`~repro.runtime.resilience` — :class:`DocOutcome`,
-  :class:`RetryPolicy`, :class:`CircuitBreaker`,
-  :class:`BatchAbortError`: per-document fault isolation with bounded
-  retry, per-document timeouts, and a breaker-guarded serial fallback;
-* :mod:`~repro.runtime.faults` — :class:`FaultInjector` and
-  :class:`FaultSpec`, deterministic seeded fault schedules
-  (raise-in-worker, slow-worker, flaky-then-recover, worker exit,
-  kill-midbatch, shard bitrot) that exercise every
-  recovery path; surviving documents stay bit-identical to a
-  fault-free run;
+* :mod:`~repro.runtime.resilience` — :class:`DocOutcome` and
+  :class:`BatchAbortError`: per-document fault isolation (a failed
+  document fails alone, typed by stage) and the ``on_error="fail"``
+  abort;
 * :mod:`~repro.runtime.journal` — :class:`JournalWriter` /
   :func:`read_journal`, the append-only CRC-framed outcome journal
   (WAL) behind ``repro batch --journal/--resume``: a killed batch
-  resumes byte-identically, re-scoring only what never landed;
-* :mod:`~repro.runtime.scrubber` — :class:`ShardScrubber`, the
-  background integrity scrubber for attached ``RXPD`` shards:
-  incremental CRC re-verification, typed damage detection, quarantine
-  renames, and optional re-pack repair from the source network.
+  resumes byte-identically, re-scoring only what never landed.
 
 Typical use::
 
@@ -63,7 +54,6 @@ Typical use::
 
 from .cache import LRUCache
 from .executor import BatchDocument, BatchExecutor, BatchRecord
-from .faults import FaultInjector, FaultSpec, InjectedFault
 from .journal import (
     JournalError,
     JournalReplay,
@@ -81,13 +71,7 @@ from .pack import (
     PackedIndexTruncatedError,
 )
 from .pool import PersistentPool, auto_workers, parse_workers
-from .resilience import (
-    BatchAbortError,
-    CircuitBreaker,
-    DocOutcome,
-    RetryPolicy,
-)
-from .scrubber import ScrubTarget, ShardScrubber
+from .resilience import BatchAbortError, DocOutcome
 from .store import (
     MmapIndexHandle,
     NetworkRegistry,
@@ -103,11 +87,7 @@ __all__ = [
     "BatchDocument",
     "BatchExecutor",
     "BatchRecord",
-    "CircuitBreaker",
     "DocOutcome",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedFault",
     "JournalError",
     "JournalReplay",
     "JournalWriter",
@@ -123,9 +103,6 @@ __all__ = [
     "PersistentPool",
     "RegistryEntry",
     "RegistryError",
-    "RetryPolicy",
-    "ScrubTarget",
-    "ShardScrubber",
     "SphereMemo",
     "StageTimer",
     "auto_workers",

@@ -29,15 +29,17 @@ finalizer) terminates workers and deletes the temporary shard.
 
 Failure is a first-class outcome, not an exception.  Every document
 comes back with a structured :class:`~repro.runtime.resilience
-.DocOutcome` (``ok`` / ``retried`` / ``failed`` with the typed error,
-attempt count, and stage); transient faults are retried
-with exponential backoff; a per-document wall-clock timeout kills and
-re-dispatches stragglers; and a circuit breaker trips the pool to the
-serial fallback after N consecutive pool-machinery failures — each
-transition recorded in the :class:`MetricsRegistry`, never silent.  A
-seeded :class:`~repro.runtime.faults.FaultInjector` can be plugged in
-to exercise all of these paths deterministically; documents that
-succeed under injected faults are bit-identical to a fault-free run.
+.DocOutcome` (``ok`` / ``failed`` with the typed error, attempt count,
+and stage).  Scores are a pure function of the document, the network
+and the configuration, so a document that fails fails again: nothing
+is retried.  The one fault outside the document is a worker that dies
+(SIGKILL, the OOM killer): the pool reports it at once, the executor
+respawns the pool and re-runs the documents the dead pool lost one
+task at a time, so only a document whose own task kills its worker
+fails (with stage ``pool``).  A platform that cannot create a pool
+runs the batch serially.  Each transition is recorded in the
+:class:`MetricsRegistry`, never silent, and every surviving document
+is byte-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from ..core.framework import XSDF
 from ..semnet.network import SemanticNetwork
 from ..xmltree.errors import XMLError
 from .cache import LRUCache
-from .faults import FaultInjector, InjectedFault
 from .metrics import MetricsRegistry
 from .pack import PackedIndex, PackedIndexError
 from .pool import PersistentPool, auto_workers
@@ -67,17 +68,13 @@ from .store import MmapIndexHandle, write_shard
 from .resilience import (
     ON_ERROR_POLICIES,
     STAGE_INDEX,
-    STAGE_INJECT,
     STAGE_PARSE,
     STAGE_PIPELINE,
-    STAGE_TIMEOUT,
+    STAGE_POOL,
     STATUS_FAILED,
     STATUS_OK,
-    STATUS_RETRIED,
     BatchAbortError,
-    CircuitBreaker,
     DocOutcome,
-    RetryPolicy,
 )
 
 #: Default bound for the per-process pairwise/sense similarity caches.
@@ -151,13 +148,12 @@ class BatchRecord:
 
 # -- worker-process machinery ------------------------------------------------
 #
-# Module-level state + functions so they are picklable by Pool.  Each
-# worker builds its XSDF (and document-result cache) once in the
-# initializer; tasks then carry only (name, xml, attempt) payloads.
+# Module-level state + functions so they are picklable by the pool.
+# Each worker builds its XSDF (and document-result cache) once in the
+# initializer; tasks then carry only (name, xml) payloads.
 
 _WORKER_XSDF: XSDF | None = None
 _WORKER_DOC_CACHE: LRUCache | None = None
-_WORKER_INJECTOR: FaultInjector | None = None
 _WORKER_GENERATION: int = 0
 #: 1 when this worker's shard attach failed and it built the index
 #: itself (reported as ``degrade_packed_decode``), else 0.
@@ -169,7 +165,6 @@ def _init_worker(
     config: XSDFConfig,
     shard: MmapIndexHandle | None,
     cache_size: int | None,
-    injector: FaultInjector | None = None,
     generation: int = 0,
 ) -> None:
     """Install this worker process's XSDF + caches (pool initializer).
@@ -190,7 +185,7 @@ def _init_worker(
     """
     # Per-process worker state is the one sanctioned module-global
     # mutation: it is written once per process, before any task runs.
-    global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_INJECTOR, _WORKER_GENERATION, _WORKER_PACKED_DECODE  # lint: disable=cache-purity
+    global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_GENERATION, _WORKER_PACKED_DECODE  # lint: disable=cache-purity
     index = None
     _WORKER_PACKED_DECODE = 0
     if shard is not None:
@@ -203,20 +198,16 @@ def _init_worker(
     _WORKER_DOC_CACHE = (
         LRUCache(maxsize=DOC_CACHE_SIZE) if index is not None else None
     )
-    _WORKER_INJECTOR = injector
     _WORKER_GENERATION = generation
 
 
-def _run_chunk(
-    tasks: list[tuple[str, str, int]]
-) -> list[BatchRecord]:
-    """Disambiguate one chunk of ``(name, xml, attempt)`` tasks."""
+def _run_chunk(tasks: list[tuple[str, str]]) -> list[BatchRecord]:
+    """Disambiguate one chunk of ``(name, xml)`` tasks."""
     assert _WORKER_XSDF is not None, "worker pool was not initialized"
     records = []
-    for name, xml, attempt in tasks:
+    for name, xml in tasks:
         record = _disambiguate_one(
-            _WORKER_XSDF, name, xml, _WORKER_DOC_CACHE,
-            injector=_WORKER_INJECTOR, attempt=attempt,
+            _WORKER_XSDF, name, xml, _WORKER_DOC_CACHE
         )
         record.worker_stats = _stats_snapshot(_WORKER_XSDF)
         records.append(record)
@@ -270,8 +261,6 @@ def _build_xsdf(
 
 def _classify_stage(exc: BaseException) -> str:
     """Map an exception to the pipeline stage it indicts."""
-    if isinstance(exc, InjectedFault):
-        return STAGE_INJECT
     if isinstance(exc, XMLError):
         return STAGE_PARSE
     if isinstance(exc, PackedIndexError):
@@ -284,8 +273,6 @@ def _disambiguate_one(
     name: str,
     xml: str,
     doc_cache: LRUCache | None,
-    injector: FaultInjector | None = None,
-    attempt: int = 1,
 ) -> BatchRecord:
     """Disambiguate one document, serving repeats from the result cache.
 
@@ -293,21 +280,16 @@ def _disambiguate_one(
     pure function of (network, config, text), so an identical document
     seen again — the common shape of production traffic — costs one
     hash instead of a full pipeline run.  Only results are cached: a
-    failed document runs (and is classified) afresh every time.
-    Injected faults fire *before* the cache lookup (they are keyed by
-    document name, the cache by text), so a retry re-runs the real
-    pipeline.  Any other exception while parsing or scoring fails this
-    one document, with the stage :func:`_classify_stage` assigns.
+    failed document runs (and is classified) afresh every time.  Any
+    exception while parsing or scoring fails this one document, with
+    the stage :func:`_classify_stage` assigns.
     """
     start = time.perf_counter()
     result: dict | None = None
     error: str | None = None
     error_type = ""
     stage = ""
-    transient = False
     try:
-        if injector is not None:
-            injector.before_document(name, attempt)
         key = (
             hashlib.sha256(xml.encode("utf-8")).hexdigest()
             if doc_cache is not None else None
@@ -321,11 +303,6 @@ def _disambiguate_one(
                 doc_cache[key] = result  # lint: disable=cache-purity
     except (KeyboardInterrupt, SystemExit):
         raise
-    except InjectedFault as exc:  # lint: disable=silent-degrade  # surfaced as a DocOutcome by the caller
-        error = f"{type(exc).__name__}: {exc}"
-        error_type = type(exc).__name__
-        stage = STAGE_INJECT
-        transient = exc.transient
     except Exception as exc:  # lint: disable=broad-except,silent-degrade  # isolation boundary -> DocOutcome
         error = f"{type(exc).__name__}: {exc}"
         error_type = type(exc).__name__
@@ -333,11 +310,9 @@ def _disambiguate_one(
     outcome = DocOutcome(
         name=name,
         status=STATUS_OK if error is None else STATUS_FAILED,
-        attempts=attempt,
         stage=stage,
         error_type=error_type,
         error=error or "",
-        transient=transient,
     )
     return BatchRecord(
         name=name,
@@ -422,18 +397,17 @@ class BatchExecutor:
         1-CPU host ``workers=2`` would pay fork + IPC + context
         switching for zero parallelism, so the executor serves such
         batches serially instead (output is identical; a
-        ``workers_clamped`` event records the decision).  Pool
-        creation failures (platforms without working
-        ``multiprocessing``) and mid-batch pool-machinery failures
-        (worker crashes, pickling errors) are counted by the circuit
-        breaker and, once it trips, drain the rest of the batch on the
-        serial path — output is identical either way, and every
+        ``workers_clamped`` event records the decision).  A worker that
+        dies mid-batch breaks the pool: the executor respawns it and
+        re-runs the lost documents one task at a time, failing only a
+        document whose own task kills its worker (stage ``pool``).  A
+        platform that cannot create a pool runs the rest of the batch
+        serially.  Output is identical either way, and every
         transition is recorded in the metrics registry.
     chunk_size:
         Documents per pool task; ``None`` picks ``ceil(n / (4 *
         workers))`` — large enough to amortize dispatch, small enough to
-        load-balance.  Forced to 1 while ``doc_timeout`` is set so the
-        timeout has per-document granularity.
+        load-balance.
     use_index:
         Build a :class:`PackedIndex` + bounded LRU similarity cache (on
         by default — this is the runtime's raison d'être; disable to
@@ -447,40 +421,16 @@ class BatchExecutor:
         through :class:`XSDF` for full per-stage latency; the parallel
         path records batch-level counters/timers plus the merged
         per-worker memo/prune counters — other worker-process
-        internals are not merged back.  Resilience counters
-        (``outcome_*``, ``retries``, ``doc_timeouts``,
-        ``breaker_trips``) and structured events (``fault``,
-        ``doc_failed``, ``doc_timeout``, ``pool_fault``,
-        ``breaker_tripped``) land here too.
-    max_retries:
-        Re-dispatch budget for *transient* faults per document (a
-        document runs at most ``max_retries + 1`` times).  Permanent
-        errors (parse failures, deterministic pipeline bugs) are never
-        retried.
-    doc_timeout:
-        Per-document wall-clock budget in seconds (parallel path only;
-        the serial path cannot kill a straggler in-process).  A chunk
-        that exceeds it has its pool terminated and its documents
-        re-dispatched with a bumped attempt count, becoming ``failed``
-        with ``stage="timeout"`` once retries are exhausted.
-    backoff_base:
-        First retry delay; doubles per attempt, capped at 2 s.  Pass
-        ``0.0`` (tests do) to retry instantly.
-    breaker_threshold:
-        Consecutive pool-machinery failures before the circuit breaker
-        trips to the serial fallback.
+        internals are not merged back.  Outcome counters
+        (``outcome_*``), pool counters (``pool_spawns``,
+        ``pool_reuses``, ``worker_respawns``) and structured events
+        (``doc_failed``, ``pool_fault``) land here too.
     on_error:
         ``"skip"`` (default) records failures and carries on;
         ``"fail"`` raises :class:`BatchAbortError` (carrying the
-        records so far) at the first final failure; ``"quarantine"``
+        records so far) at the first failure; ``"quarantine"``
         behaves like ``skip`` — routing failed records to a sidecar is
         the CLI's job.
-    injector:
-        Optional :class:`FaultInjector`; its schedules fire in the
-        parent's serial path and in every worker (it ships through the
-        pool initializer).  A ``bitrot`` schedule rots the temporary
-        shard workers attach; with an injector set the executor always
-        writes one, so a user's shard file is never rotted.
     index:
         Optional pre-built :class:`PackedIndex` over ``network``.
         Long-lived callers (the ``repro serve`` session pool) build the
@@ -497,8 +447,9 @@ class BatchExecutor:
     record_hook:
         Optional callable invoked in the parent with each *final*
         :class:`BatchRecord` as it completes, on every dispatch path
-        (serial, parallel, timeout-exhausted).  The batch journal's
-        append point; hook exceptions propagate and abort the batch.
+        (serial, parallel, re-run after a worker death).  The batch
+        journal's append point; hook exceptions propagate and abort
+        the batch.
     """
 
     def __init__(
@@ -510,12 +461,7 @@ class BatchExecutor:
         use_index: bool = True,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
         metrics: MetricsRegistry | None = None,
-        max_retries: int = 2,
-        doc_timeout: float | None = None,
-        backoff_base: float = 0.05,
-        breaker_threshold: int = 3,
         on_error: str = "skip",
-        injector: FaultInjector | None = None,
         index: PackedIndex | None = None,
         oversubscribe: bool = False,
         record_hook: "Callable[[BatchRecord], None] | None" = None,
@@ -526,8 +472,6 @@ class BatchExecutor:
             raise ValueError("chunk_size must be >= 1")
         if cache_size is not None and cache_size < 1:
             raise ValueError("cache_size must be >= 1 (or None for unbounded)")
-        if doc_timeout is not None and doc_timeout <= 0:
-            raise ValueError("doc_timeout must be > 0 (or None for no limit)")
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
@@ -540,13 +484,7 @@ class BatchExecutor:
         self.use_index = use_index
         self.cache_size = cache_size
         self.metrics = metrics
-        self.retry = RetryPolicy(
-            max_retries=max_retries, backoff_base=backoff_base
-        )
-        self.doc_timeout = doc_timeout
-        self.breaker_threshold = breaker_threshold
         self.on_error = on_error
-        self.injector = injector
         self.record_hook = record_hook
         self._index: PackedIndex | None = index if use_index else None
         self._serial_xsdf: XSDF | None = None
@@ -656,10 +594,10 @@ class BatchExecutor:
     ) -> list[BatchRecord]:
         """Disambiguate every document; records come back in input order.
 
-        Under ``on_error="fail"`` a document whose retries are
-        exhausted raises :class:`BatchAbortError` (carrying the records
-        completed so far); otherwise failures come back as records with
-        ``ok=False`` and a structured ``outcome``.
+        Under ``on_error="fail"`` the first failed document raises
+        :class:`BatchAbortError` (carrying the records completed so
+        far); otherwise failures come back as records with ``ok=False``
+        and a structured ``outcome``.
         """
         docs = [
             doc if isinstance(doc, BatchDocument) else BatchDocument(*doc)
@@ -677,10 +615,13 @@ class BatchExecutor:
                 requested=self.workers,
                 effective=effective,
             )
+        results: list[BatchRecord | None] = [None] * len(docs)
         if effective <= 1 or len(docs) <= 1:
-            records = self._run_serial(docs)
+            self._run_serial(docs, range(len(docs)), results)
         else:
-            records = self._run_parallel(docs)
+            self._run_parallel(docs, results)
+        records = [r for r in results if r is not None]
+        assert len(records) == len(docs), "lost a batch document"
         if m is not None:
             m.observe("batch", time.perf_counter() - start)
             m.count("batch_failures", sum(1 for r in records if not r.ok))
@@ -700,17 +641,25 @@ class BatchExecutor:
 
     # -- outcome plumbing ----------------------------------------------------
 
-    def _finalize(self, record: BatchRecord, attempt: int) -> BatchRecord:
-        """Stamp the final outcome status and emit its metrics."""
+    def _finish(
+        self,
+        i: int,
+        record: BatchRecord,
+        results: "list[BatchRecord | None]",
+        attempts: int = 1,
+    ) -> None:
+        """Store document ``i``'s final record and emit its metrics.
+
+        Aborts the batch here under ``on_error="fail"`` when the record
+        failed.
+        """
         outcome = record.outcome
         if outcome is None:
             outcome = record.outcome = DocOutcome(  # lint: disable=cache-purity  # record is this method's out-param
                 name=record.name,
                 status=STATUS_OK if record.ok else STATUS_FAILED,
             )
-        outcome.attempts = attempt
-        if record.ok and attempt > 1:
-            outcome.status = STATUS_RETRIED
+        outcome.attempts = attempts
         m = self.metrics
         if m is not None:
             m.count(f"outcome_{outcome.status}")
@@ -720,7 +669,7 @@ class BatchExecutor:
                     doc=outcome.name,
                     error_type=outcome.error_type,
                     stage=outcome.stage,
-                    attempts=attempt,
+                    attempts=attempts,
                 )
         hook = self.record_hook
         if hook is not None:
@@ -729,49 +678,12 @@ class BatchExecutor:
             # failures (disk full under --journal) propagate: silently
             # dropping durability would defeat the journal's contract.
             hook(record)
-        return record
-
-    def _note_retry(self, outcome: DocOutcome, attempt: int) -> None:
-        """Record one transient fault that earned a re-dispatch."""
-        m = self.metrics
-        if m is not None:
-            m.count("retries")
-            m.event(
-                "fault",
-                doc=outcome.name,
-                error_type=outcome.error_type,
-                stage=outcome.stage,
-                attempt=attempt,
+        results[i] = record  # lint: disable=cache-purity  # results is the batch's out-param
+        if self.on_error == "fail" and not record.ok:
+            raise BatchAbortError(
+                f"document {record.name!r} failed: {record.error}",
+                [r for r in results if r is not None],
             )
-
-    def _abort(
-        self, record: BatchRecord, results: "list[BatchRecord | None]"
-    ) -> BatchAbortError:
-        """The ``on_error="fail"`` abort, carrying the records so far."""
-        return BatchAbortError(
-            f"document {record.name!r} failed: {record.error}",
-            [r for r in results if r is not None],
-        )
-
-    def _fail_record(
-        self, doc: BatchDocument, attempt: int, stage: str, error: str
-    ) -> BatchRecord:
-        """A synthesized failure record (timeout / pool casualties)."""
-        return BatchRecord(
-            name=doc.name,
-            result=None,
-            error=error,
-            elapsed_s=0.0,
-            outcome=DocOutcome(
-                name=doc.name,
-                status=STATUS_FAILED,
-                attempts=attempt,
-                stage=stage,
-                error_type=error.split(":", 1)[0],
-                error=error,
-                transient=True,
-            ),
-        )
 
     # -- serial path ---------------------------------------------------------
 
@@ -797,37 +709,20 @@ class BatchExecutor:
                         self.metrics.register_cache(name, cache)
         return self._serial_xsdf
 
-    def _attempt_serial(
-        self, xsdf: XSDF, doc: BatchDocument, first_attempt: int = 1
-    ) -> BatchRecord:
-        """One document through the serial path, with the retry loop."""
-        attempt = first_attempt
-        while True:
-            record = _disambiguate_one(
-                xsdf, doc.name, doc.xml, self._doc_cache,
-                injector=self.injector, attempt=attempt,
-            )
-            outcome = record.outcome
-            assert outcome is not None
-            if record.ok or not (
-                outcome.transient and self.retry.allows(attempt)
-            ):
-                return self._finalize(record, attempt)
-            self._note_retry(outcome, attempt)
-            delay = self.retry.delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-
-    def _run_serial(self, docs: Sequence[BatchDocument]) -> list[BatchRecord]:
+    def _run_serial(
+        self,
+        docs: Sequence[BatchDocument],
+        indices: Iterable[int],
+        results: "list[BatchRecord | None]",
+    ) -> None:
+        """Score the documents at ``indices`` in this process."""
         xsdf = self._serial()
-        records: list[BatchRecord | None] = []
-        for doc in docs:
-            record = self._attempt_serial(xsdf, doc)
-            records.append(record)
-            if self.on_error == "fail" and not record.ok:
-                raise self._abort(record, records)
-        return [r for r in records if r is not None]
+        for i in indices:
+            doc = docs[i]
+            self._finish(
+                i, _disambiguate_one(xsdf, doc.name, doc.xml, self._doc_cache),
+                results,
+            )
 
     # -- parallel path -------------------------------------------------------
 
@@ -855,20 +750,17 @@ class BatchExecutor:
 
         An index attached from an ``RXPD`` shard file ships that path;
         otherwise the index is written **once** to a temporary shard
-        (owned by this executor until :meth:`close`).  Chaos runs (an
-        injector is set) always write the temporary shard and let its
-        ``bitrot`` schedules rot it, so a corrupt shard fails the
-        workers' CRC-verified attach and each worker builds the index
-        itself.  A shard that cannot be written is recorded as a
-        ``pool_fault`` event and takes the same worker fallback.
+        (owned by this executor until :meth:`close`).  Workers attach
+        it with the full CRC check, so a shard damaged on disk makes
+        each worker build the index itself.  A shard that cannot be
+        written is recorded as a ``pool_fault`` event and takes the
+        same worker fallback.
         """
         index = self._ensure_index()
         if index is None:
             return None
         path = index.shard_path
-        if path is None or self.injector is not None or not os.path.isfile(
-            path
-        ):
+        if path is None or not os.path.isfile(path):
             try:
                 path = self._write_temp_shard(index)
             except OSError as exc:
@@ -884,14 +776,9 @@ class BatchExecutor:
         return MmapIndexHandle(path=path, size=size)
 
     def _write_temp_shard(self, index: PackedIndex) -> str:
-        """Write ``index`` to this executor's temporary shard.
-
-        The injector's ``bitrot`` schedules (if any) then rot it.
-        """
+        """Write ``index`` to this executor's temporary shard."""
         self._temp_shard = _new_temp_shard_path()
         write_shard(index, self._temp_shard)
-        if self.injector is not None:
-            self.injector.bitrot_shard(self._temp_shard)
         return self._temp_shard
 
     def _runtime(self) -> PersistentPool:
@@ -911,7 +798,6 @@ class BatchExecutor:
                 initializer=_init_worker,
                 initargs=(
                     self.network, self.config, ship, self.cache_size,
-                    self.injector,
                 ),
                 metrics=self.metrics,
             )
@@ -920,53 +806,49 @@ class BatchExecutor:
             )
         return self._pool
 
-    def _run_parallel(self, docs: Sequence[BatchDocument]) -> list[BatchRecord]:
-        m = self.metrics
-        breaker = CircuitBreaker(self.breaker_threshold)
-        results: list[BatchRecord | None] = [None] * len(docs)
-        pending: list[tuple[int, int]] = [(i, 1) for i in range(len(docs))]
+    def _run_parallel(
+        self,
+        docs: Sequence[BatchDocument],
+        results: "list[BatchRecord | None]",
+    ) -> None:
+        """Score ``docs`` on the persistent pool, into ``results``.
+
+        Chunks run through :meth:`_pipeline`.  When a worker dies the
+        pool breaks; the documents of the chunks it lost are re-run
+        one task at a time on a respawned pool (:meth:`_isolate`) and
+        the pipeline carries on with the chunks not yet submitted.
+        Once the platform refuses to create a pool, whatever is left
+        runs serially.
+        """
         runtime = self._runtime()
         runtime.note_batch()
+        chunk = self.chunk_size or self._auto_chunk(docs)
+        todo: deque[list[int]] = deque(
+            list(range(at, min(at + chunk, len(docs))))
+            for at in range(0, len(docs), chunk)
+        )
+        unrun: list[int] = []
         try:
-            while pending:
-                if breaker.tripped:
-                    if m is not None:
-                        m.count("breaker_trips")
-                        m.event("breaker_tripped", remaining=len(pending))
-                    self._drain_serial(docs, pending, results)
-                    pending = []
-                    break
+            while todo and not unrun:
                 pool = runtime.ensure()
                 if pool is None:
-                    breaker.record_failure()
-                    continue
-                pending, pool_ok = self._collect_wave(
-                    pool, docs, pending, results, breaker
-                )
-                if not pool_ok:
+                    break
+                lost = self._pipeline(pool, docs, todo, results)
+                if lost is not None:
                     runtime.restart()
-                if pending:
-                    # Back off before the retry wave (retries only reach
-                    # here with attempt >= 2; pool-failure requeues keep
-                    # attempt 1 and a zero delay).
-                    delay = self.retry.delay(
-                        max(att for _, att in pending) - 1
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-        except BaseException:  # lint: disable=broad-except  # teardown boundary: parks the pool then re-raises
-            # Satellite contract: KeyboardInterrupt/SystemExit (and the
-            # on_error="fail" abort) must not leave workers stuck on
-            # in-flight tasks.  The inner pool is hard-terminated; the
+                    unrun = self._isolate(runtime, docs, lost, results)
+            rest = sorted(unrun + [i for group in todo for i in group])
+            if rest:
+                self._run_serial(docs, rest, results)
+        except BaseException:  # lint: disable=broad-except  # teardown boundary: kills the workers then re-raises
+            # KeyboardInterrupt/SystemExit and the on_error="fail" abort
+            # must not leave workers running abandoned tasks.  The
             # runtime (and its index shard) stays, so the next batch
             # respawns workers against the same shard.
             runtime.restart()
             raise
-        records = [r for r in results if r is not None]
-        assert len(records) == len(docs), "lost a batch document"
-        if m is not None:
-            self._merge_worker_stats(records)
-        return records
+        if self.metrics is not None:
+            self._merge_worker_stats([r for r in results if r is not None])
 
     def _pipeline_depth(self) -> int:
         """Chunks kept in flight by the bounded-queue pipeline.
@@ -974,224 +856,116 @@ class BatchExecutor:
         Two per worker keeps every worker busy while the parent
         disposes the head chunk (submit overlaps collection); the
         floor of 4 keeps small pools pipelined too.  Bounding the
-        queue (instead of submitting the whole wave up front) caps
-        parent-side memory and lets a straggler or machinery fault
-        surface before the tail is serialized.
+        queue (instead of submitting the whole batch up front) caps
+        parent-side memory and what a broken pool can lose: every
+        pending task fails with it, so at most this many chunks are
+        re-run.
         """
         return max(4, 2 * self.effective_workers)
 
-    def _collect_wave(
+    def _pipeline(
         self,
         pool,
         docs: Sequence[BatchDocument],
-        wave: list[tuple[int, int]],
+        todo: "deque[list[int]]",
         results: "list[BatchRecord | None]",
-        breaker: CircuitBreaker,
-    ) -> tuple[list[tuple[int, int]], bool]:
-        """Pipeline one wave of ``(doc index, attempt)`` entries.
+    ) -> "list[int] | None":
+        """Run ``todo``'s chunks on ``pool`` as a bounded-queue pipeline.
 
-        The wave runs as a bounded-queue pipeline: up to
-        :meth:`_pipeline_depth` chunks are in flight, the head chunk is
-        collected (and disposed — finalized or requeued) while later
-        chunks execute and the tail is still being submitted.  Returns
-        ``(requeue, pool_ok)``: the entries needing another wave, and
-        whether the pool survived (a timeout or machinery failure
-        poisons it — the caller terminates and respawns via the
-        persistent runtime).  On any failure the chunks already in
-        flight are salvaged: finished results are kept, unfinished and
-        unsubmitted entries are blamelessly requeued at their current
-        attempt.
+        Up to :meth:`_pipeline_depth` chunks are in flight; the head
+        chunk is collected while later chunks execute and the tail is
+        still being submitted.  Chunks leave ``todo`` as they are
+        submitted.  Returns ``None`` when the pool survived, else the
+        documents of the chunks the broken pool lost, in input order
+        (chunks that finished before the break are kept; a pool found
+        broken before anything ran loses none).
         """
-        import multiprocessing
+        # Imported here, not at module level, so a serial batch never
+        # loads concurrent.futures (and the logging module it imports).
+        from concurrent.futures import BrokenExecutor, Future, wait
 
-        m = self.metrics
-        wave_docs = [docs[i] for i, _ in wave]
-        if self.doc_timeout is not None:
-            chunk = 1  # per-document timeout needs per-document tasks
-        else:
-            chunk = self.chunk_size or self._auto_chunk(wave_docs)
-        groups = [wave[j:j + chunk] for j in range(0, len(wave), chunk)]
         depth = self._pipeline_depth()
-        requeue: list[tuple[int, int]] = []
-        inflight: deque[tuple[list[tuple[int, int]], object]] = deque()
-        next_up = 0
-
-        def _salvage_rest() -> list[tuple[int, int]]:
-            """Harvest in-flight chunks, requeue the unsubmitted tail."""
-            extra = self._salvage(
-                [group for group, _ in inflight],
-                [handle for _, handle in inflight],
-                docs, results, requeue, breaker,
-            )
-            for group in groups[next_up:]:
-                extra.extend(group)
-            return extra
-
-        while next_up < len(groups) or inflight:
-            while next_up < len(groups) and len(inflight) < depth:
-                group = groups[next_up]
-                try:
-                    handle = pool.apply_async(
+        inflight: "deque[tuple[list[int], Future]]" = deque()
+        try:
+            while todo or inflight:
+                while todo and len(inflight) < depth:
+                    group = todo[0]
+                    future = pool.submit(
                         _run_chunk,
-                        ([
-                            (docs[i].name, docs[i].xml, att)
-                            for i, att in group
-                        ],),
+                        [(docs[i].name, docs[i].xml) for i in group],
                     )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:  # lint: disable=broad-except  # pool machinery boundary
-                    # Submission failed (pool torn down, pickling
-                    # error): this chunk never ran.  Requeue it with
-                    # everything unfinished at the same attempt and let
-                    # the breaker decide when to stop trusting pools.
-                    breaker.record_failure()
-                    if m is not None:
-                        m.event("pool_fault", kind="submit", error=str(exc))
-                    requeue.extend(group)
-                    next_up += 1
-                    requeue.extend(_salvage_rest())
-                    return requeue, False
-                inflight.append((group, handle))
-                next_up += 1
-            group, handle = inflight.popleft()
-            timeout = (
-                None if self.doc_timeout is None
-                else self.doc_timeout * len(group)
-            )
-            try:
-                records = handle.get(timeout)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except multiprocessing.TimeoutError:
-                breaker.record_failure()
-                if m is not None:
-                    m.count("doc_timeouts")
-                    m.event(
-                        "doc_timeout",
-                        docs=[docs[i].name for i, _ in group],
-                        attempt=group[0][1],
-                    )
-                requeue.extend(
-                    self._requeue_timed_out(group, docs, results)
-                )
-                requeue.extend(_salvage_rest())
-                return requeue, False
-            except Exception as exc:  # lint: disable=broad-except  # pool machinery boundary
-                breaker.record_failure()
-                if m is not None:
-                    m.event("pool_fault", kind="collect", error=str(exc))
-                requeue.extend(group)
-                requeue.extend(_salvage_rest())
-                return requeue, False
-            else:
-                breaker.record_success()
-                self._dispose_chunk(group, records, results, requeue)
-        return requeue, True
+                    inflight.append((todo.popleft(), future))
+                group, future = inflight[0]
+                records = future.result()
+                inflight.popleft()
+                for i, record in zip(group, records):
+                    self._finish(i, record, results)
+        except BrokenExecutor as exc:
+            if self.metrics is not None:
+                self.metrics.event("pool_fault", kind="broken", error=str(exc))
+            # A broken pool fails every pending future at once; wait()
+            # only lets the break finish reaching each of them.
+            wait([future for _, future in inflight])
+            lost: list[int] = []
+            for group, future in inflight:
+                if future.exception() is None:
+                    for i, record in zip(group, future.result()):
+                        self._finish(i, record, results)
+                else:
+                    lost.extend(group)
+            return sorted(lost)
+        return None
 
-    def _salvage(
+    def _isolate(
         self,
-        groups: list[list[tuple[int, int]]],
-        handles: list,
+        runtime: PersistentPool,
         docs: Sequence[BatchDocument],
+        lost: list[int],
         results: "list[BatchRecord | None]",
-        requeue: list[tuple[int, int]],
-        breaker: CircuitBreaker,
-    ) -> list[tuple[int, int]]:
-        """Harvest already-finished chunks before killing a poisoned pool.
+    ) -> list[int]:
+        """Re-run a broken pool's lost documents, one task at a time.
 
-        Ready results are disposed normally; everything still in flight
-        is requeued at its current attempt (those documents did nothing
-        wrong — the straggler did).
+        Each document runs alone on the (respawned) pool, so when a
+        worker dies again the document that killed it is known: it
+        fails with stage ``pool``, and the pool is respawned for the
+        next one.  Every document here is on its second dispatch.
+        Returns the documents left unrun because no pool could be
+        created (empty otherwise).
         """
-        extra: list[tuple[int, int]] = []
-        for group, handle in zip(groups, handles):
-            if not handle.ready():
-                extra.extend(group)
-                continue
+        from concurrent.futures import BrokenExecutor
+
+        for n, i in enumerate(lost):
+            pool = runtime.ensure()
+            if pool is None:
+                return lost[n:]
+            doc = docs[i]
             try:
-                records = handle.get(0)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:  # lint: disable=broad-except  # pool machinery boundary
-                breaker.record_failure()
+                (record,) = pool.submit(
+                    _run_chunk, [(doc.name, doc.xml)]
+                ).result()
+            except BrokenExecutor as exc:
                 if self.metrics is not None:
                     self.metrics.event(
-                        "pool_fault", kind="collect", error=str(exc)
+                        "pool_fault", kind="broken", doc=doc.name,
+                        error=str(exc),
                     )
-                extra.extend(group)
-                continue
-            self._dispose_chunk(group, records, results, requeue)
-        return extra
-
-    def _requeue_timed_out(
-        self,
-        group: list[tuple[int, int]],
-        docs: Sequence[BatchDocument],
-        results: "list[BatchRecord | None]",
-    ) -> list[tuple[int, int]]:
-        """Re-dispatch a timed-out chunk, or fail it out of retries."""
-        out: list[tuple[int, int]] = []
-        for i, attempt in group:
-            if self.retry.allows(attempt):
-                record = self._fail_record(
-                    docs[i], attempt, STAGE_TIMEOUT,
-                    f"TimeoutError: exceeded doc_timeout="
-                    f"{self.doc_timeout}s",
-                )
-                assert record.outcome is not None
-                self._note_retry(record.outcome, attempt)
-                out.append((i, attempt + 1))
-            else:
-                record = self._finalize(
-                    self._fail_record(
-                        docs[i], attempt, STAGE_TIMEOUT,
-                        f"TimeoutError: exceeded doc_timeout="
-                        f"{self.doc_timeout}s after {attempt} attempts",
+                runtime.restart()
+                error = f"{type(exc).__name__}: {exc}"
+                record = BatchRecord(
+                    name=doc.name,
+                    result=None,
+                    error=error,
+                    elapsed_s=0.0,
+                    outcome=DocOutcome(
+                        name=doc.name,
+                        status=STATUS_FAILED,
+                        stage=STAGE_POOL,
+                        error_type=type(exc).__name__,
+                        error=error,
                     ),
-                    attempt,
                 )
-                results[i] = record  # lint: disable=cache-purity  # results is the wave scheduler's out-param
-                if self.on_error == "fail":
-                    raise self._abort(record, results)
-        return out
-
-    def _dispose_chunk(
-        self,
-        group: list[tuple[int, int]],
-        records: list[BatchRecord],
-        results: "list[BatchRecord | None]",
-        requeue: list[tuple[int, int]],
-    ) -> None:
-        """Route one chunk's records: final, retryable, or abort."""
-        for (i, attempt), record in zip(group, records):
-            outcome = record.outcome
-            if (
-                not record.ok
-                and outcome is not None
-                and outcome.transient
-                and self.retry.allows(attempt)
-            ):
-                self._note_retry(outcome, attempt)
-                requeue.append((i, attempt + 1))  # lint: disable=cache-purity  # requeue is the wave scheduler's out-param
-                continue
-            results[i] = self._finalize(record, attempt)  # lint: disable=cache-purity  # results is the wave scheduler's out-param
-            if self.on_error == "fail" and not record.ok:
-                raise self._abort(record, results)
-
-    def _drain_serial(
-        self,
-        docs: Sequence[BatchDocument],
-        pending: list[tuple[int, int]],
-        results: "list[BatchRecord | None]",
-    ) -> None:
-        """Finish the remaining documents in the parent (breaker open)."""
-        xsdf = self._serial()
-        for i, attempt in sorted(pending):
-            record = self._attempt_serial(xsdf, docs[i], first_attempt=attempt)
-            results[i] = record  # lint: disable=cache-purity  # results is the wave scheduler's out-param
-            if self.on_error == "fail" and not record.ok:
-                raise self._abort(record, results)
+            self._finish(i, record, results, attempts=2)
+        return []
 
     def _merge_worker_stats(self, records: Sequence[BatchRecord]) -> None:
         """Fold worker memo/prune snapshots into the parent's counters.

@@ -236,13 +236,10 @@ def batch_summary(report: dict, n_records: int, n_failures: int) -> str:
             f", memo {int(memo_hits)}/{int(memo_hits + memo_misses)} hits"
             f", {int(pruned)} candidates pruned"
         )
-    retried = int(counters.get("outcome_retried", 0))
     degradations = int(sum(
         value for key, value in counters.items()
         if key.startswith("degrade_")
     ))
-    if retried:
-        summary += f", {retried} retried"
     if degradations:
         summary += f", {degradations} degradations"
     return summary

@@ -1,25 +1,32 @@
 """Persistent worker-pool runtime: spawn once, serve many batches.
 
-:class:`PersistentPool` is a long-lived ``multiprocessing.Pool``
-created once per :class:`~repro.runtime.executor.BatchExecutor` and
-reused across batches.  Workers keep their session state (the index
-they attached from an ``RXPD`` shard by path, a warm
+:class:`PersistentPool` is a long-lived
+:class:`concurrent.futures.ProcessPoolExecutor` created once per
+:class:`~repro.runtime.executor.BatchExecutor` and reused across
+batches.  Workers keep their session state (the index they attached
+from an ``RXPD`` shard by path, a warm
 :class:`~repro.runtime.memo.SphereMemo`, the document cache) between
 batches, so steady-state batches pay only document payloads across the
-process boundary.  A poisoned pool (straggler kill, worker crash,
-machinery fault) is terminated and respawned with a bumped
-*generation* — the executor's stats merge uses the generation to keep
-per-worker counters monotone.
+process boundary.
 
-Platforms without working ``multiprocessing`` make :meth:`ensure`
-return ``None``; the executor's circuit breaker then drains batches
-serially, and output stays byte-identical either way.
+A worker that dies (SIGKILL, the OOM killer, a crash in native code)
+breaks the executor: every pending future fails with
+``BrokenProcessPool`` as soon as the death is seen, so a lost task is
+reported, never waited out.  :meth:`restart` tears the broken pool
+down and the next :meth:`ensure` respawns it one *generation* up — the
+executor's stats merge uses the generation to keep per-worker counters
+monotone.
+
+Platforms without working process pools make :meth:`ensure` return
+``None``; the executor then runs the batch serially, and output stays
+byte-identical either way.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import threading
 from typing import Any, Callable
 
 from .metrics import MetricsRegistry
@@ -50,10 +57,9 @@ def parse_workers(value: "int | str") -> int:
     """Parse a ``--workers`` value: an integer or the literal ``auto``.
 
     Returns the integer as-is (range validation stays with the
-    consumer — :class:`~repro.runtime.executor.BatchExecutor` and
-    ``ServerConfig`` both reject ``< 1`` with their own clean error),
-    and raises ``ValueError`` for anything that is neither an integer
-    nor ``auto``.
+    consumer — :class:`~repro.runtime.executor.BatchExecutor` rejects
+    ``< 1`` with its own clean error), and raises ``ValueError`` for
+    anything that is neither an integer nor ``auto``.
     """
     if isinstance(value, str):
         text = value.strip().lower()
@@ -69,27 +75,59 @@ def parse_workers(value: "int | str") -> int:
 
 
 def shutdown_pool(pool: Any, terminate: bool = False) -> None:
-    """Close (or hard-terminate) a raw pool and reap its workers."""
-    if terminate and hasattr(pool, "terminate"):
-        pool.terminate()
-    else:
-        pool.close()
-    pool.join()
+    """Shut a process pool down and reap its workers.
+
+    ``terminate`` kills the workers first, so tasks they are running
+    (or were handed) are abandoned instead of waited for.
+    """
+    if terminate:
+        # ProcessPoolExecutor has no public way (before Python 3.14) to
+        # stop a busy worker; its process table is the only handle.
+        for process in list((pool._processes or {}).values()):
+            process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _start_worker(initializer: Callable[..., None], *initargs: Any) -> None:
+    """Worker initializer: tie this worker's life to its parent's.
+
+    A ``ProcessPoolExecutor`` worker waits on its call queue, and its
+    siblings hold that queue's write end too, so it never reads EOF
+    when the parent is SIGKILLed.  A daemon thread waits on the
+    parent's sentinel instead and ends the worker with it; otherwise a
+    killed batch would leave its idle workers (each holding its copy of
+    the network) running.  Then ``initializer(*initargs)`` runs.
+    """
+    import multiprocessing
+
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent,), daemon=True
+        ).start()
+    initializer(*initargs)
+
+
+def _exit_with_parent(parent: Any) -> None:
+    """Block until ``parent`` is gone, then end this process."""
+    parent.join()
+    os._exit(1)
 
 
 class PersistentPool:
-    """A long-lived ``multiprocessing.Pool`` reused across batches.
+    """A long-lived ``ProcessPoolExecutor`` reused across batches.
 
     The inner pool is spawned lazily by :meth:`ensure` and survives
-    between batches; :meth:`restart` tears a poisoned pool down so the
+    between batches; :meth:`restart` tears a broken pool down so the
     next :meth:`ensure` respawns it one *generation* up.  Initializer
     arguments are extended with the generation number so workers can
     tag their counter snapshots (the executor keys its merge
-    watermarks on ``(generation, pid)``).
+    watermarks on ``(generation, pid)``).  Workers exit when the parent
+    process dies, however it dies.
 
     Observability: ``generation`` counts spawns, ``reuse_count``
     counts batches served on an already-warm pool, ``respawns`` counts
-    replacement spawns after a poisoning, all mirrored into the
+    tear-downs of a broken (or abandoned) pool, all mirrored into the
     metrics registry (``pool_spawns`` / ``pool_reuses`` /
     ``worker_respawns``).
     """
@@ -128,16 +166,17 @@ class PersistentPool:
         """The live inner pool, spawning one if needed.
 
         Returns ``None`` (with a ``pool_fault`` event) when the
-        platform refuses to create a pool — the executor's circuit
-        breaker counts it and eventually drains serially.
+        platform refuses to create a pool or its workers.
 
         Collector contract: the workers fork with the parent's heap
-        frozen (``gc.freeze()`` just before ``multiprocessing.Pool``,
-        ``gc.unfreeze()`` in the parent right after), so a worker's
-        collections never traverse, and so never copy-on-write, the
-        network and index it inherited.  When ``gc.get_freeze_count()``
-        is already non-zero the caller's freeze stands and is not
-        undone.
+        frozen (``gc.freeze()`` around the spawn, ``gc.unfreeze()`` in
+        the parent right after), so a worker's collections never
+        traverse, and so never copy-on-write, the network and index it
+        inherited.  ``ProcessPoolExecutor`` forks its workers on the
+        first submit, not in its constructor, so that first submit (a
+        no-op task) happens here, under the freeze.  When
+        ``gc.get_freeze_count()`` is already non-zero the caller's
+        freeze stands and is not undone.
         """
         if self._pool is not None:
             return self._pool
@@ -145,15 +184,21 @@ class PersistentPool:
         freeze = not gc.get_freeze_count()
         if freeze:
             gc.freeze()
+        pool = None
         try:
-            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-            pool = multiprocessing.Pool(
-                processes=self.processes,
-                initializer=self._initializer,
-                initargs=(*self._initargs, self.generation),
+            pool = ProcessPoolExecutor(
+                max_workers=self.processes,
+                initializer=_start_worker,
+                initargs=(
+                    self._initializer, *self._initargs, self.generation,
+                ),
             )
-        except (ImportError, OSError, ValueError) as exc:
+            pool.submit(int)
+        except (ImportError, NotImplementedError, OSError, ValueError) as exc:
+            if pool is not None:
+                shutdown_pool(pool, terminate=True)
             if self.metrics is not None:
                 self.metrics.event("pool_fault", kind="create", error=str(exc))
             return None
@@ -166,8 +211,10 @@ class PersistentPool:
         return pool
 
     def restart(self) -> None:
-        """Hard-terminate a poisoned inner pool; ensure() respawns it.
+        """Kill the inner pool's workers; ensure() respawns the pool.
 
+        Called when a worker died (the pool is broken) and when a batch
+        is abandoned mid-flight, so no worker keeps running its task.
         Worker session state (warm memo, doc cache) dies with the
         workers — correctness never depended on it — while the index
         shard stays on disk, so the respawned generation re-attaches

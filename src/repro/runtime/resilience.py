@@ -5,12 +5,8 @@ fault-isolated batch pipeline:
 
 * :class:`DocOutcome` — the structured per-document verdict attached to
   every :class:`~repro.runtime.executor.BatchRecord` (``ok`` /
-  ``retried`` / ``failed``, with the typed error, the attempt count,
-  and the pipeline stage that failed).
-* :class:`RetryPolicy` — bounded retry with exponential backoff for
-  transient faults.
-* :class:`CircuitBreaker` — consecutive-failure counter that trips the
-  parallel path to the serial fallback.
+  ``failed``, with the typed error, the attempt count, and the
+  pipeline stage that failed).
 * :class:`BatchAbortError` — raised under ``on_error="fail"``; carries
   the records completed before the abort.
 
@@ -26,7 +22,6 @@ from typing import Any
 
 #: Valid ``DocOutcome.status`` values, from best to worst.
 STATUS_OK = "ok"
-STATUS_RETRIED = "retried"
 STATUS_FAILED = "failed"
 
 #: Valid ``on_error`` batch policies.
@@ -36,9 +31,7 @@ ON_ERROR_POLICIES = ("fail", "skip", "quarantine")
 #: shared constants so the executor, the server's envelope mapping, and
 #: the tests name stages without scattering string literals.
 STAGE_PARSE = "parse"
-STAGE_INJECT = "inject"
 STAGE_INDEX = "index"
-STAGE_TIMEOUT = "timeout"
 STAGE_POOL = "pool"
 STAGE_PIPELINE = "pipeline"
 
@@ -47,12 +40,12 @@ STAGE_PIPELINE = "pipeline"
 class DocOutcome:
     """Structured resolution of one document's trip through the batch.
 
-    ``status`` is one of ``ok`` (first try), ``retried`` (succeeded
-    after >= 1 transient fault), or ``failed`` (no result;
+    ``status`` is ``ok`` or ``failed`` (no result;
     ``error_type``/``error`` describe why).  ``stage`` classifies where
-    the *final* error happened (``parse``, ``inject``, ``index``,
-    ``timeout``, ``pool``, ``pipeline``) and is empty for successful
-    documents.
+    the error happened (``parse``, ``index``, ``pool``, ``pipeline``)
+    and is empty for successful documents.  ``attempts`` counts
+    dispatches: 2 for a document re-run after a worker death lost its
+    first run, else 1.
     """
 
     name: str
@@ -61,7 +54,6 @@ class DocOutcome:
     stage: str = ""
     error_type: str = ""
     error: str = ""
-    transient: bool = False
 
     @property
     def ok(self) -> bool:
@@ -100,72 +92,6 @@ class DocOutcome:
             error_type=payload.get("error_type", ""),
             error=payload.get("error", ""),
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for transient faults.
-
-    ``max_retries`` counts *re*-dispatches: a document is attempted at
-    most ``max_retries + 1`` times.  ``delay(attempt)`` returns the
-    backoff to sleep before re-dispatching attempt ``attempt + 1`` —
-    ``backoff_base * 2**(attempt - 1)`` capped at ``backoff_cap``.
-    Benchmarks and tests pass ``backoff_base=0.0`` to retry instantly.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-
-    def allows(self, attempt: int) -> bool:
-        """True when a failure on ``attempt`` may be re-dispatched."""
-        return attempt <= self.max_retries
-
-    def delay(self, attempt: int) -> float:
-        """Backoff (seconds) before re-dispatching after ``attempt``."""
-        if self.backoff_base <= 0.0:
-            return 0.0
-        return min(self.backoff_cap, self.backoff_base * 2.0 ** (attempt - 1))
-
-
-class CircuitBreaker:
-    """Trip to serial fallback after N *consecutive* pool failures.
-
-    Pool-machinery failures (worker crashes, broken pipes, pickling
-    errors) increment the counter; any successfully collected task
-    resets it.  Once ``tripped`` the executor stops re-creating pools
-    and drains the remaining documents serially in the parent.
-    """
-
-    def __init__(self, threshold: int = 3) -> None:
-        if threshold < 1:
-            raise ValueError(f"breaker threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.failures = 0
-        self.trips = 0
-
-    @property
-    def tripped(self) -> bool:
-        """True once the consecutive-failure threshold has been hit."""
-        return self.failures >= self.threshold
-
-    def record_failure(self) -> bool:
-        """Count one pool failure; returns True if this one tripped it."""
-        self.failures += 1
-        if self.failures == self.threshold:
-            self.trips += 1
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """Reset the consecutive-failure counter."""
-        self.failures = 0
 
 
 class BatchAbortError(RuntimeError):

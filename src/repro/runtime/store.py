@@ -100,9 +100,9 @@ def read_shard_header(path: "str | os.PathLike[str]") -> dict:
     Returns ``{version, body_bytes, file_bytes, fingerprint, crc}``
     with ``fingerprint`` the stamped hex prefix or ``None`` when the
     shard was written without one, and ``crc`` the stamped CRC-32 of
-    the body (what the scrubber re-verifies incrementally).  Raises
-    the typed :class:`~repro.runtime.pack.PackedIndexError` family on
-    bad or truncated headers.
+    the body.  Raises the typed
+    :class:`~repro.runtime.pack.PackedIndexError` family on bad or
+    truncated headers.
     """
     path = os.fspath(path)
     size = os.path.getsize(path)
@@ -249,9 +249,6 @@ class NetworkRegistry:
         self._attach_count = 0
         self._evict_count = 0
         self._route_fallbacks = 0
-        # Shard paths the scrubber condemned: attach() heap-builds
-        # these until a repair/reload clears the mark.
-        self._damaged: set[str] = set()
 
     @classmethod
     def load(
@@ -332,9 +329,10 @@ class NetworkRegistry:
         """The attached network + index for ``domain`` (LRU-cached).
 
         A hit refreshes recency; a miss loads the network, attaches the
-        shard via ``from_mmap`` when the manifest names one (falling
-        back to an in-memory :class:`PackedIndex` build when the shard
-        is missing, unreadable or malformed), and may evict the least
+        shard via ``from_mmap`` with the full body CRC check when the
+        manifest names one (falling back to an in-memory
+        :class:`PackedIndex` build when the shard is missing,
+        unreadable, damaged or malformed), and may evict the least
         recently used domain.  A network file that cannot be read or
         is not a valid network document raises :class:`RegistryError`
         naming the domain.
@@ -351,15 +349,13 @@ class NetworkRegistry:
                 f"cannot load network of domain {domain!r}: {exc}"
             ) from None
         index: "PackedIndex | None" = None
-        if entry.shard_path is not None and entry.shard_path not in (
-            self._damaged
-        ):
+        if entry.shard_path is not None:
             expect = (
                 network.fingerprint() if self.verify_fingerprints else None
             )
             try:
                 index = PackedIndex.from_mmap(
-                    entry.shard_path, expect_fingerprint=expect
+                    entry.shard_path, verify=True, expect_fingerprint=expect
                 )
             except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # shardless attach, surfaced via stats()["backing"]
                 index = None
@@ -381,31 +377,6 @@ class NetworkRegistry:
         """
         self._attached.pop(attached.entry.name, None)
         self._evict_count += 1
-
-    def mark_damaged(self, shard_path: str) -> tuple[str, ...]:
-        """Condemn one shard path after an integrity failure.
-
-        Every attached domain backed by that shard is dropped from the
-        registry (not counted as an eviction); sessions still holding
-        the old index keep using its mapping until they are replaced.
-        Future :meth:`attach` calls skip the shard and heap-build from
-        the network until :meth:`clear_damaged` (post-repair reload)
-        lifts the mark.
-        Returns the affected domain names.
-        """
-        self._damaged.add(shard_path)
-        affected = tuple(
-            name for name, att in self._attached.items()
-            if att.entry.shard_path == shard_path
-            and att.index.backing == "mmap"
-        )
-        for name in affected:
-            self._attached.pop(name, None)
-        return affected
-
-    def clear_damaged(self) -> None:
-        """Forget every damage mark (a repaired shard may re-attach)."""
-        self._damaged.clear()
 
     def close(self) -> None:
         """Release every attached shard (idempotent)."""
@@ -471,7 +442,6 @@ class NetworkRegistry:
             "attach_count": self._attach_count,
             "evictions": self._evict_count,
             "route_fallbacks": self._route_fallbacks,
-            "damaged": sorted(self._damaged),
             "backings": {
                 name: att.index.backing
                 for name, att in self._attached.items()

@@ -162,9 +162,8 @@ def save_network(network: SemanticNetwork, path: str | Path) -> None:
         handle.write("\n")
 
 
-#: Serializes loads so that concurrent callers (a registry attach next
-#: to the scrubber's repair thread) cannot interleave their save and
-#: restore of the collector's enabled state.
+#: Serializes loads so that callers on different threads cannot
+#: interleave their save and restore of the collector's enabled state.
 _LOAD_LOCK = threading.Lock()
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import math
 import os
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -94,23 +93,13 @@ class ServerConfig:
     metrics_json: str | None = None
     max_sessions: int = 8
     cache_size: int = DEFAULT_CACHE_SIZE
-    workers: int = 1
     #: RXPD shard to mmap-attach the served index from (skips the
-    #: startup index build; fingerprint-checked against the network).
+    #: startup index build; CRC- and fingerprint-checked against the
+    #: network).
     shard: "str | None" = None
     #: registry.toml manifest: serve every listed domain, selected per
     #: request by the envelope's ``domain`` key.
     registry: "str | None" = None
-    #: The source network JSON behind ``shard`` (the CLI's --network):
-    #: lets the scrubber re-pack a quarantined shard automatically.
-    network_path: "str | None" = None
-    #: Scrub one bounded slice of every attached shard each interval
-    #: (seconds); 0 disables the background integrity scrubber.
-    scrub_interval: float = 0.0
-    #: Bytes re-verified per scrub slice.
-    scrub_slice_bytes: int = 1 << 20
-    #: Re-pack a quarantined shard from its source network when known.
-    scrub_repair: bool = True
     #: Poll the registry manifest + shard files for changes and hot
     #: reload (seconds); 0 means SIGHUP-only reloads.
     reload_interval: float = 0.0
@@ -123,8 +112,6 @@ class ServerConfig:
             )
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.rate_limit < 0:
             raise ValueError("rate_limit must be >= 0")
         if self.burst < 1:
@@ -137,10 +124,6 @@ class ServerConfig:
             raise ValueError("drain_timeout must be >= 0")
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if self.scrub_interval < 0:
-            raise ValueError("scrub_interval must be >= 0")
-        if self.scrub_slice_bytes < 1:
-            raise ValueError("scrub_slice_bytes must be >= 1")
         if self.reload_interval < 0:
             raise ValueError("reload_interval must be >= 0")
 
@@ -193,14 +176,7 @@ class ServerApp:
         self._sessions: "OrderedDict[str, BatchExecutor]" = OrderedDict()
         self._default_fingerprint: str | None = None
         self._scoring_pool: ThreadPoolExecutor | None = None
-        # -- durability & supervision state --------------------------------
-        self._scrubber = None
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        # Guards registry attach/damage calls, which may come from the
-        # event loop (sessions) or the scoring thread (failover).
-        self._registry_lock = threading.Lock()
-        #: domain (or "default") -> damage kind, while failed over.
-        self._degraded: dict[str, str] = {}
+        # -- hot-reload state ----------------------------------------------
         self._reload_generation = 0
         self._reload_count = 0
         self._reload_error = ""
@@ -213,7 +189,11 @@ class ServerApp:
 
         Called once before the listener opens so the first request pays
         no index-build latency and ``/healthz`` can report readiness
-        truthfully.
+        truthfully.  A ``shard`` is attached with the full body CRC
+        check, as a registry domain's is: a damaged shard fails here,
+        before serving, instead of scoring from rotted tables.  The
+        snapshot of the watched files that :meth:`maybe_reload`
+        compares against is taken here too.
         """
         if self._scoring_pool is None:
             self._scoring_pool = ThreadPoolExecutor(
@@ -239,6 +219,7 @@ class ServerApp:
                     # a shard packed from a different network.
                     self._index = PackedIndex.from_mmap(
                         self.server_config.shard,
+                        verify=True,
                         expect_fingerprint=self.network.fingerprint(),
                     )
                 session = self._make_session(self.config, default=True)
@@ -247,6 +228,7 @@ class ServerApp:
                 fingerprint = config_fingerprint(self.config)
                 self._sessions[fingerprint] = session
                 self._default_fingerprint = fingerprint
+                self._watch_sig = self._watch_signature()
 
     @property
     def ready(self) -> bool:
@@ -270,18 +252,7 @@ class ServerApp:
         self.metrics.event("server_drain", inflight=self._inflight)
 
     def close(self) -> None:
-        """Release scoring thread, sessions' runtimes, and metrics.
-
-        Every resident session drains its persistent pool and deletes
-        its temporary index shard here, so a SIGTERM drain leaves no
-        worker processes or temp shard files behind.  The scrub
-        thread is stopped and joined first — it must not report damage
-        into a half-torn-down app.
-        """
-        if self._scrubber is not None:
-            self._scrubber.stop()
-            self._scrubber = None
-        self._loop = None
+        """Release the scoring thread, the sessions, and metrics."""
         if self._scoring_pool is not None:
             self._scoring_pool.shutdown(wait=False, cancel_futures=True)
             self._scoring_pool = None
@@ -295,138 +266,7 @@ class ServerApp:
         if self.server_config.metrics_json:
             self.metrics.write_json(self.server_config.metrics_json)
 
-    # -- durability: scrubbing, failover, hot reload -------------------------
-
-    def start_supervision(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Start the shard scrubber and seed the reload watch state.
-
-        Called by the server once the event loop exists (after
-        ``warm_up``): the scrub thread reports damage back onto
-        ``loop`` via :meth:`_on_scrub_damage`, and the watch signature
-        snapshot is what :meth:`maybe_reload` compares against.
-        """
-        self._loop = loop
-        self._watch_sig = self._watch_signature()
-        sc = self.server_config
-        if sc.scrub_interval > 0 and self._scrubber is None:
-            from ..runtime.scrubber import ShardScrubber
-
-            scrubber = ShardScrubber(
-                slice_bytes=sc.scrub_slice_bytes,
-                interval_s=sc.scrub_interval,
-                metrics=self.metrics,
-                on_damage=self._on_scrub_damage,
-                repair=sc.scrub_repair,
-            )
-            scrubber.reset_targets(self._scrub_targets())
-            self._scrubber = scrubber
-            scrubber.start()
-
-    def _scrub_targets(self) -> "list[tuple[str, str | None, str | None]]":
-        """(shard, source network, domain) triples to keep scrubbed."""
-        sc = self.server_config
-        targets: list[tuple[str, "str | None", "str | None"]] = []
-        if self._registry is not None:
-            for name in self._registry.domains():
-                entry = self._registry.entry(name)
-                if entry.shard_path:
-                    targets.append(
-                        (entry.shard_path, entry.network_path, name)
-                    )
-        elif sc.shard:
-            targets.append((sc.shard, sc.network_path, None))
-        return targets
-
-    def _on_scrub_damage(self, target, kind: str) -> None:
-        """Scrub-thread callback: hand the failover to the event loop."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(self._apply_failover, target, kind)
-        except RuntimeError:  # lint: disable=silent-degrade,handler-envelope  # shutdown race: the loop closed while the scrub thread was reporting
-            pass
-
-    def _apply_failover(self, target, kind: str) -> None:
-        """Event loop: record damage, condemn the shard, queue rebuild.
-
-        The actual rebuild runs on the single scoring thread — queued
-        *behind* every admitted request, so in-flight scoring finishes
-        on the old backing (its mapping outlives the quarantine rename)
-        before the swap.
-        """
-        key = target.domain or "default"
-        self._degraded[key] = kind
-        self.metrics.count("server_degraded")
-        self.metrics.event(
-            "server_backing_damaged",
-            domain=key, kind=kind, path=target.path,
-        )
-        if self._registry is not None:
-            with self._registry_lock:
-                self._registry.mark_damaged(target.path)
-        pool = self._scoring_pool
-        if pool is not None:
-            pool.submit(self._rebuild_backing, target.domain)
-
-    def _rebuild_backing(self, domain: "str | None") -> None:
-        """Scoring thread: build the replacement (heap) backing.
-
-        Serialized after all queued scoring by the single-worker pool;
-        installation hops back to the event loop.
-        """
-        loop = self._loop
-        try:
-            index = None
-            if domain is None or (
-                self._registry is not None
-                and domain == self._registry.default_domain
-            ):
-                # The default backing: heap-build from the served
-                # network (the mmap fast path is gone until repair).
-                index = PackedIndex(self.network)
-            elif self._registry is not None:
-                # Re-attach under the damage mark: the registry skips
-                # the condemned shard and heap-builds for the domain.
-                with self._registry_lock:
-                    self._registry.attach(domain)
-            if loop is not None and not loop.is_closed():
-                loop.call_soon_threadsafe(
-                    self._install_backing, domain, index
-                )
-        except Exception as exc:  # lint: disable=broad-except,handler-envelope  # failover is last-resort: a failed rebuild must surface as an event, not kill the scoring thread
-            self.metrics.event(
-                "server_failover_failed",
-                domain=domain or "default", error=str(exc),
-            )
-
-    def _install_backing(self, domain: "str | None",
-                         index: "PackedIndex | None") -> None:
-        """Event loop: atomically swap sessions onto the new backing.
-
-        Old sessions are closed on the scoring thread *after* any
-        queued work — the in-flight-requests-finish-first guarantee.
-        """
-        stale: "OrderedDict[str, BatchExecutor]" = OrderedDict()
-        if index is not None:
-            self._index = index
-            stale = self._sessions
-            self._sessions = OrderedDict()
-            session = self._make_session(self.config, default=True)
-            fingerprint = config_fingerprint(self.config)
-            self._sessions[fingerprint] = session
-            self._default_fingerprint = fingerprint
-        elif domain is not None:
-            prefix = f"{domain}|"
-            for key in [k for k in self._sessions if k.startswith(prefix)]:
-                stale[key] = self._sessions.pop(key)
-        self._defer_close(stale)
-        self.metrics.count("server_failovers")
-        self.metrics.event(
-            "server_failover",
-            domain=domain or "default",
-            backing=getattr(self._index, "backing", "heap"),
-        )
+    # -- hot reload ----------------------------------------------------------
 
     def _defer_close(self, sessions: "OrderedDict[str, BatchExecutor]",
                      registry: "NetworkRegistry | None" = None) -> None:
@@ -480,13 +320,13 @@ class ServerApp:
 
         The reload contract: requests already admitted finish on the
         old sessions (closed behind the scoring queue); new requests
-        see the new registry/shard; damage marks and degraded state
-        clear (a repaired shard re-attaches); and a *failed* reload
-        changes nothing — the old state keeps serving and the error is
-        surfaced in ``/healthz`` and the metrics events.  The new default
+        see the new registry/shard; and a *failed* reload changes
+        nothing — the old state keeps serving and the error is surfaced
+        in ``/healthz`` and the metrics events.  The new shard is
+        attached with the full body CRC check, and the new default
         session is built and warmed before any serving state is
-        swapped, so a shard that attaches but will not decode fails the
-        reload instead of every later request.
+        swapped, so a shard that is damaged or will not decode fails
+        the reload instead of every later request.
         """
         sc = self.server_config
         try:
@@ -500,6 +340,7 @@ class ServerApp:
                 elif sc.shard:
                     new_index = PackedIndex.from_mmap(
                         sc.shard,
+                        verify=True,
                         expect_fingerprint=network.fingerprint(),
                     )
                 else:
@@ -515,8 +356,7 @@ class ServerApp:
                 old_registry = None
                 if registry is not None:
                     old_registry = self._registry
-                    with self._registry_lock:
-                        self._registry = registry
+                    self._registry = registry
                 self.network = network
                 self._index = new_index
                 stale = self._sessions
@@ -526,9 +366,6 @@ class ServerApp:
                 self._default_fingerprint = fingerprint
                 self._network_fingerprint = None
                 self._defer_close(stale, registry=old_registry)
-                self._degraded.clear()
-                if self._scrubber is not None:
-                    self._scrubber.reset_targets(self._scrub_targets())
                 self._reload_generation += 1
                 self._reload_count += 1
                 self._reload_error = ""
@@ -546,9 +383,8 @@ class ServerApp:
             return False
 
     def durability_stats(self) -> dict:
-        """The scrub/reload/degraded block for ``/healthz``."""
+        """The hot-reload block for ``/healthz``."""
         return {
-            "degraded": dict(self._degraded),
             "reload": {
                 "generation": self._reload_generation,
                 "count": self._reload_count,
@@ -556,10 +392,6 @@ class ServerApp:
                 "interval_s": self.server_config.reload_interval,
                 "last_error": self._reload_error,
             },
-            "scrubber": (
-                self._scrubber.stats()
-                if self._scrubber is not None else None
-            ),
         }
 
     # -- sessions ------------------------------------------------------------
@@ -571,20 +403,17 @@ class ServerApp:
         # cache gauges are registered by fixed name, and the resident
         # session is the one whose warmth the operator is tracking.
         # Override sessions still run, they just are not individually
-        # gauged.  ``workers > 1`` sessions own a persistent worker
-        # pool attached to an index shard, reused across every request
-        # they serve.  A ``domain`` session scores against that registry
-        # domain's network and (usually mmap-attached) index; a
+        # gauged.  Every session scores serially: each request is a
+        # one-document batch.  A ``domain`` session scores against that
+        # registry domain's network and (usually mmap-attached) index; a
         # ``backing`` (network, index) pair overrides the served one.
         network, index = backing or (self.network, self._index)
         if domain is not None and self._registry is not None:
-            with self._registry_lock:
-                attached = self._registry.attach(domain)
+            attached = self._registry.attach(domain)
             network, index = attached.network, attached.index
         return BatchExecutor(
             network,
             config,
-            workers=self.server_config.workers,
             cache_size=self.server_config.cache_size,
             metrics=self.metrics if default else None,
             index=index,
@@ -616,8 +445,6 @@ class ServerApp:
             if oldest == self._default_fingerprint:
                 self._sessions.move_to_end(oldest, last=True)
                 oldest = next(iter(self._sessions))
-            # Eviction must release runtime resources (persistent pool,
-            # shared segment refcount), not just drop the reference.
             self._sessions.pop(oldest).close()
             self.metrics.count("server_sessions_evicted")
         return session
@@ -681,16 +508,8 @@ class ServerApp:
             # Hashing a 100k-concept network takes real time; the
             # network is frozen once served, so hash it once.
             self._network_fingerprint = self.network.fingerprint()
-        if self._draining:
-            status_word = "draining"
-        elif self._degraded:
-            # Serving continues on the fallback backing, but the fast
-            # path is gone — operators should see it without digging.
-            status_word = "degraded"
-        else:
-            status_word = "ok"
         payload = {
-            "status": status_word,
+            "status": "draining" if self._draining else "ok",
             "ready": self.ready,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "version": __version__,

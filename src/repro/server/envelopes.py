@@ -18,9 +18,8 @@ shapes:
 
 **Response envelope.**  Every disambiguation response ends with a
 ``DocOutcome``-shaped envelope line (``{"envelope": {...}}``): the
-batch pipeline's resilience statuses (``ok`` / ``retried`` /
-``failed``), the typed error, the stage that failed, and the attempt
-count — the service
+batch pipeline's outcome statuses (``ok`` / ``failed``), the typed
+error, the stage that failed, and the attempt count — the service
 equivalent of the batch pipeline's per-document outcomes, replacing
 process exit codes.  Pre-pipeline rejections (bad envelope, over-limit
 body, rate limit, admission) reuse the same shape with synthetic

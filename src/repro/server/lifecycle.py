@@ -57,15 +57,12 @@ class ReproServer:
     async def start(self) -> None:
         """Warm the app (index + default session) and open the listener.
 
-        Also starts app supervision (the shard scrubber + reload watch
-        state) and, when ``reload_interval > 0``, a polling task that
+        When ``reload_interval > 0`` a polling task also starts, which
         hot-reloads the app whenever a watched manifest/shard changes
         on disk.
         """
         self._drain_requested = asyncio.Event()
         self.app.warm_up()
-        loop = asyncio.get_running_loop()
-        self.app.start_supervision(loop)
         interval = self.app.server_config.reload_interval
         if interval > 0:
             self._watch_task = asyncio.ensure_future(self._watch_loop(interval))

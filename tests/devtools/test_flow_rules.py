@@ -640,17 +640,16 @@ class TestResourceLifecycle:
     def test_fires_on_leaked_scrub_thread(self, lint):
         findings = lint(
             """\
-            def watch(targets):
-                scrub = ShardScrubber(interval_s=0.1)
-                scrub.start()
-                worker = Thread(target=scrub.step)
+            def watch(path, records):
+                journal = JournalWriter(path, meta={})
+                worker = Thread(target=journal.append, args=records)
                 worker.start()
             """,
             rules=["resource-lifecycle"],
         )
         flagged = _ids(findings, "resource-lifecycle")
         assert len(flagged) == 2
-        assert any("'scrub'" in f.message for f in flagged)
+        assert any("'journal'" in f.message for f in flagged)
         assert any("'worker'" in f.message for f in flagged)
 
     def test_silent_on_closed_journal_and_stopped_scrubber(self, lint):
@@ -665,15 +664,6 @@ class TestResourceLifecycle:
                     journal.close()
 
 
-            def scrub_once(targets):
-                scrub = ShardScrubber(interval_s=0.1)
-                scrub.start()
-                try:
-                    return scrub.stats()
-                finally:
-                    scrub.stop()
-
-
             def run_joined(fn):
                 worker = Thread(target=fn)
                 worker.start()
@@ -681,9 +671,9 @@ class TestResourceLifecycle:
 
 
             class Supervisor:
-                def start(self):
-                    scrub = ShardScrubber()
-                    self._scrubber = scrub
+                def start(self, fn):
+                    worker = Thread(target=fn, daemon=True)
+                    self._worker = worker
             """,
             rules=["resource-lifecycle"],
         )

@@ -129,56 +129,76 @@ class TestAdaptiveChunking:
 
 class TestPoolFailureDegrade:
     def test_map_failure_degrades_to_serial(
-        self, lexicon, figure1_xml, monkeypatch
+        self, lexicon, corpus, monkeypatch
     ):
-        """A mid-batch pool.map blow-up must not sink the run."""
+        """A pool that breaks mid-batch and cannot be respawned must not
+        sink the run: what is left runs serially, byte-identically."""
+        import concurrent.futures
 
-        class _ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                # Run the initializer like a real pool would, so the
-                # degrade happens after worker setup, not instead of it.
-                init = kwargs.get("initializer")
-                if init is not None:
-                    init(*kwargs.get("initargs", ()))
+        from .test_resilience import _kill_worker_scoring
 
-            def map(self, fn, tasks, chunksize=None):
-                raise RuntimeError("worker crashed mid-batch")
+        docs = [(d.name, d.xml) for d in _one_doc_per_dataset(corpus)[:6]]
+        serial = [
+            r.to_json_line()
+            for r in BatchExecutor(lexicon, XSDFConfig()).run(docs)
+        ]
+        spawn = concurrent.futures.ProcessPoolExecutor
+        spawns = []
 
-            def close(self):
-                pass
+        def spawn_once(*args, **kwargs):
+            spawns.append(1)
+            if len(spawns) > 1:
+                raise OSError("no process spawning here")
+            return spawn(*args, **kwargs)
 
-            def join(self):
-                pass
-
-        import multiprocessing
-
-        monkeypatch.setattr(multiprocessing, "Pool", _ExplodingPool)
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", spawn_once
         )
-        docs = [("a", figure1_xml), ("b", figure1_xml)]
-        records = executor.run(docs)
-        assert [r.name for r in records] == ["a", "b"]
+        # Inherited through fork: the worker scoring docs[2] dies.
+        monkeypatch.setattr(
+            executor_module, "_disambiguate_one",
+            _kill_worker_scoring(docs[2][0]),
+        )
+        metrics = MetricsRegistry()
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            oversubscribe=True, chunk_size=1,
+        ) as executor:
+            records = executor.run(docs)
+        assert [r.name for r in records] == [name for name, _ in docs]
+        # The killer document, re-run serially in the parent, is fine.
         assert all(r.ok for r in records)
-        # And the serial result equals an untouched serial executor's.
-        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
-        assert [r.to_json_line() for r in records] == \
-            [r.to_json_line() for r in serial.run(docs)]
+        assert [r.to_json_line() for r in records] == serial
+        assert [e["kind"] for e in metrics.events("pool_fault")] == [
+            "broken", "create",
+        ]
 
     def test_pool_creation_failure_degrades_to_serial(
         self, lexicon, figure1_xml, monkeypatch
     ):
-        import multiprocessing
+        """A platform that refuses to create a pool runs the batch
+        serially at once: one ``pool_fault`` event, no retry loop."""
+        import concurrent.futures
 
         def _no_pool(*args, **kwargs):
             raise OSError("no process spawning here")
 
-        monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        docs = [("a", figure1_xml), ("b", figure1_xml), ("c", figure1_xml)]
+        metrics = MetricsRegistry()
         executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            oversubscribe=True,
         )
-        records = executor.run([("a", figure1_xml), ("b", figure1_xml)])
+        records = executor.run(docs)
         assert all(r.ok for r in records)
+        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
+        assert [r.to_json_line() for r in records] == \
+            [r.to_json_line() for r in serial.run(docs)]
+        (fault,) = metrics.events("pool_fault")
+        assert fault["kind"] == "create"
+        assert executor.runtime_stats()["generation"] == 1
+        assert metrics.counter("pool_spawns") == 0
 
 
 class TestFaultIsolation:

@@ -24,7 +24,7 @@ from repro.runtime import (
 )
 from repro.runtime.executor import BatchRecord
 from repro.runtime.journal import _FRAME, _MAGIC, _encode_frame
-from repro.runtime.resilience import STATUS_RETRIED, DocOutcome
+from repro.runtime.resilience import DocOutcome
 
 
 def _record(name: str, result: str = "ok", error: "str | None" = None,
@@ -57,7 +57,7 @@ class TestWriterRoundTrip:
     def test_round_trip_preserves_records_and_outcomes(self, tmp_path):
         path = tmp_path / "batch.rxjf"
         meta = {"config": "cfg-fp", "network": "net-fp"}
-        outcome = DocOutcome(name="b", status=STATUS_RETRIED, attempts=2)
+        outcome = DocOutcome(name="b", attempts=2)
         with JournalWriter(path, meta=meta) as journal:
             journal.append(_record("a"), document_digest("<a/>"))
             journal.append(

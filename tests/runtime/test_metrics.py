@@ -89,14 +89,14 @@ class TestXSDFInstrumentation:
 class TestEvents:
     def test_event_records_structured_fields(self):
         m = MetricsRegistry()
-        m.event("fault", doc="a", stage="inject")
+        m.event("pool_fault", kind="broken", error="a")
         m.event("doc_failed", doc="b")
         assert m.events() == [
-            {"event": "fault", "doc": "a", "stage": "inject"},
+            {"event": "pool_fault", "kind": "broken", "error": "a"},
             {"event": "doc_failed", "doc": "b"},
         ]
-        assert m.events("fault") == [
-            {"event": "fault", "doc": "a", "stage": "inject"}
+        assert m.events("pool_fault") == [
+            {"event": "pool_fault", "kind": "broken", "error": "a"}
         ]
         assert m.events("nothing") == []
 
@@ -110,12 +110,12 @@ class TestEvents:
 
     def test_report_includes_events(self):
         m = MetricsRegistry()
-        m.event("breaker_tripped", remaining=3)
+        m.event("workers_clamped", requested=3, effective=1)
         report = m.report()
         assert report["events"] == [
-            {"event": "breaker_tripped", "remaining": 3}
+            {"event": "workers_clamped", "requested": 3, "effective": 1}
         ]
         assert report["events_dropped"] == 0
         # And the JSON rendering carries them too.
         assert json.loads(m.to_json())["events"][0]["event"] == \
-            "breaker_tripped"
+            "workers_clamped"

@@ -4,9 +4,11 @@ The contracts pinned here:
 
 * a second batch on the same executor **reuses** the warm pool (no
   respawn, no rewrite of the index shard);
-* a worker hard-killed mid-document (``os._exit``, the crash no
-  ``except`` can catch) triggers respawn-and-requeue and the batch
-  still completes with byte-identical survivors;
+* a worker SIGKILLed mid-batch (the crash no ``except`` can catch)
+  breaks the pool at once — no timeout — and the batch still completes
+  with every record byte-identical to serial; a document that kills
+  its worker every time fails alone, with stage ``pool``; no worker
+  outlives an abort, an interrupt or its SIGKILLed parent;
 * a heap-built index reaches workers through a temporary ``RXPD``
   shard that ``close()`` deletes, that the next writer sweeps up when
   its owner was killed, and whose write failure only costs speed;
@@ -22,22 +24,26 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from repro import XSDFConfig
 from repro.runtime import (
+    BatchAbortError,
     BatchExecutor,
-    FaultInjector,
-    FaultSpec,
     MetricsRegistry,
     PersistentPool,
     auto_workers,
     parse_workers,
 )
 from repro.runtime import executor as executor_module
+
+from .test_resilience import _kill_worker_scoring
 
 
 class TestWorkerCountHelpers:
@@ -186,62 +192,208 @@ class TestTempShardLifecycle:
         ]
 
 
+def _within(seconds, fn):
+    """``fn()``'s value, or a test failure if it has not returned in
+    ``seconds`` (a hung pool must fail the test, not hang the suite)."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # lint: disable=broad-except  # re-raised in the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"did not return within {seconds} s")
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _corpus_docs(corpus, n):
+    return [
+        (f"doc-{i:02d}", doc.xml)
+        for i, doc in enumerate(list(corpus)[:n])
+    ]
+
+
 class TestWorkerCrashRecovery:
-    def test_worker_exit_respawns_and_requeues(self, lexicon, figure1_xml):
-        """A hard worker crash must not lose or re-blame documents."""
-        injector = FaultInjector(
-            seed=42, specs=[FaultSpec.exiting(match="victim", max_attempt=1)]
-        )
+    def test_worker_exit_respawns_and_requeues(self, lexicon, corpus):
+        """A worker SIGKILLed from outside mid-batch must not lose,
+        re-blame or stall documents — and no timeout is set."""
+        docs = _corpus_docs(corpus, 24)
+        serial = [
+            r.to_json_line()
+            for r in BatchExecutor(lexicon, XSDFConfig()).run(docs)
+        ]
+        killed = []
+
+        def kill_first_worker(record):
+            # The first record back names a live worker: kill it while
+            # the rest of the batch is still in flight.
+            if not killed and record.worker_stats:
+                killed.append(record.worker_stats["pid"])
+                os.kill(killed[0], signal.SIGKILL)
+
         metrics = MetricsRegistry()
         with BatchExecutor(
-            lexicon,
-            XSDFConfig(),
-            workers=2,
-            metrics=metrics,
-            injector=injector,
-            doc_timeout=1.0,
-            backoff_base=0.0,
-            oversubscribe=True,
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            oversubscribe=True, record_hook=kill_first_worker,
+            chunk_size=2,
         ) as executor:
-            docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
-            docs.insert(1, ("victim", figure1_xml))
-            records = executor.run(docs)
+            records = _within(60, lambda: executor.run(docs))
+            assert killed
             assert [r.name for r in records] == [name for name, _ in docs]
             assert all(r.ok for r in records), [r.error for r in records]
-            by_name = {r.name: r for r in records}
-            victim = by_name["victim"].outcome
-            assert victim is not None
-            assert victim.status == "retried"
-            assert victim.attempts >= 2
-            # Bystanders are blameless: they succeeded on attempt 1.
-            for name, _ in docs:
-                if name == "victim":
-                    continue
-                outcome = by_name[name].outcome
-                assert outcome is not None and outcome.attempts == 1
+            assert [r.to_json_line() for r in records] == serial
             stats = executor.runtime_stats()
             assert stats["worker_respawns"] >= 1
             assert stats["generation"] >= 2
-            # Survivors are byte-identical to an untouched serial run.
-            serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
-            assert [r.to_json_line() for r in records] == [
-                r.to_json_line() for r in serial.run(docs)
-            ]
+            # Only the lost documents ran twice, and the bounded
+            # pipeline caps them: at most max(4, 2 x workers) chunks of
+            # two were in flight.
+            rerun = [r for r in records if r.outcome.attempts == 2]
+            assert {r.outcome.attempts for r in records} <= {1, 2}
+            assert len(rerun) <= 4 * 2
         assert metrics.counter("worker_respawns") >= 1
+        (fault,) = metrics.events("pool_fault")
+        assert fault["kind"] == "broken"
 
-    def test_exit_fault_demotes_to_raise_in_parent(self, lexicon, figure1_xml):
-        """Serial runs survive an ``exit`` schedule (no process suicide)."""
-        injector = FaultInjector(
-            seed=7, specs=[FaultSpec.exiting(match="victim", max_attempt=1)]
+    def test_worker_killed_between_batches_is_replaced(
+        self, lexicon, corpus
+    ):
+        """A warm pool whose idle worker was killed is found broken by
+        the next batch, which respawns it and loses nothing."""
+        docs = _corpus_docs(corpus, 8)
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True,
+        ) as executor:
+            first = [r.to_json_line() for r in executor.run(docs)]
+            (victim, *_) = executor._pool._pool._processes
+            os.kill(victim, signal.SIGKILL)
+            second = _within(60, lambda: executor.run(docs))
+            stats = executor.runtime_stats()
+        assert [r.to_json_line() for r in second] == first
+        assert stats["pool_reuse_count"] == 1
+        assert stats["worker_respawns"] == 1
+
+    def test_worker_killing_document_fails_alone(
+        self, lexicon, corpus, monkeypatch
+    ):
+        docs = _corpus_docs(corpus, 16)
+        serial = {
+            r.name: r.to_json_line()
+            for r in BatchExecutor(lexicon, XSDFConfig()).run(docs)
+        }
+        victim = docs[5][0]
+        monkeypatch.setattr(
+            executor_module, "_disambiguate_one",
+            _kill_worker_scoring(victim),
         )
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, injector=injector,
-            backoff_base=0.0,
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True,
+        ) as executor:
+            records = _within(60, lambda: executor.run(docs))
+            respawns = executor.runtime_stats()["worker_respawns"]
+        by_name = {r.name: r for r in records}
+        casualty = by_name.pop(victim)
+        assert not casualty.ok
+        assert casualty.outcome.stage == "pool"
+        assert casualty.outcome.error_type == "BrokenProcessPool"
+        assert all(r.ok for r in by_name.values())
+        assert all(
+            r.to_json_line() == serial[name] for name, r in by_name.items()
         )
-        records = executor.run([("victim", figure1_xml)])
-        assert records[0].ok
-        assert records[0].outcome is not None
-        assert records[0].outcome.status == "retried"
+        # One respawn for the chunk it broke, one for its own task.
+        assert 1 <= respawns <= 2
+
+    def test_no_worker_outlives_an_abort_or_an_interrupt(
+        self, lexicon, corpus
+    ):
+        docs = _corpus_docs(corpus, 12)
+        before = set(multiprocessing.active_children())
+        aborting = BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True,
+            on_error="fail", chunk_size=1,
+        )
+        with pytest.raises(BatchAbortError):
+            aborting.run(docs[:6] + [("bad", "<unclosed>")] + docs[6:])
+        assert set(multiprocessing.active_children()) <= before
+        aborting.close()
+
+        def interrupt(record):
+            raise KeyboardInterrupt
+
+        interrupted = BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True,
+            record_hook=interrupt, chunk_size=1,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            interrupted.run(docs)
+        assert set(multiprocessing.active_children()) <= before
+        # The runtime stays usable: the next batch respawns its workers.
+        interrupted.record_hook = None
+        assert all(r.ok for r in interrupted.run(docs[:4]))
+        interrupted.close()
+        assert set(multiprocessing.active_children()) <= before
+
+
+_ORPHAN_SCRIPT = """
+import sys, time
+from repro import XSDFConfig
+from repro.runtime import BatchExecutor
+from repro.semnet import default_lexicon
+from tests.conftest import FIGURE1_XML
+
+executor = BatchExecutor(
+    default_lexicon(), XSDFConfig(), workers=2, oversubscribe=True
+)
+executor.run([(f"doc-{i}", FIGURE1_XML) for i in range(3)])
+print(*executor._pool._pool._processes, flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process states from /proc"
+)
+class TestParentDeath:
+    def test_workers_exit_when_the_parent_is_killed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE, text=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        ) as parent:
+            try:
+                workers = [
+                    int(pid) for pid in parent.stdout.readline().split()
+                ]
+            finally:
+                parent.kill()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
 
 
 def _initialize_worker(generation: int) -> None:
@@ -258,8 +410,10 @@ class TestForkWithFrozenHeap:
         pool = PersistentPool(1, _initialize_worker)
         try:
             inner = pool.ensure()
+            # ensure() already forked the worker: a submit now cannot
+            # spawn one outside the freeze.
             assert gc.get_freeze_count() == before
-            assert inner.apply(gc.get_freeze_count) > 0
+            assert inner.submit(gc.get_freeze_count).result() > 0
         finally:
             pool.close()
 

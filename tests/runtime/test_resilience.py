@@ -1,14 +1,19 @@
-"""Fault-isolated batch pipeline: retries, breaker, timeouts, failures.
+"""Fault-isolated batch pipeline: structured outcomes, real faults.
 
-The contract under test, end to end: a batch survives injected chaos
-with structured per-document outcomes, and **every document that
-succeeds under faults is byte-identical to a fault-free run** (the
-chaos parity gate mirrored by the CI chaos job).  A fault while
-scoring is not worked around: it fails that one document, typed by
+The contract under test, end to end: a batch survives real faults
+(malformed documents, a damaged shard, a worker killed by its
+document) with structured per-document outcomes, and **every document
+that succeeds is byte-identical to a fault-free run** (the chaos
+parity gate mirrored by the CI chaos job).  A fault while scoring is
+not worked around or retried: it fails that one document, typed by
 stage, and the rest of the batch is unaffected.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -16,23 +21,19 @@ from repro import XSDFConfig
 from repro.runtime import (
     BatchAbortError,
     BatchExecutor,
-    CircuitBreaker,
     DocOutcome,
-    FaultInjector,
-    FaultSpec,
     MetricsRegistry,
     PackedIndex,
     PackedIndexCRCError,
-    RetryPolicy,
     SphereMemo,
+    write_shard,
 )
 from repro.runtime import executor as executor_module
-from repro.runtime.resilience import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_RETRIED,
-)
+from repro.runtime.resilience import STATUS_FAILED, STATUS_OK
 from repro.similarity import CombinedSimilarity
+
+#: A document the XML parser rejects: a permanent, per-document fault.
+BROKEN_XML = "<unclosed><tag>"
 
 
 def _docs(corpus, n):
@@ -48,56 +49,10 @@ def _lines(records):
     return {r.name: r.to_json_line() for r in records}
 
 
-class TestRetryPolicy:
-    def test_allows_counts_redispatches(self):
-        policy = RetryPolicy(max_retries=2)
-        assert policy.allows(1) and policy.allows(2)
-        assert not policy.allows(3)
-        assert not RetryPolicy(max_retries=0).allows(1)
-
-    def test_delay_doubles_and_caps(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_cap=2.0)
-        assert policy.delay(1) == 0.5
-        assert policy.delay(2) == 1.0
-        assert policy.delay(3) == 2.0
-        assert policy.delay(9) == 2.0  # capped
-
-    def test_zero_base_means_instant_retry(self):
-        assert RetryPolicy(backoff_base=0.0).delay(5) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-0.1)
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3)
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert not breaker.tripped
-        assert breaker.record_failure()  # the tripping failure
-        assert breaker.tripped
-        assert breaker.trips == 1
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert not breaker.tripped
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-
-
 class TestDocOutcome:
     def test_ok_property(self):
         assert DocOutcome(name="d").ok
-        assert DocOutcome(name="d", status=STATUS_RETRIED).ok
+        assert DocOutcome(name="d", attempts=2).ok
         assert not DocOutcome(name="d", status=STATUS_FAILED).ok
 
     def test_to_dict_omits_empty_fields(self):
@@ -112,86 +67,28 @@ class TestDocOutcome:
 
 
 class TestSerialRetries:
-    def test_flaky_document_is_retried_bit_identically(
-        self, lexicon, figure1_xml
-    ):
-        metrics = MetricsRegistry()
-        baseline = BatchExecutor(lexicon, XSDFConfig(), workers=1)
-        base_records = baseline.run([("doc", figure1_xml)])
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, backoff_base=0.0,
-            metrics=metrics,
-            injector=FaultInjector(0, [FaultSpec.flaky(fail_attempts=1)]),
-        )
-        records = executor.run([("doc", figure1_xml)])
-        assert records[0].ok
-        outcome = records[0].outcome
-        assert outcome.status == STATUS_RETRIED
-        assert outcome.attempts == 2
-        # The retried record's JSONL is byte-identical to fault-free.
-        assert records[0].to_json_line() == base_records[0].to_json_line()
-        report = metrics.report()
-        assert report["counters"]["retries"] == 1
-        assert report["counters"]["outcome_retried"] == 1
-        (fault_event,) = metrics.events("fault")
-        assert fault_event["doc"] == "doc"
-
-    def test_permanent_fault_is_not_retried(self, lexicon, figure1_xml):
+    def test_permanent_fault_is_not_retried(self, lexicon):
         metrics = MetricsRegistry()
         executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, backoff_base=0.0,
-            metrics=metrics,
-            injector=FaultInjector(
-                0, [FaultSpec.raising(transient=False)]
-            ),
+            lexicon, XSDFConfig(), workers=1, metrics=metrics,
         )
-        records = executor.run([("doc", figure1_xml)])
+        records = executor.run([("doc", BROKEN_XML)])
         outcome = records[0].outcome
         assert not records[0].ok
         assert outcome.status == STATUS_FAILED
-        assert outcome.attempts == 1  # permanent -> no redispatch
-        assert outcome.stage == "inject"
-        assert metrics.report()["counters"].get("retries", 0) == 0
+        assert outcome.attempts == 1  # a failure is final: no redispatch
+        assert outcome.stage == "parse"
+        assert metrics.report()["counters"]["outcome_failed"] == 1
         (failed_event,) = metrics.events("doc_failed")
-        assert failed_event["stage"] == "inject"
-
-    def test_exhausted_retries_fail_with_attempt_count(
-        self, lexicon, figure1_xml
-    ):
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, backoff_base=0.0,
-            max_retries=2,
-            injector=FaultInjector(0, [FaultSpec.raising()]),
-        )
-        records = executor.run([("doc", figure1_xml)])
-        outcome = records[0].outcome
-        assert outcome.status == STATUS_FAILED
-        assert outcome.attempts == 3  # max_retries + 1 runs
-
-    def test_backoff_sleeps_between_attempts(
-        self, lexicon, figure1_xml, monkeypatch
-    ):
-        naps = []
-        monkeypatch.setattr(executor_module.time, "sleep", naps.append)
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, backoff_base=0.1,
-            max_retries=2,
-            injector=FaultInjector(0, [FaultSpec.raising()]),
-        )
-        executor.run([("doc", figure1_xml)])
-        assert naps == [0.1, 0.2]  # doubling schedule
+        assert failed_event["stage"] == "parse"
 
     def test_on_error_fail_aborts_with_partial_records(
         self, lexicon, figure1_xml
     ):
         executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, backoff_base=0.0,
-            on_error="fail",
-            injector=FaultInjector(
-                0, [FaultSpec.raising(match="bad", transient=False)]
-            ),
+            lexicon, XSDFConfig(), workers=1, on_error="fail",
         )
-        docs = [("good", figure1_xml), ("bad", figure1_xml),
+        docs = [("good", figure1_xml), ("bad", BROKEN_XML),
                 ("never-ran", figure1_xml)]
         with pytest.raises(BatchAbortError) as excinfo:
             executor.run(docs)
@@ -201,146 +98,84 @@ class TestSerialRetries:
     def test_bad_on_error_rejected(self, lexicon):
         with pytest.raises(ValueError):
             BatchExecutor(lexicon, on_error="explode")
-        with pytest.raises(ValueError):
-            BatchExecutor(lexicon, doc_timeout=0.0)
+
+
+def _kill_worker_scoring(name):
+    """A ``_disambiguate_one`` that SIGKILLs the pool worker scoring
+    ``name`` (the parent's own serial path is left alone)."""
+    score = executor_module._disambiguate_one
+
+    def score_or_die(xsdf, doc_name, xml, doc_cache):
+        if doc_name == name and multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return score(xsdf, doc_name, xml, doc_cache)
+
+    return score_or_die
 
 
 class TestChaosParity:
     """The gate the CI chaos job replays: survivors are bit-identical."""
 
-    def test_mixed_schedule_with_workers(self, lexicon, corpus):
+    def test_mixed_schedule_with_workers(self, lexicon, corpus, monkeypatch):
         docs = _docs(corpus, 6)
         names = [name for name, _ in docs]
+        docs[3] = (names[3], BROKEN_XML)
         baseline = _lines(
             BatchExecutor(lexicon, XSDFConfig(), workers=1).run(docs)
         )
-        metrics = MetricsRegistry()
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, backoff_base=0.0,
-            metrics=metrics, oversubscribe=True,
-            injector=FaultInjector(42, [
-                FaultSpec.flaky(match=names[1], fail_attempts=1),
-                FaultSpec.raising(match=names[3], transient=False),
-            ]),
+        # Inherited through fork: whichever worker scores names[1] dies.
+        monkeypatch.setattr(
+            executor_module, "_disambiguate_one",
+            _kill_worker_scoring(names[1]),
         )
-        records = executor.run(docs)
+        metrics = MetricsRegistry()
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, metrics=metrics,
+            oversubscribe=True, chunk_size=1,
+        ) as executor:
+            records = executor.run(docs)
         assert [r.name for r in records] == names  # input order kept
         by_name = {r.name: r for r in records}
-        assert not by_name[names[3]].ok  # the permanent casualty
-        assert by_name[names[3]].outcome.stage == "inject"
-        assert by_name[names[1]].outcome.status == STATUS_RETRIED
+        assert by_name[names[3]].outcome.stage == "parse"
+        assert by_name[names[1]].outcome.stage == "pool"
         for name, record in by_name.items():
             if record.ok:
                 assert record.to_json_line() == baseline[name], name
-        assert metrics.report()["counters"]["outcome_failed"] == 1
+        assert sum(r.ok for r in records) == 4
+        assert metrics.report()["counters"]["outcome_failed"] == 2
 
     def test_corrupt_packed_payload_degrades_workers_with_parity(
-        self, lexicon, corpus
+        self, lexicon, corpus, tmp_path
     ):
         docs = _docs(corpus, 4)
         baseline = _lines(
             BatchExecutor(lexicon, XSDFConfig(), workers=1).run(docs)
         )
+        shard = str(tmp_path / "lexicon.rxpd")
+        write_shard(PackedIndex(lexicon), shard)
+        index = PackedIndex.from_mmap(shard)
+        # One body byte flipped on disk before the workers attach it.
+        with open(shard, "r+b") as fh:
+            fh.seek(os.path.getsize(shard) // 2)
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(PackedIndexCRCError):
+            PackedIndex.from_mmap(shard, verify=True)
         metrics = MetricsRegistry()
         executor = BatchExecutor(
             lexicon, XSDFConfig(), workers=2, metrics=metrics,
             oversubscribe=True,  # exercise the real pool on 1-CPU hosts
-            injector=FaultInjector(7, [FaultSpec.bitrot()]),
+            index=index,
         )
         records = executor.run(docs)
         executor.close()
         assert all(r.ok for r in records)
         assert _lines(records) == baseline
-        # The temp shard was rotted: every worker's CRC-verified attach
-        # failed and it built the index itself.
+        # Every worker's CRC-verified attach failed and it built the
+        # index itself.
         counters = metrics.report()["counters"]
         assert counters.get("degrade_packed_decode", 0) >= 1
-
-
-class TestCircuitBreakerPath:
-    def test_persistent_submit_failures_trip_to_serial(
-        self, lexicon, figure1_xml, monkeypatch
-    ):
-        """apply_async blowing up every wave must end in a serial drain."""
-
-        class _BrokenSubmitPool:
-            def __init__(self, *args, **kwargs):
-                init = kwargs.get("initializer")
-                if init is not None:
-                    init(*kwargs.get("initargs", ()))
-
-            def apply_async(self, fn, args):
-                raise RuntimeError("pool lost its workers")
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
-        import multiprocessing
-
-        monkeypatch.setattr(multiprocessing, "Pool", _BrokenSubmitPool)
-        metrics = MetricsRegistry()
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, metrics=metrics,
-            breaker_threshold=3, oversubscribe=True,
-        )
-        docs = [("a", figure1_xml), ("b", figure1_xml)]
-        records = executor.run(docs)
-        assert all(r.ok for r in records)
-        report = metrics.report()
-        assert report["counters"]["breaker_trips"] == 1
-        assert len(metrics.events("pool_fault")) == 3  # one per strike
-        assert metrics.events("breaker_tripped")
-        # Serial-drain output is byte-identical to a plain serial run.
-        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
-        assert [r.to_json_line() for r in records] == \
-            [r.to_json_line() for r in serial.run(docs)]
-
-
-class TestDocTimeout:
-    def test_straggler_is_killed_and_redispatched(self, lexicon, corpus):
-        docs = _docs(corpus, 3)
-        slow_name = docs[0][0]
-        baseline = _lines(
-            BatchExecutor(lexicon, XSDFConfig(), workers=1).run(docs)
-        )
-        metrics = MetricsRegistry()
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, backoff_base=0.0,
-            doc_timeout=0.75, metrics=metrics, oversubscribe=True,
-            injector=FaultInjector(0, [
-                # Slow-then-recover: only the first dispatch stalls.
-                FaultSpec.slow(match=slow_name, delay_s=30.0, max_attempt=1),
-            ]),
-        )
-        records = executor.run(docs)
-        assert all(r.ok for r in records)
-        assert _lines(records) == baseline  # parity after the re-dispatch
-        by_name = {r.name: r for r in records}
-        assert by_name[slow_name].outcome.status == STATUS_RETRIED
-        assert by_name[slow_name].outcome.attempts >= 2
-        report = metrics.report()
-        assert report["counters"]["doc_timeouts"] >= 1
-        assert metrics.events("doc_timeout")
-
-    def test_timeout_without_retries_fails_with_stage(self, lexicon, corpus):
-        docs = _docs(corpus, 2)
-        slow_name = docs[1][0]
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, backoff_base=0.0,
-            doc_timeout=0.75, max_retries=0, oversubscribe=True,
-            injector=FaultInjector(0, [
-                FaultSpec.slow(match=slow_name, delay_s=30.0),
-            ]),
-        )
-        records = executor.run(docs)
-        by_name = {r.name: r for r in records}
-        outcome = by_name[slow_name].outcome
-        assert outcome.status == STATUS_FAILED
-        assert outcome.stage == "timeout"
-        assert by_name[docs[0][0]].ok  # the fast doc is unaffected
 
 
 class TestScoringFaults:

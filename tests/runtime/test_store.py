@@ -9,9 +9,10 @@ Four contracts are pinned here:
 * **backing parity** — mmap attach, in-memory packed build and the
   network walk all produce bit-identical batch JSONL (the backing
   never changes a score);
-* **registry** — the TOML manifest loads, attaches LRU-bounded,
-  degrades shardless domains to heap builds, and routes documents by
-  lexicon coverage deterministically;
+* **registry** — the TOML manifest loads, attaches LRU-bounded with
+  the full body CRC check, degrades shardless (or damaged-shard)
+  domains to heap builds, and routes documents by lexicon coverage
+  deterministically;
 * **worker shipping** — pool workers attach a shard-backed index by
   its own *path* (no temporary shard is written), with results
   identical to the serial path.
@@ -317,7 +318,19 @@ class TestRegistry:
             payload[_section_offset(payload, 2)] = 0xFF  # depths typecode
             shard.write_bytes(payload)
 
-        for damage in (stale, malformed):
+        def rotted():
+            # One flipped body byte that still attaches and decodes:
+            # only the body CRC can tell.
+            write_shard(
+                PackedIndex(nets["alpha"]), str(shard),
+                fingerprint=nets["alpha"].fingerprint(),
+            )
+            payload = bytearray(shard.read_bytes())
+            payload[-1] ^= 0xFF
+            shard.write_bytes(payload)
+            PackedIndex.from_mmap(str(shard))  # attaches unverified
+
+        for damage in (stale, malformed, rotted):
             damage()
             # The attach must degrade to a heap build over the
             # *correct* network.
@@ -420,62 +433,13 @@ class TestDamageMarks:
     def test_header_exposes_the_body_crc(self, lexicon_shard):
         header = read_shard_header(lexicon_shard)
         assert isinstance(header["crc"], int)
-        # The stamped CRC is the scrubber's ground truth: it must match
-        # an independent recomputation over the body bytes.
+        # The stamped CRC is what a verified attach checks: it must
+        # match an independent recomputation over the body bytes.
         import zlib
         with open(lexicon_shard, "rb") as fh:
             fh.seek(32)
             body = fh.read(header["body_bytes"])
         assert zlib.crc32(body) == header["crc"]
-
-    def test_mark_damaged_drops_mmap_attachments_without_reading(
-            self, tmp_path):
-        manifest, nets = _registry_tree(tmp_path, shard_for=("alpha",))
-        registry = NetworkRegistry.load(manifest)
-        try:
-            alpha = registry.attach("alpha")
-            assert alpha.index.backing == "mmap"
-            shard_path = registry.entry("alpha").shard_path
-            affected = registry.mark_damaged(shard_path)
-            assert affected == ("alpha",)
-            assert registry.stats()["damaged"] == [shard_path]
-            # Dropped, not evicted: the old handle stays mmap-backed
-            # (sessions holding it keep using the mapping).
-            assert alpha.index.backing == "mmap"
-            assert registry.stats()["attached"] == 0
-        finally:
-            registry.close()
-
-    def test_attach_skips_condemned_shard_and_heap_builds(self, tmp_path):
-        manifest, nets = _registry_tree(tmp_path, shard_for=("alpha",))
-        registry = NetworkRegistry.load(manifest)
-        try:
-            shard_path = registry.entry("alpha").shard_path
-            registry.mark_damaged(shard_path)
-            attached = registry.attach("alpha")
-            assert attached.index.backing == "heap"
-            assert len(attached.index) == len(nets["alpha"])
-            # clear_damaged (post-repair reload) restores the fast
-            # path; close() first so the next attach is a real miss.
-            registry.close()
-            registry.clear_damaged()
-            assert registry.attach("alpha").index.backing == "mmap"
-        finally:
-            registry.close()
-
-    def test_mark_damaged_leaves_heap_attachments_alone(self, tmp_path):
-        manifest, nets = _registry_tree(tmp_path, shard_for=("alpha",))
-        registry = NetworkRegistry.load(manifest)
-        try:
-            shard_path = registry.entry("alpha").shard_path
-            registry.mark_damaged(shard_path)
-            registry.attach("alpha")  # heap build under the mark
-            # A second damage report for the same shard must not drop
-            # the heap fallback that replaced it.
-            assert registry.mark_damaged(shard_path) == ()
-            assert registry.stats()["attached"] == 1
-        finally:
-            registry.close()
 
 
 class TestDocumentTerms:

@@ -120,7 +120,8 @@ class TestBatch:
     ):
         """The 60-document Table 3 corpus reproduces the golden digest
         through the library call, ``repro batch`` serially, with
-        ``--workers 2``, with ``--shard`` and with ``--no-index``, and
+        ``--workers 2``, with ``--shard``, with ``--no-index`` and with
+        ``--resume`` over a journal of a prefix of the corpus, and
         through the in-process server."""
         import asyncio
         import json
@@ -152,10 +153,22 @@ class TestBatch:
         library = [xsdf.disambiguate_document(xml).to_dict() for _, xml in corpus]
         assert annotations_digest(library) == GOLDEN_ANNOTATIONS_SHA256
 
+        # --resume: journal the first 25 documents, then resume over
+        # all 60, replaying those 25 and scoring the other 35.
+        journal = tmp_path / "prefix.rxjf"
+        code, output = run([
+            "batch", str(tmp_path / "doc-[01]*.xml"),
+            str(tmp_path / "doc-2[0-4].xml"), "--out",
+            str(tmp_path / "prefix.jsonl"), "--network", str(network_json),
+            "--journal", str(journal),
+        ])
+        assert code == 0, output
+        assert "journal replayed=0 scored=25" in output
+
         # Oversubscribe: --workers 2 runs a real pool on 1-CPU hosts.
         monkeypatch.setattr(executor_module, "auto_workers", lambda: 2)
         for mode in ([], ["--workers", "2"], ["--shard", str(shard)],
-                     ["--no-index"]):
+                     ["--no-index"], ["--journal", str(journal), "--resume"]):
             out_path = tmp_path / "out.jsonl"
             code, output = run([
                 "batch", str(tmp_path / "doc-*.xml"), "--out",
@@ -163,10 +176,15 @@ class TestBatch:
             ])
             assert code == 0, output
             assert "60 documents, 0 failed" in output
+            if "--resume" in mode:
+                assert "journal replayed=25 scored=35" in output
             records = [
                 json.loads(line)
                 for line in out_path.read_text(encoding="utf-8").splitlines()
             ]
+            assert [record["name"] for record in records] == sorted(
+                str(tmp_path / f"{name}.xml") for name, _ in corpus
+            ), mode
             assert annotations_digest(
                 record["result"] for record in records
             ) == GOLDEN_ANNOTATIONS_SHA256, mode
@@ -438,10 +456,15 @@ class TestBatchResilience:
 
     def test_resilience_flags_are_validated(self, tmp_path, figure1_xml):
         (tmp_path / "doc.xml").write_text(figure1_xml, encoding="utf-8")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="workers must be >= 1"):
             run([
                 "batch", str(tmp_path / "doc.xml"),
-                "--doc-timeout", "0",
+                "--workers", "0",
+            ])
+        with pytest.raises(SystemExit, match="chunk_size must be >= 1"):
+            run([
+                "batch", str(tmp_path / "doc.xml"),
+                "--chunk-size", "0",
             ])
         with pytest.raises(SystemExit):
             run([
@@ -546,11 +569,6 @@ class TestJournalResume:
             run([
                 "batch", pattern, "--journal", str(journal), "--resume",
             ])
-
-    def test_bad_chaos_fault_spec_is_refused(self, tmp_path, figure1_xml):
-        pattern = self._corpus(tmp_path, figure1_xml, n=1)
-        with pytest.raises(SystemExit, match="bad fault spec"):
-            run(["batch", pattern, "--chaos-fault", "explode:*"])
 
 
 class TestPackAndStore:
