@@ -76,6 +76,12 @@ class Baseline(ABC):
     def candidate_similarity(
         self, similarity, candidate: Candidate, sense_id: str
     ) -> float:
-        """Average per-token similarity for (possibly compound) candidates."""
-        total = sum(similarity(part, sense_id) for part in candidate)
+        """Average per-token similarity for (possibly compound) candidates.
+
+        Summed left to right from ``0.0`` like XSDF's own average, so
+        scores keep their bits on every CPython version.
+        """
+        total = 0.0
+        for part in candidate:
+            total += similarity(part, sense_id)
         return total / len(candidate)

@@ -81,11 +81,11 @@ def ambiguity_degree(
     """
     w = weights or AmbiguityWeights()
     if node.is_compound:
-        degrees = [
-            _single_token_degree(token, node, tree, network, w)
-            for token in node.tokens
-        ]
-        return sum(degrees) / len(degrees)
+        # A left-to-right sum from 0.0, on every CPython version.
+        total = 0.0
+        for token in node.tokens:
+            total += _single_token_degree(token, node, tree, network, w)
+        return total / len(node.tokens)
     return _single_token_degree(node.label, node, tree, network, w)
 
 

@@ -46,8 +46,16 @@ class ConceptBasedScorer:
         self._bound_cache: dict[tuple[Candidate, tuple[str, ...]], float] = {}
 
     def _candidate_similarity(self, candidate: Candidate, sense_id: str) -> float:
-        """``Sim((s_p, s_q), s_j)`` — the average over candidate parts."""
-        total = sum(self._similarity(part, sense_id) for part in candidate)
+        """``Sim((s_p, s_q), s_j)`` — the average over candidate parts.
+
+        Summed left to right from ``0.0``, the sum CPython 3.11's
+        ``sum()`` computes: 3.12's compensated ``sum()`` would move the
+        low bits of scores with the interpreter version.
+        """
+        similarity = self._similarity
+        total = 0.0
+        for part in candidate:
+            total += similarity(part, sense_id)
         return total / len(candidate)
 
     def _best_sense_similarity(
@@ -117,11 +125,14 @@ class ConceptBasedScorer:
         key = (candidate, sense_ids)
         best = self._bound_cache.get(key)
         if best is None:
-            best = max(
-                sum(upper_bound(part, sense_id) for part in candidate)
-                / len(candidate)
-                for sense_id in sense_ids
-            )
+            # The same left-to-right average as _candidate_similarity.
+            bounds = []
+            for sense_id in sense_ids:
+                total = 0.0
+                for part in candidate:
+                    total += upper_bound(part, sense_id)
+                bounds.append(total / len(candidate))
+            best = max(bounds)
             self._bound_cache[key] = best
         return best
 

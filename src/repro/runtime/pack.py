@@ -77,7 +77,7 @@ _IC_SMOOTHING = 1.0
 #: of these materializes them all.
 _LAZY_ATTRS = frozenset({
     "_ids", "_id_of", "_tokens", "_depths", "_ic_list",
-    "_closures", "_bags", "_bag_sets", "_bag_counts",
+    "_closures", "_bags", "_bag_sets", "_bag_positions",
 })
 
 #: Sentinel distinguishing "no memo entry" from a memoized ``None``.
@@ -329,6 +329,61 @@ def _interned_overlap_score(tokens_a: list[int], tokens_b: list[int]) -> float:
     return score
 
 
+def _token_positions(tokens: Iterable[int]) -> dict[int, list[int]]:
+    """Token id -> its ascending positions in one token sequence."""
+    positions: dict[int, list[int]] = {}
+    for i, token in enumerate(tokens):
+        positions.setdefault(token, []).append(i)
+    return positions
+
+
+def _shared_count(
+    shared: Iterable[int],
+    positions_a: dict[int, list[int]],
+    positions_b: dict[int, list[int]],
+) -> int:
+    """Multiset-intersection size ``sum_t min(count_a(t), count_b(t))``."""
+    m = 0
+    for token in shared:
+        count_a = len(positions_a[token])
+        count_b = len(positions_b[token])
+        m += count_a if count_a < count_b else count_b
+    return m
+
+
+def _isolated(shared: Iterable[int], positions: dict[int, list[int]]) -> bool:
+    """True when no two adjacent positions both hold a ``shared`` token."""
+    taken: set[int] = set()
+    for token in shared:
+        taken.update(positions[token])
+    return taken.isdisjoint([p + 1 for p in taken])
+
+
+def _gloss_overlap(
+    tokens_a: list[int],
+    tokens_b: list[int],
+    positions_a: dict[int, list[int]],
+    positions_b: dict[int, list[int]],
+    shared: frozenset[int],
+) -> float:
+    """:func:`_interned_overlap_score`, answered in closed form when it can be.
+
+    ``positions_*`` are :func:`_token_positions` of the two sequences
+    and ``shared`` the token ids both contain.  When, in either
+    sequence, no two adjacent positions both hold shared tokens, the
+    greedy procedure returns exactly ``float(m)`` for the
+    multiset-intersection size ``m``: every common run has length 1,
+    removing one shared token from that sequence leaves two unshared
+    tokens adjacent (so the condition survives every step, and the
+    shared set only shrinks), and the loop stops after exactly ``m``
+    steps of ``+= 1.0``.  Every other pair runs the DP unchanged, in
+    the caller's argument order.
+    """
+    if _isolated(shared, positions_a) or _isolated(shared, positions_b):
+        return float(_shared_count(shared, positions_a, positions_b))
+    return _interned_overlap_score(tokens_a, tokens_b)
+
+
 class PackedIndex:
     """Interned flat-array semantic index over one ``RXPD`` body.
 
@@ -462,7 +517,7 @@ class PackedIndex:
         self._closures: list[dict[int, int] | None] = [None] * n
         self._bags: list[list[int] | None] = [None] * n
         self._bag_sets: list[frozenset[int] | None] = [None] * n
-        self._bag_counts: list[dict[int, int] | None] = [None] * n
+        self._bag_positions: list[dict[int, list[int]] | None] = [None] * n
         self._lazy_blobs = None
 
     @classmethod
@@ -689,22 +744,23 @@ class PackedIndex:
         return bag
 
     def _bag_set(self, slot: int) -> frozenset[int]:
-        """Distinct token ids of one gloss bag (for the quick reject)."""
+        """Distinct token ids of one gloss bag (the shared-token set)."""
         bag_set = self._bag_sets[slot]
         if bag_set is None:
             bag_set = frozenset(self._bag(slot))
             self._bag_sets[slot] = bag_set
         return bag_set
 
-    def _bag_count(self, slot: int) -> dict[int, int]:
-        """Token-id multiplicity map of one gloss bag (memoized)."""
-        counts = self._bag_counts[slot]
-        if counts is None:
-            counts = {}
-            for token in self._bag(slot):
-                counts[token] = counts.get(token, 0) + 1
-            self._bag_counts[slot] = counts
-        return counts
+    def _positions(self, slot: int) -> dict[int, list[int]]:
+        """Token id -> ascending positions in one gloss bag (memoized).
+
+        A token's multiplicity is the length of its list.
+        """
+        positions = self._bag_positions[slot]
+        if positions is None:
+            positions = _token_positions(self._bag(slot))
+            self._bag_positions[slot] = positions
+        return positions
 
     def lesk_upper_bound(self, a: str, b: str) -> float:
         """Cheap exact upper bound on :meth:`lesk_similarity`.
@@ -726,23 +782,11 @@ class PackedIndex:
         ib = self._intern(b)
         if ia == ib:
             return 1.0
-        bag_a = self._bag(ia)
-        bag_b = self._bag(ib)
-        if not bag_a or not bag_b:
+        shared = self._bag_set(ia) & self._bag_set(ib)
+        if not shared:
             return 0.0
-        if self._bag_set(ia).isdisjoint(self._bag_set(ib)):
-            return 0.0
-        counts_a = self._bag_count(ia)
-        counts_b = self._bag_count(ib)
-        if len(counts_a) > len(counts_b):
-            counts_a, counts_b = counts_b, counts_a
-        other_get = counts_b.get
-        m = 0
-        for token, count in counts_a.items():
-            other = other_get(token)
-            if other is not None:
-                m += count if count < other else other
-        shorter = min(len(bag_a), len(bag_b))
+        m = _shared_count(shared, self._positions(ia), self._positions(ib))
+        shorter = min(len(self._bag(ia)), len(self._bag(ib)))
         return min(1.0, m / shorter)
 
     def lesk_similarity(self, a: str, b: str) -> float:
@@ -750,19 +794,22 @@ class PackedIndex:
 
         Bit-identical to :class:`repro.similarity.gloss
         .ExtendedLeskSimilarity`'s unpacked arithmetic: disjoint token
-        sets short-circuit to the same 0.0 the full DP would produce.
+        sets short-circuit to the same 0.0 the full DP would produce,
+        and :func:`_gloss_overlap` answers most other pairs in closed
+        form before falling back to the DP.
         """
         ia = self._intern(a)
         ib = self._intern(b)
         if ia == ib:
             return 1.0
+        shared = self._bag_set(ia) & self._bag_set(ib)
+        if not shared:
+            return 0.0
         bag_a = self._bag(ia)
         bag_b = self._bag(ib)
-        if not bag_a or not bag_b:
-            return 0.0
-        if self._bag_set(ia).isdisjoint(self._bag_set(ib)):
-            return 0.0
-        raw = _interned_overlap_score(bag_a, bag_b)
+        raw = _gloss_overlap(
+            bag_a, bag_b, self._positions(ia), self._positions(ib), shared
+        )
         shorter = min(len(bag_a), len(bag_b))
         return min(1.0, (raw ** 0.5) / shorter)
 

@@ -339,8 +339,16 @@ class SemanticNetwork:
 
     @property
     def total_frequency(self) -> float:
-        """Sum of all concept frequencies (the corpus size proxy)."""
-        return sum(concept.frequency for concept in self._concepts.values())
+        """Sum of all concept frequencies (the corpus size proxy).
+
+        Summed left to right from ``0.0`` in concept order, so IC has
+        the same bits on every CPython version (3.12 made float
+        ``sum()`` compensated).
+        """
+        total = 0.0
+        for concept in self._concepts.values():
+            total += concept.frequency
+        return total
 
     # -- misc -------------------------------------------------------------------------
 

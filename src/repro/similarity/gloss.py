@@ -100,7 +100,8 @@ class ExtendedLeskSimilarity:
         when ``expand=True``, matching its packed bags): routes the
         whole comparison through its interned-token kernel — the same
         greedy overlap over dense int ids with a disjoint-set quick
-        reject — bit-identical to the token-string path.
+        reject and an exact closed form for most pairs — bit-identical
+        to the token-string path.
     """
 
     def __init__(

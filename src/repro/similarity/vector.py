@@ -5,6 +5,11 @@ labels to weights.  The context-based disambiguation score (Definition
 10) compares them with cosine similarity; Jaccard and Pearson variants
 are provided because the paper explicitly notes they are drop-in
 replacements.
+
+Every sum here is a plain left-to-right loop from ``0.0`` over a fixed
+order: CPython 3.12 made float ``sum()`` compensated, and a sum over a
+``set`` of labels follows string hashing, so either would move the low
+bits of scores with the interpreter version or ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ Vector = Mapping[str, float]
 
 def vector_norm(u: Vector) -> float:
     """Euclidean norm of a sparse vector (summed in iteration order)."""
-    return math.sqrt(sum(w * w for w in u.values()))
+    total = 0.0
+    for w in u.values():
+        total += w * w
+    return math.sqrt(total)
 
 
 def cosine_similarity(u: Vector, v: Vector) -> float:
@@ -34,7 +42,10 @@ def cosine_from_norms(u: Vector, norm_u: float, v: Vector, norm_v: float) -> flo
     if not u or not v:
         return 0.0
     smaller, larger = (u, v) if len(u) <= len(v) else (v, u)
-    dot = sum(weight * larger.get(label, 0.0) for label, weight in smaller.items())
+    larger_get = larger.get
+    dot = 0.0
+    for label, weight in smaller.items():
+        dot += weight * larger_get(label, 0.0)
     denominator = norm_u * norm_v
     # Guard the *product*: with subnormal weights it can underflow to
     # zero even when both norms are individually non-zero.
@@ -44,12 +55,21 @@ def cosine_from_norms(u: Vector, norm_u: float, v: Vector, norm_v: float) -> flo
 
 
 def jaccard_similarity(u: Vector, v: Vector) -> float:
-    """Weighted (Ruzicka) Jaccard: sum of mins over sum of maxes."""
+    """Weighted (Ruzicka) Jaccard: sum of mins over sum of maxes.
+
+    Summed over ``u``'s labels in iteration order, then ``v``'s labels
+    missing from ``u``.
+    """
     if not u or not v:
         return 0.0
-    labels = set(u) | set(v)
-    numerator = sum(min(u.get(label, 0.0), v.get(label, 0.0)) for label in labels)
-    denominator = sum(max(u.get(label, 0.0), v.get(label, 0.0)) for label in labels)
+    labels = list(u)
+    labels.extend(label for label in v if label not in u)
+    numerator = denominator = 0.0
+    for label in labels:
+        weight_u = u.get(label, 0.0)
+        weight_v = v.get(label, 0.0)
+        numerator += min(weight_u, weight_v)
+        denominator += max(weight_u, weight_v)
     if denominator == 0.0:
         return 0.0
     return max(0.0, min(1.0, numerator / denominator))
@@ -67,11 +87,17 @@ def pearson_similarity(u: Vector, v: Vector) -> float:
     xs = [u.get(label, 0.0) for label in labels]
     ys = [v.get(label, 0.0) for label in labels]
     n = len(labels)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    sum_x = sum_y = 0.0
+    for x, y in zip(xs, ys):
+        sum_x += x
+        sum_y += y
+    mean_x = sum_x / n
+    mean_y = sum_y / n
+    cov = var_x = var_y = 0.0
+    for x, y in zip(xs, ys):
+        cov += (x - mean_x) * (y - mean_y)
+        var_x += (x - mean_x) ** 2
+        var_y += (y - mean_y) ** 2
     denominator = math.sqrt(var_x) * math.sqrt(var_y)
     # Multiplying the roots (not rooting the product) avoids the product
     # underflowing to zero for subnormal variances.

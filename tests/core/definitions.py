@@ -69,12 +69,15 @@ def concept_score(
         sense_ids = context_sense_ids(member.node, network)
         if not sense_ids:
             continue
-        best = max(
-            sum(similarity(part, sense_id) for part in candidate)
-            / len(candidate)
-            for sense_id in sense_ids
-        )
-        total += best * weights[member.node.label]
+        averages = []
+        for sense_id in sense_ids:
+            # Left to right from 0.0: the summation order the library
+            # states, whatever the interpreter's sum() does.
+            part_total = 0.0
+            for part in candidate:
+                part_total += similarity(part, sense_id)
+            averages.append(part_total / len(candidate))
+        total += max(averages) * weights[member.node.label]
     return total / len(sphere) if len(sphere) else 0.0
 
 

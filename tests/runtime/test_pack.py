@@ -6,7 +6,8 @@ Four contracts are pinned here:
   depths, LCS, taxonomic distance, gloss bags, IC, the Lesk kernel)
   must ``==`` the network-walk value, on the curated lexicon and on
   random synthetic networks (the similarity measures' indexed-vs-walk
-  identity lives in ``test_index.py``);
+  identity lives in ``test_index.py``), and the Lesk kernel's closed
+  form must ``==`` the literal greedy DP on any two token sequences;
 * **frozen build** — the curated lexicon packs to one pinned ``RXPD``
   payload, so shards already on disk stay attachable;
 * **codec round-trip** — ``write_shard`` → ``from_mmap`` reproduces
@@ -24,12 +25,15 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.runtime import (
     PackedIndex,
     PackedIndexCRCError,
     PackedIndexError,
     PackedIndexTruncatedError,
+    pack,
     write_shard,
 )
 from repro.semnet.generator import GeneratorConfig, generate_network
@@ -37,6 +41,7 @@ from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
 from repro.similarity.gloss import (
     ExtendedLeskSimilarity,
+    _ngram_overlap_score,
     extended_gloss_tokens,
 )
 
@@ -112,11 +117,21 @@ class TestQueryParity:
     def test_lesk_kernel_matches_unpacked_measure(
         self, lexicon, packed_lexicon
     ):
-        """The interned sparse DP == the string DP, score for score."""
-        unpacked = ExtendedLeskSimilarity(lexicon)
-        for a, b in _sample_pairs(lexicon, n_pairs=60, seed=4):
-            assert packed_lexicon.lesk_similarity(a, b) == unpacked(a, b), \
-                (a, b)
+        """The packed kernel == the string DP, score for score.
+
+        Also on a ``gloss_style="local"`` network, the gloss shape of
+        the 100k benchmark network, where the closed form answers most
+        pairs.
+        """
+        local = generate_network(GeneratorConfig(
+            n_concepts=200, mean_polysemy=2.0, gloss_style="local", seed=4
+        ))
+        for network, packed in (
+            (lexicon, packed_lexicon), (local, PackedIndex(local))
+        ):
+            unpacked = ExtendedLeskSimilarity(network)
+            for a, b in _sample_pairs(network, n_pairs=60, seed=4):
+                assert packed.lesk_similarity(a, b) == unpacked(a, b), (a, b)
 
     def test_lexicon_payload_digest_is_pinned(self, packed_lexicon):
         """The build is frozen: shards already on disk stay attachable."""
@@ -129,6 +144,73 @@ class TestQueryParity:
             packed_lexicon.depth("no.such.concept")
         with pytest.raises(UnknownConceptError):
             packed_lexicon.pair_terms("no.such.concept", "also.missing")
+
+
+def _packed_overlap(tokens_a: list[int], tokens_b: list[int]) -> float:
+    """The packed kernel's raw overlap of two token-id sequences."""
+    return pack._gloss_overlap(
+        tokens_a, tokens_b,
+        pack._token_positions(tokens_a), pack._token_positions(tokens_b),
+        frozenset(tokens_a) & frozenset(tokens_b),
+    )
+
+
+@st.composite
+def _token_sequence_pairs(draw):
+    """Two sequences over one alphabet of 1-6 token ids, lengths 0-16."""
+    alphabet = st.integers(0, draw(st.integers(1, 6)) - 1)
+    return (
+        draw(st.lists(alphabet, max_size=16)),
+        draw(st.lists(alphabet, max_size=16)),
+    )
+
+
+class TestLeskClosedForm:
+    @given(_token_sequence_pairs())
+    @example(([0, 5, 1], [0, 1]))  # shared tokens isolated only in a
+    @example(([0, 1], [0, 5, 1]))  # isolated only in b
+    # Adjacent in both: the DP, which scores this pair 5.0 one way and
+    # 3.0 the other, so the fallback must keep the argument order.
+    @example(([1, 0, 2, 2], [2, 1, 2]))
+    @example(([0, 3, 0, 3, 0], [0, 4, 0]))  # counts 3 and 2 of one token
+    @example(([0, 1], [2, 3]))  # disjoint bags
+    @example(([], [0, 1]))  # an empty bag
+    def test_closed_form_equals_literal_dp(self, pair):
+        """Either argument order, == the network walk's string DP."""
+        for tokens_a, tokens_b in (pair, pair[::-1]):
+            assert _packed_overlap(tokens_a, tokens_b) == _ngram_overlap_score(
+                [str(t) for t in tokens_a], [str(t) for t in tokens_b]
+            )
+
+    @pytest.mark.parametrize("tokens_a, tokens_b, raw", [
+        ([0, 5, 1], [0, 1], 2.0),
+        ([0, 1], [0, 5, 1], 2.0),
+        ([0, 3, 0, 3, 0], [0, 0], 2.0),
+        ([0, 1], [2, 3], 0.0),
+    ])
+    def test_isolated_shared_tokens_skip_the_dp(
+        self, monkeypatch, tokens_a, tokens_b, raw
+    ):
+        def no_dp(*args):
+            raise AssertionError("the closed form should answer this pair")
+
+        monkeypatch.setattr(pack, "_interned_overlap_score", no_dp)
+        assert _packed_overlap(tokens_a, tokens_b) == raw
+
+    def test_adjacent_shared_tokens_in_both_bags_run_the_dp(
+        self, monkeypatch
+    ):
+        calls = []
+        dp = pack._interned_overlap_score
+
+        def counting_dp(tokens_a, tokens_b):
+            calls.append((tokens_a, tokens_b))
+            return dp(tokens_a, tokens_b)
+
+        monkeypatch.setattr(pack, "_interned_overlap_score", counting_dp)
+        # The run (0, 1) scores 2**2, where m would say 2.
+        assert _packed_overlap([0, 1, 2], [3, 0, 1]) == 4.0
+        assert calls == [([0, 1, 2], [3, 0, 1])]
 
 
 class TestCodec:

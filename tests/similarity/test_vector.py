@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +23,18 @@ vectors = st.dictionaries(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     max_size=6,
 )
+
+#: Scores 2,000 seeded random vector pairs, one ``float.hex()`` a line.
+_JACCARD_SCRIPT = """
+import random
+from repro.similarity.vector import jaccard_similarity
+rng = random.Random(0)
+labels = [f"label-{i}" for i in range(30)]
+for _ in range(2000):
+    u = {rng.choice(labels): rng.random() for _ in range(10)}
+    v = {rng.choice(labels): rng.random() for _ in range(10)}
+    print(jaccard_similarity(u, v).hex())
+"""
 
 
 class TestCosine:
@@ -56,6 +73,29 @@ class TestJaccard:
         v = {"a": 1.0, "b": 3.0}
         # min sum = 1+2 = 3; max sum = 2+3 = 5.
         assert jaccard_similarity(u, v) == pytest.approx(0.6)
+
+    def test_result_bits_do_not_depend_on_string_hashing(self):
+        """Two interpreters with different ``PYTHONHASHSEED``s agree.
+
+        Hash randomization is frozen at interpreter start, so each seed
+        gets its own subprocess; ``float.hex()`` compares every bit.
+        """
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(src), env.get("PYTHONPATH", "")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _JACCARD_SCRIPT],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == 2000
+        assert outputs[0] == outputs[1]
 
 
 class TestPearson:
