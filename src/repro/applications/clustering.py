@@ -68,9 +68,11 @@ def cluster_profiles(
     clusters: list[list[int]] = [[i] for i in range(len(profiles))]
 
     def linkage(a: list[int], b: list[int]) -> float:
-        total = sum(
-            cosine_similarity(profiles[i], profiles[j]) for i in a for j in b
-        )
+        # Left to right from 0.0: the same merges on every CPython version.
+        total = 0.0
+        for i in a:
+            for j in b:
+                total += cosine_similarity(profiles[i], profiles[j])
         return total / (len(a) * len(b))
 
     while len(clusters) > 1:

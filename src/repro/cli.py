@@ -61,6 +61,7 @@ from .core.config import DisambiguationApproach, XSDFConfig
 from .core.framework import XSDF
 from .semnet import default_lexicon
 from .similarity.combined import SimilarityWeights
+from .xmltree.errors import XMLError
 
 _APPROACHES = {
     "concept": DisambiguationApproach.CONCEPT_BASED,
@@ -1161,6 +1162,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except BrokenPipeError:
         # Downstream pager/head closed the pipe — conventional clean exit.
         return 0
+    except XMLError as exc:
+        # A malformed input document (disambiguate, audit, match): one
+        # line, already located, instead of a traceback.
+        raise SystemExit(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

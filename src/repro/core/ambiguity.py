@@ -186,12 +186,22 @@ def tree_ambiguity_degree(
     network: SemanticNetwork,
     weights: AmbiguityWeights | None = None,
 ) -> float:
-    """Average ``Amb_Deg`` over all nodes (Table 1 characterization)."""
-    degrees = [ambiguity_degree(node, tree, network, weights) for node in tree]
-    return sum(degrees) / len(degrees) if degrees else 0.0
+    """Average ``Amb_Deg`` over all nodes (Table 1 characterization).
+
+    Summed left to right from ``0.0``, so the figure keeps its bits on
+    every CPython version (3.12's ``sum()`` compensates float sums).
+    """
+    total = 0.0
+    for node in tree:
+        total += ambiguity_degree(node, tree, network, weights)
+    return total / len(tree)
 
 
 def tree_struct_degree(tree: XMLTree) -> float:
-    """Average ``Struct_Deg`` over all nodes (Table 1 characterization)."""
-    values = [struct_degree(node, tree) for node in tree]
-    return sum(values) / len(values) if values else 0.0
+    """Average ``Struct_Deg`` over all nodes (Table 1 characterization),
+    summed left to right from ``0.0`` like :func:`tree_ambiguity_degree`.
+    """
+    total = 0.0
+    for node in tree:
+        total += struct_degree(node, tree)
+    return total / len(tree)

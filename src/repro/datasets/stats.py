@@ -35,6 +35,16 @@ class DocumentStats:
     struct_degree: float
 
 
+def _mean(values: list[float]) -> float:
+    """Arithmetic mean summed left to right from ``0.0``, so Table 1 and 3
+    figures keep their bits on every CPython version (3.12's ``sum()``
+    compensates float sums)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def document_tree(
     document: GeneratedDocument, network: SemanticNetwork
 ) -> XMLTree:
@@ -53,16 +63,15 @@ def compute_stats(tree: XMLTree, network: SemanticNetwork) -> DocumentStats:
     depths = [node.depth for node in tree]
     fan_outs = [node.fan_out for node in tree]
     densities = [node.density for node in tree]
-    n = len(tree)
     return DocumentStats(
-        n_nodes=n,
-        avg_polysemy=sum(polysemies) / n,
+        n_nodes=len(tree),
+        avg_polysemy=_mean(polysemies),
         max_polysemy=max(polysemies),
-        avg_depth=sum(depths) / n,
+        avg_depth=_mean(depths),
         max_depth=max(depths),
-        avg_fan_out=sum(fan_outs) / n,
+        avg_fan_out=_mean(fan_outs),
         max_fan_out=max(fan_outs),
-        avg_density=sum(densities) / n,
+        avg_density=_mean(densities),
         max_density=max(densities),
         amb_degree=tree_ambiguity_degree(tree, network),
         struct_degree=tree_struct_degree(tree),
@@ -73,19 +82,18 @@ def aggregate(stats: list[DocumentStats]) -> DocumentStats:
     """Average a list of per-document stats (max fields take the max)."""
     if not stats:
         raise ValueError("cannot aggregate empty stats")
-    n = len(stats)
     return DocumentStats(
-        n_nodes=round(sum(s.n_nodes for s in stats) / n),
-        avg_polysemy=sum(s.avg_polysemy for s in stats) / n,
+        n_nodes=round(_mean([s.n_nodes for s in stats])),
+        avg_polysemy=_mean([s.avg_polysemy for s in stats]),
         max_polysemy=max(s.max_polysemy for s in stats),
-        avg_depth=sum(s.avg_depth for s in stats) / n,
+        avg_depth=_mean([s.avg_depth for s in stats]),
         max_depth=max(s.max_depth for s in stats),
-        avg_fan_out=sum(s.avg_fan_out for s in stats) / n,
+        avg_fan_out=_mean([s.avg_fan_out for s in stats]),
         max_fan_out=max(s.max_fan_out for s in stats),
-        avg_density=sum(s.avg_density for s in stats) / n,
+        avg_density=_mean([s.avg_density for s in stats]),
         max_density=max(s.max_density for s in stats),
-        amb_degree=sum(s.amb_degree for s in stats) / n,
-        struct_degree=sum(s.struct_degree for s in stats) / n,
+        amb_degree=_mean([s.amb_degree for s in stats]),
+        struct_degree=_mean([s.struct_degree for s in stats]),
     )
 
 

@@ -279,7 +279,10 @@ def _disambiguate_one(
     The cache key is the document *text* digest: disambiguation is a
     pure function of (network, config, text), so an identical document
     seen again — the common shape of production traffic — costs one
-    hash instead of a full pipeline run.  Only results are cached: a
+    hash instead of a full pipeline run.  The text is digested as UTF-8
+    with ``surrogatepass``, which is still injective and never fails, so
+    a lone surrogate (a JSON envelope can carry one) reaches ``parse``
+    and fails at stage ``parse``.  Only results are cached: a
     failed document runs (and is classified) afresh every time.  Any
     exception while parsing or scoring fails this one document, with
     the stage :func:`_classify_stage` assigns.
@@ -291,7 +294,7 @@ def _disambiguate_one(
     stage = ""
     try:
         key = (
-            hashlib.sha256(xml.encode("utf-8")).hexdigest()
+            hashlib.sha256(xml.encode("utf-8", "surrogatepass")).hexdigest()
             if doc_cache is not None else None
         )
         result = doc_cache.get(key) if key is not None else None

@@ -1,8 +1,13 @@
-"""From-scratch XML substrate: lexer, parser, DOM, DTD, serialization.
+"""XML substrate: expat-built documents, DOM, DTD, serialization.
+
+:func:`parse` builds the document with the standard library's expat
+(the accepted subset is listed in :mod:`repro.xmltree.parser`); the
+semantic tree (DOM), the DTD-lite validator, XPath-lite and the
+serializers are written from scratch.
 
 Public surface::
 
-    from repro.xmltree import parse, parse_file, build_tree
+    from repro.xmltree import parse, build_tree
     document = parse("<films><picture title='Rear Window'/></films>")
     tree = build_tree(document.root)
 """
@@ -17,8 +22,7 @@ from .errors import (
     XMLError,
     XMLSyntaxError,
 )
-from .lexer import Token, TokenType, XMLLexer, tokenize
-from .parser import Document, Element, Text, XMLParser, parse, parse_file
+from .parser import Document, Element, Text, parse
 from .xpath import XPathSyntaxError, select, select_one
 from .serializer import (
     serialize_document,
@@ -33,26 +37,20 @@ __all__ = [
     "Element",
     "NodeKind",
     "Text",
-    "Token",
-    "TokenType",
     "TreeError",
     "ValidationError",
     "XMLEntityError",
     "XMLError",
-    "XMLLexer",
     "XMLNode",
-    "XMLParser",
     "XMLSyntaxError",
     "XMLTree",
     "XPathSyntaxError",
     "build_tree",
     "parse",
     "parse_dtd",
-    "parse_file",
     "serialize_document",
     "serialize_element",
     "select",
     "select_one",
     "serialize_semantic_tree",
-    "tokenize",
 ]

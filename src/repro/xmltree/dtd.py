@@ -288,7 +288,7 @@ def parse_dtd(text: str) -> DTD:
         elif decl.startswith("--"):
             continue  # comment
         elif decl.startswith("ENTITY"):
-            continue  # entities handled by the lexer, ignore here
+            continue  # entities are expanded by the parser (expat)
         else:
             raise DTDError(f"unsupported declaration <!{decl.split(None, 1)[0]}...>")
     return dtd

@@ -1,17 +1,56 @@
-"""Recursive XML document parser built on :mod:`repro.xmltree.lexer`.
+"""XML documents parsed by the standard library's expat, in one pass.
 
-Produces a minimal document model (:class:`Document`, :class:`Element`,
-:class:`Text`) that preserves document order and attribute order.  The
-rooted-ordered-labeled-tree used by the disambiguation framework is built
-from this model by :func:`repro.xmltree.dom.build_tree`.
+:func:`parse` builds the minimal document model (:class:`Document`,
+:class:`Element`, :class:`Text`) that keeps document order and
+attribute order.  The rooted ordered labeled tree the disambiguation
+framework works on is built from it by
+:func:`repro.xmltree.dom.build_tree`.
+
+The accepted subset
+-------------------
+This list is the one statement of what :func:`parse` accepts.
+
+* **Input.**  One XML 1.0 document as a ``str``.  It is handed to expat
+  as UTF-8, so an encoding declaration is ignored, and a leading
+  U+FEFF byte-order mark is accepted.  A lone surrogate cannot be
+  encoded and is rejected.
+* **Well-formedness.**  Expat checks XML 1.0 well-formedness: one root
+  element, XML names, quoted attribute values without ``<``, no
+  duplicate attributes, matched tags, comments without ``--``, no
+  ``]]>`` in content, and only XML characters (no C0 controls except
+  tab, LF and CR).  Only XML whitespace may surround the root.
+* **Names.**  Namespaces are not processed: ``ns:tag`` is one name.
+* **Normalization.**  Line ends become LF (XML 1.0 §2.11).  Tab, CR and
+  LF in attribute values become spaces (§3.3.3).
+* **References.**  The five predefined entities, character references
+  (``&#N;`` and ``&#xN;``) and general entities declared in the
+  internal DTD subset are expanded, nested ones included, within
+  expat's amplification limit (expat 2.4 and later).  Replacement text
+  that holds markup yields elements.  Undefined, external and unparsed
+  entities raise :class:`XMLEntityError`; nothing outside the string is
+  ever opened, and the external DTD subset is never read.
+* **Dropped.**  The XML declaration, the DOCTYPE, comments and
+  processing instructions leave nothing in the tree.  ``<!ATTLIST>``
+  defaults are not applied.
+* **Tree.**  An :class:`Element` has its name, its attributes in
+  document order and its children.  A :class:`Text` is one run of
+  character data between two markup events (a comment or processing
+  instruction ends a run too); a run that is whitespace under
+  ``str.strip`` is dropped.  Each CDATA section is its own
+  :class:`Text`, even when empty.
+* **Depth.**  Elements nest at most :data:`MAX_DEPTH` levels.
+* **Errors.**  Every rejection is an :class:`XMLSyntaxError` or, for
+  entity and character-reference faults, an :class:`XMLEntityError`,
+  with expat's message and the 1-based line and column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from xml.parsers import expat
+from xml.parsers.expat import errors
 
-from .errors import XMLSyntaxError
-from .lexer import Token, TokenType, XMLLexer
+from .errors import XMLEntityError, XMLSyntaxError
 
 
 @dataclass
@@ -61,136 +100,104 @@ class Element:
 
 @dataclass
 class Document:
-    """A parsed XML document: prolog info plus the single root element."""
+    """A parsed XML document: its single root element."""
 
     root: Element
-    doctype: str | None = None
-    processing_instructions: list[str] = field(default_factory=list)
 
 
 #: Deepest element nesting accepted (libxml2's default maximum depth).
-#: Deeper documents fail with a typed :class:`XMLSyntaxError` instead of
-#: exhausting the interpreter stack in the recursive descent.
+#: A deeper start tag fails with a typed :class:`XMLSyntaxError` at its
+#: own position.
 MAX_DEPTH = 256
 
-
-class XMLParser:
-    """Token-stream parser enforcing XML well-formedness rules.
-
-    The parser validates tag nesting/matching, rejects content outside the
-    root element, and drops comments (they carry no tree information).
-    Whitespace-only text between elements is discarded; mixed content text
-    is preserved verbatim.  Nesting deeper than :data:`MAX_DEPTH` elements
-    is rejected.
-    """
-
-    def __init__(self, source: str):
-        self._lexer = XMLLexer(source)
-        self._tokens = self._lexer.tokens()
-        self._current: Token = next(self._tokens)
-
-    def _advance(self) -> Token:
-        token = self._current
-        self._current = next(self._tokens)
-        return token
-
-    def parse(self) -> Document:
-        """Parse the token stream into a single-rooted ``Document``."""
-        doctype: str | None = None
-        pis: list[str] = []
-        root: Element | None = None
-        while self._current.type is not TokenType.EOF:
-            token = self._current
-            if token.type is TokenType.TEXT:
-                if token.value.strip():
-                    raise XMLSyntaxError(
-                        "character data outside root element",
-                        token.line,
-                        token.column,
-                    )
-                self._advance()
-            elif token.type is TokenType.COMMENT:
-                self._advance()
-            elif token.type is TokenType.PI:
-                pis.append(token.value)
-                self._advance()
-            elif token.type is TokenType.DOCTYPE:
-                if root is not None:
-                    raise XMLSyntaxError(
-                        "DOCTYPE after root element", token.line, token.column
-                    )
-                doctype = token.value
-                self._advance()
-            elif token.type in (TokenType.START_TAG, TokenType.EMPTY_TAG):
-                if root is not None:
-                    raise XMLSyntaxError(
-                        "multiple root elements", token.line, token.column
-                    )
-                root = self._parse_element()
-            else:
-                raise XMLSyntaxError(
-                    f"unexpected {token.type.value} at document level",
-                    token.line,
-                    token.column,
-                )
-        if root is None:
-            raise XMLSyntaxError("document has no root element")
-        return Document(root=root, doctype=doctype, processing_instructions=pis)
-
-    def _parse_element(self, depth: int = 1) -> Element:
-        token = self._advance()
-        if depth > MAX_DEPTH:
-            raise XMLSyntaxError(
-                f"elements nested deeper than {MAX_DEPTH} levels",
-                token.line,
-                token.column,
-            )
-        element = Element(name=token.value, attributes=dict(token.attributes))
-        if token.type is TokenType.EMPTY_TAG:
-            return element
-        while True:
-            current = self._current
-            if current.type is TokenType.END_TAG:
-                if current.value != element.name:
-                    raise XMLSyntaxError(
-                        f"mismatched end tag </{current.value}>, "
-                        f"expected </{element.name}>",
-                        current.line,
-                        current.column,
-                    )
-                self._advance()
-                return element
-            if current.type is TokenType.EOF:
-                raise XMLSyntaxError(
-                    f"unexpected end of document inside <{element.name}>",
-                    current.line,
-                    current.column,
-                )
-            if current.type in (TokenType.START_TAG, TokenType.EMPTY_TAG):
-                element.children.append(self._parse_element(depth + 1))
-            elif current.type is TokenType.TEXT:
-                if current.value.strip():
-                    element.children.append(Text(current.value))
-                self._advance()
-            elif current.type is TokenType.CDATA:
-                element.children.append(Text(current.value))
-                self._advance()
-            elif current.type in (TokenType.COMMENT, TokenType.PI):
-                self._advance()
-            else:
-                raise XMLSyntaxError(
-                    f"unexpected {current.type.value} inside element",
-                    current.line,
-                    current.column,
-                )
+#: Expat error codes raised as :class:`XMLEntityError`.  Code 43 is
+#: XML_ERROR_AMPLIFICATION_LIMIT_BREACH (expat 2.4 and later), which
+#: ``pyexpat.errors`` names only from CPython 3.11 on.
+_ENTITY_ERRORS = frozenset(
+    errors.codes[message] for message in (
+        errors.XML_ERROR_UNDEFINED_ENTITY,
+        errors.XML_ERROR_RECURSIVE_ENTITY_REF,
+        errors.XML_ERROR_BINARY_ENTITY_REF,
+        errors.XML_ERROR_ATTRIBUTE_EXTERNAL_ENTITY_REF,
+        errors.XML_ERROR_BAD_CHAR_REF,
+        errors.XML_ERROR_EXTERNAL_ENTITY_HANDLING,
+    )
+) | {43}
 
 
 def parse(source: str) -> Document:
-    """Parse an XML string into a :class:`Document`."""
-    return XMLParser(source).parse()
+    """Parse one XML document (the subset above) into a :class:`Document`.
 
+    Raises :class:`XMLSyntaxError` or :class:`XMLEntityError` for input
+    outside the subset.
+    """
+    try:
+        data = source.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise XMLSyntaxError(
+            f"character {source[exc.start]!r} cannot be encoded as UTF-8",
+            source.count("\n", 0, exc.start) + 1,
+            exc.start - source.rfind("\n", 0, exc.start),
+        ) from None
+    parser = expat.ParserCreate("utf-8")
+    parser.buffer_text = True
+    parser.ordered_attributes = True
+    parser.specified_attributes = True
+    holder = Element("")  # the root's parent while parsing
+    open_elements = [holder]
+    run: list[str] = []  # character data since the last markup event
 
-def parse_file(path) -> Document:
-    """Parse the XML file at ``path`` (text mode, UTF-8)."""
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read())
+    def located(error: type[XMLSyntaxError], message: str) -> XMLSyntaxError:
+        return error(
+            message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        )
+
+    def end_run(*_) -> None:
+        if run:
+            text = "".join(run)
+            run.clear()
+            if text.strip():
+                open_elements[-1].children.append(Text(text))
+
+    def start_element(name: str, attributes: list[str]) -> None:
+        end_run()
+        if len(open_elements) > MAX_DEPTH:
+            raise located(
+                XMLSyntaxError, f"elements nested deeper than {MAX_DEPTH} levels"
+            )
+        element = Element(name, dict(zip(attributes[::2], attributes[1::2])))
+        open_elements[-1].children.append(element)
+        open_elements.append(element)
+
+    def end_element(_name: str) -> None:
+        end_run()
+        open_elements.pop()
+
+    def end_cdata() -> None:
+        open_elements[-1].children.append(Text("".join(run)))
+        run.clear()
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        sigil = "%" if is_parameter_entity else "&"
+        raise located(XMLEntityError, f"undefined entity {sigil}{name};")
+
+    def external_entity(_context, _base, system_id, _public_id) -> None:
+        raise located(
+            XMLEntityError, f"external entity {system_id!r} is never loaded"
+        )
+
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = run.append
+    parser.StartCdataSectionHandler = end_run
+    parser.EndCdataSectionHandler = end_cdata
+    parser.CommentHandler = end_run
+    parser.ProcessingInstructionHandler = end_run
+    parser.SkippedEntityHandler = skipped_entity
+    parser.ExternalEntityRefHandler = external_entity
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        error = XMLEntityError if exc.code in _ENTITY_ERRORS else XMLSyntaxError
+        raise error(expat.ErrorString(exc.code), exc.lineno, exc.offset + 1) from None
+    return Document(holder.children[0])

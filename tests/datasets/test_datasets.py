@@ -134,6 +134,33 @@ class TestStatistics:
             max(s.avg_depth for s in per_doc)
         assert agg.max_polysemy == max(s.max_polysemy for s in per_doc)
 
+    def test_corpus_aggregate_is_pinned(self, corpus, lexicon):
+        """The corpus-wide Table 1 figures, to the bit.  Their averages
+        sum left to right from 0.0, so CPython 3.11, 3.12 and 3.13 read
+        the same bits (3.12's compensated ``sum()`` moved the last bits
+        of five of them).  ``document_tree`` parses every document, so
+        the pin also holds the parser to the corpus."""
+        stats = aggregate([
+            compute_stats(document_tree(d, lexicon), lexicon) for d in corpus
+        ])
+        assert {
+            name: float.hex(getattr(stats, name)) for name in (
+                "avg_polysemy", "avg_depth", "avg_fan_out", "avg_density",
+                "amb_degree", "struct_degree",
+            )
+        } == {
+            "avg_polysemy": "0x1.8a0eef95efc20p+0",
+            "avg_depth": "0x1.83ce96be070e2p+1",
+            "avg_fan_out": "0x1.f8fe08462c142p-1",
+            "avg_density": "0x1.da8ca38b15017p-1",
+            "amb_degree": "0x1.e80e195da0cf0p-7",
+            "struct_degree": "0x1.6d538e6af7cf5p-2",
+        }
+        assert (
+            stats.n_nodes, stats.max_polysemy, stats.max_depth,
+            stats.max_fan_out, stats.max_density,
+        ) == (191, 33, 5, 11, 8)
+
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])

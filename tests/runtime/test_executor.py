@@ -223,6 +223,23 @@ class TestFaultIsolation:
         assert deep_record.outcome.stage == "parse"
         assert deep_record.outcome.error_type == "XMLSyntaxError"
 
+    @pytest.mark.parametrize("use_index", [True, False],
+                             ids=["doc-cache-on", "doc-cache-off"])
+    def test_lone_surrogate_fails_at_stage_parse(
+        self, lexicon, figure1_xml, use_index
+    ):
+        # The document cache exists only with the index; its key must
+        # digest any str, so the surrogate reaches parse either way.
+        executor = BatchExecutor(
+            lexicon, XSDFConfig(), workers=1, use_index=use_index
+        )
+        assert (executor._doc_cache is not None) is use_index
+        bad, good = executor.run([("s", "<films>\ud800</films>"),
+                                  ("good", figure1_xml)])
+        assert not bad.ok and good.ok
+        assert bad.outcome.stage == "parse"
+        assert bad.outcome.error_type == "XMLSyntaxError"
+
     def test_invalid_parameters_rejected(self, lexicon):
         with pytest.raises(ValueError):
             BatchExecutor(lexicon, workers=0)

@@ -22,6 +22,7 @@ import repro
 from repro.core.config import XSDFConfig
 from repro.server import ServerConfig
 
+from ..xmltree.test_hostile import BLOWUP
 from .conftest import disambiguate, get, post, request, running
 
 BOOKS_XML = """<?xml version="1.0"?>
@@ -166,19 +167,23 @@ class TestDisambiguate:
         assert record["ok"] is True
 
     def test_malformed_xml_is_a_422_failed_stream(self, make_app):
+        inputs = [("<open><unclosed>", "XMLSyntaxError"),
+                  (BLOWUP, "XMLEntityError")]
+
         async def go():
             async with running(make_app()) as server:
-                return await request(
-                    server, disambiguate("<open><unclosed>", name="broken")
-                )
+                return [
+                    await request(server, disambiguate(body, name="broken"))
+                    for body, _ in inputs
+                ]
 
-        response = run(go())
-        assert response.status == 422
-        lines = response.ndjson()
-        record, envelope = lines[-2], lines[-1]
-        assert record["ok"] is False
-        assert envelope["envelope"]["status"] == "failed"
-        assert envelope["envelope"]["error_type"]
+        for response, (_, error_type) in zip(run(go()), inputs):
+            assert response.status == 422
+            lines = response.ndjson()
+            record, envelope = lines[-2], lines[-1]
+            assert record["ok"] is False
+            assert envelope["envelope"]["status"] == "failed"
+            assert envelope["envelope"]["error_type"] == error_type
 
     def test_malformed_json_envelope_is_400(self, make_app):
         async def go():

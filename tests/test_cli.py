@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import re
 import struct
 
@@ -363,6 +364,51 @@ class TestUnreadableNetwork:
         assert code == expected_code
         assert output.startswith(message)
         assert "\n" not in output.rstrip("\n")
+
+
+class TestDocumentFiles:
+    """Real files on the single-document commands: a malformed document
+    is one located line, and a UTF-8 byte-order mark is no fault."""
+
+    @pytest.mark.parametrize("command", [
+        ["disambiguate", "broken.xml"],
+        ["audit", "broken.xml"],
+        ["match", "good.xml", "broken.xml"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_document_is_one_line(
+        self, tmp_path, monkeypatch, figure1_xml, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.xml").write_text(figure1_xml, encoding="utf-8")
+        (tmp_path / "broken.xml").write_text(
+            "<films><picture>\n</films>", encoding="utf-8"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            run(command)
+        # A string SystemExit prints the message to stderr and exits 1.
+        assert excinfo.value.code == (
+            "XMLSyntaxError: mismatched tag (line 2, column 3)"
+        )
+
+    def test_byte_order_mark_file_disambiguates(self, tmp_path, figure1_xml):
+        plain = tmp_path / "plain.xml"
+        marked = tmp_path / "marked.xml"
+        plain.write_text(figure1_xml, encoding="utf-8")
+        marked.write_text(figure1_xml, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(["disambiguate", str(marked)]) == run(
+            ["disambiguate", str(plain)]
+        )
+        code, output = run([
+            "batch", str(marked), str(plain),
+            "--out", str(tmp_path / "out.jsonl"),
+        ])
+        assert code == 0 and "2 documents, 0 failed" in output
+        marked_record, plain_record = [
+            json.loads(line) for line in
+            (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert marked_record["result"] == plain_record["result"]
 
 
 class TestBatchResilience:

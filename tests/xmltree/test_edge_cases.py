@@ -2,26 +2,31 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
-from repro.xmltree.escape import (
-    PREDEFINED_ENTITIES,
-    escape_attribute,
-    escape_text,
-    resolve_entity,
-    unescape,
-)
+import pytest
+from xml.parsers.expat import errors
+
+from repro.xmltree.escape import escape_attribute, escape_text
 from repro.xmltree.errors import XMLEntityError, XMLSyntaxError
-from repro.xmltree.lexer import tokenize
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize_document
 
 
+def text_of(content: str) -> str:
+    """The text ``parse`` reads from ``content`` inside one element."""
+    return parse(f"<a>{content}</a>").root.text()
+
+
 class TestEscaping:
+    """Reference resolution (unescaping) as ``parse`` does it, and the
+    serializer's escaping."""
+
     def test_all_predefined_entities(self):
-        for name, char in PREDEFINED_ENTITIES.items():
-            assert resolve_entity(name) == char
-            assert unescape(f"&{name};") == char
+        predefined = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+        for name, char in predefined.items():
+            assert text_of(f"&{name};") == char
+            assert parse(f'<a v="&{name};"/>').root.attributes["v"] == char
 
     def test_text_escape_leaves_quotes(self):
         assert escape_text('say "hi"') == 'say "hi"'
@@ -30,60 +35,79 @@ class TestEscaping:
         assert escape_attribute('say "hi"') == "say &quot;hi&quot;"
 
     def test_unescape_without_ampersand_fast_path(self):
-        text = "plain text"
-        assert unescape(text) is text
+        assert text_of("plain text") == "plain text"
 
     def test_unterminated_reference(self):
-        with pytest.raises(XMLEntityError, match="unterminated"):
-            unescape("broken &amp")
+        with pytest.raises(
+            XMLSyntaxError, match=re.escape(errors.XML_ERROR_INVALID_TOKEN)
+        ) as exc:
+            text_of("broken &amp")
+        assert not isinstance(exc.value, XMLEntityError)
 
     def test_custom_entities(self):
-        assert unescape("&me;", {"me": "value"}) == "value"
+        source = '<!DOCTYPE a [<!ENTITY me "value">]><a>&me;</a>'
+        assert parse(source).root.text() == "value"
 
 
 class TestCharacterReferences:
     def test_decimal_and_hex(self):
-        assert unescape("&#9731;") == "☃"
-        assert unescape("&#x2603;") == "☃"
+        assert text_of("&#9731;") == "☃"
+        assert text_of("&#x2603;") == "☃"
 
     def test_uppercase_hex_marker(self):
-        assert unescape("&#X41;") == "A"
+        # XML 1.0 spells the hexadecimal marker "x" only (production [66]).
+        with pytest.raises(
+            XMLSyntaxError, match=re.escape(errors.XML_ERROR_INVALID_TOKEN)
+        ):
+            text_of("&#X41;")
 
     @pytest.mark.parametrize("body", ["#", "#x", "#xGG", "#12a"])
     def test_malformed_references(self, body):
-        with pytest.raises(XMLEntityError, match="malformed"):
-            unescape(f"&{body};")
+        # Not a CharRef token at all: a syntax error, located at the
+        # first character that cannot continue the reference.
+        with pytest.raises(
+            XMLSyntaxError, match=re.escape(errors.XML_ERROR_INVALID_TOKEN)
+        ) as exc:
+            text_of(f"&{body};")
+        assert exc.value.line == 1 and exc.value.column > 4
 
     @pytest.mark.parametrize("body", ["#0", "#1114112", "#x110000"])
     def test_out_of_range_codepoints(self, body):
-        with pytest.raises(XMLEntityError, match="out of range"):
-            unescape(f"&{body};")
+        with pytest.raises(
+            XMLEntityError, match=re.escape(errors.XML_ERROR_BAD_CHAR_REF)
+        ) as exc:
+            text_of(f"&{body};")
+        assert (exc.value.line, exc.value.column) == (1, 4)
 
     def test_max_codepoint_accepted(self):
-        assert unescape("&#x10FFFF;") == "\U0010ffff"
+        assert text_of("&#x10FFFF;") == "\U0010ffff"
 
 
 class TestLexerCorners:
     def test_entity_inside_attribute(self):
-        tokens = tokenize('<a t="&#65;&amp;B"/>')
-        assert tokens[0].attributes == [("t", "A&B")]
+        root = parse('<a t="&#65;&amp;B"/>').root
+        assert root.attributes == {"t": "A&B"}
 
     def test_crlf_line_counting(self):
         with pytest.raises(XMLSyntaxError) as exc:
-            tokenize("<a>\r\n<b x=1/></a>")
+            parse("<a>\r\n<b x=1/></a>")
         assert exc.value.line == 2
 
     def test_empty_input(self):
-        tokens = tokenize("")
-        assert len(tokens) == 1  # EOF only
+        with pytest.raises(
+            XMLSyntaxError, match=re.escape(errors.XML_ERROR_NO_ELEMENTS)
+        ):
+            parse("")
 
     def test_whitespace_only_document_rejected_by_parser(self):
         with pytest.raises(XMLSyntaxError):
             parse("\n\t  ")
 
     def test_tag_name_starting_with_digit_rejected(self):
-        with pytest.raises(XMLSyntaxError, match="invalid name"):
-            tokenize("<1bad/>")
+        with pytest.raises(
+            XMLSyntaxError, match=re.escape(errors.XML_ERROR_INVALID_TOKEN)
+        ):
+            parse("<1bad/>")
 
     def test_nested_cdata_like_text(self):
         document = parse("<a><![CDATA[ ]]&gt; not a close ]]></a>")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xmltree.dom import XMLNode, XMLTree, build_tree
-from repro.xmltree.escape import escape_attribute, escape_text, unescape
+from repro.xmltree.escape import escape_attribute, escape_text
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize_document
 
@@ -57,12 +57,15 @@ def node_trees(draw):
 
 @given(_texts)
 def test_escape_unescape_roundtrip(text):
-    assert unescape(escape_text(text)) == text
+    # parse drops a run that is whitespace under str.strip.
+    expected = text if text.strip() else ""
+    assert parse(f"<a>{escape_text(text)}</a>").root.text() == expected
 
 
 @given(_texts)
 def test_attribute_escape_roundtrip(text):
-    assert unescape(escape_attribute(text)) == text
+    root = parse(f'<a v="{escape_attribute(text)}"/>').root
+    assert root.attributes["v"] == text
 
 
 @given(_texts)
