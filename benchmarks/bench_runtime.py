@@ -418,66 +418,6 @@ def test_prune_memo_speedup(benchmark, network, corpus):
     assert speedup >= floor, f"prune+memo only x{speedup:.2f}"
 
 
-def test_lint_cold_vs_warm_incremental(benchmark, tmp_path):
-    """reprolint v2: cold whole-tree lint vs warm incremental re-lint.
-
-    The warm run (content hashes unchanged) must reuse every module
-    from the analysis cache — parsing and analyzing nothing — and be
-    at least 3x faster than the cold run.
-    """
-    from repro.devtools import AnalysisCache, LintEngine, all_rules
-
-    root = RESULTS_PATH.parent
-    targets = [root / "src" / "repro"]
-    cache_path = tmp_path / "lint-cache.json"
-
-    def run():
-        cold_engine = LintEngine(all_rules(), project_root=root)
-        start = time.perf_counter()
-        cold = cold_engine.lint_paths(
-            targets, cache=AnalysisCache(cache_path)
-        )
-        cold_s = time.perf_counter() - start
-
-        warm_engine = LintEngine(all_rules(), project_root=root)
-        start = time.perf_counter()
-        warm = warm_engine.lint_paths(
-            targets, cache=AnalysisCache(cache_path)
-        )
-        warm_s = time.perf_counter() - start
-        return cold, warm, cold_s, warm_s, cold_engine, warm_engine
-
-    cold, warm, cold_s, warm_s, cold_engine, warm_engine = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    files = cold_engine.last_run.files
-    assert warm == cold                          # identical findings
-    assert warm_engine.last_run.analyzed == []   # nothing re-analyzed
-    assert warm_engine.last_run.reused == files  # everything from cache
-    speedup = cold_s / warm_s
-    rows = [
-        ["cold (full analysis)", f"{files / cold_s:.1f}", "-"],
-        ["warm (hash + cache)", f"{files / warm_s:.1f}",
-         f"x{speedup:.1f}"],
-    ]
-    print_table(
-        f"Lint: {files} modules, cold vs warm incremental",
-        ["run", "files/s", "speedup"],
-        rows,
-    )
-    _RESULTS["lint_runtime"] = {
-        "n_files": files,
-        "cold_s": round(cold_s, 3),
-        "warm_s": round(warm_s, 3),
-        "cold_files_per_s": round(files / cold_s, 1),
-        "warm_files_per_s": round(files / warm_s, 1),
-        "speedup": round(speedup, 2),
-        "warm_analyzed": len(warm_engine.last_run.analyzed),
-        "warm_reused": warm_engine.last_run.reused,
-    }
-    assert speedup >= 3.0, f"warm lint only x{speedup:.2f}"
-
-
 # -- mmap store ---------------------------------------------------------------
 
 # 100k concepts is the scale the shard format exists for; the smoke

@@ -41,8 +41,8 @@ Commands
     inventory of one word (``--word``).
 ``lint [PATH ...]``
     Run reprolint (:mod:`repro.devtools`) over files/directories
-    (default ``src tests``): text or JSON findings, ``--rules`` filter,
-    non-zero exit on any finding.
+    (default ``src tests benchmarks examples``): text or JSON findings,
+    ``--rules`` filter, non-zero exit on any finding.
 
 All pipeline knobs are exposed as flags (radius, approach, threshold,
 weights, the strip-target-dimension extension).
@@ -353,31 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files, directories, or glob patterns "
-                           "(default: src tests)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+                           "(default: src tests benchmarks examples)")
+    lint.add_argument("--format", choices=("text", "json"),
                       default="text",
                       help="report format (default text)")
     lint.add_argument("--rules", default=None, metavar="ID[,ID...]",
                       help="run only these rule IDs")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    lint.add_argument("--out", default=None, metavar="FILE",
-                      help="write the report to a file instead of stdout")
-    lint.add_argument("--changed", action="store_true",
-                      help="lint only files changed per git (plus their "
-                           "transitive importers)")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="parse with N worker processes (default 1)")
-    lint.add_argument("--cache", default=None, metavar="FILE",
-                      help="incremental analysis cache file "
-                           "(default .reprolint-cache.json when --changed)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the analysis cache entirely")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="suppress findings recorded in this baseline")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="record the current findings as a baseline "
-                           "and exit 0")
     return parser
 
 
@@ -405,8 +388,12 @@ def _make_config(args: argparse.Namespace) -> XSDFConfig:
 
 
 def _read(path: str) -> str:
+    # A byte that is not UTF-8 becomes a lone surrogate, which
+    # ``xmltree.parse`` rejects as a located XMLSyntaxError: one bad
+    # file fails that document (at stage ``parse`` in a batch), not
+    # the whole command at read time.
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read()
     except OSError as exc:
         raise SystemExit(f"cannot read {path}: {exc}")
@@ -1028,44 +1015,9 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _git_changed_files(root: str) -> list[str]:
-    """Files git considers modified or untracked under ``root``."""
-    import subprocess
-
-    changed: set[str] = set()
-    commands = (
-        ["git", "-C", root, "diff", "--name-only", "HEAD"],
-        ["git", "-C", root, "ls-files", "--others", "--exclude-standard"],
-    )
-    for command in commands:
-        try:
-            output = subprocess.run(
-                command, capture_output=True, text=True, check=True,
-            ).stdout
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise SystemExit(
-                f"--changed needs a git checkout: {' '.join(command)} "
-                f"failed ({exc})"
-            )
-        changed.update(
-            os.path.join(root, line)
-            for line in output.splitlines() if line.strip()
-        )
-    return sorted(changed)
-
-
 def _cmd_lint(args: argparse.Namespace, out) -> int:
-    from .devtools import (
-        AnalysisCache,
-        RULE_CLASSES,
-        all_rules,
-        apply_baseline,
-        find_project_root,
-        lint_paths,
-        load_baseline,
-        write_baseline,
-    )
-    from .devtools.reporters import render_json, render_sarif, render_text
+    from .devtools import RULE_CLASSES, all_rules, find_project_root, lint_paths
+    from .devtools.reporters import render_json, render_text
 
     if args.list_rules:
         width = max(len(rule_id) for rule_id in RULE_CLASSES)
@@ -1079,7 +1031,7 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     paths: list[str] = []
-    for pattern in args.paths or ["src", "tests"]:
+    for pattern in args.paths or ["src", "tests", "benchmarks", "examples"]:
         matches = sorted(globlib.glob(pattern, recursive=True))
         if matches:
             paths.extend(matches)
@@ -1092,51 +1044,9 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
             raise SystemExit(f"cannot lint {path}: no such file or directory")
 
     project_root = find_project_root(paths[0]) if paths else None
-    changed = None
-    if args.changed:
-        changed = _git_changed_files(str(project_root or "."))
-    cache = None
-    if not args.no_cache:
-        cache_path = args.cache
-        if cache_path is None and args.changed:
-            cache_path = os.path.join(
-                str(project_root or "."), ".reprolint-cache.json"
-            )
-        if cache_path is not None:
-            cache = AnalysisCache(cache_path)
-    findings = lint_paths(
-        paths, rules=rules, project_root=project_root,
-        cache=cache, jobs=max(args.jobs, 1), changed=changed,
-    )
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        out.write(
-            f"baseline with {len(findings)} finding"
-            f"{'s' if len(findings) != 1 else ''} written to "
-            f"{args.write_baseline}\n"
-        )
-        return 0
-    if args.baseline:
-        try:
-            findings = apply_baseline(findings, load_baseline(args.baseline))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-    if args.format == "json":
-        report = render_json(findings)
-    elif args.format == "sarif":
-        report = render_sarif(findings, rules=rules,
-                              project_root=project_root)
-    else:
-        report = render_text(findings)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        out.write(
-            f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
-            f"written to {args.out}\n"
-        )
-    else:
-        out.write(report)
+    findings = lint_paths(paths, rules=rules, project_root=project_root)
+    render = render_json if args.format == "json" else render_text
+    out.write(render(findings))
     return 1 if findings else 0
 
 

@@ -17,7 +17,7 @@ Typical use::
 
 or from the command line::
 
-    python -m repro lint src tests --format json
+    python -m repro lint src tests benchmarks examples --format json
 
 Suppressions use one syntax tree-wide: ``# lint: disable=rule-id`` on
 the offending line, ``# lint: disable-file=rule-id`` for a whole file
@@ -29,28 +29,23 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .analysis_cache import AnalysisCache
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import (
     Finding,
     LintContext,
     LintEngine,
-    LintRunStats,
     ProjectRule,
     Rule,
     expand_paths,
 )
 from .model import ModuleInfo, ProjectModel, build_module
 from .pragmas import PRAGMA_RULE_ID, PragmaIndex
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 from .rules import RULE_CLASSES, all_rules
 
 __all__ = [
-    "AnalysisCache",
     "Finding",
     "LintContext",
     "LintEngine",
-    "LintRunStats",
     "ModuleInfo",
     "PRAGMA_RULE_ID",
     "PragmaIndex",
@@ -59,16 +54,12 @@ __all__ = [
     "RULE_CLASSES",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "build_module",
     "expand_paths",
     "find_project_root",
     "lint_paths",
-    "load_baseline",
     "render_json",
-    "render_sarif",
     "render_text",
-    "write_baseline",
 ]
 
 
@@ -93,18 +84,12 @@ def lint_paths(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
     project_root: str | Path | None = None,
-    *,
-    cache: AnalysisCache | None = None,
-    jobs: int = 1,
-    changed: Iterable[str | Path] | None = None,
 ) -> list[Finding]:
     """Lint files/directories with the full (or given) rule set.
 
     Convenience wrapper used by the CLI and the CI gate; the project
     root for the citation catalogue is discovered from the first path
-    unless given explicitly.  ``cache``/``jobs``/``changed`` pass
-    through to :meth:`LintEngine.lint_paths` for incremental and
-    parallel runs.
+    unless given explicitly.
     """
     path_list = list(paths)
     if project_root is None and path_list:
@@ -113,5 +98,4 @@ def lint_paths(
         rules if rules is not None else all_rules(),
         project_root=project_root,
     )
-    return engine.lint_paths(path_list, cache=cache, jobs=jobs,
-                             changed=changed)
+    return engine.lint_paths(path_list)

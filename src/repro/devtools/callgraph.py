@@ -37,17 +37,9 @@ class CallGraph:
         self._edges: dict[str, frozenset[str]] = {}
         self._instance_types: dict[int, dict[str, str]] = {}
 
-    def qualnames(self) -> list[str]:
-        """Every function's global qualname, sorted for determinism."""
-        return sorted(self._functions)
-
     def function(self, qualname: str) -> tuple[ModuleInfo, FunctionInfo]:
         """The ``(module, function)`` pair behind a global qualname."""
         return self._functions[qualname]
-
-    def has_function(self, qualname: str) -> bool:
-        """Whether the model defines this qualname."""
-        return qualname in self._functions
 
     def callees(self, qualname: str) -> frozenset[str]:
         """Resolved callees of one function (cached)."""

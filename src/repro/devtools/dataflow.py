@@ -1,35 +1,23 @@
 """Intra-procedural dataflow for reprolint.
 
-Three small analyses, each conservative by construction:
-
 * **Reaching definitions** (:class:`Definitions`) — a line-ordered
   approximation good enough to answer "what expression did this name
-  last come from?" inside one scope; the determinism-flow and
+  last come from?" inside one scope; the determinism and
   worker-boundary rules use it to type names as set-valued or
   unpicklable.
-* **Purity inference** (:func:`infer_purity`) — a fixpoint over the
-  call graph classifying each function ``pure`` / ``impure`` /
-  ``unknown`` from its own mutations and its callees' verdicts.
-* **Exception-propagation summaries** (:func:`exception_summaries`) —
-  per function, the set of *typed repro error* names that can escape
-  it, folding callee summaries through ``try``/``except`` structure to
-  a fixpoint.  The exception-flow rule builds its reachability checks
-  on top.
-
-Shared submission-point helpers (used by picklable-submit and
-worker-boundary) also live here so both rule modules import one
-definition of what a pool boundary looks like.
+* **Submission points** (:func:`submitted_callables`) — what a pool
+  boundary looks like, for the worker-boundary rule.
+* **Set-valuedness** (:func:`is_set_valued`) and
+  :data:`MUTATOR_METHODS`, shared by the determinism, cache-purity and
+  worker-boundary rules.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
 import re
 
-from .model import ModuleInfo, ProjectModel, local_nodes
-
-# -- submission-point detection (shared by rules 4 and worker-boundary) -----
+# -- submission-point detection ----------------------------------------------
 
 SUBMIT_METHODS = frozenset({
     "map", "map_async", "imap", "imap_unordered", "starmap",
@@ -59,11 +47,6 @@ def submitted_callables(node: ast.Call) -> list[ast.AST]:
         if keyword.arg in SUBMIT_KEYWORDS:
             out.append(keyword.value)
     return out
-
-
-def is_submit_site(node: ast.Call) -> bool:
-    """Whether this call hands work to a pool/executor."""
-    return bool(submitted_callables(node))
 
 
 # -- reaching definitions ----------------------------------------------------
@@ -123,10 +106,6 @@ class Definitions:
                 break
         return best if found else None
 
-    def is_bound(self, name: str) -> bool:
-        """Whether the scope binds ``name`` at all."""
-        return name in self._defs
-
 
 _SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference",
@@ -158,262 +137,21 @@ def is_set_valued(expr: ast.AST, defs: Definitions | None = None,
     return False
 
 
-# -- typed repro errors ------------------------------------------------------
-
-BUILTIN_EXCEPTIONS = frozenset(
-    name for name in dir(builtins)
-    if isinstance(getattr(builtins, name), type)
-    and issubclass(getattr(builtins, name), BaseException)
-)
-
-_TYPED_SUFFIXES = ("Error", "Fault", "Abort")
-
-
-def is_typed_error_name(name: str) -> bool:
-    """Whether ``name`` looks like a typed repro error class."""
-    return name.endswith(_TYPED_SUFFIXES) and name not in BUILTIN_EXCEPTIONS
-
-
-def caught_names(type_node: ast.AST | None) -> set[str]:
-    """Exception class names a handler catches; ``{"*"}`` for catch-all."""
-    if type_node is None:
-        return {"*"}
-    if isinstance(type_node, ast.Name):
-        if type_node.id in ("Exception", "BaseException"):
-            return {"*"}
-        return {type_node.id}
-    if isinstance(type_node, ast.Attribute):
-        return {type_node.attr}
-    if isinstance(type_node, ast.Tuple):
-        names: set[str] = set()
-        for element in type_node.elts:
-            names |= caught_names(element)
-        return names
-    return set()
-
-
-def typed_caught_names(type_node: ast.AST | None) -> set[str]:
-    """The typed repro error names among a handler's caught classes."""
-    return {name for name in caught_names(type_node)
-            if name != "*" and is_typed_error_name(name)}
-
-
-def raised_name(node: ast.Raise) -> str | None:
-    """The exception class name a raise statement throws (best effort)."""
-    exc = node.exc
-    if isinstance(exc, ast.Call):
-        exc = exc.func
-    if isinstance(exc, ast.Name):
-        return exc.id
-    if isinstance(exc, ast.Attribute):
-        return exc.attr
-    return None
-
-
-class _Hierarchy:
-    """Class → ancestor names within the model (plus literal names)."""
-
-    def __init__(self, model: ProjectModel):
-        self._bases: dict[str, set[str]] = {}
-        for info in model.modules.values():
-            for cls, bases in info.class_bases.items():
-                self._bases.setdefault(cls, set()).update(bases)
-
-    def ancestors(self, name: str) -> set[str]:
-        out: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            for base in self._bases.get(current, ()):
-                if base not in out:
-                    out.add(base)
-                    stack.append(base)
-        return out
-
-    def catches(self, caught: set[str], name: str) -> bool:
-        if "*" in caught or name in caught:
-            return True
-        return bool(self.ancestors(name) & caught)
-
-
-def exception_summaries(
-    model: ProjectModel, callgraph
-) -> dict[str, frozenset[str]]:
-    """Typed error names escaping each function, to a fixpoint.
-
-    Keys are global qualnames (``module:Class.method``).  A call to an
-    unresolved target contributes nothing — the summary is a lower
-    bound, which is the sound direction for "this handler is
-    reachable"-style checks.
-    """
-    hierarchy = _Hierarchy(model)
-    summaries: dict[str, frozenset[str]] = {
-        qualname: frozenset() for qualname in callgraph.qualnames()
-    }
-
-    def escapes(info_module: ModuleInfo, fn_node: ast.AST) -> frozenset[str]:
-        out: set[str] = set()
-
-        def visit_stmts(stmts, caught: frozenset[str],
-                        handler_types: frozenset[str]) -> None:
-            for stmt in stmts:
-                visit(stmt, caught, handler_types)
-
-        def visit(node: ast.AST, caught: frozenset[str],
-                  handler_types: frozenset[str]) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                return
-            if isinstance(node, ast.Try):
-                body_caught = caught | frozenset(
-                    name
-                    for handler in node.handlers
-                    for name in caught_names(handler.type)
-                )
-                visit_stmts(node.body, body_caught, handler_types)
-                for handler in node.handlers:
-                    visit_stmts(handler.body, caught,
-                                frozenset(caught_names(handler.type)))
-                visit_stmts(node.orelse, caught, handler_types)
-                visit_stmts(node.finalbody, caught, handler_types)
-                return
-            if isinstance(node, ast.Raise):
-                name = raised_name(node)
-                if name is None:
-                    # Bare re-raise: the caught typed errors escape again.
-                    for caught_type in handler_types:
-                        if is_typed_error_name(caught_type) and \
-                                not hierarchy.catches(set(caught),
-                                                      caught_type):
-                            out.add(caught_type)
-                elif is_typed_error_name(name) and \
-                        not hierarchy.catches(set(caught), name):
-                    out.add(name)
-            if isinstance(node, ast.Call):
-                target = callgraph.resolve_call(info_module, node)
-                if target is not None:
-                    for name in summaries.get(target, ()):
-                        if not hierarchy.catches(set(caught), name):
-                            out.add(name)
-            for child in ast.iter_child_nodes(node):
-                visit(child, caught, handler_types)
-
-        visit_stmts(getattr(fn_node, "body", []), frozenset(), frozenset())
-        return frozenset(out)
-
-    for _ in range(20):
-        changed = False
-        for qualname in callgraph.qualnames():
-            info_module, fn_info = callgraph.function(qualname)
-            updated = escapes(info_module, fn_info.node)
-            if updated != summaries[qualname]:
-                summaries[qualname] = updated
-                changed = True
-        if not changed:
-            break
-    return summaries
-
-
-# -- purity inference --------------------------------------------------------
+# -- mutation ----------------------------------------------------------------
 
 MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "sort", "reverse", "add", "discard", "update", "setdefault",
 })
 
-_IMPURE_CALLS = frozenset({"print", "open", "input", "setattr", "delattr"})
-
-
-def _locally_impure(fn_info) -> bool:
-    params = set(fn_info.arg_names)
-    for node in fn_info.local_nodes:
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _IMPURE_CALLS:
-                return True
-            if isinstance(func, ast.Attribute) and \
-                    func.attr in MUTATOR_METHODS and \
-                    isinstance(func.value, ast.Name) and \
-                    func.value.id in params | {"self", "cls"}:
-                return True
-        if isinstance(node, (ast.Subscript, ast.Attribute)) and \
-                isinstance(getattr(node, "ctx", None),
-                           (ast.Store, ast.Del)) and \
-                isinstance(node.value, ast.Name) and \
-                node.value.id in params | {"self", "cls"}:
-            return True
-        if isinstance(node, ast.AugAssign):
-            target = node.target
-            if isinstance(target, (ast.Subscript, ast.Attribute)) and \
-                    isinstance(target.value, ast.Name) and \
-                    target.value.id in params | {"self", "cls"}:
-                return True
-    return False
-
-
-def infer_purity(model: ProjectModel, callgraph) -> dict[str, str]:
-    """``pure`` / ``impure`` / ``unknown`` per global qualname.
-
-    Starts optimistic and demotes to a fixpoint: a function is impure
-    if it mutates its inputs/globals or calls an impure function;
-    unknown if any call target cannot be resolved; pure otherwise.
-    """
-    verdicts: dict[str, str] = {}
-    local_impure: dict[str, bool] = {}
-    has_unresolved: dict[str, bool] = {}
-    for qualname in callgraph.qualnames():
-        info_module, fn_info = callgraph.function(qualname)
-        local_impure[qualname] = _locally_impure(fn_info)
-        unresolved = False
-        for node in fn_info.local_nodes:
-            if isinstance(node, ast.Call) and \
-                    callgraph.resolve_call(info_module, node) is None:
-                unresolved = True
-                break
-        has_unresolved[qualname] = unresolved
-        verdicts[qualname] = "impure" if local_impure[qualname] else "pure"
-
-    for _ in range(20):
-        changed = False
-        for qualname in callgraph.qualnames():
-            if verdicts[qualname] == "impure":
-                continue
-            callee_verdicts = [
-                verdicts.get(callee, "unknown")
-                for callee in callgraph.callees(qualname)
-            ]
-            if "impure" in callee_verdicts:
-                updated = "impure"
-            elif has_unresolved[qualname] or "unknown" in callee_verdicts:
-                updated = "unknown"
-            else:
-                updated = "pure"
-            if updated != verdicts[qualname]:
-                verdicts[qualname] = updated
-                changed = True
-        if not changed:
-            break
-    return verdicts
-
 
 __all__ = [
-    "BUILTIN_EXCEPTIONS",
     "Definitions",
     "MUTATOR_METHODS",
     "POOL_RECEIVER",
     "SUBMIT_KEYWORDS",
     "SUBMIT_METHODS",
-    "caught_names",
-    "exception_summaries",
-    "infer_purity",
     "is_pool_receiver",
     "is_set_valued",
-    "is_submit_site",
-    "is_typed_error_name",
-    "local_nodes",
-    "raised_name",
     "submitted_callables",
-    "typed_caught_names",
 ]

@@ -1,31 +1,24 @@
-"""The reprolint engine: project model, rule dispatch, incremental runs.
+"""The reprolint engine: one pass over the tree — read, parse, model, check.
 
-v2 design goals, in order:
+Design goals, in order:
 
 1. **One parse per file, one model per run.**  Every file is parsed
    once into a :class:`~repro.devtools.model.ModuleInfo`; the
-   :class:`~repro.devtools.model.ProjectModel` links them through the
-   import graph and lazily derives the call graph and dataflow
-   summaries.  File-scoped rules keep the v1 shape — ``visit_<NodeType>``
-   handlers fed from a single walk — while :class:`ProjectRule`
-   subclasses see the whole model through ``check_module``.
+   :class:`~repro.devtools.model.ProjectModel` holds them all and
+   lazily derives the call graph.  Rules implement ``visit_<NodeType>``
+   handlers fed from a single walk of each file, and
+   :class:`ProjectRule` subclasses also see the whole model through
+   ``check_module``.
 2. **Stable rule IDs.**  IDs are part of the suppression contract
-   (``# lint: disable=rule-id``) and of CI output; they never change
-   once shipped.
-3. **Warm runs touch only changed modules.**  With an
-   :class:`~repro.devtools.analysis_cache.AnalysisCache`, unchanged
-   modules (by blake2b content hash) reuse their cached findings and a
-   changed module re-analyzes exactly itself plus its transitive
-   importers.
-4. **stdlib only.**  ``ast`` + ``tokenize`` — the checker must run in
+   (``# lint: disable=rule-id``) and of CI output; a shipped ID is
+   only retired when no pragma in the tree names it.
+3. **stdlib only.**  ``ast`` + ``tokenize`` — the checker must run in
    the same dependency-free environment as the library it guards.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -35,16 +28,9 @@ from .model import (
     ProjectModel,
     arg_names as _walk_arg_names,
     build_module,
-    content_hash,
     local_nodes as _walk_local_nodes,
-    module_name_for_path,
-    parse_payload,
-    resolve_targets,
 )
 from .pragmas import PRAGMA_RULE_ID, PragmaIndex
-
-#: Folded into the cache signature: bump when findings semantics change.
-ENGINE_VERSION = "2.0"
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,7 @@ class Finding:
 
 
 class Rule:
-    """Base class for file-scoped lint rules.
+    """Base class for lint rules.
 
     Subclasses set ``id``/``description`` and implement any of:
 
@@ -109,14 +95,11 @@ class Rule:
 class ProjectRule(Rule):
     """Rules that consult the whole-project model.
 
-    Instead of per-node visits, a project rule implements
-    ``check_module(ctx)``, called once per module after the model is
-    built; ``ctx.module`` / ``ctx.model`` expose the import graph, the
-    call graph, and the dataflow summaries.  Findings must still be
-    reported per module (through ``ctx.report``) and may depend only on
-    the module and the modules it transitively imports — that is the
-    invariant the incremental cache's importer-closure invalidation
-    rests on.
+    Besides any ``visit_<NodeType>`` handlers, a project rule
+    implements ``check_module(ctx)``, called once per module after the
+    file walk; ``ctx.module`` / ``ctx.model`` expose the module's
+    scopes and the call graph.  Findings are reported per module,
+    through ``ctx.report``.
     """
 
     def check_module(self, ctx: "LintContext") -> None:
@@ -174,15 +157,6 @@ class LintContext:
         return _walk_arg_names(fn)
 
 
-@dataclass
-class LintRunStats:
-    """What one ``lint_paths`` run actually did (cache observability)."""
-
-    files: int
-    analyzed: list[str] = field(default_factory=list)
-    reused: int = 0
-
-
 class LintEngine:
     """Runs a set of rules over files or source strings."""
 
@@ -200,30 +174,11 @@ class LintEngine:
         self.rule_ids = frozenset(ids)
         self.project_root = Path(project_root) if project_root else Path.cwd()
         # Pragmas are validated against the full registry, not just the
-        # active subset: a ``--rules exception-flow`` run over a file
+        # active subset: a ``--rules silent-degrade`` run over a file
         # carrying a legitimate broad-except suppression must not
         # invent pragma errors.
         from .rules import RULE_CLASSES  # runtime import: rules imports us
         self.known_pragma_ids = self.rule_ids | frozenset(RULE_CLASSES)
-        self.last_run: LintRunStats | None = None
-        self._signature: str | None = None
-
-    @property
-    def signature(self) -> str:
-        """Cache key: engine version + rule IDs + citation catalogue."""
-        if self._signature is None:
-            digest = hashlib.blake2b(digest_size=8)
-            for name in ("DESIGN.md", "PAPER.md"):
-                try:
-                    digest.update((self.project_root / name).read_bytes())
-                except OSError:
-                    pass
-            self._signature = "|".join((
-                ENGINE_VERSION,
-                ",".join(sorted(self.rule_ids)),
-                digest.hexdigest(),
-            ))
-        return self._signature
 
     # -- per-source entry points --------------------------------------------
 
@@ -239,193 +194,43 @@ class LintEngine:
         info = build_module(path, source, self.project_root)
         model = ProjectModel(self.project_root)
         model.add_module(info)
-        model.finalize()
         return self._lint_module(info, model)
 
     def lint_file(self, path: str | Path) -> list[Finding]:
         """Lint one file from disk."""
-        file_path = Path(path)
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return [Finding(
-                rule="parse-error", path=str(path), line=1, col=0,
-                message=f"cannot read: {exc}",
-            )]
-        return self.lint_source(source, path=str(path))
+        return self.lint_paths([path])
 
-    def lint_paths(
-        self,
-        paths: Iterable[str | Path],
-        *,
-        cache=None,
-        jobs: int = 1,
-        changed: Iterable[str | Path] | None = None,
-    ) -> list[Finding]:
+    def lint_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
         """Lint files and directories (recursed for ``*.py``).
 
-        ``cache`` is an :class:`~repro.devtools.analysis_cache.AnalysisCache`;
-        with one, unchanged modules reuse cached findings and a changed
-        module re-analyzes itself plus its transitive importers.
-        ``changed`` restricts analysis to those files plus their
-        transitive importers (the ``--changed`` mode).  ``jobs`` > 1
-        parallelizes the parse stage across processes; findings are
-        identical regardless of job count.  ``self.last_run`` records
-        what was analyzed vs. reused.
+        One pass: read and parse every file, build one project model
+        over all of them, then check every module against it.  A file
+        that cannot be read or decoded becomes a ``parse-error``
+        finding.
         """
-        files = expand_paths(paths)
-        stats = LintRunStats(files=len(files))
-        self.last_run = stats
         findings: list[Finding] = []
-        if not files:
-            return findings
-
-        keys: list[str] = []
-        key_paths: dict[str, Path] = {}
-        sources: dict[str, str] = {}
-        hashes: dict[str, str] = {}
-        read_errors: dict[str, str] = {}
-        for file_path in files:
-            key = str(file_path)
-            keys.append(key)
-            key_paths[key] = file_path
+        modules: list[ModuleInfo] = []
+        for file_path in expand_paths(paths):
             try:
-                data = file_path.read_bytes()
-                sources[key] = data.decode("utf-8")
-                hashes[key] = content_hash(data)
+                source = file_path.read_bytes().decode("utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                read_errors[key] = str(exc)
-
-        entries = cache.load(self.signature) if cache is not None else {}
-        valid = {
-            key for key in keys
-            if key in hashes and key in entries
-            and entries[key].get("hash") == hashes[key]
-        }
-
-        if changed is not None:
-            changed_resolved = {Path(c).resolve() for c in changed}
-            stale = {
-                key for key in keys
-                if key not in read_errors
-                and key_paths[key].resolve() in changed_resolved
-            }
-        else:
-            stale = {
-                key for key in keys
-                if key not in read_errors and key not in valid
-            }
-
-        names = {
-            key: module_name_for_path(key_paths[key], self.project_root)
-            for key in keys if key not in read_errors
-        }
-
-        # Parse what we must to know the import graph: everything not
-        # covered by a valid cache entry (cache entries carry imports).
-        parsed: dict[str, ModuleInfo] = {}
-        self._parse_into(
-            parsed,
-            [key for key in names if key in stale or key not in valid],
-            sources, hashes, names, jobs,
-        )
-        targets = {
-            key: (parsed[key].import_targets if key in parsed
-                  else entries[key].get("imports", []))
-            for key in names
-        }
-
-        # Dirty closure: stale modules plus their transitive importers.
-        name_set = set(names.values())
-        importers: dict[str, set[str]] = {name: set() for name in name_set}
-        imports_of: dict[str, set[str]] = {name: set() for name in name_set}
-        for key in names:
-            edges = resolve_targets(targets[key], name_set)
-            edges.discard(names[key])
-            imports_of[names[key]] |= edges
-            for target in edges:
-                importers[target].add(names[key])
-        dirty_names = _closure({names[key] for key in stale}, importers)
-        dirty = {key for key in names if names[key] in dirty_names}
-
-        # Parse the analysis context: dirty modules' transitive imports.
-        context_names = _closure(dirty_names, imports_of)
-        self._parse_into(
-            parsed,
-            [key for key in names
-             if key not in parsed and names[key] in context_names],
-            sources, hashes, names, jobs,
-        )
-
-        model = ProjectModel(self.project_root)
-        for info in parsed.values():
-            model.add_module(info)
-        model.finalize()
-
-        new_entries: dict[str, dict] = {}
-        for key in keys:
-            if key in read_errors:
                 findings.append(Finding(
-                    rule="parse-error", path=key, line=1, col=0,
-                    message=f"cannot read: {read_errors[key]}",
+                    rule="parse-error", path=str(file_path), line=1, col=0,
+                    message=f"cannot read: {exc}",
                 ))
                 continue
-            if key in dirty:
-                module_findings = self._lint_module(parsed[key], model)
-                stats.analyzed.append(key)
-            elif key in valid:
-                module_findings = [
-                    Finding(**item)
-                    for item in entries[key].get("findings", [])
-                ]
-                stats.reused += 1
-            else:
-                # --changed mode: a clean file with no cache entry is
-                # out of scope for this run.
-                continue
-            findings.extend(module_findings)
-            if cache is not None:
-                new_entries[key] = {
-                    "hash": hashes[key],
-                    "name": names[key],
-                    "imports": sorted(set(targets[key])),
-                    "findings": [f.to_dict() for f in module_findings],
-                }
-        if cache is not None:
-            cache.save(self.signature, new_entries)
+            modules.append(
+                build_module(str(file_path), source, self.project_root)
+            )
+        model = ProjectModel(self.project_root)
+        for info in modules:
+            model.add_module(info)
+        for info in modules:
+            findings.extend(self._lint_module(info, model))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 
     # -- internals -----------------------------------------------------------
-
-    def _parse_into(
-        self,
-        parsed: dict[str, ModuleInfo],
-        keys_to_parse: list[str],
-        sources: dict[str, str],
-        hashes: dict[str, str],
-        names: dict[str, str],
-        jobs: int,
-    ) -> None:
-        items = [(key, sources[key]) for key in keys_to_parse]
-        if not items:
-            return
-        if jobs > 1 and len(items) > 1:
-            try:
-                with multiprocessing.get_context().Pool(
-                    processes=jobs
-                ) as pool:
-                    results = pool.map(parse_payload, items)
-            except (OSError, ValueError):
-                results = [parse_payload(item) for item in items]
-        else:
-            results = [parse_payload(item) for item in items]
-        for path, tree, error, comments in results:
-            parsed[path] = ModuleInfo(
-                path=path, name=names[path], source=sources[path],
-                tree=tree, comments=comments, digest=hashes[path],
-                parse_error=error,
-            )
 
     def _lint_module(
         self, info: ModuleInfo, model: ProjectModel
@@ -451,9 +256,8 @@ class LintEngine:
                 line=error.line, col=0, message=error.message,
             ))
         active = [rule for rule in self.rules if rule.applies_to(info.path)]
-        file_rules = [r for r in active if not isinstance(r, ProjectRule)]
         project_rules = [r for r in active if isinstance(r, ProjectRule)]
-        dispatch = _build_dispatch(file_rules)
+        dispatch = _build_dispatch(active)
         for rule in active:
             rule.begin_file(ctx)
         for node in ast.walk(info.tree):
@@ -465,18 +269,6 @@ class LintEngine:
             rule.check_module(ctx)
         ctx.findings.sort(key=lambda f: (f.line, f.col, f.rule))
         return ctx.findings
-
-
-def _closure(seeds: set[str], edges: dict[str, set[str]]) -> set[str]:
-    out = set(seeds)
-    stack = list(seeds)
-    while stack:
-        current = stack.pop()
-        for nxt in edges.get(current, ()):
-            if nxt not in out:
-                out.add(nxt)
-                stack.append(nxt)
-    return out
 
 
 def expand_paths(paths: Iterable[str | Path]) -> list[Path]:

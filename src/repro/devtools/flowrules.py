@@ -1,41 +1,32 @@
-"""The v2 flow rules: project-model analyses over the whole program.
+"""The flow rules: project-model analyses over the whole program.
 
-Four rule families that cannot be written as single-file AST walks —
-each one consults the :class:`~repro.devtools.model.ProjectModel`'s
-import graph, call graph, or dataflow summaries:
+Three rule families that cannot be written as single-node AST
+visits — each one consults the
+:class:`~repro.devtools.model.ProjectModel`'s scopes, call graph, or
+reaching definitions:
 
-* **determinism-flow** — a set-valued *name* (tracked through reaching
-  definitions) must not feed an order-sensitive sink: float
-  accumulation, ordered output records, or memo-key construction.  The
-  file-scoped ``determinism`` rule catches ``for x in {…}``; this one
-  catches ``s = set(…); … for x in s``.
-* **worker-boundary** — values crossing a pool submission boundary
-  must pickle (no lambdas, generators, or open file handles reaching
-  the argument tuple), and the submitted callable must not read module
-  globals that the parent process initializes mutable and mutates —
-  fork-time snapshots of such state are silently stale in workers.
-  The sanctioned pattern (``_WORKER_X = None`` at module level,
-  written only by the pool initializer) stays silent because the
-  parent-side value is immutable.
-* **exception-flow** — a handler catching a *typed repro error*
-  (``…Error`` / ``…Fault`` / ``…Abort`` outside builtins) in
-  ``repro.runtime`` / ``repro.server`` must route it to an outcome:
-  re-raise, a :class:`DocOutcome`, an error envelope, or (runtime
-  only) a metrics emission — directly or through any callee the call
-  graph can follow.  This upgrades ``silent-degrade`` /
-  ``handler-envelope``, which only look at the handler body itself,
-  and it honors their pragmas so existing annotated boundaries stay
-  annotated once.
+* **determinism** — the pipeline must not read hidden
+  nondeterministic inputs (unseeded ``random``, wall-clock time,
+  ``os.environ``, iteration directly over a set expression), and a
+  set-valued *name* (tracked through reaching definitions) must not
+  feed an order-sensitive sink: float accumulation, ordered output
+  records, or memo-key construction.  The first half is a per-node
+  visit (``for x in {…}``); the second catches
+  ``s = set(…); … for x in s``.
+* **worker-boundary** — what crosses a pool submission boundary must
+  pickle: no lambda or locally-defined function as the submitted
+  callable, and no lambda, generator, or open file handle reaching
+  the argument tuple.  The submitted callable must also not read
+  module globals that the parent process initializes mutable and
+  mutates — fork-time snapshots of such state are silently stale in
+  workers.  The sanctioned pattern (``_WORKER_X = None`` at module
+  level, written only by the pool initializer) stays silent because
+  the parent-side value is immutable.
 * **resource-lifecycle** — pools, sockets, files and mmaps bound to a
   local name must be released in the same scope (``with``, a
   ``close``-family call, usually in ``finally``) unless ownership
   visibly transfers (returned, yielded, stored on an object, or
   passed to another call).
-
-Findings of every rule here depend only on the reported module and
-the modules it transitively imports — the invariant the incremental
-cache's importer-closure invalidation rests on (see
-:class:`~repro.devtools.engine.ProjectRule`).
 """
 
 from __future__ import annotations
@@ -48,7 +39,6 @@ from .dataflow import (
     is_pool_receiver,
     is_set_valued,
     submitted_callables,
-    typed_caught_names,
 )
 from .engine import LintContext, ProjectRule
 from .model import FunctionInfo, ModuleInfo, local_nodes
@@ -72,8 +62,11 @@ def _call_name(func: ast.AST) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# determinism-flow
+# determinism
 # ---------------------------------------------------------------------------
+
+_CLOCK_ATTRS = frozenset({"time", "time_ns", "localtime", "ctime"})
+_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
 #: AugAssign operators that make accumulation order observable (float
 #: addition is not associative; string/list building is ordered).
@@ -93,23 +86,108 @@ _ORDER_ERASERS = frozenset({"sorted", "set", "frozenset", "len", "min",
                             "max", "any", "all"})
 
 
-class DeterminismFlowRule(ProjectRule):
-    """Set-valued names must not reach order-sensitive sinks.
+class DeterminismRule(ProjectRule):
+    """The pipeline must be a pure function of its inputs.
 
-    Reaching definitions type each local name; a ``for`` loop over a
-    set-valued name whose body accumulates floats, appends to an
-    output record, or yields — and a ``list``/``tuple``/``sum``/
-    ``join`` over a set-valued name outside a ``sorted(...)`` — both
-    make pipeline output depend on hash-seed iteration order.
+    The ten-dataset evaluation is replayable only if ``repro.core``,
+    ``repro.similarity`` and ``repro.semnet`` never consult hidden
+    nondeterministic inputs: the unseeded ``random`` module API,
+    wall-clock time, ``os.environ``, or the iteration order of a set
+    (``random.Random(seed)`` instances are explicitly allowed — that is
+    the sanctioned randomness).  Set order is caught twice over: a loop
+    or comprehension directly over a set expression, and — through
+    reaching definitions — a set-valued name whose ``for`` loop
+    accumulates floats, appends to an output record, or yields, or
+    that a ``list``/``tuple``/``sum``/``join`` materializes outside a
+    ``sorted(...)``.
     """
 
-    id = "determinism-flow"
+    id = "determinism"
     description = (
-        "set-valued names (tracked through reaching definitions) must "
-        "not feed float accumulation, ordered output records, or memo "
-        "keys; sort first"
+        "no unseeded random, wall-clock time, os.environ, or "
+        "set-order-dependent iteration (also through set-valued names "
+        "feeding float accumulation, ordered output, or memo keys) in "
+        "the deterministic pipeline"
     )
     scope = ("repro/core/", "repro/similarity/", "repro/semnet/")
+
+    def visit_Call(self, node: ast.Call, ctx: LintContext) -> None:
+        """Flag unseeded-RNG / clock / environment calls."""
+        func = node.func
+        if not isinstance(func, ast.Attribute) or \
+                not isinstance(func.value, ast.Name):
+            return
+        module, attr = func.value.id, func.attr
+        if module == "random" and attr not in ("Random", "SystemRandom"):
+            ctx.report(
+                self.id, node,
+                f"random.{attr}() uses the shared unseeded RNG; "
+                "thread a random.Random(seed) instance instead",
+            )
+        elif module == "time" and attr in _CLOCK_ATTRS:
+            ctx.report(
+                self.id, node,
+                f"time.{attr}() makes pipeline output depend on the "
+                "wall clock; pass timestamps in explicitly",
+            )
+        elif module == "datetime" and attr in _DATETIME_ATTRS:
+            ctx.report(
+                self.id, node,
+                f"datetime.{attr}() makes pipeline output depend on the "
+                "wall clock; pass timestamps in explicitly",
+            )
+        elif module == "os" and attr == "getenv":
+            ctx.report(
+                self.id, node,
+                "os.getenv() reads hidden configuration; thread settings "
+                "through XSDFConfig instead",
+            )
+
+    def visit_Attribute(self, node: ast.Attribute, ctx: LintContext) -> None:
+        """Flag ``os.environ`` access."""
+        if isinstance(node.value, ast.Name) and node.value.id == "os" \
+                and node.attr == "environ":
+            ctx.report(
+                self.id, node,
+                "os.environ reads hidden configuration; thread settings "
+                "through XSDFConfig instead",
+            )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom, ctx: LintContext) -> None:
+        """Flag importing unseeded-random / clock names directly."""
+        if node.module == "random":
+            bad = [a.name for a in node.names
+                   if a.name not in ("Random", "SystemRandom")]
+            if bad:
+                ctx.report(
+                    self.id, node,
+                    f"from random import {', '.join(bad)} pulls in the "
+                    "shared unseeded RNG; import Random and seed it",
+                )
+        elif node.module == "time":
+            bad = [a.name for a in node.names if a.name in _CLOCK_ATTRS]
+            if bad:
+                ctx.report(
+                    self.id, node,
+                    f"from time import {', '.join(bad)} leaks the wall "
+                    "clock into the deterministic pipeline",
+                )
+
+    def visit_For(self, node: ast.For, ctx: LintContext) -> None:
+        """Flag iteration directly over a set expression."""
+        self._check_iter(node.iter, ctx)
+
+    def visit_comprehension(self, node, ctx: LintContext) -> None:
+        """Flag comprehension iteration directly over a set expression."""
+        self._check_iter(node.iter, ctx)
+
+    def _check_iter(self, iter_expr: ast.AST, ctx: LintContext) -> None:
+        if is_set_valued(iter_expr):
+            ctx.report(
+                self.id, iter_expr,
+                "iterating a set has no guaranteed order; iterate "
+                "sorted(...) or a list to keep results replayable",
+            )
 
     def check_module(self, ctx: LintContext) -> None:
         """Check every scope's set-valued names against order sinks."""
@@ -239,13 +317,17 @@ def _crossing_data(call: ast.Call) -> list[ast.AST]:
 class WorkerBoundaryRule(ProjectRule):
     """What crosses a pool boundary must pickle and must be fresh.
 
-    Two hazards at every submission point, both invisible to the v1
-    per-file rules:
+    Three hazards at every submission point, all from one
+    :func:`~repro.devtools.dataflow.submitted_callables` pass per call:
 
-    1. a *data* argument that is (or reaches, via a local definition)
+    1. a submitted *callable* that is a lambda or a function defined
+       inside the submitting function — ``multiprocessing`` pickles
+       the callable by reference, so both fail with an opaque
+       ``PicklingError``, on some platforms only under load;
+    2. a *data* argument that is (or reaches, via a local definition)
        a lambda, generator expression, or open file handle — those
-       fail to pickle at runtime, sometimes only under load;
-    2. a submitted *callable* that — transitively, along the call
+       fail to pickle the same way;
+    3. a submitted callable that — transitively, along the call
        graph — reads a module global initialized to a mutable value
        and mutated by parent-side code: workers see a fork-time
        snapshot, so parent mutations silently never arrive.
@@ -253,7 +335,8 @@ class WorkerBoundaryRule(ProjectRule):
 
     id = "worker-boundary"
     description = (
-        "values crossing a pool submit boundary must pickle, and "
+        "no lambdas or locally-defined functions at pool submission "
+        "points, values crossing the boundary must pickle, and "
         "submitted callables must not read mutable module globals "
         "mutated in the parent process"
     )
@@ -266,12 +349,19 @@ class WorkerBoundaryRule(ProjectRule):
         info, model = ctx.module, ctx.model
         for fn_info, nodes in _scopes(info):
             defs = Definitions.from_nodes(nodes)
+            # Module-level functions pickle by reference; only defs
+            # nested in a function body cannot.
+            local_defs = set() if fn_info is None else {
+                node.name for node in nodes
+                if isinstance(node, _FUNCTION_NODES)
+            }
             for node in nodes:
                 if isinstance(node, ast.Call):
                     self._check_data(node, defs, ctx)
-                    self._check_callables(node, info, fn_info, model, ctx)
+                    self._check_callables(node, info, fn_info, local_defs,
+                                          model, ctx)
 
-    # -- hazard 1: unpicklable data ------------------------------------------
+    # -- hazard 2: unpicklable data ------------------------------------------
 
     def _check_data(self, call: ast.Call, defs: Definitions,
                     ctx: LintContext) -> None:
@@ -302,34 +392,60 @@ class WorkerBoundaryRule(ProjectRule):
                 return f"{expr.id!r} (an open file handle)"
         return None
 
-    # -- hazard 2: stale parent state ----------------------------------------
+    # -- hazards 1 and 3: the submitted callables ---------------------------
 
     def _check_callables(self, call: ast.Call, info: ModuleInfo,
-                         fn_info: FunctionInfo | None, model,
+                         fn_info: FunctionInfo | None,
+                         local_defs: set[str], model,
                          ctx: LintContext) -> None:
+        stale_reported = False
         for cand in submitted_callables(call):
+            if isinstance(cand, ast.Lambda):
+                ctx.report(
+                    self.id, cand,
+                    "lambda passed to a worker-pool submission point; "
+                    "lambdas do not pickle — use a module-level function",
+                )
+                continue
             if not isinstance(cand, ast.Name):
                 continue
-            target = model.callgraph.resolve_name(info, cand.id, fn_info)
-            if target is None:
-                continue
-            for qualname in sorted(model.callgraph.reachable(target,
-                                                             limit=200)):
-                mod, reached = model.callgraph.function(qualname)
-                hazards = self._module_hazards(mod)
-                read = self._reads_hazard(reached, hazards)
-                if read is not None:
-                    ctx.report(
-                        self.id, cand,
-                        f"worker callable {cand.id!r} reaches "
-                        f"{qualname.replace(':', '.')}(), which reads "
-                        f"module global {read!r} ({mod.name}:line "
-                        f"{hazards[read]}) — a mutable value mutated in "
-                        "the parent process; workers see a fork-time "
-                        "snapshot, so pass the state through "
-                        "initargs/arguments instead",
-                    )
-                    return
+            if cand.id in local_defs:
+                ctx.report(
+                    self.id, cand,
+                    f"locally-defined function {cand.id!r} passed "
+                    "to a worker-pool submission point; local "
+                    "functions do not pickle — move it to module level",
+                )
+            if not stale_reported:
+                stale_reported = self._check_stale_state(
+                    cand, info, fn_info, model, ctx
+                )
+
+    def _check_stale_state(self, cand: ast.Name, info: ModuleInfo,
+                           fn_info: FunctionInfo | None, model,
+                           ctx: LintContext) -> bool:
+        """Report the first parent-mutated global ``cand`` reaches."""
+        target = model.callgraph.resolve_name(info, cand.id, fn_info)
+        if target is None:
+            return False
+        for qualname in sorted(model.callgraph.reachable(target,
+                                                         limit=200)):
+            mod, reached = model.callgraph.function(qualname)
+            hazards = self._module_hazards(mod)
+            read = self._reads_hazard(reached, hazards)
+            if read is not None:
+                ctx.report(
+                    self.id, cand,
+                    f"worker callable {cand.id!r} reaches "
+                    f"{qualname.replace(':', '.')}(), which reads "
+                    f"module global {read!r} ({mod.name}:line "
+                    f"{hazards[read]}) — a mutable value mutated in "
+                    "the parent process; workers see a fork-time "
+                    "snapshot, so pass the state through "
+                    "initargs/arguments instead",
+                )
+                return True
+        return False
 
     def _module_hazards(self, mod: ModuleInfo) -> dict[str, int]:
         """Mutable-initialized, parent-mutated globals of one module."""
@@ -400,127 +516,6 @@ class WorkerBoundaryRule(ProjectRule):
                     node.id in hazards and node.id not in shadowed:
                 return node.id
         return None
-
-
-# ---------------------------------------------------------------------------
-# exception-flow
-# ---------------------------------------------------------------------------
-
-_METRICS_EMITTERS = frozenset({"count", "observe", "event"})
-
-
-class ExceptionFlowRule(ProjectRule):
-    """Typed repro errors must reach an outcome, not vanish.
-
-    ``silent-degrade`` and ``handler-envelope`` inspect a handler's
-    own body; this rule follows the call graph, so a handler that
-    delegates to ``self._reject(...)`` is clean when ``_reject``
-    (transitively) writes an envelope, builds a
-    :class:`~repro.runtime.outcome.DocOutcome`, re-raises, or — in
-    ``repro.runtime`` — emits a metrics signal.  Handlers already
-    annotated with the legacy pragmas stay silent here too: one
-    reviewed boundary, one annotation.
-    """
-
-    id = "exception-flow"
-    description = (
-        "handlers catching typed repro errors in repro.runtime / "
-        "repro.server must reach a DocOutcome, error envelope, "
-        "re-raise, or metrics emission along the call graph"
-    )
-    scope = ("repro/runtime/", "repro/server/")
-
-    #: Legacy per-family pragmas that already mark a reviewed boundary.
-    _LEGACY_PRAGMAS = ("silent-degrade", "handler-envelope")
-
-    def __init__(self) -> None:
-        self._sink_cache: dict[tuple[int, str, bool], bool] = {}
-
-    def check_module(self, ctx: LintContext) -> None:
-        """Check every typed-error handler in the module."""
-        info, model = ctx.module, ctx.model
-        server_mode = "repro/server/" in info.path.replace("\\", "/")
-        for fn_info, nodes in _scopes(info):
-            for node in nodes:
-                if not isinstance(node, ast.ExceptHandler):
-                    continue
-                typed = typed_caught_names(node.type)
-                if not typed:
-                    continue
-                if any(ctx.pragmas.is_disabled(legacy, node.lineno)
-                       for legacy in self._LEGACY_PRAGMAS):
-                    continue
-                if self._handler_reaches_sink(node, info, fn_info, model,
-                                              server_mode):
-                    continue
-                names = ", ".join(sorted(typed))
-                outcomes = "a DocOutcome or error envelope" if server_mode \
-                    else "a DocOutcome, envelope, or metrics emission"
-                ctx.report(
-                    self.id, node,
-                    f"typed error(s) {names} caught here never reach "
-                    f"{outcomes} — not in this handler, and not in any "
-                    "function it calls; route the failure to an outcome "
-                    "or re-raise",
-                )
-
-    def _handler_reaches_sink(self, handler: ast.ExceptHandler,
-                              info: ModuleInfo,
-                              fn_info: FunctionInfo | None,
-                              model, server_mode: bool) -> bool:
-        for node in local_nodes(handler):
-            if isinstance(node, ast.Raise):
-                return True
-            if not isinstance(node, ast.Call):
-                continue
-            if self._is_sink_call(node, server_mode):
-                return True
-            target = model.callgraph.resolve_call(info, node, fn_info)
-            if target is not None and \
-                    self._callee_reaches_sink(target, model, server_mode):
-                return True
-        return False
-
-    def _is_sink_call(self, call: ast.Call, server_mode: bool) -> bool:
-        func = call.func
-        name = _call_name(func)
-        if name is None:
-            return False
-        if "envelope" in name.lower() or "outcome" in name.lower():
-            return True
-        if name == "DocOutcome" or (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "DocOutcome"
-        ):
-            return True
-        if not server_mode and isinstance(func, ast.Attribute) and \
-                func.attr in _METRICS_EMITTERS:
-            return True
-        return False
-
-    def _callee_reaches_sink(self, qualname: str, model,
-                             server_mode: bool) -> bool:
-        callgraph = model.callgraph
-        key = (id(model), qualname, server_mode)
-        cached = self._sink_cache.get(key)
-        if cached is not None:
-            return cached
-        found = False
-        for reached in callgraph.reachable(qualname, limit=200):
-            _, fn = callgraph.function(reached)
-            for node in fn.local_nodes:
-                if isinstance(node, ast.Raise):
-                    found = True
-                elif isinstance(node, ast.Call) and \
-                        self._is_sink_call(node, server_mode):
-                    found = True
-                if found:
-                    break
-            if found:
-                break
-        self._sink_cache[key] = found
-        return found
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +653,7 @@ class ResourceLifecycleRule(ProjectRule):
 
 
 __all__ = [
-    "DeterminismFlowRule",
-    "ExceptionFlowRule",
+    "DeterminismRule",
     "ResourceLifecycleRule",
     "WorkerBoundaryRule",
 ]

@@ -1,30 +1,25 @@
-"""Project model: modules, symbols, imports — one parse pass.
+"""Project model: modules, symbols, bindings — one parse pass.
 
-reprolint v2 analyzes a *project*, not a stream of independent files.
+reprolint analyzes a *project*, not a stream of independent files.
 :class:`ProjectModel` is the shared substrate every rule consults:
 
-* one :class:`ModuleInfo` per file — source, AST, comments, a blake2b
-  content hash, the module's dotted name, its top-level symbol table,
-  and its import bindings;
+* one :class:`ModuleInfo` per file — source, AST, comments, the
+  module's dotted name, its top-level symbol table, and its import
+  bindings (which the call graph follows across modules);
 * one :class:`FunctionInfo` per function — with the function's local
   node list (descendants without entering nested scopes) computed once
-  and shared by every rule, where v1 had each rule re-walk every
-  function it visited;
-* the import graph between the run's modules, with the transitive-
-  importer closure the incremental cache uses for invalidation.
+  and shared by every rule.
 
-Everything here is stdlib ``ast`` + ``tokenize`` + ``hashlib``, like
-the rest of devtools.
+Everything here is stdlib ``ast`` + ``tokenize``, like the rest of
+devtools.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import tokenize
 from pathlib import Path
-from typing import Iterable, Sequence
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPE_NODES = _FUNCTION_NODES + (ast.Lambda, ast.ClassDef)
@@ -51,11 +46,6 @@ def arg_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     if args.kwarg:
         names.append(args.kwarg.arg)
     return names
-
-
-def content_hash(data: bytes) -> str:
-    """blake2b digest of a module's bytes — the cache invalidation key."""
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def collect_comments(source: str) -> list[tuple[int, str]]:
@@ -91,24 +81,6 @@ def module_name_for_path(path: str | Path, root: Path) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts) if parts else p.stem
-
-
-def parse_payload(item: tuple[str, str]) -> tuple:
-    """Parse one ``(path, source)`` pair into pickling-friendly parts.
-
-    Module-level so ``multiprocessing`` can ship it to parse workers;
-    returns ``(path, tree_or_None, error_or_None, comments)`` where the
-    error is a ``(line, col, message)`` triple.
-    """
-    path, source = item
-    try:
-        tree = ast.parse(source, filename=path)
-        error = None
-    except SyntaxError as exc:
-        tree = None
-        error = (exc.lineno or 1, (exc.offset or 1) - 1,
-                 f"cannot parse: {exc.msg}")
-    return path, tree, error, collect_comments(source)
 
 
 class FunctionInfo:
@@ -149,7 +121,6 @@ class ModuleInfo:
         source: str,
         tree: ast.Module | None,
         comments: list[tuple[int, str]],
-        digest: str,
         parse_error: tuple[int, int, str] | None = None,
     ):
         self.path = path
@@ -157,7 +128,6 @@ class ModuleInfo:
         self.source = source
         self.tree = tree
         self.comments = comments
-        self.content_hash = digest
         self.parse_error = parse_error
         self.functions: dict[str, FunctionInfo] = {}
         self._by_node: dict[int, FunctionInfo] = {}
@@ -165,7 +135,6 @@ class ModuleInfo:
         self.class_methods: dict[str, dict[str, FunctionInfo]] = {}
         self.class_bases: dict[str, list[str]] = {}
         self.top_assigns: dict[str, ast.expr] = {}
-        self.import_targets: list[str] = []
         self.bindings: dict[str, tuple] = {}
         self._parents: dict[int, ast.AST] = {}
         self.first_code_line: int | None = None
@@ -220,7 +189,6 @@ class ModuleInfo:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.import_targets.append(alias.name)
                     bound = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else \
                         alias.name.split(".")[0]
@@ -230,14 +198,10 @@ class ModuleInfo:
                 if base is None:
                     continue
                 for alias in node.names:
-                    sub = f"{base}.{alias.name}" if base else alias.name
-                    self.import_targets.append(sub)
                     self.bindings.setdefault(
                         alias.asname or alias.name,
                         ("symbol", base, alias.name),
                     )
-                if base:
-                    self.import_targets.append(base)
 
     def _resolve_relative(self, node: ast.ImportFrom,
                           package: str) -> str | None:
@@ -277,108 +241,40 @@ class ModuleInfo:
         return local_nodes(self.tree)
 
 
-def build_module(
-    path: str,
-    source: str,
-    root: Path,
-    *,
-    tree: ast.Module | None = None,
-    comments: list[tuple[int, str]] | None = None,
-    parse_error: tuple[int, int, str] | None = None,
-    digest: str | None = None,
-    parsed: bool = False,
-) -> ModuleInfo:
-    """Parse (unless pre-parsed) and index one module."""
-    if not parsed:
-        _, tree, parse_error, comments = parse_payload((path, source))
+def build_module(path: str, source: str, root: Path) -> ModuleInfo:
+    """Parse and index one module.
+
+    A syntax error does not raise: the module keeps ``tree=None`` and
+    a ``(line, col, message)`` ``parse_error`` that the engine reports.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+        error = None
+    except SyntaxError as exc:
+        tree = None
+        error = (exc.lineno or 1, (exc.offset or 1) - 1,
+                 f"cannot parse: {exc.msg}")
     return ModuleInfo(
         path=path,
         name=module_name_for_path(path, root),
         source=source,
         tree=tree,
-        comments=comments if comments is not None else [],
-        digest=digest if digest is not None
-        else content_hash(source.encode("utf-8")),
-        parse_error=parse_error,
+        comments=collect_comments(source),
+        parse_error=error,
     )
 
 
-def resolve_targets(targets: Iterable[str],
-                    known_names: Sequence[str] | set[str]) -> set[str]:
-    """Map raw dotted import targets onto the run's module names.
-
-    A target matches the longest known prefix of itself, so
-    ``import repro.runtime.pack`` links to ``repro.runtime.pack`` when
-    that module is in the run and to ``repro.runtime`` (its package)
-    otherwise.
-    """
-    known = set(known_names)
-    resolved: set[str] = set()
-    for target in targets:
-        parts = target.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in known:
-                resolved.add(candidate)
-                break
-    return resolved
-
-
 class ProjectModel:
-    """The modules of one lint run plus their import graph."""
+    """The modules of one lint run, by dotted name."""
 
     def __init__(self, root: Path):
         self.root = root
         self.modules: dict[str, ModuleInfo] = {}
-        self._by_path: dict[str, ModuleInfo] = {}
-        self.imports_of: dict[str, set[str]] = {}
-        self.importers_of: dict[str, set[str]] = {}
         self._callgraph = None
-        self._exceptions = None
-        self._purity = None
 
     def add_module(self, info: ModuleInfo) -> None:
         """Register a parsed module (last one wins on name collision)."""
         self.modules[info.name] = info
-        self._by_path[info.path] = info
-
-    def finalize(self) -> None:
-        """Resolve import edges now that the module set is complete."""
-        names = set(self.modules)
-        self.imports_of = {}
-        self.importers_of = {name: set() for name in names}
-        for name, info in self.modules.items():
-            edges = resolve_targets(info.import_targets, names)
-            edges.discard(name)
-            self.imports_of[name] = edges
-            for target in edges:
-                self.importers_of.setdefault(target, set()).add(name)
-
-    def module_for_path(self, path: str) -> ModuleInfo | None:
-        """The module registered under this path string, if any."""
-        return self._by_path.get(path)
-
-    def transitive_importers(self, seeds: Iterable[str]) -> set[str]:
-        """Seeds plus every module that (transitively) imports them."""
-        return self._closure(seeds, self.importers_of)
-
-    def transitive_imports(self, seeds: Iterable[str]) -> set[str]:
-        """Seeds plus every module they (transitively) import."""
-        return self._closure(seeds, self.imports_of)
-
-    def _closure(self, seeds: Iterable[str],
-                 edges: dict[str, set[str]]) -> set[str]:
-        out = set(seed for seed in seeds if seed in self.modules)
-        stack = list(out)
-        while stack:
-            current = stack.pop()
-            for nxt in edges.get(current, ()):
-                if nxt not in out:
-                    out.add(nxt)
-                    stack.append(nxt)
-        return out
-
-    # -- lazy analyses -------------------------------------------------------
 
     @property
     def callgraph(self):
@@ -387,17 +283,3 @@ class ProjectModel:
             from .callgraph import CallGraph
             self._callgraph = CallGraph(self)
         return self._callgraph
-
-    def exception_summaries(self) -> dict[str, frozenset[str]]:
-        """Typed-error escape summaries per function (built on first use)."""
-        if self._exceptions is None:
-            from .dataflow import exception_summaries
-            self._exceptions = exception_summaries(self, self.callgraph)
-        return self._exceptions
-
-    def purity(self) -> dict[str, str]:
-        """Purity verdicts per function (built on first use)."""
-        if self._purity is None:
-            from .dataflow import infer_purity
-            self._purity = infer_purity(self, self.callgraph)
-        return self._purity

@@ -1,21 +1,18 @@
-"""Finding reporters: human text, machine JSON, and SARIF.
+"""Finding reporters: human text and machine JSON.
 
-All three render the same :class:`repro.devtools.engine.Finding` list;
-the text form is for terminals (one ``path:line:col`` locator per
-line, the conventional clickable format), the JSON form is for CI
-gates and editors (stable keys, round-trips through ``json.loads``),
-and the SARIF form is for code-scanning UIs (SARIF 2.1.0, the subset
-GitHub code scanning ingests).  Every reporter is byte-stable for
-identical inputs so CI artifact diffs stay meaningful.
+Both render the same :class:`repro.devtools.engine.Finding` list; the
+text form is for terminals (one ``path:line:col`` locator per line,
+the conventional clickable format), the JSON form is for CI gates and
+editors (stable keys, round-trips through ``json.loads``).  Both are
+byte-stable for identical inputs so CI diffs stay meaningful.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Sequence
 
-from .engine import ENGINE_VERSION, Finding
+from .engine import Finding
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -51,72 +48,5 @@ def render_json(findings: Sequence[Finding]) -> str:
     payload = {
         "count": len(findings),
         "findings": [finding.to_dict() for finding in findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _sarif_uri(path: str, project_root: Path | None) -> str:
-    """Repo-relative posix URI when possible, the raw path otherwise."""
-    p = Path(path)
-    if project_root is not None:
-        try:
-            p = p.resolve().relative_to(Path(project_root).resolve())
-        except (ValueError, OSError):
-            pass
-    return p.as_posix()
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    rules: Sequence | None = None,
-    project_root: str | Path | None = None,
-) -> str:
-    """The findings as a SARIF 2.1.0 document.
-
-    ``rules`` (any objects with ``id``/``description``) populate the
-    tool's rule metadata — pass the active rule instances so scanning
-    UIs can show each rule's contract; ``project_root`` relativizes
-    artifact URIs.  Columns are 1-based in SARIF, so ``col + 1``.
-    """
-    root = Path(project_root) if project_root is not None else None
-    rule_meta = [
-        {
-            "id": rule.id,
-            "shortDescription": {"text": rule.description},
-        }
-        for rule in sorted(rules or (), key=lambda r: r.id)
-    ]
-    results = [
-        {
-            "level": "error",
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": _sarif_uri(finding.path, root),
-                    },
-                    "region": {
-                        "startColumn": finding.col + 1,
-                        "startLine": finding.line,
-                    },
-                },
-            }],
-            "message": {"text": finding.message},
-            "ruleId": finding.rule,
-        }
-        for finding in findings
-    ]
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "runs": [{
-            "results": results,
-            "tool": {
-                "driver": {
-                    "name": "reprolint",
-                    "rules": rule_meta,
-                    "version": ENGINE_VERSION,
-                },
-            },
-        }],
-        "version": "2.1.0",
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

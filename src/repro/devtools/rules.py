@@ -11,9 +11,9 @@ index-parity        ``index=`` fast paths must be guarded by ``is not
 cache-purity        no parameter/module-global mutation in the
                     cache-reachable similarity/runtime code
 determinism         no unseeded ``random``, wall-clock time, ``os.environ``
-                    or set-order-dependent iteration in the pipeline
-picklable-submit    no lambdas or locally-defined functions at pool
-                    submission points (they do not pickle)
+                    or set-order-dependent iteration in the pipeline, also
+                    through set-valued names that reach float
+                    accumulation, ordered output, or memo keys
 definition-xref     every ``Definition N`` / ``Eq. (N)`` citation must
                     exist in DESIGN.md / PAPER.md
 broad-except        no bare/broad excepts outside annotated isolation
@@ -31,24 +31,21 @@ silent-degrade      fallback/except branches in ``repro.runtime`` must
 handler-envelope    except branches in ``repro.server`` must re-raise or
                     produce a typed error envelope, or carry an explicit
                     pragma
-determinism-flow    set-typed values must not flow into float
-                    accumulation, ordered output, or memo keys
-                    (project rule, :mod:`repro.devtools.flowrules`)
-worker-boundary     values crossing a pool submit boundary must pickle
+worker-boundary     no lambdas or local functions at pool submission
+                    points; values crossing the boundary must pickle
                     and must not close over mutable parent state
-exception-flow      typed repro errors caught in runtime/server must
-                    reach a DocOutcome/envelope/metrics outcome along
-                    the call graph
 resource-lifecycle  pools, sockets, files and mmaps must be closed via
                     ``with``/``finally`` (or ownership transferred)
 ==================  ========================================================
 
 Rules are heuristic by design — stdlib ``ast`` has no type
-information — but since v2 they share the project model
+information — but they share the project model
 (:mod:`repro.devtools.model`): function-local walks are computed once
-per function, and the four flow rules (defined in
-:mod:`repro.devtools.flowrules`) additionally consult the import
-graph, call graph, and dataflow summaries.  Each rule is tuned so the
+per function, and the three flow rules (``determinism``,
+``worker-boundary`` and ``resource-lifecycle``, defined in
+:mod:`repro.devtools.flowrules`) additionally consult reaching
+definitions and the call graph.  ``silent-degrade`` and
+``handler-envelope`` share one handler scan.  Each rule is tuned so the
 merged tree lints clean and a genuine violation of the contract it
 guards cannot slip through the common door (see the per-rule fixture
 battery in ``tests/devtools``).
@@ -60,11 +57,9 @@ import ast
 import re
 from pathlib import Path
 
-from .dataflow import (
-    MUTATOR_METHODS as _MUTATOR_METHODS,
-    submitted_callables,
-)
+from .dataflow import MUTATOR_METHODS as _MUTATOR_METHODS
 from .engine import LintContext, Rule
+from .model import local_nodes
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -328,188 +323,6 @@ class CachePurityRule(Rule):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             return param_name(node.value)
         return None
-
-
-# ---------------------------------------------------------------------------
-# determinism
-# ---------------------------------------------------------------------------
-
-_CLOCK_ATTRS = frozenset({"time", "time_ns", "localtime", "ctime"})
-_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-
-
-class DeterminismRule(Rule):
-    """The pipeline must be a pure function of its inputs.
-
-    The ten-dataset evaluation is replayable only if ``repro.core``,
-    ``repro.similarity`` and ``repro.semnet`` never consult hidden
-    nondeterministic inputs: the unseeded ``random`` module API,
-    wall-clock time, ``os.environ``, or the iteration order of a set
-    (``random.Random(seed)`` instances are explicitly allowed — that is
-    the sanctioned randomness).
-    """
-
-    id = "determinism"
-    description = (
-        "no unseeded random, wall-clock time, os.environ, or "
-        "set-order-dependent iteration in the deterministic pipeline"
-    )
-    scope = ("repro/core/", "repro/similarity/", "repro/semnet/")
-
-    def visit_Call(self, node: ast.Call, ctx: LintContext) -> None:
-        """Flag unseeded-RNG / clock / environment calls."""
-        func = node.func
-        if not isinstance(func, ast.Attribute) or \
-                not isinstance(func.value, ast.Name):
-            return
-        module, attr = func.value.id, func.attr
-        if module == "random" and attr not in ("Random", "SystemRandom"):
-            ctx.report(
-                self.id, node,
-                f"random.{attr}() uses the shared unseeded RNG; "
-                "thread a random.Random(seed) instance instead",
-            )
-        elif module == "time" and attr in _CLOCK_ATTRS:
-            ctx.report(
-                self.id, node,
-                f"time.{attr}() makes pipeline output depend on the "
-                "wall clock; pass timestamps in explicitly",
-            )
-        elif module == "datetime" and attr in _DATETIME_ATTRS:
-            ctx.report(
-                self.id, node,
-                f"datetime.{attr}() makes pipeline output depend on the "
-                "wall clock; pass timestamps in explicitly",
-            )
-        elif module == "os" and attr == "getenv":
-            ctx.report(
-                self.id, node,
-                "os.getenv() reads hidden configuration; thread settings "
-                "through XSDFConfig instead",
-            )
-
-    def visit_Attribute(self, node: ast.Attribute, ctx: LintContext) -> None:
-        """Flag ``os.environ`` access."""
-        if isinstance(node.value, ast.Name) and node.value.id == "os" \
-                and node.attr == "environ":
-            ctx.report(
-                self.id, node,
-                "os.environ reads hidden configuration; thread settings "
-                "through XSDFConfig instead",
-            )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom, ctx: LintContext) -> None:
-        """Flag importing unseeded-random / clock names directly."""
-        if node.module == "random":
-            bad = [a.name for a in node.names
-                   if a.name not in ("Random", "SystemRandom")]
-            if bad:
-                ctx.report(
-                    self.id, node,
-                    f"from random import {', '.join(bad)} pulls in the "
-                    "shared unseeded RNG; import Random and seed it",
-                )
-        elif node.module == "time":
-            bad = [a.name for a in node.names if a.name in _CLOCK_ATTRS]
-            if bad:
-                ctx.report(
-                    self.id, node,
-                    f"from time import {', '.join(bad)} leaks the wall "
-                    "clock into the deterministic pipeline",
-                )
-
-    def visit_For(self, node: ast.For, ctx: LintContext) -> None:
-        """Flag iteration directly over a set expression."""
-        self._check_iter(node.iter, ctx)
-
-    def visit_comprehension(self, node, ctx: LintContext) -> None:
-        """Flag comprehension iteration directly over a set expression."""
-        self._check_iter(node.iter, ctx)
-
-    def _check_iter(self, iter_expr: ast.AST, ctx: LintContext) -> None:
-        if self._is_set_expr(iter_expr):
-            ctx.report(
-                self.id, iter_expr,
-                "iterating a set has no guaranteed order; iterate "
-                "sorted(...) or a list to keep results replayable",
-            )
-
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in ("set", "frozenset"):
-            return True
-        if isinstance(node, ast.BinOp) and \
-                isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.Sub)):
-            return self._is_set_expr(node.left) or \
-                self._is_set_expr(node.right)
-        return False
-
-
-# ---------------------------------------------------------------------------
-# picklable-submit
-# ---------------------------------------------------------------------------
-
-
-class PicklableSubmitRule(Rule):
-    """Pool submission points only accept picklable callables.
-
-    ``multiprocessing`` pickles the callable sent to workers; lambdas
-    and functions defined inside another function fail at runtime with
-    an opaque ``PicklingError`` — on some platforms only under load.
-    :class:`repro.runtime.executor.BatchExecutor` therefore keeps its
-    worker functions at module level, and this rule pins that shape at
-    every ``pool.map(...)`` / ``Pool(initializer=...)``-style call.
-    """
-
-    id = "picklable-submit"
-    description = (
-        "no lambdas or locally-defined functions at pool submission "
-        "points (map/apply_async/submit/initializer=)"
-    )
-
-    def visit_Call(self, node: ast.Call, ctx: LintContext) -> None:
-        """Flag lambdas handed to a submission call."""
-        for candidate in submitted_callables(node):
-            if isinstance(candidate, ast.Lambda):
-                ctx.report(
-                    self.id, candidate,
-                    "lambda passed to a worker-pool submission point; "
-                    "lambdas do not pickle — use a module-level function",
-                )
-
-    def visit_FunctionDef(self, fn: ast.FunctionDef, ctx: LintContext) -> None:
-        """Flag locally-defined functions handed to a submission call."""
-        self._check_nested(fn, ctx)
-
-    def visit_AsyncFunctionDef(self, fn, ctx: LintContext) -> None:
-        """Async variant of :meth:`visit_FunctionDef`."""
-        self._check_nested(fn, ctx)
-
-    def _check_nested(self, fn, ctx: LintContext) -> None:
-        nodes = ctx.local_nodes(fn)
-        nested = {
-            node.name for node in nodes if isinstance(node, _FUNCTION_NODES)
-        }
-        if not nested:
-            return
-        for node in nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            for candidate in submitted_callables(node):
-                if isinstance(candidate, ast.Name) and \
-                        candidate.id in nested:
-                    ctx.report(
-                        self.id, candidate,
-                        f"locally-defined function {candidate.id!r} passed "
-                        "to a worker-pool submission point; local "
-                        "functions do not pickle — move it to module level",
-                    )
-
-    # Submission-point detection (what counts as a pool receiver and a
-    # submitted callable) is shared with the worker-boundary rule — see
-    # :func:`repro.devtools.dataflow.submitted_callables`.
 
 
 # ---------------------------------------------------------------------------
@@ -921,11 +734,58 @@ class MemoKeyPurityRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# silent-degrade
+# silent-degrade / handler-envelope: one handler scan
 # ---------------------------------------------------------------------------
 
+#: Lookup-miss exceptions: absence handling, not failure handling.
+_LOOKUP_MISSES = frozenset({"KeyError", "IndexError", "StopIteration"})
 
-class SilentDegradeRule(Rule):
+
+def _caught_names(type_node: ast.AST | None) -> set[str]:
+    """Exception class names a handler catches (empty if unknown)."""
+    if isinstance(type_node, ast.Name):
+        return {type_node.id}
+    if isinstance(type_node, ast.Attribute):
+        return {type_node.attr}
+    if isinstance(type_node, ast.Tuple):
+        names: set[str] = set()
+        for element in type_node.elts:
+            names |= _caught_names(element)
+        return names
+    return set()
+
+
+class _HandlerScanRule(Rule):
+    """An ``except`` branch must re-raise or make an answering call.
+
+    Handlers catching only lookup-miss exceptions are control flow and
+    stay silent.  The scan covers the handler's own body without
+    entering nested scopes: a ``raise`` inside a nested ``def`` does
+    not re-raise the handled failure.
+    """
+
+    #: The finding message for a handler that neither raises nor answers.
+    message = ""
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler,
+                            ctx: LintContext) -> None:
+        """Flag handlers that swallow a failure without answering it."""
+        caught = _caught_names(node.type)
+        if caught and caught <= _LOOKUP_MISSES:
+            return
+        for inner in local_nodes(node):
+            if isinstance(inner, ast.Raise):
+                return
+            if isinstance(inner, ast.Call) and self._answers(inner.func):
+                return
+        ctx.report(self.id, node, self.message)
+
+    def _answers(self, func: ast.AST) -> bool:
+        """Whether a call to ``func`` answers the handled failure."""
+        raise NotImplementedError
+
+
+class SilentDegradeRule(_HandlerScanRule):
     """Fallback branches in ``repro.runtime`` must be observable.
 
     The resilience contract is that the runtime may degrade (serial
@@ -947,55 +807,20 @@ class SilentDegradeRule(Rule):
         "explicit '# lint: disable=silent-degrade' pragma"
     )
     scope = ("repro/runtime/",)
-
-    #: Lookup-miss exceptions: absence handling, not failure handling.
-    _LOOKUP_MISSES = frozenset({"KeyError", "IndexError", "StopIteration"})
+    message = (
+        "this except branch degrades silently; re-raise, emit a "
+        "MetricsRegistry count/observe/event, or annotate the "
+        "deliberate silence with '# lint: disable=silent-degrade'"
+    )
 
     #: MetricsRegistry emission methods that make a fallback observable.
     _EMITTERS = frozenset({"count", "observe", "event"})
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler,
-                            ctx: LintContext) -> None:
-        """Flag handlers that reach a fallback with no raise and no emit."""
-        caught = self._caught_names(node.type)
-        if caught and caught <= self._LOOKUP_MISSES:
-            return
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Raise):
-                return
-            if (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr in self._EMITTERS
-            ):
-                return
-        ctx.report(
-            self.id, node,
-            "this except branch degrades silently; re-raise, emit a "
-            "MetricsRegistry count/observe/event, or annotate the "
-            "deliberate silence with '# lint: disable=silent-degrade'",
-        )
-
-    def _caught_names(self, type_node: ast.AST | None) -> set[str]:
-        """Exception class names this handler catches (empty if unknown)."""
-        if isinstance(type_node, ast.Name):
-            return {type_node.id}
-        if isinstance(type_node, ast.Attribute):
-            return {type_node.attr}
-        if isinstance(type_node, ast.Tuple):
-            names: set[str] = set()
-            for element in type_node.elts:
-                names |= self._caught_names(element)
-            return names
-        return set()
+    def _answers(self, func: ast.AST) -> bool:
+        return isinstance(func, ast.Attribute) and func.attr in self._EMITTERS
 
 
-# ---------------------------------------------------------------------------
-# handler-envelope
-# ---------------------------------------------------------------------------
-
-
-class HandlerEnvelopeRule(Rule):
+class HandlerEnvelopeRule(_HandlerScanRule):
     """Server except branches must answer with a typed error envelope.
 
     The service contract mirrors the batch pipeline's resilience
@@ -1018,48 +843,18 @@ class HandlerEnvelopeRule(Rule):
         "explicit '# lint: disable=handler-envelope' pragma"
     )
     scope = ("repro/server/",)
+    message = (
+        "this except branch drops the request without a typed error "
+        "envelope; re-raise, call an envelope writer, or annotate a "
+        "teardown path with '# lint: disable=handler-envelope'"
+    )
 
-    #: Lookup-miss exceptions: absence handling, not failure handling.
-    _LOOKUP_MISSES = frozenset({"KeyError", "IndexError", "StopIteration"})
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler,
-                            ctx: LintContext) -> None:
-        """Flag handlers that swallow a failure without answering it."""
-        caught = self._caught_names(node.type)
-        if caught and caught <= self._LOOKUP_MISSES:
-            return
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Raise):
-                return
-            if isinstance(inner, ast.Call) and \
-                    self._is_envelope_call(inner.func):
-                return
-        ctx.report(
-            self.id, node,
-            "this except branch drops the request without a typed error "
-            "envelope; re-raise, call an envelope writer, or annotate a "
-            "teardown path with '# lint: disable=handler-envelope'",
-        )
-
-    def _is_envelope_call(self, func: ast.AST) -> bool:
+    def _answers(self, func: ast.AST) -> bool:
         if isinstance(func, ast.Name):
             return "envelope" in func.id.lower()
         if isinstance(func, ast.Attribute):
             return "envelope" in func.attr.lower()
         return False
-
-    def _caught_names(self, type_node: ast.AST | None) -> set[str]:
-        """Exception class names this handler catches (empty if unknown)."""
-        if isinstance(type_node, ast.Name):
-            return {type_node.id}
-        if isinstance(type_node, ast.Attribute):
-            return {type_node.attr}
-        if isinstance(type_node, ast.Tuple):
-            names: set[str] = set()
-            for element in type_node.elts:
-                names |= self._caught_names(element)
-            return names
-        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -1067,21 +862,24 @@ class HandlerEnvelopeRule(Rule):
 # ---------------------------------------------------------------------------
 
 from .flowrules import (  # noqa: E402 — registry import, after Rule defs
-    DeterminismFlowRule,
-    ExceptionFlowRule,
+    DeterminismRule,
     ResourceLifecycleRule,
     WorkerBoundaryRule,
 )
 
 #: Stable rule registry: ID -> class.  IDs are part of the suppression
-#: and CI contract — never renumber or rename, only add.
+#: and CI contract: never rename one.  Three were retired by folding
+#: them into the rule that guards the same invariant —
+#: ``determinism-flow`` into ``determinism``, ``picklable-submit`` into
+#: ``worker-boundary``, and ``exception-flow`` (which could not fire
+#: where those two did not) into ``silent-degrade`` /
+#: ``handler-envelope``; no pragma in the tree named them.
 RULE_CLASSES: dict[str, type[Rule]] = {
     rule_class.id: rule_class
     for rule_class in (
         IndexParityRule,
         CachePurityRule,
         DeterminismRule,
-        PicklableSubmitRule,
         DefinitionXrefRule,
         BroadExceptRule,
         MutableDefaultRule,
@@ -1089,9 +887,7 @@ RULE_CLASSES: dict[str, type[Rule]] = {
         MemoKeyPurityRule,
         SilentDegradeRule,
         HandlerEnvelopeRule,
-        DeterminismFlowRule,
         WorkerBoundaryRule,
-        ExceptionFlowRule,
         ResourceLifecycleRule,
     )
 }

@@ -65,8 +65,12 @@ def document_digest(xml: str) -> str:
 
     Keying entries by ``(name, digest)`` means a document edited
     between the crash and the resume is re-scored, never replayed.
+    The text is encoded with ``surrogatepass``, like the executor's
+    cache key: a document file that is not UTF-8 reaches ``parse`` as
+    lone surrogates and fails there, and UTF-8 text digests to the
+    same bytes as before.
     """
-    return hashlib.sha256(xml.encode("utf-8")).hexdigest()
+    return hashlib.sha256(xml.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _encode_frame(payload: dict) -> bytes:

@@ -139,85 +139,11 @@ class TestLintOptions:
 
 class TestMergedTreeContract:
     def test_src_and_tests_lint_clean(self):
-        """The merge gate: the shipped tree has zero findings."""
-        if not (Path("src").is_dir() and Path("tests").is_dir()):
+        """The merge gate: the shipped tree has zero findings over the
+        roots CI lints (``repro lint``'s default)."""
+        roots = ["src", "tests", "benchmarks", "examples"]
+        if not all(Path(root).is_dir() for root in roots):
             pytest.skip("not running from the repository root")
-        code, output = run(["lint", "src", "tests", "--format", "json"])
+        code, output = run(["lint", *roots, "--format", "json"])
         assert code == 0, output
         assert json.loads(output) == {"count": 0, "findings": []}
-
-
-class TestLintV2Flags:
-    """The v2 plumbing: SARIF, --out, baselines, cache and --changed."""
-
-    BROKEN = """\
-        try:
-            pass
-        except Exception:
-            pass
-        """
-
-    def test_sarif_format(self, scratch_root):
-        path = write_scratch(scratch_root, self.BROKEN)
-        code, output = run(["lint", path, "--format", "sarif"])
-        assert code == 1
-        document = json.loads(output)
-        assert document["version"] == "2.1.0"
-        result = document["runs"][0]["results"][0]
-        assert result["ruleId"] == "broad-except"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 3
-        assert region["startColumn"] == 1  # SARIF columns are 1-based
-
-    def test_out_writes_report_to_file(self, scratch_root):
-        path = write_scratch(scratch_root, self.BROKEN)
-        report = scratch_root / "lint.sarif"
-        code, output = run([
-            "lint", path, "--format", "sarif", "--out", str(report),
-        ])
-        assert code == 1
-        assert "written to" in output
-        assert json.loads(report.read_text(encoding="utf-8"))["runs"]
-
-    def test_write_then_apply_baseline(self, scratch_root):
-        path = write_scratch(scratch_root, self.BROKEN)
-        baseline = scratch_root / "lint-baseline.json"
-        code, output = run([
-            "lint", path, "--write-baseline", str(baseline),
-        ])
-        assert code == 0
-        assert "1 finding" in output
-
-        # With the baseline the same debt passes ...
-        code, output = run(["lint", path, "--baseline", str(baseline)])
-        assert code == 0
-        assert "clean (0 findings)" in output
-
-        # ... but a new violation still fails.
-        path2 = write_scratch(scratch_root, self.BROKEN, name="fresh.py")
-        code, output = run([
-            "lint", path, path2, "--baseline", str(baseline),
-        ])
-        assert code == 1
-        assert "fresh.py" in output
-
-    def test_malformed_baseline_is_a_hard_error(self, scratch_root):
-        path = write_scratch(scratch_root, "X = 1\n")
-        bad = scratch_root / "bad.json"
-        bad.write_text("[]", encoding="utf-8")
-        with pytest.raises(SystemExit):
-            run(["lint", path, "--baseline", str(bad)])
-
-    def test_cache_round_trip_through_the_cli(self, scratch_root):
-        path = write_scratch(scratch_root, self.BROKEN)
-        cache = scratch_root / "cache.json"
-        code1, out1 = run(["lint", path, "--cache", str(cache)])
-        code2, out2 = run(["lint", path, "--cache", str(cache)])
-        assert (code1, out1) == (code2, out2) == (1, out1)
-        assert cache.is_file()
-
-    def test_jobs_flag_matches_serial_output(self, scratch_root):
-        path = write_scratch(scratch_root, self.BROKEN)
-        _, serial = run(["lint", path, "--format", "json"])
-        _, parallel = run(["lint", path, "--format", "json", "--jobs", "2"])
-        assert parallel == serial

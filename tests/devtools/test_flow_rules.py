@@ -1,18 +1,18 @@
-"""The v2 flow-rule families: fire + silent fixtures per rule.
+"""The flow-rule families: fire + silent fixtures per rule.
 
 Each family gets at least one *fire* fixture (the hazard, minimal) and
-one *silent* fixture (the sanctioned shape of the same code), plus the
-cross-module cases only the project model can see: exception-flow
-through an imported helper, and the seeded-regression check that
-deleting the envelope branch from a copy of ``repro/server/app.py``
-produces a finding.
+one *silent* fixture (the sanctioned shape of the same code).  The
+fixtures of the retired ``determinism-flow`` and ``exception-flow``
+rules stay, asserting the rule that now catches them (``determinism``,
+and ``silent-degrade`` / ``handler-envelope``), plus the
+seeded-regression check that deleting the envelope branch from a copy
+of ``repro/server/app.py`` produces a finding.
 """
 
 from __future__ import annotations
 
 import ast
 import shutil
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ def _ids(findings, rule_id):
 
 
 # ---------------------------------------------------------------------------
-# determinism-flow
+# determinism: set-valued names reaching order sinks
 # ---------------------------------------------------------------------------
 
 
@@ -40,9 +40,9 @@ class TestDeterminismFlow:
                     acc += x
                 return acc
             """,
-            rules=["determinism-flow"],
+            rules=["determinism"],
         )
-        assert len(_ids(findings, "determinism-flow")) == 1
+        assert len(_ids(findings, "determinism")) == 1
         assert "'pool'" in findings[0].message
 
     def test_fires_on_ordered_append_and_yield(self, lint):
@@ -61,9 +61,9 @@ class TestDeterminismFlow:
                 for x in seen:
                     yield x
             """,
-            rules=["determinism-flow"],
+            rules=["determinism"],
         )
-        assert len(_ids(findings, "determinism-flow")) == 2
+        assert len(_ids(findings, "determinism")) == 2
 
     def test_fires_on_list_and_tuple_materialization(self, lint):
         findings = lint(
@@ -77,9 +77,9 @@ class TestDeterminismFlow:
                 ids = set(config_ids)
                 return list(ids)
             """,
-            rules=["determinism-flow"],
+            rules=["determinism"],
         )
-        assert len(_ids(findings, "determinism-flow")) == 2
+        assert len(_ids(findings, "determinism")) == 2
 
     def test_silent_when_sorted_first(self, lint):
         findings = lint(
@@ -96,7 +96,7 @@ class TestDeterminismFlow:
                 ids = set(config_ids)
                 return tuple(sorted(ids))
             """,
-            rules=["determinism-flow"],
+            rules=["determinism"],
         )
         assert findings == []
 
@@ -110,7 +110,7 @@ class TestDeterminismFlow:
                     seen.add(x)
                 return seen
             """,
-            rules=["determinism-flow"],
+            rules=["determinism"],
         )
         assert findings == []
 
@@ -124,7 +124,7 @@ class TestDeterminismFlow:
                     acc += x
                 return acc
             """,
-            rules=["determinism-flow"],
+            rules=["determinism"],
             path="src/repro/server/snippet.py",
         )
         assert findings == []
@@ -238,7 +238,7 @@ class TestWorkerBoundary:
 
 
 # ---------------------------------------------------------------------------
-# exception-flow
+# typed errors must reach an outcome: silent-degrade / handler-envelope
 # ---------------------------------------------------------------------------
 
 _RUNTIME = "src/repro/runtime/snippet.py"
@@ -246,6 +246,10 @@ _SERVER = "src/repro/server/snippet.py"
 
 
 class TestExceptionFlow:
+    """The retired exception-flow fixtures: a typed repro error caught in
+    runtime/server code must re-raise or reach an outcome in the
+    handler itself, which the handler-scan rules check."""
+
     def test_fires_when_typed_error_vanishes(self, lint):
         findings = lint(
             """\
@@ -259,11 +263,11 @@ class TestExceptionFlow:
                 except PackError:
                     return None
             """,
-            rules=["exception-flow"],
+            rules=["silent-degrade"],
             path=_RUNTIME,
         )
-        assert len(_ids(findings, "exception-flow")) == 1
-        assert "PackError" in findings[0].message
+        (finding,) = _ids(findings, "silent-degrade")
+        assert finding.line == 8  # the PackError handler
 
     def test_silent_when_handler_reraises_or_emits(self, lint):
         findings = lint(
@@ -286,32 +290,7 @@ class TestExceptionFlow:
                     metrics.count("pack_failed")
                     return None
             """,
-            rules=["exception-flow"],
-            path=_RUNTIME,
-        )
-        assert findings == []
-
-    def test_silent_when_callee_reaches_the_sink(self, lint):
-        # The call-graph upgrade: the handler body has no sink, but the
-        # helper it delegates to emits the metrics signal.
-        findings = lint(
-            """\
-            class PackError(Exception):
-                pass
-
-
-            def _note(metrics, doc):
-                metrics.count("pack_failed")
-                return None
-
-
-            def step(metrics, doc):
-                try:
-                    return doc.upper()
-                except PackError:
-                    return _note(metrics, doc)
-            """,
-            rules=["exception-flow"],
+            rules=["silent-degrade"],
             path=_RUNTIME,
         )
         assert findings == []
@@ -333,10 +312,10 @@ class TestExceptionFlow:
                 except PackError:
                     return _swallow(doc)
             """,
-            rules=["exception-flow"],
+            rules=["silent-degrade"],
             path=_RUNTIME,
         )
-        assert len(_ids(findings, "exception-flow")) == 1
+        assert len(_ids(findings, "silent-degrade")) == 1
 
     def test_server_mode_requires_envelope_not_metrics(self, lint):
         findings = lint(
@@ -359,10 +338,10 @@ class TestExceptionFlow:
                 except RouteError as exc:
                     return write_error_envelope(writer, exc)
             """,
-            rules=["exception-flow"],
+            rules=["handler-envelope"],
             path=_SERVER,
         )
-        flagged = _ids(findings, "exception-flow")
+        flagged = _ids(findings, "handler-envelope")
         assert len(flagged) == 1
         assert flagged[0].line < 12  # handle_a's handler, not handle_b's
 
@@ -379,63 +358,10 @@ class TestExceptionFlow:
                 except PackError:  # lint: disable=silent-degrade
                     return None
             """,
-            rules=["exception-flow"],
+            rules=["silent-degrade"],
             path=_RUNTIME,
         )
         assert findings == []
-
-    def test_cross_module_sink_through_the_import_graph(self, tmp_path):
-        """The pair only the project model can judge: the sink lives in
-        an imported module; with it the handler is clean, without it
-        the handler fires."""
-        pkg = tmp_path / "src" / "repro" / "server"
-        pkg.mkdir(parents=True)
-        handler_src = textwrap.dedent(
-            """\
-            from repro.server.fail import reject
-
-
-            class EnvelopeError(Exception):
-                pass
-
-
-            def handle(writer, request):
-                try:
-                    return request.route()
-                except EnvelopeError as exc:
-                    return reject(writer, exc)
-            """
-        )
-        sink_src = textwrap.dedent(
-            """\
-            def reject(writer, exc):
-                return _send_envelope(writer, exc)
-
-
-            def _send_envelope(writer, exc):
-                writer.write(b"{}")
-            """
-        )
-        no_sink_src = textwrap.dedent(
-            """\
-            def reject(writer, exc):
-                return None
-            """
-        )
-        (pkg / "handler.py").write_text(handler_src, encoding="utf-8")
-        (pkg / "fail.py").write_text(sink_src, encoding="utf-8")
-        engine = LintEngine(all_rules(["exception-flow"]),
-                            project_root=tmp_path)
-        clean = engine.lint_paths([pkg])
-        assert _ids(clean, "exception-flow") == []
-
-        (pkg / "fail.py").write_text(no_sink_src, encoding="utf-8")
-        engine = LintEngine(all_rules(["exception-flow"]),
-                            project_root=tmp_path)
-        dirty = engine.lint_paths([pkg])
-        flagged = _ids(dirty, "exception-flow")
-        assert len(flagged) == 1
-        assert flagged[0].path.endswith("handler.py")
 
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -443,7 +369,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 class TestSeededRegression:
     """Deleting the envelope branch from a copy of the real server must
-    produce an exception-flow finding — the rule guards the tree it
+    produce a handler-envelope finding — the rule guards the tree it
     ships with, not just synthetic fixtures."""
 
     def _lint_copy(self, tmp_path, mutate):
@@ -452,13 +378,13 @@ class TestSeededRegression:
         target_dir.mkdir(parents=True)
         target = target_dir / "app.py"
         shutil.copyfile(app_src, target)
-        if mutate:
-            self._delete_envelope_branch(target)
-        engine = LintEngine(all_rules(["exception-flow"]),
+        handler_line = self._delete_envelope_branch(target) if mutate \
+            else None
+        engine = LintEngine(all_rules(["handler-envelope"]),
                             project_root=tmp_path)
-        return engine.lint_paths([target])
+        return engine.lint_paths([target]), handler_line
 
-    def _delete_envelope_branch(self, target: Path) -> None:
+    def _delete_envelope_branch(self, target: Path) -> int:
         source = target.read_text(encoding="utf-8")
         tree = ast.parse(source)
         handler = next(
@@ -474,16 +400,16 @@ class TestSeededRegression:
             lines[start].lstrip())]
         lines[start:end] = [f"{indent}pass\n"]
         target.write_text("".join(lines), encoding="utf-8")
+        return handler.lineno
 
     def test_pristine_copy_is_clean(self, tmp_path):
-        findings = self._lint_copy(tmp_path, mutate=False)
-        assert _ids(findings, "exception-flow") == []
+        findings, _ = self._lint_copy(tmp_path, mutate=False)
+        assert _ids(findings, "handler-envelope") == []
 
     def test_mutated_copy_fires(self, tmp_path):
-        findings = self._lint_copy(tmp_path, mutate=True)
-        flagged = _ids(findings, "exception-flow")
-        assert len(flagged) >= 1
-        assert "EnvelopeError" in flagged[0].message
+        findings, handler_line = self._lint_copy(tmp_path, mutate=True)
+        flagged = _ids(findings, "handler-envelope")
+        assert [f.line for f in flagged] == [handler_line]
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +619,7 @@ class TestResourceLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# migration guarantee: the merged tree stays clean under all 15 rules
+# the runtime and server subtrees stay clean under the flow rules
 # ---------------------------------------------------------------------------
 
 
@@ -701,8 +627,8 @@ class TestFlowRulesOnRealTree:
     @pytest.mark.parametrize("subtree", ["runtime", "server"])
     def test_real_subtree_is_clean_under_flow_rules(self, subtree):
         engine = LintEngine(
-            all_rules(["determinism-flow", "worker-boundary",
-                       "exception-flow", "resource-lifecycle"]),
+            all_rules(["determinism", "worker-boundary", "silent-degrade",
+                       "handler-envelope", "resource-lifecycle"]),
             project_root=REPO_ROOT,
         )
         findings = engine.lint_paths([REPO_ROOT / "src" / "repro" / subtree])

@@ -1,4 +1,4 @@
-"""The project model substrate: names, imports, call graph, dataflow."""
+"""The project model substrate: names, bindings, call graph, dataflow."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.devtools.model import (
     ProjectModel,
     build_module,
     module_name_for_path,
-    resolve_targets,
 )
 
 
@@ -25,7 +24,6 @@ def _model(tmp_path, **sources):
         path = str(tmp_path / "src" / "repro" /
                    Path(tail.replace(".", "/") + ".py"))
         model.add_module(_module(tmp_path, path, source))
-    model.finalize()
     return model
 
 
@@ -44,28 +42,6 @@ class TestModuleNames:
 
 
 class TestImportGraph:
-    def test_longest_prefix_resolution(self):
-        known = {"repro.runtime", "repro.runtime.pack"}
-        assert resolve_targets(["repro.runtime.pack.PackedIndex"],
-                               known) == {"repro.runtime.pack"}
-        assert resolve_targets(["repro.runtime.misc"],
-                               known) == {"repro.runtime"}
-
-    def test_transitive_closures(self, tmp_path):
-        model = _model(
-            tmp_path,
-            **{
-                "core.a": "A = 1\n",
-                "core.b": "from repro.core.a import A\n",
-                "core.c": "from repro.core.b import A\n",
-                "core.d": "D = 4\n",
-            },
-        )
-        importers = model.transitive_importers(["repro.core.a"])
-        assert importers == {"repro.core.a", "repro.core.b", "repro.core.c"}
-        imports = model.transitive_imports(["repro.core.c"])
-        assert imports == {"repro.core.c", "repro.core.b", "repro.core.a"}
-
     def test_relative_imports_resolve(self, tmp_path):
         model = _model(
             tmp_path,
@@ -74,7 +50,8 @@ class TestImportGraph:
                 "core.b": "from .a import A\n",
             },
         )
-        assert model.imports_of["repro.core.b"] == {"repro.core.a"}
+        assert model.modules["repro.core.b"].bindings["A"] == \
+            ("symbol", "repro.core.a", "A")
 
 
 class TestCallGraph:
@@ -204,63 +181,3 @@ class TestDataflow:
             node = name(n)
             node.lineno = line
             assert is_set_valued(node, defs) is expected, n
-
-    def test_exception_summaries_fold_through_callees(self, tmp_path):
-        model = _model(
-            tmp_path,
-            **{
-                "runtime.err": """\
-                class PackError(Exception):
-                    pass
-
-
-                def inner():
-                    raise PackError("boom")
-
-
-                def outer():
-                    return inner()
-
-
-                def guarded():
-                    try:
-                        return inner()
-                    except PackError:
-                        return None
-                """,
-            },
-        )
-        summaries = model.exception_summaries()
-        assert summaries["repro.runtime.err:inner"] == \
-            frozenset({"PackError"})
-        assert summaries["repro.runtime.err:outer"] == \
-            frozenset({"PackError"})
-        assert summaries["repro.runtime.err:guarded"] == frozenset()
-
-    def test_purity_fixpoint(self, tmp_path):
-        model = _model(
-            tmp_path,
-            **{
-                "core.p": """\
-                def pure(x):
-                    return x + 1
-
-
-                def also_pure(x):
-                    return pure(x)
-
-
-                def impure(acc, x):
-                    acc.append(x)
-
-
-                def tainted(acc, x):
-                    impure(acc, x)
-                """,
-            },
-        )
-        purity = model.purity()
-        assert purity["repro.core.p:pure"] == "pure"
-        assert purity["repro.core.p:also_pure"] == "pure"
-        assert purity["repro.core.p:impure"] == "impure"
-        assert purity["repro.core.p:tainted"] == "impure"

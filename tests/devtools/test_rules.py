@@ -270,16 +270,19 @@ class TestDeterminism:
 
 
 class TestPicklableSubmit:
+    """The retired picklable-submit fixtures, now caught by
+    worker-boundary."""
+
     def test_fires_on_lambda_to_pool(self, lint):
         findings = lint(
             """\
             def run(pool, docs):
                 return pool.map(lambda d: d.upper(), docs)
             """,
-            rules=["picklable-submit"],
+            rules=["worker-boundary"],
         )
         (finding,) = findings
-        assert finding.rule == "picklable-submit"
+        assert finding.rule == "worker-boundary"
         assert "do not pickle" in finding.message
 
     def test_fires_on_local_function_to_pool(self, lint):
@@ -290,7 +293,7 @@ class TestPicklableSubmit:
                     return doc.upper()
                 return executor.submit(work, docs)
             """,
-            rules=["picklable-submit"],
+            rules=["worker-boundary"],
         )
         (finding,) = findings
         assert "'work'" in finding.message
@@ -302,9 +305,9 @@ class TestPicklableSubmit:
                 with Pool(2, initializer=lambda: None) as pool:
                     return pool.map(str.upper, docs)
             """,
-            rules=["picklable-submit"],
+            rules=["worker-boundary"],
         )
-        assert rules_of(findings) == ["picklable-submit"]
+        assert rules_of(findings) == ["worker-boundary"]
 
     def test_silent_on_module_level_worker(self, lint):
         assert lint(
@@ -315,7 +318,7 @@ class TestPicklableSubmit:
             def run(pool, docs):
                 return pool.map(work, docs)
             """,
-            rules=["picklable-submit"],
+            rules=["worker-boundary"],
         ) == []
 
     def test_silent_on_non_pool_fluent_map(self, lint):
@@ -326,7 +329,7 @@ class TestPicklableSubmit:
             def strategy(st):
                 return st.integers(0, 10).map(lambda n: n / 10.0)
             """,
-            rules=["picklable-submit"],
+            rules=["worker-boundary"],
         ) == []
 
 
@@ -684,6 +687,23 @@ class TestSilentDegrade:
             """,
             rules=["silent-degrade"], path=CORE_PATH,
         ) == []
+
+    def test_raise_inside_a_nested_def_does_not_count(self, lint):
+        """The scan stays in the handler's own scope: a raise in a
+        nested function does not re-raise the handled failure."""
+        findings = lint(
+            """\
+            def decode(blob, network):
+                try:
+                    return unpack(blob)
+                except DecodeError:
+                    def later():
+                        raise RuntimeError("never called")
+                    return rebuild(network)
+            """,
+            rules=["silent-degrade"], path=RUNTIME_PATH,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("silent-degrade", 4)]
 
 
 class TestHandlerEnvelope:

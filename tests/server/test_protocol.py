@@ -2,18 +2,23 @@
 
 ``read_request`` is fed a pre-loaded ``asyncio.StreamReader`` directly
 — no socket needed — so every malformed-input branch and limit is
-exercised byte-for-byte.
+exercised byte-for-byte, and a hypothesis property feeds it mutated
+requests in split reads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server.protocol import (
     ChunkedNDJSONWriter,
+    HTTPRequest,
     ProtocolError,
     read_request,
     render_headers,
@@ -151,6 +156,114 @@ class TestReadRequest:
         with pytest.raises(ProtocolError) as err:
             parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort")
         assert err.value.status == 400
+
+
+_POST_BODY = b'{"xml": "<films><film>star</film></films>"}'
+#: Valid requests as (request line, headers, body).
+_VALID_REQUESTS = (
+    (b"POST /v1/disambiguate HTTP/1.1",
+     ((b"Host", b"example"), (b"Content-Type", b"application/json"),
+      (b"Content-Length", str(len(_POST_BODY)).encode())),
+     _POST_BODY),
+    (b"GET /healthz HTTP/1.1",
+     ((b"Host", b"example"), (b"Accept", b"*/*")),
+     b""),
+)
+#: Content-Length values the server refuses: 18 digits (the parser's
+#: cap, far over the body limit: 413), and 19 digits or non-digits,
+#: which RFC 9112's ``1*DIGIT`` framing rejects (400).
+_BAD_LENGTHS = (b"9" * 18, b"1" * 19, b"12a", b"-1", b"+5", b"0x10", b"")
+#: Bytes no request line or header name may carry: NUL, NEL, and
+#: non-ASCII UTF-8.
+_INSERTS = (b"\x00", b"\x85", "é".encode(), "\u2028".encode())
+_LINE_ENDS = (b"\r\n", b"\r", b"\n")
+
+
+@st.composite
+def hostile_requests(draw):
+    """A valid POST or GET after header edits, bad bytes in the request
+    line or a header name, bare line ends, byte flips and truncation."""
+    line, headers, body = draw(st.sampled_from(_VALID_REQUESTS))
+    headers = [list(header) for header in headers]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(
+            ("big", "duplicate", "length", "chunked")
+        ))
+        if edit == "big":
+            headers.insert(draw(st.integers(0, len(headers))),
+                           [b"X-Big", b"a" * 20000])
+        elif edit == "duplicate":
+            headers.append([b"Content-Length", str(len(body)).encode()])
+        elif edit == "length":
+            headers = [h for h in headers
+                       if h[0].lower() != b"content-length"]
+            headers.append([b"Content-Length",
+                            draw(st.sampled_from(_BAD_LENGTHS))])
+        else:
+            headers.append([b"Transfer-Encoding", b"chunked"])
+    for _ in range(draw(st.integers(0, 2))):
+        insert = draw(st.sampled_from(_INSERTS))
+        which = draw(st.integers(0, len(headers)))
+        if which == len(headers):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + insert + line[at:]
+        else:
+            name = headers[which][0]
+            at = draw(st.integers(0, len(name)))
+            headers[which][0] = name[:at] + insert + name[at:]
+    lines = [line] + [name + b": " + value for name, value in headers]
+    ends = draw(st.sampled_from(("crlf", "cr", "lf", "mixed")))
+    data = bytearray()
+    for text in lines + [b""]:
+        if ends == "mixed":
+            end = draw(st.sampled_from(_LINE_ENDS))
+        else:
+            end = {"crlf": b"\r\n", "cr": b"\r", "lf": b"\n"}[ends]
+        data += text + end
+    data += body
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] ^= 1 << draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+def _read_in_chunks(data: bytes, cuts: list[int], limit: int):
+    async def go():
+        reader = asyncio.StreamReader(limit=limit)
+
+        async def feed():
+            start = 0
+            for cut in sorted(cuts) + [len(data)]:
+                reader.feed_data(data[start:cut])
+                start = cut
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.create_task(feed())
+        try:
+            return await read_request(reader)
+        finally:
+            feeder.cancel()
+            await asyncio.gather(feeder, return_exceptions=True)
+
+    return asyncio.run(go())
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=2))
+@given(data=hostile_requests(), limit=st.sampled_from((64, 1024, 65536)),
+       cuts=st.lists(st.integers(0, 25000), max_size=3))
+def test_hostile_requests_parse_or_raise_protocol_error(data, limit, cuts):
+    """Only an ``HTTPRequest``, ``None`` or a ``ProtocolError`` with a
+    4xx/501 status comes out, however the bytes arrive."""
+    cuts = [min(cut, len(data)) for cut in cuts]
+    try:
+        request = _read_in_chunks(data, cuts, limit)
+    except ProtocolError as exc:
+        assert exc.status in (400, 413, 431, 501), exc.status
+        return
+    assert request is None or isinstance(request, HTTPRequest)
 
 
 class TestResponses:

@@ -383,12 +383,21 @@ class TestDocumentFiles:
         (tmp_path / "broken.xml").write_text(
             "<films><picture>\n</films>", encoding="utf-8"
         )
-        with pytest.raises(SystemExit) as excinfo:
-            run(command)
-        # A string SystemExit prints the message to stderr and exits 1.
-        assert excinfo.value.code == (
-            "XMLSyntaxError: mismatched tag (line 2, column 3)"
-        )
+        # Latin-1, not UTF-8: the byte 0xE9 reaches the parser as a
+        # lone surrogate.
+        (tmp_path / "latin1.xml").write_bytes(b"<films>caf\xe9</films>")
+        for bad, message in (
+            ("broken.xml",
+             "XMLSyntaxError: mismatched tag (line 2, column 3)"),
+            ("latin1.xml",
+             "XMLSyntaxError: character '\\udce9' cannot be encoded as "
+             "UTF-8 (line 1, column 11)"),
+        ):
+            argv = [bad if arg == "broken.xml" else arg for arg in command]
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            # A string SystemExit prints the message to stderr and exits 1.
+            assert excinfo.value.code == message
 
     def test_byte_order_mark_file_disambiguates(self, tmp_path, figure1_xml):
         plain = tmp_path / "plain.xml"
@@ -499,6 +508,30 @@ class TestBatchResilience:
         assert "ABORTED (--on-error=fail)" in output
         # Partial results (up to the abort) are still written.
         assert len(out_path.read_text().splitlines()) >= 1
+
+    @pytest.mark.parametrize("journal", [False, True],
+                             ids=["plain", "journal"])
+    def test_non_utf8_file_fails_alone_at_stage_parse(
+        self, tmp_path, figure1_xml, journal
+    ):
+        (tmp_path / "good-0.xml").write_text(figure1_xml, encoding="utf-8")
+        (tmp_path / "latin1.xml").write_bytes(b"<films>caf\xe9</films>")
+        out_path = tmp_path / "results.jsonl"
+        argv = [
+            "batch", str(tmp_path / "good-0.xml"),
+            str(tmp_path / "latin1.xml"),
+            "--on-error", "skip", "--out", str(out_path),
+        ]
+        if journal:
+            argv += ["--journal", str(tmp_path / "run.rxjf")]
+        code, output = run(argv)
+        assert code == 1
+        assert "2 documents, 1 failed" in output
+        (failed,) = [line for line in output.splitlines() if "FAILED" in line]
+        assert "latin1.xml" in failed and "stage=parse" in failed
+        good, bad = out_path.read_text().splitlines()
+        assert good == self._clean_lines(tmp_path, figure1_xml)[0]
+        assert '"ok": false' in bad and "latin1.xml" in bad
 
     def test_resilience_flags_are_validated(self, tmp_path, figure1_xml):
         (tmp_path / "doc.xml").write_text(figure1_xml, encoding="utf-8")
