@@ -23,16 +23,19 @@ Commands
     to ``repro batch`` while the caches stay warm across requests.
     ``GET /healthz`` and ``GET /metrics`` expose readiness and the live
     metrics snapshot; ``--rate-limit``/``--max-concurrency``/
-    ``--request-timeout`` bound admission, and SIGTERM drains
-    gracefully (finish in-flight, refuse new connections, exit 0).
+    ``--request-timeout`` bound admission, and SIGTERM, SIGINT or
+    SIGHUP drains gracefully (finish in-flight, refuse new
+    connections, exit 0).  The daemon serves the one network it
+    started with; a new network or shard takes a restart.
 ``pack SHARD``
     Write a network's packed index to an on-disk ``RXPD`` shard
-    (:mod:`repro.runtime.store`): ``batch``/``serve`` then attach it
-    read-only via ``mmap`` — no index build, no decode, and every
-    attaching process shares the same physical pages through the OS
-    page cache.  Pack the bundled lexicon, a ``--network`` JSON file,
-    or a ``--synthetic N`` generated taxonomy; ``--verify`` re-opens
-    the shard and checks the full body CRC.
+    (:mod:`repro.runtime.store`), stamped with the network's
+    fingerprint: ``batch``/``serve`` then attach it read-only via
+    ``mmap`` over that network only — no index build, no decode, and
+    every attaching process shares the same physical pages through the
+    OS page cache.  Pack the bundled lexicon, a ``--network`` JSON
+    file, or a ``--synthetic N`` generated taxonomy; ``--verify``
+    re-opens the shard and checks the full body CRC.
 ``audit FILE``
     Print the ambiguity-degree ranking of the file's nodes — which
     nodes are worth disambiguating, before spending any effort.
@@ -183,14 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attach the packed index from this RXPD "
                             "shard via mmap instead of building it "
                             "(requires --network; fingerprint-checked)")
-    batch.add_argument("--registry", default=None, metavar="TOML",
-                       help="a registry.toml manifest of domain "
-                            "networks/shards (mutually exclusive with "
-                            "--network/--shard)")
-    batch.add_argument("--domain", default=None,
-                       help="pin the registry domain to serve from "
-                            "(default: coverage-routed over the "
-                            "manifest's default + fallback domains)")
     batch.add_argument("--journal", default=None, metavar="PATH",
                        help="append each completed document to this "
                             "crash-safe outcome journal (WAL) as it "
@@ -221,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="synthetic gloss synthesis: radius-2 "
                            "neighborhood sampling or the O(1) local "
                            "fast path (default local; --synthetic only)")
-    pack.add_argument("--no-fingerprint", action="store_true",
-                      help="skip stamping the source network's "
-                           "fingerprint into the shard header")
     pack.add_argument("--verify", action="store_true",
                       help="re-open the shard and deep-verify the "
                            "body CRC after writing")
@@ -262,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: unbounded)")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="SECONDS",
-                       help="how long a SIGTERM drain waits for "
-                            "in-flight requests before cancelling "
-                            "stragglers (default 10)")
+                       help="how long a drain (SIGTERM, SIGINT or "
+                            "SIGHUP) waits for in-flight requests "
+                            "before cancelling stragglers (default 10)")
     serve.add_argument("--metrics-json", "--metrics", dest="metrics_json",
                        default=None, metavar="PATH",
                        help="flush the final metrics snapshot here on "
@@ -300,16 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shard via mmap instead of building it "
                             "(CRC- and fingerprint-checked against the "
                             "served network)")
-    serve.add_argument("--registry", default=None, metavar="TOML",
-                       help="serve every domain of a registry.toml "
-                            "manifest; requests pick one with the "
-                            "envelope's 'domain' key (mutually "
-                            "exclusive with --network/--shard)")
-    serve.add_argument("--reload-interval", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="watch the registry manifest and shard "
-                            "files and hot-reload sessions when they "
-                            "change (default 0 = SIGHUP only)")
 
     audit = sub.add_parser("audit", help="rank nodes by ambiguity degree")
     audit.add_argument("file", help="path to the XML document")
@@ -453,9 +435,7 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
         paths.extend(matches)
     documents = [(path, _read(path)) for path in paths]
 
-    network, prebuilt_index, registry, domain_note = _resolve_batch_index(
-        args, documents
-    )
+    network, prebuilt_index = _resolve_batch_index(args)
     config = _make_config(args)
     journal, run_docs, todo_indices, replayed = _open_journal(
         args, config, network, documents
@@ -521,18 +501,9 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
         interrupted = True
         records = [completed_by_pos[i] for i in sorted(completed_by_pos)]
     finally:
-        # Snapshot the index backing before teardown: closing the
-        # registry releases its mmap attachments (materializing the
-        # tables to heap), which would misreport the run itself.
-        index_backing = (
-            getattr(executor.index, "backing", "heap")
-            if not args.no_index else None
-        )
         # One batch per CLI process: drain the persistent pool and
         # unlink the shared index segment before writing results.
         executor.close()
-        if registry is not None:
-            registry.close()
         if journal is not None:
             journal.close()
     if profiler is not None:
@@ -572,12 +543,11 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             out.write("\n")
 
     summary = batch_summary(metrics.report(), len(records), len(failures))
-    if index_backing is not None:
+    if not args.no_index:
         # Where the index tables physically lived during the run:
         # "mmap" proves the zero-copy shard attach actually happened,
         # "heap" that the index was (re)built in this process.
-        summary += f", index={index_backing}"
-    summary += domain_note
+        summary += f", index={getattr(executor.index, 'backing', 'heap')}"
     if args.journal:
         summary += (
             f", journal replayed={len(replayed)} "
@@ -614,64 +584,37 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
     return 1 if failures else 0
 
 
-def _resolve_batch_index(args: argparse.Namespace, documents):
-    """The (network, prebuilt index, registry, summary note) for a batch.
+def _resolve_batch_index(args: argparse.Namespace):
+    """The (network, prebuilt index) for a batch.
 
-    Four sources, in priority order: a registry manifest (domain pinned
-    or coverage-routed over the batch's combined vocabulary), an RXPD
-    shard attached over an explicit network, a bare network JSON, or
-    the bundled lexicon.  Shard fingerprints are always checked against
-    the network so a stale shard fails loudly instead of scoring wrong.
+    Three sources, in priority order: an RXPD shard attached over an
+    explicit network, a bare network JSON, or the bundled lexicon.
+    Shard fingerprints are always checked against the network so a
+    stale shard fails loudly instead of scoring wrong.
     """
-    if args.registry and (args.network or args.shard):
-        raise SystemExit(
-            "--registry is mutually exclusive with --network/--shard"
-        )
-    if args.domain and not args.registry:
-        raise SystemExit("--domain requires --registry")
     if args.shard and not args.network:
         raise SystemExit(
             "--shard requires --network (the shard's source network)"
         )
-    if (args.shard or args.registry) and args.no_index:
+    if args.shard and args.no_index:
         raise SystemExit(
-            "--shard/--registry already provide a packed index; "
-            "drop --no-index"
+            "--shard already provides a packed index; drop --no-index"
         )
-    if args.registry:
-        from .runtime.store import NetworkRegistry, RegistryError
-
-        try:
-            registry = NetworkRegistry.load(args.registry)
-            if args.domain:
-                registry.entry(args.domain)  # unknown domains fail here
-                domain, coverage = args.domain, None
-            else:
-                domain, coverage = registry.route(
-                    "\n".join(xml for _, xml in documents)
-                )
-            attached = registry.attach(domain)
-        except RegistryError as exc:
-            raise SystemExit(str(exc))
-        note = f", domain={domain}"
-        if coverage is not None:
-            note += f" (coverage {coverage:.2f})"
-        return attached.network, attached.index, registry, note
     if args.shard:
         network = _load_network(args.network)
-        return network, _attach_shard(args.shard, network), None, ""
+        return network, _attach_shard(args.shard, network)
     if args.network:
-        return _load_network(args.network), None, None, ""
-    return default_lexicon(), None, None, ""
+        return _load_network(args.network), None
+    return default_lexicon(), None
 
 
 def _attach_shard(path: str, network):
     """Attach an RXPD shard with the full CRC check, or exit cleanly.
 
     The check pool workers and ``repro serve`` make: a missing,
-    truncated, rotted or stale (fingerprint-mismatched) shard becomes a
-    one-line ``cannot attach shard`` exit before any scoring, never a
-    traceback from the middle of a batch.
+    truncated, rotted, unstamped or stale (fingerprint-mismatched)
+    shard becomes a one-line ``cannot attach shard`` exit before any
+    scoring, never a traceback from the middle of a batch.
     """
     from .runtime.pack import PackedIndex, PackedIndexError
 
@@ -806,9 +749,8 @@ def _cmd_pack(args: argparse.Namespace, out) -> int:
         network = default_lexicon()
     start = timelib.perf_counter()
     index = PackedIndex(network)
-    fingerprint = None if args.no_fingerprint else network.fingerprint()
     try:
-        info = write_shard(index, args.out, fingerprint=fingerprint)
+        info = write_shard(index, args.out, fingerprint=network.fingerprint())
     except OSError as exc:
         raise SystemExit(f"cannot write shard {args.out}: {exc}")
     elapsed = timelib.perf_counter() - start
@@ -820,7 +762,7 @@ def _cmd_pack(args: argparse.Namespace, out) -> int:
         stats = verify_shard(args.out)
         out.write(
             f"verified: body CRC ok, {stats['ancestor_entries']} closure "
-            f"entries, fingerprint {stats['fingerprint'] or 'unstamped'}\n"
+            f"entries, fingerprint {stats['fingerprint']}\n"
         )
     return 0
 
@@ -858,10 +800,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     from .server.lifecycle import announce_to_stderr
     from .server.protocol import DEFAULT_MAX_BODY_BYTES
 
-    if args.registry and (args.network or args.shard):
-        raise SystemExit(
-            "--registry is mutually exclusive with --network/--shard"
-        )
     if args.network:
         network = _load_network(args.network)
     else:
@@ -885,31 +823,22 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                 else DEFAULT_CACHE_SIZE
             ),
             shard=args.shard,
-            registry=args.registry,
-            reload_interval=args.reload_interval,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
     app = ServerApp(
         network, config=_make_config(args), server_config=server_config
     )
-    if args.registry or args.shard:
+    if args.shard:
         from .runtime.pack import PackedIndexError
-        from .runtime.store import RegistryError
 
-        # Attach the manifest's default domain or the CRC-checked shard
-        # before listening, so an unreadable manifest or network, or a
-        # missing, damaged or stale shard, is one line, as in batch.
+        # Attach the CRC-checked shard before listening, so a missing,
+        # damaged, stale or unstamped shard is one line, as in batch.
         try:
             app.warm_up()
-        except RegistryError as exc:
-            app.close()
-            raise SystemExit(str(exc))
         except (PackedIndexError, OSError) as exc:
             app.close()
-            if args.shard:
-                raise SystemExit(f"cannot attach shard {args.shard}: {exc}")
-            raise
+            raise SystemExit(f"cannot attach shard {args.shard}: {exc}")
     return ReproServer(app).serve(announce=announce_to_stderr)
 
 

@@ -23,6 +23,13 @@ from pathlib import Path
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPE_NODES = _FUNCTION_NODES + (ast.Lambda, ast.ClassDef)
+#: Compound statements whose bodies stay in the enclosing scope, so a
+#: ``def`` under ``if``/``try``/``with``/``for``/``while``/``match``
+#: belongs to the same module, class or function as the block.
+_BLOCK_NODES = (
+    ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith,
+    ast.Try, ast.ExceptHandler, ast.Match, ast.match_case,
+) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
 
 
 def local_nodes(fn: ast.AST) -> list[ast.AST]:
@@ -183,9 +190,10 @@ class ModuleInfo:
                 self._index_scope(stmt, prefix=f"{qual}.",
                                   class_name=stmt.name if prefix == ""
                                   else class_name)
+            elif isinstance(stmt, _BLOCK_NODES):
+                self._index_scope(stmt, prefix=prefix, class_name=class_name)
 
     def _index_imports(self, tree: ast.Module) -> None:
-        package = self.name.rsplit(".", 1)[0] if "." in self.name else ""
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -194,7 +202,7 @@ class ModuleInfo:
                         alias.name.split(".")[0]
                     self.bindings.setdefault(bound, ("module", target))
             elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_relative(node, package)
+                base = self._resolve_relative(node)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -203,14 +211,17 @@ class ModuleInfo:
                         ("symbol", base, alias.name),
                     )
 
-    def _resolve_relative(self, node: ast.ImportFrom,
-                          package: str) -> str | None:
+    def _resolve_relative(self, node: ast.ImportFrom) -> str | None:
         if node.level == 0:
             return node.module or ""
+        # The importing package: a package ``__init__`` is named after
+        # its package, any other module after itself.
         parts = self.name.split(".")
-        if node.level > len(parts):
+        if Path(self.path).stem != "__init__":
+            parts = parts[:-1]
+        if node.level - 1 > len(parts):
             return None
-        base_parts = parts[: len(parts) - node.level]
+        base_parts = parts[: len(parts) - (node.level - 1)]
         if node.module:
             base_parts += node.module.split(".")
         return ".".join(base_parts)

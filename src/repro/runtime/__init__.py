@@ -26,10 +26,7 @@ scale cheap and observable without changing a single score:
 * :mod:`~repro.runtime.store` — the on-disk ``RXPD`` shard format
   (:func:`write_shard` / :meth:`PackedIndex.from_mmap`): packed tables
   memory-mapped straight from disk, pages shared across *separate*
-  processes (pool workers included) via the OS page cache, plus
-  :class:`NetworkRegistry`, the
-  domain -> (network, shard) manifest with LRU attachment and
-  coverage-based cross-network fallback routing;
+  processes (pool workers included) via the OS page cache;
 * :mod:`~repro.runtime.metrics` — :class:`MetricsRegistry`, per-stage
   latency timers, counters, and structured events with JSON report
   export, zero-overhead when off;
@@ -74,9 +71,6 @@ from .pool import PersistentPool, auto_workers, parse_workers
 from .resilience import BatchAbortError, DocOutcome
 from .store import (
     MmapIndexHandle,
-    NetworkRegistry,
-    RegistryEntry,
-    RegistryError,
     read_shard_header,
     verify_shard,
     write_shard,
@@ -94,15 +88,12 @@ __all__ = [
     "LRUCache",
     "MetricsRegistry",
     "MmapIndexHandle",
-    "NetworkRegistry",
     "PackedIC",
     "PackedIndex",
     "PackedIndexCRCError",
     "PackedIndexError",
     "PackedIndexTruncatedError",
     "PersistentPool",
-    "RegistryEntry",
-    "RegistryError",
     "SphereMemo",
     "StageTimer",
     "auto_workers",

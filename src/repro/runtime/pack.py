@@ -544,10 +544,10 @@ class PackedIndex:
         CRC-stamped by :meth:`to_disk_payload` and is validated
         structurally here).  ``expect_fingerprint`` (a network SHA-256
         hex digest) raises when the shard records a different source
-        network.  Raises ``FileNotFoundError``/``OSError`` for
-        missing/unmappable files and the typed
-        :class:`PackedIndexError` family for truncated or corrupted
-        shards.
+        network or records none.  Raises
+        ``FileNotFoundError``/``OSError`` for missing/unmappable files
+        and the typed :class:`PackedIndexError` family for truncated or
+        corrupted shards.
         """
         path = os.fspath(path)
         with open(path, "rb") as fh:
@@ -572,7 +572,12 @@ class PackedIndex:
                 f"shard truncated: header declares {body_len} body "
                 f"bytes, {len(mv) - _DISK_HEADER.size} present"
             )
-        if expect_fingerprint is not None and digest != b"\x00" * 16:
+        if expect_fingerprint is not None:
+            if digest == b"\x00" * 16:
+                raise PackedIndexError(
+                    "shard carries no network fingerprint; re-pack it "
+                    "with repro pack"
+                )
             expected = bytes.fromhex(expect_fingerprint)[:16]
             if digest[: len(expected)] != expected:
                 raise PackedIndexError(

@@ -2,12 +2,14 @@
 
 ``repro serve`` turns the one-shot ``repro batch`` pipeline into a
 resident daemon: the semantic network is loaded once, the
-:class:`~repro.runtime.pack.PackedIndex` is built once, and the
+:class:`~repro.runtime.pack.PackedIndex` is built (or attached from a
+shard) once, and the
 pair/sense/document LRUs plus the :class:`~repro.runtime.memo
 .SphereMemo` stay warm across requests — exactly the state whose 84%
 memo hit rate and repeated-document speedups a per-invocation process
 throws away.  Served results are byte-identical to ``repro batch`` on
-the same input and configuration.
+the same input and configuration.  A process serves the one network it
+started with; picking up a new network or shard is a restart.
 
 * :mod:`~repro.server.protocol` — a from-scratch, stdlib-asyncio
   HTTP/1.1 slice: bounded request parsing, fixed-length JSON responses,
@@ -21,8 +23,8 @@ the same input and configuration.
   admission control, the three endpoints (``POST /v1/disambiguate``,
   ``GET /healthz``, ``GET /metrics``);
 * :mod:`~repro.server.lifecycle` — :class:`ReproServer`: listener,
-  SIGTERM/SIGINT graceful drain (stop accepting, finish in-flight,
-  flush metrics, exit 0).
+  SIGTERM/SIGINT/SIGHUP graceful drain (stop accepting, finish
+  in-flight, flush metrics, exit 0).
 
 Typical use::
 

@@ -1,8 +1,9 @@
 """The disambiguation service application: routing, sessions, streaming.
 
-:class:`ServerApp` is the long-lived core the daemon keeps warm.  At
-startup it loads the semantic network once, builds one shared
-:class:`~repro.runtime.pack.PackedIndex`, and wraps the default
+:class:`ServerApp` is the long-lived core the daemon keeps warm.  It
+serves one semantic network for its whole life: at startup it builds
+one shared :class:`~repro.runtime.pack.PackedIndex` (or attaches it
+from an ``RXPD`` shard packed from that network), and wraps the default
 configuration in a resident :class:`~repro.runtime.executor
 .BatchExecutor` *session* — which is exactly the serial batch path, so
 the pair/sense/document LRUs, the :class:`~repro.runtime.memo
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -59,7 +59,6 @@ from ..runtime.executor import (
 from ..runtime.memo import config_fingerprint
 from ..runtime.metrics import MetricsRegistry
 from ..runtime.pack import PackedIndex
-from ..runtime.store import NetworkRegistry
 from ..runtime.resilience import STATUS_FAILED, DocOutcome
 from ..semnet.network import SemanticNetwork
 from .envelopes import (
@@ -97,19 +96,8 @@ class ServerConfig:
     #: startup index build; CRC- and fingerprint-checked against the
     #: network).
     shard: "str | None" = None
-    #: registry.toml manifest: serve every listed domain, selected per
-    #: request by the envelope's ``domain`` key.
-    registry: "str | None" = None
-    #: Poll the registry manifest + shard files for changes and hot
-    #: reload (seconds); 0 means SIGHUP-only reloads.
-    reload_interval: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.shard and self.registry:
-            raise ValueError(
-                "shard and registry are mutually exclusive "
-                "(the registry manifest already names each domain's shard)"
-            )
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         if self.rate_limit < 0:
@@ -124,8 +112,6 @@ class ServerConfig:
             raise ValueError("drain_timeout must be >= 0")
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if self.reload_interval < 0:
-            raise ValueError("reload_interval must be >= 0")
 
 
 def run_one_document(session: BatchExecutor, name: str,
@@ -138,16 +124,6 @@ def run_one_document(session: BatchExecutor, name: str,
     line.
     """
     return session.run([(name, xml)])[0]
-
-
-def _close_stale(sessions: "OrderedDict[str, BatchExecutor]",
-                 registry: "NetworkRegistry | None") -> None:
-    """Close retired sessions (and registry) — submitted behind the
-    scoring queue so in-flight requests finish on them first."""
-    for session in sessions.values():
-        session.close()
-    if registry is not None:
-        registry.close()
 
 
 class ServerApp:
@@ -171,16 +147,9 @@ class ServerApp:
         self._inflight = 0
         self._draining = False
         self._index = None
-        self._registry: NetworkRegistry | None = None
-        self._network_fingerprint: str | None = None
         self._sessions: "OrderedDict[str, BatchExecutor]" = OrderedDict()
         self._default_fingerprint: str | None = None
         self._scoring_pool: ThreadPoolExecutor | None = None
-        # -- hot-reload state ----------------------------------------------
-        self._reload_generation = 0
-        self._reload_count = 0
-        self._reload_error = ""
-        self._watch_sig: "tuple | None" = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -190,10 +159,8 @@ class ServerApp:
         Called once before the listener opens so the first request pays
         no index-build latency and ``/healthz`` can report readiness
         truthfully.  A ``shard`` is attached with the full body CRC
-        check, as a registry domain's is: a damaged shard fails here,
-        before serving, instead of scoring from rotted tables.  The
-        snapshot of the watched files that :meth:`maybe_reload`
-        compares against is taken here too.
+        check: a damaged shard fails here, before serving, instead of
+        scoring from rotted tables.
         """
         if self._scoring_pool is None:
             self._scoring_pool = ThreadPoolExecutor(
@@ -201,19 +168,7 @@ class ServerApp:
             )
         if self._default_fingerprint is None:
             with self.metrics.timer("server_warmup"):
-                if self.server_config.registry and self._registry is None:
-                    # The manifest's default domain becomes the served
-                    # network; other domains attach lazily per request.
-                    self._registry = NetworkRegistry.load(
-                        self.server_config.registry
-                    )
-                    attached = self._registry.attach(
-                        self._registry.default_domain
-                    )
-                    self.network = attached.network
-                    self._index = attached.index
-                    self._network_fingerprint = None
-                elif self.server_config.shard and self._index is None:
+                if self.server_config.shard and self._index is None:
                     # Zero-copy cold start: mmap the shard instead of
                     # building the index; the fingerprint check refuses
                     # a shard packed from a different network.
@@ -228,7 +183,6 @@ class ServerApp:
                 fingerprint = config_fingerprint(self.config)
                 self._sessions[fingerprint] = session
                 self._default_fingerprint = fingerprint
-                self._watch_sig = self._watch_signature()
 
     @property
     def ready(self) -> bool:
@@ -259,185 +213,41 @@ class ServerApp:
         while self._sessions:
             _, session = self._sessions.popitem()
             session.close()
-        if self._registry is not None:
-            self._registry.close()
-            self._registry = None
         self._default_fingerprint = None
         if self.server_config.metrics_json:
             self.metrics.write_json(self.server_config.metrics_json)
 
-    # -- hot reload ----------------------------------------------------------
-
-    def _defer_close(self, sessions: "OrderedDict[str, BatchExecutor]",
-                     registry: "NetworkRegistry | None" = None) -> None:
-        """Close old sessions behind the scoring queue (or inline)."""
-        if not sessions and registry is None:
-            return
-        pool = self._scoring_pool
-        if pool is not None:
-            pool.submit(_close_stale, sessions, registry)
-        else:
-            _close_stale(sessions, registry)
-
-    def _watch_paths(self) -> "list[str]":
-        """The on-disk files whose change triggers a hot reload."""
-        sc = self.server_config
-        paths: list[str] = []
-        if sc.registry:
-            paths.append(sc.registry)
-            if self._registry is not None:
-                for name in self._registry.domains():
-                    entry = self._registry.entry(name)
-                    if entry.shard_path:
-                        paths.append(entry.shard_path)
-        elif sc.shard:
-            paths.append(sc.shard)
-        return paths
-
-    def _watch_signature(self) -> tuple:
-        """Fingerprint of every watched file (mtime + size)."""
-        sig = []
-        for path in self._watch_paths():
-            try:
-                stat = os.stat(path)
-                sig.append((path, stat.st_mtime_ns, stat.st_size))
-            except OSError:  # lint: disable=handler-envelope  # not a request path: a vanished watch file is itself the change signal
-                sig.append((path, None, None))
-        return tuple(sig)
-
-    def maybe_reload(self) -> bool:
-        """Reload iff a watched file changed since the last snapshot."""
-        sig = self._watch_signature()
-        if self._watch_sig is None:
-            self._watch_sig = sig
-            return False
-        if sig == self._watch_sig:
-            return False
-        return self.reload()
-
-    def reload(self) -> bool:
-        """Atomically swap serving state from the on-disk sources.
-
-        The reload contract: requests already admitted finish on the
-        old sessions (closed behind the scoring queue); new requests
-        see the new registry/shard; and a *failed* reload changes
-        nothing — the old state keeps serving and the error is surfaced
-        in ``/healthz`` and the metrics events.  The new shard is
-        attached with the full body CRC check, and the new default
-        session is built and warmed before any serving state is
-        swapped, so a shard that is damaged or will not decode fails
-        the reload instead of every later request.
-        """
-        sc = self.server_config
-        try:
-            with self.metrics.timer("server_reload"):
-                registry = None
-                network = self.network
-                if sc.registry:
-                    registry = NetworkRegistry.load(sc.registry)
-                    attached = registry.attach(registry.default_domain)
-                    network, new_index = attached.network, attached.index
-                elif sc.shard:
-                    new_index = PackedIndex.from_mmap(
-                        sc.shard,
-                        verify=True,
-                        expect_fingerprint=network.fingerprint(),
-                    )
-                else:
-                    # Nothing reloadable on disk; count the request so
-                    # operators see their SIGHUP landed.
-                    self._reload_generation += 1
-                    self.metrics.event("server_reload_noop")
-                    return False
-                session = self._make_session(
-                    self.config, default=True, backing=(network, new_index)
-                )
-                session.warm()
-                old_registry = None
-                if registry is not None:
-                    old_registry = self._registry
-                    self._registry = registry
-                self.network = network
-                self._index = new_index
-                stale = self._sessions
-                self._sessions = OrderedDict()
-                fingerprint = config_fingerprint(self.config)
-                self._sessions[fingerprint] = session
-                self._default_fingerprint = fingerprint
-                self._network_fingerprint = None
-                self._defer_close(stale, registry=old_registry)
-                self._reload_generation += 1
-                self._reload_count += 1
-                self._reload_error = ""
-                self._watch_sig = self._watch_signature()
-                self.metrics.count("server_reloads")
-                self.metrics.event(
-                    "server_reload",
-                    generation=self._reload_generation,
-                    backing=getattr(self._index, "backing", "heap"),
-                )
-                return True
-        except Exception as exc:  # lint: disable=broad-except,handler-envelope  # a failed reload must leave the old state serving, not kill the daemon; the error is surfaced via /healthz
-            self._reload_error = str(exc)
-            self.metrics.event("server_reload_failed", error=str(exc))
-            return False
-
-    def durability_stats(self) -> dict:
-        """The hot-reload block for ``/healthz``."""
-        return {
-            "reload": {
-                "generation": self._reload_generation,
-                "count": self._reload_count,
-                "watching": self._watch_paths(),
-                "interval_s": self.server_config.reload_interval,
-                "last_error": self._reload_error,
-            },
-        }
-
     # -- sessions ------------------------------------------------------------
 
-    def _make_session(self, config: XSDFConfig, default: bool = False,
-                      domain: "str | None" = None,
-                      backing: "tuple | None" = None) -> BatchExecutor:
+    def _make_session(self, config: XSDFConfig,
+                      default: bool = False) -> BatchExecutor:
         # Only the default session is wired into the metrics registry:
         # cache gauges are registered by fixed name, and the resident
         # session is the one whose warmth the operator is tracking.
         # Override sessions still run, they just are not individually
         # gauged.  Every session scores serially: each request is a
-        # one-document batch.  A ``domain`` session scores against that
-        # registry domain's network and (usually mmap-attached) index; a
-        # ``backing`` (network, index) pair overrides the served one.
-        network, index = backing or (self.network, self._index)
-        if domain is not None and self._registry is not None:
-            attached = self._registry.attach(domain)
-            network, index = attached.network, attached.index
+        # one-document batch.
         return BatchExecutor(
-            network,
+            self.network,
             config,
             cache_size=self.server_config.cache_size,
             metrics=self.metrics if default else None,
-            index=index,
+            index=self._index,
         )
 
-    def session_for(self, config: XSDFConfig,
-                    domain: "str | None" = None) -> BatchExecutor:
+    def session_for(self, config: XSDFConfig) -> BatchExecutor:
         """The resident session for this configuration (LRU-bounded).
 
         The default configuration's session is pinned; override
         sessions are created on demand, share the packed index, and are
-        evicted least-recently-used beyond ``max_sessions``.  Registry
-        domains get their own sessions — keyed by (domain, config
-        fingerprint), because cache keys are only sound within one
-        (network, configuration) pair.
+        evicted least-recently-used beyond ``max_sessions``.
         """
         fingerprint = config_fingerprint(config)
-        if domain is not None:
-            fingerprint = f"{domain}|{fingerprint}"
         session = self._sessions.get(fingerprint)
         if session is not None:
             self._sessions.move_to_end(fingerprint)
             return session
-        session = self._make_session(config, domain=domain)
+        session = self._make_session(config)
         self._sessions[fingerprint] = session
         self.metrics.count("server_sessions_created")
         while len(self._sessions) > self.server_config.max_sessions:
@@ -504,17 +314,13 @@ class ServerApp:
                               writer: asyncio.StreamWriter) -> None:
         if not await self._require_method(request, writer, "GET"):
             return
-        if self._network_fingerprint is None:
-            # Hashing a 100k-concept network takes real time; the
-            # network is frozen once served, so hash it once.
-            self._network_fingerprint = self.network.fingerprint()
         payload = {
             "status": "draining" if self._draining else "ok",
             "ready": self.ready,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "version": __version__,
             "index": {
-                "fingerprint": self._network_fingerprint,
+                "fingerprint": self.network.fingerprint(),
                 "kind": "packed",
                 "concepts": len(self.network),
                 # "mmap" proves the zero-copy shard attach is live,
@@ -529,13 +335,6 @@ class ServerApp:
             "sessions": len(self._sessions),
             "rate_limiter": self.limiter.stats(),
         }
-        if self._registry is not None:
-            payload["registry"] = {
-                "default": self._registry.default_domain,
-                "domains": list(self._registry.domains()),
-                **self._registry.stats(),
-            }
-        payload["durability"] = self.durability_stats()
         status = 200 if self.ready and not self._draining else 503
         await write_json_response(writer, status, payload)
         self.metrics.count(f"http_{status}")
@@ -593,28 +392,11 @@ class ServerApp:
             config = apply_overrides(
                 self.config, envelope.overrides, name=envelope.name
             )
-            if envelope.domain is not None:
-                if self._registry is None:
-                    raise EnvelopeError(
-                        400, "envelope",
-                        "this server has no network registry; "
-                        "'domain' is unavailable",
-                        name=envelope.name,
-                    )
-                if envelope.domain not in self._registry.domains():
-                    raise EnvelopeError(
-                        404, "envelope",
-                        f"unknown domain {envelope.domain!r} (registry "
-                        f"defines "
-                        f"{', '.join(self._registry.domains())})",
-                        error_type="UnknownDomain",
-                        name=envelope.name,
-                    )
         except EnvelopeError as exc:
             self.metrics.count("envelope_rejected")
             await self._write_envelope(writer, exc.status, exc.outcome)
             return
-        session = self.session_for(config, domain=envelope.domain)
+        session = self.session_for(config)
         self._inflight += 1
         try:
             record = await self._score(session, envelope.name, envelope.xml)

@@ -5,16 +5,14 @@ shapes:
 
 * the raw XML document (any non-JSON ``Content-Type``), named
   ``request`` unless an ``X-Repro-Name`` header is present;
-* a JSON envelope ``{"name": ..., "xml": ..., "config": {...},
-  "domain": ...}`` whose ``config`` object may override per-request
-  pipeline knobs (``radius``, ``approach``, ``threshold``, ``weights``,
+* a JSON envelope ``{"name": ..., "xml": ..., "config": {...}}``
+  whose ``config`` object may override per-request pipeline knobs
+  (``radius``, ``approach``, ``threshold``, ``weights``,
   ``strip_target_dimension``, ``structure_only``, ``prune``, ``memo``)
   — the same knobs ``repro batch`` exposes as flags, with the same
   defaults, so a server answer is always reproducible by a batch run.
-  The optional ``domain`` string selects a network from the server's
-  :class:`~repro.runtime.store.NetworkRegistry` (the raw-XML shape
-  carries it in the ``X-Repro-Domain`` header); servers without a
-  registry reject it.
+  Any other top-level key, like any other ``config`` key, is rejected
+  by name.
 
 **Response envelope.**  Every disambiguation response ends with a
 ``DocOutcome``-shaped envelope line (``{"envelope": {...}}``): the
@@ -43,6 +41,9 @@ APPROACHES = {
     "context": DisambiguationApproach.CONTEXT_BASED,
     "combined": DisambiguationApproach.COMBINED,
 }
+
+#: Top-level keys of a JSON envelope.
+ENVELOPE_KEYS = frozenset({"xml", "name", "config"})
 
 #: Envelope ``config`` keys a request may override.
 OVERRIDE_KEYS = frozenset({
@@ -81,7 +82,6 @@ class DisambiguationRequest:
     name: str
     xml: str
     overrides: dict
-    domain: "str | None" = None
 
 
 def envelope_payload(outcome: DocOutcome) -> dict:
@@ -100,9 +100,10 @@ def parse_disambiguation_request(request: HTTPRequest) -> DisambiguationRequest:
     """Decode a disambiguation request body into name/xml/overrides.
 
     Raises :class:`EnvelopeError` (status 400) for undecodable bodies,
-    malformed JSON envelopes, missing ``xml``, or unknown override keys
-    — parse errors *inside* the XML itself are the pipeline's job and
-    come back as a ``failed`` outcome with ``stage="parse"``.
+    malformed JSON envelopes, missing ``xml``, or unknown envelope or
+    override keys — parse errors *inside* the XML itself are the
+    pipeline's job and come back as a ``failed`` outcome with
+    ``stage="parse"``.
     """
     content_type = request.header("content-type").lower()
     if "json" in content_type:
@@ -127,6 +128,14 @@ def parse_disambiguation_request(request: HTTPRequest) -> DisambiguationRequest:
             raise EnvelopeError(
                 400, "envelope", "'name' must be a non-empty string"
             )
+        unknown = sorted(set(document) - ENVELOPE_KEYS)
+        if unknown:
+            raise EnvelopeError(
+                400, "envelope",
+                f"unknown envelope key(s): {', '.join(unknown)} "
+                f"(valid: {', '.join(sorted(ENVELOPE_KEYS))})",
+                name=name,
+            )
         overrides = document.get("config", {})
         if not isinstance(overrides, dict):
             raise EnvelopeError(
@@ -140,17 +149,7 @@ def parse_disambiguation_request(request: HTTPRequest) -> DisambiguationRequest:
                 f"(valid: {', '.join(sorted(OVERRIDE_KEYS))})",
                 name=name,
             )
-        domain = document.get("domain")
-        if domain is not None and (
-            not isinstance(domain, str) or not domain
-        ):
-            raise EnvelopeError(
-                400, "envelope", "'domain' must be a non-empty string",
-                name=name,
-            )
-        return DisambiguationRequest(
-            name=name, xml=xml, overrides=overrides, domain=domain
-        )
+        return DisambiguationRequest(name=name, xml=xml, overrides=overrides)
     try:
         xml = request.body.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -158,10 +157,7 @@ def parse_disambiguation_request(request: HTTPRequest) -> DisambiguationRequest:
             400, "envelope", f"request body is not valid UTF-8: {exc}"
         )
     name = request.header("x-repro-name", DEFAULT_NAME) or DEFAULT_NAME
-    domain = request.header("x-repro-domain", "") or None
-    return DisambiguationRequest(
-        name=name, xml=xml, overrides={}, domain=domain
-    )
+    return DisambiguationRequest(name=name, xml=xml, overrides={})
 
 
 def apply_overrides(base: XSDFConfig, overrides: dict,

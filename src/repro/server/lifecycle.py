@@ -4,7 +4,8 @@
 :class:`~repro.server.app.ServerApp` and implements the drain contract
 the batch pipeline cannot have (a one-shot process just exits):
 
-1. ``SIGTERM`` / ``SIGINT`` request a drain (second signal: immediate).
+1. ``SIGTERM`` / ``SIGINT`` / ``SIGHUP`` request a drain (second
+   signal: immediate).
 2. The listening socket closes — **new connections are refused at the
    TCP level** from this instant.
 3. Every in-flight connection runs to completion (its response is
@@ -44,7 +45,6 @@ class ReproServer:
         self._connections: set[asyncio.Task] = set()
         self._drain_requested: asyncio.Event | None = None
         self._drain_signals = 0
-        self._watch_task: asyncio.Task | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -55,28 +55,14 @@ class ReproServer:
     # -- startup -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Warm the app (index + default session) and open the listener.
-
-        When ``reload_interval > 0`` a polling task also starts, which
-        hot-reloads the app whenever a watched manifest/shard changes
-        on disk.
-        """
+        """Warm the app (index + default session) and open the listener."""
         self._drain_requested = asyncio.Event()
         self.app.warm_up()
-        interval = self.app.server_config.reload_interval
-        if interval > 0:
-            self._watch_task = asyncio.ensure_future(self._watch_loop(interval))
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.app.server_config.host,
             self.app.server_config.port,
         )
-
-    async def _watch_loop(self, interval: float) -> None:
-        """Poll the watched files and hot-reload on change."""
-        while True:
-            await asyncio.sleep(interval)
-            self.app.maybe_reload()
 
     def request_drain(self) -> None:
         """Ask for a graceful drain (idempotent; callable from signals)."""
@@ -93,10 +79,6 @@ class ReproServer:
     async def drain(self) -> None:
         """Stop accepting, finish in-flight work, flush, and close."""
         self.app.begin_drain()
-        if self._watch_task is not None:
-            self._watch_task.cancel()
-            await asyncio.gather(self._watch_task, return_exceptions=True)
-            self._watch_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -130,16 +112,16 @@ class ReproServer:
         await self.start()
         loop = asyncio.get_running_loop()
         installed = []
+        # A hangup drains like a termination: the served network and
+        # shard are fixed for the life of the process, so a restart is
+        # how new ones are picked up.
+        signums = [signal.SIGTERM, signal.SIGINT]
+        if hasattr(signal, "SIGHUP"):
+            signums.append(signal.SIGHUP)
         try:
-            for signum in (signal.SIGTERM, signal.SIGINT):
+            for signum in signums:
                 loop.add_signal_handler(signum, self._on_signal)
                 installed.append(signum)
-            sighup = getattr(signal, "SIGHUP", None)
-            if sighup is not None:
-                # The operator's hot-reload trigger: re-read the
-                # registry manifest / shard without dropping a request.
-                loop.add_signal_handler(sighup, self.app.reload)
-                installed.append(sighup)
         except NotImplementedError:  # lint: disable=handler-envelope  # pragma: no cover - non-POSIX loops
             pass
         try:

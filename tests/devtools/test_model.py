@@ -41,6 +41,28 @@ class TestModuleNames:
                                     tmp_path) == "scratch"
 
 
+class TestFunctionIndex:
+    def test_functions_inside_blocks_are_indexed(self, tmp_path):
+        info = _module(
+            tmp_path, str(tmp_path / "src" / "repro" / "core" / "leak.py"),
+            """\
+            import sys
+
+            if sys.platform:
+                def load(path):
+                    handle = open(path)
+                    return handle.read()
+
+            try:
+                import json
+            except ImportError:
+                def fallback():
+                    return None
+            """,
+        )
+        assert sorted(info.functions) == ["fallback", "load"]
+
+
 class TestImportGraph:
     def test_relative_imports_resolve(self, tmp_path):
         model = _model(
@@ -52,6 +74,16 @@ class TestImportGraph:
         )
         assert model.modules["repro.core.b"].bindings["A"] == \
             ("symbol", "repro.core.a", "A")
+
+    def test_package_init_resolves_against_itself(self, tmp_path):
+        info = _module(
+            tmp_path, str(tmp_path / "src" / "repro" / "core" / "__init__.py"),
+            "from .leak import load2\nfrom ..runtime import pack\n",
+        )
+        assert info.name == "repro.core"
+        assert info.bindings["load2"] == \
+            ("symbol", "repro.core.leak", "load2")
+        assert info.bindings["pack"] == ("symbol", "repro.runtime", "pack")
 
 
 class TestCallGraph:

@@ -3,9 +3,10 @@
 This is the service's core contract: a daemon answer is always
 reproducible by a batch run on the same input and configuration.  The
 test runs the real CLI batch path over a small corpus, then serves the
-same documents through a live server — cold caches first, then warm —
-and compares the NDJSON record line against the batch JSONL line,
-byte for byte.
+same documents through a live server — cold caches first, then warm,
+with the index built in process and then attached from an ``RXPD``
+shard — and compares the NDJSON record line against the batch JSONL
+line, byte for byte.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import io
 import json
 
 from repro.cli import main
+from repro.runtime import PackedIndex, write_shard
 
-from .conftest import disambiguate, request, running
+from .conftest import disambiguate, get, request, running
 
 SECOND_XML = """<?xml version="1.0"?>
 <library>
@@ -42,15 +44,13 @@ def batch_lines(tmp_path, documents):
     return lines
 
 
-def test_served_records_match_batch_cold_and_warm(
-    make_app, tmp_path, figure1_xml
-):
-    documents = [("films.xml", figure1_xml), ("books.xml", SECOND_XML)]
-    expected = batch_lines(tmp_path, documents)
+def serve_cold_then_warm(app, tmp_path, documents):
+    """``(index backing, [(phase, name, record_line)])`` from a live ``app``."""
 
     async def go():
         served: list[tuple[str, str, bytes]] = []
-        async with running(make_app()) as server:
+        async with running(app) as server:
+            health = (await request(server, get("/healthz"))).json()
             for phase in ("cold", "warm"):
                 for name, xml in documents:
                     response = await request(server, disambiguate(
@@ -60,9 +60,38 @@ def test_served_records_match_batch_cold_and_warm(
                     served.append(
                         (phase, name, response.body.split(b"\n")[-3])
                     )
-        return served
+        return health["index"]["backing"], served
 
-    for phase, name, record_line in asyncio.run(go()):
+    return asyncio.run(go())
+
+
+def assert_served_match_batch(served, expected, tmp_path):
+    for phase, name, record_line in served:
         assert record_line == expected[str(tmp_path / name)], (
             f"{name} diverged from the batch line under {phase} caches"
         )
+
+
+def test_served_records_match_batch_cold_and_warm(
+    make_app, tmp_path, figure1_xml
+):
+    documents = [("films.xml", figure1_xml), ("books.xml", SECOND_XML)]
+    expected = batch_lines(tmp_path, documents)
+    backing, served = serve_cold_then_warm(make_app(), tmp_path, documents)
+    assert backing == "heap"
+    assert_served_match_batch(served, expected, tmp_path)
+
+
+def test_shard_backed_records_match_batch_cold_and_warm(
+    make_app, tmp_path, figure1_xml, lexicon
+):
+    # The same tables attached from a shard must serve the same bytes.
+    documents = [("films.xml", figure1_xml), ("books.xml", SECOND_XML)]
+    expected = batch_lines(tmp_path, documents)
+    shard = str(tmp_path / "lexicon.rxpd")
+    write_shard(PackedIndex(lexicon), shard, fingerprint=lexicon.fingerprint())
+    backing, served = serve_cold_then_warm(
+        make_app(shard=shard), tmp_path, documents
+    )
+    assert backing == "mmap"
+    assert_served_match_batch(served, expected, tmp_path)

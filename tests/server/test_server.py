@@ -208,6 +208,20 @@ class TestDisambiguate:
         assert response.status == 400
         assert "raduis" in response.json()["envelope"]["error"]
 
+    def test_unknown_envelope_key_is_400(self, make_app, figure1_xml):
+        async def go():
+            async with running(make_app()) as server:
+                return await request(server, post(
+                    "/v1/disambiguate",
+                    json.dumps({"xml": figure1_xml, "colour": 1}).encode(),
+                ))
+
+        response = run(go())
+        assert response.status == 400
+        envelope = response.json()["envelope"]
+        assert envelope["stage"] == "envelope"
+        assert "colour" in envelope["error"]
+
     def test_invalid_override_value_is_400(self, make_app, figure1_xml):
         async def go():
             async with running(make_app()) as server:
@@ -241,6 +255,39 @@ class TestDisambiguate:
         assert concept.status == 200
         # The override ran in its own session, alongside the default.
         assert health.json()["sessions"] == 2
+
+    def test_override_sessions_are_lru_bounded_around_the_default(
+        self, make_app, figure1_xml
+    ):
+        overrides = [{"radius": 1}, {"approach": "concept"},
+                     {"approach": "context"}]
+
+        def ask(config):
+            return disambiguate(figure1_xml, name="films", config=config)
+
+        async def go():
+            app = make_app(max_sessions=2)
+            counter = app.metrics.counter
+            async with running(app) as server:
+                default = app.session_for(app.config)
+                first = await request(server, ask(overrides[0]))
+                for config in overrides[1:]:
+                    assert (await request(server, ask(config))).status == 200
+                # Room for one override beside the pinned default: each
+                # new override evicted the oldest override session.
+                assert counter("server_sessions_evicted") == 2
+                assert (await request(server, get("/healthz"))).json()[
+                    "sessions"] == 2
+                assert app.session_for(app.config) is default
+                await request(server, ask(overrides[2]))  # still resident
+                assert counter("server_sessions_created") == 3
+                again = await request(server, ask(overrides[0]))
+                assert counter("server_sessions_created") == 4
+                return first, again
+
+        first, again = run(go())
+        assert first.status == again.status == 200
+        assert again.body.split(b"\n")[-3] == first.body.split(b"\n")[-3]
 
     def test_oversized_body_is_413(self, make_app, figure1_xml):
         async def go():
@@ -386,7 +433,10 @@ class TestDrain:
         assert work.status == 503
         assert work.json()["envelope"]["stage"] == "admission"
 
-    def test_sigterm_drains_the_daemon_and_exits_zero(self):
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"]
+    )
+    def test_sigterm_drains_the_daemon_and_exits_zero(self, signum):
         src = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -406,7 +456,7 @@ class TestDrain:
                 while chunk := s.recv(4096):
                     data += chunk
             assert data.split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:

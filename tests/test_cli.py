@@ -321,41 +321,29 @@ class TestValidate:
 
 
 class TestUnreadableNetwork:
-    """A missing or malformed network file (or registry manifest) is one
-    line, not a traceback."""
+    """A missing or malformed network file is one line, not a
+    traceback."""
 
     @pytest.mark.parametrize("argv, expected_code, message", [
         (["batch", "doc.xml", "--network", "missing.json"], 1,
          "cannot read network missing.json: "),
         (["validate", "missing.json"], 2,
          "cannot read network missing.json: "),
-        (["batch", "doc.xml", "--registry", "missing.toml"], 1,
-         "cannot load network of domain 'general': "),
-        (["batch", "doc.xml", "--registry", "malformed.toml"], 1,
-         "cannot load network of domain 'general': not a"),
-        (["batch", "doc.xml", "--registry", "absent.toml"], 1,
-         "cannot read registry manifest absent.toml: "),
-        (["serve", "--port", "0", "--registry", "missing.toml"], 1,
-         "cannot load network of domain 'general': "),
-        (["serve", "--port", "0", "--registry", "malformed.toml"], 1,
-         "cannot load network of domain 'general': not a"),
-        (["serve", "--port", "0", "--registry", "absent.toml"], 1,
-         "cannot read registry manifest absent.toml: "),
+        (["batch", "doc.xml", "--network", "malformed.json"], 1,
+         "unreadable network: not a"),
+        (["serve", "--port", "0", "--network", "missing.json"], 1,
+         "cannot read network missing.json: "),
+        (["serve", "--port", "0", "--network", "malformed.json"], 1,
+         "unreadable network: not a"),
     ], ids=[
         "batch-missing", "validate-missing",
-        "registry-missing", "registry-malformed", "manifest-missing",
-        "serve-registry-missing", "serve-registry-malformed",
-        "serve-manifest-missing",
+        "batch-malformed", "serve-missing", "serve-malformed",
     ])
     def test_reported_without_traceback(
         self, tmp_path, monkeypatch, xml_file, argv, expected_code, message
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "malformed.json").write_text('{"format": "x"}')
-        for name in ("missing", "malformed"):
-            (tmp_path / f"{name}.toml").write_text(
-                f'[networks.general]\nnetwork = "{name}.json"\n'
-            )
         try:
             code, output = run(argv)
         except SystemExit as exc:
@@ -721,34 +709,8 @@ class TestPackAndStore:
         assert code == 0
         assert "index=heap" in output
 
-    def test_batch_registry_routes_and_matches(
-        self, tmp_path, lexicon, xml_file
-    ):
-        shard, network_json, _ = self._pack_lexicon(tmp_path, lexicon)
-        (tmp_path / "registry.toml").write_text(
-            'default = "general"\n'
-            '[networks.general]\n'
-            f'network = "{network_json.name}"\n'
-            f'shard = "{shard.name}"\n'
-        )
-        plain_out = tmp_path / "plain.jsonl"
-        reg_out = tmp_path / "reg.jsonl"
-        run([
-            "batch", xml_file, "--out", str(plain_out),
-            "--network", str(network_json),
-        ])
-        code, _ = run([
-            "batch", xml_file, "--out", str(reg_out),
-            "--registry", str(tmp_path / "registry.toml"),
-            "--domain", "general",
-        ])
-        assert code == 0
-        assert reg_out.read_bytes() == plain_out.read_bytes()
-
     def test_batch_flag_conflicts_exit_cleanly(self, tmp_path, xml_file):
         for argv in (
-            ["batch", xml_file, "--registry", "r.toml", "--network", "n"],
-            ["batch", xml_file, "--domain", "x"],
             ["batch", xml_file, "--shard", "s.rxpd"],
             ["batch", xml_file, "--shard", "s.rxpd", "--network", "n.json",
              "--no-index"],
@@ -767,13 +729,24 @@ class TestPackAndStore:
         write_shard(
             PackedIndex(other), str(stale), fingerprint=other.fingerprint()
         )
+        # Another network's tables with no fingerprint stamp: nothing
+        # ties them to the network they would be attached over.
+        unstamped = tmp_path / "unstamped.rxpd"
+        write_shard(PackedIndex(other), str(unstamped))
         # One id-table byte set to 0xFF: undecodable, caught by the CRC.
         payload = bytearray(shard.read_bytes())
         (meta_len,) = struct.unpack_from("<I", payload, 32)
         payload[32 + 8 + ((meta_len + 7) & ~7) + 8] = 0xFF
         rotted = tmp_path / "rotted.rxpd"
         rotted.write_bytes(payload)
-        return network_json, [stale, rotted]
+        # The last body byte flipped: the shard still attaches and
+        # decodes, so only the body CRC can tell.
+        payload = bytearray(shard.read_bytes())
+        payload[-1] ^= 0xFF
+        flipped = tmp_path / "flipped.rxpd"
+        flipped.write_bytes(payload)
+        PackedIndex.from_mmap(str(flipped))
+        return network_json, [stale, unstamped, rotted, flipped]
 
     def test_batch_stale_shard_fails_loudly(self, tmp_path, lexicon, xml_file):
         network_json, bad_shards = self._bad_shards(tmp_path, lexicon)
