@@ -5,16 +5,14 @@ or name one: ``executor``, ``kill-resume``):
 
 ``executor``
     Runs the test corpus through :class:`repro.runtime.BatchExecutor`
-    twice — once fault-free and serial, once on a two-worker pool under
-    real faults: the index shard has one body byte flipped on disk
-    before the workers attach it, one document SIGKILLs whichever
-    worker scores it, and the gate SIGKILLs the first worker it hears
-    from while the batch is in flight.  It gates on the hard exactness
-    contract: every surviving document byte-identical to the fault-free
-    run, exactly the worker-killing document failing (with stage
-    ``pool``), the workers' shard-attach fallback
-    (``degrade_packed_decode``) and the pool respawn proven to have
-    fired.  The batch then replays on the same warm executor
+    twice — once fault-free and serial, once on a two-worker pool that
+    forks with a shard-attached index, under real faults: one document
+    SIGKILLs whichever worker scores it, and the gate SIGKILLs the
+    first worker it hears from while the batch is in flight.  It gates
+    on the hard exactness contract: every surviving document
+    byte-identical to the fault-free run, exactly the worker-killing
+    document failing (with stage ``pool``), and the pool respawn proven
+    to have fired.  The batch then replays on the same warm executor
     (``pool_reuse_count >= 1``) and must stay byte-identical.
 
 ``kill-resume``
@@ -53,15 +51,6 @@ from repro.runtime import (
 )
 from repro.runtime import executor as executor_module
 from repro.semnet.lexicon import default_lexicon
-
-
-def _flip_body_byte(path: str) -> None:
-    """XOR one byte in the middle of a shard file, in place."""
-    with open(path, "r+b") as handle:
-        handle.seek(os.path.getsize(path) // 2)
-        byte = handle.read(1)
-        handle.seek(-1, os.SEEK_CUR)
-        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
 def _kill_worker_scoring(name: str):
@@ -113,10 +102,6 @@ def gate_executor() -> list[str]:
             shard = os.path.join(tmp, "lexicon.rxpd")
             write_shard(PackedIndex(lexicon), shard)
             index = PackedIndex.from_mmap(shard)
-            # Damaged on disk before any worker attaches it: each
-            # worker's CRC-verified attach fails and it builds the
-            # index itself.
-            _flip_body_byte(shard)
             executor = BatchExecutor(
                 lexicon,
                 XSDFConfig(),
@@ -169,16 +154,13 @@ def gate_executor() -> list[str]:
     counters = metrics.report()["counters"]
     if not counters.get("worker_respawns"):
         problems.append("the pool was never respawned")
-    if not counters.get("degrade_packed_decode"):
-        problems.append("damaged-shard worker fallback never fired")
 
     if not problems:
         survivors = sum(1 for r in records if r.ok)
         print(
             f"executor gate passed: {survivors}/{len(batch)} survivors "
             f"bit-identical, {int(counters['worker_respawns'])} pool "
-            f"respawns, {int(counters['degrade_packed_decode'])} worker "
-            f"degradations, 1 stage=pool casualty; warm-pool replay "
+            f"respawns, 1 stage=pool casualty; warm-pool replay "
             f"(reuse={runtime_stats['pool_reuse_count']}) bit-identical too"
         )
     return problems

@@ -611,7 +611,7 @@ def _resolve_batch_index(args: argparse.Namespace):
 def _attach_shard(path: str, network):
     """Attach an RXPD shard with the full CRC check, or exit cleanly.
 
-    The check pool workers and ``repro serve`` make: a missing,
+    The check ``repro serve`` makes too: a missing,
     truncated, rotted, unstamped or stale (fingerprint-mismatched)
     shard becomes a one-line ``cannot attach shard`` exit before any
     scoring, never a traceback from the middle of a batch.

@@ -26,7 +26,7 @@ scale cheap and observable without changing a single score:
 * :mod:`~repro.runtime.store` — the on-disk ``RXPD`` shard format
   (:func:`write_shard` / :meth:`PackedIndex.from_mmap`): packed tables
   memory-mapped straight from disk, pages shared across *separate*
-  processes (pool workers included) via the OS page cache;
+  processes via the OS page cache;
 * :mod:`~repro.runtime.metrics` — :class:`MetricsRegistry`, per-stage
   latency timers, counters, and structured events with JSON report
   export, zero-overhead when off;
@@ -70,7 +70,6 @@ from .pack import (
 from .pool import PersistentPool, auto_workers, parse_workers
 from .resilience import BatchAbortError, DocOutcome
 from .store import (
-    MmapIndexHandle,
     read_shard_header,
     verify_shard,
     write_shard,
@@ -87,7 +86,6 @@ __all__ = [
     "JournalWriter",
     "LRUCache",
     "MetricsRegistry",
-    "MmapIndexHandle",
     "PackedIC",
     "PackedIndex",
     "PackedIndexCRCError",

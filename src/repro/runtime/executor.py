@@ -14,18 +14,17 @@ bit-identical to the uncached ones, parallel output is byte-identical
 to serial output for the same input (the test suite pins this).
 
 The parallel path is a **persistent runtime**
-(:mod:`repro.runtime.pool`): workers are spawned once per executor and
-reused across batches, keeping their session state (attached index,
-warm sphere memo, document cache) between batches, so spin-up cost is
-paid once, not per batch.  The packed index is built **once in the
-parent** and reaches workers as an ``RXPD`` shard file they attach
-**zero-copy** by path: the index's own shard when it was attached
-from one, otherwise a temporary shard the executor writes once (on
-tmpfs where present) — only document payloads cross the pool
-boundary.  Within a batch, chunks flow through a bounded-queue
-pipeline that overlaps submission with result collection instead of
-running submit-all/collect-all barriers.  ``close()`` (or the GC
-finalizer) terminates workers and deletes the temporary shard.
+(:mod:`repro.runtime.pool`): workers are forked once per executor and
+reused across batches, keeping their session state (warm sphere memo,
+document cache) between batches, so spin-up cost is paid once, not per
+batch.  The packed index is built **once in the parent** and reaches
+workers as a pool initializer argument, which fork hands over without
+pickling: a heap body or a shard's mapping becomes pages the workers
+share with the parent, and nothing is written, re-attached or rebuilt.
+Only document payloads cross the pool boundary.  Within a batch,
+chunks flow through a bounded-queue pipeline that overlaps submission
+with result collection instead of running submit-all/collect-all
+barriers.  ``close()`` (or the GC finalizer) terminates the workers.
 
 Failure is a first-class outcome, not an exception.  Every document
 comes back with a structured :class:`~repro.runtime.resilience
@@ -47,9 +46,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-import shutil
-import tempfile
 import time
 import weakref
 from collections import deque
@@ -64,7 +60,6 @@ from .cache import LRUCache
 from .metrics import MetricsRegistry
 from .pack import PackedIndex, PackedIndexError
 from .pool import PersistentPool, auto_workers
-from .store import MmapIndexHandle, write_shard
 from .resilience import (
     ON_ERROR_POLICIES,
     STAGE_INDEX,
@@ -89,11 +84,6 @@ DOC_CACHE_SIZE = 1024
 #: pickled payload (and the latency of losing its worker) grows with
 #: per-document cost, so the adaptive formula also bounds chunk bytes.
 TARGET_CHUNK_BYTES = 256 * 1024
-
-#: Temporary shard directories are named ``repro-index-<owner pid>-*``
-#: so a later writer can remove the ones a killed owner left behind.
-_TEMP_SHARD_PREFIX = "repro-index-"
-_TEMP_SHARD_OWNER = re.compile(re.escape(_TEMP_SHARD_PREFIX) + r"(\d+)-")
 
 
 @dataclass(frozen=True)
@@ -155,28 +145,22 @@ class BatchRecord:
 _WORKER_XSDF: XSDF | None = None
 _WORKER_DOC_CACHE: LRUCache | None = None
 _WORKER_GENERATION: int = 0
-#: 1 when this worker's shard attach failed and it built the index
-#: itself (reported as ``degrade_packed_decode``), else 0.
-_WORKER_PACKED_DECODE: int = 0
 
 
 def _init_worker(
     network: SemanticNetwork,
     config: XSDFConfig,
-    shard: MmapIndexHandle | None,
+    index: PackedIndex | None,
     cache_size: int | None,
     generation: int = 0,
 ) -> None:
     """Install this worker process's XSDF + caches (pool initializer).
 
-    ``shard`` names the ``RXPD`` file holding the parent's packed index
-    (``None`` when the executor runs without an index).  The worker
-    memory-maps it by path with a full CRC check — the pages are
-    shared with the parent and every other process mapping the same
-    file.  A shard that fails to attach (missing, truncated, corrupt)
-    makes this worker build the index from the network itself instead
-    of killing the pool; the fallback is surfaced as the
-    ``degrade_packed_decode`` counter of the worker's stats snapshot.
+    ``index`` is the parent's own :class:`PackedIndex` (``None`` when
+    the executor runs without one).  The pool forks its workers, so it
+    arrives without pickling, its string tables already decoded: the
+    worker shares its pages with the parent and builds, reads and
+    verifies nothing.
 
     ``generation`` is the persistent pool's spawn counter: snapshots
     are tagged with it so the parent's stats merge stays monotone
@@ -185,15 +169,7 @@ def _init_worker(
     """
     # Per-process worker state is the one sanctioned module-global
     # mutation: it is written once per process, before any task runs.
-    global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_GENERATION, _WORKER_PACKED_DECODE  # lint: disable=cache-purity
-    index = None
-    _WORKER_PACKED_DECODE = 0
-    if shard is not None:
-        try:
-            index = PackedIndex.from_mmap(shard.path, verify=True)
-        except (PackedIndexError, OSError):  # lint: disable=silent-degrade  # surfaced as degrade_packed_decode in the stats snapshot
-            index = PackedIndex(network)
-            _WORKER_PACKED_DECODE = 1
+    global _WORKER_XSDF, _WORKER_DOC_CACHE, _WORKER_GENERATION  # lint: disable=cache-purity
     _WORKER_XSDF = _build_xsdf(network, config, index, cache_size)
     _WORKER_DOC_CACHE = (
         LRUCache(maxsize=DOC_CACHE_SIZE) if index is not None else None
@@ -223,8 +199,6 @@ def _stats_snapshot(xsdf: XSDF) -> dict:
     *deltas* since its merge watermarks across workers — workers
     persist across batches, so plain per-batch sums would double-count.
     """
-    import os
-
     stats = {
         "pid": os.getpid(),
         "gen": _WORKER_GENERATION,
@@ -237,8 +211,6 @@ def _stats_snapshot(xsdf: XSDF) -> dict:
         stats["memo_hits"] = memo_stats["hits"]
         stats["memo_misses"] = memo_stats["misses"]
         stats["memo_evictions"] = memo_stats["evictions"]
-    if _WORKER_PACKED_DECODE:
-        stats["degrade_packed_decode"] = _WORKER_PACKED_DECODE
     return stats
 
 
@@ -326,64 +298,6 @@ def _disambiguate_one(
     )
 
 
-def _temp_shard_root() -> str:
-    """Where temporary shards go: tmpfs when writable, else the temp dir."""
-    if os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK):
-        return "/dev/shm"
-    return tempfile.gettempdir()
-
-
-def _owner_alive(pid: int) -> bool:
-    """Whether process ``pid`` still exists (another user's counts).
-
-    Off POSIX, ``os.kill`` terminates the process instead of probing
-    it, so every owner counts as alive there and nothing is swept.
-    """
-    if os.name != "posix":
-        return True
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:  # lint: disable=silent-degrade  # ESRCH is the answer, not a failure
-        return False
-    except PermissionError:  # lint: disable=silent-degrade  # EPERM: the process exists
-        pass
-    return True
-
-
-def _new_temp_shard_path() -> str:
-    """A shard path inside a fresh private temp directory.
-
-    Directories whose owner process no longer exists are removed
-    first: an owner killed before its finalizer ran leaves one behind.
-    """
-    root = _temp_shard_root()
-    for name in os.listdir(root):
-        owner = _TEMP_SHARD_OWNER.match(name)
-        if owner and not _owner_alive(int(owner.group(1))):
-            shutil.rmtree(os.path.join(root, name), ignore_errors=True)
-    directory = tempfile.mkdtemp(
-        prefix=f"{_TEMP_SHARD_PREFIX}{os.getpid()}-", dir=root
-    )
-    return os.path.join(directory, "index.rxpd")
-
-
-def _release_parallel_state(
-    pool: PersistentPool | None, temp_shard: str | None
-) -> None:
-    """Tear down an executor's persistent pool + temporary shard.
-
-    Registered as a ``weakref.finalize`` callback (so a dropped
-    executor cannot leak workers or a temp shard even without an
-    explicit ``close()``) and invoked directly by
-    :meth:`BatchExecutor.close`.  Module-level on purpose: a finalizer
-    must not hold a reference back to the executor it guards.
-    """
-    if pool is not None:
-        pool.close(terminate=True)
-    if temp_shard is not None:
-        shutil.rmtree(os.path.dirname(temp_shard), ignore_errors=True)
-
-
 class BatchExecutor:
     """Disambiguates document batches serially or across a worker pool.
 
@@ -416,7 +330,7 @@ class BatchExecutor:
         by default — this is the runtime's raison d'être; disable to
         measure the uncached network walk).  The index is built once in
         the parent and shared: the serial path uses it directly, pool
-        workers attach it from an ``RXPD`` shard by path.
+        workers fork with it.
     cache_size:
         Bound for the pairwise-similarity LRU (``None`` = unbounded).
     metrics:
@@ -439,9 +353,8 @@ class BatchExecutor:
         Long-lived callers (the ``repro serve`` session pool) build the
         index once and share it across many executors —
         per-configuration caches stay private while the heavyweight
-        taxonomy tables are never rebuilt.  An index attached from a
-        shard (:meth:`PackedIndex.from_mmap`) ships that shard's path
-        to workers.  Ignored when ``use_index`` is False.
+        taxonomy tables are never rebuilt.  Ignored when ``use_index``
+        is False.
     oversubscribe:
         Run the requested ``workers`` even beyond the usable-CPU count
         (default False).  The pool-lifecycle tests, the chaos gate,
@@ -494,11 +407,9 @@ class BatchExecutor:
         self._doc_cache: LRUCache | None = (
             LRUCache(maxsize=DOC_CACHE_SIZE) if use_index else None
         )
-        # Persistent parallel runtime: pool + temp shard are built once
-        # on the first parallel batch and reused until close().
+        # Persistent parallel runtime: the pool is built once on the
+        # first parallel batch and reused until close().
         self._pool: PersistentPool | None = None
-        self._temp_shard: str | None = None
-        self._shard_bytes = 0
         self._finalizer: "weakref.finalize | None" = None
         self._stat_marks: dict[tuple[int, int], dict[str, float]] = {}
 
@@ -529,22 +440,20 @@ class BatchExecutor:
         self._serial()
 
     def close(self) -> None:
-        """Release the persistent pool and the temporary index shard.
+        """Release the persistent pool: terminate its workers.
 
-        Terminates workers and deletes the temp shard (if one was
-        written).  Idempotent, and the executor stays usable: the
-        serial path is untouched, and a later parallel batch simply
-        rewrites the shard and respawns a fresh runtime.  Executors also
-        carry a GC finalizer doing the same teardown, so a dropped
-        executor cannot leak — ``close()`` just makes it deterministic
-        (the server calls it on session eviction and drain).
+        Idempotent, and the executor stays usable: the serial path is
+        untouched, and a later parallel batch forks a fresh runtime.
+        Executors also carry a GC finalizer doing the same teardown, so
+        a dropped executor cannot leak workers — ``close()`` just makes
+        it deterministic (the server calls it on session eviction and
+        drain).
         """
         finalizer = self._finalizer
         if finalizer is not None:
-            finalizer()  # runs _release_parallel_state exactly once
+            finalizer()  # closes the pool exactly once
             self._finalizer = None
         self._pool = None
-        self._temp_shard = None
 
     def __enter__(self) -> "BatchExecutor":
         """Context-manager entry (returns self)."""
@@ -569,26 +478,21 @@ class BatchExecutor:
         return min(self.workers, auto_workers())
 
     def runtime_stats(self) -> dict[str, int]:
-        """Persistent-runtime counters (pool reuse, spawns, shard size).
+        """Persistent-runtime counters (pool reuse, spawns, respawns).
 
         The bench honesty fields: ``pool_reuse_count`` proves warm
-        batches really reused the pool, ``shard_bytes`` is the size of
-        the shard file workers attach (0 until a parallel batch ran, or
-        when no index ships), ``generation``/``worker_respawns`` count
-        spawns.
+        batches really reused the pool, ``generation``/
+        ``worker_respawns`` count spawns.
         """
-        stats = (
-            self._pool.stats() if self._pool is not None
-            else {
-                "workers": self.effective_workers,
-                "generation": 0,
-                "pool_reuse_count": 0,
-                "worker_respawns": 0,
-                "alive": 0,
-            }
-        )
-        stats["shard_bytes"] = self._shard_bytes
-        return stats
+        if self._pool is not None:
+            return self._pool.stats()
+        return {
+            "workers": self.effective_workers,
+            "generation": 0,
+            "pool_reuse_count": 0,
+            "worker_respawns": 0,
+            "alive": 0,
+        }
 
     # -- public API ----------------------------------------------------------
 
@@ -748,64 +652,37 @@ class BatchExecutor:
         byte_cap = max(1, TARGET_CHUNK_BYTES // mean_doc_bytes)
         return min(count_chunk, byte_cap)
 
-    def _ship_index(self) -> MmapIndexHandle | None:
-        """The shard ticket shipped to workers (``None``: no index).
-
-        An index attached from an ``RXPD`` shard file ships that path;
-        otherwise the index is written **once** to a temporary shard
-        (owned by this executor until :meth:`close`).  Workers attach
-        it with the full CRC check, so a shard damaged on disk makes
-        each worker build the index itself.  A shard that cannot be
-        written is recorded as a ``pool_fault`` event and takes the
-        same worker fallback.
-        """
-        index = self._ensure_index()
-        if index is None:
-            return None
-        path = index.shard_path
-        if path is None or not os.path.isfile(path):
-            try:
-                path = self._write_temp_shard(index)
-            except OSError as exc:
-                if self.metrics is not None:
-                    self.metrics.event(
-                        "pool_fault", kind="shard_write", error=str(exc)
-                    )
-                return MmapIndexHandle(path=self._temp_shard or "", size=0)
-        size = os.path.getsize(path)
-        self._shard_bytes = size
-        if self.metrics is not None:
-            self.metrics.gauge("shard_bytes", size)
-        return MmapIndexHandle(path=path, size=size)
-
-    def _write_temp_shard(self, index: PackedIndex) -> str:
-        """Write ``index`` to this executor's temporary shard."""
-        self._temp_shard = _new_temp_shard_path()
-        write_shard(index, self._temp_shard)
-        return self._temp_shard
-
     def _runtime(self) -> PersistentPool:
         """This executor's persistent pool runtime, created once.
 
-        The index shard is shipped and the pool object built on the
-        first parallel batch; both live until :meth:`close` (or the GC
-        finalizer registered here).  Workers themselves are spawned
-        lazily by ``PersistentPool.ensure`` and survive across batches
-        with their session state (attached index, warm sphere memo,
-        document cache) intact.
+        The pool object is built on the first parallel batch and lives
+        until :meth:`close` (or the GC finalizer registered here).
+        Workers themselves are forked lazily by
+        ``PersistentPool.ensure`` and survive across batches with their
+        session state (warm sphere memo, document cache) intact.
+
+        Before the first fork the parent decodes the index's deferred
+        string tables and computes the network fingerprint the memo
+        keys use, so every worker inherits both instead of repeating
+        them; a damaged table raises its :class:`PackedIndexError` here,
+        from :meth:`run`, as the serial path's does.
         """
         if self._pool is None:
-            ship = self._ship_index()
+            index = self._ensure_index()
+            if index is not None:
+                index._materialize_lazy()
+            if self.config.memo:
+                self.network.fingerprint()
             self._pool = PersistentPool(
                 processes=self.effective_workers,
                 initializer=_init_worker,
                 initargs=(
-                    self.network, self.config, ship, self.cache_size,
+                    self.network, self.config, index, self.cache_size,
                 ),
                 metrics=self.metrics,
             )
             self._finalizer = weakref.finalize(
-                self, _release_parallel_state, self._pool, self._temp_shard
+                self, self._pool.close, terminate=True
             )
         return self._pool
 
@@ -846,8 +723,7 @@ class BatchExecutor:
         except BaseException:  # lint: disable=broad-except  # teardown boundary: kills the workers then re-raises
             # KeyboardInterrupt/SystemExit and the on_error="fail" abort
             # must not leave workers running abandoned tasks.  The
-            # runtime (and its index shard) stays, so the next batch
-            # respawns workers against the same shard.
+            # runtime stays, so the next batch forks fresh workers.
             runtime.restart()
             raise
         if self.metrics is not None:

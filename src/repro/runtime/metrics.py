@@ -85,7 +85,7 @@ class MetricsRegistry:
     # -- gauges --------------------------------------------------------------
 
     def gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time level (``shard_bytes``, queue depths, ...).
+        """Set a point-in-time level (queue depths, sizes, ...).
 
         Unlike counters, gauges overwrite: the snapshot reports the
         latest value, not an accumulation.
@@ -211,8 +211,8 @@ def batch_summary(report: dict, n_records: int, n_failures: int) -> str:
     server's logs so the two surfaces describe a run in one vocabulary:
     document/failure counts, throughput from the ``batch`` stage timer,
     memo traffic (serial runs surface it through the registered LRU,
-    parallel runs through the merged worker counters), pruning, retry,
-    and degradation counts.  Pure function of the report snapshot —
+    parallel runs through the merged worker counters) and pruning
+    counts.  Pure function of the report snapshot —
     callers append surface-specific suffixes (quarantine paths, ...)
     themselves.
     """
@@ -236,10 +236,4 @@ def batch_summary(report: dict, n_records: int, n_failures: int) -> str:
             f", memo {int(memo_hits)}/{int(memo_hits + memo_misses)} hits"
             f", {int(pruned)} candidates pruned"
         )
-    degradations = int(sum(
-        value for key, value in counters.items()
-        if key.startswith("degrade_")
-    ))
-    if degradations:
-        summary += f", {degradations} degradations"
     return summary

@@ -100,8 +100,8 @@ class PackedIndexCRCError(PackedIndexError):
     """The body checksum does not match.
 
     Actionable: the shard is the right length but its content was
-    altered — a corrupt write, a bad copy, or injected bitrot; rebuild
-    the index from the network (pool workers do this automatically).
+    altered — a corrupt write, a bad copy, or injected bitrot; re-pack
+    it from the network.
     """
 
 
@@ -400,9 +400,8 @@ class PackedIndex:
     """
 
     #: Path of the ``RXPD`` shard this index was attached from (set by
-    #: :meth:`from_mmap`; ``None`` for heap-built indexes).  The
-    #: executor ships this path to pool workers when it is set instead
-    #: of writing a temporary shard.
+    #: :meth:`from_mmap`; ``None`` for heap-built indexes).  It decides
+    #: :attr:`backing`.
     shard_path: "str | None" = None
 
     def __init__(self, network: SemanticNetwork):
@@ -539,10 +538,10 @@ class PackedIndex:
         every view into it are garbage.
 
         ``verify=True`` additionally checks the body CRC-32 (paging in
-        the whole shard; pool workers always verify, while the
-        write-time default trusts the filesystem because the file was
-        CRC-stamped by :meth:`to_disk_payload` and is validated
-        structurally here).  ``expect_fingerprint`` (a network SHA-256
+        the whole shard; the CLI ``--shard`` paths and the server
+        always verify, while the default trusts the filesystem because
+        the file was CRC-stamped by :meth:`to_disk_payload` and is
+        validated structurally here).  ``expect_fingerprint`` (a network SHA-256
         hex digest) raises when the shard records a different source
         network or records none.  Raises
         ``FileNotFoundError``/``OSError`` for missing/unmappable files
@@ -623,7 +622,12 @@ class PackedIndex:
         return header + bytes(body)
 
     def __reduce__(self):
-        """Refuse to pickle: workers attach a shard by path instead."""
+        """Refuse to pickle: pool workers fork with the index instead.
+
+        Another process gets the tables from a shard file
+        (:func:`~repro.runtime.store.write_shard`, then
+        :meth:`from_mmap`), never from a pickled copy.
+        """
         raise TypeError(
             "PackedIndex does not pickle; write it with "
             "repro.runtime.store.write_shard and attach the file with "

@@ -3,11 +3,12 @@
 :class:`PersistentPool` is a long-lived
 :class:`concurrent.futures.ProcessPoolExecutor` created once per
 :class:`~repro.runtime.executor.BatchExecutor` and reused across
-batches.  Workers keep their session state (the index they attached
-from an ``RXPD`` shard by path, a warm
-:class:`~repro.runtime.memo.SphereMemo`, the document cache) between
-batches, so steady-state batches pay only document payloads across the
-process boundary.
+batches.  Workers are always forked, so initializer arguments (the
+network and the parent's packed index) reach them without pickling, as
+pages shared with the parent.  Workers keep their session state (a
+warm :class:`~repro.runtime.memo.SphereMemo`, the document cache)
+between batches, so steady-state batches pay only document payloads
+across the process boundary.
 
 A worker that dies (SIGKILL, the OOM killer, a crash in native code)
 breaks the executor: every pending future fails with
@@ -17,9 +18,9 @@ down and the next :meth:`ensure` respawns it one *generation* up — the
 executor's stats merge uses the generation to keep per-worker counters
 monotone.
 
-Platforms without working process pools make :meth:`ensure` return
-``None``; the executor then runs the batch serially, and output stays
-byte-identical either way.
+Platforms without working process pools, or without ``fork``, make
+:meth:`ensure` return ``None``; the executor then runs the batch
+serially, and output stays byte-identical either way.
 """
 
 from __future__ import annotations
@@ -166,9 +167,11 @@ class PersistentPool:
         """The live inner pool, spawning one if needed.
 
         Returns ``None`` (with a ``pool_fault`` event) when the
-        platform refuses to create a pool or its workers.
+        platform refuses to create a pool or its workers, or has no
+        ``fork`` start method.
 
-        Collector contract: the workers fork with the parent's heap
+        Collector contract: the workers fork (the start method is
+        pinned, whatever the platform default) with the parent's heap
         frozen (``gc.freeze()`` around the spawn, ``gc.unfreeze()`` in
         the parent right after), so a worker's collections never
         traverse, and so never copy-on-write, the network and index it
@@ -186,10 +189,12 @@ class PersistentPool:
             gc.freeze()
         pool = None
         try:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(
                 max_workers=self.processes,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_worker,
                 initargs=(
                     self._initializer, *self._initargs, self.generation,
@@ -216,9 +221,8 @@ class PersistentPool:
         Called when a worker died (the pool is broken) and when a batch
         is abandoned mid-flight, so no worker keeps running its task.
         Worker session state (warm memo, doc cache) dies with the
-        workers — correctness never depended on it — while the index
-        shard stays on disk, so the respawned generation re-attaches
-        it by path instead of rebuilding.
+        workers — correctness never depended on it — and the respawned
+        generation forks from the parent again, index included.
         """
         if self._pool is None:
             return

@@ -8,8 +8,9 @@ re-walking the network at startup:
   ``RXPD`` shard file (the packed body under a disk header carrying
   its CRC-32 and the source network's fingerprint);
 * :meth:`PackedIndex.from_mmap` — attach the shard read-only through
-  ``mmap``; every attaching process (server, pool workers, concurrent
-  CLI runs) shares the same physical pages via the OS page cache.
+  ``mmap``; every attaching process (server, concurrent CLI runs)
+  shares the same physical pages via the OS page cache, and pool
+  workers fork with the parent's mapping.
 
 The shard body is CRC-stamped at write time and structurally validated
 at attach time; :func:`verify_shard` re-checks the full checksum (the
@@ -19,7 +20,6 @@ deep, page-everything-in variant) for offline integrity audits.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .pack import (
     _DISK_HEADER,
@@ -29,20 +29,6 @@ from .pack import (
     PackedIndexError,
     PackedIndexTruncatedError,
 )
-
-
-@dataclass(frozen=True)
-class MmapIndexHandle:
-    """The pool-shippable ticket for an on-disk shard attachment.
-
-    Workers receive the shard *path* and attach with
-    :meth:`PackedIndex.from_mmap` — no payload pickling, and the pages
-    are shared with every other process mapping the same file.
-    ``size`` is the file length (observability).
-    """
-
-    path: str
-    size: int
 
 
 def write_shard(

@@ -24,11 +24,16 @@ This list is the one statement of what :func:`parse` accepts.
   LF in attribute values become spaces (§3.3.3).
 * **References.**  The five predefined entities, character references
   (``&#N;`` and ``&#xN;``) and general entities declared in the
-  internal DTD subset are expanded, nested ones included, within
-  expat's amplification limit (expat 2.4 and later).  Replacement text
-  that holds markup yields elements.  Undefined, external and unparsed
-  entities raise :class:`XMLEntityError`; nothing outside the string is
-  ever opened, and the external DTD subset is never read.
+  internal DTD subset are expanded, nested ones included.  Replacement
+  text that holds markup yields elements.  Undefined, external and
+  unparsed entities raise :class:`XMLEntityError`; nothing outside the
+  string is ever opened, and the external DTD subset is never read.
+* **Expansion bound.**  When the DOCTYPE ends, before anything in the
+  body expands, each internal entity's fully expanded length times its
+  ``&name;`` occurrences in the rest of the input is summed; past
+  :data:`MAX_EXPANSION` characters (or on a reference cycle) the
+  document raises :class:`XMLEntityError` there.  Expat's own
+  amplification limit (expat 2.4 and later) still applies.
 * **Dropped.**  The XML declaration, the DOCTYPE, comments and
   processing instructions leave nothing in the tree.  ``<!ATTLIST>``
   defaults are not applied.
@@ -46,6 +51,8 @@ This list is the one statement of what :func:`parse` accepts.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from xml.parsers import expat
 from xml.parsers.expat import errors
@@ -110,6 +117,13 @@ class Document:
 #: own position.
 MAX_DEPTH = 256
 
+#: Most characters the entity references after the DOCTYPE may expand
+#: to, all together (see *Expansion bound* above).
+MAX_EXPANSION = 1 << 20
+
+#: A general entity reference, ``&name;``: group 1 is the name.
+_REFERENCE = re.compile(r"&([^\s&;<>\"'#]+);")
+
 #: Expat error codes raised as :class:`XMLEntityError`.  Code 43 is
 #: XML_ERROR_AMPLIFICATION_LIMIT_BREACH (expat 2.4 and later), which
 #: ``pyexpat.errors`` names only from CPython 3.11 on.
@@ -123,6 +137,49 @@ _ENTITY_ERRORS = frozenset(
         errors.XML_ERROR_EXTERNAL_ENTITY_HANDLING,
     )
 ) | {43}
+
+
+def _expansion(entities: dict[str, str], rest: str) -> int:
+    """Characters the entity references in ``rest`` expand to, at most.
+
+    ``entities`` maps each internal general entity to its replacement
+    text.  An entity's expanded length counts its nested references and
+    saturates just past :data:`MAX_EXPANSION`; a reference cycle is over
+    the bound at once.  Only entities that ``rest`` references are
+    walked, iteratively, so a long nesting chain costs no recursion.
+    """
+    over = MAX_EXPANSION + 1
+    refs = {  # entity -> the declared entities its text names
+        name: [ref for ref in _REFERENCE.findall(text) if ref in entities]
+        for name, text in entities.items()
+    }
+    length: dict[str, int] = {}
+    total = 0
+    for root, count in Counter(_REFERENCE.findall(rest)).items():
+        if root not in entities:
+            continue
+        # Post-order walk from ``root``; ``walking`` is the open path.
+        stack = [] if root in length else [(root, iter(refs[root]))]
+        walking = {root}
+        while stack:
+            name, pending = stack[-1]
+            for ref in pending:
+                if ref in walking:
+                    return over  # a cycle never stops expanding
+                if ref not in length:
+                    stack.append((ref, iter(refs[ref])))
+                    walking.add(ref)
+                    break
+            else:
+                stack.pop()
+                walking.discard(name)
+                length[name] = min(over, len(entities[name]) + sum(
+                    length[ref] - len(ref) - 2 for ref in refs[name]
+                ))
+        total += count * length[root]
+        if total > MAX_EXPANSION:
+            break
+    return total
 
 
 def parse(source: str) -> Document:
@@ -146,6 +203,7 @@ def parse(source: str) -> Document:
     holder = Element("")  # the root's parent while parsing
     open_elements = [holder]
     run: list[str] = []  # character data since the last markup event
+    entities: dict[str, str] = {}  # internal general entity -> replacement
 
     def located(error: type[XMLSyntaxError], message: str) -> XMLSyntaxError:
         return error(
@@ -177,6 +235,19 @@ def parse(source: str) -> Document:
         open_elements[-1].children.append(Text("".join(run)))
         run.clear()
 
+    def entity_decl(name, is_parameter_entity, value, *_) -> None:
+        if value is not None and not is_parameter_entity:
+            entities.setdefault(name, value)  # the first declaration binds
+
+    def end_doctype() -> None:
+        if entities and _expansion(
+            entities, data[parser.CurrentByteIndex:].decode("utf-8")
+        ) > MAX_EXPANSION:
+            raise located(
+                XMLEntityError,
+                f"entity references expand past {MAX_EXPANSION} characters",
+            )
+
     def skipped_entity(name: str, is_parameter_entity: bool) -> None:
         sigil = "%" if is_parameter_entity else "&"
         raise located(XMLEntityError, f"undefined entity {sigil}{name};")
@@ -193,6 +264,8 @@ def parse(source: str) -> Document:
     parser.EndCdataSectionHandler = end_cdata
     parser.CommentHandler = end_run
     parser.ProcessingInstructionHandler = end_run
+    parser.EntityDeclHandler = entity_decl
+    parser.EndDoctypeDeclHandler = end_doctype
     parser.SkippedEntityHandler = skipped_entity
     parser.ExternalEntityRefHandler = external_entity
     try:

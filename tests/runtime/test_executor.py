@@ -184,21 +184,45 @@ class TestPoolFailureDegrade:
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-        docs = [("a", figure1_xml), ("b", figure1_xml), ("c", figure1_xml)]
-        metrics = MetricsRegistry()
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, metrics=metrics,
-            oversubscribe=True,
-        )
-        records = executor.run(docs)
-        assert all(r.ok for r in records)
-        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
-        assert [r.to_json_line() for r in records] == \
-            [r.to_json_line() for r in serial.run(docs)]
-        (fault,) = metrics.events("pool_fault")
-        assert fault["kind"] == "create"
-        assert executor.runtime_stats()["generation"] == 1
-        assert metrics.counter("pool_spawns") == 0
+        _assert_runs_serially(lexicon, figure1_xml)
+
+    def test_platform_without_fork_degrades_to_serial(
+        self, lexicon, figure1_xml, monkeypatch
+    ):
+        """Workers must fork (they inherit the parent's index), so a
+        platform without the ``fork`` start method takes the same
+        serial path."""
+        import multiprocessing
+
+        get_context = multiprocessing.get_context
+
+        def _no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+        _assert_runs_serially(lexicon, figure1_xml)
+
+
+def _assert_runs_serially(lexicon, figure1_xml):
+    """A ``workers=2`` batch on a platform that refuses the pool: every
+    record byte-identical to serial, one ``create`` fault, no spawn."""
+    docs = [("a", figure1_xml), ("b", figure1_xml), ("c", figure1_xml)]
+    metrics = MetricsRegistry()
+    executor = BatchExecutor(
+        lexicon, XSDFConfig(), workers=2, metrics=metrics,
+        oversubscribe=True,
+    )
+    records = executor.run(docs)
+    assert all(r.ok for r in records)
+    serial = BatchExecutor(lexicon, XSDFConfig(), workers=1)
+    assert [r.to_json_line() for r in records] == \
+        [r.to_json_line() for r in serial.run(docs)]
+    (fault,) = metrics.events("pool_fault")
+    assert fault["kind"] == "create"
+    assert executor.runtime_stats()["generation"] == 1
+    assert metrics.counter("pool_spawns") == 0
 
 
 class TestFaultIsolation:

@@ -15,7 +15,7 @@ Four contracts are pinned here:
   truncated/corrupted/foreign payloads raise the typed
   :class:`PackedIndexError` family instead of mis-attaching;
 * **worker shipping** — a ``PackedIndex`` does not pickle: pool
-  workers attach a shard file by path instead.
+  workers fork with the parent's index instead.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ class TestCodec:
 class TestWorkerShipping:
     def test_pickling_raises_type_error(self, packed_lexicon, tmp_path):
         """Heap-built or attached, an index never pickles: workers
-        attach a shard by path instead of receiving the tables."""
+        fork with it instead of receiving a copy of the tables."""
         for index in (packed_lexicon, _round_trip(packed_lexicon, tmp_path)):
             with pytest.raises(TypeError, match="from_mmap"):
                 pickle.dumps(index)

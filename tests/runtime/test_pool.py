@@ -1,17 +1,14 @@
-"""Persistent pool runtime: lifecycle, temp shards, crash recovery.
+"""Persistent pool runtime: lifecycle, crash recovery, forked workers.
 
 The contracts pinned here:
 
 * a second batch on the same executor **reuses** the warm pool (no
-  respawn, no rewrite of the index shard);
+  respawn);
 * a worker SIGKILLed mid-batch (the crash no ``except`` can catch)
   breaks the pool at once — no timeout — and the batch still completes
   with every record byte-identical to serial; a document that kills
   its worker every time fails alone, with stage ``pool``; no worker
   outlives an abort, an interrupt or its SIGKILLed parent;
-* a heap-built index reaches workers through a temporary ``RXPD``
-  shard that ``close()`` deletes, that the next writer sweeps up when
-  its owner was killed, and whose write failure only costs speed;
 * serial and persistent-pool output are byte-identical even across
   ``PYTHONHASHSEED`` variation (subprocess-checked, since the hash
   seed is frozen at interpreter start);
@@ -90,11 +87,10 @@ class TestWarmPoolReuse:
             assert stats["alive"] == 1
             assert stats["generation"] == 1
             assert stats["pool_reuse_count"] == 0
-            assert stats["shard_bytes"] > 0
             second = [r.to_json_line() for r in executor.run(docs)]
             stats = executor.runtime_stats()
             # Same generation: the warm pool served the second batch;
-            # nothing was respawned or republished.
+            # nothing was respawned.
             assert stats["generation"] == 1
             assert stats["pool_reuse_count"] == 1
             assert stats["worker_respawns"] == 0
@@ -116,80 +112,6 @@ class TestWarmPoolReuse:
         again = [r.to_json_line() for r in executor.run(docs)]
         assert again == baseline
         executor.close()
-
-
-def _temp_shard_dirs():
-    """Temp shard directories currently present, by name."""
-    root = executor_module._temp_shard_root()
-    return {
-        name for name in os.listdir(root)
-        if name.startswith(executor_module._TEMP_SHARD_PREFIX)
-    }
-
-
-class TestShmHygiene:
-    def test_close_unlinks_the_published_segment(self, lexicon, figure1_xml):
-        """A heap index reaches workers as a temp shard published on
-        tmpfs (``/dev/shm`` when writable); ``close()`` unlinks it."""
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, oversubscribe=True
-        )
-        executor.run([(f"doc-{i}", figure1_xml) for i in range(3)])
-        shard = executor._temp_shard
-        assert shard is not None and os.path.isfile(shard)
-        directory = os.path.dirname(shard)
-        assert os.path.dirname(directory) == \
-            executor_module._temp_shard_root()
-        shard_bytes = executor.runtime_stats()["shard_bytes"]
-        assert shard_bytes == os.path.getsize(shard) > 0
-        executor.close()
-        assert not os.path.exists(directory)
-
-
-class TestTempShardLifecycle:
-    def test_dead_owner_shard_is_removed_by_next_writer(
-        self, lexicon, figure1_xml
-    ):
-        """A SIGKILLed owner's shard goes with the next parallel batch."""
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # a pid that no longer exists
-        orphan = os.path.join(
-            executor_module._temp_shard_root(),
-            f"{executor_module._TEMP_SHARD_PREFIX}{child.pid}-planted",
-        )
-        os.makedirs(orphan)
-        with open(os.path.join(orphan, "index.rxpd"), "wb") as fh:
-            fh.write(b"RXPD")
-        with BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, oversubscribe=True
-        ) as executor:
-            executor.run([(f"doc-{i}", figure1_xml) for i in range(2)])
-            assert not os.path.exists(orphan)
-
-    def test_shard_write_failure_falls_back_to_worker_builds(
-        self, lexicon, figure1_xml, monkeypatch
-    ):
-        def _disk_full(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(executor_module, "write_shard", _disk_full)
-        before = _temp_shard_dirs()
-        docs = [(f"doc-{i}", figure1_xml) for i in range(3)]
-        metrics = MetricsRegistry()
-        with BatchExecutor(
-            lexicon, XSDFConfig(), workers=2, metrics=metrics,
-            oversubscribe=True,
-        ) as executor:
-            records = executor.run(docs)
-        assert all(r.ok for r in records)
-        (fault,) = metrics.events("pool_fault")
-        assert fault["kind"] == "shard_write"
-        assert metrics.counter("degrade_packed_decode") >= 1
-        assert _temp_shard_dirs() <= before
-        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1).run(docs)
-        assert [r.to_json_line() for r in records] == [
-            r.to_json_line() for r in serial
-        ]
 
 
 def _within(seconds, fn):
@@ -401,7 +323,7 @@ def _initialize_worker(generation: int) -> None:
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="only forked workers inherit the parent's frozen heap",
 )
 class TestForkWithFrozenHeap:

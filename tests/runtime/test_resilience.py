@@ -1,12 +1,13 @@
 """Fault-isolated batch pipeline: structured outcomes, real faults.
 
 The contract under test, end to end: a batch survives real faults
-(malformed documents, a damaged shard, a worker killed by its
-document) with structured per-document outcomes, and **every document
-that succeeds is byte-identical to a fault-free run** (the chaos
-parity gate mirrored by the CI chaos job).  A fault while scoring is
-not worked around or retried: it fails that one document, typed by
-stage, and the rest of the batch is unaffected.
+(malformed documents, a worker killed by its document) with structured
+per-document outcomes, and **every document that succeeds is
+byte-identical to a fault-free run** (the chaos parity gate mirrored by
+the CI chaos job).  A fault while scoring is not worked around or
+retried: it fails that one document, typed by stage, and the rest of
+the batch is unaffected.  A damaged index is not a per-document fault:
+``run()`` raises it before anything scores, with or without workers.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.runtime import (
     MetricsRegistry,
     PackedIndex,
     PackedIndexCRCError,
+    PackedIndexError,
     SphereMemo,
     write_shard,
 )
@@ -144,17 +146,15 @@ class TestChaosParity:
         assert sum(r.ok for r in records) == 4
         assert metrics.report()["counters"]["outcome_failed"] == 2
 
-    def test_corrupt_packed_payload_degrades_workers_with_parity(
+    def test_damaged_index_raises_from_run_on_both_paths(
         self, lexicon, corpus, tmp_path
     ):
         docs = _docs(corpus, 4)
-        baseline = _lines(
-            BatchExecutor(lexicon, XSDFConfig(), workers=1).run(docs)
-        )
         shard = str(tmp_path / "lexicon.rxpd")
         write_shard(PackedIndex(lexicon), shard)
         index = PackedIndex.from_mmap(shard)
-        # One body byte flipped on disk before the workers attach it.
+        # One body byte flipped on disk after the attach: the mapping
+        # sees it, in the id/token string tables.
         with open(shard, "r+b") as fh:
             fh.seek(os.path.getsize(shard) // 2)
             byte = fh.read(1)
@@ -163,19 +163,21 @@ class TestChaosParity:
         with pytest.raises(PackedIndexCRCError):
             PackedIndex.from_mmap(shard, verify=True)
         metrics = MetricsRegistry()
-        executor = BatchExecutor(
+        with BatchExecutor(
             lexicon, XSDFConfig(), workers=2, metrics=metrics,
             oversubscribe=True,  # exercise the real pool on 1-CPU hosts
             index=index,
-        )
-        records = executor.run(docs)
-        executor.close()
-        assert all(r.ok for r in records)
-        assert _lines(records) == baseline
-        # Every worker's CRC-verified attach failed and it built the
-        # index itself.
-        counters = metrics.report()["counters"]
-        assert counters.get("degrade_packed_decode", 0) >= 1
+        ) as executor:
+            with pytest.raises(PackedIndexError) as parallel:
+                executor.run(docs)
+        # The parent decodes the tables before its first fork, so the
+        # damage raises there and no worker is ever spawned.
+        assert metrics.counter("pool_spawns") == 0
+        serial = BatchExecutor(lexicon, XSDFConfig(), workers=1, index=index)
+        with pytest.raises(PackedIndexError) as serial_error:
+            serial.run(docs)
+        assert type(parallel.value) is type(serial_error.value)
+        assert str(parallel.value) == str(serial_error.value)
 
 
 class TestScoringFaults:

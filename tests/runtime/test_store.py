@@ -10,15 +10,14 @@ Three contracts are pinned here:
 * **backing parity** — mmap attach, in-memory packed build and the
   network walk all produce bit-identical batch JSONL (the backing
   never changes a score);
-* **worker shipping** — pool workers attach a shard-backed index by
-  its own *path* (no temporary shard is written), with results
-  identical to the serial path.
+* **forked workers** — pool workers fork with the parent's index,
+  heap-built or shard-backed: no worker attaches, builds or writes
+  one, and results are identical to the serial path.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 
 import pytest
@@ -33,8 +32,6 @@ from repro.runtime import (
     verify_shard,
     write_shard,
 )
-from repro.runtime.store import MmapIndexHandle
-
 from .test_pack import _assert_query_parity, _sample_pairs
 
 
@@ -204,30 +201,29 @@ class TestResilienceLadder:
 
 
 class TestWorkerShipping:
-    def test_pool_workers_attach_shard_by_path(
-        self, lexicon, lexicon_shard, figure1_xml
+    def test_pool_workers_fork_with_the_parents_index(
+        self, lexicon, lexicon_shard, figure1_xml, monkeypatch
     ):
-        """A shard-backed index ships its own path: no temp shard."""
+        """Heap-built or attached, the parent's index reaches workers
+        through the fork: no worker attaches, builds or writes one."""
         docs = [(f"doc-{i}", figure1_xml) for i in range(4)]
-        index = _attach(lexicon_shard)
-        with BatchExecutor(
-            lexicon, workers=2, index=index, oversubscribe=True
-        ) as executor:
-            parallel = [r.to_json_line() for r in executor.run(docs)]
-            stats = executor.runtime_stats()
-            assert executor._temp_shard is None
-        assert stats["shard_bytes"] == os.path.getsize(lexicon_shard)
         with BatchExecutor(lexicon) as serial_executor:
             serial = [r.to_json_line() for r in serial_executor.run(docs)]
-        assert parallel == serial
+        indexes = [PackedIndex(lexicon), _attach(lexicon_shard)]
 
-    def test_handle_is_a_small_frozen_ticket(self, lexicon_shard):
-        handle = MmapIndexHandle(
-            path=lexicon_shard, size=os.path.getsize(lexicon_shard)
-        )
-        assert len(pickle.dumps(handle)) < 500
-        with pytest.raises(AttributeError):
-            handle.path = "elsewhere"
+        def refuse(*args, **kwargs):
+            raise AssertionError("an index was attached, built or written")
+
+        for name in ("from_mmap", "__init__", "to_disk_payload"):
+            monkeypatch.setattr(PackedIndex, name, refuse)
+        for index in indexes:
+            with BatchExecutor(
+                lexicon, workers=2, index=index, oversubscribe=True
+            ) as executor:
+                records = executor.run(docs)
+            assert all(r.ok for r in records), index.backing
+            assert all(r.worker_stats for r in records)  # workers scored
+            assert [r.to_json_line() for r in records] == serial
 
 
 class TestDamageMarks:

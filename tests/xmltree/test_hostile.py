@@ -29,6 +29,12 @@ BILLION_LAUGHS = (
     )
     + "]><a>&l9;</a>"
 )
+#: One 290-character entity referenced 170,000 times: a 510 KB document
+#: within expat's 100x amplification ratio that expands to 49,300,000
+#: characters, in text and in one attribute value.
+_WIDE_ENTITY = '<!DOCTYPE a [<!ENTITY e "' + "y" * 290 + '">]>'
+WIDE_TEXT = _WIDE_ENTITY + "<a>" + "&e;" * 170000 + "</a>"
+WIDE_ATTRIBUTE = _WIDE_ENTITY + '<a v="' + "&e;" * 170000 + '"/>'
 
 _PROLOGS = (
     "",
@@ -89,7 +95,10 @@ def test_mutated_documents_parse_or_raise_xml_error(text):
     ("<a>" * 5000 + "</a>" * 5000, XMLSyntaxError),
     (BLOWUP, XMLEntityError),
     (BILLION_LAUGHS, XMLEntityError),
-], ids=["1mb-attribute", "5000-deep", "entity-blowup", "billion-laughs"])
+    (WIDE_TEXT, XMLEntityError),
+    (WIDE_ATTRIBUTE, XMLEntityError),
+], ids=["1mb-attribute", "5000-deep", "entity-blowup", "billion-laughs",
+        "wide-entity-text", "wide-entity-attribute"])
 def test_large_inputs_stay_bounded(text, error):
     tracemalloc.start()
     try:

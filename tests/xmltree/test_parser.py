@@ -8,12 +8,24 @@ import pytest
 from xml.parsers.expat import errors
 
 from repro.xmltree.errors import XMLEntityError, XMLError, XMLSyntaxError
-from repro.xmltree.parser import MAX_DEPTH, Document, Element, Text, parse
+from repro.xmltree.parser import (
+    MAX_DEPTH,
+    MAX_EXPANSION,
+    Document,
+    Element,
+    Text,
+    parse,
+)
 
 
 def _nested(levels: int) -> str:
     """``levels`` elements nested one inside the other."""
     return "<a>" * levels + "x" + "</a>" * levels
+
+
+def _expanding(declarations: str, body: str) -> str:
+    """A document whose internal subset is ``declarations``."""
+    return f"<!DOCTYPE a [{declarations}]><a>{body}</a>"
 
 
 class TestWellFormedDocuments:
@@ -203,6 +215,35 @@ class TestNestingDepth:
     def test_5000_levels_raise_xml_error_not_recursion_error(self):
         with pytest.raises(XMLError):
             parse(_nested(5000))
+
+
+class TestExpansionBound:
+    #: A 1,024-character entity: 1,024 references reach the bound exactly.
+    KIB = '<!ENTITY k "' + "y" * 1024 + '">'
+
+    def test_expansion_at_the_bound_parses(self):
+        assert MAX_EXPANSION == 1 << 20
+        text = parse(_expanding(self.KIB, "&k;" * 1024)).root.text()
+        assert len(text) == MAX_EXPANSION
+
+    @pytest.mark.parametrize("declarations, body", [
+        (KIB, "&k;" * 1025),
+        # A reference declared later still counts inside its user.
+        ('<!ENTITY n "' + "&k;" * 1025 + '">' + KIB, "&n;"),
+        ('<!ENTITY p "&q;"><!ENTITY q "x&p;">', "&p;"),
+    ], ids=["one-past", "nested-forward", "cycle"])
+    def test_past_the_bound_raises_at_the_doctype_end(
+        self, declarations, body
+    ):
+        source = _expanding(declarations, body)
+        with pytest.raises(XMLEntityError, match="expand past") as info:
+            parse(source)
+        # Located at the ">" that ends the DOCTYPE (1-based column).
+        assert info.value.column == source.index("]>") + 2
+
+    def test_unreferenced_cycle_is_never_expanded(self):
+        source = _expanding('<!ENTITY p "&q;"><!ENTITY q "&p;">', "x")
+        assert parse(source).root.text() == "x"
 
 
 class TestElementHelpers:
