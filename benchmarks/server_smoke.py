@@ -2,9 +2,13 @@
 
 CI's ``server`` job runs this end-to-end against the real process
 boundary (the in-process battery in ``tests/server`` cannot prove the
-exit code): start the daemon on an ephemeral port, wait for the stderr
-announce line, check ``/healthz``, stream one NDJSON disambiguation,
-read ``/metrics``, then SIGTERM and require a clean exit — the
+exit code or that a command-line flag reaches the served session):
+start the daemon on an ephemeral port with non-default pipeline flags,
+wait for the stderr announce line, check ``/healthz``, stream one
+NDJSON disambiguation and require its record line to equal the line
+``repro batch`` writes for the same document file under the same
+flags, require a ``config`` envelope key to be refused with 400, read
+``/metrics``, then SIGTERM and require a clean exit — the
 graceful-drain contract.
 
 Usage::
@@ -21,8 +25,13 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 
 XML = "<library><book><title>bank</title></book></library>"
+
+#: Pipeline flags the daemon is started with; each one alone changes
+#: the record line of ``XML``.
+FLAGS = ["--radius", "1", "--structure-only"]
 
 
 def http(address: tuple[str, int], payload: bytes) -> bytes:
@@ -33,6 +42,39 @@ def http(address: tuple[str, int], payload: bytes) -> bytes:
         while chunk := sock.recv(4096):
             data += chunk
     return data
+
+
+def dechunk(response: bytes) -> bytes:
+    """The body of a chunked HTTP response, chunks joined."""
+    rest = response.partition(b"\r\n\r\n")[2]
+    body = b""
+    while rest:
+        size_text, _, rest = rest.partition(b"\r\n")
+        size = int(size_text, 16)
+        if size == 0:
+            break
+        body += rest[:size]
+        rest = rest[size + 2:]
+    return body
+
+
+def post_json(address: tuple[str, int], payload: dict) -> bytes:
+    """One ``POST /v1/disambiguate`` with a JSON envelope body."""
+    body = json.dumps(payload).encode("utf-8")
+    return http(address, (
+        f"POST /v1/disambiguate HTTP/1.1\r\nHost: smoke\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body)
+
+
+def batch_line(env: dict, path: str, flags: list[str]) -> bytes:
+    """The JSONL line ``repro batch PATH FLAGS`` writes for one file."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "batch", path, *flags],
+        capture_output=True, env=env, check=True,
+    )
+    return done.stdout.rstrip(b"\n")
 
 
 def require(condition: bool, message: str) -> None:
@@ -49,8 +91,18 @@ def main() -> int:
         [str(root / "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    # The served request names the document by this path, so its
+    # record line can equal the batch line byte for byte.
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "smoke.xml")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(XML)
+        expected = batch_line(env, path, FLAGS)
+        default = batch_line(env, path, [])
+    require(expected != default,
+            f"{' '.join(FLAGS)} does not change the smoke document's line")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *FLAGS],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
@@ -71,18 +123,29 @@ def main() -> int:
         print(f"healthz ok: index {payload['index']['fingerprint'][:12]}..., "
               f"{payload['index']['concepts']} concepts")
 
-        body = json.dumps({"xml": XML, "name": "smoke"}).encode("utf-8")
-        response = http(address, (
-            f"POST /v1/disambiguate HTTP/1.1\r\nHost: smoke\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii") + body)
+        response = post_json(address, {"xml": XML, "name": path})
         status_line = response.split(b"\r\n")[0]
         require(status_line == b"HTTP/1.1 200 OK",
                 f"disambiguate answered {status_line!r}")
-        require(b'"envelope"' in response and b'"status": "ok"' in response,
+        lines = dechunk(response).splitlines()
+        require(json.loads(lines[-1])["envelope"]["status"] == "ok",
                 "NDJSON stream is missing the ok envelope line")
-        print("disambiguate ok: NDJSON stream with ok envelope")
+        require(lines[-2] == expected,
+                f"served record differs from `repro batch "
+                f"{' '.join(FLAGS)}`:\n  {lines[-2]!r}\n  {expected!r}")
+        print(f"disambiguate ok: record line equals `repro batch "
+              f"{' '.join(FLAGS)}`")
+
+        refused = post_json(
+            address, {"xml": XML, "name": "smoke", "config": {"radius": 2}}
+        )
+        status_line = refused.split(b"\r\n")[0]
+        require(status_line == b"HTTP/1.1 400 Bad Request",
+                f"a config envelope key answered {status_line!r}")
+        envelope = json.loads(refused.partition(b"\r\n\r\n")[2])
+        require("config" in envelope["envelope"]["error"],
+                "the 400 envelope does not name the config key")
+        print("config key ok: 400 envelope naming it")
 
         metrics = http(
             address, b"GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n"

@@ -18,15 +18,16 @@ Commands
     ``--journal``/``--resume`` make a killed batch resumable.
 ``serve``
     Run the long-lived disambiguation daemon (:mod:`repro.server`):
-    the network loads and the packed index builds once, then
-    ``POST /v1/disambiguate`` streams NDJSON annotations byte-identical
-    to ``repro batch`` while the caches stay warm across requests.
+    the serial batch session behind HTTP.  The network loads and the
+    packed index builds once, then ``POST /v1/disambiguate`` streams
+    NDJSON annotations byte-identical to ``repro batch`` under the same
+    pipeline flags while the caches stay warm across requests.
     ``GET /healthz`` and ``GET /metrics`` expose readiness and the live
-    metrics snapshot; ``--rate-limit``/``--max-concurrency``/
-    ``--request-timeout`` bound admission, and SIGTERM, SIGINT or
-    SIGHUP drains gracefully (finish in-flight, refuse new
-    connections, exit 0).  The daemon serves the one network it
-    started with; a new network or shard takes a restart.
+    metrics snapshot; ``--max-concurrency`` bounds admission (503 +
+    ``Retry-After``), and SIGTERM, SIGINT or SIGHUP drains gracefully
+    (finish in-flight, refuse new connections, exit 0).  The daemon
+    serves the one network and configuration it started with; another
+    of either is another process.
 ``pack SHARD``
     Write a network's packed index to an on-disk ``RXPD`` shard
     (:mod:`repro.runtime.store`), stamped with the network's
@@ -48,7 +49,8 @@ Commands
     ``--rules`` filter, non-zero exit on any finding.
 
 All pipeline knobs are exposed as flags (radius, approach, threshold,
-weights, the strip-target-dimension extension).
+weights, the strip-target-dimension extension, structure-only), each
+defined once and shared by ``disambiguate``, ``batch`` and ``serve``.
 """
 
 from __future__ import annotations
@@ -99,25 +101,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dis = sub.add_parser("disambiguate", help="disambiguate an XML file")
+    # One definition per pipeline flag: the commands that score build
+    # their XSDFConfig from the same flags through _make_config.
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument("--radius", type=int, default=2,
+                          help="sphere context radius d (default 2)")
+    pipeline.add_argument("--approach", choices=sorted(_APPROACHES),
+                          default="combined",
+                          help="disambiguation process")
+    pipeline.add_argument("--threshold", type=float, default=0.0,
+                          help="ambiguity threshold Thresh_Amb (default 0)")
+    pipeline.add_argument("--weights", metavar="EDGE,NODE,GLOSS",
+                          default=None,
+                          help="similarity weight mix, e.g. 1,1,1")
+    pipeline.add_argument("--strip-target-dimension", action="store_true",
+                          help="enable the context-vector bias fix "
+                               "(extension)")
+    pipeline.add_argument("--structure-only", action="store_true",
+                          help="ignore text values (structure-only mode)")
+    # The runtime's caching knobs, shared by the two runtime commands.
+    caching = argparse.ArgumentParser(add_help=False)
+    caching.add_argument("--cache-size", type=int, default=None,
+                         help="bound for the similarity caches "
+                              "(default 65536)")
+    caching.add_argument("--no-memo", action="store_true",
+                         help="disable cross-document sphere memoization "
+                              "(results are bit-identical either way)")
+    caching.add_argument("--no-prune", action="store_true",
+                         help="disable exact candidate pruning (chosen "
+                              "senses and scores are identical either "
+                              "way; pruning omits provably-losing "
+                              "candidates from per-node score tables)")
+
+    dis = sub.add_parser("disambiguate", parents=[pipeline],
+                         help="disambiguate an XML file")
     dis.add_argument("file", help="path to the XML document")
-    dis.add_argument("--radius", type=int, default=2,
-                     help="sphere context radius d (default 2)")
-    dis.add_argument("--approach", choices=sorted(_APPROACHES),
-                     default="combined", help="disambiguation process")
-    dis.add_argument("--threshold", type=float, default=0.0,
-                     help="ambiguity threshold Thresh_Amb (default 0)")
-    dis.add_argument("--weights", metavar="EDGE,NODE,GLOSS", default=None,
-                     help="similarity weight mix, e.g. 1,1,1")
-    dis.add_argument("--strip-target-dimension", action="store_true",
-                     help="enable the context-vector bias fix (extension)")
-    dis.add_argument("--structure-only", action="store_true",
-                     help="ignore text values (structure-only mode)")
     dis.add_argument("--xml", action="store_true",
                      help="emit the semantic XML tree instead of a report")
 
     batch = sub.add_parser(
         "batch",
+        parents=[pipeline, caching],
         help="disambiguate many XML files through the cached runtime",
     )
     batch.add_argument("patterns", nargs="+", metavar="GLOB",
@@ -137,14 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "snapshot (including memo and pruning "
                             "counters) as JSON to PATH for trend "
                             "tracking across runs")
-    batch.add_argument("--no-memo", action="store_true",
-                       help="disable cross-document sphere memoization "
-                            "(results are bit-identical either way)")
-    batch.add_argument("--no-prune", action="store_true",
-                       help="disable exact candidate pruning (chosen "
-                            "senses and scores are identical either "
-                            "way; pruning omits provably-losing "
-                            "candidates from per-node score tables)")
     batch.add_argument("--no-index", action="store_true",
                        help="disable the precomputed index and caches "
                             "(uncached baseline)")
@@ -152,21 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="profile the batch under cProfile and append "
                             "the hottest frames to the summary (parent "
                             "process only under --workers > 1)")
-    batch.add_argument("--cache-size", type=int, default=None,
-                       help="bound for the similarity caches "
-                            "(default 65536)")
-    batch.add_argument("--radius", type=int, default=2,
-                       help="sphere context radius d (default 2)")
-    batch.add_argument("--approach", choices=sorted(_APPROACHES),
-                       default="combined", help="disambiguation process")
-    batch.add_argument("--threshold", type=float, default=0.0,
-                       help="ambiguity threshold Thresh_Amb (default 0)")
-    batch.add_argument("--weights", metavar="EDGE,NODE,GLOSS", default=None,
-                       help="similarity weight mix, e.g. 1,1,1")
-    batch.add_argument("--strip-target-dimension", action="store_true",
-                       help="enable the context-vector bias fix (extension)")
-    batch.add_argument("--structure-only", action="store_true",
-                       help="ignore text values (structure-only mode)")
     batch.add_argument("--on-error", choices=("fail", "skip", "quarantine"),
                        default="skip",
                        help="failure policy: fail = abort at the first "
@@ -222,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[pipeline, caching],
         help="run the long-lived disambiguation HTTP daemon",
     )
     serve.add_argument("--host", default="127.0.0.1",
@@ -236,22 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disambiguation requests admitted at once; "
                             "excess requests get 503 + Retry-After "
                             "(default 8)")
-    serve.add_argument("--rate-limit", type=float, default=0.0,
-                       metavar="PER_S",
-                       help="per-client token-bucket refill rate in "
-                            "requests/s; over-budget clients get 429 + "
-                            "Retry-After (default 0 = unlimited)")
-    serve.add_argument("--burst", type=int, default=8,
-                       help="token-bucket burst capacity per client "
-                            "(default 8)")
     serve.add_argument("--max-body-bytes", type=int, default=None,
                        help="largest accepted request body; bigger "
                             "bodies get 413 (default 1 MiB)")
-    serve.add_argument("--request-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-request wall-clock budget; over-budget "
-                            "requests get a 504 timeout envelope "
-                            "(default: unbounded)")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="SECONDS",
                        help="how long a drain (SIGTERM, SIGINT or "
@@ -261,32 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="PATH",
                        help="flush the final metrics snapshot here on "
                             "shutdown (live snapshot: GET /metrics)")
-    serve.add_argument("--cache-size", type=int, default=None,
-                       help="bound for the similarity caches "
-                            "(default 65536)")
-    serve.add_argument("--no-memo", action="store_true",
-                       help="disable cross-document sphere memoization "
-                            "in the default session")
-    serve.add_argument("--no-prune", action="store_true",
-                       help="disable exact candidate pruning in the "
-                            "default session")
-    serve.add_argument("--radius", type=int, default=2,
-                       help="default sphere context radius d "
-                            "(overridable per request)")
-    serve.add_argument("--approach", choices=sorted(_APPROACHES),
-                       default="combined",
-                       help="default disambiguation process "
-                            "(overridable per request)")
-    serve.add_argument("--threshold", type=float, default=0.0,
-                       help="default ambiguity threshold Thresh_Amb")
-    serve.add_argument("--weights", metavar="EDGE,NODE,GLOSS", default=None,
-                       help="default similarity weight mix, e.g. 1,1,1")
-    serve.add_argument("--strip-target-dimension", action="store_true",
-                       help="enable the context-vector bias fix by "
-                            "default (extension)")
-    serve.add_argument("--structure-only", action="store_true",
-                       help="ignore text values by default "
-                            "(structure-only mode)")
     serve.add_argument("--shard", default=None, metavar="RXPD",
                        help="attach the served index from this RXPD "
                             "shard via mmap instead of building it "
@@ -363,7 +326,7 @@ def _make_config(args: argparse.Namespace) -> XSDFConfig:
         similarity_weights=weights,
         include_values=not args.structure_only,
         strip_target_dimension=args.strip_target_dimension,
-        # Batch-only flags; the disambiguate parser keeps the defaults.
+        # Runtime-only flags; the disambiguate parser keeps the defaults.
         prune=not getattr(args, "no_prune", False),
         memo=not getattr(args, "no_memo", False),
     )
@@ -809,13 +772,10 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             host=args.host,
             port=args.port,
             max_concurrency=args.max_concurrency,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
             max_body_bytes=(
                 args.max_body_bytes if args.max_body_bytes is not None
                 else DEFAULT_MAX_BODY_BYTES
             ),
-            request_timeout=args.request_timeout,
             drain_timeout=args.drain_timeout,
             metrics_json=args.metrics_json,
             cache_size=(

@@ -349,12 +349,10 @@ class BatchExecutor:
         behaves like ``skip`` — routing failed records to a sidecar is
         the CLI's job.
     index:
-        Optional pre-built :class:`PackedIndex` over ``network``.
-        Long-lived callers (the ``repro serve`` session pool) build the
-        index once and share it across many executors —
-        per-configuration caches stay private while the heavyweight
-        taxonomy tables are never rebuilt.  Ignored when ``use_index``
-        is False.
+        Optional pre-built :class:`PackedIndex` over ``network``, such
+        as an ``RXPD`` shard that ``repro batch --shard`` or ``repro
+        serve --shard`` attached, used instead of building one.
+        Ignored when ``use_index`` is False.
     oversubscribe:
         Run the requested ``workers`` even beyond the usable-CPU count
         (default False).  The pool-lifecycle tests, the chaos gate,
@@ -423,9 +421,10 @@ class BatchExecutor:
     def index(self) -> PackedIndex | None:
         """The executor's shared index, built on first access.
 
-        Exposed so sibling executors (the server's per-configuration
-        session pool) can reuse one already-built index via the
-        ``index=`` constructor parameter instead of rebuilding it.
+        Exposed so a caller can report where its tables live
+        (``backing``: ``heap`` or ``mmap``) or hand one already-built
+        index to another executor via the ``index=`` constructor
+        parameter instead of rebuilding it.
         """
         return self._ensure_index()
 
@@ -434,7 +433,7 @@ class BatchExecutor:
 
         A resident caller (the ``repro serve`` daemon) pays the whole
         build cost at startup instead of on the first request, and the
-        metrics registry sees the cache gauges before any document
+        metrics registry has the caches registered before any document
         arrives.
         """
         self._serial()
@@ -446,7 +445,7 @@ class BatchExecutor:
         untouched, and a later parallel batch forks a fresh runtime.
         Executors also carry a GC finalizer doing the same teardown, so
         a dropped executor cannot leak workers — ``close()`` just makes
-        it deterministic (the server calls it on session eviction and
+        it deterministic (the server calls it when it closes, after a
         drain).
         """
         finalizer = self._finalizer

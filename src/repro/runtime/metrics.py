@@ -65,7 +65,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._timers: dict[str, StageTimer] = {}
         self._caches: dict[str, "LRUCache"] = {}
         self._events: list[dict] = []
@@ -81,20 +80,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         """Current value of a counter (0 when never touched)."""
         return self._counters.get(name, 0.0)
-
-    # -- gauges --------------------------------------------------------------
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time level (queue depths, sizes, ...).
-
-        Unlike counters, gauges overwrite: the snapshot reports the
-        latest value, not an accumulation.
-        """
-        self._gauges[name] = value
-
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        """Current value of a gauge (``default`` when never set)."""
-        return self._gauges.get(name, default)
 
     # -- events --------------------------------------------------------------
 
@@ -172,7 +157,6 @@ class MetricsRegistry:
         return {
             "elapsed_s": round(elapsed, 6),
             "counters": counters,
-            "gauges": self._gauges.copy(),
             "events": [dict(e) for e in list(self._events)],
             "events_dropped": self._events_dropped,
             "stages": {

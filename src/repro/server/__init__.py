@@ -1,27 +1,27 @@
 """Long-lived disambiguation service over the batch runtime.
 
-``repro serve`` turns the one-shot ``repro batch`` pipeline into a
-resident daemon: the semantic network is loaded once, the
+``repro serve`` is the serial ``repro batch`` session behind HTTP: the
+semantic network is loaded once, the
 :class:`~repro.runtime.pack.PackedIndex` is built (or attached from a
-shard) once, and the
-pair/sense/document LRUs plus the :class:`~repro.runtime.memo
-.SphereMemo` stay warm across requests — exactly the state whose 84%
-memo hit rate and repeated-document speedups a per-invocation process
-throws away.  Served results are byte-identical to ``repro batch`` on
-the same input and configuration.  A process serves the one network it
-started with; picking up a new network or shard is a restart.
+shard) once, and the pair/sense/document LRUs plus the
+:class:`~repro.runtime.memo.SphereMemo` stay warm across requests —
+exactly the state whose 84% memo hit rate and repeated-document
+speedups a per-invocation process throws away.  A process serves one
+network under one :class:`~repro.core.config.XSDFConfig`, built from
+the pipeline flags ``repro batch`` takes, and its answers are
+byte-identical to ``repro batch`` under those flags.  Another
+configuration, network or shard is another process (or a restart).
 
 * :mod:`~repro.server.protocol` — a from-scratch, stdlib-asyncio
   HTTP/1.1 slice: bounded request parsing, fixed-length JSON responses,
   chunk-per-line NDJSON streaming;
-* :mod:`~repro.server.envelopes` — request parsing (raw XML or JSON
-  envelope with per-request config overrides) and the
-  ``DocOutcome``-shaped error envelopes that replace batch exit codes;
-* :mod:`~repro.server.ratelimit` — bounded per-client token buckets
-  (429 + ``Retry-After``);
-* :mod:`~repro.server.app` — :class:`ServerApp`: warm session pool,
-  admission control, the three endpoints (``POST /v1/disambiguate``,
-  ``GET /healthz``, ``GET /metrics``);
+* :mod:`~repro.server.envelopes` — request parsing (raw XML or a
+  ``{"name", "xml"}`` JSON envelope) and the ``DocOutcome``-shaped
+  error envelopes that replace batch exit codes;
+* :mod:`~repro.server.app` — :class:`ServerApp`: the resident session,
+  admission control (``max_concurrency``, 503 + ``Retry-After``), the
+  three endpoints (``POST /v1/disambiguate``, ``GET /healthz``,
+  ``GET /metrics``);
 * :mod:`~repro.server.lifecycle` — :class:`ReproServer`: listener,
   SIGTERM/SIGINT/SIGHUP graceful drain (stop accepting, finish
   in-flight, flush metrics, exit 0).
@@ -37,10 +37,8 @@ Typical use::
 
 from .app import ServerApp, ServerConfig, run_one_document
 from .envelopes import (
-    APPROACHES,
     DisambiguationRequest,
     EnvelopeError,
-    apply_overrides,
     envelope_payload,
     parse_disambiguation_request,
 )
@@ -52,22 +50,17 @@ from .protocol import (
     read_request,
     write_json_response,
 )
-from .ratelimit import RateLimiter, TokenBucket
 
 __all__ = [
-    "APPROACHES",
     "ChunkedNDJSONWriter",
     "DisambiguationRequest",
     "EnvelopeError",
     "HTTPRequest",
     "ProtocolError",
-    "RateLimiter",
     "ReproServer",
     "ServerApp",
     "ServerConfig",
-    "TokenBucket",
     "announce_to_stderr",
-    "apply_overrides",
     "envelope_payload",
     "parse_disambiguation_request",
     "read_request",

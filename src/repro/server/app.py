@@ -1,31 +1,26 @@
-"""The disambiguation service application: routing, sessions, streaming.
+"""The disambiguation service application: routing, the session, streaming.
 
 :class:`ServerApp` is the long-lived core the daemon keeps warm.  It
-serves one semantic network for its whole life: at startup it builds
-one shared :class:`~repro.runtime.pack.PackedIndex` (or attaches it
-from an ``RXPD`` shard packed from that network), and wraps the default
-configuration in a resident :class:`~repro.runtime.executor
-.BatchExecutor` *session* — which is exactly the serial batch path, so
-the pair/sense/document LRUs, the :class:`~repro.runtime.memo
-.SphereMemo`, and the metrics registry all survive across requests
-instead of dying with a process.  A request's NDJSON record line is
-therefore **byte-identical** to the ``repro batch`` JSONL line for the
-same (name, document, config) — the test battery pins this under both
-cold and warm caches.
-
-Per-request ``config`` overrides get their own bounded session pool
-keyed by :func:`~repro.runtime.memo.config_fingerprint`; every session
-shares the one packed index (no rebuild, ever) but owns its caches,
-because cache keys are only sound within one frozen configuration.
+serves one semantic network under one :class:`~repro.core.config
+.XSDFConfig` for its whole life: at startup it builds one
+:class:`~repro.runtime.pack.PackedIndex` (or attaches it from an
+``RXPD`` shard packed from that network) inside one resident
+:class:`~repro.runtime.executor.BatchExecutor` *session* — which is
+exactly the serial batch path, so the pair/sense/document LRUs, the
+:class:`~repro.runtime.memo.SphereMemo`, and the metrics registry all
+survive across requests instead of dying with a process.  A request's
+NDJSON record line is therefore **byte-identical** to the ``repro
+batch`` JSONL line for the same (name, document) under the same flags
+— the test battery pins this under both cold and warm caches.  Another
+configuration is another ``repro serve`` process, as another network
+is.
 
 Scoring is CPU-bound and runs on a single dedicated worker thread: the
 event loop stays free to accept connections, answer ``/healthz`` and
-``/metrics``, and enforce limits while a document scores, and the
-single thread serializes cache access exactly like the serial batch
-path (concurrent clients are deterministic by construction).  Like the
-PR-5 serial path, a request timeout cannot kill the scoring thread —
-the client gets its ``stage="timeout"`` envelope immediately and the
-straggler's work is discarded on completion.
+``/metrics``, and turn away requests over ``max_concurrency`` while a
+document scores, and the single thread serializes cache access exactly
+like the serial batch path (concurrent clients are deterministic by
+construction).
 
 Endpoints
 ---------
@@ -34,7 +29,7 @@ Endpoints
     then the batch-identical record line, then the ``DocOutcome``
     envelope line.
 ``GET /healthz``
-    Readiness + index fingerprint + uptime.
+    Readiness + index and config fingerprints + uptime.
 ``GET /metrics``
     The full :class:`~repro.runtime.metrics.MetricsRegistry` snapshot,
     same schema as ``repro batch --metrics-json``.
@@ -43,9 +38,7 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
-import math
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,7 +56,6 @@ from ..runtime.resilience import STATUS_FAILED, DocOutcome
 from ..semnet.network import SemanticNetwork
 from .envelopes import (
     EnvelopeError,
-    apply_overrides,
     envelope_payload,
     parse_disambiguation_request,
 )
@@ -73,7 +65,6 @@ from .protocol import (
     HTTPRequest,
     write_json_response,
 )
-from .ratelimit import RateLimiter
 
 
 @dataclass(frozen=True)
@@ -84,13 +75,9 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8750
     max_concurrency: int = 8
-    rate_limit: float = 0.0
-    burst: int = 8
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    request_timeout: float | None = None
     drain_timeout: float = 10.0
     metrics_json: str | None = None
-    max_sessions: int = 8
     cache_size: int = DEFAULT_CACHE_SIZE
     #: RXPD shard to mmap-attach the served index from (skips the
     #: startup index build; CRC- and fingerprint-checked against the
@@ -100,23 +87,15 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if self.rate_limit < 0:
-            raise ValueError("rate_limit must be >= 0")
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
-        if self.request_timeout is not None and self.request_timeout <= 0:
-            raise ValueError("request_timeout must be > 0 (or None)")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
-        if self.max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
 
 
 def run_one_document(session: BatchExecutor, name: str,
                      xml: str) -> BatchRecord:
-    """Score one document through a resident session (worker thread).
+    """Score one document through the resident session (worker thread).
 
     This is the whole bit-identity argument: the server calls the same
     ``BatchExecutor.run`` the CLI batch path calls, on the same
@@ -140,21 +119,16 @@ class ServerApp:
         self.config = config or XSDFConfig()
         self.server_config = server_config or ServerConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.limiter = RateLimiter(
-            self.server_config.rate_limit, self.server_config.burst
-        )
         self._started = time.monotonic()
         self._inflight = 0
         self._draining = False
-        self._index = None
-        self._sessions: "OrderedDict[str, BatchExecutor]" = OrderedDict()
-        self._default_fingerprint: str | None = None
+        self._session: BatchExecutor | None = None
         self._scoring_pool: ThreadPoolExecutor | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def warm_up(self) -> None:
-        """Build the shared index and the default session, eagerly.
+        """Build the index and the resident session, eagerly.
 
         Called once before the listener opens so the first request pays
         no index-build latency and ``/healthz`` can report readiness
@@ -166,28 +140,34 @@ class ServerApp:
             self._scoring_pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-score"
             )
-        if self._default_fingerprint is None:
+        if self._session is None:
             with self.metrics.timer("server_warmup"):
-                if self.server_config.shard and self._index is None:
+                index = None
+                if self.server_config.shard:
                     # Zero-copy cold start: mmap the shard instead of
                     # building the index; the fingerprint check refuses
                     # a shard packed from a different network.
-                    self._index = PackedIndex.from_mmap(
+                    index = PackedIndex.from_mmap(
                         self.server_config.shard,
                         verify=True,
                         expect_fingerprint=self.network.fingerprint(),
                     )
-                session = self._make_session(self.config, default=True)
+                # A request is a one-document serial batch on this one
+                # session, whose caches the metrics registry reports.
+                session = BatchExecutor(
+                    self.network,
+                    self.config,
+                    cache_size=self.server_config.cache_size,
+                    metrics=self.metrics,
+                    index=index,
+                )
                 session.warm()
-                self._index = session.index
-                fingerprint = config_fingerprint(self.config)
-                self._sessions[fingerprint] = session
-                self._default_fingerprint = fingerprint
+                self._session = session
 
     @property
     def ready(self) -> bool:
-        """Whether the index + default session have been built."""
-        return self._default_fingerprint is not None
+        """Whether the index + resident session have been built."""
+        return self._session is not None
 
     @property
     def draining(self) -> bool:
@@ -206,58 +186,15 @@ class ServerApp:
         self.metrics.event("server_drain", inflight=self._inflight)
 
     def close(self) -> None:
-        """Release the scoring thread, the sessions, and metrics."""
+        """Release the scoring thread, the session, and metrics."""
         if self._scoring_pool is not None:
             self._scoring_pool.shutdown(wait=False, cancel_futures=True)
             self._scoring_pool = None
-        while self._sessions:
-            _, session = self._sessions.popitem()
-            session.close()
-        self._default_fingerprint = None
+        if self._session is not None:
+            self._session.close()
+            self._session = None
         if self.server_config.metrics_json:
             self.metrics.write_json(self.server_config.metrics_json)
-
-    # -- sessions ------------------------------------------------------------
-
-    def _make_session(self, config: XSDFConfig,
-                      default: bool = False) -> BatchExecutor:
-        # Only the default session is wired into the metrics registry:
-        # cache gauges are registered by fixed name, and the resident
-        # session is the one whose warmth the operator is tracking.
-        # Override sessions still run, they just are not individually
-        # gauged.  Every session scores serially: each request is a
-        # one-document batch.
-        return BatchExecutor(
-            self.network,
-            config,
-            cache_size=self.server_config.cache_size,
-            metrics=self.metrics if default else None,
-            index=self._index,
-        )
-
-    def session_for(self, config: XSDFConfig) -> BatchExecutor:
-        """The resident session for this configuration (LRU-bounded).
-
-        The default configuration's session is pinned; override
-        sessions are created on demand, share the packed index, and are
-        evicted least-recently-used beyond ``max_sessions``.
-        """
-        fingerprint = config_fingerprint(config)
-        session = self._sessions.get(fingerprint)
-        if session is not None:
-            self._sessions.move_to_end(fingerprint)
-            return session
-        session = self._make_session(config)
-        self._sessions[fingerprint] = session
-        self.metrics.count("server_sessions_created")
-        while len(self._sessions) > self.server_config.max_sessions:
-            oldest = next(iter(self._sessions))
-            if oldest == self._default_fingerprint:
-                self._sessions.move_to_end(oldest, last=True)
-                oldest = next(iter(self._sessions))
-            self._sessions.pop(oldest).close()
-            self.metrics.count("server_sessions_evicted")
-        return session
 
     # -- routing -------------------------------------------------------------
 
@@ -326,14 +263,12 @@ class ServerApp:
                 # "mmap" proves the zero-copy shard attach is live,
                 # "heap" an in-process build.
                 "backing": (
-                    getattr(self._index, "backing", "heap")
-                    if self._index is not None else None
+                    getattr(self._session.index, "backing", "heap")
+                    if self._session is not None else None
                 ),
             },
-            "config_fingerprint": self._default_fingerprint,
+            "config_fingerprint": config_fingerprint(self.config),
             "inflight": self._inflight,
-            "sessions": len(self._sessions),
-            "rate_limiter": self.limiter.stats(),
         }
         status = 200 if self.ready and not self._draining else 503
         await write_json_response(writer, status, payload)
@@ -364,18 +299,6 @@ class ServerApp:
                 extra_headers=[("Retry-After", "1")],
             )
             return
-        wait = self.limiter.admit(request.client)
-        if wait > 0:
-            self.metrics.count("rate_limited")
-            await self._write_envelope(
-                writer, 429, self._admission_outcome(
-                    "RateLimited",
-                    f"client {request.client or 'unknown'} is over its "
-                    f"{self.limiter.rate}/s budget",
-                ),
-                extra_headers=[("Retry-After", str(math.ceil(wait)))],
-            )
-            return
         if self._inflight >= self.server_config.max_concurrency:
             self.metrics.count("admission_rejected")
             await self._write_envelope(
@@ -389,52 +312,24 @@ class ServerApp:
             return
         try:
             envelope = parse_disambiguation_request(request)
-            config = apply_overrides(
-                self.config, envelope.overrides, name=envelope.name
-            )
         except EnvelopeError as exc:
             self.metrics.count("envelope_rejected")
             await self._write_envelope(writer, exc.status, exc.outcome)
             return
-        session = self.session_for(config)
         self._inflight += 1
         try:
-            record = await self._score(session, envelope.name, envelope.xml)
-        except (asyncio.TimeoutError, TimeoutError):
-            self.metrics.count("request_timeouts")
-            self.metrics.event(
-                "request_timeout", doc=envelope.name,
-                timeout_s=self.server_config.request_timeout,
-            )
-            await self._stream_envelope_only(
-                writer, 504, DocOutcome(
-                    name=envelope.name,
-                    status=STATUS_FAILED,
-                    stage="timeout",
-                    error_type="TimeoutError",
-                    error=(
-                        "TimeoutError: exceeded request_timeout="
-                        f"{self.server_config.request_timeout}s"
-                    ),
-                ),
-            )
-            return
+            record = await self._score(envelope.name, envelope.xml)
         finally:
             self._inflight -= 1
         await self._stream_record(writer, record)
 
-    async def _score(self, session: BatchExecutor, name: str,
-                     xml: str) -> BatchRecord:
-        """Run one document on the scoring thread (optionally bounded)."""
+    async def _score(self, name: str, xml: str) -> BatchRecord:
+        """Run one document on the scoring thread."""
         assert self._scoring_pool is not None, "warm_up() was not called"
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._scoring_pool, run_one_document, session, name, xml
+        return await loop.run_in_executor(
+            self._scoring_pool, run_one_document, self._session, name, xml
         )
-        timeout = self.server_config.request_timeout
-        if timeout is None:
-            return await future
-        return await asyncio.wait_for(future, timeout)
 
     async def _stream_record(self, writer: asyncio.StreamWriter,
                              record: BatchRecord) -> None:
@@ -461,16 +356,6 @@ class ServerApp:
         await stream.finish()
         self.metrics.count(f"http_{status}")
         self.metrics.count("documents_served")
-
-    async def _stream_envelope_only(self, writer: asyncio.StreamWriter,
-                                    status: int,
-                                    outcome: DocOutcome) -> None:
-        """An NDJSON response holding only the error envelope line."""
-        stream = ChunkedNDJSONWriter(writer)
-        await stream.start(status)
-        await stream.write_line(envelope_payload(outcome))
-        await stream.finish()
-        self.metrics.count(f"http_{status}")
 
     def _admission_outcome(self, error_type: str,
                            message: str) -> DocOutcome:

@@ -43,15 +43,12 @@ STATUS_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    408: "Request Timeout",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
-    429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     501: "Not Implemented",
     503: "Service Unavailable",
-    504: "Gateway Timeout",
 }
 
 NDJSON_CONTENT_TYPE = "application/x-ndjson"

@@ -76,14 +76,11 @@ def post(path: str, body: bytes, content_type: str = "application/json",
     return head.encode("ascii") + b"\r\n" + body
 
 
-def disambiguate(xml: str, name: str | None = None,
-                 config: dict | None = None) -> bytes:
+def disambiguate(xml: str, name: str | None = None) -> bytes:
     """Raw bytes of a JSON-envelope disambiguation request."""
     payload: dict = {"xml": xml}
     if name is not None:
         payload["name"] = name
-    if config is not None:
-        payload["config"] = config
     return post("/v1/disambiguate", json.dumps(payload).encode("utf-8"))
 
 

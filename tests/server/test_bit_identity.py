@@ -5,8 +5,9 @@ reproducible by a batch run on the same input and configuration.  The
 test runs the real CLI batch path over a small corpus, then serves the
 same documents through a live server — cold caches first, then warm,
 with the index built in process and then attached from an ``RXPD``
-shard — and compares the NDJSON record line against the batch JSONL
-line, byte for byte.
+shard, and under the default configuration and a process started with
+another one — and compares the NDJSON record line against the batch
+JSONL line, byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 
 from repro.cli import main
+from repro.core.config import DisambiguationApproach, XSDFConfig
 from repro.runtime import PackedIndex, write_shard
 
 from .conftest import disambiguate, get, request, running
@@ -31,12 +33,12 @@ SECOND_XML = """<?xml version="1.0"?>
 """
 
 
-def batch_lines(tmp_path, documents):
-    """``{name: jsonl_line}`` from a real ``repro batch`` run."""
+def batch_lines(tmp_path, documents, *flags):
+    """``{name: jsonl_line}`` from a real ``repro batch [flags]`` run."""
     for name, xml in documents:
         (tmp_path / name).write_text(xml, encoding="utf-8")
     out = io.StringIO()
-    code = main(["batch", str(tmp_path / "*.xml")], out=out)
+    code = main(["batch", str(tmp_path / "*.xml"), *flags], out=out)
     assert code == 0
     lines = {}
     for line in out.getvalue().splitlines():
@@ -94,4 +96,27 @@ def test_shard_backed_records_match_batch_cold_and_warm(
         make_app(shard=shard), tmp_path, documents
     )
     assert backing == "mmap"
+    assert_served_match_batch(served, expected, tmp_path)
+
+
+def test_process_config_records_match_batch_flags_cold_and_warm(
+    make_app, tmp_path, figure1_xml
+):
+    # Another configuration is another process: a server started with
+    # it serves the bytes `repro batch` writes under the same flags.
+    documents = [("films.xml", figure1_xml), ("books.xml", SECOND_XML)]
+    expected = batch_lines(
+        tmp_path, documents,
+        "--radius", "1", "--approach", "concept", "--structure-only",
+    )
+    assert expected != batch_lines(tmp_path, documents)
+    config = XSDFConfig(
+        sphere_radius=1,
+        approach=DisambiguationApproach.CONCEPT_BASED,
+        include_values=False,
+    )
+    backing, served = serve_cold_then_warm(
+        make_app(config=config), tmp_path, documents
+    )
+    assert backing == "heap"
     assert_served_match_batch(served, expected, tmp_path)

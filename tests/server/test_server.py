@@ -2,7 +2,8 @@
 
 Every test boots a :class:`ReproServer` on an ephemeral port inside its
 own event loop and talks raw HTTP to it — operational endpoints,
-NDJSON streaming, admission control, and the graceful-drain contract.
+NDJSON streaming, the concurrency bound, and the graceful-drain
+contract.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core.config import XSDFConfig
+from repro.runtime.memo import config_fingerprint
 from repro.server import ServerConfig
+from repro.server import app as app_module
 
 from ..xmltree.test_hostile import BLOWUP
 from .conftest import disambiguate, get, post, request, running
@@ -42,12 +46,8 @@ def run(coro):
 class TestServerConfig:
     @pytest.mark.parametrize("knobs", [
         {"max_concurrency": 0},
-        {"rate_limit": -1.0},
-        {"burst": 0},
         {"max_body_bytes": 0},
-        {"request_timeout": 0.0},
         {"drain_timeout": -1.0},
-        {"max_sessions": 0},
     ])
     def test_invalid_knobs_raise_value_error(self, knobs):
         with pytest.raises(ValueError):
@@ -68,8 +68,14 @@ class TestOperationalEndpoints:
         assert payload["uptime_s"] >= 0
         assert payload["index"]["fingerprint"] == lexicon.fingerprint()
         assert payload["index"]["kind"] == "packed"
-        assert payload["sessions"] == 1
+        assert payload["config_fingerprint"] == config_fingerprint(
+            XSDFConfig()
+        )
         assert payload["inflight"] == 0
+        assert set(payload) == {
+            "status", "ready", "uptime_s", "version", "index",
+            "config_fingerprint", "inflight",
+        }
 
     def test_metrics_snapshot_matches_the_cli_schema(self, make_app):
         async def go():
@@ -81,9 +87,10 @@ class TestOperationalEndpoints:
         snapshot = response.json()
         # Same shape as `repro batch --metrics-json`: one consumer-side
         # parser serves both artifacts.
-        for key in ("counters", "stages", "caches", "events",
-                    "throughput", "elapsed_s"):
-            assert key in snapshot
+        assert set(snapshot) == {
+            "counters", "stages", "caches", "events", "events_dropped",
+            "throughput", "elapsed_s",
+        }
         assert "server_warmup" in snapshot["stages"]
         assert "sphere_memo" in snapshot["caches"]
 
@@ -197,16 +204,26 @@ class TestDisambiguate:
         envelope = response.json()["envelope"]
         assert envelope["stage"] == "envelope"
 
-    def test_unknown_override_key_is_400(self, make_app, figure1_xml):
+    def test_config_key_is_a_400_envelope_naming_it(
+        self, make_app, figure1_xml
+    ):
+        # The configuration is the process's: a request cannot carry one.
         async def go():
             async with running(make_app()) as server:
-                return await request(server, disambiguate(
-                    figure1_xml, config={"raduis": 1}
+                return await request(server, post(
+                    "/v1/disambiguate",
+                    json.dumps({
+                        "xml": figure1_xml, "name": "films",
+                        "config": {"radius": 1},
+                    }).encode(),
                 ))
 
         response = run(go())
         assert response.status == 400
-        assert "raduis" in response.json()["envelope"]["error"]
+        envelope = response.json()["envelope"]
+        assert envelope["stage"] == "envelope"
+        assert envelope["name"] == "films"
+        assert "config" in envelope["error"]
 
     def test_unknown_envelope_key_is_400(self, make_app, figure1_xml):
         async def go():
@@ -222,73 +239,6 @@ class TestDisambiguate:
         assert envelope["stage"] == "envelope"
         assert "colour" in envelope["error"]
 
-    def test_invalid_override_value_is_400(self, make_app, figure1_xml):
-        async def go():
-            async with running(make_app()) as server:
-                return (
-                    await request(server, disambiguate(
-                        figure1_xml, config={"radius": "big"}
-                    )),
-                    await request(server, disambiguate(
-                        figure1_xml, config={"radius": 0}
-                    )),
-                )
-
-        bad_type, bad_value = run(go())
-        assert bad_type.status == 400
-        assert bad_value.status == 400
-
-    def test_config_override_answers_and_opens_a_session(
-        self, make_app, figure1_xml
-    ):
-        async def go():
-            async with running(make_app()) as server:
-                default = await request(server, disambiguate(figure1_xml))
-                concept = await request(server, disambiguate(
-                    figure1_xml, config={"approach": "concept", "radius": 1}
-                ))
-                health = await request(server, get("/healthz"))
-                return default, concept, health
-
-        default, concept, health = run(go())
-        assert default.status == 200
-        assert concept.status == 200
-        # The override ran in its own session, alongside the default.
-        assert health.json()["sessions"] == 2
-
-    def test_override_sessions_are_lru_bounded_around_the_default(
-        self, make_app, figure1_xml
-    ):
-        overrides = [{"radius": 1}, {"approach": "concept"},
-                     {"approach": "context"}]
-
-        def ask(config):
-            return disambiguate(figure1_xml, name="films", config=config)
-
-        async def go():
-            app = make_app(max_sessions=2)
-            counter = app.metrics.counter
-            async with running(app) as server:
-                default = app.session_for(app.config)
-                first = await request(server, ask(overrides[0]))
-                for config in overrides[1:]:
-                    assert (await request(server, ask(config))).status == 200
-                # Room for one override beside the pinned default: each
-                # new override evicted the oldest override session.
-                assert counter("server_sessions_evicted") == 2
-                assert (await request(server, get("/healthz"))).json()[
-                    "sessions"] == 2
-                assert app.session_for(app.config) is default
-                await request(server, ask(overrides[2]))  # still resident
-                assert counter("server_sessions_created") == 3
-                again = await request(server, ask(overrides[0]))
-                assert counter("server_sessions_created") == 4
-                return first, again
-
-        first, again = run(go())
-        assert first.status == again.status == 200
-        assert again.body.split(b"\n")[-3] == first.body.split(b"\n")[-3]
-
     def test_oversized_body_is_413(self, make_app, figure1_xml):
         async def go():
             app = make_app(max_body_bytes=64)
@@ -299,31 +249,46 @@ class TestDisambiguate:
         assert response.status == 413
         assert response.json()["envelope"]["stage"] == "protocol"
 
-    def test_rate_limit_is_429_with_retry_after(self, make_app, figure1_xml):
+    def test_request_over_max_concurrency_is_503_overloaded(
+        self, make_app, figure1_xml, monkeypatch
+    ):
+        entered = threading.Event()
+        release = threading.Event()
+        score = app_module.run_one_document
+
+        def held(session, name, xml):
+            entered.set()
+            assert release.wait(30), "the held request was never released"
+            return score(session, name, xml)
+
+        monkeypatch.setattr(app_module, "run_one_document", held)
+
         async def go():
-            app = make_app(rate_limit=0.001, burst=1)
-            async with running(app) as server:
-                first = await request(server, disambiguate(figure1_xml))
-                second = await request(server, disambiguate(figure1_xml))
-                return first, second
+            async with running(make_app(max_concurrency=1)) as server:
+                first = asyncio.create_task(request(
+                    server, disambiguate(figure1_xml, name="held")
+                ))
+                try:
+                    loop = asyncio.get_running_loop()
+                    assert await loop.run_in_executor(
+                        None, entered.wait, 30
+                    ), "the first request never reached the scorer"
+                    second = await request(
+                        server, disambiguate(figure1_xml, name="second")
+                    )
+                finally:
+                    release.set()
+                return await first, second
 
         first, second = run(go())
+        assert second.status == 503
+        assert second.headers["retry-after"] == "1"
+        envelope = second.json()["envelope"]
+        assert envelope["stage"] == "admission"
+        assert envelope["error_type"] == "Overloaded"
+        # The request holding the one slot still answers whole.
         assert first.status == 200
-        assert second.status == 429
-        assert int(second.headers["retry-after"]) >= 1
-        assert second.json()["envelope"]["stage"] == "admission"
-
-    def test_request_timeout_is_a_504_envelope(self, make_app, figure1_xml):
-        async def go():
-            app = make_app(request_timeout=1e-6)
-            async with running(app) as server:
-                return await request(server, disambiguate(figure1_xml))
-
-        response = run(go())
-        assert response.status == 504
-        envelope = response.ndjson()[-1]["envelope"]
-        assert envelope["stage"] == "timeout"
-        assert envelope["error_type"] == "TimeoutError"
+        assert first.ndjson()[-1]["envelope"]["status"] == "ok"
 
     def test_concurrent_clients_get_identical_records(
         self, make_app, figure1_xml
@@ -463,23 +428,3 @@ class TestDrain:
                 proc.kill()
                 proc.wait()
 
-
-class TestOverridesMatchBatchSemantics:
-    def test_override_equals_reconfigured_default(self, make_app, figure1_xml):
-        """A per-request override answers exactly like a server whose
-        *default* config is that override — same knob, same bytes."""
-
-        async def served_record(app, payload):
-            async with running(app) as server:
-                response = await request(server, payload)
-                return response.body.split(b"\n")[-3]
-
-        overridden = run(served_record(
-            make_app(),
-            disambiguate(figure1_xml, name="films", config={"radius": 1}),
-        ))
-        reconfigured = run(served_record(
-            make_app(config=XSDFConfig(sphere_radius=1)),
-            disambiguate(figure1_xml, name="films"),
-        ))
-        assert overridden == reconfigured

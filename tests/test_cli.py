@@ -9,7 +9,8 @@ import struct
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _make_config, build_parser, main
+from repro.core.config import XSDFConfig
 
 
 @pytest.fixture()
@@ -254,6 +255,26 @@ class TestParser:
                 [command] + (["f.xml"] if command != "lexicon" else [])
             )
             assert args.command == command
+
+    def test_pipeline_flags_build_one_config_in_every_command(self):
+        parser = build_parser()
+        pipeline = ["--radius", "1", "--approach", "concept",
+                    "--threshold", "0.25", "--weights", "2,1,1",
+                    "--strip-target-dimension", "--structure-only"]
+        runtime = ["--cache-size", "64", "--no-memo", "--no-prune"]
+        heads = (["disambiguate", "f.xml"], ["batch", "*.xml"], ["serve"])
+        configs = [
+            _make_config(parser.parse_args(head + pipeline))
+            for head in heads
+        ]
+        assert configs[0] == configs[1] == configs[2] != XSDFConfig()
+        batch, serve = (
+            parser.parse_args(head + pipeline + runtime)
+            for head in heads[1:]
+        )
+        assert _make_config(batch) == _make_config(serve)
+        assert not _make_config(serve).memo
+        assert batch.cache_size == serve.cache_size == 64
 
 
 class TestMatch:
