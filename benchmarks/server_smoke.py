@@ -5,11 +5,11 @@ boundary (the in-process battery in ``tests/server`` cannot prove the
 exit code or that a command-line flag reaches the served session):
 start the daemon on an ephemeral port with non-default pipeline flags,
 wait for the stderr announce line, check ``/healthz``, stream one
-NDJSON disambiguation and require its record line to equal the line
-``repro batch`` writes for the same document file under the same
-flags, require a ``config`` envelope key to be refused with 400, read
-``/metrics``, then SIGTERM and require a clean exit — the
-graceful-drain contract.
+NDJSON disambiguation and require it to be exactly two lines, the
+record line ``repro batch`` writes for the same document file under
+the same flags and then the ``ok`` envelope, require a ``config``
+envelope key to be refused with 400, read ``/metrics``, then SIGTERM
+and require a clean exit — the graceful-drain contract.
 
 Usage::
 
@@ -128,13 +128,17 @@ def main() -> int:
         require(status_line == b"HTTP/1.1 200 OK",
                 f"disambiguate answered {status_line!r}")
         lines = dechunk(response).splitlines()
-        require(json.loads(lines[-1])["envelope"]["status"] == "ok",
-                "NDJSON stream is missing the ok envelope line")
-        require(lines[-2] == expected,
+        require(len(lines) == 2,
+                f"NDJSON stream has {len(lines)} lines, expected the "
+                f"record and the envelope")
+        record, envelope = lines
+        require(record == expected,
                 f"served record differs from `repro batch "
-                f"{' '.join(FLAGS)}`:\n  {lines[-2]!r}\n  {expected!r}")
-        print(f"disambiguate ok: record line equals `repro batch "
-              f"{' '.join(FLAGS)}`")
+                f"{' '.join(FLAGS)}`:\n  {record!r}\n  {expected!r}")
+        require(json.loads(envelope)["envelope"]["status"] == "ok",
+                "the second line is not the ok envelope")
+        print(f"disambiguate ok: the record line equals `repro batch "
+              f"{' '.join(FLAGS)}`, then the ok envelope")
 
         refused = post_json(
             address, {"xml": XML, "name": "smoke", "config": {"radius": 2}}

@@ -12,16 +12,18 @@ Commands
     stdout, optional metrics report (``--metrics-json``), optional
     cProfile hot-frame summary (``--profile``), packed index by default
     (``--no-index`` for the network walk), exact pruning and sphere
-    memoization on by default (``--no-prune``/``--no-memo``).  Failure
-    policy via ``--on-error={fail,skip,quarantine}`` (abort with exit 2
-    / record and continue / divert failed documents to a sidecar JSONL);
-    ``--journal``/``--resume`` make a killed batch resumable.
+    memoization on by default (``--no-prune``/``--no-memo``).  Every
+    input document gets one JSONL line, in input order, a failed one
+    included; the exit code is 1 when any document failed (130 after
+    Ctrl-C, with the completed lines written).  ``--journal``/``--resume``
+    make a killed batch resumable.
 ``serve``
     Run the long-lived disambiguation daemon (:mod:`repro.server`):
     the serial batch session behind HTTP.  The network loads and the
-    packed index builds once, then ``POST /v1/disambiguate`` streams
-    NDJSON annotations byte-identical to ``repro batch`` under the same
-    pipeline flags while the caches stay warm across requests.
+    packed index builds once, then ``POST /v1/disambiguate`` answers
+    with two NDJSON lines, the record line ``repro batch`` writes for
+    the document under the same pipeline flags (byte-identical) and its
+    outcome envelope, while the caches stay warm across requests.
     ``GET /healthz`` and ``GET /metrics`` expose readiness and the live
     metrics snapshot; ``--max-concurrency`` bounds admission (503 +
     ``Retry-After``), and SIGTERM, SIGINT or SIGHUP drains gracefully
@@ -168,18 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="profile the batch under cProfile and append "
                             "the hottest frames to the summary (parent "
                             "process only under --workers > 1)")
-    batch.add_argument("--on-error", choices=("fail", "skip", "quarantine"),
-                       default="skip",
-                       help="failure policy: fail = abort at the first "
-                            "finally-failed document (exit 2, partial "
-                            "results still written); skip = record the "
-                            "failure and continue (default, exit 1 if "
-                            "any failed); quarantine = divert failed "
-                            "documents to a sidecar JSONL (exit 0)")
-    batch.add_argument("--quarantine", default=None, metavar="PATH",
-                       help="sidecar JSONL for quarantined documents "
-                            "(default quarantine.jsonl; implies "
-                            "nothing unless --on-error=quarantine)")
     batch.add_argument("--network", default=None, metavar="PATH",
                        help="disambiguate against a repro-semnet JSON "
                             "network instead of the bundled lexicon")
@@ -310,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args: argparse.Namespace) -> XSDFConfig:
-    weights = SimilarityWeights()
+    mix: tuple[float, ...] = ()  # () keeps the paper's uniform mix
     if args.weights:
         try:
             edge, node, gloss = (float(x) for x in args.weights.split(","))
@@ -318,18 +308,23 @@ def _make_config(args: argparse.Namespace) -> XSDFConfig:
             raise SystemExit(
                 f"--weights expects EDGE,NODE,GLOSS numbers, got {args.weights!r}"
             )
-        weights = SimilarityWeights(edge, node, gloss)
-    return XSDFConfig(
-        sphere_radius=args.radius,
-        approach=_APPROACHES[args.approach],
-        ambiguity_threshold=args.threshold,
-        similarity_weights=weights,
-        include_values=not args.structure_only,
-        strip_target_dimension=args.strip_target_dimension,
-        # Runtime-only flags; the disambiguate parser keeps the defaults.
-        prune=not getattr(args, "no_prune", False),
-        memo=not getattr(args, "no_memo", False),
-    )
+        mix = (edge, node, gloss)
+    # An out-of-range flag value (--radius 0, --threshold 2, --weights
+    # 0,0,0) is the config's own ValueError, reported as one line.
+    try:
+        return XSDFConfig(
+            sphere_radius=args.radius,
+            approach=_APPROACHES[args.approach],
+            ambiguity_threshold=args.threshold,
+            similarity_weights=SimilarityWeights(*mix),
+            include_values=not args.structure_only,
+            strip_target_dimension=args.strip_target_dimension,
+            # Runtime-only flags; the disambiguate parser keeps the defaults.
+            prune=not getattr(args, "no_prune", False),
+            memo=not getattr(args, "no_memo", False),
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _read(path: str) -> str:
@@ -378,7 +373,6 @@ def _cmd_disambiguate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace, out) -> int:
-    import json as jsonlib
     from collections import defaultdict, deque
 
     from .runtime.executor import (
@@ -388,7 +382,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
     )
     from .runtime.journal import document_digest
     from .runtime.metrics import MetricsRegistry, batch_summary
-    from .runtime.resilience import BatchAbortError
 
     paths: list[str] = []
     for pattern in args.patterns:
@@ -434,7 +427,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
                 else DEFAULT_CACHE_SIZE
             ),
             metrics=metrics,
-            on_error=args.on_error,
             index=prebuilt_index,
             record_hook=_record_hook,
         )
@@ -448,24 +440,18 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    aborted: BatchAbortError | None = None
     interrupted = False
     try:
-        records = executor.run(run_docs)
-    except BatchAbortError as exc:
-        # Partial results are still written; the exit code reports the
-        # abort.
-        aborted = exc
-        records = exc.records
+        scored_by_pos = dict(enumerate(executor.run(run_docs)))
     except KeyboardInterrupt:
         # Salvage what completed: the hook saw every finalized record,
         # so the partial output (and the journal, flushed below) keeps
         # the finished work instead of dying with a truncated file.
         interrupted = True
-        records = [completed_by_pos[i] for i in sorted(completed_by_pos)]
+        scored_by_pos = completed_by_pos
     finally:
-        # One batch per CLI process: drain the persistent pool and
-        # unlink the shared index segment before writing results.
+        # One batch per CLI process: drain the persistent pool before
+        # writing results.
         executor.close()
         if journal is not None:
             journal.close()
@@ -474,34 +460,15 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
     if args.metrics_json:
         metrics.write_json(args.metrics_json)
 
-    records = _merge_replayed(
-        documents, run_docs, todo_indices, replayed, records,
-        completed_by_pos, partial=interrupted or aborted is not None,
-    )
+    records = _merge_replayed(documents, todo_indices, replayed, scored_by_pos)
     failures = [r for r in records if not r.ok]
-    quarantined: list = []
-    emitted = records
-    quarantine_path = None
-    if args.on_error == "quarantine" and failures:
-        # Failed documents go to the sidecar; the main JSONL keeps only
-        # survivors (whose lines stay byte-identical to a clean run).
-        quarantined = failures
-        emitted = [r for r in records if r.ok]
-        quarantine_path = args.quarantine or "quarantine.jsonl"
-        with open(quarantine_path, "w", encoding="utf-8") as handle:
-            for record in quarantined:
-                payload = record.to_dict()
-                if record.outcome is not None:
-                    payload["outcome"] = record.outcome.to_dict()
-                handle.write(jsonlib.dumps(payload, sort_keys=True))
-                handle.write("\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            for record in emitted:
+            for record in records:
                 handle.write(record.to_json_line())
                 handle.write("\n")
     else:
-        for record in emitted:
+        for record in records:
             out.write(record.to_json_line())
             out.write("\n")
 
@@ -516,8 +483,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             f", journal replayed={len(replayed)} "
             f"scored={len(completed_by_pos)} -> {args.journal}"
         )
-    if quarantined:
-        summary += f", {len(quarantined)} quarantined -> {quarantine_path}"
     if interrupted:
         summary = (
             f"interrupted: wrote {len(records)}/{len(documents)} "
@@ -532,18 +497,11 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             f"attempts={outcome.attempts}]"
             if outcome is not None else ""
         )
-        status = "QUARANTINED" if args.on_error == "quarantine" else "FAILED"
-        stream.write(f"  {status} {record.name}: {record.error}{detail}\n")
-    if aborted is not None:
-        stream.write(f"  ABORTED (--on-error=fail): {aborted}\n")
+        stream.write(f"  FAILED {record.name}: {record.error}{detail}\n")
     if profiler is not None:
         stream.write(_profile_summary(profiler))
     if interrupted:
         return 130  # the conventional SIGINT exit code (128 + 2)
-    if aborted is not None:
-        return 2
-    if args.on_error == "quarantine":
-        return 0
     return 1 if failures else 0
 
 
@@ -645,25 +603,20 @@ def _open_journal(args: argparse.Namespace, config, network, documents):
     return journal, run_docs, todo, replayed
 
 
-def _merge_replayed(
-    documents, run_docs, todo_indices, replayed, records,
-    completed_by_pos, partial: bool,
-):
+def _merge_replayed(documents, todo_indices, replayed, scored_by_pos):
     """Merge replayed journal entries and fresh records in input order.
 
-    Replayed entries are reconstituted into :class:`BatchRecord`
-    objects whose JSONL rendering is byte-identical to the line the
-    crashed run would have written (``to_dict`` round-trips through
-    canonical JSON).  Under a partial run (KeyboardInterrupt, abort)
-    unfinished documents are simply absent from the output.
+    ``scored_by_pos`` maps a position in the scored documents
+    (``todo_indices``) to its record.  Replayed entries are
+    reconstituted into :class:`BatchRecord` objects whose JSONL
+    rendering is byte-identical to the line the crashed run would have
+    written (``to_dict`` round-trips through canonical JSON).  After a
+    KeyboardInterrupt unfinished documents are simply absent from the
+    output.
     """
     from .runtime.executor import BatchRecord
     from .runtime.resilience import DocOutcome
 
-    if partial:
-        scored_by_pos = completed_by_pos
-    else:
-        scored_by_pos = dict(enumerate(records))
     pos_of_doc = {doc_idx: pos for pos, doc_idx in enumerate(todo_indices)}
     merged = []
     for doc_idx in range(len(documents)):

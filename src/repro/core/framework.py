@@ -312,10 +312,7 @@ class XSDF:
             return self._score(candidates, sphere, plan)
         signature = memo.signature(sphere, plan)
         entry = memo.get(signature)
-        m = self.metrics
         if entry is not None:
-            if m is not None:
-                m.count("memo_hits")
             chosen, combined_items, concept_items, context_items = entry
             # Fresh dicts per assignment: SenseAssignment exposes the
             # scores mapping, so callers must not share one instance.
@@ -325,8 +322,6 @@ class XSDF:
                 dict(combined_items),
                 chosen,
             )
-        if m is not None:
-            m.count("memo_misses")
         concept_scores, context_scores, combined, chosen = self._score(
             candidates, sphere, plan
         )

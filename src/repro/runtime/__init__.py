@@ -30,10 +30,9 @@ scale cheap and observable without changing a single score:
 * :mod:`~repro.runtime.metrics` — :class:`MetricsRegistry`, per-stage
   latency timers, counters, and structured events with JSON report
   export, zero-overhead when off;
-* :mod:`~repro.runtime.resilience` — :class:`DocOutcome` and
-  :class:`BatchAbortError`: per-document fault isolation (a failed
-  document fails alone, typed by stage) and the ``on_error="fail"``
-  abort;
+* :mod:`~repro.runtime.resilience` — :class:`DocOutcome`:
+  per-document fault isolation (a failed document fails alone, typed
+  by stage, as one more record of the batch);
 * :mod:`~repro.runtime.journal` — :class:`JournalWriter` /
   :func:`read_journal`, the append-only CRC-framed outcome journal
   (WAL) behind ``repro batch --journal/--resume``: a killed batch
@@ -68,7 +67,7 @@ from .pack import (
     PackedIndexTruncatedError,
 )
 from .pool import PersistentPool, auto_workers, parse_workers
-from .resilience import BatchAbortError, DocOutcome
+from .resilience import DocOutcome
 from .store import (
     read_shard_header,
     verify_shard,
@@ -76,7 +75,6 @@ from .store import (
 )
 
 __all__ = [
-    "BatchAbortError",
     "BatchDocument",
     "BatchExecutor",
     "BatchRecord",

@@ -61,14 +61,12 @@ from .metrics import MetricsRegistry
 from .pack import PackedIndex, PackedIndexError
 from .pool import PersistentPool, auto_workers
 from .resilience import (
-    ON_ERROR_POLICIES,
     STAGE_INDEX,
     STAGE_PARSE,
     STAGE_PIPELINE,
     STAGE_POOL,
     STATUS_FAILED,
     STATUS_OK,
-    BatchAbortError,
     DocOutcome,
 )
 
@@ -342,12 +340,6 @@ class BatchExecutor:
         (``outcome_*``), pool counters (``pool_spawns``,
         ``pool_reuses``, ``worker_respawns``) and structured events
         (``doc_failed``, ``pool_fault``) land here too.
-    on_error:
-        ``"skip"`` (default) records failures and carries on;
-        ``"fail"`` raises :class:`BatchAbortError` (carrying the
-        records so far) at the first failure; ``"quarantine"``
-        behaves like ``skip`` — routing failed records to a sidecar is
-        the CLI's job.
     index:
         Optional pre-built :class:`PackedIndex` over ``network``, such
         as an ``RXPD`` shard that ``repro batch --shard`` or ``repro
@@ -375,7 +367,6 @@ class BatchExecutor:
         use_index: bool = True,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
         metrics: MetricsRegistry | None = None,
-        on_error: str = "skip",
         index: PackedIndex | None = None,
         oversubscribe: bool = False,
         record_hook: "Callable[[BatchRecord], None] | None" = None,
@@ -386,10 +377,6 @@ class BatchExecutor:
             raise ValueError("chunk_size must be >= 1")
         if cache_size is not None and cache_size < 1:
             raise ValueError("cache_size must be >= 1 (or None for unbounded)")
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
-            )
         self.network = network
         self.config = config or XSDFConfig()
         self.workers = workers
@@ -398,7 +385,6 @@ class BatchExecutor:
         self.use_index = use_index
         self.cache_size = cache_size
         self.metrics = metrics
-        self.on_error = on_error
         self.record_hook = record_hook
         self._index: PackedIndex | None = index if use_index else None
         self._serial_xsdf: XSDF | None = None
@@ -500,10 +486,9 @@ class BatchExecutor:
     ) -> list[BatchRecord]:
         """Disambiguate every document; records come back in input order.
 
-        Under ``on_error="fail"`` the first failed document raises
-        :class:`BatchAbortError` (carrying the records completed so
-        far); otherwise failures come back as records with ``ok=False``
-        and a structured ``outcome``.
+        One record per document: a failed document comes back as a
+        record with ``ok=False`` and a structured ``outcome``, and the
+        batch carries on.
         """
         docs = [
             doc if isinstance(doc, BatchDocument) else BatchDocument(*doc)
@@ -554,11 +539,7 @@ class BatchExecutor:
         results: "list[BatchRecord | None]",
         attempts: int = 1,
     ) -> None:
-        """Store document ``i``'s final record and emit its metrics.
-
-        Aborts the batch here under ``on_error="fail"`` when the record
-        failed.
-        """
+        """Store document ``i``'s final record and emit its metrics."""
         outcome = record.outcome
         if outcome is None:
             outcome = record.outcome = DocOutcome(  # lint: disable=cache-purity  # record is this method's out-param
@@ -585,11 +566,6 @@ class BatchExecutor:
             # dropping durability would defeat the journal's contract.
             hook(record)
         results[i] = record  # lint: disable=cache-purity  # results is the batch's out-param
-        if self.on_error == "fail" and not record.ok:
-            raise BatchAbortError(
-                f"document {record.name!r} failed: {record.error}",
-                [r for r in results if r is not None],
-            )
 
     # -- serial path ---------------------------------------------------------
 
@@ -720,7 +696,7 @@ class BatchExecutor:
             if rest:
                 self._run_serial(docs, rest, results)
         except BaseException:  # lint: disable=broad-except  # teardown boundary: kills the workers then re-raises
-            # KeyboardInterrupt/SystemExit and the on_error="fail" abort
+            # KeyboardInterrupt/SystemExit and a failing record_hook
             # must not leave workers running abandoned tasks.  The
             # runtime stays, so the next batch forks fresh workers.
             runtime.restart()

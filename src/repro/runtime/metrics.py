@@ -197,8 +197,8 @@ def batch_summary(report: dict, n_records: int, n_failures: int) -> str:
     memo traffic (serial runs surface it through the registered LRU,
     parallel runs through the merged worker counters) and pruning
     counts.  Pure function of the report snapshot —
-    callers append surface-specific suffixes (quarantine paths, ...)
-    themselves.
+    callers append surface-specific suffixes (index backing, journal
+    counts) themselves.
     """
     batch = report.get("stages", {}).get("batch", {})
     rate = n_records / batch["total_s"] if batch.get("total_s") else 0.0

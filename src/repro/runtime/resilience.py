@@ -1,18 +1,14 @@
-"""Resilience primitives for the batch runtime.
+"""The per-document verdict of the fault-isolated batch pipeline.
 
-This module holds the small, dependency-free building blocks of the
-fault-isolated batch pipeline:
+:class:`DocOutcome` is attached to every
+:class:`~repro.runtime.executor.BatchRecord` (``ok`` / ``failed``, with
+the typed error, the attempt count, and the pipeline stage that
+failed).  A failed document is one more record, never an abort: the
+batch writes one line per input document either way.
 
-* :class:`DocOutcome` — the structured per-document verdict attached to
-  every :class:`~repro.runtime.executor.BatchRecord` (``ok`` /
-  ``failed``, with the typed error, the attempt count, and the
-  pipeline stage that failed).
-* :class:`BatchAbortError` — raised under ``on_error="fail"``; carries
-  the records completed before the abort.
-
-None of these touch scoring: outcomes are observability metadata and the
-JSONL payload of a record (``BatchRecord.to_dict``) never includes them,
-so the bit-identity contract of the runtime is untouched.
+Outcomes do not touch scoring: they are observability metadata and the
+JSONL payload of a record (``BatchRecord.to_dict``) never includes
+them, so the bit-identity contract of the runtime is untouched.
 """
 
 from __future__ import annotations
@@ -23,9 +19,6 @@ from typing import Any
 #: Valid ``DocOutcome.status`` values, from best to worst.
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
-
-#: Valid ``on_error`` batch policies.
-ON_ERROR_POLICIES = ("fail", "skip", "quarantine")
 
 #: ``DocOutcome.stage`` values the runtime assigns to final errors —
 #: shared constants so the executor, the server's envelope mapping, and
@@ -61,7 +54,8 @@ class DocOutcome:
         return self.status != STATUS_FAILED
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable view (used by quarantine sidecars/metrics)."""
+        """JSON-serializable view: the server's envelope line and the
+        batch journal's ``outcome`` field."""
         payload: dict[str, Any] = {
             "name": self.name,
             "status": self.status,
@@ -81,7 +75,7 @@ class DocOutcome:
 
         The journal replay path: a resumed batch reconstructs each
         completed document's outcome exactly as the crashed run
-        recorded it, so summaries and quarantine sidecars match an
+        recorded it, so its summary and ``FAILED`` lines match an
         uninterrupted run.
         """
         return cls(
@@ -92,16 +86,3 @@ class DocOutcome:
             error_type=payload.get("error_type", ""),
             error=payload.get("error", ""),
         )
-
-
-class BatchAbortError(RuntimeError):
-    """Raised under ``on_error="fail"`` when a document finally fails.
-
-    ``records`` holds the :class:`~repro.runtime.executor.BatchRecord`
-    objects completed before the abort (in input order, failures
-    included) so callers can still persist partial results.
-    """
-
-    def __init__(self, message: str, records: list[Any] | None = None) -> None:
-        super().__init__(message)
-        self.records: list[Any] = list(records or [])

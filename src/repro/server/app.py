@@ -25,9 +25,8 @@ construction).
 Endpoints
 ---------
 ``POST /v1/disambiguate``
-    NDJSON stream: one ``{"annotation": ...}`` line per resolved node,
-    then the batch-identical record line, then the ``DocOutcome``
-    envelope line.
+    Two NDJSON lines, one chunk each: the batch-identical record line,
+    then the ``DocOutcome`` envelope line.
 ``GET /healthz``
     Readiness + index and config fingerprints + uptime.
 ``GET /metrics``
@@ -91,6 +90,8 @@ class ServerConfig:
             raise ValueError("max_body_bytes must be >= 1")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
+        if self.cache_size < 1:
+            raise ValueError("cache_size must be >= 1")
 
 
 def run_one_document(session: BatchExecutor, name: str,
@@ -333,23 +334,16 @@ class ServerApp:
 
     async def _stream_record(self, writer: asyncio.StreamWriter,
                              record: BatchRecord) -> None:
-        """The NDJSON success/failure stream for one scored document.
+        """The NDJSON answer for one scored document (200 or 422).
 
-        Lines, in order: one ``{"annotation": ..., "doc": ..., "seq":
-        ...}`` per resolved node (none for failures), then the record
-        line **exactly as `repro batch` would write it** (byte
-        identity), then the ``DocOutcome`` envelope line.
+        Exactly two lines, one chunk each: the record line **exactly as
+        `repro batch` would write it** (byte identity), then the
+        ``DocOutcome`` envelope line.  The record carries every sense
+        assignment; nothing else repeats them.
         """
         status = 200 if record.ok else 422
         stream = ChunkedNDJSONWriter(writer)
         await stream.start(status)
-        if record.result is not None:
-            for seq, annotation in enumerate(record.result["assignments"]):
-                await stream.write_line({
-                    "annotation": annotation,
-                    "doc": record.name,
-                    "seq": seq,
-                })
         await stream.write_raw_line(record.to_json_line().encode("utf-8"))
         outcome = record.outcome or DocOutcome(name=record.name)
         await stream.write_line(envelope_payload(outcome))

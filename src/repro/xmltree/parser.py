@@ -34,6 +34,11 @@ This list is the one statement of what :func:`parse` accepts.
   :data:`MAX_EXPANSION` characters (or on a reference cycle) the
   document raises :class:`XMLEntityError` there.  Expat's own
   amplification limit (expat 2.4 and later) still applies.
+* **Attribute-list defaults.**  An ``<!ATTLIST>`` default that names a
+  general entity other than the five predefined ones raises
+  :class:`XMLEntityError` when the DOCTYPE starts (expat would expand
+  it inside the DTD, before the bound runs); character references in a
+  default are accepted.
 * **Dropped.**  The XML declaration, the DOCTYPE, comments and
   processing instructions leave nothing in the tree.  ``<!ATTLIST>``
   defaults are not applied.
@@ -124,6 +129,13 @@ MAX_EXPANSION = 1 << 20
 #: A general entity reference, ``&name;``: group 1 is the name.
 _REFERENCE = re.compile(r"&([^\s&;<>\"'#]+);")
 
+#: An ``<!ATTLIST`` declaration.  No ``<`` can occur inside one, so it
+#: is taken to run to the next ``<``.
+_ATTLIST = re.compile(r"<!ATTLIST[^<]*")
+
+#: The predefined entities, which each expand to one character.
+_PREDEFINED = frozenset({"amp", "lt", "gt", "apos", "quot"})
+
 #: Expat error codes raised as :class:`XMLEntityError`.  Code 43 is
 #: XML_ERROR_AMPLIFICATION_LIMIT_BREACH (expat 2.4 and later), which
 #: ``pyexpat.errors`` names only from CPython 3.11 on.
@@ -210,6 +222,24 @@ def parse(source: str) -> Document:
             message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
         )
 
+    def start_doctype(*_) -> None:
+        # Expat expands the references in an <!ATTLIST> default while it
+        # reads the internal subset, before end_doctype can bound them,
+        # and never applies the default: refuse them before it reads it.
+        subset = len(data[:parser.CurrentByteIndex].decode("utf-8"))
+        for declaration in _ATTLIST.finditer(source, subset):
+            for reference in _REFERENCE.finditer(
+                source, declaration.start(), declaration.end()
+            ):
+                if reference.group(1) not in _PREDEFINED:
+                    at = reference.start()
+                    raise XMLEntityError(
+                        f"<!ATTLIST> default names the entity "
+                        f"{reference.group(0)}",
+                        source.count("\n", 0, at) + 1,
+                        at - source.rfind("\n", 0, at),
+                    )
+
     def end_run(*_) -> None:
         if run:
             text = "".join(run)
@@ -265,6 +295,7 @@ def parse(source: str) -> Document:
     parser.CommentHandler = end_run
     parser.ProcessingInstructionHandler = end_run
     parser.EntityDeclHandler = entity_decl
+    parser.StartDoctypeDeclHandler = start_doctype
     parser.EndDoctypeDeclHandler = end_doctype
     parser.SkippedEntityHandler = skipped_entity
     parser.ExternalEntityRefHandler = external_entity

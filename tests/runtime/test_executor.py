@@ -316,6 +316,26 @@ class TestCachingBehavior:
         # The repeated good document is still served from the cache.
         assert metrics.report()["caches"]["documents"]["hits"] == 1
 
+    def test_serial_memo_traffic_is_counted_once(self, lexicon, corpus):
+        from repro.runtime import batch_summary
+
+        # Structure-only documents of one schema repeat their spheres.
+        dataset = next(iter(corpus.datasets()))
+        docs = [(d.name, d.xml) for d in corpus.by_dataset(dataset)[:6]]
+        metrics = MetricsRegistry()
+        BatchExecutor(
+            lexicon, XSDFConfig(include_values=False), metrics=metrics,
+        ).run(docs)
+        report = metrics.report()
+        # The registered LRU is the one count of the memo's lookups.
+        assert not [c for c in report["counters"] if c.startswith("memo_")]
+        memo = report["caches"]["sphere_memo"]
+        assert memo["hits"] > 0 and memo["misses"] > 0
+        lookups = memo["hits"] + memo["misses"]
+        assert f", memo {memo['hits']}/{lookups} hits" in batch_summary(
+            report, len(docs), 0
+        )
+
     def test_executor_metrics_report(self, lexicon, figure1_xml):
         metrics = MetricsRegistry()
         executor = BatchExecutor(

@@ -31,7 +31,6 @@ import pytest
 
 from repro import XSDFConfig
 from repro.runtime import (
-    BatchAbortError,
     BatchExecutor,
     MetricsRegistry,
     PersistentPool,
@@ -237,12 +236,18 @@ class TestWorkerCrashRecovery:
     ):
         docs = _corpus_docs(corpus, 12)
         before = set(multiprocessing.active_children())
+
+        def disk_full(record):
+            # The journal's append failing: the hook error aborts run().
+            if record.name == docs[6][0]:
+                raise OSError(28, "No space left on device")
+
         aborting = BatchExecutor(
             lexicon, XSDFConfig(), workers=2, oversubscribe=True,
-            on_error="fail", chunk_size=1,
+            record_hook=disk_full, chunk_size=1,
         )
-        with pytest.raises(BatchAbortError):
-            aborting.run(docs[:6] + [("bad", "<unclosed>")] + docs[6:])
+        with pytest.raises(OSError):
+            aborting.run(docs)
         assert set(multiprocessing.active_children()) <= before
         aborting.close()
 

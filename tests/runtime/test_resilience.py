@@ -20,7 +20,6 @@ import pytest
 
 from repro import XSDFConfig
 from repro.runtime import (
-    BatchAbortError,
     BatchExecutor,
     DocOutcome,
     MetricsRegistry,
@@ -83,23 +82,6 @@ class TestSerialRetries:
         assert metrics.report()["counters"]["outcome_failed"] == 1
         (failed_event,) = metrics.events("doc_failed")
         assert failed_event["stage"] == "parse"
-
-    def test_on_error_fail_aborts_with_partial_records(
-        self, lexicon, figure1_xml
-    ):
-        executor = BatchExecutor(
-            lexicon, XSDFConfig(), workers=1, on_error="fail",
-        )
-        docs = [("good", figure1_xml), ("bad", BROKEN_XML),
-                ("never-ran", figure1_xml)]
-        with pytest.raises(BatchAbortError) as excinfo:
-            executor.run(docs)
-        names = [r.name for r in excinfo.value.records]
-        assert names == ["good", "bad"]  # partials survive the abort
-
-    def test_bad_on_error_rejected(self, lexicon):
-        with pytest.raises(ValueError):
-            BatchExecutor(lexicon, on_error="explode")
 
 
 def _kill_worker_scoring(name):

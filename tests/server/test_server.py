@@ -131,17 +131,15 @@ class TestDisambiguate:
         response = run(go())
         assert response.status == 200
         assert response.headers["content-type"] == "application/x-ndjson"
+        # The record line is the one per-document output: exactly the
+        # record, then the envelope, one chunk each.
         lines = response.ndjson()
-        annotations, record, envelope = lines[:-2], lines[-2], lines[-1]
-        assert annotations, "expected at least one annotation line"
-        for seq, line in enumerate(annotations):
-            assert line["doc"] == "films"
-            assert line["seq"] == seq
-            assert "chosen" in line["annotation"]
+        assert len(lines) == len(response.chunks) == 2
+        record, envelope = lines
         assert record["name"] == "films"
         assert record["ok"] is True
-        assert [a["annotation"] for a in annotations] == \
-            record["result"]["assignments"]
+        assert record["result"]["assignments"], "expected assignments"
+        assert all("chosen" in a for a in record["result"]["assignments"])
         assert envelope["envelope"]["status"] == "ok"
 
     def test_chunk_per_line_framing(self, make_app, figure1_xml):
@@ -151,8 +149,7 @@ class TestDisambiguate:
 
         response = run(go())
         assert response.chunks is not None
-        # One complete, newline-terminated JSON document per chunk: a
-        # client can act on each annotation before the stream ends.
+        # One complete, newline-terminated JSON document per chunk.
         for chunk in response.chunks:
             assert chunk.endswith(b"\n")
             json.loads(chunk)
@@ -187,7 +184,8 @@ class TestDisambiguate:
         for response, (_, error_type) in zip(run(go()), inputs):
             assert response.status == 422
             lines = response.ndjson()
-            record, envelope = lines[-2], lines[-1]
+            assert len(lines) == len(response.chunks) == 2
+            record, envelope = lines
             assert record["ok"] is False
             assert envelope["envelope"]["status"] == "failed"
             assert envelope["envelope"]["error_type"] == error_type

@@ -277,6 +277,41 @@ class TestParser:
         assert batch.cache_size == serve.cache_size == 64
 
 
+def _out_of_range_argvs():
+    """Each scoring command with each out-of-range flag value."""
+    heads = (["disambiguate", "DOC"], ["batch", "DOC"],
+             ["serve", "--port", "0"])
+    pipeline = (
+        (["--radius", "0"], "sphere_radius must be >= 1"),
+        (["--weights", "0,0,0"],
+         "at least one similarity weight must be positive"),
+        (["--threshold", "2"], "ambiguity_threshold must be in [0, 1]"),
+    )
+    cases = [
+        (head + flags, message) for head in heads for flags, message in pipeline
+    ] + [
+        (head + ["--cache-size", "0"], "cache_size must be >= 1")
+        for head in heads[1:]
+    ]
+    return [
+        pytest.param(argv, message, id=" ".join(a for a in argv if a != "DOC"))
+        for argv, message in cases
+    ]
+
+
+class TestFlagValues:
+    """An out-of-range flag value is one line, never a traceback, and
+    ``serve`` exits before it listens."""
+
+    @pytest.mark.parametrize("argv, message", _out_of_range_argvs())
+    def test_out_of_range_value_exits_with_its_message(
+        self, xml_file, argv, message
+    ):
+        argv = [xml_file if a == "DOC" else a for a in argv]
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            run(argv)
+
+
 class TestMatch:
     def test_match_two_documents(self, tmp_path, figure1_xml):
         a = tmp_path / "a.xml"
@@ -430,8 +465,8 @@ class TestDocumentFiles:
 
 
 class TestBatchResilience:
-    """xmltree recovery end to end: one malformed document is isolated
-    by ``--on-error`` policy while the survivors' JSONL stays
+    """xmltree recovery end to end: one malformed document fails alone,
+    as one more line of the one JSONL, while the survivors' lines stay
     byte-identical to a clean run."""
 
     def _write_corpus(self, tmp_path, figure1_xml):
@@ -466,57 +501,20 @@ class TestBatchResilience:
         out_path = tmp_path / "results.jsonl"
         code, output = run([
             "batch", str(tmp_path / "good-*.xml"), str(tmp_path / "broken.xml"),
-            "--on-error", "skip", "--out", str(out_path),
+            "--out", str(out_path),
         ])
         assert code == 1
         assert "1 failed" in output
         assert "FAILED" in output and "stage=parse" in output
         lines = out_path.read_text().splitlines()
-        assert len(lines) == 3  # skip keeps the failure in the JSONL
+        # One line per input document, the failure included, in order.
+        assert [json.loads(line)["name"] for line in lines] == [
+            str(tmp_path / name)
+            for name in ("good-0.xml", "good-1.xml", "broken.xml")
+        ]
         assert self._clean_lines(tmp_path, figure1_xml) == [
             line for line in lines if '"ok": true' in line
         ]
-
-    def test_on_error_quarantine_sidecars_the_failure(
-        self, tmp_path, figure1_xml
-    ):
-        import json
-
-        self._write_corpus(tmp_path, figure1_xml)
-        out_path = tmp_path / "results.jsonl"
-        sidecar = tmp_path / "bad.jsonl"
-        code, output = run([
-            "batch", str(tmp_path / "good-*.xml"), str(tmp_path / "broken.xml"),
-            "--on-error", "quarantine", "--quarantine", str(sidecar),
-            "--out", str(out_path),
-        ])
-        assert code == 0  # quarantine is a success policy
-        assert "QUARANTINED" in output
-        assert "1 quarantined" in output
-        survivors = out_path.read_text().splitlines()
-        assert len(survivors) == 2
-        assert all('"ok": true' in line for line in survivors)
-        assert self._clean_lines(tmp_path, figure1_xml) == survivors
-        (entry,) = [
-            json.loads(line) for line in sidecar.read_text().splitlines()
-        ]
-        assert entry["ok"] is False
-        assert entry["outcome"]["status"] == "failed"
-        assert entry["outcome"]["stage"] == "parse"
-
-    def test_on_error_fail_aborts_with_exit_code_2(
-        self, tmp_path, figure1_xml
-    ):
-        self._write_corpus(tmp_path, figure1_xml)
-        out_path = tmp_path / "results.jsonl"
-        code, output = run([
-            "batch", str(tmp_path / "broken.xml"), str(tmp_path / "good-*.xml"),
-            "--on-error", "fail", "--out", str(out_path),
-        ])
-        assert code == 2
-        assert "ABORTED (--on-error=fail)" in output
-        # Partial results (up to the abort) are still written.
-        assert len(out_path.read_text().splitlines()) >= 1
 
     @pytest.mark.parametrize("journal", [False, True],
                              ids=["plain", "journal"])
@@ -529,7 +527,7 @@ class TestBatchResilience:
         argv = [
             "batch", str(tmp_path / "good-0.xml"),
             str(tmp_path / "latin1.xml"),
-            "--on-error", "skip", "--out", str(out_path),
+            "--out", str(out_path),
         ]
         if journal:
             argv += ["--journal", str(tmp_path / "run.rxjf")]
@@ -554,11 +552,11 @@ class TestBatchResilience:
                 "batch", str(tmp_path / "doc.xml"),
                 "--chunk-size", "0",
             ])
-        with pytest.raises(SystemExit):
-            run([
-                "batch", str(tmp_path / "doc.xml"),
-                "--on-error", "explode",
-            ])
+        # One output policy: the removed policy flags are usage errors.
+        for removed in (["--on-error", "skip"], ["--quarantine", "x"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run(["batch", str(tmp_path / "doc.xml"), *removed])
+            assert excinfo.value.code == 2  # argparse's usage error
 
     def test_metrics_json_carries_resilience_counters(
         self, tmp_path, figure1_xml

@@ -35,6 +35,12 @@ BILLION_LAUGHS = (
 _WIDE_ENTITY = '<!DOCTYPE a [<!ENTITY e "' + "y" * 290 + '">]>'
 WIDE_TEXT = _WIDE_ENTITY + "<a>" + "&e;" * 170000 + "</a>"
 WIDE_ATTRIBUTE = _WIDE_ENTITY + '<a v="' + "&e;" * 170000 + '"/>'
+#: The same references as an ``<!ATTLIST>`` default, which expat expands
+#: inside the DTD, before the DOCTYPE ends.
+WIDE_DEFAULT = (
+    '<!DOCTYPE a [<!ENTITY e "' + "y" * 290 + '">'
+    '<!ATTLIST a v CDATA "' + "&e;" * 170000 + '">]><a/>'
+)
 
 _PROLOGS = (
     "",
@@ -97,8 +103,9 @@ def test_mutated_documents_parse_or_raise_xml_error(text):
     (BILLION_LAUGHS, XMLEntityError),
     (WIDE_TEXT, XMLEntityError),
     (WIDE_ATTRIBUTE, XMLEntityError),
+    (WIDE_DEFAULT, XMLEntityError),
 ], ids=["1mb-attribute", "5000-deep", "entity-blowup", "billion-laughs",
-        "wide-entity-text", "wide-entity-attribute"])
+        "wide-entity-text", "wide-entity-attribute", "wide-attlist-default"])
 def test_large_inputs_stay_bounded(text, error):
     tracemalloc.start()
     try:

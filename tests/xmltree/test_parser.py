@@ -95,6 +95,18 @@ class TestTextRuns:
         source = '<!DOCTYPE a [<!ATTLIST a d CDATA "default">]><a v="1"/>'
         assert parse(source).root.attributes == {"v": "1"}
 
+    def test_attlist_default_naming_an_entity_is_refused(self):
+        # Character references and the predefined entities stay accepted.
+        source = '<!DOCTYPE a [<!ATTLIST a d CDATA "&#38;&amp;&lt;">]><a/>'
+        assert parse(source).root.attributes == {}
+        source = (
+            '<!DOCTYPE a [<!ENTITY e "x">\n'
+            '  <!ATTLIST a d CDATA "y&e;">]><a/>'
+        )
+        with pytest.raises(XMLEntityError, match="&e;") as excinfo:
+            parse(source)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 25)
+
 
 class TestXMLSpecConformance:
     """Where parse follows the XML 1.0 specification to the letter."""
