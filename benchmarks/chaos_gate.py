@@ -18,11 +18,15 @@ or name one: ``executor``, ``kill-resume``):
 ``kill-resume``
     The crash-recovery contract across the real process boundary: the
     gate SIGKILLs a ``repro batch --journal`` run once the journal
-    holds a document frame, then re-runs it with ``--resume``.  The
-    gate requires the kill to have actually landed (exit -9/137), the
-    resume to replay a non-zero number of journaled documents and to
-    score a non-zero number (non-vacuous), and the resumed output file
-    to be **byte-identical** to an uninterrupted reference run.
+    holds a document frame, ends the journal with a partial frame (the
+    torn tail a kill in the middle of a write leaves), then re-runs the
+    batch with ``--resume``, twice.  The gate requires the kill to have
+    actually landed (exit -9/137), the first resume to replay a
+    non-zero number of journaled documents and to score a non-zero
+    number (non-vacuous), the second to replay every document and
+    score none (the first one's frames are readable past the torn
+    tail), and both output files to be **byte-identical** to an
+    uninterrupted reference run.
 
 Exit code 0 on success, 1 with a divergence report otherwise.
 """
@@ -185,6 +189,18 @@ def _journaled_documents(path: str) -> int:
         return 0
 
 
+def _resume(cmd: list[str], env: dict) -> "tuple[int, int] | str":
+    """Run one ``--resume`` batch: ``(replayed, scored)`` or a problem."""
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if run.returncode != 0:
+        return f"resume exited {run.returncode}: {run.stderr[-500:]}"
+    summary = run.stdout + run.stderr
+    match = re.search(r"journal replayed=(\d+) scored=(\d+)", summary)
+    if match is None:
+        return f"resume summary lacks journal stats: {summary!r}"
+    return int(match.group(1)), int(match.group(2))
+
+
 def gate_kill_resume() -> list[str]:
     """SIGKILL a journaled batch mid-run; resume must be byte-identical."""
     problems: list[str] = []
@@ -244,43 +260,50 @@ def gate_kill_resume() -> list[str]:
         if problems:
             return problems
 
+        # Torn tail: the first 6 bytes of a frame header (the magic and
+        # half a CRC), whatever the kill itself left behind.
+        with open(journal, "ab") as handle:
+            handle.write(b"RXJF\x00\x00")
+
         # Resume leg: same batch, same journal — completed documents
         # replay from the journal, the rest are scored.
-        resume = subprocess.run(
-            base_cmd + ["--out", out, "--journal", journal, "--resume"],
-            env=env, capture_output=True, text=True,
-        )
-        if resume.returncode != 0:
-            problems.append(
-                f"resume exited {resume.returncode}: {resume.stderr[-500:]}"
-            )
-            return problems
-        summary = resume.stdout + resume.stderr
-        match = re.search(r"journal replayed=(\d+) scored=(\d+)", summary)
-        if match is None:
-            problems.append(f"resume summary lacks journal stats: {summary!r}")
-            return problems
-        replayed, scored = int(match.group(1)), int(match.group(2))
+        resume_cmd = base_cmd + ["--journal", journal, "--resume"]
+        resumed = _resume(resume_cmd + ["--out", out], env)
+        if isinstance(resumed, str):
+            return [resumed]
+        replayed, scored = resumed
         if replayed < 1:
             # A resume that replays nothing proves nothing: the kill
             # must land after at least one record hit the journal.
             problems.append("vacuous gate: resume replayed 0 documents")
         if scored < 1:
             problems.append("vacuous gate: the kill landed after the batch")
+
+        # Second resume: every frame the first one appended must be
+        # readable past the torn tail, so nothing is scored again.
+        again_out = os.path.join(tmp, "again.jsonl")
+        again = _resume(resume_cmd + ["--out", again_out], env)
+        if isinstance(again, str):
+            return problems + [again]
+        if again != (len(docs), 0):
+            problems.append(
+                f"second resume replayed {again[0]} + scored {again[1]} "
+                f"of {len(docs)}; every document must replay"
+            )
         with open(ref_out, "rb") as handle:
             ref_bytes = handle.read()
-        with open(out, "rb") as handle:
-            out_bytes = handle.read()
-        if ref_bytes != out_bytes:
-            problems.append(
-                "resumed output DIVERGED from the uninterrupted run"
-            )
+        for path, leg in ((out, "resumed"), (again_out, "second resume's")):
+            with open(path, "rb") as handle:
+                if handle.read() != ref_bytes:
+                    problems.append(
+                        f"{leg} output DIVERGED from the uninterrupted run"
+                    )
         if not problems:
             print(
-                f"kill-resume gate passed: SIGKILL "
-                f"mid-batch, resume replayed {replayed} + scored {scored} "
-                f"of {len(docs)}, output byte-identical to the "
-                f"uninterrupted run"
+                f"kill-resume gate passed: SIGKILL mid-batch and a torn "
+                f"tail, resume replayed {replayed} + scored {scored} of "
+                f"{len(docs)}, a second resume replayed all {len(docs)}, "
+                f"output byte-identical to the uninterrupted run"
             )
     return problems
 

@@ -568,10 +568,9 @@ def _open_journal(args: argparse.Namespace, config, network, documents):
         document_digest,
         read_journal,
     )
-    from .runtime.memo import config_fingerprint
 
     meta = {
-        "config": config_fingerprint(config),
+        "config": config.fingerprint(),
         "network": network.fingerprint(),
     }
     replayed: dict[int, dict] = {}

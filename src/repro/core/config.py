@@ -11,6 +11,7 @@ of them with the paper's defaults.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 
 from ..similarity.combined import SimilarityWeights
@@ -91,9 +92,11 @@ class XSDFConfig:
         candidates are skipped (their entries are then absent from the
         per-candidate ``scores`` breakdown).
     memo:
-        Cross-document sphere memoization (default on): identical
-        disambiguation situations (target + sphere + config + network)
-        replay their memoized outcome instead of recomputing it.
+        Cross-document sphere memoization (default on): each
+        :class:`~repro.core.framework.XSDF` keeps a private memo keyed
+        by the target and its ordered sphere (the configuration and the
+        network are fixed for the instance's life), and a recurring
+        sphere replays its memoized outcome instead of recomputing it.
         Results are bit-identical; see :mod:`repro.runtime.memo`.
     """
 
@@ -123,6 +126,44 @@ class XSDFConfig:
                 raise ValueError("combined approach needs a positive weight")
         if self.vector_measure not in ("cosine", "jaccard", "pearson"):
             raise ValueError(f"unknown vector measure {self.vector_measure!r}")
+
+    def fingerprint(self) -> str:
+        """Digest of every field that can change an output byte.
+
+        Stamped into a batch journal's meta frame (``--resume`` refuses
+        a journal written under another digest) and reported by the
+        server's ``/healthz``.  ``prune`` is folded in because pruning
+        omits provably-losing candidates from each node's ``scores``;
+        ``memo`` is left out because memoized replays are byte-identical
+        to fresh scoring.
+        """
+        policy = self.distance_policy
+        if policy is not None and not isinstance(policy, str):
+            # Policy objects have no canonical repr; freeze their type
+            # and constructor state.
+            policy = (
+                type(policy).__qualname__,
+                tuple(sorted(vars(policy).items())) if vars(policy) else (),
+            )
+        weights = self.similarity_weights
+        ambiguity = self.ambiguity_weights
+        canonical = (
+            self.sphere_radius,
+            self.approach.value,
+            self.concept_weight,
+            self.context_weight,
+            (weights.edge, weights.node, weights.gloss),
+            self.vector_measure,
+            self.include_values,
+            self.strip_target_dimension,
+            (ambiguity.polysemy, ambiguity.depth, ambiguity.density),
+            self.ambiguity_threshold,
+            policy,
+            self.prune,
+        )
+        return hashlib.blake2b(
+            repr(canonical).encode("utf-8"), digest_size=16
+        ).hexdigest()
 
     @property
     def normalized_approach_weights(self) -> tuple[float, float]:

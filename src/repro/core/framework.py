@@ -108,19 +108,18 @@ class XSDF:
         Optional memo for the concept-based scorer's best-sense term
         (``Max_j Sim(candidate, s_j)`` per context sense inventory);
         scores are unchanged, repeated context labels get cheaper.
-    sphere_memo:
-        Optional :class:`repro.runtime.memo.SphereMemo` replaying whole
-        disambiguation outcomes for repeated (target, sphere, config,
-        network) situations.  By default one is created when
-        ``config.memo`` is on and no custom ``similarity`` callable was
-        supplied (a custom callable cannot be fingerprinted into the
-        memo key, so memoization is skipped for safety).  Replayed
-        results are bit-identical to fresh computation.
     metrics:
         Optional :class:`repro.runtime.metrics.MetricsRegistry`.  When
         set, the pipeline records per-stage latency (parse, select,
         sphere, score) and document/target counters; the default
         ``None`` keeps every hot path exactly as uninstrumented.
+
+    While ``config.memo`` is on, the instance keeps a private
+    :class:`repro.runtime.memo.SphereMemo` (``sphere_memo``) replaying
+    whole disambiguation outcomes for repeated spheres.  The network,
+    the configuration and the similarity are fixed for the instance's
+    life, so the target and its ordered sphere are the whole key, and
+    replayed results are bit-identical to fresh computation.
     """
 
     def __init__(
@@ -131,7 +130,6 @@ class XSDF:
         index=None,
         similarity_cache=None,
         sense_cache=None,
-        sphere_memo=None,
         metrics=None,
     ):
         self.network = network
@@ -141,7 +139,6 @@ class XSDF:
         self.sense_cache = sense_cache
         self.metrics = metrics
         self.pipeline = LinguisticPipeline(known=network.has_word)
-        user_supplied_similarity = similarity is not None
         if similarity is None:
             ic = None
             if self.config.similarity_weights.node > 0:
@@ -162,15 +159,11 @@ class XSDF:
         self._prune = self.config.prune and isinstance(
             similarity, CombinedSimilarity
         )
-        if (
-            sphere_memo is None
-            and self.config.memo
-            and not user_supplied_similarity
-        ):
+        self.sphere_memo = None
+        if self.config.memo:
             from ..runtime.memo import SphereMemo
 
-            sphere_memo = SphereMemo(self.config, network.fingerprint())
-        self.sphere_memo = sphere_memo
+            self.sphere_memo = SphereMemo()
         #: Cumulative exact-pruning counters (pruned candidates were
         #: *provably* losing; evaluated ones were scored exactly).
         self.prune_stats = {
@@ -302,10 +295,9 @@ class XSDF:
         """:meth:`_score`, replayed from the sphere memo when possible.
 
         The memo key (:func:`repro.runtime.memo.sphere_signature`)
-        covers the complete input of the scoring function — frozen
-        config and network fingerprints, the target, and the ordered
-        member sequence — so replayed entries are bit-identical to
-        fresh computation.
+        covers the target and the ordered member sequence, the whole
+        input of the scoring function that varies within one instance,
+        so replayed entries are bit-identical to fresh computation.
         """
         memo = self.sphere_memo
         if memo is None:

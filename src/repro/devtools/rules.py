@@ -22,9 +22,6 @@ mutable-default     no mutable default argument values
 public-api          public API needs docstrings (and, in
                     ``repro.similarity`` / ``repro.runtime``, complete
                     type annotations)
-memo-key-purity     sphere-signature builders must fold frozen
-                    fingerprint digests into memo keys, never live
-                    config/network attribute reads
 silent-degrade      fallback/except branches in ``repro.runtime`` must
                     re-raise or emit a MetricsRegistry signal, or carry
                     an explicit pragma
@@ -666,74 +663,6 @@ class PublicApiRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# memo-key-purity
-# ---------------------------------------------------------------------------
-
-
-class MemoKeyPurityRule(Rule):
-    """Sphere-signature builders must key on frozen fingerprints only.
-
-    The sphere memo (:mod:`repro.runtime.memo`) serves results for the
-    lifetime of a process; its keys are only safe if every
-    config/network contribution comes from the *frozen* digest helpers
-    (:func:`repro.runtime.memo.config_fingerprint`,
-    ``SemanticNetwork.fingerprint()``) captured at memo construction.
-    A signature builder that reads a live ``config.*`` / ``network.*``
-    attribute instead would silently serve stale entries after a
-    mutation — the classic memo-invalidation bug.  The rule checks
-    every ``repro.runtime`` function whose name contains ``signature``
-    (the fingerprint helpers themselves are the sanctioned readers and
-    are exempt by name).
-    """
-
-    id = "memo-key-purity"
-    description = (
-        "sphere-signature builders must fold frozen fingerprints into "
-        "memo keys, not live config/network attribute reads"
-    )
-    scope = ("repro/runtime/",)
-
-    _FROZEN_SOURCES = frozenset({"config", "network"})
-
-    def visit_FunctionDef(self, fn: ast.FunctionDef, ctx: LintContext) -> None:
-        """Check one signature-builder function's attribute reads."""
-        self._check(fn, ctx)
-
-    def visit_AsyncFunctionDef(self, fn, ctx: LintContext) -> None:
-        """Async variant of :meth:`visit_FunctionDef`."""
-        self._check(fn, ctx)
-
-    def _check(self, fn, ctx: LintContext) -> None:
-        name = fn.name.lower()
-        if "signature" not in name or "fingerprint" in name:
-            return
-        for node in ctx.local_nodes(fn):
-            if not isinstance(node, ast.Attribute) or \
-                    not isinstance(node.ctx, ast.Load):
-                continue
-            source = self._live_source(node)
-            if source is not None and node.attr != "fingerprint":
-                ctx.report(
-                    self.id, node,
-                    f"signature builder reads live attribute "
-                    f"'{source}.{node.attr}'; memo keys must fold in the "
-                    "frozen digests (config_fingerprint(), "
-                    "network.fingerprint()) captured at memo construction",
-                )
-
-    def _live_source(self, node: ast.Attribute) -> str | None:
-        base = node.value
-        if isinstance(base, ast.Name) and base.id in self._FROZEN_SOURCES:
-            return base.id
-        if isinstance(base, ast.Attribute) and \
-                isinstance(base.value, ast.Name) and \
-                base.value.id == "self" and \
-                base.attr.lstrip("_") in self._FROZEN_SOURCES:
-            return f"self.{base.attr}"
-        return None
-
-
-# ---------------------------------------------------------------------------
 # silent-degrade / handler-envelope: one handler scan
 # ---------------------------------------------------------------------------
 
@@ -873,7 +802,9 @@ from .flowrules import (  # noqa: E402 — registry import, after Rule defs
 #: ``determinism-flow`` into ``determinism``, ``picklable-submit`` into
 #: ``worker-boundary``, and ``exception-flow`` (which could not fire
 #: where those two did not) into ``silent-degrade`` /
-#: ``handler-envelope``; no pragma in the tree named them.
+#: ``handler-envelope`` — and ``memo-key-purity`` with its invariant,
+#: once memo keys stopped folding configuration or network state; no
+#: pragma in the tree named them.
 RULE_CLASSES: dict[str, type[Rule]] = {
     rule_class.id: rule_class
     for rule_class in (
@@ -884,7 +815,6 @@ RULE_CLASSES: dict[str, type[Rule]] = {
         BroadExceptRule,
         MutableDefaultRule,
         PublicApiRule,
-        MemoKeyPurityRule,
         SilentDegradeRule,
         HandlerEnvelopeRule,
         WorkerBoundaryRule,

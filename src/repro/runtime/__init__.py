@@ -11,10 +11,10 @@ scale cheap and observable without changing a single score:
   the network walk);
 * :mod:`~repro.runtime.cache` — :class:`LRUCache`, a bounded pairwise
   memo with hit/miss/eviction counters;
-* :mod:`~repro.runtime.memo` — :class:`SphereMemo`, a bounded LRU of
-  whole disambiguation outcomes keyed by a canonical sphere signature
-  (frozen config + network fingerprints, target, ordered members), so
-  repeated situations replay bit-identically across documents;
+* :mod:`~repro.runtime.memo` — :class:`SphereMemo`, one XSDF's
+  bounded LRU of whole disambiguation outcomes keyed by a canonical
+  sphere signature (target, ordered members), so repeated spheres
+  replay bit-identically across documents;
 * :mod:`~repro.runtime.executor` — :class:`BatchExecutor`, a
   pipelined process-pool fan-out with serial fallback and
   deterministic, input-ordered results;
@@ -57,7 +57,7 @@ from .journal import (
     document_digest,
     read_journal,
 )
-from .memo import SphereMemo, config_fingerprint, sphere_signature
+from .memo import SphereMemo, sphere_signature
 from .metrics import MetricsRegistry, StageTimer, batch_summary
 from .pack import (
     PackedIC,
@@ -94,7 +94,6 @@ __all__ = [
     "StageTimer",
     "auto_workers",
     "batch_summary",
-    "config_fingerprint",
     "document_digest",
     "parse_workers",
     "read_journal",

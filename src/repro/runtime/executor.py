@@ -637,17 +637,15 @@ class BatchExecutor:
         session state (warm sphere memo, document cache) intact.
 
         Before the first fork the parent decodes the index's deferred
-        string tables and computes the network fingerprint the memo
-        keys use, so every worker inherits both instead of repeating
-        them; a damaged table raises its :class:`PackedIndexError` here,
-        from :meth:`run`, as the serial path's does.
+        string tables, so every worker inherits them instead of
+        repeating the decode; a damaged table raises its
+        :class:`PackedIndexError` here, from :meth:`run`, as the serial
+        path's does.
         """
         if self._pool is None:
             index = self._ensure_index()
             if index is not None:
                 index._materialize_lazy()
-            if self.config.memo:
-                self.network.fingerprint()
             self._pool = PersistentPool(
                 processes=self.effective_workers,
                 initializer=_init_worker,

@@ -85,9 +85,12 @@ class JournalWriter:
     ``meta`` (config/network fingerprints) is stamped as the first
     frame of a fresh journal; opening with ``resume=True`` appends to
     an existing file instead (the meta frame is already there — the
-    reader, not the writer, checks it).  The file object is unbuffered,
-    so every :meth:`append` hands the OS one complete frame in one
-    write; ``fsync`` is batched every ``fsync_every`` frames.
+    reader, not the writer, checks it), after cutting the file back to
+    its last intact frame: a torn tail left in place would sit between
+    the old frames and the new ones, and :func:`read_journal` stops
+    there.  The file object is unbuffered, so every :meth:`append`
+    hands the OS one complete frame in one write; ``fsync`` is batched
+    every ``fsync_every`` frames.
     """
 
     def __init__(
@@ -103,12 +106,14 @@ class JournalWriter:
         self._fsync_every = fsync_every
         self._pending = 0
         self.appended = 0
-        existing = (
-            resume and os.path.exists(self.path)
-            and os.path.getsize(self.path) > 0
-        )
+        intact = 0
+        if resume and os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                _, intact = _scan_frames(fh.read())
         self._fh = open(self.path, "ab" if resume else "wb", buffering=0)
-        if not existing:
+        if resume:
+            self._fh.truncate(intact)
+        if not intact:
             payload = {"kind": "meta", "version": JOURNAL_VERSION}
             payload.update(meta or {})
             self._write_frame(payload)
@@ -194,22 +199,12 @@ class JournalReplay:
         )
 
 
-def read_journal(path: "str | os.PathLike[str]") -> JournalReplay:
-    """Decode a journal, salvaging every intact frame.
+def _scan_frames(data: bytes) -> "tuple[list[dict], int]":
+    """The intact frames at the head of ``data`` and where they end.
 
-    Decoding stops at the first frame that fails its magic, length, or
-    CRC check: everything before it is trusted (each earlier frame
-    proved itself), everything from it on is reported as
-    ``truncated_bytes``.  Raises :class:`JournalError` when the file is
-    missing, is empty, or does not start with a valid meta frame of a
-    supported version.
+    Scanning stops at the first frame that fails its magic, length,
+    CRC or JSON check: everything before it proved itself.
     """
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from None
     frames: list[dict] = []
     offset = 0
     while len(data) - offset >= _FRAME.size:
@@ -231,6 +226,26 @@ def read_journal(path: "str | os.PathLike[str]") -> JournalReplay:
             break
         frames.append(payload)
         offset = body_start + length
+    return frames, offset
+
+
+def read_journal(path: "str | os.PathLike[str]") -> JournalReplay:
+    """Decode a journal, salvaging every intact frame.
+
+    Decoding stops at the first frame that fails its magic, length, or
+    CRC check: everything before it is trusted (each earlier frame
+    proved itself), everything from it on is reported as
+    ``truncated_bytes``.  Raises :class:`JournalError` when the file is
+    missing, is empty, or does not start with a valid meta frame of a
+    supported version.
+    """
+    path = os.fspath(path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {path}: {exc}") from None
+    frames, offset = _scan_frames(data)
     if not frames:
         raise JournalError(
             f"journal {path} holds no valid frames "

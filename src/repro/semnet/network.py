@@ -360,10 +360,10 @@ class SemanticNetwork:
         per-word sense *ranking* (``set_sense_order`` changes it without
         adding content), and every typed edge — all in sorted order so
         the digest is independent of construction order and
-        ``PYTHONHASHSEED``.  Memoization layers that key results across
-        documents (:mod:`repro.runtime.memo`) fold this digest into
-        their keys so a mutated network can never serve stale entries;
-        the digest is cached and recomputed only after mutation.
+        ``PYTHONHASHSEED``.  Batch journals and index shards are
+        stamped with it, so a resume or a shard attach under a mutated
+        network is refused; the digest is cached and recomputed only
+        after mutation.
         """
         if self._fingerprint is not None:
             return self._fingerprint

@@ -48,7 +48,6 @@ from ..runtime.executor import (
     BatchExecutor,
     BatchRecord,
 )
-from ..runtime.memo import config_fingerprint
 from ..runtime.metrics import MetricsRegistry
 from ..runtime.pack import PackedIndex
 from ..runtime.resilience import STATUS_FAILED, DocOutcome
@@ -84,6 +83,8 @@ class ServerConfig:
     shard: "str | None" = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in [0, 65535]")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_body_bytes < 1:
@@ -268,7 +269,7 @@ class ServerApp:
                     if self._session is not None else None
                 ),
             },
-            "config_fingerprint": config_fingerprint(self.config),
+            "config_fingerprint": self.config.fingerprint(),
             "inflight": self._inflight,
         }
         status = 200 if self.ready and not self._draining else 503

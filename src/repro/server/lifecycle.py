@@ -55,14 +55,25 @@ class ReproServer:
     # -- startup -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Warm the app (index + default session) and open the listener."""
+        """Warm the app (index + default session) and open the listener.
+
+        A listener that cannot bind (the port is taken, the host is not
+        an address of this machine) closes the app and exits with one
+        ``cannot listen on HOST:PORT: ...`` line.
+        """
         self._drain_requested = asyncio.Event()
         self.app.warm_up()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.app.server_config.host,
-            self.app.server_config.port,
-        )
+        host = self.app.server_config.host
+        port = self.app.server_config.port
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host, port
+            )
+        except OSError as exc:
+            self.app.close()
+            raise SystemExit(
+                f"cannot listen on {host}:{port}: {exc}"
+            ) from None
 
     def request_drain(self) -> None:
         """Ask for a graceful drain (idempotent; callable from signals)."""

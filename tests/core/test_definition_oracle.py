@@ -8,7 +8,7 @@ must equal the reference with ``==``, every pruned candidate must lose
 to the chosen one, and the chosen sense must be the reference's
 arg-max (ties go to the earlier sense).  Each document runs twice
 through one framework, so with the memo on the second pass replays
-every outcome.
+every outcome (the memo counts a hit for each).
 
 The reference reads ``Sim`` from the framework's own similarity
 object: the greedy gloss overlap is not symmetric for every concept
@@ -28,7 +28,6 @@ from repro.core.candidates import candidate_senses
 from repro.core.config import XSDFConfig
 from repro.core.framework import XSDF
 from repro.core.sphere import build_sphere
-from repro.runtime.memo import SphereMemo
 from repro.semnet.ic import InformationContent
 from repro.similarity.combined import CombinedSimilarity
 
@@ -46,9 +45,17 @@ _MODES = list(itertools.product([False, True], repeat=2))
 
 def _framework(network, similarity, **config_fields):
     """An XSDF scoring through ``similarity``, memo as configured."""
-    config = XSDFConfig(**config_fields)
-    memo = SphereMemo(config, network.fingerprint()) if config.memo else None
-    return XSDF(network, config, similarity=similarity, sphere_memo=memo)
+    return XSDF(network, XSDFConfig(**config_fields), similarity=similarity)
+
+
+def _check_twice(xsdf, tree, similarity):
+    """Two passes over ``tree``; with the memo on, the second replays."""
+    assigned = _check_against_definitions(xsdf, tree, similarity)
+    _check_against_definitions(xsdf, tree, similarity)
+    memo = xsdf.sphere_memo
+    assert (memo is not None) == xsdf.config.memo
+    if memo is not None:
+        assert memo.stats()["hits"] >= assigned
 
 
 def _check_against_definitions(xsdf, tree, similarity):
@@ -88,6 +95,7 @@ def _check_against_definitions(xsdf, tree, similarity):
         assert a.chosen == next(
             c for c in candidates if combined[c] == best
         ), where
+    return len(result.assignments)
 
 
 @settings(
@@ -105,8 +113,7 @@ def test_plan_scores_equal_definitions_on_toy_trees(toy_network, tree, radius):
             toy_network, similarity,
             sphere_radius=radius, prune=prune, memo=memo,
         )
-        for _ in range(2):
-            _check_against_definitions(xsdf, tree, similarity)
+        _check_twice(xsdf, tree, similarity)
 
 
 @settings(
@@ -123,6 +130,4 @@ def test_plan_scores_equal_definitions_on_generated_networks(
     xml = _random_document(network, doc_seed)
     for prune, memo in _MODES:
         xsdf = _framework(network, similarity, prune=prune, memo=memo)
-        tree = xsdf.build_tree(xml)
-        for _ in range(2):
-            _check_against_definitions(xsdf, tree, similarity)
+        _check_twice(xsdf, xsdf.build_tree(xml), similarity)

@@ -539,76 +539,6 @@ class TestPublicApi:
         ) == []
 
 
-class TestMemoKeyPurity:
-    def test_fires_on_live_config_and_network_reads(self, lint):
-        findings = lint(
-            """\
-            def sphere_signature(sphere, config, network):
-                return (config.sphere_radius, network.version, sphere)
-            """,
-            rules=["memo-key-purity"], path=RUNTIME_PATH,
-        )
-        assert rules_of(findings) == ["memo-key-purity"] * 2
-        messages = " ".join(f.message for f in findings)
-        assert "config.sphere_radius" in messages
-        assert "network.version" in messages
-
-    def test_fires_on_self_attribute_chains(self, lint):
-        findings = lint(
-            """\
-            class SphereMemo:
-                def signature(self, sphere):
-                    return (self._config.approach, sphere)
-            """,
-            rules=["memo-key-purity"], path=RUNTIME_PATH,
-        )
-        assert rules_of(findings) == ["memo-key-purity"]
-        assert "self._config.approach" in findings[0].message
-
-    def test_silent_on_frozen_digests_and_fingerprint_calls(self, lint):
-        assert lint(
-            """\
-            def sphere_signature(sphere, config_fp, network_fp):
-                return (config_fp, network_fp, sphere)
-
-            def make_signature(sphere, network):
-                return (network.fingerprint(), sphere)
-
-            class SphereMemo:
-                def signature(self, sphere):
-                    return (self._config_fp, self._network_fp, sphere)
-            """,
-            rules=["memo-key-purity"], path=RUNTIME_PATH,
-        ) == []
-
-    def test_fingerprint_builders_are_the_sanctioned_readers(self, lint):
-        assert lint(
-            """\
-            def config_fingerprint(config):
-                return repr(config.sphere_radius)
-            """,
-            rules=["memo-key-purity"], path=RUNTIME_PATH,
-        ) == []
-
-    def test_silent_outside_runtime_scope(self, lint):
-        assert lint(
-            """\
-            def sphere_signature(sphere, config, network):
-                return (config.sphere_radius, sphere)
-            """,
-            rules=["memo-key-purity"], path=CORE_PATH,
-        ) == []
-
-    def test_silent_on_non_signature_functions(self, lint):
-        assert lint(
-            """\
-            def build_executor(config, network):
-                return (config.sphere_radius, network.stats())
-            """,
-            rules=["memo-key-purity"], path=RUNTIME_PATH,
-        ) == []
-
-
 class TestSilentDegrade:
     def test_fires_on_silent_fallback_in_runtime_scope(self, lint):
         findings = lint(

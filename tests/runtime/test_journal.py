@@ -167,6 +167,22 @@ class TestTornTails:
         assert len(replay.entries) == 3
         assert replay.truncated_bytes == len(b"\x00garbage-not-a-frame")
 
+    def test_resume_cuts_a_torn_tail_before_appending(self, tmp_path):
+        # A kill mid-write leaves a partial frame; frames appended after
+        # it would sit past the point where read_journal stops.
+        path = self._journal_with(tmp_path, n=1)
+        with open(path, "ab") as fh:
+            fh.write(_encode_frame({"kind": "outcome"})[:6])
+        with JournalWriter(path, meta={"config": "c", "network": "n"},
+                           resume=True) as j:
+            for i in (1, 2):
+                j.append(_record(f"d{i}"), document_digest(str(i)))
+        replay = read_journal(path)
+        assert [e["record"]["name"] for e in replay.entries] == [
+            "d0", "d1", "d2",
+        ]
+        assert replay.truncated_bytes == 0
+
     def test_missing_empty_and_headless_journals_raise(self, tmp_path):
         with pytest.raises(JournalError):
             read_journal(tmp_path / "absent.rxjf")

@@ -1,15 +1,17 @@
 """Sphere memoization + exact pruning: signatures, parity, determinism.
 
-Three batteries:
+Five batteries:
 
-* :class:`TestNetworkFingerprint` / :class:`TestConfigFingerprint` /
-  :class:`TestSphereSignature` / :class:`TestPlanBuiltSignature` /
-  :class:`TestSphereMemo` — the memo key machinery (frozen digests,
-  ordered-member signatures, the plan-built key equal to
-  ``sphere_signature`` byte for byte, LRU behavior, mutation
-  invalidation);
-* :class:`TestMemoBitIdentity` — memoized replay is bit-identical to
-  fresh computation and hands out fresh score dicts;
+* :class:`TestNetworkFingerprint` / :class:`TestConfigFingerprint` —
+  the network and configuration digests a batch journal is stamped
+  with (mutation invalidation, the fields that change output bytes);
+* :class:`TestSphereSignature` / :class:`TestPlanBuiltSignature` /
+  :class:`TestSphereMemo` — the memo key machinery (ordered-member
+  signatures of the sphere alone, the plan-built key equal to
+  ``sphere_signature`` byte for byte, LRU behavior);
+* :class:`TestMemoBitIdentity` / :class:`TestNoNetworkHashWhileScoring`
+  — memoized replay is bit-identical to fresh computation and hands out
+  fresh score dicts, and scoring never hashes the network;
 * :class:`TestThreeWayParity` — the acceptance parity suite: for all
   eight similarity measures (each mounted in its
   :class:`CombinedSimilarity` slot so pruning engages), exhaustive ==
@@ -30,15 +32,11 @@ from repro.core.config import XSDFConfig
 from repro.core.distances import DirectionWeightedDistance, resolve_policy
 from repro.core.framework import XSDF, DocumentPlan
 from repro.core.sphere import Sphere, build_sphere
-from repro.runtime import (
-    BatchExecutor,
-    SphereMemo,
-    config_fingerprint,
-    sphere_signature,
-)
+from repro.runtime import BatchExecutor, SphereMemo, sphere_signature
 from repro.runtime.memo import DEFAULT_MEMO_SIZE
 from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet.ic import InformationContent
+from repro.semnet.network import SemanticNetwork
 from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
 from repro.similarity.edge import (
     LeacockChodorowSimilarity,
@@ -97,49 +95,33 @@ class TestNetworkFingerprint:
 
 class TestConfigFingerprint:
     def test_equal_configs_share_a_digest(self):
-        assert config_fingerprint(XSDFConfig()) == config_fingerprint(
-            XSDFConfig()
-        )
+        assert XSDFConfig().fingerprint() == XSDFConfig().fingerprint()
 
     def test_scoring_fields_change_the_digest(self):
-        base = config_fingerprint(XSDFConfig())
-        assert config_fingerprint(XSDFConfig(sphere_radius=3)) != base
-        assert config_fingerprint(XSDFConfig(concept_weight=0.7)) != base
+        base = XSDFConfig().fingerprint()
+        assert XSDFConfig(sphere_radius=3).fingerprint() != base
+        assert XSDFConfig(concept_weight=0.7).fingerprint() != base
         assert (
-            config_fingerprint(
-                XSDFConfig(similarity_weights=SimilarityWeights(1, 0, 0))
-            )
+            XSDFConfig(
+                similarity_weights=SimilarityWeights(1, 0, 0)
+            ).fingerprint()
             != base
         )
 
-    def test_prune_and_memo_flags_do_not_change_scores_or_digest(self):
-        # prune/memo cannot change any score, so two configs differing
-        # only in them may share memo entries.
-        assert config_fingerprint(
-            XSDFConfig(prune=False, memo=False)
-        ) == config_fingerprint(XSDFConfig())
+    def test_prune_changes_the_digest_and_memo_does_not(self):
+        # Pruning omits provably-losing candidates from each node's
+        # scores table, so a pruned and an exhaustive run write
+        # different bytes; memoized replays are byte-identical.
+        base = XSDFConfig().fingerprint()
+        assert XSDFConfig(prune=False).fingerprint() != base
+        assert XSDFConfig(memo=False).fingerprint() == base
 
 
 class TestSphereSignature:
     def test_deterministic_for_equal_situations(self, lexicon):
-        fp = lexicon.fingerprint()
-        cfg = config_fingerprint(XSDFConfig())
-        a = sphere_signature(_sphere_of(lexicon), cfg, fp)
-        b = sphere_signature(_sphere_of(lexicon), cfg, fp)
+        a = sphere_signature(_sphere_of(lexicon))
+        b = sphere_signature(_sphere_of(lexicon))
         assert a == b
-
-    def test_config_and_network_fingerprints_are_folded_in(self, lexicon):
-        sphere = _sphere_of(lexicon)
-        fp = lexicon.fingerprint()
-        base = sphere_signature(sphere, config_fingerprint(XSDFConfig()), fp)
-        other_cfg = sphere_signature(
-            sphere, config_fingerprint(XSDFConfig(sphere_radius=3)), fp
-        )
-        other_net = sphere_signature(
-            sphere, config_fingerprint(XSDFConfig()), "0" * 64
-        )
-        assert base != other_cfg
-        assert base != other_net
 
     def test_member_order_matters(self, lexicon):
         # Float accumulation follows sphere order, so the signature must
@@ -152,11 +134,7 @@ class TestSphereSignature:
             radius=sphere.radius,
             members=list(reversed(sphere.members)),
         )
-        cfg = config_fingerprint(XSDFConfig())
-        fp = lexicon.fingerprint()
-        assert sphere_signature(sphere, cfg, fp) != sphere_signature(
-            reordered, cfg, fp
-        )
+        assert sphere_signature(sphere) != sphere_signature(reordered)
 
 
 #: Tokens whose repr escapes something: quotes of both kinds,
@@ -194,15 +172,12 @@ _POLICIES = [
 
 def _assert_plan_key_is_sphere_signature(tree, center, radius, policy,
                                          network):
-    config = XSDFConfig(sphere_radius=max(radius, 1), distance_policy=policy)
     sphere = build_sphere(
         tree, center, radius,
         policy=None if policy is None else resolve_policy(policy),
     )
-    network_fp = network.fingerprint()
-    memo = SphereMemo(config, network_fp)
-    expected = sphere_signature(sphere, config_fingerprint(config), network_fp)
-    assert memo.signature(sphere, DocumentPlan(tree, network)) == expected
+    key = SphereMemo().signature(sphere, DocumentPlan(tree, network))
+    assert key == sphere_signature(sphere)
     return sphere
 
 
@@ -251,15 +226,13 @@ class TestPlanBuiltSignature:
 
 class TestSphereMemo:
     def test_roundtrip_and_stats(self, lexicon):
-        memo = SphereMemo(XSDFConfig(), lexicon.fingerprint())
+        memo = SphereMemo()
         tree = XSDF(lexicon, XSDFConfig()).build_tree(SMALL_XML)
         sphere = build_sphere(
             tree, tree.find("star"), XSDFConfig().sphere_radius
         )
         signature = memo.signature(sphere, DocumentPlan(tree, lexicon))
-        assert signature == sphere_signature(
-            sphere, config_fingerprint(XSDFConfig()), lexicon.fingerprint()
-        )
+        assert signature == sphere_signature(sphere)
         assert memo.get(signature) is None
         entry = (("star.n.01",), ((("star.n.01",), 0.5),), (), ())
         memo.put(signature, entry)
@@ -271,7 +244,7 @@ class TestSphereMemo:
         assert stats["maxsize"] == DEFAULT_MEMO_SIZE
 
     def test_lru_eviction(self, lexicon):
-        memo = SphereMemo(XSDFConfig(), lexicon.fingerprint(), maxsize=1)
+        memo = SphereMemo(maxsize=1)
         memo.put(b"a", (("x",), (), (), ()))
         memo.put(b"b", (("y",), (), (), ()))
         assert memo.get(b"a") is None
@@ -301,12 +274,53 @@ class TestMemoBitIdentity:
         second = xsdf.disambiguate_document(SMALL_XML)
         assert second.assignments[0].scores  # memo entry unharmed
 
-    def test_custom_similarity_disables_auto_memo(self, lexicon):
+    def test_custom_similarity_is_memoized(self, lexicon):
+        # A custom similarity is fixed for the instance's life, like the
+        # network and the configuration, so the sphere is still the key.
         xsdf = XSDF(lexicon, XSDFConfig(), similarity=lambda a, b: 0.5)
-        assert xsdf.sphere_memo is None
+        first = xsdf.disambiguate_document(SMALL_XML)
+        second = xsdf.disambiguate_document(SMALL_XML)
+        assert first.assignments
+        assert xsdf.sphere_memo.stats()["hits"] >= len(first.assignments)
+        assert second.to_dict() == first.to_dict()
 
     def test_memo_off_by_config(self, lexicon):
         assert XSDF(lexicon, XSDFConfig(memo=False)).sphere_memo is None
+
+
+class TestNoNetworkHashWhileScoring:
+    """The memo key is the sphere alone: neither an XSDF nor a parallel
+    batch hashes the network to score."""
+
+    @pytest.fixture()
+    def unhashable(self, monkeypatch):
+        def refuse(network):
+            raise AssertionError("scoring hashed the network")
+
+        monkeypatch.setattr(SemanticNetwork, "fingerprint", refuse)
+
+    def test_xsdf_memoizes_without_the_network_digest(
+        self, lexicon, unhashable
+    ):
+        xsdf = XSDF(lexicon, XSDFConfig())
+        first = xsdf.disambiguate_document(SMALL_XML)
+        second = xsdf.disambiguate_document(SMALL_XML)
+        assert xsdf.sphere_memo.stats()["hits"] > 0
+        assert second.to_dict() == first.to_dict()
+
+    def test_parallel_batch_without_the_network_digest(
+        self, lexicon, unhashable
+    ):
+        docs = [("a", SMALL_XML), ("b", SMALL_XML)]
+        with BatchExecutor(
+            lexicon, XSDFConfig(), workers=2, oversubscribe=True
+        ) as executor:
+            records = executor.run(docs)
+            assert executor.runtime_stats()["generation"] >= 1
+        expected = XSDF(lexicon, XSDFConfig()).disambiguate_document(
+            SMALL_XML
+        ).to_dict()
+        assert [r.result for r in records] == [expected, expected]
 
 
 def _measure_suite(network, ic, index=None):
@@ -382,8 +396,8 @@ class TestThreeWayParity:
             exhaustive = XSDF(lexicon, base_cfg, similarity=similarity)
             pruned = XSDF(lexicon, fast_cfg, similarity=similarity)
             memoized = XSDF(
-                lexicon, fast_cfg, similarity=similarity,
-                sphere_memo=SphereMemo(fast_cfg, lexicon.fingerprint()),
+                lexicon, XSDFConfig(similarity_weights=weights),
+                similarity=similarity,
             )
             for doc in parity_docs:
                 expected = exhaustive.disambiguate_document(doc.xml)

@@ -22,7 +22,6 @@ import pytest
 
 import repro
 from repro.core.config import XSDFConfig
-from repro.runtime.memo import config_fingerprint
 from repro.server import ServerConfig
 from repro.server import app as app_module
 
@@ -68,9 +67,7 @@ class TestOperationalEndpoints:
         assert payload["uptime_s"] >= 0
         assert payload["index"]["fingerprint"] == lexicon.fingerprint()
         assert payload["index"]["kind"] == "packed"
-        assert payload["config_fingerprint"] == config_fingerprint(
-            XSDFConfig()
-        )
+        assert payload["config_fingerprint"] == XSDFConfig().fingerprint()
         assert payload["inflight"] == 0
         assert set(payload) == {
             "status", "ready", "uptime_s", "version", "index",

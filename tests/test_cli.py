@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import socket
 import struct
 
 import pytest
@@ -292,7 +293,7 @@ def _out_of_range_argvs():
     ] + [
         (head + ["--cache-size", "0"], "cache_size must be >= 1")
         for head in heads[1:]
-    ]
+    ] + [(["serve", "--port", "70000"], "port must be in [0, 65535]")]
     return [
         pytest.param(argv, message, id=" ".join(a for a in argv if a != "DOC"))
         for argv, message in cases
@@ -301,7 +302,8 @@ def _out_of_range_argvs():
 
 class TestFlagValues:
     """An out-of-range flag value is one line, never a traceback, and
-    ``serve`` exits before it listens."""
+    ``serve`` exits before it listens; so is an address ``serve``
+    cannot bind."""
 
     @pytest.mark.parametrize("argv, message", _out_of_range_argvs())
     def test_out_of_range_value_exits_with_its_message(
@@ -310,6 +312,16 @@ class TestFlagValues:
         argv = [xml_file if a == "DOC" else a for a in argv]
         with pytest.raises(SystemExit, match=re.escape(message)):
             run(argv)
+
+    def test_serve_on_a_taken_port_exits_with_one_line(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit, match=re.escape(
+                f"cannot listen on 127.0.0.1:{port}: "
+            )):
+                run(["serve", "--host", "127.0.0.1", "--port", str(port)])
 
 
 class TestMatch:
@@ -655,6 +667,27 @@ class TestJournalResume:
             run([
                 "batch", pattern, "--journal", str(journal), "--resume",
             ])
+
+    def test_resume_refuses_a_journal_of_the_other_prune_setting(
+        self, tmp_path, figure1_xml
+    ):
+        # Pruning drops provably-losing candidates from each node's
+        # scores, so pruned and exhaustive records must not mix; the
+        # memo changes no byte, so it may differ across a resume.
+        pattern = self._corpus(tmp_path, figure1_xml, n=2)
+        journal = tmp_path / "batch.rxjf"
+        code, _ = run([
+            "batch", pattern, "--out", str(tmp_path / "first.jsonl"),
+            "--journal", str(journal), "--no-prune",
+        ])
+        assert code == 0
+        resumed = ["batch", pattern, "--out", str(tmp_path / "r.jsonl"),
+                   "--journal", str(journal), "--resume"]
+        with pytest.raises(SystemExit, match="different configuration"):
+            run(resumed)
+        code, output = run(resumed + ["--no-prune", "--no-memo"])
+        assert code == 0
+        assert "journal replayed=2 scored=0" in output
 
 
 class TestPackAndStore:
