@@ -23,27 +23,60 @@ from .context_vector import context_vector
 from .sphere import Sphere
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..runtime.cache import LRUCache
     from .framework import DocumentPlan
+
+#: One context member as scoring folds it: ``(inventory id, sense ids,
+#: context-vector weight)``.
+ContextEntry = tuple[int, tuple[str, ...], float]
 
 
 class ConceptBasedScorer:
     """Scores candidate senses against a sphere context (Definition 8).
 
-    ``sense_cache`` optionally memoizes the inner ``Max_j Sim(s_p,
-    s_j^i)`` term per (candidate, context-sense-inventory) key — e.g. a
-    :class:`repro.runtime.cache.LRUCache`.  The same context labels
-    recur across nodes and documents, so in batch workloads this skips
-    most pairwise-similarity lookups entirely; cached values are the
-    deterministic max over the identical sense set, leaving every score
-    unchanged.
+    The inner ``Max_j Sim(s_p, s_j^i)`` term of a candidate against one
+    context sense inventory is memoized under one int that packs the
+    candidate's id (interned here) with the inventory's id (interned in
+    :attr:`inventory_ids` by the
+    :class:`~repro.core.framework.DocumentPlan`): exact maxima in
+    ``sense_cache``, an LRU the scorer creates unless
+    ``sense_cache_size`` is 0 (``None`` leaves it unbounded), and the
+    pruning bound's maxima in an unbounded table.  The ids are this
+    scorer's own, so neither table can be shared.  Context labels recur
+    across nodes and documents, so batch workloads skip most
+    pairwise-similarity lookups; a cached value is the deterministic
+    max over the identical sense set, so every score is unchanged.
     """
 
-    def __init__(self, similarity: ConceptSimilarity, sense_cache=None):
+    def __init__(
+        self,
+        similarity: ConceptSimilarity,
+        sense_cache_size: int | None = 0,
+    ):
         self._similarity = similarity
-        self._sense_cache = sense_cache
-        # Memo for the pruning upper bound's best-sense term, keyed like
-        # sense_cache entries; bounds recur exactly as scores do.
-        self._bound_cache: dict[tuple[Candidate, tuple[str, ...]], float] = {}
+        self.sense_cache: "LRUCache | None" = None
+        if sense_cache_size != 0:
+            from ..runtime.cache import LRUCache
+
+            self.sense_cache = LRUCache(maxsize=sense_cache_size)
+        #: Sense-id tuple -> inventory id; new tuples take the next id.
+        self.inventory_ids: dict[tuple[str, ...], int] = {}
+        self._candidate_ids: dict[Candidate, int] = {}
+        # The pruning bound's best-sense maxima, keyed like sense_cache
+        # entries; bounds recur exactly as scores do.
+        self._bound_cache: dict[int, float] = {}
+
+    def _candidate_key(self, candidate: Candidate) -> int:
+        """The candidate's id, shifted above every inventory id.
+
+        ``key | inventory_id`` is then one int per (candidate, sense
+        inventory) pair; inventory ids stay below ``2**32``.
+        """
+        ids = self._candidate_ids
+        candidate_id = ids.get(candidate)
+        if candidate_id is None:
+            candidate_id = ids[candidate] = len(ids)
+        return candidate_id << 32
 
     def _candidate_similarity(self, candidate: Candidate, sense_id: str) -> float:
         """``Sim((s_p, s_q), s_j)`` — the average over candidate parts.
@@ -58,50 +91,37 @@ class ConceptBasedScorer:
             total += similarity(part, sense_id)
         return total / len(candidate)
 
-    def _best_sense_similarity(
-        self, candidate: Candidate, sense_ids: tuple[str, ...]
-    ) -> float:
-        """``Max_j Sim(candidate, s_j)`` over one context sense inventory."""
-        cache = self._sense_cache
-        key = (candidate, sense_ids)
-        best = None if cache is None else cache.get(key)
-        if best is None:
-            best = max(
-                self._candidate_similarity(candidate, sense_id)
-                for sense_id in sense_ids
-            )
-            if cache is not None:
-                cache[key] = best
-        return best
-
     def context_inventory(
         self,
         sphere: Sphere,
         plan: "DocumentPlan",
         vector: dict[str, float] | None = None,
-    ) -> list[tuple[tuple[str, ...], float]]:
-        """The per-member ``(sense-ids, weight)`` list scoring folds over.
+    ) -> list[ContextEntry]:
+        """The per-member ``(inventory id, sense ids, weight)`` list.
 
         Built once per sphere (in member order — the accumulation order
-        every score follows) by gathering each member's sense-id tuple
-        from the document ``plan``, and shared between
-        :meth:`score_one` and :meth:`upper_bound_one`.  ``vector`` lets
-        callers supply the sphere's context vector when they already
-        hold it (it is read, never mutated).
+        every score follows) by gathering each member's inventory from
+        the document ``plan``, and shared between :meth:`score_one` and
+        :meth:`upper_bound_one`.  ``vector`` lets callers supply the
+        sphere's context vector when they already hold it (it is read,
+        never mutated).
         """
         weights = vector if vector is not None else context_vector(sphere)
         senses = plan.senses
-        context: list[tuple[tuple[str, ...], float]] = []
+        inventories = plan.inventories
+        context: list[ContextEntry] = []
         for node, _ in sphere.members:
             sense_ids = senses[node.index]
             if sense_ids:
-                context.append((sense_ids, weights[node.label]))
+                context.append((
+                    inventories[node.index], sense_ids, weights[node.label]
+                ))
         return context
 
     def score_one(
         self,
         candidate: Candidate,
-        context: list[tuple[tuple[str, ...], float]],
+        context: list[ContextEntry],
         size: int,
     ) -> float:
         """Exact Definition 8 score over a prebuilt context inventory.
@@ -109,10 +129,21 @@ class ConceptBasedScorer:
         One accumulation in member order, whether a candidate is scored
         exhaustively or after its bound (exact pruning depends on this).
         """
+        high = self._candidate_key(candidate)
+        cache = self.sense_cache
+        candidate_similarity = self._candidate_similarity
         total = 0.0
-        best_sense = self._best_sense_similarity
-        for sense_ids, label_weight in context:
-            total += best_sense(candidate, sense_ids) * label_weight
+        for inventory, sense_ids, label_weight in context:
+            key = high | inventory
+            best = None if cache is None else cache.get(key)
+            if best is None:
+                best = max(
+                    candidate_similarity(candidate, sense_id)
+                    for sense_id in sense_ids
+                )
+                if cache is not None:
+                    cache[key] = best
+            total += best * label_weight
         return total / size if size else 0.0
 
     def _best_sense_bound(
@@ -121,25 +152,20 @@ class ConceptBasedScorer:
         sense_ids: tuple[str, ...],
         upper_bound: ConceptSimilarity,
     ) -> float:
-        """Upper bound on ``Max_j Sim(candidate, s_j)`` (memoized)."""
-        key = (candidate, sense_ids)
-        best = self._bound_cache.get(key)
-        if best is None:
-            # The same left-to-right average as _candidate_similarity.
-            bounds = []
-            for sense_id in sense_ids:
-                total = 0.0
-                for part in candidate:
-                    total += upper_bound(part, sense_id)
-                bounds.append(total / len(candidate))
-            best = max(bounds)
-            self._bound_cache[key] = best
-        return best
+        """Upper bound on ``Max_j Sim(candidate, s_j)``."""
+        # The same left-to-right average as _candidate_similarity.
+        bounds = []
+        for sense_id in sense_ids:
+            total = 0.0
+            for part in candidate:
+                total += upper_bound(part, sense_id)
+            bounds.append(total / len(candidate))
+        return max(bounds)
 
     def upper_bound_one(
         self,
         candidate: Candidate,
-        context: list[tuple[tuple[str, ...], float]],
+        context: list[ContextEntry],
         size: int,
         upper_bound: ConceptSimilarity,
     ) -> float:
@@ -152,11 +178,15 @@ class ConceptBasedScorer:
         monotone and the op sequence is identical, the result dominates
         the exact score in float arithmetic — no epsilon needed.
         """
+        high = self._candidate_key(candidate)
+        bounds = self._bound_cache
         total = 0.0
-        cached = self._bound_cache.get
-        for sense_ids, label_weight in context:
-            best = cached((candidate, sense_ids))
+        for inventory, sense_ids, label_weight in context:
+            key = high | inventory
+            best = bounds.get(key)
             if best is None:
-                best = self._best_sense_bound(candidate, sense_ids, upper_bound)
+                best = bounds[key] = self._best_sense_bound(
+                    candidate, sense_ids, upper_bound
+                )
             total += best * label_weight
         return total / size if size else 0.0

@@ -49,32 +49,47 @@ class DocumentPlan:
 
     Indexed by preorder node index: ``senses[i]`` is node ``i``'s
     context sense-id tuple (Definition 8's inventory, one shared tuple
-    per distinct ``(label, tokens)``) and ``segments[i]`` the ``repr``
-    of that pair without its parentheses, the text a member adds to the
-    memo key (:meth:`repro.runtime.memo.SphereMemo.signature`).
-    ``degrees`` maps each target to its ``Amb_Deg`` (Definition 3), as
+    per distinct ``(label, tokens)``), ``inventories[i]`` that tuple's
+    *inventory id* in ``inventory_ids`` — the interning table of the
+    :class:`~repro.core.concept_based.ConceptBasedScorer` that scores
+    the plan, where a tuple not seen before takes the next id — and
+    ``segments[i]`` the ``repr`` of the ``(label, tokens)`` pair without
+    its parentheses, the text a member adds to the memo key
+    (:meth:`repro.runtime.memo.SphereMemo.signature`).  ``degrees``
+    maps each target to its ``Amb_Deg`` (Definition 3), as
     :func:`~repro.core.ambiguity.select_targets` computed it.  A plan
     lives for one :meth:`XSDF.disambiguate_tree` call and is passed down
-    as an argument: an :class:`XSDF` serves many documents and threads.
+    as an argument: an :class:`XSDF` serves many documents.
     """
 
-    __slots__ = ("senses", "segments", "degrees")
+    __slots__ = ("senses", "inventories", "segments", "degrees")
 
-    def __init__(self, tree: XMLTree, network: SemanticNetwork):
-        facts: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, ...], str]] = {}
+    def __init__(
+        self,
+        tree: XMLTree,
+        network: SemanticNetwork,
+        inventory_ids: dict[tuple[str, ...], int],
+    ):
+        facts: dict[
+            tuple[str, tuple[str, ...]], tuple[tuple[str, ...], int, str]
+        ] = {}
         senses: list[tuple[str, ...]] = []
+        inventories: list[int] = []
         segments: list[str] = []
         for node in tree:
             key = (node.label, node.tokens)
             fact = facts.get(key)
             if fact is None:
-                fact = facts[key] = (
-                    tuple(context_sense_ids(node, network)),
-                    repr(key)[1:-1],
-                )
+                sense_ids = tuple(context_sense_ids(node, network))
+                inventory = inventory_ids.get(sense_ids)
+                if inventory is None:
+                    inventory = inventory_ids[sense_ids] = len(inventory_ids)
+                fact = facts[key] = (sense_ids, inventory, repr(key)[1:-1])
             senses.append(fact[0])
-            segments.append(fact[1])
+            inventories.append(fact[1])
+            segments.append(fact[2])
         self.senses = senses
+        self.inventories = inventories
         self.segments = segments
         self.degrees: dict[int, float] = {}
 
@@ -104,10 +119,15 @@ class XSDF:
         :class:`repro.runtime.cache.LRUCache`) replacing the default
         unbounded dict inside :class:`CombinedSimilarity`.  Ignored
         when ``similarity`` is supplied.
-    sense_cache:
-        Optional memo for the concept-based scorer's best-sense term
-        (``Max_j Sim(candidate, s_j)`` per context sense inventory);
-        scores are unchanged, repeated context labels get cheaper.
+    sense_cache_size:
+        Bound of the concept-based scorer's best-sense LRU
+        (``Max_j Sim(candidate, s_j)`` per candidate and context sense
+        inventory), which the instance creates and exposes as
+        ``sense_cache``: a positive int bounds it, ``None`` leaves it
+        unbounded, and 0 (the default) keeps none.  Scores are
+        unchanged; repeated context labels get cheaper.  Its keys are
+        this instance's interned candidate and inventory ids, so the
+        LRU is never shared with another instance.
     metrics:
         Optional :class:`repro.runtime.metrics.MetricsRegistry`.  When
         set, the pipeline records per-stage latency (parse, select,
@@ -120,6 +140,9 @@ class XSDF:
     the configuration and the similarity are fixed for the instance's
     life, so the target and its ordered sphere are the whole key, and
     replayed results are bit-identical to fresh computation.
+
+    An instance scores one document at a time: its caches and id
+    tables take no lock.
     """
 
     def __init__(
@@ -129,14 +152,13 @@ class XSDF:
         similarity: ConceptSimilarity | None = None,
         index=None,
         similarity_cache=None,
-        sense_cache=None,
+        sense_cache_size: int | None = 0,
         metrics=None,
     ):
         self.network = network
         self.config = config or XSDFConfig()
         self.index = index
         self.similarity_cache = similarity_cache
-        self.sense_cache = sense_cache
         self.metrics = metrics
         self.pipeline = LinguisticPipeline(known=network.has_word)
         if similarity is None:
@@ -171,8 +193,9 @@ class XSDF:
             "candidates_pruned": 0,
         }
         self._concept_scorer = ConceptBasedScorer(
-            similarity, sense_cache=sense_cache
+            similarity, sense_cache_size=sense_cache_size
         )
+        self.sense_cache = self._concept_scorer.sense_cache
         self._distance_policy = (
             None
             if self.config.distance_policy is None
@@ -205,6 +228,12 @@ class XSDF:
 
     # -- disambiguation ------------------------------------------------------
 
+    def _plan(self, tree: XMLTree) -> DocumentPlan:
+        """``tree``'s plan, its inventories interned by this instance."""
+        return DocumentPlan(
+            tree, self.network, self._concept_scorer.inventory_ids
+        )
+
     def disambiguate_document(self, xml_text: str) -> DisambiguationResult:
         """Full pipeline: XML text in, sense assignments out."""
         if self.metrics is not None:
@@ -222,7 +251,7 @@ class XSDF:
         disambiguates the same set (paper Section 4.3).
         """
         m = self.metrics
-        plan = DocumentPlan(tree, self.network)
+        plan = self._plan(tree)
         if targets is None:
             with self._stage("select"):
                 targets = select_targets(
@@ -260,7 +289,7 @@ class XSDF:
         if not candidates:
             return None
         if plan is None:
-            plan = DocumentPlan(tree, self.network)
+            plan = self._plan(tree)
         m = self.metrics
         radius, policy = self.config.sphere_radius, self._distance_policy
         if m is None:

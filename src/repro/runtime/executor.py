@@ -219,13 +219,11 @@ def _build_xsdf(
     cache_size: int | None,
 ) -> XSDF:
     use_index = index is not None
-    pair_cache = LRUCache(maxsize=cache_size) if use_index else None
-    sense_cache = LRUCache(maxsize=cache_size) if use_index else None
     return XSDF(
         network, config,
         index=index,
-        similarity_cache=pair_cache,
-        sense_cache=sense_cache,
+        similarity_cache=LRUCache(maxsize=cache_size) if use_index else None,
+        sense_cache_size=cache_size if use_index else 0,
     )
 
 

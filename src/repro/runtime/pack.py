@@ -28,9 +28,13 @@ through the same lazy attach path and the same kernels.
 The similarity kernels (:meth:`PackedIndex.pair_terms` for the
 edge/node measures, :meth:`PackedIndex.lesk_similarity` for gloss
 overlap) are **bit-identical** to the network walk — the parity suite
-in ``tests/similarity`` pins ``==`` equality for all 8 measures.  The
-lowest-common-subsumer tie-break is the network's total order
-``(depth, -distance-sum, concept-id)``::
+in ``tests/similarity`` pins ``==`` equality for all 8 measures.  Each
+kernel has one body over slots (:meth:`PackedIndex.slot`, the dense
+int id of a concept), its ``*_of_slots`` form; the string method
+interns its arguments and calls it, and
+:class:`repro.similarity.combined.CombinedSimilarity` calls the slot
+forms directly.  The lowest-common-subsumer tie-break is the network's
+total order ``(depth, -distance-sum, concept-id)``::
 
     packed = PackedIndex(network)
     xsdf = XSDF(network, config, index=packed)   # drop-in index=
@@ -47,7 +51,7 @@ import zlib
 from array import array
 from typing import Iterable
 
-from ..semnet.ic import InformationContent
+from ..semnet.ic import InformationContent, lin_ratio
 from ..semnet.network import SemanticNetwork, UnknownConceptError
 from ..similarity.gloss import extended_gloss_tokens
 
@@ -258,7 +262,7 @@ class PackedIC:
     def ic(self, concept_id: str) -> float:
         """Information content of one concept."""
         owner = self._owner
-        return owner._ic_list[owner._intern(concept_id)]
+        return owner._ic_list[owner.slot(concept_id)]
 
     @property
     def max_ic(self) -> float:
@@ -276,10 +280,7 @@ class PackedIC:
         """Lin similarity ``2*IC(lcs) / (IC(a)+IC(b))`` in [0, 1]."""
         if a == b:
             return 1.0
-        denominator = self.ic(a) + self.ic(b)
-        if denominator <= 0:
-            return 0.0
-        return max(0.0, min(1.0, 2.0 * self.resnik(a, b) / denominator))
+        return lin_ratio(self.resnik(a, b), self.ic(a), self.ic(b))
 
     def jiang_conrath_distance(self, a: str, b: str) -> float:
         """Jiang-Conrath distance ``IC(a) + IC(b) - 2 * IC(lcs)``."""
@@ -636,7 +637,7 @@ class PackedIndex:
 
     # -- interning ------------------------------------------------------------
 
-    def _intern(self, concept_id: str) -> int:
+    def slot(self, concept_id: str) -> int:
         """Dense integer id of one concept (raises on unknown ids)."""
         try:
             return self._id_of[concept_id]
@@ -675,10 +676,13 @@ class PackedIndex:
         reads all four terms, path/Leacock-Chodorow read the distance
         sum, and the IC measures read the LCS slot.  The memo is keyed
         on the unordered pair (the LCS and its tie-break are symmetric
-        in ``a`` and ``b``), halving its footprint.
+        in ``a`` and ``b``), halving its footprint.  Scoring through
+        :class:`~repro.similarity.combined.CombinedSimilarity` keeps its
+        own per-pair table and calls :meth:`pair_terms_of_slots`, so it
+        never fills this memo.
         """
-        ia = self._intern(a)
-        ib = self._intern(b)
+        ia = self.slot(a)
+        ib = self.slot(b)
         if ia <= ib:
             key = (ia, ib)
             swapped = False
@@ -688,7 +692,7 @@ class PackedIndex:
         terms = self._pair_memo.get(key, _MISSING)
         if terms is _MISSING:
             self._pair_misses += 1
-            terms = self._compute_pair(key[0], key[1])
+            terms = self.pair_terms_of_slots(key[0], key[1])
             self._pair_memo[key] = terms
         else:
             self._pair_hits += 1
@@ -697,14 +701,16 @@ class PackedIndex:
         lcs, depth, dist_a, dist_b = terms
         return (lcs, depth, dist_b, dist_a)
 
-    def _compute_pair(
+    def pair_terms_of_slots(
         self, ia: int, ib: int
     ) -> tuple[int, int, int, int] | None:
-        """Scan the smaller closure for the max-key shared ancestor.
+        """:meth:`pair_terms` of two slots, computed afresh (no memo).
 
-        The selection key is the total order ``(depth, -distance-sum,
+        Scans the smaller closure for the max-key shared ancestor.  The
+        selection key is the total order ``(depth, -distance-sum,
         concept-id)`` — exactly the network's tie-break, so both paths
-        agree bit-for-bit.
+        agree bit-for-bit, and the result is the same for either
+        argument order (only the two distances swap).
         """
         closure_a = self._closure(ia)
         closure_b = self._closure(ib)
@@ -785,10 +791,12 @@ class PackedIndex:
         square, so ``fl(sqrt(raw)) <= m`` exactly; division and
         ``min`` are monotone.  Hence ``min(1, m/shorter)`` bounds the
         true similarity in *float* arithmetic, which is what exact
-        pruning requires.
+        pruning requires.  Symmetric in ``a`` and ``b``.
         """
-        ia = self._intern(a)
-        ib = self._intern(b)
+        return self.lesk_upper_bound_of_slots(self.slot(a), self.slot(b))
+
+    def lesk_upper_bound_of_slots(self, ia: int, ib: int) -> float:
+        """:meth:`lesk_upper_bound` of two slots."""
         if ia == ib:
             return 1.0
         shared = self._bag_set(ia) & self._bag_set(ib)
@@ -805,10 +813,13 @@ class PackedIndex:
         .ExtendedLeskSimilarity`'s unpacked arithmetic: disjoint token
         sets short-circuit to the same 0.0 the full DP would produce,
         and :func:`_gloss_overlap` answers most other pairs in closed
-        form before falling back to the DP.
+        form before falling back to the DP, in the caller's argument
+        order.
         """
-        ia = self._intern(a)
-        ib = self._intern(b)
+        return self.lesk_similarity_of_slots(self.slot(a), self.slot(b))
+
+    def lesk_similarity_of_slots(self, ia: int, ib: int) -> float:
+        """:meth:`lesk_similarity` of two slots, in that order."""
         if ia == ib:
             return 1.0
         shared = self._bag_set(ia) & self._bag_set(ib)
@@ -843,7 +854,7 @@ class PackedIndex:
 
     def hypernym_closure(self, concept_id: str) -> dict[str, int]:
         """Ancestor -> minimal IS-A distance (includes self at 0)."""
-        slot = self._intern(concept_id)
+        slot = self.slot(concept_id)
         lo, hi = self._anc_off[slot], self._anc_off[slot + 1]
         ids = self._ids
         return {
@@ -853,7 +864,7 @@ class PackedIndex:
 
     def depth(self, concept_id: str) -> int:
         """Minimal number of IS-A edges from a taxonomy root."""
-        return self._depths[self._intern(concept_id)]
+        return self._depths[self.slot(concept_id)]
 
     def lowest_common_subsumer(self, a: str, b: str) -> str | None:
         """Deepest shared IS-A ancestor under the total tie-break order."""
@@ -872,7 +883,7 @@ class PackedIndex:
     def gloss_bag(self, concept_id: str) -> list[str]:
         """Extended-Lesk token bag of one concept (reconstructed strings)."""
         tokens = self._tokens
-        return [tokens[t] for t in self._bag(self._intern(concept_id))]
+        return [tokens[t] for t in self._bag(self.slot(concept_id))]
 
     @property
     def backing(self) -> str:

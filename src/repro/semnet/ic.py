@@ -18,6 +18,20 @@ import math
 from .network import SemanticNetwork
 
 
+def lin_ratio(ic_lcs: float, ic_a: float, ic_b: float) -> float:
+    """Lin's ``2 * IC(lcs) / (IC(a) + IC(b))``, clamped into [0, 1].
+
+    0.0 when the denominator is not positive.  The one copy of the
+    formula: the IC tables, :class:`repro.similarity.node.LinSimilarity`
+    and :class:`repro.similarity.combined.CombinedSimilarity` all call
+    it, so every path computes the same float.
+    """
+    denominator = ic_a + ic_b
+    if denominator <= 0:
+        return 0.0
+    return max(0.0, min(1.0, 2.0 * ic_lcs / denominator))
+
+
 class InformationContent:
     """Precomputed IC values for every concept in a network.
 
@@ -94,10 +108,7 @@ class InformationContent:
         """Lin similarity: ``2 * IC(lcs) / (IC(a) + IC(b))`` in [0, 1]."""
         if a == b:
             return 1.0
-        denominator = self._ic[a] + self._ic[b]
-        if denominator <= 0:
-            return 0.0
-        return max(0.0, min(1.0, 2.0 * self.resnik(a, b) / denominator))
+        return lin_ratio(self.resnik(a, b), self._ic[a], self._ic[b])
 
     def jiang_conrath_distance(self, a: str, b: str) -> float:
         """Jiang-Conrath distance: ``IC(a) + IC(b) - 2 * IC(lcs)``."""

@@ -13,13 +13,13 @@ concept-based scorer's complexity linear in distinct pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, MutableMapping
+from typing import TYPE_CHECKING, Callable, Hashable, MutableMapping
 
-from ..semnet.ic import InformationContent
+from ..semnet.ic import InformationContent, lin_ratio
 from ..semnet.network import SemanticNetwork
-from .edge import WuPalmerSimilarity
+from .edge import WuPalmerSimilarity, wu_palmer_ratio
 from .gloss import ExtendedLeskSimilarity
-from .node import LinSimilarity
+from .node import LinSimilarity, _owns_ic
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..runtime.pack import PackedIndex
@@ -29,8 +29,14 @@ ConceptSimilarity = Callable[[str, str], float]
 
 #: Anything CombinedSimilarity can memoize pairs into: a plain dict or
 #: a dict-compatible store such as :class:`repro.runtime.cache.LRUCache`
-#: (only ``get`` / ``__setitem__`` / ``__len__`` are touched).
-PairCache = MutableMapping[tuple[str, str], float]
+#: (only ``get`` / ``__setitem__`` / ``__len__`` are touched).  Keys are
+#: the unordered concept-id pair, or its slot-pair key on the slot path.
+PairCache = MutableMapping[Hashable, float]
+
+
+def _slot_pair_key(ia: int, ib: int) -> int:
+    """One int per unordered slot pair (slots are below ``2**32``)."""
+    return (ia << 32) | ib if ia <= ib else (ib << 32) | ia
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,20 @@ class CombinedSimilarity:
     (e.g. :class:`repro.runtime.cache.LRUCache` for bounded memory and
     hit/miss observability); any mapping with ``get``/``__setitem__``/
     ``__len__`` works.
+
+    With an index, the default measures and the index's own IC view
+    (``ic`` None or ``index.ic``, as :class:`repro.core.framework.XSDF`
+    passes it), both entry points take the **slot path**: ``a`` and
+    ``b`` are interned once per call, and one table keyed by the
+    unordered slot pair holds the pair's *partial* — the weighted edge +
+    node sum, from one lowest-common-subsumer fetch — and, once asked
+    for, its upper bound.  :meth:`__call__` adds the exact gloss term to
+    the partial, in the caller's argument order, and :meth:`upper_bound`
+    the gloss bound; ``cache`` holds the exact scores by slot pair.  The
+    operations and their order are the component measures' own, so
+    scores are bit-identical to the network walk.  Any other combination
+    takes the generic path through the component measures, keyed by the
+    concept-id pair.
     """
 
     def __init__(
@@ -95,15 +115,67 @@ class CombinedSimilarity:
         # gloss bound; others fall back to the trivial bound 1.0.
         self._gloss_upper = getattr(self._gloss, "upper_bound", None)
         self._bound_cache: dict[tuple[str, str], float] = {}
+        default_measures = (
+            edge_measure is None
+            and node_measure is None
+            and gloss_measure is None
+        )
+        own_ic = ic is None or _owns_ic(index, ic)
+        self._packed = index if default_measures and own_ic else None
+        #: Slot path: slot-pair key -> (partial, bound or None).
+        self._slot_table: dict[int, tuple[float, float | None]] = {}
+
+    def _partial(self, packed: "PackedIndex", ia: int, ib: int) -> float:
+        """The weighted edge + node sum of one slot pair.
+
+        One ``pair_terms_of_slots`` fetch serves both terms; Wu-Palmer
+        and Lin are symmetric, so either argument order gives the same
+        float.
+        """
+        w = self.weights
+        score = 0.0
+        if not (w.edge or w.node):
+            return score
+        terms = packed.pair_terms_of_slots(ia, ib)
+        if w.edge:
+            score += w.edge * (
+                0.0 if terms is None
+                else wu_palmer_ratio(terms[1], terms[2], terms[3])
+            )
+        if w.node:
+            ic_lcs = 0.0 if terms is None else packed.ic_of_slot(terms[0])
+            score += w.node * lin_ratio(
+                ic_lcs, packed.ic_of_slot(ia), packed.ic_of_slot(ib)
+            )
+        return score
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
+        w = self.weights
+        packed = self._packed
+        if packed is not None:
+            ia = packed.slot(a)
+            ib = packed.slot(b)
+            key = _slot_pair_key(ia, ib)
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
+            entry = self._slot_table.get(key)
+            if entry is None:
+                score = self._partial(packed, ia, ib)
+                self._slot_table[key] = (score, None)
+            else:
+                score = entry[0]
+            if w.gloss:
+                score += w.gloss * packed.lesk_similarity_of_slots(ia, ib)
+            score = max(0.0, min(1.0, score))
+            self._cache[key] = score
+            return score
         key = (a, b) if a <= b else (b, a)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        w = self.weights
         score = 0.0
         if w.edge:
             score += w.edge * self._edge(a, b)
@@ -129,11 +201,28 @@ class CombinedSimilarity:
         """
         if a == b:
             return 1.0
+        w = self.weights
+        packed = self._packed
+        if packed is not None:
+            ia = packed.slot(a)
+            ib = packed.slot(b)
+            key = _slot_pair_key(ia, ib)
+            entry = self._slot_table.get(key)
+            if entry is not None and entry[1] is not None:
+                return entry[1]
+            partial = (
+                self._partial(packed, ia, ib) if entry is None else entry[0]
+            )
+            score = partial
+            if w.gloss:
+                score += w.gloss * packed.lesk_upper_bound_of_slots(ia, ib)
+            score = max(0.0, min(1.0, score))
+            self._slot_table[key] = (partial, score)
+            return score
         key = (a, b) if a <= b else (b, a)
         cached = self._bound_cache.get(key)
         if cached is not None:
             return cached
-        w = self.weights
         score = 0.0
         if w.edge:
             score += w.edge * self._edge(a, b)

@@ -31,6 +31,21 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..runtime.pack import PackedIndex
 
 
+def wu_palmer_ratio(depth_lcs: int, dist_a: int, dist_b: int) -> float:
+    """Wu-Palmer's ``2*d(lcs) / (d(a) + d(b))`` from the LCS terms.
+
+    ``d(a)`` and ``d(b)`` are measured through the LCS, as Wu-Palmer
+    defines: its depth plus each concept's IS-A distance to it.  The
+    integer sums are symmetric, so either argument order gives the same
+    float.  Every path that scores Wu-Palmer calls it.
+    """
+    depth_a = depth_lcs + dist_a
+    depth_b = depth_lcs + dist_b
+    if depth_a + depth_b == 0:
+        return 1.0
+    return 2.0 * depth_lcs / (depth_a + depth_b)
+
+
 class WuPalmerSimilarity:
     """Wu-Palmer conceptual similarity over a semantic network."""
 
@@ -47,22 +62,16 @@ class WuPalmerSimilarity:
             terms = packed.pair_terms(a, b)
             if terms is None:
                 return 0.0
-            depth_lcs = terms[1]
-            depth_a = depth_lcs + terms[2]
-            depth_b = depth_lcs + terms[3]
-        else:
-            network = self._network
-            lcs = network.lowest_common_subsumer(a, b)
-            if lcs is None:
-                return 0.0
-            depth_lcs = network.depth(lcs)
-            # Depths of a and b measured through the LCS, as Wu-Palmer
-            # defines.
-            depth_a = depth_lcs + network.hypernym_closure(a)[lcs]
-            depth_b = depth_lcs + network.hypernym_closure(b)[lcs]
-        if depth_a + depth_b == 0:
-            return 1.0
-        return 2.0 * depth_lcs / (depth_a + depth_b)
+            return wu_palmer_ratio(terms[1], terms[2], terms[3])
+        network = self._network
+        lcs = network.lowest_common_subsumer(a, b)
+        if lcs is None:
+            return 0.0
+        return wu_palmer_ratio(
+            network.depth(lcs),
+            network.hypernym_closure(a)[lcs],
+            network.hypernym_closure(b)[lcs],
+        )
 
 
 class PathSimilarity:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
-from ..semnet.ic import InformationContent
+from ..semnet.ic import InformationContent, lin_ratio
 from ..semnet.network import SemanticNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -58,9 +58,6 @@ class LinSimilarity:
             if a == b:
                 return 1.0
             ic = self._ic
-            denominator = ic.ic(a) + ic.ic(b)
-            if denominator <= 0:
-                return 0.0
             terms = packed.pair_terms(a, b)
             if terms is None:
                 resnik = 0.0
@@ -68,7 +65,7 @@ class LinSimilarity:
                 resnik = packed.ic_of_slot(terms[0])
             else:
                 resnik = ic.ic(packed.concept_id(terms[0]))
-            return max(0.0, min(1.0, 2.0 * resnik / denominator))
+            return lin_ratio(resnik, ic.ic(a), ic.ic(b))
         return self._ic.lin(a, b)
 
 

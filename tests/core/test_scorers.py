@@ -104,7 +104,8 @@ def concept_scores(network, tree, sphere, candidates, similarity=None):
     from repro.similarity.combined import CombinedSimilarity
 
     scorer = ConceptBasedScorer(similarity or CombinedSimilarity(network))
-    context = scorer.context_inventory(sphere, DocumentPlan(tree, network))
+    plan = DocumentPlan(tree, network, scorer.inventory_ids)
+    context = scorer.context_inventory(sphere, plan)
     return {
         candidate: scorer.score_one(candidate, context, len(sphere))
         for candidate in candidates

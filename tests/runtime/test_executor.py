@@ -336,6 +336,23 @@ class TestCachingBehavior:
             report, len(docs), 0
         )
 
+    def test_each_xsdf_creates_its_own_sense_cache(self, lexicon):
+        """The sense LRU is keyed by one instance's interned ids, so no
+        caller can hand one to an XSDF; ``cache_size`` keeps its
+        meanings through the executor (``None``: unbounded)."""
+        with pytest.raises(TypeError):
+            XSDF(lexicon, sense_cache=None)
+        assert XSDF(lexicon).sense_cache is None
+        first, second = (XSDF(lexicon, sense_cache_size=8) for _ in "ab")
+        assert first.sense_cache is not second.sense_cache
+        assert first.sense_cache.maxsize == 8
+        for cache_size in (None, 7):
+            xsdf = BatchExecutor(
+                lexicon, XSDFConfig(), cache_size=cache_size
+            )._serial()
+            assert xsdf.sense_cache.maxsize == cache_size
+            assert xsdf.similarity_cache.maxsize == cache_size
+
     def test_executor_metrics_report(self, lexicon, figure1_xml):
         metrics = MetricsRegistry()
         executor = BatchExecutor(

@@ -14,10 +14,16 @@ import random
 
 import pytest
 
+from repro.core.config import XSDFConfig
+from repro.core.framework import XSDF
 from repro.runtime import LRUCache, PackedIndex
 from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
-from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
+from repro.similarity.combined import (
+    CombinedSimilarity,
+    SimilarityWeights,
+    _slot_pair_key,
+)
 from repro.similarity.edge import (
     LeacockChodorowSimilarity,
     PathSimilarity,
@@ -177,3 +183,55 @@ class TestIndexQueries:
         stats = index.stats()
         assert stats["pair_memo_misses"] == 1
         assert stats["pair_memo_hits"] == 1
+
+
+class TestSlotPath:
+    """``CombinedSimilarity`` with an index, the default measures and the
+    index's own IC view (``ic=None``, as ``XSDF`` uses) scores over
+    slots: typed errors, and one table entry per pair it scores."""
+
+    @pytest.mark.parametrize("unknown_first", [True, False])
+    def test_unknown_concept_raises_from_call(
+        self, lexicon, lexicon_index, unknown_first
+    ):
+        sim = CombinedSimilarity(lexicon, index=lexicon_index)
+        pair = ("no.such.concept", next(iter(lexicon)).id)
+        with pytest.raises(UnknownConceptError):
+            sim(*(pair if unknown_first else pair[::-1]))
+
+    @pytest.mark.parametrize("unknown_first", [True, False])
+    def test_unknown_concept_raises_from_upper_bound(
+        self, lexicon, lexicon_index, unknown_first
+    ):
+        sim = CombinedSimilarity(lexicon, index=lexicon_index)
+        pair = ("no.such.concept", next(iter(lexicon)).id)
+        with pytest.raises(UnknownConceptError):
+            sim.upper_bound(*(pair if unknown_first else pair[::-1]))
+
+    def test_one_table_entry_per_scored_pair(
+        self, lexicon, corpus, monkeypatch
+    ):
+        """Scoring reads the LCS through the slot kernel, so the index's
+        string-keyed pair memo stays empty, and the similarity's slot
+        table holds exactly the unordered pairs the scorer asked for."""
+        scored: set[frozenset[str]] = set()
+        for name in ("__call__", "upper_bound"):
+            original = getattr(CombinedSimilarity, name)
+
+            def record(self, a, b, _original=original):
+                scored.add(frozenset((a, b)))
+                return _original(self, a, b)
+
+            monkeypatch.setattr(CombinedSimilarity, name, record)
+        packed = PackedIndex(lexicon)
+        xsdf = XSDF(lexicon, XSDFConfig(), index=packed)
+        for doc in corpus:
+            xsdf.disambiguate_document(doc.xml)
+        distinct = {pair for pair in scored if len(pair) == 2}
+        assert packed.stats()["pair_memo_pairs"] == 0
+        table = xsdf._similarity._slot_table
+        assert len(table) == len(distinct) > 0
+        assert set(table) == {
+            _slot_pair_key(*(packed.slot(c) for c in pair))
+            for pair in distinct
+        }

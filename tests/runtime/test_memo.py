@@ -176,7 +176,7 @@ def _assert_plan_key_is_sphere_signature(tree, center, radius, policy,
         tree, center, radius,
         policy=None if policy is None else resolve_policy(policy),
     )
-    key = SphereMemo().signature(sphere, DocumentPlan(tree, network))
+    key = SphereMemo().signature(sphere, DocumentPlan(tree, network, {}))
     assert key == sphere_signature(sphere)
     return sphere
 
@@ -231,7 +231,7 @@ class TestSphereMemo:
         sphere = build_sphere(
             tree, tree.find("star"), XSDFConfig().sphere_radius
         )
-        signature = memo.signature(sphere, DocumentPlan(tree, lexicon))
+        signature = memo.signature(sphere, DocumentPlan(tree, lexicon, {}))
         assert signature == sphere_signature(sphere)
         assert memo.get(signature) is None
         entry = (("star.n.01",), ((("star.n.01",), 0.5),), (), ())

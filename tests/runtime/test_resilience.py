@@ -168,7 +168,7 @@ class TestScoringFaults:
     @pytest.mark.parametrize(
         "owner, method, exc_type, stage",
         [
-            (PackedIndex, "pair_terms", PackedIndexCRCError, "index"),
+            (PackedIndex, "pair_terms_of_slots", PackedIndexCRCError, "index"),
             (SphereMemo, "signature", RuntimeError, "pipeline"),
             (CombinedSimilarity, "upper_bound", RuntimeError, "pipeline"),
         ],

@@ -13,6 +13,10 @@ Each measure is exercised against **both** backings of the interned
 flat-array :class:`~repro.runtime.pack.PackedIndex`: heap-built from
 the network and attached from a ``write_shard`` file — two-way
 bit-identity (network walk == packed kernels) on every sampled pair.
+The battery passes an explicit IC table, so its combined measure takes
+the generic path; :meth:`TestIndexParityProperty.test_slot_path_equals_walk`
+builds it with ``ic=None`` (the index's own IC view, which ``XSDF``
+uses), which takes the slot path.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import random
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import PackedIndex, write_shard
@@ -158,6 +162,51 @@ class TestIndexParityProperty:
             expected = slow(a, b)
             for fast in fast_paths:
                 assert expected == fast(a, b)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=network_shapes,
+        pair_seed=st.integers(0, 2**16),
+        mix=st.tuples(
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+        ).filter(lambda m: sum(m) > 0),
+    )
+    @example(shape=(0, 30, 2, 1.5), pair_seed=0, mix=(1.0, 0.0, 0.0))
+    @example(shape=(0, 30, 2, 1.5), pair_seed=0, mix=(0.0, 1.0, 0.0))
+    @example(shape=(0, 30, 2, 1.5), pair_seed=0, mix=(0.0, 0.0, 1.0))
+    def test_slot_path_equals_walk(self, shape, pair_seed, mix):
+        """With ``ic=None`` both entry points score over slots and
+        ``==`` the network walk, in either argument order and either
+        request order (bound then exact, exact then bound), each on a
+        fresh instance; the bound dominates the exact score."""
+        network, packs, _ = _network_index_ic(shape)
+        weights = SimilarityWeights(*mix)
+        pairs = _sample_pairs(network, pair_seed, n_random=12)
+        for swap in (False, True):
+            for bound_first in (True, False):
+                walk = CombinedSimilarity(network, weights=weights)
+                for packed in packs:
+                    fast = CombinedSimilarity(
+                        network, weights=weights, index=packed
+                    )
+                    assert fast._packed is packed  # the slot path
+                    for a, b in pairs:
+                        x, y = (b, a) if swap else (a, b)
+                        if bound_first:
+                            bound = fast.upper_bound(x, y)
+                            exact = fast(x, y)
+                        else:
+                            exact = fast(x, y)
+                            bound = fast.upper_bound(x, y)
+                        assert exact == walk(x, y), (x, y, packed.backing)
+                        assert bound == walk.upper_bound(x, y), (
+                            x, y, packed.backing
+                        )
+                        assert bound >= exact
 
     def test_vector_module_has_no_index_fast_path(self):
         """``repro.similarity.vector`` takes no ``index=`` — if one is
