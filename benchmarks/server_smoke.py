@@ -8,8 +8,12 @@ wait for the stderr announce line, check ``/healthz``, stream one
 NDJSON disambiguation and require it to be exactly two lines, the
 record line ``repro batch`` writes for the same document file under
 the same flags and then the ``ok`` envelope, require a ``config``
-envelope key to be refused with 400, read ``/metrics``, then SIGTERM
-and require a clean exit — the graceful-drain contract.
+envelope key to be refused with 400, read ``/metrics``, then open a
+connection that sends half a request body and stalls, SIGTERM, and
+require the graceful-drain contract: the daemon, started with
+``--drain-timeout 1``, cancels the stalled client at its bound and
+exits 0 within 10 s, with no traceback on stderr and the cancellation
+counted in its ``--metrics-json`` report.
 
 Usage::
 
@@ -32,6 +36,11 @@ XML = "<library><book><title>bank</title></book></library>"
 #: Pipeline flags the daemon is started with; each one alone changes
 #: the record line of ``XML``.
 FLAGS = ["--radius", "1", "--structure-only"]
+
+#: The daemon's drain bound, and how long the smoke waits for it to
+#: exit after SIGTERM while a client stalls mid-body.
+DRAIN_TIMEOUT_S = 1
+EXIT_WITHIN_S = 10
 
 
 def http(address: tuple[str, int], payload: bytes) -> bytes:
@@ -101,8 +110,12 @@ def main() -> int:
         default = batch_line(env, path, [])
     require(expected != default,
             f"{' '.join(FLAGS)} does not change the smoke document's line")
+    metrics_dir = tempfile.TemporaryDirectory()
+    metrics_json = os.path.join(metrics_dir.name, "metrics.json")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", *FLAGS],
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--drain-timeout", str(DRAIN_TIMEOUT_S),
+         "--metrics-json", metrics_json, *FLAGS],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
@@ -159,15 +172,45 @@ def main() -> int:
                 "metrics did not count the served document")
         print("metrics ok: documents_served=1")
 
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=60)
-        require(code == 0, f"SIGTERM drain exited {code}, expected 0")
-        print("drain ok: SIGTERM -> exit 0")
+        # Half a request body, then silence: only the drain bound can
+        # end this connection.  The healthz round-trip after it returns
+        # once the daemon has accepted both, in order, so the stalled
+        # request is in flight when SIGTERM arrives.
+        body = json.dumps({"xml": XML, "name": "stalled"}).encode("utf-8")
+        with socket.create_connection(address, timeout=30) as stalled:
+            stalled.sendall((
+                f"POST /v1/disambiguate HTTP/1.1\r\nHost: smoke\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii") + body[: len(body) // 2])
+            http(address, b"GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n")
+            proc.send_signal(signal.SIGTERM)
+            try:
+                _, errors = proc.communicate(timeout=EXIT_WITHIN_S)
+            except subprocess.TimeoutExpired:
+                raise SystemExit(
+                    f"server smoke FAILED: still running {EXIT_WITHIN_S} s "
+                    f"after SIGTERM with a stalled client "
+                    f"(--drain-timeout {DRAIN_TIMEOUT_S})"
+                ) from None
+        require(proc.returncode == 0,
+                f"SIGTERM drain exited {proc.returncode}, expected 0")
+        require("Traceback" not in errors,
+                f"stderr after SIGTERM holds a traceback:\n{errors}")
+        with open(metrics_json, encoding="utf-8") as handle:
+            cancelled = json.load(handle)["counters"].get("drain_cancelled")
+        require(cancelled == 1,
+                f"the drain cancelled {cancelled} connections, expected "
+                f"the stalled one")
+        print(f"drain ok: SIGTERM with a stalled client -> exit 0, the "
+              f"client cancelled at the {DRAIN_TIMEOUT_S} s bound, no "
+              f"traceback")
         return 0
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        metrics_dir.cleanup()
 
 
 if __name__ == "__main__":

@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="how long a drain (SIGTERM, SIGINT or "
                             "SIGHUP) waits for in-flight requests "
-                            "before cancelling stragglers (default 10)")
+                            "before cancelling stragglers (default 10; "
+                            "0 cancels them at once)")
     serve.add_argument("--metrics-json", "--metrics", dest="metrics_json",
                        default=None, metavar="PATH",
                        help="flush the final metrics snapshot here on "

@@ -27,7 +27,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 
 from ..linguistics.pipeline import LinguisticPipeline
-from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork
 from ..similarity.combined import CombinedSimilarity, ConceptSimilarity
 from ..xmltree.dom import XMLNode, XMLTree, build_tree
@@ -110,9 +109,10 @@ class XSDF:
         content from the network's frequencies once.
     index:
         Optional :class:`repro.runtime.pack.PackedIndex` built over
-        ``network``.  Routes the default similarity through its
-        interned flat-array taxonomy/IC/gloss kernels — sense choices
-        and scores are bit-identical with and without it.  Ignored when
+        ``network``.  The default similarity then scores over its slots
+        (:class:`CombinedSimilarity`'s slot path, the one reader of the
+        packed taxonomy/IC/gloss kernels) — sense choices and scores
+        are bit-identical with and without it.  Ignored when
         ``similarity`` is supplied.
     similarity_cache:
         Optional external pairwise-similarity memo (e.g.
@@ -162,16 +162,9 @@ class XSDF:
         self.metrics = metrics
         self.pipeline = LinguisticPipeline(known=network.has_word)
         if similarity is None:
-            ic = None
-            if self.config.similarity_weights.node > 0:
-                ic = (
-                    index.ic if index is not None
-                    else InformationContent(network)
-                )
             similarity = CombinedSimilarity(
                 network,
                 weights=self.config.similarity_weights,
-                ic=ic,
                 index=index,
                 cache=similarity_cache,
             )

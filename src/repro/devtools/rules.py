@@ -72,11 +72,13 @@ class IndexParityRule(Rule):
     The :class:`repro.runtime.pack.PackedIndex` contract is that the
     indexed path is a pure accelerator next to the network-walk oracle:
     any function that *dereferences* an ``index`` parameter (or
-    ``self._index`` / ``self._packed``, where the measures keep it) —
-    attribute access, subscript, or call — must test it against
-    ``None`` in the same function and keep a fallback branch that runs
-    the network walk without it.  Merely storing or forwarding the
-    index (``self._packed = index``, ``XSDF(..., index=index)``) is a
+    ``self._index`` / ``self._packed``, where
+    :class:`~repro.similarity.combined.CombinedSimilarity`, the one
+    measure that takes an index, keeps it) — attribute access,
+    subscript, or call — must test it against ``None`` in the same
+    function and keep a fallback branch that runs the network walk
+    without it.  Merely storing or forwarding the index
+    (``self._packed = index``, ``XSDF(..., index=index)``) is a
     pass-through and stays silent.
     """
 

@@ -7,8 +7,9 @@ scale cheap and observable without changing a single score:
 * :mod:`~repro.runtime.pack` — :class:`PackedIndex`, precomputed
   taxonomy/IC/gloss tables built once per network, interned to dense
   integers and laid out as flat arrays in one ``RXPD`` body, with
-  packed similarity kernels consumed via ``index=`` (bit-identical to
-  the network walk);
+  packed similarity kernels that ``XSDF(index=)`` scores through
+  (``CombinedSimilarity``'s slot path, bit-identical to the network
+  walk);
 * :mod:`~repro.runtime.cache` — :class:`LRUCache`, a bounded pairwise
   memo with hit/miss/eviction counters;
 * :mod:`~repro.runtime.memo` — :class:`SphereMemo`, one XSDF's
@@ -60,7 +61,6 @@ from .journal import (
 from .memo import SphereMemo, sphere_signature
 from .metrics import MetricsRegistry, StageTimer, batch_summary
 from .pack import (
-    PackedIC,
     PackedIndex,
     PackedIndexCRCError,
     PackedIndexError,
@@ -84,7 +84,6 @@ __all__ = [
     "JournalWriter",
     "LRUCache",
     "MetricsRegistry",
-    "PackedIC",
     "PackedIndex",
     "PackedIndexCRCError",
     "PackedIndexError",

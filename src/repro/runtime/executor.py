@@ -643,7 +643,7 @@ class BatchExecutor:
         if self._pool is None:
             index = self._ensure_index()
             if index is not None:
-                index._materialize_lazy()
+                index.materialize()
             self._pool = PersistentPool(
                 processes=self.effective_workers,
                 initializer=_init_worker,

@@ -25,16 +25,18 @@ file written by :func:`repro.runtime.store.write_shard`, so every
 process attaching the same shard shares its pages.  Both backings go
 through the same lazy attach path and the same kernels.
 
-The similarity kernels (:meth:`PackedIndex.pair_terms` for the
-edge/node measures, :meth:`PackedIndex.lesk_similarity` for gloss
-overlap) are **bit-identical** to the network walk — the parity suite
-in ``tests/similarity`` pins ``==`` equality for all 8 measures.  Each
-kernel has one body over slots (:meth:`PackedIndex.slot`, the dense
-int id of a concept), its ``*_of_slots`` form; the string method
-interns its arguments and calls it, and
-:class:`repro.similarity.combined.CombinedSimilarity` calls the slot
-forms directly.  The lowest-common-subsumer tie-break is the network's
-total order ``(depth, -distance-sum, concept-id)``::
+The similarity kernels are **bit-identical** to the network walk.
+Each has one body over slots (:meth:`PackedIndex.slot`, the dense int
+id of a concept): :meth:`PackedIndex.pair_terms_of_slots` for the
+edge/node terms, :meth:`PackedIndex.lesk_similarity_of_slots` and
+:meth:`PackedIndex.lesk_upper_bound_of_slots` for gloss overlap.  The
+lowest-common-subsumer tie-break is the network's total order
+``(depth, -distance-sum, concept-id)``.  Their one consumer is the
+slot path of :class:`repro.similarity.combined.CombinedSimilarity`,
+which :class:`repro.core.framework.XSDF` builds from its ``index=``;
+the component measures in :mod:`repro.similarity` walk the network
+and are the oracle the parity suite in ``tests/similarity`` holds that
+path ``==`` to::
 
     packed = PackedIndex(network)
     xsdf = XSDF(network, config, index=packed)   # drop-in index=
@@ -51,7 +53,7 @@ import zlib
 from array import array
 from typing import Iterable
 
-from ..semnet.ic import InformationContent, lin_ratio
+from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork, UnknownConceptError
 from ..similarity.gloss import extended_gloss_tokens
 
@@ -83,10 +85,6 @@ _LAZY_ATTRS = frozenset({
     "_ids", "_id_of", "_tokens", "_depths", "_ic_list",
     "_closures", "_bags", "_bag_sets", "_bag_positions",
 })
-
-#: Sentinel distinguishing "no memo entry" from a memoized ``None``.
-_MISSING = object()
-
 
 class PackedIndexError(ValueError):
     """Raised when a packed-index shard is truncated or corrupted."""
@@ -244,49 +242,6 @@ def _network_body(network: SemanticNetwork) -> bytes:
     )
 
 
-class PackedIC:
-    """Information-content view over a :class:`PackedIndex`.
-
-    Presents the :class:`repro.semnet.ic.InformationContent` query API
-    (``ic`` / ``max_ic`` / ``resnik`` / ``lin`` /
-    ``jiang_conrath_distance``) served from the packed IC table, with
-    the LCS resolved by the packed pair kernel.  Values are the exact
-    floats the unpacked table holds, so scores are bit-identical.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "PackedIndex"):
-        self._owner = owner
-
-    def ic(self, concept_id: str) -> float:
-        """Information content of one concept."""
-        owner = self._owner
-        return owner._ic_list[owner.slot(concept_id)]
-
-    @property
-    def max_ic(self) -> float:
-        """Highest finite IC in the network (for normalization)."""
-        return self._owner._max_ic
-
-    def resnik(self, a: str, b: str) -> float:
-        """IC of the lowest common subsumer (0 when none exists)."""
-        terms = self._owner.pair_terms(a, b)
-        if terms is None:
-            return 0.0
-        return self._owner._ic_list[terms[0]]
-
-    def lin(self, a: str, b: str) -> float:
-        """Lin similarity ``2*IC(lcs) / (IC(a)+IC(b))`` in [0, 1]."""
-        if a == b:
-            return 1.0
-        return lin_ratio(self.resnik(a, b), self.ic(a), self.ic(b))
-
-    def jiang_conrath_distance(self, a: str, b: str) -> float:
-        """Jiang-Conrath distance ``IC(a) + IC(b) - 2 * IC(lcs)``."""
-        return max(0.0, self.ic(a) + self.ic(b) - 2.0 * self.resnik(a, b))
-
-
 def _interned_overlap_score(tokens_a: list[int], tokens_b: list[int]) -> float:
     """Greedy extended-Lesk overlap over interned token-id sequences.
 
@@ -388,9 +343,10 @@ def _gloss_overlap(
 class PackedIndex:
     """Interned flat-array semantic index over one ``RXPD`` body.
 
-    Pass it as ``index=`` to the similarity measures and to
-    :class:`repro.core.framework.XSDF` to route scoring through the
-    packed kernels.  All scores are bit-identical to the plain
+    Pass it as ``index=`` to :class:`repro.core.framework.XSDF` (or
+    to :class:`repro.similarity.combined.CombinedSimilarity`, whose
+    slot path is the kernels' one consumer) to route scoring through
+    the packed kernels.  All scores are bit-identical to the plain
     network walk.
 
     Parameters
@@ -438,7 +394,7 @@ class PackedIndex:
                 f"expected 10 sections, found {len(sections)}"
             )
         try:
-            n, max_depth, _flags, _smoothing, max_ic = struct.unpack(
+            n, max_depth, _flags, _smoothing, _max_ic = struct.unpack(
                 "<IIBdd", sections[0]
             )
         except struct.error as exc:
@@ -472,15 +428,8 @@ class PackedIndex:
         self._gloss_off = gloss_off
         self._gloss_tok = gloss_tok
         self._n = n
-        self._max_ic = max_ic
         self.max_taxonomy_depth = max_depth
         self.build_seconds = 0.0
-        self._pair_memo: dict[
-            tuple[int, int], tuple[int, int, int, int] | None
-        ] = {}
-        self._pair_hits = 0
-        self._pair_misses = 0
-        self._ic_view: PackedIC | None = None
 
     def __getattr__(self, name: str):
         """Materialize the deferred string tables on first access.
@@ -492,14 +441,20 @@ class PackedIndex:
         access is back on the zero-overhead fast path.
         """
         if name in _LAZY_ATTRS and self.__dict__.get("_lazy_blobs") is not None:
-            self._materialize_lazy()
+            self.materialize()
             return self.__dict__[name]
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    def _materialize_lazy(self) -> None:
-        """Decode the deferred id/token/depth/IC tables (idempotent)."""
+    def materialize(self) -> None:
+        """Decode the deferred id/token/depth/IC tables (idempotent).
+
+        A damaged table raises its :class:`PackedIndexError` here.
+        ``CombinedSimilarity`` calls it at construction and the
+        executor before its first fork, so a warmed pipeline never
+        pays for (or trips over) the decode on its first document.
+        """
         if self._lazy_blobs is None:
             return
         id_blob, token_blob, depths, ic_values = self._lazy_blobs
@@ -667,50 +622,18 @@ class PackedIndex:
             self._closures[slot] = closure
         return closure
 
-    def pair_terms(
-        self, a: str, b: str
-    ) -> tuple[int, int, int, int] | None:
-        """``(lcs_slot, depth(lcs), dist(a, lcs), dist(b, lcs))`` or None.
-
-        One memoized lookup serves every taxonomic measure: Wu-Palmer
-        reads all four terms, path/Leacock-Chodorow read the distance
-        sum, and the IC measures read the LCS slot.  The memo is keyed
-        on the unordered pair (the LCS and its tie-break are symmetric
-        in ``a`` and ``b``), halving its footprint.  Scoring through
-        :class:`~repro.similarity.combined.CombinedSimilarity` keeps its
-        own per-pair table and calls :meth:`pair_terms_of_slots`, so it
-        never fills this memo.
-        """
-        ia = self.slot(a)
-        ib = self.slot(b)
-        if ia <= ib:
-            key = (ia, ib)
-            swapped = False
-        else:
-            key = (ib, ia)
-            swapped = True
-        terms = self._pair_memo.get(key, _MISSING)
-        if terms is _MISSING:
-            self._pair_misses += 1
-            terms = self.pair_terms_of_slots(key[0], key[1])
-            self._pair_memo[key] = terms
-        else:
-            self._pair_hits += 1
-        if terms is None or not swapped:
-            return terms
-        lcs, depth, dist_a, dist_b = terms
-        return (lcs, depth, dist_b, dist_a)
-
     def pair_terms_of_slots(
         self, ia: int, ib: int
     ) -> tuple[int, int, int, int] | None:
-        """:meth:`pair_terms` of two slots, computed afresh (no memo).
+        """``(lcs_slot, depth(lcs), dist(a, lcs), dist(b, lcs))`` or None.
 
-        Scans the smaller closure for the max-key shared ancestor.  The
-        selection key is the total order ``(depth, -distance-sum,
-        concept-id)`` — exactly the network's tie-break, so both paths
-        agree bit-for-bit, and the result is the same for either
-        argument order (only the two distances swap).
+        One fetch serves every taxonomic term: Wu-Palmer reads all
+        four, Lin the LCS slot.  Scans the smaller closure for the
+        max-key shared ancestor.  The selection key is the total order
+        ``(depth, -distance-sum, concept-id)`` — exactly the network's
+        tie-break, so both paths agree bit-for-bit, and the result is
+        the same for either argument order (only the two distances
+        swap).
         """
         closure_a = self._closure(ia)
         closure_b = self._closure(ib)
@@ -777,8 +700,8 @@ class PackedIndex:
             self._bag_positions[slot] = positions
         return positions
 
-    def lesk_upper_bound(self, a: str, b: str) -> float:
-        """Cheap exact upper bound on :meth:`lesk_similarity`.
+    def lesk_upper_bound_of_slots(self, ia: int, ib: int) -> float:
+        """Cheap exact upper bound on :meth:`lesk_similarity_of_slots`.
 
         Let ``m`` be the multiset-intersection size of the two token
         bags (``sum_t min(count_a(t), count_b(t))``).  Every maximal
@@ -791,12 +714,8 @@ class PackedIndex:
         square, so ``fl(sqrt(raw)) <= m`` exactly; division and
         ``min`` are monotone.  Hence ``min(1, m/shorter)`` bounds the
         true similarity in *float* arithmetic, which is what exact
-        pruning requires.  Symmetric in ``a`` and ``b``.
+        pruning requires.  Symmetric in ``ia`` and ``ib``.
         """
-        return self.lesk_upper_bound_of_slots(self.slot(a), self.slot(b))
-
-    def lesk_upper_bound_of_slots(self, ia: int, ib: int) -> float:
-        """:meth:`lesk_upper_bound` of two slots."""
         if ia == ib:
             return 1.0
         shared = self._bag_set(ia) & self._bag_set(ib)
@@ -806,8 +725,8 @@ class PackedIndex:
         shorter = min(len(self._bag(ia)), len(self._bag(ib)))
         return min(1.0, m / shorter)
 
-    def lesk_similarity(self, a: str, b: str) -> float:
-        """Normalized extended-Lesk gloss overlap over interned tokens.
+    def lesk_similarity_of_slots(self, ia: int, ib: int) -> float:
+        """Normalized extended-Lesk gloss overlap of two slots, in that order.
 
         Bit-identical to :class:`repro.similarity.gloss
         .ExtendedLeskSimilarity`'s unpacked arithmetic: disjoint token
@@ -816,10 +735,6 @@ class PackedIndex:
         form before falling back to the DP, in the caller's argument
         order.
         """
-        return self.lesk_similarity_of_slots(self.slot(a), self.slot(b))
-
-    def lesk_similarity_of_slots(self, ia: int, ib: int) -> float:
-        """:meth:`lesk_similarity` of two slots, in that order."""
         if ia == ib:
             return 1.0
         shared = self._bag_set(ia) & self._bag_set(ib)
@@ -839,19 +754,6 @@ class PackedIndex:
 
     # -- query surface --------------------------------------------------------
 
-    @property
-    def ic(self) -> PackedIC:
-        """Information-content view (API-compatible with the IC table).
-
-        Taking the view decodes the deferred tables: the scorers take
-        it at construction, so a warmed pipeline never pays for (or
-        trips over) the decode on its first document.
-        """
-        if self._ic_view is None:
-            self._materialize_lazy()
-            self._ic_view = PackedIC(self)
-        return self._ic_view
-
     def hypernym_closure(self, concept_id: str) -> dict[str, int]:
         """Ancestor -> minimal IS-A distance (includes self at 0)."""
         slot = self.slot(concept_id)
@@ -865,20 +767,6 @@ class PackedIndex:
     def depth(self, concept_id: str) -> int:
         """Minimal number of IS-A edges from a taxonomy root."""
         return self._depths[self.slot(concept_id)]
-
-    def lowest_common_subsumer(self, a: str, b: str) -> str | None:
-        """Deepest shared IS-A ancestor under the total tie-break order."""
-        terms = self.pair_terms(a, b)
-        if terms is None:
-            return None
-        return self._ids[terms[0]]
-
-    def taxonomic_distance(self, a: str, b: str) -> int | None:
-        """Shortest IS-A path length between two concepts (via the LCS)."""
-        terms = self.pair_terms(a, b)
-        if terms is None:
-            return None
-        return terms[2] + terms[3]
 
     def gloss_bag(self, concept_id: str) -> list[str]:
         """Extended-Lesk token bag of one concept (reconstructed strings)."""
@@ -898,7 +786,7 @@ class PackedIndex:
     # -- observability --------------------------------------------------------
 
     def stats(self) -> dict[str, int | float | str]:
-        """Size/build statistics, including pair-kernel memo hit rates.
+        """Size/build statistics.
 
         ``backing`` reports where the tables live (``heap``/``mmap``);
         ``packed_bytes`` is the ``RXPD`` payload size (header + body).
@@ -913,9 +801,6 @@ class PackedIndex:
                 if self.__dict__.get("_lazy_blobs") is None
                 else -1  # token table not decoded yet
             ),
-            "pair_memo_pairs": len(self._pair_memo),
-            "pair_memo_hits": self._pair_hits,
-            "pair_memo_misses": self._pair_misses,
             "max_taxonomy_depth": self.max_taxonomy_depth,
             "packed_bytes": _DISK_HEADER.size + len(self._body),
             "build_seconds": round(self.build_seconds, 6),

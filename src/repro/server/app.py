@@ -89,7 +89,7 @@ class ServerConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
-        if self.drain_timeout < 0:
+        if not self.drain_timeout >= 0:  # NaN included
             raise ValueError("drain_timeout must be >= 0")
         if self.cache_size < 1:
             raise ValueError("cache_size must be >= 1")

@@ -9,9 +9,9 @@ the batch pipeline cannot have (a one-shot process just exits):
 2. The listening socket closes — **new connections are refused at the
    TCP level** from this instant.
 3. Every in-flight connection runs to completion (its response is
-   written whole), bounded by ``drain_timeout``; stragglers past the
-   bound are cancelled, never silently — each cancellation is a
-   metrics event.
+   written whole), bounded by ``drain_timeout`` (0: no wait);
+   stragglers past the bound are cancelled, never silently — each
+   cancellation is a metrics event.
 4. Metrics are flushed (``--metrics-json``) and the process exits 0.
 
 The server answers one request per connection (``Connection: close``),
@@ -67,7 +67,7 @@ class ReproServer:
         port = self.app.server_config.port
         try:
             self._server = await asyncio.start_server(
-                self._handle_connection, host, port
+                self._on_connection, host, port
             )
         except OSError as exc:
             self.app.close()
@@ -88,15 +88,22 @@ class ReproServer:
         await self.drain()
 
     async def drain(self) -> None:
-        """Stop accepting, finish in-flight work, flush, and close."""
+        """Stop accepting, finish in-flight work, flush, and close.
+
+        In-flight connections get ``drain_timeout`` seconds (0: none),
+        and each one still open after that is cancelled.  That bounded
+        wait is the only wait for the listener's connections:
+        ``Server.wait_closed()`` is not awaited, because since CPython
+        3.12.1 it waits for every open connection, so one stalled
+        client would hold the drain open past its bound.
+        """
         self.app.begin_drain()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         pending = {task for task in self._connections if not task.done()}
         if pending:
             _, stragglers = await asyncio.wait(
-                pending, timeout=self.app.server_config.drain_timeout or None
+                pending, timeout=self.app.server_config.drain_timeout
             )
             for task in stragglers:
                 self.app.metrics.count("drain_cancelled")
@@ -154,13 +161,25 @@ class ReproServer:
 
     # -- connection handling -------------------------------------------------
 
+    def _on_connection(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> None:
+        """Start one connection's task and track it for the drain.
+
+        The listener calls this plain function, so the task is this
+        server's own: asyncio's done-callback for a coroutine handler
+        calls ``task.exception()`` on CPython 3.11.7 and 3.12.1 and
+        prints an "Exception in callback" traceback for every
+        connection the drain cancels.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """One connection = one request = one response, then close."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
         # A connection accepted before the drain began is entitled to
         # finish its one request whole, even if the drain starts while
         # its body is still arriving.

@@ -8,10 +8,15 @@ component measures are the ones the paper names: Wu-Palmer (edge), Lin
 Pair results are memoized: disambiguation evaluates the same concept
 pairs repeatedly across context nodes, and caching makes the
 concept-based scorer's complexity linear in distinct pairs.
+
+With a :class:`repro.runtime.pack.PackedIndex`, :class:`CombinedSimilarity`
+scores over its slots; this slot path is the only reader of the packed
+kernels, and the component measures are its network-walk oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, MutableMapping
 
@@ -19,7 +24,7 @@ from ..semnet.ic import InformationContent, lin_ratio
 from ..semnet.network import SemanticNetwork
 from .edge import WuPalmerSimilarity, wu_palmer_ratio
 from .gloss import ExtendedLeskSimilarity
-from .node import LinSimilarity, _owns_ic
+from .node import LinSimilarity
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..runtime.pack import PackedIndex
@@ -52,6 +57,8 @@ class SimilarityWeights:
     gloss: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.edge, self.node, self.gloss))):
+            raise ValueError("similarity weights must be finite")
         if min(self.edge, self.node, self.gloss) < 0:
             raise ValueError("similarity weights must be non-negative")
         total = self.edge + self.node + self.gloss
@@ -65,27 +72,29 @@ class SimilarityWeights:
 class CombinedSimilarity:
     """Weighted combination of edge-, node-, and gloss-based measures.
 
-    ``index`` (a :class:`repro.runtime.pack.PackedIndex`) routes the
-    default component measures through its interned flat-array
-    kernels, with scores bit-identical to the network walk.  ``cache``
-    replaces the private unbounded pair memo with an external store
-    (e.g. :class:`repro.runtime.cache.LRUCache` for bounded memory and
-    hit/miss observability); any mapping with ``get``/``__setitem__``/
-    ``__len__`` works.
+    ``cache`` replaces the private unbounded pair memo with an external
+    store (e.g. :class:`repro.runtime.cache.LRUCache` for bounded memory
+    and hit/miss observability); any mapping with ``get``/
+    ``__setitem__``/``__len__`` works.
 
-    With an index, the default measures and the index's own IC view
-    (``ic`` None or ``index.ic``, as :class:`repro.core.framework.XSDF`
-    passes it), both entry points take the **slot path**: ``a`` and
-    ``b`` are interned once per call, and one table keyed by the
-    unordered slot pair holds the pair's *partial* — the weighted edge +
-    node sum, from one lowest-common-subsumer fetch — and, once asked
-    for, its upper bound.  :meth:`__call__` adds the exact gloss term to
-    the partial, in the caller's argument order, and :meth:`upper_bound`
+    Without ``index`` it walks the network through the component
+    measures (Wu-Palmer, Lin over ``ic`` and extended Lesk unless
+    replaced), keyed by the concept-id pair.
+
+    With ``index`` (a :class:`repro.runtime.pack.PackedIndex`, as
+    :class:`repro.core.framework.XSDF` passes it) it takes the **slot
+    path**, the one reader of the packed kernels: ``a`` and ``b`` are
+    interned once per call, and one table keyed by the unordered slot
+    pair holds the pair's *partial* — the weighted Wu-Palmer + Lin sum,
+    from one lowest-common-subsumer fetch — and, once asked for, its
+    upper bound.  :meth:`__call__` adds the exact gloss term to the
+    partial, in the caller's argument order, and :meth:`upper_bound`
     the gloss bound; ``cache`` holds the exact scores by slot pair.  The
     operations and their order are the component measures' own, so
-    scores are bit-identical to the network walk.  Any other combination
-    takes the generic path through the component measures, keyed by the
-    concept-id pair.
+    scores are bit-identical to the network walk.  The slot path reads
+    the index's own IC table and kernels, so ``ic`` or a custom measure
+    next to ``index`` raises :class:`ValueError`.  Construction decodes
+    the index's deferred string tables, so a damaged index raises here.
     """
 
     def __init__(
@@ -100,30 +109,29 @@ class CombinedSimilarity:
         cache: PairCache | None = None,
     ):
         self.weights = weights or SimilarityWeights()
-        self._edge = edge_measure or WuPalmerSimilarity(network, index=index)
-        # The node measure needs the weighted network; build IC once and
-        # share it when the caller did not supply a measure.
-        if node_measure is not None:
-            self._node = node_measure
-        else:
-            self._node = LinSimilarity(network, ic=ic, index=index)
-        self._gloss = gloss_measure or ExtendedLeskSimilarity(
-            network, index=index
-        )
         self._cache: PairCache = cache if cache is not None else {}
+        self._packed = index
+        if index is not None:
+            if ic is not None or any(
+                measure is not None
+                for measure in (edge_measure, node_measure, gloss_measure)
+            ):
+                raise ValueError(
+                    "index= scores the default measures over the index's "
+                    "own tables; ic= and custom measures need the "
+                    "network walk (no index=)"
+                )
+            index.materialize()
+            #: Slot path: slot-pair key -> (partial, bound or None).
+            self._slot_table: dict[int, tuple[float, float | None]] = {}
+            return
+        self._edge = edge_measure or WuPalmerSimilarity(network)
+        self._node = node_measure or LinSimilarity(network, ic=ic)
+        self._gloss = gloss_measure or ExtendedLeskSimilarity(network)
         # Duck-typed: measures exposing upper_bound() enable the cheap
         # gloss bound; others fall back to the trivial bound 1.0.
         self._gloss_upper = getattr(self._gloss, "upper_bound", None)
         self._bound_cache: dict[tuple[str, str], float] = {}
-        default_measures = (
-            edge_measure is None
-            and node_measure is None
-            and gloss_measure is None
-        )
-        own_ic = ic is None or _owns_ic(index, ic)
-        self._packed = index if default_measures and own_ic else None
-        #: Slot path: slot-pair key -> (partial, bound or None).
-        self._slot_table: dict[int, tuple[float, float | None]] = {}
 
     def _partial(self, packed: "PackedIndex", ia: int, ib: int) -> float:
         """The weighted edge + node sum of one slot pair.

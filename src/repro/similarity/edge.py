@@ -13,22 +13,18 @@ These estimate similarity from the shortest IS-A path between concepts:
 All measures return values in [0, 1] and 0.0 when the concepts share no
 IS-A ancestor (disconnected taxonomies).
 
-Each accepts an optional :class:`repro.runtime.pack.PackedIndex`
-(``index=``): the fast path routes through its interned flat-array
-pair kernel — one memoized ``pair_terms`` lookup yields the LCS slot,
-its depth, and both distances — instead of walking the network, with
-bit-identical results.
+Each walks the network.  With :mod:`repro.similarity.node` and
+:mod:`repro.similarity.gloss` they are the oracle for the slot path of
+:class:`repro.similarity.combined.CombinedSimilarity`, the packed
+index's one consumer, which scores Wu-Palmer with the same
+:func:`wu_palmer_ratio`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from ..semnet.network import SemanticNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.pack import PackedIndex
 
 
 def wu_palmer_ratio(depth_lcs: int, dist_a: int, dist_b: int) -> float:
@@ -49,20 +45,12 @@ def wu_palmer_ratio(depth_lcs: int, dist_a: int, dist_b: int) -> float:
 class WuPalmerSimilarity:
     """Wu-Palmer conceptual similarity over a semantic network."""
 
-    def __init__(self, network: SemanticNetwork,
-                 index: "PackedIndex | None" = None):
+    def __init__(self, network: SemanticNetwork):
         self._network = network
-        self._packed = index
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        packed = self._packed
-        if packed is not None:
-            terms = packed.pair_terms(a, b)
-            if terms is None:
-                return 0.0
-            return wu_palmer_ratio(terms[1], terms[2], terms[3])
         network = self._network
         lcs = network.lowest_common_subsumer(a, b)
         if lcs is None:
@@ -77,20 +65,13 @@ class WuPalmerSimilarity:
 class PathSimilarity:
     """Inverse shortest-IS-A-path similarity: ``1 / (1 + distance)``."""
 
-    def __init__(self, network: SemanticNetwork,
-                 index: "PackedIndex | None" = None):
+    def __init__(self, network: SemanticNetwork):
         self._network = network
-        self._packed = index
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        packed = self._packed
-        if packed is not None:
-            terms = packed.pair_terms(a, b)
-            distance = None if terms is None else terms[2] + terms[3]
-        else:
-            distance = self._network.taxonomic_distance(a, b)
+        distance = self._network.taxonomic_distance(a, b)
         if distance is None:
             return 0.0
         return 1.0 / (1.0 + distance)
@@ -104,27 +85,14 @@ class LeacockChodorowSimilarity:
     yields a unit-interval measure comparable with the others.
     """
 
-    def __init__(self, network: SemanticNetwork,
-                 index: "PackedIndex | None" = None):
+    def __init__(self, network: SemanticNetwork):
         self._network = network
-        self._packed = index
-        depth = max(
-            1,
-            index.max_taxonomy_depth
-            if index is not None
-            else network.max_taxonomy_depth,
-        )
-        self._scale = math.log(2.0 * depth)
+        self._scale = math.log(2.0 * max(1, network.max_taxonomy_depth))
 
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        packed = self._packed
-        if packed is not None:
-            terms = packed.pair_terms(a, b)
-            distance = None if terms is None else terms[2] + terms[3]
-        else:
-            distance = self._network.taxonomic_distance(a, b)
+        distance = self._network.taxonomic_distance(a, b)
         if distance is None:
             return 0.0
         raw = -math.log((distance + 1.0) / math.exp(self._scale))

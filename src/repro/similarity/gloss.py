@@ -7,16 +7,19 @@ semantic neighbors — share words.  Overlaps of consecutive words count
 quadratically in the original; we score each maximal shared n-gram as
 ``n^2`` and normalize by the maximum possible overlap of the two
 extended glosses, yielding a [0, 1] measure.
+
+:class:`ExtendedLeskSimilarity` walks the network and is the oracle for
+the packed gloss kernels
+(:meth:`repro.runtime.pack.PackedIndex.lesk_similarity_of_slots` and
+its bound), which only the slot path of
+:class:`repro.similarity.combined.CombinedSimilarity` calls.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..semnet.network import SemanticNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..runtime.pack import PackedIndex
 
 
 def _ngram_overlap_score(tokens_a: list[str], tokens_b: list[str]) -> float:
@@ -95,24 +98,11 @@ class ExtendedLeskSimilarity:
         When True (default) each concept's gloss is concatenated with the
         glosses of its direct neighbors (hypernyms, hyponyms, meronyms,
         ...), the "extended" part of extended Lesk.
-    index:
-        Optional :class:`repro.runtime.pack.PackedIndex` (only consulted
-        when ``expand=True``, matching its packed bags): routes the
-        whole comparison through its interned-token kernel — the same
-        greedy overlap over dense int ids with a disjoint-set quick
-        reject and an exact closed form for most pairs — bit-identical
-        to the token-string path.
     """
 
-    def __init__(
-        self,
-        network: SemanticNetwork,
-        expand: bool = True,
-        index: "PackedIndex | None" = None,
-    ):
+    def __init__(self, network: SemanticNetwork, expand: bool = True):
         self._network = network
         self._expand = expand
-        self._packed = index if expand else None
         self._token_cache: dict[str, list[str]] = {}
         self._count_cache: dict[str, dict[str, int]] = {}
 
@@ -129,8 +119,6 @@ class ExtendedLeskSimilarity:
     def __call__(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        if self._packed is not None:
-            return self._packed.lesk_similarity(a, b)
         tokens_a = self._extended_gloss(a)
         tokens_b = self._extended_gloss(b)
         if not tokens_a or not tokens_b:
@@ -166,12 +154,10 @@ class ExtendedLeskSimilarity:
         ``m**2``, and ``min(1, m/shorter)`` dominates the normalized
         score — exactly, in float arithmetic, because ``m**2`` is a
         perfect square and ``sqrt``/division/``min`` are monotone
-        (see :meth:`repro.runtime.pack.PackedIndex.lesk_upper_bound`).
+        (see :meth:`repro.runtime.pack.PackedIndex.lesk_upper_bound_of_slots`).
         """
         if a == b:
             return 1.0
-        if self._packed is not None:
-            return self._packed.lesk_upper_bound(a, b)
         counts_a = self._token_counts(a)
         counts_b = self._token_counts(b)
         if not counts_a or not counts_b:

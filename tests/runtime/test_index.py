@@ -24,17 +24,10 @@ from repro.similarity.combined import (
     SimilarityWeights,
     _slot_pair_key,
 )
-from repro.similarity.edge import (
-    LeacockChodorowSimilarity,
-    PathSimilarity,
-    WuPalmerSimilarity,
-)
+from repro.similarity.edge import PathSimilarity
 from repro.similarity.gloss import ExtendedLeskSimilarity
-from repro.similarity.node import (
-    JiangConrathSimilarity,
-    LinSimilarity,
-    ResnikSimilarity,
-)
+
+from .test_pack import lcs_and_distance
 
 
 def _sample_pairs(network, n_pairs=250, seed=0):
@@ -54,37 +47,15 @@ def _sample_pairs(network, n_pairs=250, seed=0):
 
 
 def _assert_identical_measures(network, index, pairs):
-    ic = InformationContent(network)
-    measures = [
-        (WuPalmerSimilarity(network), WuPalmerSimilarity(network, index=index)),
-        (PathSimilarity(network), PathSimilarity(network, index=index)),
-        (
-            LeacockChodorowSimilarity(network),
-            LeacockChodorowSimilarity(network, index=index),
-        ),
-        (LinSimilarity(network, ic=ic), LinSimilarity(network, ic=ic, index=index)),
-        (
-            ResnikSimilarity(network, ic=ic),
-            ResnikSimilarity(network, ic=ic, index=index),
-        ),
-        (
-            JiangConrathSimilarity(network, ic=ic),
-            JiangConrathSimilarity(network, ic=ic, index=index),
-        ),
-        (
-            ExtendedLeskSimilarity(network),
-            ExtendedLeskSimilarity(network, index=index),
-        ),
-        (
-            CombinedSimilarity(network, ic=ic),
-            CombinedSimilarity(network, ic=ic, index=index),
-        ),
-    ]
+    """The indexed ``CombinedSimilarity`` (its slot path) ``==`` the
+    walk, both entry points."""
+    walk = CombinedSimilarity(network)
+    fast = CombinedSimilarity(network, index=index)
     for a, b in pairs:
-        for slow, fast in measures:
-            assert slow(a, b) == fast(a, b), (
-                f"{type(slow).__name__} diverges on ({a}, {b})"
-            )
+        assert walk(a, b) == fast(a, b), f"diverges on ({a}, {b})"
+        assert walk.upper_bound(a, b) == fast.upper_bound(a, b), (
+            f"bound diverges on ({a}, {b})"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +111,9 @@ class TestIndexQueries:
 
     def test_lcs_and_distance_match_network(self, lexicon, lexicon_index):
         for a, b in _sample_pairs(lexicon, n_pairs=150, seed=4):
-            assert lexicon_index.lowest_common_subsumer(a, b) == \
-                lexicon.lowest_common_subsumer(a, b)
-            assert lexicon_index.taxonomic_distance(a, b) == \
-                lexicon.taxonomic_distance(a, b)
+            lcs, distance = lcs_and_distance(lexicon_index, a, b)
+            assert lcs == lexicon.lowest_common_subsumer(a, b)
+            assert distance == lexicon.taxonomic_distance(a, b)
 
     def test_gloss_bags_match_lazy_tokens(self, lexicon, lexicon_index):
         lesk = ExtendedLeskSimilarity(lexicon)
@@ -167,28 +137,33 @@ class TestIndexQueries:
         assert stats["ancestor_entries"] > stats["concepts"]
         assert stats["build_seconds"] >= 0
         # Counts are ints; build_seconds is a float and backing a
-        # string.  The LCS (pair-kernel) memo is observable.
+        # string.
         assert stats["backing"] == "heap"
         for key, value in stats.items():
             if key not in ("build_seconds", "backing"):
                 assert isinstance(value, int), key
-        assert stats["pair_memo_hits"] + stats["pair_memo_misses"] >= 0
-
-    def test_lcs_memo_counters_track_lookups(self, lexicon):
-        index = PackedIndex(lexicon)
-        ids = [concept.id for concept in lexicon]
-        a, b = ids[10], ids[20]
-        index.lowest_common_subsumer(a, b)
-        index.lowest_common_subsumer(a, b)
-        stats = index.stats()
-        assert stats["pair_memo_misses"] == 1
-        assert stats["pair_memo_hits"] == 1
 
 
 class TestSlotPath:
-    """``CombinedSimilarity`` with an index, the default measures and the
-    index's own IC view (``ic=None``, as ``XSDF`` uses) scores over
-    slots: typed errors, and one table entry per pair it scores."""
+    """``CombinedSimilarity`` with an index (as ``XSDF`` builds it)
+    scores over slots: typed errors, one table entry per pair it
+    scores, and no second configuration beside it."""
+
+    def test_index_with_ic_or_a_custom_measure_raises(
+        self, lexicon, lexicon_index
+    ):
+        """The slot path reads the index's own IC table and kernels, so
+        an ``ic=`` or a custom measure next to ``index=`` is refused
+        instead of silently scoring something else."""
+        with pytest.raises(ValueError, match="index="):
+            CombinedSimilarity(
+                lexicon, ic=InformationContent(lexicon), index=lexicon_index
+            )
+        with pytest.raises(ValueError, match="index="):
+            CombinedSimilarity(
+                lexicon, edge_measure=PathSimilarity(lexicon),
+                index=lexicon_index,
+            )
 
     @pytest.mark.parametrize("unknown_first", [True, False])
     def test_unknown_concept_raises_from_call(
@@ -211,9 +186,9 @@ class TestSlotPath:
     def test_one_table_entry_per_scored_pair(
         self, lexicon, corpus, monkeypatch
     ):
-        """Scoring reads the LCS through the slot kernel, so the index's
-        string-keyed pair memo stays empty, and the similarity's slot
-        table holds exactly the unordered pairs the scorer asked for."""
+        """Scoring reads the LCS through the slot kernel, and the
+        similarity's slot table holds exactly the unordered pairs the
+        scorer asked for."""
         scored: set[frozenset[str]] = set()
         for name in ("__call__", "upper_bound"):
             original = getattr(CombinedSimilarity, name)
@@ -228,7 +203,6 @@ class TestSlotPath:
         for doc in corpus:
             xsdf.disambiguate_document(doc.xml)
         distinct = {pair for pair in scored if len(pair) == 2}
-        assert packed.stats()["pair_memo_pairs"] == 0
         table = xsdf._similarity._slot_table
         assert len(table) == len(distinct) > 0
         assert set(table) == {

@@ -323,7 +323,7 @@ class TestNoNetworkHashWhileScoring:
         assert [r.result for r in records] == [expected, expected]
 
 
-def _measure_suite(network, ic, index=None):
+def _measure_suite(network, ic):
     """All eight measures, each mounted in its CombinedSimilarity slot.
 
     Mounting keeps exact pruning engaged for every measure: the edge
@@ -335,31 +335,27 @@ def _measure_suite(network, ic, index=None):
     node_only = SimilarityWeights(0, 1, 0)
     gloss_only = SimilarityWeights(0, 0, 1)
     uniform = SimilarityWeights()
-    kw = {"ic": ic, "index": index}
     return [
         ("wu-palmer", edge_only, CombinedSimilarity(
-            network, weights=edge_only, **kw)),
+            network, weights=edge_only, ic=ic)),
         ("path", edge_only, CombinedSimilarity(
-            network, weights=edge_only,
-            edge_measure=PathSimilarity(network, index=index), **kw)),
+            network, weights=edge_only, ic=ic,
+            edge_measure=PathSimilarity(network))),
         ("leacock-chodorow", edge_only, CombinedSimilarity(
-            network, weights=edge_only,
-            edge_measure=LeacockChodorowSimilarity(network, index=index),
-            **kw)),
+            network, weights=edge_only, ic=ic,
+            edge_measure=LeacockChodorowSimilarity(network))),
         ("lin", node_only, CombinedSimilarity(
-            network, weights=node_only, **kw)),
+            network, weights=node_only, ic=ic)),
         ("resnik", node_only, CombinedSimilarity(
-            network, weights=node_only,
-            node_measure=ResnikSimilarity(network, ic=ic, index=index),
-            **kw)),
+            network, weights=node_only, ic=ic,
+            node_measure=ResnikSimilarity(network, ic=ic))),
         ("jiang-conrath", node_only, CombinedSimilarity(
-            network, weights=node_only,
-            node_measure=JiangConrathSimilarity(network, ic=ic, index=index),
-            **kw)),
+            network, weights=node_only, ic=ic,
+            node_measure=JiangConrathSimilarity(network, ic=ic))),
         ("lesk", gloss_only, CombinedSimilarity(
-            network, weights=gloss_only, **kw)),
+            network, weights=gloss_only, ic=ic)),
         ("combined", uniform, CombinedSimilarity(
-            network, weights=uniform, **kw)),
+            network, weights=uniform, ic=ic)),
     ]
 
 

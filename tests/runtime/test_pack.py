@@ -3,11 +3,12 @@
 Four contracts are pinned here:
 
 * **query parity** — every query the packed index serves (closures,
-  depths, LCS, taxonomic distance, gloss bags, IC, the Lesk kernel)
-  must ``==`` the network-walk value, on the curated lexicon and on
-  random synthetic networks (the similarity measures' indexed-vs-walk
-  identity lives in ``test_index.py``), and the Lesk kernel's closed
-  form must ``==`` the literal greedy DP on any two token sequences;
+  depths, the pair kernel's LCS and distance, gloss bags, IC, the Lesk
+  kernel) must ``==`` the network-walk value, on the curated lexicon
+  and on random synthetic networks (the indexed ``CombinedSimilarity``'s
+  identity with the walk lives in ``test_index.py``), and the Lesk
+  kernel's closed form must ``==`` the literal greedy DP on any two
+  token sequences;
 * **frozen build** — the curated lexicon packs to one pinned ``RXPD``
   payload, so shards already on disk stay attachable;
 * **codec round-trip** — ``write_shard`` → ``from_mmap`` reproduces
@@ -63,20 +64,31 @@ def _sample_pairs(network, n_pairs=150, seed=0):
     return pairs
 
 
+def lcs_and_distance(packed, a, b):
+    """The packed LCS id and IS-A distance of ``a`` and ``b`` (or Nones)."""
+    terms = packed.pair_terms_of_slots(packed.slot(a), packed.slot(b))
+    if terms is None:
+        return None, None
+    return packed.concept_id(terms[0]), terms[2] + terms[3]
+
+
 def _assert_query_parity(network, packed, pairs):
     """Every packed query must equal the network-walk answer exactly."""
     ic = InformationContent(network)
     for a, b in pairs:
         assert packed.hypernym_closure(a) == network.hypernym_closure(a)
         assert packed.depth(a) == network.depth(a)
-        assert packed.lowest_common_subsumer(a, b) == \
-            network.lowest_common_subsumer(a, b), (a, b)
-        assert packed.taxonomic_distance(a, b) == \
-            network.taxonomic_distance(a, b), (a, b)
+        lcs, distance = lcs_and_distance(packed, a, b)
+        assert lcs == network.lowest_common_subsumer(a, b), (a, b)
+        assert distance == network.taxonomic_distance(a, b), (a, b)
         assert packed.gloss_bag(a) == extended_gloss_tokens(network, a)
-        assert packed.ic.ic(a) == ic.ic(a)
-    assert packed.ic.max_ic == ic.max_ic
+        assert packed.ic_of_slot(packed.slot(a)) == ic.ic(a)
     assert packed.max_taxonomy_depth == network.max_taxonomy_depth
+
+
+def _lesk(packed, a, b):
+    """The packed gloss kernel's score of two concept ids."""
+    return packed.lesk_similarity_of_slots(packed.slot(a), packed.slot(b))
 
 
 def _round_trip(packed, tmp_path, name="index.rxpd"):
@@ -131,7 +143,7 @@ class TestQueryParity:
         ):
             unpacked = ExtendedLeskSimilarity(network)
             for a, b in _sample_pairs(network, n_pairs=60, seed=4):
-                assert packed.lesk_similarity(a, b) == unpacked(a, b), (a, b)
+                assert _lesk(packed, a, b) == unpacked(a, b), (a, b)
 
     def test_lexicon_payload_digest_is_pinned(self, packed_lexicon):
         """The build is frozen: shards already on disk stay attachable."""
@@ -143,7 +155,7 @@ class TestQueryParity:
         with pytest.raises(UnknownConceptError):
             packed_lexicon.depth("no.such.concept")
         with pytest.raises(UnknownConceptError):
-            packed_lexicon.pair_terms("no.such.concept", "also.missing")
+            packed_lexicon.slot("no.such.concept")
 
 
 def _packed_overlap(tokens_a: list[int], tokens_b: list[int]) -> float:
@@ -234,8 +246,11 @@ class TestCodec:
         clone = _round_trip(packed, tmp_path)
         assert clone.to_disk_payload() == packed.to_disk_payload()
         for a, b in _sample_pairs(network, n_pairs=40, seed=seed):
-            assert clone.pair_terms(a, b) == packed.pair_terms(a, b)
-            assert clone.lesk_similarity(a, b) == packed.lesk_similarity(a, b)
+            ia, ib = packed.slot(a), packed.slot(b)
+            assert (clone.slot(a), clone.slot(b)) == (ia, ib)
+            assert clone.pair_terms_of_slots(ia, ib) == \
+                packed.pair_terms_of_slots(ia, ib)
+            assert _lesk(clone, a, b) == _lesk(packed, a, b)
 
     def test_truncated_buffers_raise(self, packed_lexicon, tmp_path):
         blob = packed_lexicon.to_disk_payload()
@@ -304,10 +319,6 @@ class TestWorkerShipping:
         assert stats["distinct_tokens"] <= stats["gloss_tokens"]
         assert stats["packed_bytes"] == LEXICON_PAYLOAD_BYTES
         assert stats["build_seconds"] >= 0
-        a, b = [concept.id for concept in lexicon][5:7]
-        before = packed_lexicon.stats()["pair_memo_misses"]
-        packed_lexicon.pair_terms(a, b)
-        packed_lexicon.pair_terms(b, a)  # symmetric memo: second is a hit
-        after = packed_lexicon.stats()
-        assert after["pair_memo_misses"] >= before
-        assert after["pair_memo_hits"] >= 1
+        # The kernels keep no per-pair memo: the slot path's table is
+        # the one per-pair table.
+        assert not any(key.startswith("pair_memo") for key in stats)

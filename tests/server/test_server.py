@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import socket
@@ -47,6 +48,7 @@ class TestServerConfig:
         {"max_concurrency": 0},
         {"max_body_bytes": 0},
         {"drain_timeout": -1.0},
+        {"drain_timeout": float("nan")},
     ])
     def test_invalid_knobs_raise_value_error(self, knobs):
         with pytest.raises(ValueError):
@@ -375,6 +377,44 @@ class TestDrain:
         assert b'"status": "ok"' in raw
         assert app.metrics.counter("server_drains") >= 1
         assert app.metrics.counter("drain_cancelled") == 0
+
+    @pytest.mark.parametrize("drain_timeout", [0.0, 0.2])
+    def test_drain_cancels_a_stalled_client_at_its_bound(
+        self, make_app, figure1_xml, caplog, drain_timeout
+    ):
+        """A client that sent half a body and stalls cannot hold the
+        drain open: past the bound (0: no wait) its connection is
+        cancelled and counted, and asyncio logs no traceback for it."""
+
+        async def go():
+            app = make_app(drain_timeout=drain_timeout)
+            async with running(app) as server:
+                body = json.dumps(
+                    {"xml": figure1_xml, "name": "stalled"}
+                ).encode("utf-8")
+                head = (
+                    f"POST /v1/disambiguate HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n"
+                ).encode("ascii")
+                _, writer = await asyncio.open_connection(*server.address)
+                writer.write(head + body[:16])
+                await writer.drain()
+                await asyncio.sleep(0.05)
+                try:
+                    # Bounded here, so a drain that ignores its bound
+                    # fails the test instead of hanging it.
+                    await asyncio.wait_for(server.drain(), timeout=2.0)
+                finally:
+                    writer.close()
+                return app
+
+        app = run(go())
+        assert app.metrics.counter("drain_cancelled") == 1
+        assert not [
+            record for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
 
     def test_draining_app_refuses_new_work_with_503(
         self, make_app, figure1_xml

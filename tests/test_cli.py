@@ -286,6 +286,7 @@ def _out_of_range_argvs():
         (["--radius", "0"], "sphere_radius must be >= 1"),
         (["--weights", "0,0,0"],
          "at least one similarity weight must be positive"),
+        (["--weights", "nan,1,1"], "similarity weights must be finite"),
         (["--threshold", "2"], "ambiguity_threshold must be in [0, 1]"),
     )
     cases = [
