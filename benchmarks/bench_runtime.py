@@ -119,7 +119,7 @@ def test_repeated_documents_cached_speedup(benchmark, network, corpus):
     )
     assert [r.result for r in records] == baseline  # identical senses
     speedup = baseline_s / runtime_s
-    caches = metrics.report()["caches"]
+    caches = metrics.snapshot()["caches"]
     rows = [
         ["seed (fresh XSDF/doc)", f"{len(workload) / baseline_s:.2f}", "-"],
         ["runtime (index+caches)", f"{len(workload) / runtime_s:.2f}",
@@ -389,7 +389,7 @@ def test_prune_memo_speedup(benchmark, network, corpus):
             for candidate, score in fast_a["scores"].items():
                 assert cold_a["scores"][candidate] == score
     speedup = timings["cold"] / timings["prune+memo"]
-    report = metrics.report()
+    report = metrics.snapshot()
     memo_stats = report["caches"].get("sphere_memo", {})
     pruned = report["counters"].get("candidates_pruned", 0)
     rows = [

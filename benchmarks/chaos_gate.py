@@ -139,7 +139,7 @@ def gate_executor() -> list[str]:
                         f"{record.name}: {label}worker-killing document "
                         f"did not fail"
                     )
-                elif record.outcome is None or record.outcome.stage != "pool":
+                elif record.outcome.stage != "pool":
                     problems.append(
                         f"{record.name}: {label}casualty lacks a "
                         f"stage=pool outcome"
@@ -155,7 +155,7 @@ def gate_executor() -> list[str]:
     if runtime_stats.get("pool_reuse_count", 0) < 1:
         problems.append("second batch did not reuse the warm pool")
 
-    counters = metrics.report()["counters"]
+    counters = metrics.snapshot()["counters"]
     if not counters.get("worker_respawns"):
         problems.append("the pool was never respawned")
 

@@ -9,10 +9,10 @@ Commands
 ``batch GLOB [GLOB ...]``
     Disambiguate a whole corpus of XML files through the cached,
     parallel runtime (:mod:`repro.runtime`): JSONL results to a file or
-    stdout, optional metrics report (``--metrics-json``), optional
-    cProfile hot-frame summary (``--profile``), packed index by default
-    (``--no-index`` for the network walk), exact pruning and sphere
-    memoization on by default (``--no-prune``/``--no-memo``).  Every
+    stdout, optional metrics report (``--metrics-json``), packed index
+    by default (``--no-index`` for the network walk), exact pruning on
+    by default (``--no-prune`` for full score tables) and sphere
+    memoization always on (it never changes a byte).  Every
     input document gets one JSONL line, in input order, a failed one
     included; the exit code is 1 when any document failed (130 after
     Ctrl-C, with the completed lines written).  ``--journal``/``--resume``
@@ -97,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="XSDF: XML semantic disambiguation (EDBT 2015 reproduction)",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -126,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     caching.add_argument("--cache-size", type=int, default=None,
                          help="bound for the similarity caches "
                               "(default 65536)")
-    caching.add_argument("--no-memo", action="store_true",
-                         help="disable cross-document sphere memoization "
-                              "(results are bit-identical either way)")
     caching.add_argument("--no-prune", action="store_true",
                          help="disable exact candidate pruning (chosen "
                               "senses and scores are identical either "
@@ -153,12 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (1 = serial, default; "
                             "'auto' = one per CPU usable by this "
                             "process, affinity-aware)")
-    batch.add_argument("--chunk-size", type=int, default=None,
-                       help="documents per worker task (default: auto)")
     batch.add_argument("--out", default=None,
                        help="write JSONL results here (default: stdout)")
-    batch.add_argument("--metrics-json", "--metrics", dest="metrics_json",
-                       default=None, metavar="PATH",
+    batch.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="write the per-stage counter/timer/cache "
                             "snapshot (including memo and pruning "
                             "counters) as JSON to PATH for trend "
@@ -166,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--no-index", action="store_true",
                        help="disable the precomputed index and caches "
                             "(uncached baseline)")
-    batch.add_argument("--profile", action="store_true",
-                       help="profile the batch under cProfile and append "
-                            "the hottest frames to the summary (parent "
-                            "process only under --workers > 1)")
     batch.add_argument("--network", default=None, metavar="PATH",
                        help="disambiguate against a repro-semnet JSON "
                             "network instead of the bundled lexicon")
@@ -237,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "SIGHUP) waits for in-flight requests "
                             "before cancelling stragglers (default 10; "
                             "0 cancels them at once)")
-    serve.add_argument("--metrics-json", "--metrics", dest="metrics_json",
-                       default=None, metavar="PATH",
+    serve.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="flush the final metrics snapshot here on "
                             "shutdown (live snapshot: GET /metrics)")
     serve.add_argument("--shard", default=None, metavar="RXPD",
@@ -297,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only these rule IDs")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
+    # One spelling per flag: argparse would otherwise also accept any
+    # unambiguous prefix (``--metrics`` for ``--metrics-json``).
+    for command in sub.choices.values():
+        command.allow_abbrev = False
     return parser
 
 
@@ -320,9 +314,8 @@ def _make_config(args: argparse.Namespace) -> XSDFConfig:
             similarity_weights=SimilarityWeights(*mix),
             include_values=not args.structure_only,
             strip_target_dimension=args.strip_target_dimension,
-            # Runtime-only flags; the disambiguate parser keeps the defaults.
+            # A runtime-only flag; the disambiguate parser keeps the default.
             prune=not getattr(args, "no_prune", False),
-            memo=not getattr(args, "no_memo", False),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -421,7 +414,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             network,
             config,
             workers=args.workers,
-            chunk_size=args.chunk_size,
             use_index=not args.no_index,
             cache_size=(
                 args.cache_size if args.cache_size is not None
@@ -435,12 +427,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
         if journal is not None:
             journal.close()
         raise SystemExit(str(exc))
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     interrupted = False
     try:
         scored_by_pos = dict(enumerate(executor.run(run_docs)))
@@ -456,8 +442,6 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
         executor.close()
         if journal is not None:
             journal.close()
-    if profiler is not None:
-        profiler.disable()
     if args.metrics_json:
         metrics.write_json(args.metrics_json)
 
@@ -473,12 +457,13 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
             out.write(record.to_json_line())
             out.write("\n")
 
-    summary = batch_summary(metrics.report(), len(records), len(failures))
-    if not args.no_index:
+    summary = batch_summary(metrics.snapshot(), len(records), len(failures))
+    if not args.no_index and completed_by_pos:
         # Where the index tables physically lived during the run:
         # "mmap" proves the zero-copy shard attach actually happened,
-        # "heap" that the index was (re)built in this process.
-        summary += f", index={getattr(executor.index, 'backing', 'heap')}"
+        # "heap" that the index was built in this process.  A batch
+        # the journal replayed in full scored nothing and built none.
+        summary += f", index={executor.index.backing}"
     if args.journal:
         summary += (
             f", journal replayed={len(replayed)} "
@@ -493,14 +478,11 @@ def _cmd_batch(args: argparse.Namespace, out) -> int:
     stream.write(summary + "\n")
     for record in failures:
         outcome = record.outcome
-        detail = (
-            f" [stage={outcome.stage or 'pipeline'}, "
-            f"attempts={outcome.attempts}]"
-            if outcome is not None else ""
+        stream.write(
+            f"  FAILED {record.name}: {record.error} "
+            f"[stage={outcome.stage or 'pipeline'}, "
+            f"attempts={outcome.attempts}]\n"
         )
-        stream.write(f"  FAILED {record.name}: {record.error}{detail}\n")
-    if profiler is not None:
-        stream.write(_profile_summary(profiler))
     if interrupted:
         return 130  # the conventional SIGINT exit code (128 + 2)
     return 1 if failures else 0
@@ -612,10 +594,11 @@ def _merge_replayed(documents, todo_indices, replayed, scored_by_pos):
     rendering is byte-identical to the line the crashed run would have
     written (``to_dict`` round-trips through canonical JSON).  After a
     KeyboardInterrupt unfinished documents are simply absent from the
-    output.
+    output.  A journal is input from outside the program, so an entry
+    without an outcome gets one built from its record.
     """
     from .runtime.executor import BatchRecord
-    from .runtime.resilience import DocOutcome
+    from .runtime.resilience import STATUS_FAILED, STATUS_OK, DocOutcome
 
     pos_of_doc = {doc_idx: pos for pos, doc_idx in enumerate(todo_indices)}
     merged = []
@@ -623,14 +606,18 @@ def _merge_replayed(documents, todo_indices, replayed, scored_by_pos):
         entry = replayed.get(doc_idx)
         if entry is not None:
             rec = entry["record"]
+            error = rec.get("error")
             merged.append(BatchRecord(
                 name=rec["name"],
                 result=rec.get("result"),
-                error=rec.get("error"),
+                error=error,
                 elapsed_s=0.0,
                 outcome=(
                     DocOutcome.from_dict(entry["outcome"])
-                    if "outcome" in entry else None
+                    if "outcome" in entry else DocOutcome(
+                        name=rec["name"],
+                        status=STATUS_OK if error is None else STATUS_FAILED,
+                    )
                 ),
             ))
             continue
@@ -681,33 +668,6 @@ def _cmd_pack(args: argparse.Namespace, out) -> int:
             f"entries, fingerprint {stats['fingerprint']}\n"
         )
     return 0
-
-
-def _profile_summary(profiler, top: int = 15) -> str:
-    """The hottest frames of a batch run, formatted for the summary.
-
-    Sorted by cumulative time so pipeline stages surface above their
-    leaf callees; under ``--workers > 1`` only the parent process is
-    profiled (pool dispatch + any serial fallback), which the header
-    states to avoid misreading worker-side costs as absent.
-    """
-    import io
-    import pstats
-
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(top)
-    lines = [
-        line for line in buffer.getvalue().splitlines()
-        # pstats emits leading banner/blank lines and absolute paths;
-        # keep the table only, trimmed to the repo-relative tail.
-        if line.strip()
-    ]
-    return (
-        "--- profile (parent process, top frames by cumulative time) ---\n"
-        + "\n".join(lines)
-        + "\n"
-    )
 
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:

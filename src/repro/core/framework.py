@@ -114,20 +114,18 @@ class XSDF:
         packed taxonomy/IC/gloss kernels) — sense choices and scores
         are bit-identical with and without it.  Ignored when
         ``similarity`` is supplied.
-    similarity_cache:
-        Optional external pairwise-similarity memo (e.g.
-        :class:`repro.runtime.cache.LRUCache`) replacing the default
-        unbounded dict inside :class:`CombinedSimilarity`.  Ignored
-        when ``similarity`` is supplied.
-    sense_cache_size:
-        Bound of the concept-based scorer's best-sense LRU
-        (``Max_j Sim(candidate, s_j)`` per candidate and context sense
-        inventory), which the instance creates and exposes as
-        ``sense_cache``: a positive int bounds it, ``None`` leaves it
-        unbounded, and 0 (the default) keeps none.  Scores are
-        unchanged; repeated context labels get cheaper.  Its keys are
-        this instance's interned candidate and inventory ids, so the
-        LRU is never shared with another instance.
+    cache_size:
+        Bound of the two LRUs the instance creates and owns, as it owns
+        its memo: the default similarity's pairwise-score memo
+        (``similarity_cache``) and the concept-based scorer's
+        best-sense memo (``Max_j Sim(candidate, s_j)`` per candidate
+        and context sense inventory, ``sense_cache``).  A positive int
+        bounds both, ``None`` leaves both unbounded, and 0 (the
+        default) keeps neither: the pair memo is then
+        :class:`CombinedSimilarity`'s own dict.  Scores are unchanged;
+        repeated pairs and context labels get cheaper.  Neither LRU is
+        shared with another instance, whose weights or interned ids
+        may differ.  A supplied ``similarity`` keeps its own pair memo.
     metrics:
         Optional :class:`repro.runtime.metrics.MetricsRegistry`.  When
         set, the pipeline records per-stage latency (parse, select,
@@ -151,22 +149,25 @@ class XSDF:
         config: XSDFConfig | None = None,
         similarity: ConceptSimilarity | None = None,
         index=None,
-        similarity_cache=None,
-        sense_cache_size: int | None = 0,
+        cache_size: int | None = 0,
         metrics=None,
     ):
         self.network = network
         self.config = config or XSDFConfig()
         self.index = index
-        self.similarity_cache = similarity_cache
+        self.similarity_cache = None
         self.metrics = metrics
         self.pipeline = LinguisticPipeline(known=network.has_word)
         if similarity is None:
+            if cache_size != 0:
+                from ..runtime.cache import LRUCache
+
+                self.similarity_cache = LRUCache(maxsize=cache_size)
             similarity = CombinedSimilarity(
                 network,
                 weights=self.config.similarity_weights,
                 index=index,
-                cache=similarity_cache,
+                cache=self.similarity_cache,
             )
         self._similarity = similarity
         # Exact pruning needs the combined measure's upper_bound(); any
@@ -186,7 +187,7 @@ class XSDF:
             "candidates_pruned": 0,
         }
         self._concept_scorer = ConceptBasedScorer(
-            similarity, sense_cache_size=sense_cache_size
+            similarity, sense_cache_size=cache_size
         )
         self.sense_cache = self._concept_scorer.sense_cache
         self._distance_policy = (

@@ -8,16 +8,16 @@ runtime needs *bounded* memory and *observable* behavior.
 
 :class:`LRUCache` provides both.  It is dict-compatible where the
 substrate expects a dict (``get`` / ``__setitem__`` / ``__len__``), so
-it can be dropped into :class:`repro.similarity.combined
-.CombinedSimilarity` via its ``cache=`` parameter, and it counts hits,
-misses, and evictions so :mod:`repro.runtime.metrics` can report cache
-effectiveness per run.
+it can stand in for :class:`repro.similarity.combined
+.CombinedSimilarity`'s pair memo (``XSDF(cache_size=)`` builds one
+that way), and it counts hits, misses, and evictions so
+:mod:`repro.runtime.metrics` can report cache effectiveness per run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, Iterator, TypeVar
+from typing import Hashable, Iterator, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -80,20 +80,6 @@ class LRUCache:
 
     def __iter__(self) -> Iterator:
         return iter(self._data)
-
-    # -- memoization helper --------------------------------------------------
-
-    def get_or_compute(self, key: K, compute: Callable[[], V]) -> V:
-        """Cached value for ``key``, computing (and storing) on a miss."""
-        value = self._data_get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._move_to_end(key)
-            return value
-        self.misses += 1
-        value = compute()
-        self[key] = value
-        return value
 
     # -- observability -------------------------------------------------------
 

@@ -50,7 +50,7 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.config import XSDFConfig
 from ..core.framework import XSDF
@@ -99,21 +99,21 @@ class BatchRecord:
     ``result`` is the JSON-ready ``DisambiguationResult.to_dict()``
     payload on success and ``None`` on failure, with ``error`` carrying
     the exception text (one bad document must not sink the batch).
-    ``elapsed_s``, ``worker_stats`` (the producing worker's cumulative
-    memo/prune counter snapshot, parallel runs only) and
-    ``outcome`` (the structured :class:`DocOutcome`) are
-    observability-only and deliberately excluded from the JSONL
-    rendering, which must be byte-identical between serial and parallel
-    (and cached and uncached, faulted and fault-free) runs of the same
-    input.
+    ``elapsed_s``, ``outcome`` (the structured :class:`DocOutcome`,
+    which every producer sets) and ``worker_stats`` (the producing
+    worker's cumulative memo/prune counter snapshot, parallel runs
+    only) are observability-only and deliberately excluded from the
+    JSONL rendering, which must be byte-identical between serial and
+    parallel (and cached and uncached, faulted and fault-free) runs of
+    the same input.
     """
 
     name: str
     result: dict | None
     error: str | None
     elapsed_s: float
+    outcome: DocOutcome
     worker_stats: dict | None = None
-    outcome: DocOutcome | None = None
 
     @property
     def ok(self) -> bool:
@@ -218,12 +218,10 @@ def _build_xsdf(
     index: PackedIndex | None,
     cache_size: int | None,
 ) -> XSDF:
-    use_index = index is not None
     return XSDF(
         network, config,
         index=index,
-        similarity_cache=LRUCache(maxsize=cache_size) if use_index else None,
-        sense_cache_size=cache_size if use_index else 0,
+        cache_size=cache_size if index is not None else 0,
     )
 
 
@@ -486,7 +484,11 @@ class BatchExecutor:
 
         One record per document: a failed document comes back as a
         record with ``ok=False`` and a structured ``outcome``, and the
-        batch carries on.
+        batch carries on.  An empty batch returns before any dispatch,
+        so it builds neither the index nor a pipeline.  The ``batch``
+        timer is recorded however ``run`` leaves, so the documents
+        finished before an interrupt (``batch_documents``, counted as
+        each one finishes) are rated over the time they took.
         """
         docs = [
             doc if isinstance(doc, BatchDocument) else BatchDocument(*doc)
@@ -495,7 +497,8 @@ class BatchExecutor:
         m = self.metrics
         if m is not None:
             m.count("batches")
-            m.count("batch_documents", len(docs))
+        if not docs:
+            return []
         start = time.perf_counter()
         effective = self.effective_workers
         if m is not None and effective < self.workers:
@@ -505,27 +508,18 @@ class BatchExecutor:
                 effective=effective,
             )
         results: list[BatchRecord | None] = [None] * len(docs)
-        if effective <= 1 or len(docs) <= 1:
-            self._run_serial(docs, range(len(docs)), results)
-        else:
-            self._run_parallel(docs, results)
+        try:
+            if effective <= 1 or len(docs) <= 1:
+                self._run_serial(docs, range(len(docs)), results)
+            else:
+                self._run_parallel(docs, results)
+        finally:
+            if m is not None:
+                m.observe("batch", time.perf_counter() - start)
         records = [r for r in results if r is not None]
         assert len(records) == len(docs), "lost a batch document"
         if m is not None:
-            m.observe("batch", time.perf_counter() - start)
             m.count("batch_failures", sum(1 for r in records if not r.ok))
-        return records
-
-    def run_to_jsonl(
-        self,
-        documents: Iterable[BatchDocument | tuple[str, str]],
-        handle: IO[str],
-    ) -> list[BatchRecord]:
-        """Run the batch and stream canonical JSONL lines to ``handle``."""
-        records = self.run(documents)
-        for record in records:
-            handle.write(record.to_json_line())
-            handle.write("\n")
         return records
 
     # -- outcome plumbing ----------------------------------------------------
@@ -539,14 +533,10 @@ class BatchExecutor:
     ) -> None:
         """Store document ``i``'s final record and emit its metrics."""
         outcome = record.outcome
-        if outcome is None:
-            outcome = record.outcome = DocOutcome(  # lint: disable=cache-purity  # record is this method's out-param
-                name=record.name,
-                status=STATUS_OK if record.ok else STATUS_FAILED,
-            )
         outcome.attempts = attempts
         m = self.metrics
         if m is not None:
+            m.count("batch_documents")
             m.count(f"outcome_{outcome.status}")
             if not record.ok:
                 m.event(

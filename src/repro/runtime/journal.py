@@ -22,9 +22,9 @@ object, so a crash (even ``kill -9``) can tear at most the final frame
 — and a torn tail is detected by the length/CRC check and dropped at
 replay, never mistaken for a completed document.  Durability is
 fsync-batched: the OS has the bytes after every append (which is what
-survives a process kill), and ``fsync`` runs every ``fsync_every``
-frames plus on :meth:`JournalWriter.close` (which is what survives a
-power cut).
+survives a process kill), and ``fsync`` runs every
+:data:`FSYNC_EVERY` frames plus on :meth:`JournalWriter.close` (which
+is what survives a power cut).
 
 The first frame is a **meta** frame stamping the run's config and
 network fingerprints; ``--resume`` refuses a journal written under a
@@ -54,6 +54,9 @@ _MAGIC = b"RXJF"
 
 #: Bump when the frame payload schema changes incompatibly.
 JOURNAL_VERSION = 1
+
+#: Frames appended between two ``fsync`` calls.
+FSYNC_EVERY = 16
 
 
 class JournalError(ValueError):
@@ -90,20 +93,16 @@ class JournalWriter:
     the old frames and the new ones, and :func:`read_journal` stops
     there.  The file object is unbuffered, so every :meth:`append`
     hands the OS one complete frame in one write; ``fsync`` is batched
-    every ``fsync_every`` frames.
+    every :data:`FSYNC_EVERY` frames.
     """
 
     def __init__(
         self,
         path: "str | os.PathLike[str]",
         meta: "dict | None" = None,
-        fsync_every: int = 16,
         resume: bool = False,
     ) -> None:
-        if fsync_every < 1:
-            raise JournalError("fsync_every must be >= 1")
         self.path = os.fspath(path)
-        self._fsync_every = fsync_every
         self._pending = 0
         self.appended = 0
         intact = 0
@@ -128,19 +127,17 @@ class JournalWriter:
 
         ``doc_digest`` is :func:`document_digest` of the document's
         text.  The stored ``record`` dict is exactly the record's JSONL
-        payload, so replay re-emits the byte-identical line.
+        payload, so replay re-emits the byte-identical line; its
+        ``outcome`` is stored next to it.
         """
-        payload: dict = {
+        self._write_frame({
             "kind": "outcome",
             "doc_sha": doc_digest,
             "record": record.to_dict(),
-        }
-        outcome = getattr(record, "outcome", None)
-        if outcome is not None:
-            payload["outcome"] = outcome.to_dict()
-        self._write_frame(payload)
+            "outcome": record.outcome.to_dict(),
+        })
         self.appended += 1
-        if self._pending >= self._fsync_every:
+        if self._pending >= FSYNC_EVERY:
             self.flush()
 
     def flush(self) -> None:

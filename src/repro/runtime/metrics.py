@@ -57,7 +57,7 @@ class MetricsRegistry:
     """Counters + timers + cache stats for one runtime session.
 
     All mutation methods are cheap and allocation-free on the hot path;
-    aggregation happens only in :meth:`report`.
+    aggregation happens only in :meth:`snapshot`.
     """
 
     #: Cap on retained structured events; older runs never grow unbounded.
@@ -131,7 +131,7 @@ class MetricsRegistry:
     # -- cache attachment ----------------------------------------------------
 
     def register_cache(self, name: str, cache: "LRUCache") -> None:
-        """Attach a cache whose stats join the report snapshot."""
+        """Attach a cache whose stats join the snapshot."""
         self._caches[name] = cache
 
     # -- reporting -----------------------------------------------------------
@@ -173,40 +173,38 @@ class MetricsRegistry:
             },
         }
 
-    def report(self) -> dict:
-        """Alias of :meth:`snapshot` (the report is the snapshot)."""
-        return self.snapshot()
-
     def to_json(self, indent: int = 1) -> str:
-        """The report serialized as JSON text."""
-        return json.dumps(self.report(), indent=indent, sort_keys=True)
+        """The snapshot serialized as JSON text."""
+        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def write_json(self, path: str) -> None:
-        """Write the JSON report to ``path``."""
+        """Write the JSON snapshot to ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
             handle.write("\n")
 
 
 def batch_summary(report: dict, n_records: int, n_failures: int) -> str:
-    """The one-line human summary of a batch/serve metrics report.
+    """The one-line human summary of a batch metrics snapshot.
 
-    Shared by ``repro batch`` (its end-of-run stderr line) and the
-    server's logs so the two surfaces describe a run in one vocabulary:
-    document/failure counts, throughput from the ``batch`` stage timer,
-    memo traffic (serial runs surface it through the registered LRU,
-    parallel runs through the merged worker counters) and pruning
-    counts.  Pure function of the report snapshot —
-    callers append surface-specific suffixes (index backing, journal
-    counts) themselves.
+    ``repro batch``'s end-of-run stderr line: document/failure counts,
+    throughput, memo traffic (serial runs surface it through the
+    registered LRU, parallel runs through the merged worker counters)
+    and pruning counts.  The rate is the documents the executor scored
+    (``batch_documents``) over the ``batch`` stage timer, so records a
+    resumed batch replayed from its journal do not inflate it, and an
+    interrupted batch still rates the documents it finished.  Pure
+    function of the snapshot — the caller appends its own suffixes
+    (index backing, journal counts).
     """
+    counters = report.get("counters", {})
     batch = report.get("stages", {}).get("batch", {})
-    rate = n_records / batch["total_s"] if batch.get("total_s") else 0.0
+    scored = counters.get("batch_documents", 0)
+    rate = scored / batch["total_s"] if batch.get("total_s") else 0.0
     summary = (
         f"{n_records} documents, {n_failures} failed, "
         f"{rate:.1f} docs/s"
     )
-    counters = report.get("counters", {})
     caches = report.get("caches", {})
     memo_hits = counters.get("memo_hits", 0) or caches.get(
         "sphere_memo", {}

@@ -51,7 +51,7 @@ import sys
 import time
 import zlib
 from array import array
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 from ..semnet.ic import InformationContent
 from ..semnet.network import SemanticNetwork, UnknownConceptError
@@ -68,6 +68,12 @@ _DISK_MAGIC = b"RXPD"
 #: refuse a shard built from a different network.  32 bytes, so the
 #: body starts 8-byte aligned.
 _DISK_HEADER = struct.Struct("<4sHBxII16s")
+
+#: The header's byte-order flag for this host: 0 little-, 1 big-endian.
+_BYTEORDER = 0 if sys.byteorder == "little" else 1
+
+#: The fingerprint field of a shard written without a fingerprint.
+_NO_DIGEST = b"\x00" * 16
 
 #: Meta-section flags: gloss tables (1) and IC table (2) present.
 #: Every index packs both; the bits stay for format compatibility.
@@ -105,6 +111,49 @@ class PackedIndexCRCError(PackedIndexError):
     altered — a corrupt write, a bad copy, or injected bitrot; re-pack
     it from the network.
     """
+
+
+def read_disk_header(fh: BinaryIO) -> dict:
+    """Read and validate the ``RXPD`` header of the open shard file ``fh``.
+
+    The one parser of the disk header: :meth:`PackedIndex.from_mmap`
+    and :func:`repro.runtime.store.read_shard_header` both call it.
+    ``fh`` is a binary file positioned at its start.  Returns
+    ``{version, body_bytes, file_bytes, fingerprint, crc}`` with
+    ``fingerprint`` the stamped hex prefix or ``None`` when the shard
+    was written without one, and ``crc`` the stamped CRC-32 of the
+    body.  Raises :class:`PackedIndexTruncatedError` when the file is
+    shorter than the header or than the body it declares, and
+    :class:`PackedIndexError` for a bad magic, an unsupported version
+    or a foreign byte order.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    raw = fh.read(_DISK_HEADER.size)
+    if len(raw) < _DISK_HEADER.size:
+        raise PackedIndexTruncatedError(
+            "shard file shorter than the RXPD header"
+        )
+    magic, version, byteorder, crc, body_len, digest = _DISK_HEADER.unpack(
+        raw
+    )
+    if magic != _DISK_MAGIC:
+        raise PackedIndexError("not an RXPD shard file (bad magic)")
+    if version != _VERSION:
+        raise PackedIndexError(f"unsupported shard version {version}")
+    if byteorder != _BYTEORDER:
+        raise PackedIndexError("shard file has a foreign byte order")
+    if _DISK_HEADER.size + body_len > size:
+        raise PackedIndexTruncatedError(
+            f"shard truncated: header declares {body_len} body bytes, "
+            f"{size - _DISK_HEADER.size} present"
+        )
+    return {
+        "version": version,
+        "body_bytes": body_len,
+        "file_bytes": size,
+        "fingerprint": digest.hex() if digest != _NO_DIGEST else None,
+        "crc": crc,
+    }
 
 
 def _encode_strings(items: Iterable[str]) -> bytes:
@@ -506,41 +555,26 @@ class PackedIndex:
         """
         path = os.fspath(path)
         with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size < _DISK_HEADER.size:
-                raise PackedIndexTruncatedError(
-                    "shard file shorter than the RXPD header"
-                )
+            header = read_disk_header(fh)
+            if expect_fingerprint is not None:
+                stamp = header["fingerprint"]
+                if stamp is None:
+                    raise PackedIndexError(
+                        "shard carries no network fingerprint; re-pack it "
+                        "with repro pack"
+                    )
+                expected = bytes.fromhex(expect_fingerprint)[:16].hex()
+                if stamp[: len(expected)] != expected:
+                    raise PackedIndexError(
+                        "shard was packed from a different network "
+                        "(fingerprint mismatch)"
+                    )
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         start = time.perf_counter()
-        mv = memoryview(mapped)
-        magic, version, byteorder, crc, body_len, digest = (
-            _DISK_HEADER.unpack_from(mv, 0)
-        )
-        if magic != _DISK_MAGIC:
-            raise PackedIndexError("not an RXPD shard file (bad magic)")
-        if version != _VERSION:
-            raise PackedIndexError(f"unsupported shard version {version}")
-        if byteorder != (0 if sys.byteorder == "little" else 1):
-            raise PackedIndexError("shard file has a foreign byte order")
-        if _DISK_HEADER.size + body_len > len(mv):
-            raise PackedIndexTruncatedError(
-                f"shard truncated: header declares {body_len} body "
-                f"bytes, {len(mv) - _DISK_HEADER.size} present"
-            )
-        if expect_fingerprint is not None:
-            if digest == b"\x00" * 16:
-                raise PackedIndexError(
-                    "shard carries no network fingerprint; re-pack it "
-                    "with repro pack"
-                )
-            expected = bytes.fromhex(expect_fingerprint)[:16]
-            if digest[: len(expected)] != expected:
-                raise PackedIndexError(
-                    "shard was packed from a different network "
-                    "(fingerprint mismatch)"
-                )
-        body = mv[_DISK_HEADER.size : _DISK_HEADER.size + body_len]
-        if verify and zlib.crc32(body) != crc:
+        body = memoryview(mapped)[
+            _DISK_HEADER.size : _DISK_HEADER.size + header["body_bytes"]
+        ]
+        if verify and zlib.crc32(body) != header["crc"]:
             raise PackedIndexCRCError("shard corrupted (checksum mismatch)")
         packed = cls.__new__(cls)
         packed._attach_body(body)
@@ -556,7 +590,7 @@ class PackedIndex:
         unknown) so :meth:`from_mmap` can refuse a shard built from a
         different network.
         """
-        digest = b"\x00" * 16
+        digest = _NO_DIGEST
         if fingerprint:
             try:
                 digest = bytes.fromhex(fingerprint)[:16]
@@ -570,7 +604,7 @@ class PackedIndex:
         header = _DISK_HEADER.pack(
             _DISK_MAGIC,
             _VERSION,
-            0 if sys.byteorder == "little" else 1,
+            _BYTEORDER,
             zlib.crc32(body),
             len(body),
             digest,

@@ -21,14 +21,7 @@ from __future__ import annotations
 
 import os
 
-from .pack import (
-    _DISK_HEADER,
-    _DISK_MAGIC,
-    _VERSION,
-    PackedIndex,
-    PackedIndexError,
-    PackedIndexTruncatedError,
-)
+from .pack import PackedIndex, read_disk_header
 
 
 def write_shard(
@@ -69,52 +62,30 @@ def read_shard_header(path: "str | os.PathLike[str]") -> dict:
     Returns ``{version, body_bytes, file_bytes, fingerprint, crc}``
     with ``fingerprint`` the stamped hex prefix or ``None`` when the
     shard was written without one, and ``crc`` the stamped CRC-32 of
-    the body.  Raises the typed
-    :class:`~repro.runtime.pack.PackedIndexError` family on bad or
-    truncated headers.
+    the body.  The checks and their typed
+    :class:`~repro.runtime.pack.PackedIndexError` family are
+    :meth:`PackedIndex.from_mmap`'s own
+    (:func:`~repro.runtime.pack.read_disk_header`): bad magic,
+    unsupported version, foreign byte order, truncation.
     """
-    path = os.fspath(path)
-    size = os.path.getsize(path)
-    with open(path, "rb") as fh:
-        raw = fh.read(_DISK_HEADER.size)
-    if len(raw) < _DISK_HEADER.size:
-        raise PackedIndexTruncatedError(
-            "shard file shorter than the RXPD header"
-        )
-    magic, version, _byteorder, crc, body_len, digest = _DISK_HEADER.unpack(
-        raw
-    )
-    if magic != _DISK_MAGIC:
-        raise PackedIndexError("not an RXPD shard file (bad magic)")
-    if version != _VERSION:
-        raise PackedIndexError(f"unsupported shard version {version}")
-    if _DISK_HEADER.size + body_len > size:
-        raise PackedIndexTruncatedError(
-            f"shard truncated: header declares {body_len} body bytes, "
-            f"{size - _DISK_HEADER.size} present"
-        )
-    return {
-        "version": version,
-        "body_bytes": body_len,
-        "file_bytes": size,
-        "fingerprint": digest.hex() if digest != b"\x00" * 16 else None,
-        "crc": crc,
-    }
+    with open(os.fspath(path), "rb") as fh:
+        return read_disk_header(fh)
 
 
 def verify_shard(path: "str | os.PathLike[str]") -> dict:
     """Deep-verify one shard: header, structure, and full body CRC.
 
     Pages the whole file in (that is the point); returns the shard's
-    stats dict.  Raises :class:`PackedIndexTruncatedError` /
+    stats dict.  Raises
+    :class:`~repro.runtime.pack.PackedIndexTruncatedError` /
     :class:`~repro.runtime.pack.PackedIndexCRCError` on damage.
     """
     header = read_shard_header(path)
-    index = PackedIndex.from_mmap(path, verify=True)
+    stats = PackedIndex.from_mmap(path, verify=True).stats()
     return {
         "path": os.fspath(path),
-        "concepts": len(index),
-        "ancestor_entries": len(index._anc_cid),
+        "concepts": stats["concepts"],
+        "ancestor_entries": stats["ancestor_entries"],
         "shard_bytes": header["file_bytes"],
         "fingerprint": header["fingerprint"],
     }

@@ -15,7 +15,7 @@ configuration, network or shard is another process (or a restart).
 * :mod:`~repro.server.protocol` — a from-scratch, stdlib-asyncio
   HTTP/1.1 slice: bounded request parsing, fixed-length JSON responses,
   chunk-per-line NDJSON streaming;
-* :mod:`~repro.server.envelopes` — request parsing (raw XML or a
+* :mod:`~repro.server.envelopes` — request parsing (the
   ``{"name", "xml"}`` JSON envelope) and the ``DocOutcome``-shaped
   error envelopes that replace batch exit codes;
 * :mod:`~repro.server.app` — :class:`ServerApp`: the resident session,

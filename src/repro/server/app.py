@@ -346,8 +346,7 @@ class ServerApp:
         stream = ChunkedNDJSONWriter(writer)
         await stream.start(status)
         await stream.write_raw_line(record.to_json_line().encode("utf-8"))
-        outcome = record.outcome or DocOutcome(name=record.name)
-        await stream.write_line(envelope_payload(outcome))
+        await stream.write_line(envelope_payload(record.outcome))
         await stream.finish()
         self.metrics.count(f"http_{status}")
         self.metrics.count("documents_served")

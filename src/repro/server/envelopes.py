@@ -1,14 +1,11 @@
 """Request/response envelopes for the disambiguation service.
 
-**Request envelope.**  ``POST /v1/disambiguate`` accepts two body
-shapes:
-
-* the raw XML document (any non-JSON ``Content-Type``), named
-  ``request`` unless an ``X-Repro-Name`` header is present;
-* a JSON envelope ``{"name": ..., "xml": ...}``.  Any other top-level
-  key is rejected by name: the pipeline configuration is the server
-  process's own (``repro serve`` takes the flags ``repro batch``
-  takes), so a request never carries one.
+**Request envelope.**  The body of ``POST /v1/disambiguate`` is a JSON
+envelope ``{"name": ..., "xml": ...}``, whatever its ``Content-Type``;
+``name`` defaults to ``request``.  Any other top-level key is rejected
+by name: the pipeline configuration is the server process's own
+(``repro serve`` takes the flags ``repro batch`` takes), so a request
+never carries one.
 
 **Response envelope.**  Every disambiguation response ends with a
 ``DocOutcome``-shaped envelope line (``{"envelope": {...}}``): the
@@ -66,52 +63,42 @@ def envelope_payload(outcome: DocOutcome) -> dict:
 
 
 def parse_disambiguation_request(request: HTTPRequest) -> DisambiguationRequest:
-    """Decode a disambiguation request body into name/xml.
+    """Decode a disambiguation request's JSON envelope into name/xml.
 
-    Raises :class:`EnvelopeError` (status 400) for undecodable bodies,
-    malformed JSON envelopes, missing ``xml``, or unknown envelope
-    keys — parse errors *inside* the XML itself are the
+    Raises :class:`EnvelopeError` (status 400) for a body that is not a
+    JSON object (raw XML included), a missing ``xml``, or unknown
+    envelope keys — parse errors *inside* the XML itself are the
     pipeline's job and come back as a ``failed`` outcome with
     ``stage="parse"``.
     """
-    content_type = request.header("content-type").lower()
-    if "json" in content_type:
-        try:
-            document = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise EnvelopeError(
-                400, "envelope", f"malformed JSON envelope: {exc}"
-            )
-        if not isinstance(document, dict):
-            raise EnvelopeError(
-                400, "envelope",
-                f"JSON envelope must be an object, got {type(document).__name__}",
-            )
-        xml = document.get("xml")
-        if not isinstance(xml, str):
-            raise EnvelopeError(
-                400, "envelope", "JSON envelope is missing the 'xml' string"
-            )
-        name = document.get("name", DEFAULT_NAME)
-        if not isinstance(name, str) or not name:
-            raise EnvelopeError(
-                400, "envelope", "'name' must be a non-empty string"
-            )
-        unknown = sorted(set(document) - ENVELOPE_KEYS)
-        if unknown:
-            raise EnvelopeError(
-                400, "envelope",
-                f"unknown envelope key(s): {', '.join(unknown)} "
-                f"(valid: {', '.join(sorted(ENVELOPE_KEYS))})",
-                name=name,
-            )
-        return DisambiguationRequest(name=name, xml=xml)
     try:
-        xml = request.body.decode("utf-8")
-    except UnicodeDecodeError as exc:
+        document = json.loads(request.body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EnvelopeError(
-            400, "envelope", f"request body is not valid UTF-8: {exc}"
+            400, "envelope", f"malformed JSON envelope: {exc}"
         )
-    name = request.header("x-repro-name", DEFAULT_NAME) or DEFAULT_NAME
+    if not isinstance(document, dict):
+        raise EnvelopeError(
+            400, "envelope",
+            f"JSON envelope must be an object, got {type(document).__name__}",
+        )
+    xml = document.get("xml")
+    if not isinstance(xml, str):
+        raise EnvelopeError(
+            400, "envelope", "JSON envelope is missing the 'xml' string"
+        )
+    name = document.get("name", DEFAULT_NAME)
+    if not isinstance(name, str) or not name:
+        raise EnvelopeError(
+            400, "envelope", "'name' must be a non-empty string"
+        )
+    unknown = sorted(set(document) - ENVELOPE_KEYS)
+    if unknown:
+        raise EnvelopeError(
+            400, "envelope",
+            f"unknown envelope key(s): {', '.join(unknown)} "
+            f"(valid: {', '.join(sorted(ENVELOPE_KEYS))})",
+            name=name,
+        )
     return DisambiguationRequest(name=name, xml=xml)
 

@@ -86,20 +86,6 @@ class TestCounters:
         assert cache.hits == 1
         assert cache.misses == 0
 
-    def test_get_or_compute(self):
-        cache = LRUCache(maxsize=4)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_compute("k", compute) == 42
-        assert cache.get_or_compute("k", compute) == 42
-        assert len(calls) == 1
-        assert cache.hits == 1
-        assert cache.misses == 1
-
     def test_stats_shape(self):
         cache = LRUCache(maxsize=8)
         cache["a"] = 1

@@ -11,8 +11,6 @@ Two contracts are pinned here:
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from repro import XSDF, XSDFConfig
@@ -23,6 +21,11 @@ from repro.runtime import (
     PackedIndex,
 )
 from repro.runtime import executor as executor_module
+
+
+def _jsonl(records) -> str:
+    """The JSONL text ``repro batch`` writes for ``records``."""
+    return "".join(record.to_json_line() + "\n" for record in records)
 
 
 def _one_doc_per_dataset(corpus):
@@ -67,11 +70,7 @@ class TestParallelDeterminism:
             lexicon, XSDFConfig(), workers=2, chunk_size=1,
             oversubscribe=True,  # exercise the real pool on 1-CPU hosts
         )
-        serial_out = io.StringIO()
-        parallel_out = io.StringIO()
-        serial.run_to_jsonl(docs, serial_out)
-        parallel.run_to_jsonl(docs, parallel_out)
-        assert serial_out.getvalue() == parallel_out.getvalue()
+        assert _jsonl(serial.run(docs)) == _jsonl(parallel.run(docs))
 
     def test_results_in_input_order(self, lexicon, corpus):
         docs = [(d.name, d.xml) for d in _one_doc_per_dataset(corpus)[:5]]
@@ -94,10 +93,15 @@ class TestParallelDeterminism:
                     lexicon, XSDFConfig(), workers=workers,
                     use_index=use_index, oversubscribe=True,
                 )
-                out = io.StringIO()
-                executor.run_to_jsonl(docs, out)
-                outputs.append(out.getvalue())
+                outputs.append(_jsonl(executor.run(docs)))
         assert all(output == outputs[0] for output in outputs)
+
+    def test_empty_batch_builds_nothing(self, lexicon):
+        metrics = MetricsRegistry()
+        executor = BatchExecutor(lexicon, XSDFConfig(), metrics=metrics)
+        assert executor.run([]) == []
+        assert executor._index is None and executor._serial_xsdf is None
+        assert "batch_documents" not in metrics.snapshot()["counters"]
 
     def test_parent_index_is_built_once_and_shared(self, lexicon, corpus):
         docs = [(d.name, d.xml) for d in _one_doc_per_dataset(corpus)[:2]]
@@ -264,6 +268,27 @@ class TestFaultIsolation:
         assert bad.outcome.stage == "parse"
         assert bad.outcome.error_type == "XMLSyntaxError"
 
+    def test_interrupted_batch_still_records_its_timer(
+        self, lexicon, figure1_xml
+    ):
+        """Ctrl-C mid-batch: the ``batch`` timer and the finished
+        documents are in the registry, so the summary rates them."""
+        def interrupt_second(record):
+            if record.name == "b":
+                raise KeyboardInterrupt
+
+        metrics = MetricsRegistry()
+        executor = BatchExecutor(
+            lexicon, XSDFConfig(), metrics=metrics,
+            record_hook=interrupt_second,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            executor.run([(name, figure1_xml) for name in "abc"])
+        report = metrics.snapshot()
+        assert report["stages"]["batch"]["count"] == 1
+        assert report["counters"]["batch_documents"] == 2
+        assert "batch_failures" not in report["counters"]
+
     def test_invalid_parameters_rejected(self, lexicon):
         with pytest.raises(ValueError):
             BatchExecutor(lexicon, workers=0)
@@ -288,7 +313,7 @@ class TestCachingBehavior:
         assert all(r.result["assignments"] for r in records)
         # Identical text -> identical result payload, names aside.
         assert all(r.result == records[0].result for r in records)
-        report = metrics.report()
+        report = metrics.snapshot()
         # One full pipeline run, four result-cache hits.
         assert report["counters"]["documents"] == 1
         assert report["caches"]["documents"]["hits"] == 4
@@ -314,7 +339,7 @@ class TestCachingBehavior:
         assert good_1.ok and good_2.ok
         assert good_1.result == good_2.result
         # The repeated good document is still served from the cache.
-        assert metrics.report()["caches"]["documents"]["hits"] == 1
+        assert metrics.snapshot()["caches"]["documents"]["hits"] == 1
 
     def test_serial_memo_traffic_is_counted_once(self, lexicon, corpus):
         from repro.runtime import batch_summary
@@ -326,7 +351,7 @@ class TestCachingBehavior:
         BatchExecutor(
             lexicon, XSDFConfig(include_values=False), metrics=metrics,
         ).run(docs)
-        report = metrics.report()
+        report = metrics.snapshot()
         # The registered LRU is the one count of the memo's lookups.
         assert not [c for c in report["counters"] if c.startswith("memo_")]
         memo = report["caches"]["sphere_memo"]
@@ -337,21 +362,32 @@ class TestCachingBehavior:
         )
 
     def test_each_xsdf_creates_its_own_sense_cache(self, lexicon):
-        """The sense LRU is keyed by one instance's interned ids, so no
-        caller can hand one to an XSDF; ``cache_size`` keeps its
-        meanings through the executor (``None``: unbounded)."""
-        with pytest.raises(TypeError):
-            XSDF(lexicon, sense_cache=None)
-        assert XSDF(lexicon).sense_cache is None
-        first, second = (XSDF(lexicon, sense_cache_size=8) for _ in "ab")
+        """The sense LRU is keyed by one instance's interned ids and the
+        pair LRU holds scores under its weights, so no caller can hand
+        either to an XSDF; ``cache_size`` bounds both, 0 keeps neither
+        (the pair memo is then the similarity's own dict), and the
+        executor passes its bound through (``None``: unbounded)."""
+        for removed in ("similarity_cache", "sense_cache_size",
+                        "sense_cache"):
+            with pytest.raises(TypeError):
+                XSDF(lexicon, **{removed: None})
+        plain = XSDF(lexicon)
+        assert plain.sense_cache is None and plain.similarity_cache is None
+        assert isinstance(plain._similarity._cache, dict)
+        first, second = (XSDF(lexicon, cache_size=8) for _ in "ab")
         assert first.sense_cache is not second.sense_cache
+        assert first.similarity_cache is not second.similarity_cache
+        assert first._similarity._cache is first.similarity_cache
         assert first.sense_cache.maxsize == 8
+        assert first.similarity_cache.maxsize == 8
         for cache_size in (None, 7):
             xsdf = BatchExecutor(
                 lexicon, XSDFConfig(), cache_size=cache_size
             )._serial()
             assert xsdf.sense_cache.maxsize == cache_size
             assert xsdf.similarity_cache.maxsize == cache_size
+        walk = BatchExecutor(lexicon, XSDFConfig(), use_index=False)._serial()
+        assert walk.sense_cache is None and walk.similarity_cache is None
 
     def test_executor_metrics_report(self, lexicon, figure1_xml):
         metrics = MetricsRegistry()
@@ -359,7 +395,7 @@ class TestCachingBehavior:
             lexicon, XSDFConfig(), workers=1, metrics=metrics
         )
         executor.run([("a", figure1_xml), ("b", figure1_xml)])
-        report = metrics.report()
+        report = metrics.snapshot()
         assert report["counters"]["batches"] == 1
         assert report["counters"]["batch_documents"] == 2
         assert report["counters"]["batch_failures"] == 0

@@ -22,13 +22,19 @@ from repro.runtime import (
     document_digest,
     read_journal,
 )
+from repro.runtime import journal as journal_module
 from repro.runtime.executor import BatchRecord
 from repro.runtime.journal import _FRAME, _MAGIC, _encode_frame
-from repro.runtime.resilience import DocOutcome
+from repro.runtime.resilience import STATUS_FAILED, STATUS_OK, DocOutcome
 
 
 def _record(name: str, result: str = "ok", error: "str | None" = None,
             outcome: "DocOutcome | None" = None) -> BatchRecord:
+    if outcome is None:
+        outcome = DocOutcome(
+            name=name, status=STATUS_FAILED if error else STATUS_OK,
+            error=error or "",
+        )
     return BatchRecord(
         name=name, result=None if error else result, error=error,
         elapsed_s=0.01, outcome=outcome,
@@ -72,9 +78,10 @@ class TestWriterRoundTrip:
         assert not replay.matches("other", "net-fp")
         assert [e["record"]["name"] for e in replay.entries] == ["a", "b", "c"]
         assert replay.entries[0]["record"] == _record("a").to_dict()
+        assert replay.entries[0]["outcome"] == DocOutcome("a").to_dict()
         assert replay.entries[1]["outcome"] == outcome.to_dict()
-        assert "outcome" not in replay.entries[0]
         assert replay.entries[2]["record"]["error"] == "boom"
+        assert replay.entries[2]["outcome"]["status"] == STATUS_FAILED
 
     def test_completed_keys_by_name_and_digest_later_wins(self, tmp_path):
         path = tmp_path / "batch.rxjf"
@@ -108,9 +115,12 @@ class TestWriterRoundTrip:
             j.append(_record("a"), document_digest("<a/>"))
         assert read_journal(path).matches("c", "n")
 
-    def test_fsync_batching_counts_pending_frames(self, tmp_path):
+    def test_fsync_batching_counts_pending_frames(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(journal_module, "FSYNC_EVERY", 3)
         path = tmp_path / "batch.rxjf"
-        journal = JournalWriter(path, meta={}, fsync_every=3)
+        journal = JournalWriter(path, meta={})
         flushes = []
         original = journal.flush
         journal.flush = lambda: flushes.append(journal._pending) or original()
@@ -122,13 +132,12 @@ class TestWriterRoundTrip:
         assert flushes == [3, 3, 1]
         assert read_journal(path).truncated_bytes == 0
 
-    def test_close_is_idempotent_and_fsync_every_validated(self, tmp_path):
+    def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "batch.rxjf"
         journal = JournalWriter(path, meta={})
         journal.close()
         journal.close()
-        with pytest.raises(JournalError):
-            JournalWriter(path, fsync_every=0)
+        assert read_journal(path).entries == []
 
 
 class TestTornTails:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro import XSDF, XSDFConfig
-from repro.runtime import LRUCache, MetricsRegistry
+from repro.runtime import LRUCache, MetricsRegistry, batch_summary
 
 
 class TestRegistry:
@@ -42,12 +42,22 @@ class TestRegistry:
         cache["k"] = 1
         cache.get("k")
         m.register_cache("pairs", cache)
-        report = m.report()
+        report = m.snapshot()
         assert report["counters"]["documents"] == 4
         assert report["stages"]["parse"]["count"] == 1
         assert report["caches"]["pairs"]["hits"] == 1
         assert report["throughput"]["documents"] == 4
         assert report["throughput"]["docs_per_s"] > 0
+
+    def test_summary_rates_the_scored_documents(self):
+        """Five records, two replayed from a journal: the rate is the
+        three the executor scored over the ``batch`` timer."""
+        m = MetricsRegistry()
+        m.count("batch_documents", 3)
+        m.observe("batch", 1.5)
+        assert batch_summary(m.snapshot(), 5, 0).startswith(
+            "5 documents, 0 failed, 2.0 docs/s"
+        )
 
     def test_json_round_trip(self, tmp_path):
         m = MetricsRegistry()
@@ -104,14 +114,14 @@ class TestEvents:
         m = MetricsRegistry()
         for i in range(MetricsRegistry.MAX_EVENTS + 5):
             m.event("tick", i=i)
-        report = m.report()
+        report = m.snapshot()
         assert len(report["events"]) == MetricsRegistry.MAX_EVENTS
         assert report["events_dropped"] == 5
 
     def test_report_includes_events(self):
         m = MetricsRegistry()
         m.event("workers_clamped", requested=3, effective=1)
-        report = m.report()
+        report = m.snapshot()
         assert report["events"] == [
             {"event": "workers_clamped", "requested": 3, "effective": 1}
         ]

@@ -79,7 +79,7 @@ class TestSerialRetries:
         assert outcome.status == STATUS_FAILED
         assert outcome.attempts == 1  # a failure is final: no redispatch
         assert outcome.stage == "parse"
-        assert metrics.report()["counters"]["outcome_failed"] == 1
+        assert metrics.snapshot()["counters"]["outcome_failed"] == 1
         (failed_event,) = metrics.events("doc_failed")
         assert failed_event["stage"] == "parse"
 
@@ -126,7 +126,7 @@ class TestChaosParity:
             if record.ok:
                 assert record.to_json_line() == baseline[name], name
         assert sum(r.ok for r in records) == 4
-        assert metrics.report()["counters"]["outcome_failed"] == 2
+        assert metrics.snapshot()["counters"]["outcome_failed"] == 2
 
     def test_damaged_index_raises_from_run_on_both_paths(
         self, lexicon, corpus, tmp_path

@@ -18,6 +18,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import os
+import re
 import struct
 
 import pytest
@@ -111,6 +112,32 @@ class TestDamagedShards:
             _attach(str(stub))
         with pytest.raises(PackedIndexTruncatedError):
             read_shard_header(str(stub))
+
+    @pytest.mark.parametrize("damage, error, message", [
+        (lambda p: p[:16], PackedIndexTruncatedError,
+         "shard file shorter than the RXPD header"),
+        (lambda p: b"NOPE" + p[4:], PackedIndexError,
+         "not an RXPD shard file (bad magic)"),
+        (lambda p: p[:4] + struct.pack("<H", 9) + p[6:], PackedIndexError,
+         "unsupported shard version 9"),
+        (lambda p: p[:6] + bytes([p[6] ^ 1]) + p[7:], PackedIndexError,
+         "shard file has a foreign byte order"),
+        (lambda p: p[:-8], PackedIndexTruncatedError,
+         "shard truncated: header declares"),
+    ], ids=["short", "magic", "version", "byte-order", "body"])
+    def test_both_header_readers_raise_alike(
+        self, tmp_path, lexicon_shard, damage, error, message
+    ):
+        """One header parser: attach and ``read_shard_header`` refuse a
+        damaged header with the same typed error and message."""
+        bad = tmp_path / "header.rxpd"
+        bad.write_bytes(damage(open(lexicon_shard, "rb").read()))
+        raised = []
+        for reader in (_attach, read_shard_header):
+            with pytest.raises(error, match=re.escape(message)) as excinfo:
+                reader(str(bad))
+            raised.append((type(excinfo.value), str(excinfo.value)))
+        assert raised[0] == raised[1]
 
     def test_bad_magic_raises(self, tmp_path, lexicon_shard):
         payload = bytearray(open(lexicon_shard, "rb").read())

@@ -155,17 +155,33 @@ class TestDisambiguate:
         assert len(response.chunks) == len(response.ndjson())
 
     def test_raw_xml_body_with_name_header(self, make_app):
+        """The body is the JSON envelope whatever its ``Content-Type``:
+        raw XML is a 400 ``envelope`` error, also under an XML
+        ``Content-Type`` and a name header, and the envelope is read
+        under ``text/plain`` too."""
+        envelope = json.dumps({"xml": BOOKS_XML, "name": "books"})
+
         async def go():
             async with running(make_app()) as server:
-                return await request(server, post(
+                raw = await request(server, post(
                     "/v1/disambiguate", BOOKS_XML.encode("utf-8"),
                     content_type="application/xml",
                     headers=(("X-Repro-Name", "books"),),
                 ))
+                plain = await request(server, post(
+                    "/v1/disambiguate", envelope.encode("utf-8"),
+                    content_type="text/plain",
+                ))
+                return raw, plain
 
-        response = run(go())
-        assert response.status == 200
-        record = response.ndjson()[-2]
+        raw, plain = run(go())
+        assert raw.status == 400
+        error = raw.json()["envelope"]
+        assert error["stage"] == "envelope"
+        assert error["name"] == "request"
+        assert error["error"].startswith("malformed JSON envelope")
+        assert plain.status == 200
+        record = plain.ndjson()[-2]
         assert record["name"] == "books"
         assert record["ok"] is True
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from repro.cli import _make_config, build_parser, main
 from repro.core.config import XSDFConfig
+from repro.runtime.journal import read_journal
 
 
 @pytest.fixture()
@@ -89,7 +91,7 @@ class TestBatch:
         code, output = run([
             "batch", str(tmp_path / "*.xml"),
             "--out", str(out_path),
-            "--metrics", str(metrics_path),
+            "--metrics-json", str(metrics_path),
         ])
         assert code == 0
         assert "3 documents, 0 failed" in output
@@ -204,18 +206,6 @@ class TestBatch:
         served = asyncio.run(serve_corpus())
         assert annotations_digest(served) == GOLDEN_ANNOTATIONS_SHA256
 
-    def test_batch_profile_prints_summary(self, tmp_path, figure1_xml):
-        (tmp_path / "doc.xml").write_text(figure1_xml, encoding="utf-8")
-        out_path = tmp_path / "results.jsonl"
-        code, output = run([
-            "batch", str(tmp_path / "*.xml"), "--out", str(out_path),
-            "--profile",
-        ])
-        assert code == 0
-        assert "--- profile" in output
-        assert "cumulative" in output
-        assert len(out_path.read_text().splitlines()) == 1
-
 
 class TestAudit:
     def test_ranking(self, xml_file):
@@ -262,7 +252,7 @@ class TestParser:
         pipeline = ["--radius", "1", "--approach", "concept",
                     "--threshold", "0.25", "--weights", "2,1,1",
                     "--strip-target-dimension", "--structure-only"]
-        runtime = ["--cache-size", "64", "--no-memo", "--no-prune"]
+        runtime = ["--cache-size", "64", "--no-prune"]
         heads = (["disambiguate", "f.xml"], ["batch", "*.xml"], ["serve"])
         configs = [
             _make_config(parser.parse_args(head + pipeline))
@@ -274,8 +264,57 @@ class TestParser:
             for head in heads[1:]
         )
         assert _make_config(batch) == _make_config(serve)
-        assert not _make_config(serve).memo
+        assert not _make_config(serve).prune
+        # The memo never changes a byte: no flag turns it off.
+        assert all(config.memo for config in configs)
         assert batch.cache_size == serve.cache_size == 64
+
+    def test_flag_inventory(self):
+        """Every ``--`` flag of every subcommand, as ``build_parser()``
+        builds it, with its one spelling.  A new flag is a deliberate
+        edit here; ROADMAP's flag counts are this test's."""
+        pipeline = ["--radius", "--approach", "--threshold", "--weights",
+                    "--strip-target-dimension", "--structure-only"]
+        caching = ["--cache-size", "--no-prune"]
+        expected = {
+            "disambiguate": pipeline + ["--xml"],
+            "batch": pipeline + caching + [
+                "--workers", "--out", "--metrics-json", "--no-index",
+                "--network", "--shard", "--journal", "--resume",
+            ],
+            "pack": ["--network", "--synthetic", "--seed", "--gloss-style",
+                     "--verify"],
+            "serve": pipeline + caching + [
+                "--host", "--port", "--network", "--max-concurrency",
+                "--max-body-bytes", "--drain-timeout", "--metrics-json",
+                "--shard",
+            ],
+            "audit": ["--top"],
+            "lexicon": ["--word"],
+            "match": ["--min-score"],
+            "validate": [],
+            "corpus": ["--seed"],
+            "report": ["--out"],
+            "lint": ["--format", "--rules", "--list-rules"],
+        }
+        (commands,) = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        spellings = {
+            command: [
+                action.option_strings
+                for action in parser._actions
+                if action.option_strings and action.dest != "help"
+            ]
+            for command, parser in commands.items()
+        }
+        assert spellings == {
+            command: [[flag] for flag in flags]
+            for command, flags in expected.items()
+        }
+        assert sum(len(flags) for flags in expected.values()) == 52
+        assert len({f for flags in expected.values() for f in flags}) == 32
 
 
 def _out_of_range_argvs():
@@ -560,13 +599,11 @@ class TestBatchResilience:
                 "batch", str(tmp_path / "doc.xml"),
                 "--workers", "0",
             ])
-        with pytest.raises(SystemExit, match="chunk_size must be >= 1"):
-            run([
-                "batch", str(tmp_path / "doc.xml"),
-                "--chunk-size", "0",
-            ])
-        # One output policy: the removed policy flags are usage errors.
-        for removed in (["--on-error", "skip"], ["--quarantine", "x"]):
+        # One output policy, the memo always on, the chunk size always
+        # picked by the executor: the removed flags are usage errors.
+        for removed in (["--on-error", "skip"], ["--quarantine", "x"],
+                        ["--no-memo"], ["--chunk-size", "2"], ["--profile"],
+                        ["--metrics", "m.json"]):
             with pytest.raises(SystemExit) as excinfo:
                 run(["batch", str(tmp_path / "doc.xml"), *removed])
             assert excinfo.value.code == 2  # argparse's usage error
@@ -581,7 +618,7 @@ class TestBatchResilience:
         out_path = tmp_path / "results.jsonl"
         code, _ = run([
             "batch", str(tmp_path / "*.xml"),
-            "--out", str(out_path), "--metrics", str(metrics_path),
+            "--out", str(out_path), "--metrics-json", str(metrics_path),
         ])
         assert code == 1
         report = json.loads(metrics_path.read_text())
@@ -673,8 +710,7 @@ class TestJournalResume:
         self, tmp_path, figure1_xml
     ):
         # Pruning drops provably-losing candidates from each node's
-        # scores, so pruned and exhaustive records must not mix; the
-        # memo changes no byte, so it may differ across a resume.
+        # scores, so pruned and exhaustive records must not mix.
         pattern = self._corpus(tmp_path, figure1_xml, n=2)
         journal = tmp_path / "batch.rxjf"
         code, _ = run([
@@ -686,9 +722,107 @@ class TestJournalResume:
                    "--journal", str(journal), "--resume"]
         with pytest.raises(SystemExit, match="different configuration"):
             run(resumed)
-        code, output = run(resumed + ["--no-prune", "--no-memo"])
+        code, output = run(resumed + ["--no-prune"])
         assert code == 0
         assert "journal replayed=2 scored=0" in output
+
+    def test_resume_builds_outcomes_a_journal_lacks(
+        self, tmp_path, figure1_xml
+    ):
+        """A journal is outside input: entries without an ``outcome``
+        still replay byte-identically, and a failed one still gets its
+        ``FAILED`` line."""
+        from repro.runtime.journal import _encode_frame
+
+        pattern = self._corpus(tmp_path, figure1_xml, n=2)
+        (tmp_path / "doc-2.xml").write_text("<oops>", encoding="utf-8")
+        journal = tmp_path / "batch.rxjf"
+        first_out = tmp_path / "first.jsonl"
+        argv = ["batch", pattern, "--journal", str(journal)]
+        code, _ = run(argv + ["--out", str(first_out)])
+        assert code == 1
+        replay = read_journal(journal)
+        frames = [replay.meta] + [
+            {key: value for key, value in entry.items() if key != "outcome"}
+            for entry in replay.entries
+        ]
+        journal.write_bytes(b"".join(_encode_frame(f) for f in frames))
+        resumed_out = tmp_path / "resumed.jsonl"
+        code, output = run(argv + ["--out", str(resumed_out), "--resume"])
+        assert code == 1
+        assert "journal replayed=3 scored=0" in output
+        assert "doc-2.xml: XMLSyntaxError" in output
+        assert "[stage=pipeline, attempts=1]" in output
+        assert resumed_out.read_bytes() == first_out.read_bytes()
+
+    def test_fully_replayed_resume_builds_no_index(
+        self, tmp_path, figure1_xml, monkeypatch
+    ):
+        from repro.runtime.pack import PackedIndex
+
+        pattern = self._corpus(tmp_path, figure1_xml)
+        journal = tmp_path / "batch.rxjf"
+        first_out = tmp_path / "first.jsonl"
+        code, _ = run([
+            "batch", pattern, "--out", str(first_out),
+            "--journal", str(journal),
+        ])
+        assert code == 0
+
+        def no_build(self, network):
+            raise AssertionError("a fully replayed batch built an index")
+
+        monkeypatch.setattr(PackedIndex, "__init__", no_build)
+        resumed_out = tmp_path / "resumed.jsonl"
+        code, output = run([
+            "batch", pattern, "--out", str(resumed_out),
+            "--journal", str(journal), "--resume",
+        ])
+        assert code == 0
+        assert "journal replayed=3 scored=0" in output
+        assert "index=" not in output
+        assert resumed_out.read_bytes() == first_out.read_bytes()
+
+    def test_ctrl_c_writes_completed_lines_then_resume_finishes(
+        self, tmp_path, figure1_xml, monkeypatch
+    ):
+        """Ctrl-C on the third of five documents: exit 130, the two
+        completed lines in input order, the journal flushed; ``--resume``
+        then replays 2, scores 3 and writes the uninterrupted bytes."""
+        from repro.runtime import executor as executor_module
+
+        pattern = self._corpus(tmp_path, figure1_xml, n=5)
+        whole_out = tmp_path / "whole.jsonl"
+        assert run(["batch", pattern, "--out", str(whole_out)])[0] == 0
+        whole = whole_out.read_text().splitlines()
+
+        real = executor_module._disambiguate_one
+        calls = []
+
+        def interrupt_third(*args):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(executor_module, "_disambiguate_one",
+                            interrupt_third)
+        journal = tmp_path / "batch.rxjf"
+        out_path = tmp_path / "partial.jsonl"
+        argv = ["batch", pattern, "--out", str(out_path),
+                "--journal", str(journal)]
+        code, output = run(argv)
+        assert code == 130
+        assert "interrupted: wrote 2/5 records" in output
+        assert "journal replayed=0 scored=2" in output
+        assert out_path.read_text().splitlines() == whole[:2]
+        assert len(read_journal(journal).entries) == 2
+
+        monkeypatch.setattr(executor_module, "_disambiguate_one", real)
+        code, output = run(argv + ["--resume"])
+        assert code == 0
+        assert "journal replayed=2 scored=3" in output
+        assert out_path.read_text().splitlines() == whole
 
 
 class TestPackAndStore:
