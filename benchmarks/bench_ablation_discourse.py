@@ -25,8 +25,11 @@ def test_ablation_discourse(benchmark, corpus, network, tree_cache):
     """Disagreement rate and f-value with/without discourse enforcement."""
 
     def run():
+        # Voting reads every candidate's score, and pruning drops the
+        # provably losing ones from each table (repro.core.discourse).
         system = XSDF(network, XSDFConfig(
             sphere_radius=1, approach=DisambiguationApproach.CONCEPT_BASED,
+            prune=False,
         ))
         results = {}
         for group in (1, 2, 3, 4):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.framework import XSDF
-from ..similarity.combined import CombinedSimilarity, ConceptSimilarity
+from ..similarity.combined import CombinedSimilarity
 from ..xmltree.dom import NodeKind
 
 
@@ -40,23 +40,16 @@ class SemanticMatcher:
     Parameters
     ----------
     xsdf:
-        A configured disambiguation framework (its network also provides
-        the similarity used for non-identical concept pairs).
-    similarity:
-        Concept similarity for soft matches; defaults to the combined
-        measure over the framework's network.
+        A configured disambiguation framework; non-identical concept
+        pairs are scored by the paper-default combined measure
+        (Definition 9) over its network.
     min_score:
         Soft correspondences below this similarity are dropped.
     """
 
-    def __init__(
-        self,
-        xsdf: XSDF,
-        similarity: ConceptSimilarity | None = None,
-        min_score: float = 0.5,
-    ):
+    def __init__(self, xsdf: XSDF, min_score: float = 0.5):
         self._xsdf = xsdf
-        self._similarity = similarity or CombinedSimilarity(xsdf.network)
+        self._similarity = CombinedSimilarity(xsdf.network)
         self._min_score = min_score
 
     def _element_concepts(self, xml_text: str) -> dict[str, str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.candidates import Candidate, context_sense_ids
 from ..semnet.network import SemanticNetwork
-from ..similarity.combined import CombinedSimilarity, ConceptSimilarity
+from ..similarity.combined import CombinedSimilarity
 from ..xmltree.dom import XMLNode, XMLTree
 from .base import Baseline
 
@@ -21,13 +21,9 @@ class BagOfWordsDisambiguator(Baseline):
 
     name = "bag-of-words"
 
-    def __init__(
-        self,
-        network: SemanticNetwork,
-        similarity: ConceptSimilarity | None = None,
-    ):
+    def __init__(self, network: SemanticNetwork):
         super().__init__(network)
-        self._similarity = similarity or CombinedSimilarity(network)
+        self._similarity = CombinedSimilarity(network)
         self._doc_cache: tuple[int, list[list[str]]] | None = None
 
     def _document_context(self, tree: XMLTree, node: XMLNode) -> list[list[str]]:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..similarity.combined import ConceptSimilarity
 from .candidates import Candidate
 from .context_vector import context_vector
 from .sphere import Sphere
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..runtime.cache import LRUCache
+    from ..similarity.combined import CombinedSimilarity
     from .framework import DocumentPlan
 
 #: One context member as scoring folds it: ``(inventory id, sense ids,
@@ -50,7 +50,7 @@ class ConceptBasedScorer:
 
     def __init__(
         self,
-        similarity: ConceptSimilarity,
+        similarity: "CombinedSimilarity",
         sense_cache_size: int | None = 0,
     ):
         self._similarity = similarity
@@ -147,13 +147,11 @@ class ConceptBasedScorer:
         return total / size if size else 0.0
 
     def _best_sense_bound(
-        self,
-        candidate: Candidate,
-        sense_ids: tuple[str, ...],
-        upper_bound: ConceptSimilarity,
+        self, candidate: Candidate, sense_ids: tuple[str, ...]
     ) -> float:
         """Upper bound on ``Max_j Sim(candidate, s_j)``."""
         # The same left-to-right average as _candidate_similarity.
+        upper_bound = self._similarity.upper_bound
         bounds = []
         for sense_id in sense_ids:
             total = 0.0
@@ -167,14 +165,13 @@ class ConceptBasedScorer:
         candidate: Candidate,
         context: list[ContextEntry],
         size: int,
-        upper_bound: ConceptSimilarity,
     ) -> float:
         """Float upper bound on :meth:`score_one` for exact pruning.
 
         Mirrors :meth:`score_one`'s accumulation with every pairwise
-        similarity replaced by ``upper_bound`` (a pointwise float
-        dominator, e.g. :meth:`repro.similarity.combined
-        .CombinedSimilarity.upper_bound`).  Because IEEE rounding is
+        similarity replaced by the similarity's own pointwise float
+        dominator, :meth:`repro.similarity.combined
+        .CombinedSimilarity.upper_bound`.  Because IEEE rounding is
         monotone and the op sequence is identical, the result dominates
         the exact score in float arithmetic — no epsilon needed.
         """
@@ -186,7 +183,7 @@ class ConceptBasedScorer:
             best = bounds.get(key)
             if best is None:
                 best = bounds[key] = self._best_sense_bound(
-                    candidate, sense_ids, upper_bound
+                    candidate, sense_ids
                 )
             total += best * label_weight
         return total / size if size else 0.0

@@ -28,7 +28,7 @@ from contextlib import nullcontext
 
 from ..linguistics.pipeline import LinguisticPipeline
 from ..semnet.network import SemanticNetwork
-from ..similarity.combined import CombinedSimilarity, ConceptSimilarity
+from ..similarity.combined import CombinedSimilarity
 from ..xmltree.dom import XMLNode, XMLTree, build_tree
 from ..xmltree.parser import parse
 from ..xmltree.serializer import serialize_semantic_tree
@@ -101,22 +101,20 @@ class XSDF:
     network:
         The reference semantic network (e.g. the curated lexicon).
     config:
-        Pipeline parameters; defaults follow the paper.
-    similarity:
-        Optional pre-built concept similarity (shares caches across
-        framework instances); by default a :class:`CombinedSimilarity`
-        with the configured weights is created, computing information
-        content from the network's frequencies once.
+        Pipeline parameters; defaults follow the paper.  The instance
+        scores with its own :class:`CombinedSimilarity` (Definition 9)
+        over ``config.similarity_weights``; ``Sim`` is a function of
+        the concept pair, so any two instances with equal
+        configurations score alike.
     index:
         Optional :class:`repro.runtime.pack.PackedIndex` built over
-        ``network``.  The default similarity then scores over its slots
+        ``network``.  The similarity then scores over its slots
         (:class:`CombinedSimilarity`'s slot path, the one reader of the
         packed taxonomy/IC/gloss kernels) — sense choices and scores
-        are bit-identical with and without it.  Ignored when
-        ``similarity`` is supplied.
+        are bit-identical with and without it.
     cache_size:
         Bound of the two LRUs the instance creates and owns, as it owns
-        its memo: the default similarity's pairwise-score memo
+        its memo: the similarity's pairwise-score memo
         (``similarity_cache``) and the concept-based scorer's
         best-sense memo (``Max_j Sim(candidate, s_j)`` per candidate
         and context sense inventory, ``sense_cache``).  A positive int
@@ -125,7 +123,7 @@ class XSDF:
         :class:`CombinedSimilarity`'s own dict.  Scores are unchanged;
         repeated pairs and context labels get cheaper.  Neither LRU is
         shared with another instance, whose weights or interned ids
-        may differ.  A supplied ``similarity`` keeps its own pair memo.
+        may differ.
     metrics:
         Optional :class:`repro.runtime.metrics.MetricsRegistry`.  When
         set, the pipeline records per-stage latency (parse, select,
@@ -147,7 +145,6 @@ class XSDF:
         self,
         network: SemanticNetwork,
         config: XSDFConfig | None = None,
-        similarity: ConceptSimilarity | None = None,
         index=None,
         cache_size: int | None = 0,
         metrics=None,
@@ -158,22 +155,15 @@ class XSDF:
         self.similarity_cache = None
         self.metrics = metrics
         self.pipeline = LinguisticPipeline(known=network.has_word)
-        if similarity is None:
-            if cache_size != 0:
-                from ..runtime.cache import LRUCache
+        if cache_size != 0:
+            from ..runtime.cache import LRUCache
 
-                self.similarity_cache = LRUCache(maxsize=cache_size)
-            similarity = CombinedSimilarity(
-                network,
-                weights=self.config.similarity_weights,
-                index=index,
-                cache=self.similarity_cache,
-            )
-        self._similarity = similarity
-        # Exact pruning needs the combined measure's upper_bound(); any
-        # other similarity callable falls back to exhaustive scoring.
-        self._prune = self.config.prune and isinstance(
-            similarity, CombinedSimilarity
+            self.similarity_cache = LRUCache(maxsize=cache_size)
+        self._similarity = CombinedSimilarity(
+            network,
+            weights=self.config.similarity_weights,
+            index=index,
+            cache=self.similarity_cache,
         )
         self.sphere_memo = None
         if self.config.memo:
@@ -187,7 +177,7 @@ class XSDF:
             "candidates_pruned": 0,
         }
         self._concept_scorer = ConceptBasedScorer(
-            similarity, sense_cache_size=cache_size
+            self._similarity, sense_cache_size=cache_size
         )
         self.sense_cache = self._concept_scorer.sense_cache
         self._distance_policy = (
@@ -366,7 +356,7 @@ class XSDF:
         # once per sphere instead of once per scorer.
         vector = context_vector(sphere)
         if (
-            self._prune
+            self.config.prune
             and approach is not DisambiguationApproach.CONTEXT_BASED
             and len(candidates) > 1
         ):
@@ -443,12 +433,9 @@ class XSDF:
         else:
             w_concept, w_context = 1.0, 0.0
             context_scores = {}
-        upper = self._similarity.upper_bound
         ranked = []
         for rank, candidate in enumerate(candidates):
-            concept_ub = scorer.upper_bound_one(
-                candidate, context, size, upper
-            )
+            concept_ub = scorer.upper_bound_one(candidate, context, size)
             if combined_approach:
                 bound = (
                     w_concept * concept_ub

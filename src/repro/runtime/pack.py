@@ -381,8 +381,8 @@ def _gloss_overlap(
     removing one shared token from that sequence leaves two unshared
     tokens adjacent (so the condition survives every step, and the
     shared set only shrinks), and the loop stops after exactly ``m``
-    steps of ``+= 1.0``.  Every other pair runs the DP unchanged, in
-    the caller's argument order.
+    steps of ``+= 1.0``, in either argument order.  Every other pair
+    runs the DP unchanged, in the argument order given.
     """
     if _isolated(shared, positions_a) or _isolated(shared, positions_b):
         return float(_shared_count(shared, positions_a, positions_b))
@@ -760,20 +760,24 @@ class PackedIndex:
         return min(1.0, m / shorter)
 
     def lesk_similarity_of_slots(self, ia: int, ib: int) -> float:
-        """Normalized extended-Lesk gloss overlap of two slots, in that order.
+        """Normalized extended-Lesk gloss overlap of two slots.
 
         Bit-identical to :class:`repro.similarity.gloss
         .ExtendedLeskSimilarity`'s unpacked arithmetic: disjoint token
         sets short-circuit to the same 0.0 the full DP would produce,
         and :func:`_gloss_overlap` answers most other pairs in closed
-        form before falling back to the DP, in the caller's argument
-        order.
+        form before falling back to the DP, which runs in the same
+        canonical order, the smaller concept id first.  Symmetric in
+        ``ia`` and ``ib``.
         """
         if ia == ib:
             return 1.0
         shared = self._bag_set(ia) & self._bag_set(ib)
         if not shared:
             return 0.0
+        ids = self._ids
+        if ids[ia] > ids[ib]:
+            ia, ib = ib, ia
         bag_a = self._bag(ia)
         bag_b = self._bag(ib)
         raw = _gloss_overlap(

@@ -5,7 +5,7 @@ Jiang-Conrath), gloss-based (normalized extended Lesk), their weighted
 combination, and sparse-vector measures (cosine, Jaccard, Pearson).
 """
 
-from .combined import CombinedSimilarity, ConceptSimilarity, SimilarityWeights
+from .combined import CombinedSimilarity, SimilarityWeights
 from .edge import LeacockChodorowSimilarity, PathSimilarity, WuPalmerSimilarity
 from .gloss import ExtendedLeskSimilarity
 from .node import JiangConrathSimilarity, LinSimilarity, ResnikSimilarity
@@ -18,7 +18,6 @@ from .vector import (
 
 __all__ = [
     "CombinedSimilarity",
-    "ConceptSimilarity",
     "ExtendedLeskSimilarity",
     "JiangConrathSimilarity",
     "LeacockChodorowSimilarity",

@@ -3,7 +3,10 @@
 ``Sim(c1, c2, SN-bar) = w_edge * Sim_edge + w_node * Sim_node +
 w_gloss * Sim_gloss`` with non-negative weights summing to 1.  The
 component measures are the ones the paper names: Wu-Palmer (edge), Lin
-(node), and normalized extended Lesk (gloss) — each swappable.
+(node), and normalized extended Lesk (gloss), the only three the
+combination mounts.  Each is symmetric (the gloss overlap is taken with
+the smaller concept id first), so ``Sim`` is a function of the
+unordered concept pair.
 
 Pair results are memoized: disambiguation evaluates the same concept
 pairs repeatedly across context nodes, and caching makes the
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, MutableMapping
+from typing import TYPE_CHECKING, Hashable, MutableMapping
 
-from ..semnet.ic import InformationContent, lin_ratio
+from ..semnet.ic import lin_ratio
 from ..semnet.network import SemanticNetwork
 from .edge import WuPalmerSimilarity, wu_palmer_ratio
 from .gloss import ExtendedLeskSimilarity
@@ -28,9 +31,6 @@ from .node import LinSimilarity
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..runtime.pack import PackedIndex
-
-#: A concept-to-concept similarity function.
-ConceptSimilarity = Callable[[str, str], float]
 
 #: Anything CombinedSimilarity can memoize pairs into: a plain dict or
 #: a dict-compatible store such as :class:`repro.runtime.cache.LRUCache`
@@ -78,8 +78,8 @@ class CombinedSimilarity:
     ``__setitem__``/``__len__`` works.
 
     Without ``index`` it walks the network through the component
-    measures (Wu-Palmer, Lin over ``ic`` and extended Lesk unless
-    replaced), keyed by the concept-id pair.
+    measures (Wu-Palmer, Lin over the network's default-smoothed IC
+    table, extended Lesk), keyed by the concept-id pair.
 
     With ``index`` (a :class:`repro.runtime.pack.PackedIndex`, as
     :class:`repro.core.framework.XSDF` passes it) it takes the **slot
@@ -88,23 +88,17 @@ class CombinedSimilarity:
     pair holds the pair's *partial* — the weighted Wu-Palmer + Lin sum,
     from one lowest-common-subsumer fetch — and, once asked for, its
     upper bound.  :meth:`__call__` adds the exact gloss term to the
-    partial, in the caller's argument order, and :meth:`upper_bound`
-    the gloss bound; ``cache`` holds the exact scores by slot pair.  The
-    operations and their order are the component measures' own, so
-    scores are bit-identical to the network walk.  The slot path reads
-    the index's own IC table and kernels, so ``ic`` or a custom measure
-    next to ``index`` raises :class:`ValueError`.  Construction decodes
-    the index's deferred string tables, so a damaged index raises here.
+    partial and :meth:`upper_bound` the gloss bound; ``cache`` holds
+    the exact scores by slot pair.  The operations and their order are
+    the component measures' own, so scores are bit-identical to the
+    network walk, in either argument order.  Construction decodes the
+    index's deferred string tables, so a damaged index raises here.
     """
 
     def __init__(
         self,
         network: SemanticNetwork,
         weights: SimilarityWeights | None = None,
-        ic: InformationContent | None = None,
-        edge_measure: ConceptSimilarity | None = None,
-        node_measure: ConceptSimilarity | None = None,
-        gloss_measure: ConceptSimilarity | None = None,
         index: "PackedIndex | None" = None,
         cache: PairCache | None = None,
     ):
@@ -112,25 +106,13 @@ class CombinedSimilarity:
         self._cache: PairCache = cache if cache is not None else {}
         self._packed = index
         if index is not None:
-            if ic is not None or any(
-                measure is not None
-                for measure in (edge_measure, node_measure, gloss_measure)
-            ):
-                raise ValueError(
-                    "index= scores the default measures over the index's "
-                    "own tables; ic= and custom measures need the "
-                    "network walk (no index=)"
-                )
             index.materialize()
             #: Slot path: slot-pair key -> (partial, bound or None).
             self._slot_table: dict[int, tuple[float, float | None]] = {}
             return
-        self._edge = edge_measure or WuPalmerSimilarity(network)
-        self._node = node_measure or LinSimilarity(network, ic=ic)
-        self._gloss = gloss_measure or ExtendedLeskSimilarity(network)
-        # Duck-typed: measures exposing upper_bound() enable the cheap
-        # gloss bound; others fall back to the trivial bound 1.0.
-        self._gloss_upper = getattr(self._gloss, "upper_bound", None)
+        self._edge = WuPalmerSimilarity(network)
+        self._node = LinSimilarity(network)
+        self._gloss = ExtendedLeskSimilarity(network)
         self._bound_cache: dict[tuple[str, str], float] = {}
 
     def _partial(self, packed: "PackedIndex", ia: int, ib: int) -> float:
@@ -200,8 +182,7 @@ class CombinedSimilarity:
 
         The edge and node components are computed exactly (both reduce
         to the memoized LCS lookup); only the gloss component — the
-        expensive overlap DP — is replaced by its multiset bound (or by
-        the trivial bound 1.0 when the gloss measure exposes none).
+        expensive overlap DP — is replaced by its multiset bound.
         The accumulation mirrors :meth:`__call__` term for term, so by
         monotonicity of IEEE rounding the result dominates the true
         score in *float* arithmetic — the property exact candidate
@@ -237,10 +218,7 @@ class CombinedSimilarity:
         if w.node:
             score += w.node * self._node(a, b)
         if w.gloss:
-            if self._gloss_upper is not None:
-                score += w.gloss * self._gloss_upper(a, b)
-            else:
-                score += w.gloss * 1.0
+            score += w.gloss * self._gloss.upper_bound(a, b)
         score = max(0.0, min(1.0, score))
         self._bound_cache[key] = score
         return score

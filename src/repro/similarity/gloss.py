@@ -6,7 +6,9 @@ similar when their glosses — extended with the glosses of their direct
 semantic neighbors — share words.  Overlaps of consecutive words count
 quadratically in the original; we score each maximal shared n-gram as
 ``n^2`` and normalize by the maximum possible overlap of the two
-extended glosses, yielding a [0, 1] measure.
+extended glosses, yielding a [0, 1] measure.  The greedy overlap
+depends on the order of its arguments, so the measure always takes it
+with the smaller concept id first: ``Sim_Gloss`` is symmetric.
 
 :class:`ExtendedLeskSimilarity` walks the network and is the oracle for
 the packed gloss kernels
@@ -117,8 +119,17 @@ class ExtendedLeskSimilarity:
         return tokens
 
     def __call__(self, a: str, b: str) -> float:
+        """``Sim_Gloss(a, b)``, the overlap taken in the order ``a <= b``.
+
+        The greedy overlap depends on argument order, so both orders
+        compute it with the smaller concept id first: the measure is
+        symmetric, as every pair cache keyed by the unordered pair
+        assumes.
+        """
         if a == b:
             return 1.0
+        if a > b:
+            a, b = b, a
         tokens_a = self._extended_gloss(a)
         tokens_b = self._extended_gloss(b)
         if not tokens_a or not tokens_b:

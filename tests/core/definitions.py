@@ -9,6 +9,10 @@ optimized path to them with ``==``:
 
 * :func:`xml_context_vector` — Definitions 6-7, with the documented
   clamp of the normalized weight to 1;
+* :func:`sim` — Definition 9, the paper's uniform mix of Wu-Palmer,
+  Lin and the normalized extended-Lesk gloss overlap, read from the
+  network's closures, glosses and IC table (nothing of
+  :mod:`repro.similarity`'s concept measures);
 * :func:`concept_score` — Definition 8 (Eq. 10 for compound
   candidates);
 * :func:`context_score` — Definition 10 (Eq. 12 for compound
@@ -16,9 +20,10 @@ optimized path to them with ``==``:
 * :func:`combined_score` — Eq. 13.
 
 The sense inventories (:func:`~repro.core.candidates.context_sense_ids`),
-the concept spheres of the semantic network and the pairwise measure
-``Sim`` (Definition 9) are the library's own: they are the inputs the
-definitions are stated over, not part of the scoring path under test.
+the concept spheres of the semantic network, its information-content
+table and the vector measure of Definition 10 are the library's own:
+they are the inputs the definitions are stated over, not part of the
+scoring path under test.
 """
 
 from __future__ import annotations
@@ -29,8 +34,13 @@ from repro.core.context_vector import (
     concept_context_vector,
 )
 from repro.core.sphere import Sphere
+from repro.linguistics.stemmer import stem
+from repro.semnet.ic import InformationContent
 from repro.semnet.network import SemanticNetwork
 from repro.similarity.vector import VECTOR_MEASURES
+
+#: Definition 9's weights in the paper's experiments: one third each.
+SIM_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 def xml_context_vector(sphere: Sphere) -> dict[str, float]:
@@ -51,6 +61,127 @@ def xml_context_vector(sphere: Sphere) -> dict[str, float]:
     }
 
 
+def _root_depth(network: SemanticNetwork, concept_id: str) -> int:
+    """IS-A edges from the nearest taxonomy root down to the concept."""
+    closure = network.hypernym_closure(concept_id)
+    return min(
+        (dist for cid, dist in closure.items() if not network.hypernyms(cid)),
+        default=0,
+    )
+
+
+def _lcs(network: SemanticNetwork, a: str, b: str):
+    """``(lcs, dist(a, lcs), dist(b, lcs))``, or None with no shared
+    ancestor: the deepest shared IS-A ancestor, ties to the smaller
+    distance sum and then to the larger concept id."""
+    closure_a = network.hypernym_closure(a)
+    closure_b = network.hypernym_closure(b)
+    shared = [cid for cid in closure_a if cid in closure_b]
+    if not shared:
+        return None
+    lcs = max(shared, key=lambda cid: (
+        _root_depth(network, cid), -(closure_a[cid] + closure_b[cid]), cid
+    ))
+    return lcs, closure_a[lcs], closure_b[lcs]
+
+
+def _wu_palmer(network: SemanticNetwork, a: str, b: str) -> float:
+    """``Sim_Edge``: ``2*d(lcs) / (d(a) + d(b))``, depths through the LCS."""
+    found = _lcs(network, a, b)
+    if found is None:
+        return 0.0
+    lcs, dist_a, dist_b = found
+    depth = _root_depth(network, lcs)
+    if (depth + dist_a) + (depth + dist_b) == 0:
+        return 1.0
+    return 2.0 * depth / ((depth + dist_a) + (depth + dist_b))
+
+
+def _lin(
+    network: SemanticNetwork, ic: InformationContent, a: str, b: str
+) -> float:
+    """``Sim_Node``: ``2*IC(lcs) / (IC(a) + IC(b))``, clamped to [0, 1]."""
+    found = _lcs(network, a, b)
+    ic_lcs = 0.0 if found is None else ic.ic(found[0])
+    denominator = ic.ic(a) + ic.ic(b)
+    if denominator <= 0:
+        return 0.0
+    return max(0.0, min(1.0, 2.0 * ic_lcs / denominator))
+
+
+def _extended_gloss(network: SemanticNetwork, concept_id: str) -> list[str]:
+    """The concept's gloss tokens, its stemmed synonym words, then the
+    gloss tokens of each direct neighbour."""
+    concept = network.concept(concept_id)
+    tokens = list(concept.gloss_tokens())
+    for word in concept.words:
+        tokens.extend(stem(part) for part in word.split())
+    for neighbor in network.neighbors(concept_id):
+        tokens.extend(network.concept(neighbor).gloss_tokens())
+    return tokens
+
+
+def _greedy_overlap(a: list[str], b: list[str]) -> float:
+    """Banerjee & Pedersen's greedy overlap: take the longest common run
+    (ties to the earliest start in ``a``, then in ``b``), add its
+    squared length, cut it from both sequences, repeat."""
+    a, b = list(a), list(b)
+    score = 0.0
+    while True:
+        starts_in_b: dict[str, list[int]] = {}
+        for j, token in enumerate(b):
+            starts_in_b.setdefault(token, []).append(j)
+        best = (0, 0, 0)
+        for i, token in enumerate(a):
+            for j in starts_in_b.get(token, ()):
+                length = 1
+                while (
+                    i + length < len(a) and j + length < len(b)
+                    and a[i + length] == b[j + length]
+                ):
+                    length += 1
+                if length > best[0]:
+                    best = (length, i, j)
+        length, i, j = best
+        if not length:
+            return score
+        score += float(length * length)
+        del a[i:i + length]
+        del b[j:j + length]
+
+
+def _lesk(network: SemanticNetwork, a: str, b: str) -> float:
+    """``Sim_Gloss``: ``sqrt(overlap) / shorter bag``, clamped to 1, the
+    overlap taken with the smaller concept id first."""
+    if a > b:
+        a, b = b, a
+    tokens_a = _extended_gloss(network, a)
+    tokens_b = _extended_gloss(network, b)
+    if not tokens_a or not tokens_b:
+        return 0.0
+    raw = _greedy_overlap(tokens_a, tokens_b)
+    return min(1.0, (raw ** 0.5) / min(len(tokens_a), len(tokens_b)))
+
+
+def sim(
+    a: str, b: str, network: SemanticNetwork, ic: InformationContent
+) -> float:
+    """Definition 9: ``Sim(c1, c2, SN-bar)``.
+
+    ``w_Edge * Sim_Edge + w_Node * Sim_Node + w_Gloss * Sim_Gloss``
+    under :data:`SIM_WEIGHTS`, summed left to right from 0.0 and
+    clamped to [0, 1]; a concept is maximally similar to itself.
+    """
+    if a == b:
+        return 1.0
+    w_edge, w_node, w_gloss = SIM_WEIGHTS
+    score = 0.0
+    score += w_edge * _wu_palmer(network, a, b)
+    score += w_node * _lin(network, ic, a, b)
+    score += w_gloss * _lesk(network, a, b)
+    return max(0.0, min(1.0, score))
+
+
 def concept_score(
     candidate: Candidate,
     sphere: Sphere,
@@ -62,6 +193,8 @@ def concept_score(
     ``(1/|S_d(x)|) * sum over x_i in S_d(x) of max_j Sim(s_p, s_j^i) *
     w_V(x_i.label)``; a compound candidate's ``Sim`` is the average over
     its parts (Eq. 10), and a member without senses adds nothing.
+    ``similarity`` is ``Sim`` as a function of the concept pair, e.g.
+    :func:`sim` with the network and its IC table bound.
     """
     weights = xml_context_vector(sphere)
     total = 0.0

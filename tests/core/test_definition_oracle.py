@@ -2,38 +2,38 @@
 
 :mod:`tests.core.definitions` recomputes every candidate's Definition 8
 and Definition 10 score, and their Eq. 13 combination, from the sphere
-alone.  The framework derives the same scores from a per-document plan,
-with pruning and the sphere memo each on or off; every reported score
-must equal the reference with ``==``, every pruned candidate must lose
-to the chosen one, and the chosen sense must be the reference's
-arg-max (ties go to the earlier sense).  Each document runs twice
-through one framework, so with the memo on the second pass replays
-every outcome (the memo counts a hit for each).
-
-The reference reads ``Sim`` from the framework's own similarity
-object: the greedy gloss overlap is not symmetric for every concept
-pair, and the pair cache keys both orders alike, so a pair's value can
-depend on which order computed it first.  Sharing the object keeps
-that out of a test of the scoring path.
+alone, with ``Sim`` its own transcription of Definition 9.  The
+framework derives the same scores from a per-document plan, walking the
+network or reading a packed index, with pruning and the sphere memo
+each on or off: eight frameworks, each built from its own
+configuration.  Every reported score must equal the reference with
+``==``, every pruned candidate must lose to the chosen one, and the
+chosen sense must be the reference's arg-max (ties go to the earlier
+sense).  Each document runs twice through each framework, so with the
+memo on the second pass replays every outcome (the memo counts a hit
+for each).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import candidate_senses
 from repro.core.config import XSDFConfig
 from repro.core.framework import XSDF
 from repro.core.sphere import build_sphere
+from repro.runtime import PackedIndex
 from repro.semnet.ic import InformationContent
-from repro.similarity.combined import CombinedSimilarity
 
 from . import definitions
 from .test_core_properties import toy_network, trees  # noqa: F401
 from .test_prune_parity_property import (
+    ORDER_SENSITIVE_DOC,
+    ORDER_SENSITIVE_SHAPE,
     _network_ic,
     _random_document,
     network_shapes,
@@ -42,48 +42,97 @@ from .test_prune_parity_property import (
 #: (prune, memo): each mechanism on and off.
 _MODES = list(itertools.product([False, True], repeat=2))
 
-
-def _framework(network, similarity, **config_fields):
-    """An XSDF scoring through ``similarity``, memo as configured."""
-    return XSDF(network, XSDFConfig(**config_fields), similarity=similarity)
+#: Packed index per generator shape, next to ``_network_ic``'s cache.
+_INDEXES: dict[tuple, PackedIndex] = {}
 
 
-def _check_twice(xsdf, tree, similarity):
+@pytest.fixture(scope="module")
+def toy_index(toy_network):  # noqa: F811
+    return PackedIndex(toy_network)
+
+
+def _frameworks(network, index, **config_fields):
+    """A walk and an index-backed XSDF per (prune, memo) mode."""
+    for packed in (None, index):
+        for prune, memo in _MODES:
+            yield XSDF(
+                network,
+                XSDFConfig(prune=prune, memo=memo, **config_fields),
+                index=packed,
+            )
+
+
+def _literal_sim(network, ic):
+    """:func:`definitions.sim` over ``network``, each ordered pair
+    computed once."""
+    values: dict[tuple[str, str], float] = {}
+
+    def similarity(a: str, b: str) -> float:
+        value = values.get((a, b))
+        if value is None:
+            value = values[(a, b)] = definitions.sim(a, b, network, ic)
+        return value
+
+    return similarity
+
+
+def _check_all(frameworks, tree, similarity):
+    """Every framework against one reference, computed once per target
+    (the eight configurations differ only in mechanisms that must not
+    change a score)."""
+    reference: dict[int, tuple] = {}
+    for xsdf in frameworks:
+        _check_twice(xsdf, tree, similarity, reference)
+
+
+def _check_twice(xsdf, tree, similarity, reference):
     """Two passes over ``tree``; with the memo on, the second replays."""
-    assigned = _check_against_definitions(xsdf, tree, similarity)
-    _check_against_definitions(xsdf, tree, similarity)
+    assigned = _check_against_definitions(xsdf, tree, similarity, reference)
+    _check_against_definitions(xsdf, tree, similarity, reference)
     memo = xsdf.sphere_memo
     assert (memo is not None) == xsdf.config.memo
     if memo is not None:
         assert memo.stats()["hits"] >= assigned
 
 
-def _check_against_definitions(xsdf, tree, similarity):
+def _definitions(xsdf, tree, node, similarity):
+    """``(candidates, concept, context, combined)`` by the definitions."""
     config = xsdf.config
     network = xsdf.network
     w_concept, w_context = config.normalized_approach_weights
+    sphere = build_sphere(tree, node, config.sphere_radius)
+    candidates = candidate_senses(node, network)
+    concept = {
+        c: definitions.concept_score(c, sphere, network, similarity)
+        for c in candidates
+    }
+    context = {
+        c: definitions.context_score(c, sphere, network, config.sphere_radius)
+        for c in candidates
+    }
+    combined = {
+        c: definitions.combined_score(
+            concept[c], context[c], w_concept, w_context
+        )
+        for c in candidates
+    }
+    return candidates, concept, context, combined
+
+
+def _check_against_definitions(xsdf, tree, similarity, reference):
+    config = xsdf.config
     result = xsdf.disambiguate_tree(tree)
     for a in result.assignments:
-        node = tree[a.node_index]
-        sphere = build_sphere(tree, node, config.sphere_radius)
-        candidates = candidate_senses(node, network)
-        concept = {
-            c: definitions.concept_score(c, sphere, network, similarity)
-            for c in candidates
-        }
-        context = {
-            c: definitions.context_score(
-                c, sphere, network, config.sphere_radius
+        expected = reference.get(a.node_index)
+        if expected is None:
+            expected = reference[a.node_index] = _definitions(
+                xsdf, tree, tree[a.node_index], similarity
             )
-            for c in candidates
-        }
-        combined = {
-            c: definitions.combined_score(
-                concept[c], context[c], w_concept, w_context
-            )
-            for c in candidates
-        }
-        where = f"node={a.node_index} prune={config.prune} memo={config.memo}"
+        candidates, concept, context, combined = expected
+        where = (
+            f"node={a.node_index} index={xsdf.index is not None} "
+            f"prune={config.prune} memo={config.memo}"
+        )
         assert a.concept_score == concept[a.chosen], where
         assert a.context_score == context[a.chosen], where
         assert a.score == combined[a.chosen], where
@@ -104,16 +153,14 @@ def _check_against_definitions(xsdf, tree, similarity):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(trees(), st.integers(1, 3))
-def test_plan_scores_equal_definitions_on_toy_trees(toy_network, tree, radius):
-    similarity = CombinedSimilarity(
-        toy_network, ic=InformationContent(toy_network)
+def test_plan_scores_equal_definitions_on_toy_trees(
+    toy_network, toy_index, tree, radius  # noqa: F811
+):
+    similarity = _literal_sim(toy_network, InformationContent(toy_network))
+    _check_all(
+        _frameworks(toy_network, toy_index, sphere_radius=radius),
+        tree, similarity,
     )
-    for prune, memo in _MODES:
-        xsdf = _framework(
-            toy_network, similarity,
-            sphere_radius=radius, prune=prune, memo=memo,
-        )
-        _check_twice(xsdf, tree, similarity)
 
 
 @settings(
@@ -122,12 +169,15 @@ def test_plan_scores_equal_definitions_on_toy_trees(toy_network, tree, radius):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(shape=network_shapes, doc_seed=st.integers(0, 2**16))
+@example(shape=ORDER_SENSITIVE_SHAPE, doc_seed=ORDER_SENSITIVE_DOC)
 def test_plan_scores_equal_definitions_on_generated_networks(
     shape, doc_seed
 ):
     network, ic = _network_ic(shape)
-    similarity = CombinedSimilarity(network, ic=ic)
-    xml = _random_document(network, doc_seed)
-    for prune, memo in _MODES:
-        xsdf = _framework(network, similarity, prune=prune, memo=memo)
-        _check_twice(xsdf, xsdf.build_tree(xml), similarity)
+    index = _INDEXES.get(shape)
+    if index is None:
+        if len(_INDEXES) > 32:
+            _INDEXES.clear()
+        index = _INDEXES[shape] = PackedIndex(network)
+    tree = XSDF(network).build_tree(_random_document(network, doc_seed))
+    _check_all(_frameworks(network, index), tree, _literal_sim(network, ic))

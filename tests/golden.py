@@ -23,7 +23,7 @@ import json
 from typing import Iterable
 
 GOLDEN_ANNOTATIONS_SHA256 = (
-    "d1ecdc0d31f83d93ffee2abca743a1f00d01b0b72ca6a488942d68bca719977a"
+    "61eadf7eb5abcd50df9a6e870ec7b3a55922a73422f24e86c14ab90cba50dfde"
 )
 
 

@@ -17,14 +17,12 @@ import pytest
 from repro.core.config import XSDFConfig
 from repro.core.framework import XSDF
 from repro.runtime import LRUCache, PackedIndex
-from repro.semnet.ic import InformationContent
 from repro.semnet.network import UnknownConceptError
 from repro.similarity.combined import (
     CombinedSimilarity,
     SimilarityWeights,
     _slot_pair_key,
 )
-from repro.similarity.edge import PathSimilarity
 from repro.similarity.gloss import ExtendedLeskSimilarity
 
 from .test_pack import lcs_and_distance
@@ -146,24 +144,8 @@ class TestIndexQueries:
 
 class TestSlotPath:
     """``CombinedSimilarity`` with an index (as ``XSDF`` builds it)
-    scores over slots: typed errors, one table entry per pair it
-    scores, and no second configuration beside it."""
-
-    def test_index_with_ic_or_a_custom_measure_raises(
-        self, lexicon, lexicon_index
-    ):
-        """The slot path reads the index's own IC table and kernels, so
-        an ``ic=`` or a custom measure next to ``index=`` is refused
-        instead of silently scoring something else."""
-        with pytest.raises(ValueError, match="index="):
-            CombinedSimilarity(
-                lexicon, ic=InformationContent(lexicon), index=lexicon_index
-            )
-        with pytest.raises(ValueError, match="index="):
-            CombinedSimilarity(
-                lexicon, edge_measure=PathSimilarity(lexicon),
-                index=lexicon_index,
-            )
+    scores over slots: typed errors and one table entry per pair it
+    scores."""
 
     @pytest.mark.parametrize("unknown_first", [True, False])
     def test_unknown_concept_raises_from_call(

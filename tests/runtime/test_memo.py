@@ -12,10 +12,11 @@ Five batteries:
 * :class:`TestMemoBitIdentity` / :class:`TestNoNetworkHashWhileScoring`
   — memoized replay is bit-identical to fresh computation and hands out
   fresh score dicts, and scoring never hashes the network;
-* :class:`TestThreeWayParity` — the acceptance parity suite: for all
-  eight similarity measures (each mounted in its
-  :class:`CombinedSimilarity` slot so pruning engages), exhaustive ==
-  pruned == pruned+memo on real corpus documents;
+* :class:`TestThreeWayParity` — the acceptance parity suite: for each
+  weight mix of the three measures an :class:`XSDF` mounts (Wu-Palmer,
+  Lin, extended Lesk, alone and combined), exhaustive == pruned ==
+  pruned+memo on real corpus documents, each framework built from its
+  own configuration;
 * :class:`TestBatchDeterminism` — batch JSONL output is byte-identical
   regardless of document order and worker count.
 """
@@ -35,18 +36,11 @@ from repro.core.sphere import Sphere, build_sphere
 from repro.runtime import BatchExecutor, SphereMemo, sphere_signature
 from repro.runtime.memo import DEFAULT_MEMO_SIZE
 from repro.semnet.generator import GeneratorConfig, generate_network
-from repro.semnet.ic import InformationContent
 from repro.semnet.network import SemanticNetwork
-from repro.similarity.combined import CombinedSimilarity, SimilarityWeights
-from repro.similarity.edge import (
-    LeacockChodorowSimilarity,
-    PathSimilarity,
-)
-from repro.similarity.node import (
-    JiangConrathSimilarity,
-    ResnikSimilarity,
-)
+from repro.similarity.combined import SimilarityWeights
 from repro.xmltree.dom import XMLNode, XMLTree
+
+from ..core.test_prune_parity_property import WEIGHT_MIXES
 
 SMALL_XML = (
     "<films><picture><cast><star>Stewart</star><star>Kelly</star></cast>"
@@ -274,16 +268,6 @@ class TestMemoBitIdentity:
         second = xsdf.disambiguate_document(SMALL_XML)
         assert second.assignments[0].scores  # memo entry unharmed
 
-    def test_custom_similarity_is_memoized(self, lexicon):
-        # A custom similarity is fixed for the instance's life, like the
-        # network and the configuration, so the sphere is still the key.
-        xsdf = XSDF(lexicon, XSDFConfig(), similarity=lambda a, b: 0.5)
-        first = xsdf.disambiguate_document(SMALL_XML)
-        second = xsdf.disambiguate_document(SMALL_XML)
-        assert first.assignments
-        assert xsdf.sphere_memo.stats()["hits"] >= len(first.assignments)
-        assert second.to_dict() == first.to_dict()
-
     def test_memo_off_by_config(self, lexicon):
         assert XSDF(lexicon, XSDFConfig(memo=False)).sphere_memo is None
 
@@ -323,42 +307,6 @@ class TestNoNetworkHashWhileScoring:
         assert [r.result for r in records] == [expected, expected]
 
 
-def _measure_suite(network, ic):
-    """All eight measures, each mounted in its CombinedSimilarity slot.
-
-    Mounting keeps exact pruning engaged for every measure: the edge
-    slot carries Wu-Palmer / Path / Leacock-Chodorow, the node slot
-    Lin / Resnik / Jiang-Conrath, the gloss slot extended Lesk, plus
-    the paper's uniform combination.
-    """
-    edge_only = SimilarityWeights(1, 0, 0)
-    node_only = SimilarityWeights(0, 1, 0)
-    gloss_only = SimilarityWeights(0, 0, 1)
-    uniform = SimilarityWeights()
-    return [
-        ("wu-palmer", edge_only, CombinedSimilarity(
-            network, weights=edge_only, ic=ic)),
-        ("path", edge_only, CombinedSimilarity(
-            network, weights=edge_only, ic=ic,
-            edge_measure=PathSimilarity(network))),
-        ("leacock-chodorow", edge_only, CombinedSimilarity(
-            network, weights=edge_only, ic=ic,
-            edge_measure=LeacockChodorowSimilarity(network))),
-        ("lin", node_only, CombinedSimilarity(
-            network, weights=node_only, ic=ic)),
-        ("resnik", node_only, CombinedSimilarity(
-            network, weights=node_only, ic=ic,
-            node_measure=ResnikSimilarity(network, ic=ic))),
-        ("jiang-conrath", node_only, CombinedSimilarity(
-            network, weights=node_only, ic=ic,
-            node_measure=JiangConrathSimilarity(network, ic=ic))),
-        ("lesk", gloss_only, CombinedSimilarity(
-            network, weights=gloss_only, ic=ic)),
-        ("combined", uniform, CombinedSimilarity(
-            network, weights=uniform, ic=ic)),
-    ]
-
-
 def _assert_assignments_match(exhaustive, other, measure, doc):
     assert len(exhaustive.assignments) == len(other.assignments)
     for a, b in zip(exhaustive.assignments, other.assignments):
@@ -381,20 +329,14 @@ class TestThreeWayParity:
     def test_exhaustive_equals_pruned_equals_memoized(
         self, lexicon, parity_docs
     ):
-        ic = InformationContent(lexicon)
-        for measure, weights, similarity in _measure_suite(lexicon, ic):
-            base_cfg = XSDFConfig(
+        for measure, weights in WEIGHT_MIXES:
+            exhaustive = XSDF(lexicon, XSDFConfig(
                 similarity_weights=weights, prune=False, memo=False
-            )
-            fast_cfg = XSDFConfig(
+            ))
+            pruned = XSDF(lexicon, XSDFConfig(
                 similarity_weights=weights, prune=True, memo=False
-            )
-            exhaustive = XSDF(lexicon, base_cfg, similarity=similarity)
-            pruned = XSDF(lexicon, fast_cfg, similarity=similarity)
-            memoized = XSDF(
-                lexicon, XSDFConfig(similarity_weights=weights),
-                similarity=similarity,
-            )
+            ))
+            memoized = XSDF(lexicon, XSDFConfig(similarity_weights=weights))
             for doc in parity_docs:
                 expected = exhaustive.disambiguate_document(doc.xml)
                 assert expected.assignments, (measure, doc.name)
