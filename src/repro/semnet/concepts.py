@@ -27,6 +27,12 @@ class Relation(enum.Enum):
     SIMILAR = "similar"                # symmetric similarity link
     DERIVATION = "derivation"          # derivationally related forms
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality; ``Enum.__hash__`` is a Python-level call,
+    # paid on every edge-map access (about 330k while a 100k-concept
+    # network loads).
+    __hash__ = object.__hash__
+
     @property
     def inverse(self) -> "Relation":
         """The relation read in the opposite direction."""
@@ -84,7 +90,13 @@ class Concept:
     def __post_init__(self) -> None:
         if not self.words:
             raise ValueError(f"concept {self.id!r} must have at least one word")
-        self.words = tuple(word.lower() for word in self.words)
+        # A word already in lower case is kept, not copied, so a
+        # loader that maps repeated words to one string keeps one.
+        self.words = tuple([
+            word if word.islower() or (lowered := word.lower()) == word
+            else lowered
+            for word in self.words
+        ])
 
     @property
     def label(self) -> str:

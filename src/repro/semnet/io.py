@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -107,9 +108,23 @@ def network_from_dict(document: dict) -> SemanticNetwork:
     Every malformed document raises :class:`NetworkFormatError`: a top
     level that is not an object, ``concepts``/``relations`` that are
     not lists, a concept whose ``words`` is not a non-empty list of
-    strings, a duplicate concept id, and a relation entry that is not
-    an object naming a known relation between two known concepts.
+    strings, whose ``id``, ``gloss`` or ``pos`` is not a string, or
+    whose ``frequency`` is not a finite, non-negative number (a bool or
+    a string is not a number), a duplicate concept id, and a relation
+    entry that is not an object naming a known relation between two
+    known concepts.  A missing ``gloss``, ``pos`` or ``frequency``
+    takes its default (``""``, ``"n"``, ``0.0``).
+
+    ``document`` is left as it was: the build consumes copies of its
+    two lists, not the lists themselves.
     """
+    name, concepts, relations = _parts(document)
+    return _build(name, list(concepts), list(relations))
+
+
+def _parts(document: object) -> tuple[str, list, list]:
+    """The network name and the document's own concept and relation
+    lists, once the top level is checked."""
     if not isinstance(document, dict):
         raise NetworkFormatError(
             f"not a {FORMAT_NAME} document "
@@ -127,25 +142,59 @@ def network_from_dict(document: dict) -> SemanticNetwork:
     relations = document.get("relations", [])
     if not isinstance(concepts, list) or not isinstance(relations, list):
         raise NetworkFormatError("'concepts' and 'relations' must be lists")
-    network = SemanticNetwork(document.get("name", "semnet"))
-    relation_values = {relation.value: relation for relation in Relation}
-    for entry in concepts:
+    return document.get("name", "semnet"), concepts, relations
+
+
+def _build(name: str, concepts: list, relations: list) -> SemanticNetwork:
+    """Build the network, consuming ``concepts`` and ``relations``.
+
+    Each entry leaves its list before it is added, so a decoded
+    document's containers are freed while the network grows and the
+    load never holds both whole.  Repeated words map to one string
+    through a table local to the build; relation endpoints become the
+    concepts' own ``id`` objects (:meth:`SemanticNetwork.add_relation`).
+    """
+    network = SemanticNetwork(name)
+    word_of = {}.setdefault  # a word -> the first string seen for it
+    concepts.reverse()
+    while concepts:
+        entry = concepts.pop()
         try:
             words = entry["words"]
             if not isinstance(words, list) or not words or not all(
                 isinstance(word, str) for word in words
             ):
                 raise TypeError("words must be a non-empty list of strings")
+            concept_id = entry["id"]
+            gloss = entry.get("gloss", "")
+            pos = entry.get("pos", "n")
+            if not (
+                isinstance(concept_id, str)
+                and isinstance(gloss, str)
+                and isinstance(pos, str)
+            ):
+                raise TypeError("id, gloss and pos must be strings")
+            frequency = entry.get("frequency", 0.0)
+            if isinstance(frequency, bool) or not isinstance(
+                frequency, (int, float)
+            ):
+                raise TypeError("frequency must be a number")
+            frequency = float(frequency)
+            if not 0.0 <= frequency < math.inf:
+                raise ValueError("frequency must be finite and non-negative")
             network.add_concept(Concept(
-                id=entry["id"],
-                words=tuple(words),
-                gloss=entry.get("gloss", ""),
-                pos=entry.get("pos", "n"),
-                frequency=float(entry.get("frequency", 0.0)),
+                id=concept_id,
+                words=tuple(map(word_of, words, words)),
+                gloss=gloss,
+                pos=pos,
+                frequency=frequency,
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetworkFormatError(f"bad concept entry {entry!r}: {exc}")
-    for entry in relations:
+    relation_values = {relation.value: relation for relation in Relation}
+    relations.reverse()
+    while relations:
+        entry = relations.pop()
         try:
             relation = relation_values[entry["relation"]]
             network.add_relation(entry["source"], relation, entry["target"])
@@ -181,15 +230,22 @@ def load_network(path: str | Path) -> SemanticNetwork:
     When ``gc.get_freeze_count()`` is already non-zero the move is
     skipped, so a caller's freeze is never undone.
 
+    Memory contract: the decoded document is the load's own, so the
+    build consumes it (see :func:`_build`) and the load's high-water
+    mark is the decoded document, not the document and the network
+    together; the network keeps one string per concept id and per
+    distinct word.
+
     Raises :class:`NetworkFormatError` for a file that is not UTF-8
-    JSON or not a valid network document, and ``OSError`` when the
-    file cannot be read.
+    JSON or not a valid network document (the checks of
+    :func:`network_from_dict`), and ``OSError`` when the file cannot be
+    read.
     """
     with _LOAD_LOCK:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            network = network_from_dict(_read_document(path))
+            network = _build(*_parts(_read_document(path)))
             if not gc.get_freeze_count():
                 gc.freeze()
                 gc.unfreeze()

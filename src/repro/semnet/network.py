@@ -49,26 +49,45 @@ class SemanticNetwork:
         """Register a concept; ids must be unique."""
         if concept.id in self._concepts:
             raise ValueError(f"duplicate concept id {concept.id!r}")
-        self._concepts[concept.id] = concept
+        concept_id = concept.id
+        self._concepts[concept_id] = concept
+        by_word = self._by_word
         for word in concept.words:
-            self._by_word.setdefault(word, []).append(concept.id)
-        self._edges.setdefault(concept.id, {})
+            # get, not setdefault(word, []): most words of a large
+            # network are already known, and each would allocate a
+            # list only to drop it.
+            sense_ids = by_word.get(word)
+            if sense_ids is None:
+                sense_ids = by_word[word] = []
+            sense_ids.append(concept_id)
+        self._edges.setdefault(concept_id, {})
         self._invalidate()
         return concept
 
     def add_relation(self, source: str, relation: Relation, target: str) -> None:
-        """Add ``source --relation--> target`` plus the inverse edge."""
-        if source not in self._concepts:
+        """Add ``source --relation--> target`` plus the inverse edge.
+
+        Both edge lists hold the two concepts' own ``id`` objects, not
+        the caller's strings, so the network keeps one string per
+        concept id however many edges name it.
+        """
+        source_concept = self._concepts.get(source)
+        if source_concept is None:
             raise UnknownConceptError(source)
-        if target not in self._concepts:
+        target_concept = self._concepts.get(target)
+        if target_concept is None:
             raise UnknownConceptError(target)
+        source, target = source_concept.id, target_concept.id
         self._add_directed(source, relation, target)
         self._add_directed(target, relation.inverse, source)
         self._invalidate()
 
     def _add_directed(self, source: str, relation: Relation, target: str) -> None:
-        targets = self._edges.setdefault(source, {}).setdefault(relation, [])
-        if target not in targets:
+        edge_map = self._edges[source]
+        targets = edge_map.get(relation)
+        if targets is None:
+            edge_map[relation] = [target]
+        elif target not in targets:
             targets.append(target)
 
     def _invalidate(self) -> None:
@@ -380,14 +399,16 @@ class SemanticNetwork:
             )).encode("utf-8"))
         for word in sorted(self._by_word):
             update(repr((word, tuple(self._by_word[word]))).encode("utf-8"))
+        # ``Relation.value`` is a Python-level descriptor: read each once.
+        value = {relation: relation.value for relation in Relation}
         for source in sorted(self._edges):
             edge_map = self._edges[source]
-            for relation in sorted(edge_map, key=lambda r: r.value):
+            for relation in sorted(edge_map, key=value.__getitem__):
                 # Targets sorted: edge *membership* is content, edge
                 # insertion order is not (save -> load canonicalizes
                 # relation order, and the digest must survive it).
                 update(repr(
-                    (source, relation.value, tuple(sorted(edge_map[relation])))
+                    (source, value[relation], tuple(sorted(edge_map[relation])))
                 ).encode("utf-8"))
         self._fingerprint = hasher.hexdigest()
         return self._fingerprint

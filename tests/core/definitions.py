@@ -1,4 +1,4 @@
-"""The paper's scoring definitions, transcribed literally (test oracle).
+"""The paper's definitions, transcribed literally (test oracle).
 
 The production scorers fold over a per-document plan
 (:class:`repro.core.framework.DocumentPlan`), share context inventories
@@ -7,6 +7,12 @@ recompute one candidate's score against one sphere straight from the
 definitions, sharing and caching nothing, so tests can hold the
 optimized path to them with ``==``:
 
+* :func:`amb_polysemy`, :func:`amb_depth` and :func:`amb_density` —
+  Propositions 1-3;
+* :func:`amb_deg` — Definition 3, a compound label's degree the average
+  of its tokens' degrees;
+* :func:`thresh_amb` — target selection by ``Thresh_Amb``
+  (Section 3.3), each target with its ``Amb_Deg``;
 * :func:`xml_context_vector` — Definitions 6-7, with the documented
   clamp of the normalized weight to 1;
 * :func:`sim` — Definition 9, the paper's uniform mix of Wu-Palmer,
@@ -19,6 +25,8 @@ optimized path to them with ``==``:
   candidates);
 * :func:`combined_score` — Eq. 13.
 
+The ambiguity functions read only the tree (labels, tokens, parent and
+child links) and the network's sense inventory (``senses``, ``words``).
 The sense inventories (:func:`~repro.core.candidates.context_sense_ids`),
 the concept spheres of the semantic network, its information-content
 table and the vector measure of Definition 10 are the library's own:
@@ -29,6 +37,7 @@ scoring path under test.
 from __future__ import annotations
 
 from repro.core.candidates import Candidate, context_sense_ids
+from repro.core.config import AmbiguityWeights
 from repro.core.context_vector import (
     compound_concept_context_vector,
     concept_context_vector,
@@ -38,9 +47,133 @@ from repro.linguistics.stemmer import stem
 from repro.semnet.ic import InformationContent
 from repro.semnet.network import SemanticNetwork
 from repro.similarity.vector import VECTOR_MEASURES
+from repro.xmltree.dom import XMLNode, XMLTree
 
 #: Definition 9's weights in the paper's experiments: one third each.
 SIM_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
+
+def max_senses(network: SemanticNetwork) -> int:
+    """``Max(senses(SN))``: the most senses any word of the network has."""
+    return max(
+        (len(network.senses(word)) for word in network.words()), default=0
+    )
+
+
+def amb_polysemy(
+    label: str, network: SemanticNetwork, most_senses: int
+) -> float:
+    """Proposition 1: ``(senses(l) - 1) / (Max(senses(SN)) - 1)``.
+
+    ``most_senses`` is :func:`max_senses` of ``network``.  A label with
+    at most one sense (unknown labels included) is minimally ambiguous
+    (Assumption 4), and so is every label of a network without a
+    polysemous word.
+    """
+    senses = len(network.senses(label))
+    if senses <= 1 or most_senses <= 1:
+        return 0.0
+    return (senses - 1) / (most_senses - 1)
+
+
+def _depth(node: XMLNode) -> int:
+    """Edges from the root: the length of the node's parent chain."""
+    depth = 0
+    while node.parent is not None:
+        node = node.parent
+        depth += 1
+    return depth
+
+
+def _density(node: XMLNode) -> int:
+    """``x.f-bar``: how many distinct labels the node's children carry."""
+    return len({child.label for child in node.children})
+
+
+def amb_depth(node: XMLNode, max_depth: int) -> float:
+    """Proposition 2: ``1 - depth(x) / Max(depth(T))``; 1 when the tree
+    is a single node (``Max(depth(T)) = 0``)."""
+    if max_depth == 0:
+        return 1.0
+    return 1.0 - _depth(node) / max_depth
+
+
+def amb_density(node: XMLNode, max_density: int) -> float:
+    """Proposition 3: ``1 - density(x) / Max(density(T))``; 1 when no
+    node of the tree has children (``Max(density(T)) = 0``)."""
+    if max_density == 0:
+        return 1.0
+    return 1.0 - _density(node) / max_density
+
+
+def _amb_deg(node, network, weights, most_senses, max_depth, max_density):
+    """Definition 3 for ``node``, given the network's and the tree's
+    maxima (:func:`max_senses`, ``Max(depth(T))``, ``Max(density(T))``)."""
+    depth = amb_depth(node, max_depth)
+    density = amb_density(node, max_density)
+
+    def degree(label: str) -> float:
+        return weights.polysemy * amb_polysemy(label, network, most_senses) / (
+            weights.depth * (1.0 - depth)
+            + weights.density * (1.0 - density)
+            + 1.0
+        )
+
+    if len(node.tokens) == 1:
+        return degree(node.label)
+    # A compound label: the average of its tokens' degrees, summed left
+    # to right from 0.0.
+    total = 0.0
+    for token in node.tokens:
+        total += degree(token)
+    return total / len(node.tokens)
+
+
+def amb_deg(
+    node: XMLNode,
+    tree: XMLTree,
+    network: SemanticNetwork,
+    weights: AmbiguityWeights,
+) -> float:
+    """Definition 3: ``Amb_Deg(x, T, SN)``.
+
+    ``w_Polysemy * Amb_Polysemy / (w_Depth * (1 - Amb_Depth) +
+    w_Density * (1 - Amb_Density) + 1)``; for a compound label (more
+    than one token) the average of that degree over its tokens.
+    """
+    return _amb_deg(
+        node, network, weights, max_senses(network),
+        max(_depth(other) for other in tree),
+        max(_density(other) for other in tree),
+    )
+
+
+def thresh_amb(
+    tree: XMLTree,
+    network: SemanticNetwork,
+    threshold: float,
+    weights: AmbiguityWeights,
+) -> dict[int, float]:
+    """Target selection (Section 3.3): ``{preorder index: Amb_Deg}``, in
+    preorder, of the nodes with ``Amb_Deg >= Thresh_Amb``.
+
+    A node none of whose words (its label, or one of its tokens) has a
+    sense in the network offers nothing to choose between and is never
+    a target.
+    """
+    most_senses = max_senses(network)
+    max_depth = max(_depth(node) for node in tree)
+    max_density = max(_density(node) for node in tree)
+    targets: dict[int, float] = {}
+    for node in tree:
+        if not any(network.senses(word) for word in (node.label, *node.tokens)):
+            continue
+        degree = _amb_deg(
+            node, network, weights, most_senses, max_depth, max_density
+        )
+        if degree >= threshold:
+            targets[node.index] = degree
+    return targets
 
 
 def xml_context_vector(sphere: Sphere) -> dict[str, float]:

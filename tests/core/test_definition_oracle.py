@@ -12,6 +12,13 @@ chosen sense must be the reference's arg-max (ties go to the earlier
 sense).  Each document runs twice through each framework, so with the
 memo on the second pass replays every outcome (the memo counts a hit
 for each).
+
+Target selection is held to Definition 3 the same way: the nodes
+:func:`~repro.core.ambiguity.select_targets` returns, and the
+``Amb_Deg`` the document plan records for each (reported as every
+assignment's ``ambiguity``), equal :func:`definitions.thresh_amb` on
+these trees, on trees with compound labels under random thresholds and
+weights, and on the golden 60-document corpus.
 """
 
 from __future__ import annotations
@@ -22,12 +29,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.ambiguity import select_targets
 from repro.core.candidates import candidate_senses
-from repro.core.config import XSDFConfig
+from repro.core.config import AmbiguityWeights, XSDFConfig
 from repro.core.framework import XSDF
 from repro.core.sphere import build_sphere
+from repro.datasets import generate_test_corpus
 from repro.runtime import PackedIndex
+from repro.semnet import default_lexicon
 from repro.semnet.ic import InformationContent
+from repro.xmltree.dom import XMLNode, XMLTree
 
 from . import definitions
 from .test_core_properties import toy_network, trees  # noqa: F401
@@ -119,9 +130,28 @@ def _definitions(xsdf, tree, node, similarity):
     return candidates, concept, context, combined
 
 
+def _check_targets(xsdf, tree, result):
+    """Definition 3: the selected targets, in preorder, and the
+    ``Amb_Deg`` the plan recorded for each."""
+    config = xsdf.config
+    expected = definitions.thresh_amb(
+        tree, xsdf.network, config.ambiguity_threshold,
+        config.ambiguity_weights,
+    )
+    targets = select_targets(
+        tree, xsdf.network, threshold=config.ambiguity_threshold,
+        weights=config.ambiguity_weights,
+    )
+    assert [node.index for node in targets] == list(expected)
+    assert result.n_targets == len(expected)
+    for a in result.assignments:
+        assert a.ambiguity == expected[a.node_index], a.node_index
+
+
 def _check_against_definitions(xsdf, tree, similarity, reference):
     config = xsdf.config
     result = xsdf.disambiguate_tree(tree)
+    _check_targets(xsdf, tree, result)
     for a in result.assignments:
         expected = reference.get(a.node_index)
         if expected is None:
@@ -181,3 +211,57 @@ def test_plan_scores_equal_definitions_on_generated_networks(
         index = _INDEXES[shape] = PackedIndex(network)
     tree = XSDF(network).build_tree(_random_document(network, doc_seed))
     _check_all(_frameworks(network, index), tree, _literal_sim(network, ic))
+
+
+#: Toy-network words and compounds of them: a compound node carries its
+#: tokens, and its label (the tokens joined) names no concept.
+_COMPOUND_LABELS = st.sampled_from([
+    ("alpha",), ("beta",), ("gamma",), ("delta",),
+    ("alpha", "gamma"), ("gamma", "beta"), ("alpha", "delta"),
+    ("delta", "epsilon"),
+])
+
+
+@st.composite
+def compound_trees(draw):
+    """Trees over toy words in which some labels are compounds."""
+    picks = draw(st.lists(_COMPOUND_LABELS, min_size=2, max_size=30))
+    nodes = [XMLNode(" ".join(tokens), tokens=tokens) for tokens in picks]
+    for node in nodes[1:]:
+        draw(st.sampled_from(nodes[:nodes.index(node)])).add_child(node)
+    return XMLTree(nodes[0])
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    compound_trees(), _UNIT,
+    st.builds(AmbiguityWeights, _UNIT, _UNIT, _UNIT),
+)
+@example(
+    tree=XMLTree(XMLNode("alpha gamma", tokens=("alpha", "gamma"))),
+    threshold=0.0, weights=AmbiguityWeights(),
+)
+def test_targets_equal_definition3_on_compound_trees(
+    toy_network, toy_index, tree, threshold, weights  # noqa: F811
+):
+    xsdf = XSDF(
+        toy_network,
+        XSDFConfig(ambiguity_threshold=threshold, ambiguity_weights=weights),
+        index=toy_index,
+    )
+    _check_targets(xsdf, tree, xsdf.disambiguate_tree(tree))
+
+
+def test_targets_equal_definition3_on_the_golden_corpus():
+    network = default_lexicon()
+    xsdf = XSDF(network, XSDFConfig(), index=PackedIndex(network))
+    for document in generate_test_corpus():
+        tree = xsdf.build_tree(document.xml)
+        _check_targets(xsdf, tree, xsdf.disambiguate_tree(tree))

@@ -5,11 +5,14 @@ from __future__ import annotations
 import gc
 import json
 import threading
+import tracemalloc
+from copy import deepcopy
 
 import pytest
 
 from repro.semnet import build_lexicon, default_lexicon
 from repro.semnet.builders import NetworkBuilder
+from repro.semnet.generator import GeneratorConfig, generate_network
 from repro.semnet import io as io_module
 from repro.semnet.concepts import Relation
 from repro.semnet.io import (
@@ -34,7 +37,11 @@ def small():
 
 class TestRoundTrip:
     def test_dict_roundtrip_preserves_everything(self, small):
-        restored = network_from_dict(network_to_dict(small))
+        document = network_to_dict(small)
+        before = deepcopy(document)
+        restored = network_from_dict(document)
+        # The build consumes copies of the lists, never the caller's.
+        assert document == before
         assert restored.name == small.name
         assert [c.id for c in restored] == [c.id for c in small]
         for concept in small:
@@ -102,6 +109,19 @@ class TestValidation:
             [{"id": "x", "words": [], "gloss": "g"}],
             [{"id": "x", "words": ["a"]}, {"id": "x", "words": ["b"]}],
             ["x"],
+            # Every field has its type: an int id or gloss would
+            # otherwise fail later, in fingerprint() or the index build.
+            [{"id": 7, "words": ["a"], "gloss": "g"}],
+            [{"id": "x", "words": ["a"], "gloss": 7}],
+            [{"id": "x", "words": ["a"], "pos": ["n"]}],
+            # A frequency is a finite, non-negative number: -3 would
+            # otherwise end the IC table with "no frequency mass".
+            [{"id": "x", "words": ["a"], "frequency": -3}],
+            [{"id": "x", "words": ["a"], "frequency": "nan"}],
+            [{"id": "x", "words": ["a"], "frequency": True}],
+            [{"id": "x", "words": ["a"], "frequency": float("nan")}],
+            [{"id": "x", "words": ["a"], "frequency": float("inf")}],
+            [{"id": "x", "words": ["a"], "frequency": 10 ** 400}],
         ):
             with pytest.raises(NetworkFormatError, match="bad concept"):
                 network_from_dict({
@@ -132,6 +152,48 @@ class TestValidation:
         save_network(small, path)
         document = json.loads(path.read_text())
         assert document["format"] == FORMAT_NAME
+
+
+class TestLoadMemory:
+    """A loaded network holds one string per concept id and per word,
+    and the load frees the decoded document while it builds."""
+
+    def test_ids_and_words_are_one_object_each(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        save_network(default_lexicon(), path)
+        network = load_network(path)
+        for concept in network:
+            for _relation, target in network.related(concept.id):
+                assert target is network.concept(target).id
+        for sense_ids in network._by_word.values():
+            for concept_id in sense_ids:
+                assert concept_id is network.concept(concept_id).id
+        word_object = {word: word for word in network.words()}
+        shared = 0
+        for concept in network:
+            for word in concept.words:
+                assert word is word_object[word]
+                shared += network.polysemy(word) > 1
+        assert shared > 100
+
+    def test_load_peak_stays_near_the_file_size(self, tmp_path):
+        """What the load allocates beyond the network it returns (the
+        file's text and the decoded document) stays near the file
+        size: 1.07-1.19 times it on CPython 3.11-3.13, against
+        2.06-2.16 times when the whole document lives until the build
+        ends."""
+        path = tmp_path / "generated.json"
+        save_network(generate_network(GeneratorConfig(
+            n_concepts=20000, seed=7, gloss_style="local"
+        )), path)
+        tracemalloc.start()
+        try:
+            network = load_network(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(network) == 20000
+        assert peak - retained <= 1.6 * path.stat().st_size
 
 
 class TestFingerprintPin:

@@ -443,15 +443,38 @@ class TestUnreadableNetwork:
          "cannot read network missing.json: "),
         (["serve", "--port", "0", "--network", "malformed.json"], 1,
          "unreadable network: not a"),
+        (["batch", "doc.xml", "--network", "int-id.json"], 1,
+         "unreadable network: bad concept"),
+        (["batch", "doc.xml", "--network", "int-gloss.json"], 1,
+         "unreadable network: bad concept"),
+        (["batch", "doc.xml", "--network", "negative-frequency.json"], 1,
+         "unreadable network: bad concept"),
     ], ids=[
         "batch-missing", "validate-missing",
         "batch-malformed", "serve-missing", "serve-malformed",
+        "batch-int-id", "batch-int-gloss", "batch-negative-frequency",
     ])
     def test_reported_without_traceback(
         self, tmp_path, monkeypatch, xml_file, argv, expected_code, message
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "malformed.json").write_text('{"format": "x"}')
+        # A concept field of the wrong type or range would otherwise
+        # load and fail later with a traceback (fingerprint, index
+        # build, IC).
+        for name, bad in (
+            ("int-id", {"id": 7}),
+            ("int-gloss", {"gloss": 7}),
+            ("negative-frequency", {"frequency": -3}),
+        ):
+            (tmp_path / f"{name}.json").write_text(json.dumps({
+                "format": "repro-semnet", "version": 1, "relations": [],
+                "concepts": [
+                    {"id": "star.n.01", "words": ["star"], "gloss": "a sun"},
+                    {"id": "actor.n.01", "words": ["actor"],
+                     "gloss": "a player", **bad},
+                ],
+            }))
         try:
             code, output = run(argv)
         except SystemExit as exc:
